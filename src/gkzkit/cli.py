@@ -108,6 +108,10 @@ def _config_from(data) -> PointConfiguration:
     except (TypeError, ValueError) as exc:
         raise InputError("matrix entries must be integers") from exc
     labels = data.get("labels")
+    if labels is not None and (
+        not isinstance(labels, list) or not all(isinstance(l, str) for l in labels)
+    ):
+        raise InputError("'labels' must be a list of strings")
     try:
         return PointConfiguration.from_columns(cols, labels)
     except ValueError as exc:
@@ -115,12 +119,20 @@ def _config_from(data) -> PointConfiguration:
 
 
 def _beta_from(data, args, config=None):
+    """The parameter vector; with a config, its length must be the ambient dimension."""
     raw = getattr(args, "beta", None) or data.get("beta")
     if raw is None:
         raise InputError("a parameter vector 'beta' is required")
     if isinstance(raw, str):
         raw = raw.split(",")
-    return tuple(parse_frac(b) for b in raw)
+    if not isinstance(raw, list):
+        raise InputError("'beta' must be a list of rationals")
+    beta = tuple(parse_frac(b) for b in raw)
+    if config is not None and len(beta) != config.ambient_dim:
+        raise InputError(
+            f"'beta' has {len(beta)} entries, the matrix has {config.ambient_dim} rows"
+        )
+    return beta
 
 
 def _curve_from(data) -> MonomialCurveConfig:
@@ -263,7 +275,7 @@ def _run_secondary(data, args):
 
 def _run_nonresonant(data, args):
     A = _config_from(data)
-    beta = _beta_from(data, args)
+    beta = _beta_from(data, args, A)
     rep = is_nonresonant(A, beta)
     return {
         "beta": [frac_str(b) for b in beta],
@@ -274,7 +286,7 @@ def _run_nonresonant(data, args):
 
 def _run_series(data, args):
     A = _config_from(data)
-    beta = _beta_from(data, args)
+    beta = _beta_from(data, args, A)
     if not args.extend:
         raise InputError("series currently supports the --extend pipeline")
     k = args.col

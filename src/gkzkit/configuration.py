@@ -24,6 +24,8 @@ from functools import cached_property, lru_cache
 from .intlinalg import (
     IntMatrix,
     clear_denominators,
+    dot,
+    primitive,
     rational_rank,
     solve_rational,
     vsub,
@@ -152,12 +154,6 @@ class PointConfiguration:
     def minimal_face(self, i: int) -> Face:
         return minimal_face_containing(self.poset, self.points[i])
 
-    @cached_property
-    def interior_point_indices(self):
-        return tuple(
-            i for i in range(self.size) if self.minimal_face(i).supporting is None
-        )
-
     def face_int_semiideal(self):
         """Downward closure of the faces carrying a relative interior point of A."""
         generators = {self.minimal_face(i) for i in range(self.size)}
@@ -195,8 +191,6 @@ def _cross(a, b):
 
 def _extreme_rays(G):
     """Primitive direction representatives of the extreme rays of cone(G)."""
-    from .intlinalg import primitive
-
     dirs = sorted({primitive(g) for g in G})
     r = len(dirs[0])
     if r == 1 or len(dirs) == 1:
@@ -212,70 +206,12 @@ def _extreme_rays(G):
                 out.append(g)
                 break
         return sorted(set(out))
-    out = []
-    for i, g in enumerate(dirs):
-        others = [h for j, h in enumerate(dirs) if j != i]
-        # g extreme iff g is NOT a nonnegative combination of the others
-        if not _in_cone(g, others):
-            out.append(g)
-    return out
-
-
-def _in_cone(x, gens) -> bool:
-    """Exact test x in cone(gens) via LP feasibility."""
-    if not gens:
-        return not any(x)
-    n = len(gens)
-    d = len(x)
-    A_ub = []
-    b_ub = []
-    for i in range(d):  # sum lam_j g_j = x, split into <= pairs
-        row = [gens[j][i] for j in range(n)]
-        A_ub.append(row)
-        b_ub.append(x[i])
-        A_ub.append([-a for a in row])
-        b_ub.append(-x[i])
-    for j in range(n):
-        A_ub.append([-1 if l == j else 0 for l in range(n)])
-        b_ub.append(0)
-    status, _, _ = lp_maximize([0] * n, A_ub, b_ub)
-    return status == OPTIMAL
-
-
-def _minkowski_hull_generators(G):
-    """Generators that are vertices of conv(G) + cone(G).
-
-    g is redundant iff g = sum mu_j h_j + c with the mu convex over G \\ {g}
-    and c in cone(G) (the recession cone keeps all directions).
-    """
-    out = []
-    for i, g in enumerate(G):
-        others = [h for j, h in enumerate(G) if j != i]
-        if not others:
-            out.append(g)
-            continue
-        n = len(others)
-        m = len(G)
-        d = len(g)
-        A_ub = []
-        b_ub = []
-        for idx in range(d):
-            row = [others[j][idx] for j in range(n)] + [G[j][idx] for j in range(m)]
-            A_ub.append(row)
-            b_ub.append(g[idx])
-            A_ub.append([-a for a in row])
-            b_ub.append(-g[idx])
-        A_ub.append([1] * n + [0] * m)
-        b_ub.append(1)
-        A_ub.append([-1] * n + [0] * m)
-        b_ub.append(-1)
-        for j in range(n + m):
-            A_ub.append([-1 if l == j else 0 for l in range(n + m)])
-            b_ub.append(0)
-        status, _, _ = lp_maximize([0] * (n + m), A_ub, b_ub)
-        if status != OPTIMAL:
-            out.append(g)
-    return out
+    # g spans an extreme ray iff the facets through it cut out a line
+    normals = _cone_facet_inner_normals(dirs)
+    return [
+        g for g in dirs
+        if rational_rank([n for n in normals if dot(n, g) == 0]) == r - 1
+    ]
 
 
 def _cone_facet_inner_normals(G):
@@ -286,29 +222,33 @@ def _cone_facet_inner_normals(G):
         return [(s,)]
     hull = convex_hull([(0,) * r] + [tuple(g) for g in G])
     zero_coords = hull.chart_coords((0,) * r)
-    normals = []
-    for h, c in hull.facets:
-        if sum(a * b for a, b in zip(h, zero_coords)) == c:
-            # translate the chart functional to ambient coordinates: the chart
-            # anchor is a hull point and the basis is integral, so h acts on
-            # chart coords; rebuild the ambient functional by solving
-            amb = _chart_functional_to_ambient(hull, h)
-            normals.append(tuple(-a for a in amb))
-    return normals
+    return [
+        tuple(-a for a in hull.ambient_functional(h))
+        for h, c in hull.facets
+        if dot(h, zero_coords) == c
+    ]
 
 
-def _chart_functional_to_ambient(P, h):
-    """An ambient linear functional restricting to h on P's chart (origin at anchor)."""
-    basis = P.chart_basis
-    d = len(basis)
-    amb = len(basis[0])
-    rows = [[Fraction(basis[j][i]) for j in range(d)] for i in range(amb)]
-    # want f with f . b_j = h_j; solve f as row vector: B^T f = h
-    bt = [[rows[i][j] for i in range(amb)] for j in range(d)]
-    f = solve_rational(bt, list(h))
-    if f is None:
-        raise AssertionError("chart basis must admit a dual functional")
-    return clear_denominators(f)
+def _minkowski_generators(G, normals):
+    """Generators enough to span conv(G) + cone(G), found without an LP.
+
+    With n . x >= 0 for all inner facet normals n deciding x in cone(G), drop
+    g whenever g - g' lies in cone(G) for another g' in G.  This is sound: on
+    the pointed cone(G) the relation g' <= g iff g - g' in cone(G) is a
+    partial order, so every dropped g lies in g'' + cone(G) for a kept,
+    minimal g'' below it.  Then g and every shift g + t*e along a ray already
+    lie in conv(kept) + cone(G), so dropping g changes neither
+    conv(G) + cone(G) nor its truncation at h <= c.  No vertex of
+    conv(G) + cone(G) is dropped, since a vertex is not g' + r for any
+    nonzero r in the recession cone.  The pruning may keep points that are
+    not vertices; they only add hull input and never change a volume.
+    """
+    return [
+        g for g in G
+        if not any(
+            g2 != g and all(dot(n, vsub(g, g2)) >= 0 for n in normals) for g2 in G
+        )
+    ]
 
 
 def _face_quotient_images(A: PointConfiguration, face: Face):
@@ -350,7 +290,7 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
         tuple(Fraction(c, sum(a * b for a, b in zip(hfun, e))) * x for x in e)
         for e in extremes
     ]
-    mink_gens = _minkowski_hull_generators(G)
+    mink_gens = _minkowski_generators(G, normals)
     shifted = list(mink_gens)
     for g in mink_gens:
         hg = sum(a * b for a, b in zip(hfun, g))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .intlinalg import (
     clear_denominators,
@@ -70,6 +71,18 @@ class Polytope:
         )
         return x if back == diff else None
 
+    def ambient_functional(self, h):
+        """Integer ambient functional f with f . b_j = t * h_j on the chart
+        basis vectors b_j, t > 0 the least factor making f integral.
+
+        f restricts to t * h on the chart directions, so it orders points of
+        the affine hull as the chart functional h does.
+        """
+        f = solve_rational(self.chart_basis, list(h))
+        if f is None:
+            raise AssertionError("chart basis must admit a dual functional")
+        return clear_denominators(f)
+
     def contains(self, point) -> bool:
         x = self.chart_coords(point)
         if x is None:
@@ -110,30 +123,38 @@ def convex_hull(points) -> Polytope:
         return Polytope(pts, 0, anchor, (), (), (0,))
     chart = Polytope(pts, dim, anchor, lat.generators(), (), ())
     coords = [chart.chart_coords(p) for p in pts]
+    # the facet search runs on the integer points D * x: same hyperplanes,
+    # same sides, without Fraction arithmetic in the inner loop
+    D = lcm(*(a.denominator for x in coords for a in x))
+    icoords = [tuple(int(a * D) for a in x) for x in coords]
     facets = set()
+    on_facet = []  # index sets of the facet hyperplanes found so far
     for subset in itertools.combinations(range(len(pts)), dim):
-        base = coords[subset[0]]
+        if any(s.issuperset(subset) for s in on_facet):
+            continue  # lies on a facet already found
+        base = icoords[subset[0]]
         if dim == 1:
             null = [(Fraction(1),)]
         else:
-            rows = [vsub(coords[i], base) for i in subset[1:]]
+            rows = [vsub(icoords[i], base) for i in subset[1:]]
             null = rational_nullspace(rows)
         if len(null) != 1:
             continue  # subset does not span a hyperplane in the chart
         h = primitive(clear_denominators(null[0]))
         c = dot(h, base)
-        side_hi = any(dot(h, x) > c for x in coords)
-        side_lo = any(dot(h, x) < c for x in coords)
+        side_hi = any(dot(h, x) > c for x in icoords)
+        side_lo = any(dot(h, x) < c for x in icoords)
         if side_hi and side_lo:
             continue
         if side_hi:
             h, c = tuple(-a for a in h), -c
-        hc = clear_denominators((*h, c))
+        on_facet.append(frozenset(i for i, x in enumerate(icoords) if dot(h, x) == c))
+        hc = clear_denominators((*h, Fraction(c, D)))
         facets.add((hc[:-1], hc[-1]))
     facets = tuple(sorted(facets))
     vert = []
-    for i, x in enumerate(coords):
-        active = [h for h, c in facets if dot(h, x) == c]
+    for i, x in enumerate(icoords):
+        active = [h for h, c in facets if dot(h, x) == c * D]
         if active and rational_rank(active) == dim:
             vert.append(i)
     return Polytope(pts, dim, anchor, lat.generators(), facets, tuple(vert))
@@ -162,14 +183,6 @@ class FacePoset:
     def faces_containing(self, face: Face):
         s = set(face.indices)
         return tuple(f for f in self.faces if set(f.indices) >= s)
-
-    def covers(self):
-        out = []
-        for f in self.faces:
-            for g in self.faces:
-                if f.dim + 1 == g.dim and set(f.indices) < set(g.indices):
-                    out.append((f, g))
-        return tuple(out)
 
 
 def face_poset(P: Polytope) -> FacePoset:
@@ -269,7 +282,11 @@ def triangulate_vertices(points):
     Returns tuples of points; each simplex has dim+1 elements.  Points interior
     to the hull are ignored.
     """
-    P = convex_hull(points)
+    return _triangulate(convex_hull(points))
+
+
+def _triangulate(P: Polytope):
+    """Pulling triangulation of the hull P from its least vertex."""
     verts = [P.points[i] for i in P.vertex_indices]
     if P.dim == 0:
         return [(verts[0],)]
@@ -300,7 +317,7 @@ def normalized_volume(points) -> Fraction:
     if P.dim != ambient:
         raise ValueError("normalized_volume needs full-dimensional input")
     total = Fraction(0)
-    for simplex in triangulate_vertices(pts):
+    for simplex in _triangulate(P):
         rows = [vsub(_as_fraction_vec(p), _as_fraction_vec(simplex[0])) for p in simplex[1:]]
         total += abs(det_fraction(rows))
     return total

@@ -82,7 +82,7 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
     else:
         cells = []
         for h, c in hull.facets:
-            f = _chart_functional_to_ambient(hull, h)
+            f = hull.ambient_functional(h)
             if f[-1] >= 0:  # not a lower facet
                 continue
             members = tuple(
@@ -104,18 +104,6 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
 def _eval_facet(P: Polytope, h, c, point) -> bool:
     x = P.chart_coords(point)
     return sum(a * b for a, b in zip(h, x)) == c
-
-
-def _chart_functional_to_ambient(P: Polytope, h):
-    """Ambient functional restricting to h on P's chart directions."""
-    basis = P.chart_basis
-    d = len(basis)
-    amb = len(basis[0])
-    bt = [[Fraction(basis[j][i]) for i in range(amb)] for j in range(d)]
-    f = solve_rational(bt, list(h))
-    if f is None:
-        raise AssertionError("chart basis admits a dual functional")
-    return f
 
 
 def gkz_vector(A: PointConfiguration, T: Triangulation):

@@ -115,6 +115,17 @@ def test_hypothesis_violations_are_clean_rejections():
     assert code == 2
 
 
+def test_malformed_labels_and_beta_are_input_errors():
+    for labels in (5, [[1], [2], [3]]):
+        code, out, err = run_cli(["faces"], dict(CURVE013, labels=labels))
+        assert code == 2 and out is None
+        assert err.startswith("input error:") and err.count("\n") == 1
+    for beta in (["0"], 5):
+        code, out, err = run_cli(["nonresonant"], dict(CURVE013, beta=beta))
+        assert code == 2 and out is None
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_faces_command():
     code, out, _ = run_cli(["faces"], TRI)
     assert code == 0
