@@ -109,9 +109,9 @@ def _config_from(data) -> PointConfiguration:
         raise InputError("matrix entries must be integers") from exc
     labels = data.get("labels")
     if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(l, str) for l in labels)
+        not isinstance(labels, list) or any(isinstance(l, (list, dict)) for l in labels)
     ):
-        raise InputError("'labels' must be a list of strings")
+        raise InputError("'labels' must be a list of strings or numbers")
     try:
         return PointConfiguration.from_columns(cols, labels)
     except ValueError as exc:

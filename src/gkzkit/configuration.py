@@ -189,8 +189,12 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _extreme_rays(G):
-    """Primitive direction representatives of the extreme rays of cone(G)."""
+def _extreme_rays(G, normals=None):
+    """Primitive direction representatives of the extreme rays of cone(G).
+
+    In rank >= 3 the rays are read off the inner facet normals of cone(G),
+    taken from ``normals`` when the caller has them already.
+    """
     dirs = sorted({primitive(g) for g in G})
     r = len(dirs[0])
     if r == 1 or len(dirs) == 1:
@@ -207,7 +211,8 @@ def _extreme_rays(G):
                 break
         return sorted(set(out))
     # g spans an extreme ray iff the facets through it cut out a line
-    normals = _cone_facet_inner_normals(dirs)
+    if normals is None:
+        normals = _cone_facet_inner_normals(dirs)
     return [
         g for g in dirs
         if rational_rank([n for n in normals if dot(n, g) == 0]) == r - 1
@@ -232,23 +237,39 @@ def _cone_facet_inner_normals(G):
 def _minkowski_generators(G, normals):
     """Generators enough to span conv(G) + cone(G), found without an LP.
 
-    With n . x >= 0 for all inner facet normals n deciding x in cone(G), drop
-    g whenever g - g' lies in cone(G) for another g' in G.  This is sound: on
+    Two prunings, neither of which changes the truncated hull that
+    :func:`subdiagram_volume` measures.
+
+    Dominance: with n . x >= 0 for all inner facet normals n deciding x in
+    cone(G), drop g whenever g - g' lies in cone(G) for another g' in G.  On
     the pointed cone(G) the relation g' <= g iff g - g' in cone(G) is a
     partial order, so every dropped g lies in g'' + cone(G) for a kept,
     minimal g'' below it.  Then g and every shift g + t*e along a ray already
     lie in conv(kept) + cone(G), so dropping g changes neither
-    conv(G) + cone(G) nor its truncation at h <= c.  No vertex of
-    conv(G) + cone(G) is dropped, since a vertex is not g' + r for any
-    nonzero r in the recession cone.  The pruning may keep points that are
-    not vertices; they only add hull input and never change a volume.
+    conv(G) + cone(G) nor its truncation at h <= c.
+
+    Convexity: of the points left, drop those that are not vertices of their
+    own hull.  Such a g is a convex combination sum lambda_i g_i of kept
+    vertices.  Its shift to the truncation level, g + t(g) e with
+    t(g) = (c - h.g) / h.e affine in g, is then sum lambda_i (g_i + t(g_i) e),
+    a convex combination of the kept shifts, so the hull is unchanged.
+
+    No vertex of conv(G) + cone(G) is dropped: a vertex is neither g' + r for
+    a nonzero r in the recession cone nor a convex combination of other
+    points of the set.  The pruning may keep points that are not vertices
+    (a convex combination of kept points plus a ray); they only add hull
+    input and never change a volume.
     """
-    return [
+    kept = [
         g for g in G
         if not any(
             g2 != g and all(dot(n, vsub(g, g2)) >= 0 for n in normals) for g2 in G
         )
     ]
+    if len(kept) <= 2:
+        return kept  # one or two points are all vertices
+    vertices = set(convex_hull(kept).vertex_indices)
+    return [g for i, g in enumerate(kept) if i in vertices]
 
 
 def _face_quotient_images(A: PointConfiguration, face: Face):
@@ -285,7 +306,7 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     if any(v <= 0 for v in hvals):
         raise AssertionError("truncating functional must be positive on the cone")
     c = 1 + max(hvals)
-    extremes = _extreme_rays(G)
+    extremes = _extreme_rays(G, normals)
     cone_trunc = [(0,) * q.quotient_rank] + [
         tuple(Fraction(c, sum(a * b for a, b in zip(hfun, e))) * x for x in e)
         for e in extremes

@@ -116,10 +116,12 @@ def test_hypothesis_violations_are_clean_rejections():
 
 
 def test_malformed_labels_and_beta_are_input_errors():
-    for labels in (5, [[1], [2], [3]]):
+    for labels in (5, "abc", [[1], [2], [3]]):
         code, out, err = run_cli(["faces"], dict(CURVE013, labels=labels))
         assert code == 2 and out is None
         assert err.startswith("input error:") and err.count("\n") == 1
+    code, out, _ = run_cli(["faces"], dict(CURVE013, labels=[1, 2, 3]))
+    assert code == 0 and out["input"]["labels"] == [1, 2, 3]
     for beta in (["0"], 5):
         code, out, err = run_cli(["nonresonant"], dict(CURVE013, beta=beta))
         assert code == 2 and out is None

@@ -11,10 +11,13 @@ from _corpus import random_small_config
 from gkzkit import configuration
 from gkzkit.configuration import (
     PointConfiguration,
+    _cone_facet_inner_normals,
     _extreme_rays,
     _face_quotient_images,
+    _minkowski_generators,
     saturate,
     subdiagram_volume,
+    subdiagram_volume_oracle,
 )
 from gkzkit.intlinalg import primitive, rational_rank, vsub
 from gkzkit.lp import OPTIMAL, lp_maximize
@@ -109,7 +112,7 @@ def _lp_volume(A, face, monkeypatch):
         m.setattr(
             configuration, "_minkowski_generators", lambda G, normals: _minkowski_hull_generators(G)
         )
-        m.setattr(configuration, "_extreme_rays", _extreme_rays_lp)
+        m.setattr(configuration, "_extreme_rays", lambda G, normals=None: _extreme_rays_lp(G))
         return subdiagram_volume.__wrapped__(A, face)
 
 
@@ -136,7 +139,7 @@ def _assert_routes_agree(configs, monkeypatch):
                 continue
             q, G = _face_quotient_images(A, face)
             ranks.add(q.quotient_rank)
-            assert _extreme_rays(G) == _extreme_rays_lp(G)
+            assert _extreme_rays(G, _cone_facet_inner_normals(G)) == _extreme_rays_lp(G)
             assert subdiagram_volume(A, face) == _lp_volume(A, face, monkeypatch)
     return ranks
 
@@ -148,13 +151,50 @@ def test_routes_agree_on_criterion_8_corpus(monkeypatch):
 
 
 def test_routes_agree_on_obstructed(monkeypatch):
+    # the vertex a2 of the s-saturation has the largest shifted set met so
+    # far: 30 points, where dominance alone would keep 35
     configs = [OBSTRUCTED, saturate(OBSTRUCTED, "s").result]
     assert 3 in _assert_routes_agree(configs, monkeypatch)
 
 
 def test_routes_agree_on_solid_family(monkeypatch):
     # vertices of 3-polytopes give rank-3 quotients, out of the oracle's reach
-    assert 3 in _assert_routes_agree(_solid_configs(5, 2), monkeypatch)
+    assert 3 in _assert_routes_agree(_solid_configs(5, 1), monkeypatch)
+
+
+def _vertex_quotient(A, vertex):
+    face = A.minimal_face(A.index_of(vertex))
+    return face, _face_quotient_images(A, face)[1]
+
+
+def test_collinear_generators_stay_under_the_hull_cap():
+    # the vertex (1,0,0) sees 17 quotient images on one segment; none
+    # dominates another, and kept whole they would shift to 51 hull points
+    n = 16
+    A = PointConfiguration.from_columns([(1, 0, 0)] + [(1, k, n - k) for k in range(n + 1)])
+    face, G = _vertex_quotient(A, (1, 0, 0))
+    assert len(G) == n + 1
+    kept = _minkowski_generators(G, _cone_facet_inner_normals(G))
+    assert kept == _minkowski_hull_generators(G) and len(kept) == 2
+    # the gap is the triangle x, y >= 0, x + y <= n of area n^2, measured in
+    # the quotient lattice x + y = 0 mod n of index n
+    assert subdiagram_volume(A, face) == n == subdiagram_volume_oracle(A, face)
+
+
+def test_coplanar_generators_stay_under_the_hull_cap():
+    # rank-3 analogue, out of the oracle's reach: 15 images on a triangle
+    n = 4
+    pts = [(1, a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    A = PointConfiguration.from_columns([(1, 0, 0, 0)] + pts)
+    face, G = _vertex_quotient(A, (1, 0, 0, 0))
+    assert len(G) == 15
+    normals = _cone_facet_inner_normals(G)
+    kept = _minkowski_generators(G, normals)
+    assert kept == _minkowski_hull_generators(G) and len(kept) == 3
+    assert _extreme_rays(G, normals) == _extreme_rays_lp(G)
+    # the gap is the simplex x >= 0, x1 + x2 + x3 <= n of volume n^3,
+    # measured in the quotient lattice x1 + x2 + x3 = 0 mod n of index n
+    assert subdiagram_volume(A, face) == n**2
 
 
 def test_subdiagram_volume_solves_no_lp(monkeypatch):
