@@ -107,6 +107,9 @@ def _config_from(data) -> PointConfiguration:
         cols = [[int(a) for a in col] for col in cols]
     except (TypeError, ValueError) as exc:
         raise InputError("matrix entries must be integers") from exc
+    lengths = [len(col) for col in cols]
+    if len(set(lengths)) > 1:
+        raise InputError(f"matrix columns must have equal lengths, got {lengths}")
     labels = data.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or any(isinstance(l, (list, dict)) for l in labels)
@@ -118,8 +121,9 @@ def _config_from(data) -> PointConfiguration:
         raise InputError(str(exc)) from exc
 
 
-def _beta_from(data, args, config=None):
-    """The parameter vector; with a config, its length must be the ambient dimension."""
+def _beta_from(data, args, length, source):
+    """The parameter vector, which must have ``length`` entries; ``source``
+    says why, for the diagnostic."""
     raw = getattr(args, "beta", None) or data.get("beta")
     if raw is None:
         raise InputError("a parameter vector 'beta' is required")
@@ -128,10 +132,8 @@ def _beta_from(data, args, config=None):
     if not isinstance(raw, list):
         raise InputError("'beta' must be a list of rationals")
     beta = tuple(parse_frac(b) for b in raw)
-    if config is not None and len(beta) != config.ambient_dim:
-        raise InputError(
-            f"'beta' has {len(beta)} entries, the matrix has {config.ambient_dim} rows"
-        )
+    if len(beta) != length:
+        raise InputError(f"'beta' needs {length} entries ({source}), got {len(beta)}")
     return beta
 
 
@@ -275,7 +277,7 @@ def _run_secondary(data, args):
 
 def _run_nonresonant(data, args):
     A = _config_from(data)
-    beta = _beta_from(data, args, A)
+    beta = _beta_from(data, args, A.ambient_dim, "one per matrix row")
     rep = is_nonresonant(A, beta)
     return {
         "beta": [frac_str(b) for b in beta],
@@ -286,7 +288,7 @@ def _run_nonresonant(data, args):
 
 def _run_series(data, args):
     A = _config_from(data)
-    beta = _beta_from(data, args, A)
+    beta = _beta_from(data, args, A.ambient_dim, "one per matrix row")
     if not args.extend:
         raise InputError("series currently supports the --extend pipeline")
     k = args.col
@@ -347,7 +349,7 @@ def _run_curve(data, args):
     if args.action == "monodromy":
         if args.delta is None:
             raise InputError("monodromy needs --delta")
-        beta = _beta_from(data, args)
+        beta = _beta_from(data, args, 2, "beta_1 and beta_2 of the curve system")
         res = numeric_monodromy(args.delta, beta)
         def cplx(z):
             return [z.real, z.imag]

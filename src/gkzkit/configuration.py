@@ -129,6 +129,11 @@ class PointConfiguration:
             coords.append(x)
         return direction_lattice, tuple(coords)
 
+    @cached_property
+    def volume(self) -> int:
+        """Normalized volume of the Newton polytope with respect to Z_A."""
+        return int(normalized_volume(self.volume_chart[1]))
+
     def delete(self, i: int) -> "PointConfiguration":
         cols = [c for j, c in enumerate(self.points) if j != i]
         labels = tuple(l for j, l in enumerate(self.labels) if j != i)

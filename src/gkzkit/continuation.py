@@ -21,13 +21,6 @@ STEP_FACTOR = 0.5
 LOCAL_ERROR_TARGET = 1e-12
 
 
-def _poly_eval(coeffs, z: complex) -> complex:
-    out = 0j
-    for c in reversed(coeffs):
-        out = out * z + complex(c)
-    return out
-
-
 def _poly_shift(coeffs, z0: complex):
     """Coefficients of p(z0 + t) as a polynomial in t, by binomial expansion."""
     n = len(coeffs)
@@ -97,10 +90,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def mat_vec(a, v):
-    return tuple(sum(r[j] * v[j] for j in range(len(v))) for r in a)
 
 
 def identity(n):

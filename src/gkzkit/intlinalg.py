@@ -191,11 +191,6 @@ def column_hnf(M: IntMatrix):
     return H, U
 
 
-def hermite_normal_form(M: IntMatrix):
-    """Alias for :func:`column_hnf`."""
-    return column_hnf(M)
-
-
 def smith_normal_form_transforms(M: IntMatrix):
     """Return (U, D, V) with D = U*M*V diagonal, d_1 | d_2 | ..., U, V unimodular."""
     m, n = M.rows, M.cols

@@ -140,12 +140,6 @@ class AffineLattice:
     def rank(self) -> int:
         return self.delta.rank
 
-    def spanned_group(self) -> Lattice:
-        """The group generated by the points of the affine lattice (anchor adjoined)."""
-        return Lattice.from_generators(
-            [self.anchor, *self.delta.generators()], self.delta.ambient_dim
-        )
-
 
 @dataclass(frozen=True)
 class QuotientLattice:

@@ -53,9 +53,6 @@ class CurveODE:
     def order(self) -> int:
         return self.delta
 
-    def leading_coefficient(self):
-        return self.coefficients[-1]
-
     def singular_points(self):
         """x = 0 and the single nonzero root of the leading coefficient."""
         d = self.delta
@@ -102,11 +99,6 @@ def ode_from_system(delta: int, beta) -> CurveODE:
             row = row[:-1]
         coeffs.append(tuple(row))
     return CurveODE(delta, (b1, b2), (v0, Fraction(0), v2), tuple(coeffs), (tuple(q0), tuple(q1)))
-
-
-def local_solution_exponents(ode: CurveODE):
-    """Exponents at x = 0: j/delta for j = 0..delta-1."""
-    return tuple(Fraction(j, ode.delta) for j in range(ode.delta))
 
 
 def pulled_back_series(ode: CurveODE, j: int, order: int):
@@ -161,24 +153,3 @@ def certify_ode(ode: CurveODE, order: int = 10):
             raise AssertionError(f"series {j} leaves residual {bad}")
         checked += len(series)
     return checked
-
-
-def derivative_form_residual(ode: CurveODE, j: int, order: int = 10):
-    """Cross-check: the (d/dx)-coefficient form must agree with the theta form
-    on the pulled-back series (their difference annihilates everything)."""
-    series = pulled_back_series(ode, j, order * 2 * ode.delta)
-    top = max(series)
-    out = {}
-    for m, poly_x in enumerate(ode.coefficients):
-        deriv = dict(series)
-        # m-th derivative: x^r -> r (r-1) ... (r-m+1) x^(r-m)
-        for _ in range(m):
-            deriv = {r - 1: c * r for r, c in deriv.items() if c * r != 0}
-        for i, pc in enumerate(poly_x):
-            if pc == 0:
-                continue
-            for r, c in deriv.items():
-                key = r + i
-                out[key] = out.get(key, Fraction(0)) + pc * c
-    bad = {r: c for r, c in out.items() if c != 0 and r <= top - ode.delta}
-    return bad

@@ -18,12 +18,6 @@ def pconst(c: int, nvars: int):
     return {(0,) * nvars: c} if c else {}
 
 
-def pvar(i: int, nvars: int):
-    e = [0] * nvars
-    e[i] = 1
-    return {tuple(e): 1}
-
-
 def padd(p, q):
     out = dict(p)
     for e, c in q.items():
@@ -56,13 +50,6 @@ def pmul(p, q):
     return out
 
 
-def pscale(c: int, p):
-    return {e: c * v for e, v in p.items()} if c else {}
-
-def is_zero(p) -> bool:
-    return not p
-
-
 def content(p) -> int:
     g = 0
     for c in p.values():
@@ -90,16 +77,6 @@ def normalize_sign(p):
     if p[k] < 0:
         return pneg(p)
     return dict(p)
-
-
-def pderiv(p, i: int):
-    out = {}
-    for e, c in p.items():
-        if e[i]:
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = c * e[i]
-    return out
 
 
 def monomial_multiplicity(p, i: int) -> int:

@@ -9,16 +9,20 @@ of the height system, never assumed from the construction.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .configuration import PointConfiguration
-from .intlinalg import det_fraction, solve_rational, vsub
+from .intlinalg import det_fraction, dot, rational_nullspace, solve_rational, vsub
 from .lp import lp_feasible_strict
-from .polytope import Polytope, convex_hull, normalized_volume
+from .polytope import Polytope, convex_hull
 
 DEFAULT_ENUMERATION_CAP = 12
+# Configurations whose triangulations and secondary polytope stay cached.
+SECONDARY_CACHE_SIZE = 64
 
 
 class DegenerateHeightsError(ValueError):
@@ -51,7 +55,7 @@ def _cell_volume(coords, cell) -> int:
 
 def config_volume(A: PointConfiguration) -> int:
     """Normalized volume of the Newton polytope with respect to Z_A."""
-    return int(normalized_volume(_chart(A)))
+    return A.volume
 
 
 def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
@@ -80,16 +84,12 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
         # affine heights: the lower hull is the whole polytope
         cells = [tuple(range(A.size))]
     else:
-        cells = []
-        for h, c in hull.facets:
-            f = hull.ambient_functional(h)
-            if f[-1] >= 0:  # not a lower facet
-                continue
-            members = tuple(
-                i for i, p in enumerate(lifted)
-                if _eval_facet(hull, h, c, p)
-            )
-            cells.append(members)
+        xs = [hull.chart_coords(p) for p in lifted]
+        cells = [
+            tuple(i for i, x in enumerate(xs) if dot(h, x) == c)
+            for h, c in hull.facets
+            if hull.ambient_functional(h)[-1] < 0  # lower facets only
+        ]
     for cell in cells:
         if len(cell) != d + 1:
             raise DegenerateHeightsError(
@@ -99,11 +99,6 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
     if T.total_volume != config_volume(A):
         raise AssertionError("lower hull cells must cover the polytope")
     return T
-
-
-def _eval_facet(P: Polytope, h, c, point) -> bool:
-    x = P.chart_coords(point)
-    return sum(a * b for a, b in zip(h, x)) == c
 
 
 def gkz_vector(A: PointConfiguration, T: Triangulation):
@@ -147,112 +142,96 @@ def is_regular(A: PointConfiguration, T: Triangulation):
     return True, tuple(witness)
 
 
-def _interiors_disjoint(coords, c1, c2) -> bool:
-    """Exact test that two simplices have disjoint interiors."""
-    d = len(coords[0])
-    n1, n2 = len(c1), len(c2)
-    nv = n1 + n2
-    A_ub = []
-    b_ub = []
-    for i in range(d):
-        row = [Fraction(coords[j][i]) for j in c1] + [
-            -Fraction(coords[j][i]) for j in c2
-        ]
-        A_ub.append(row)
-        b_ub.append(Fraction(0))
-        A_ub.append([-a for a in row])
-        b_ub.append(Fraction(0))
-    for vec, val in (([1] * n1 + [0] * n2, 1), ([0] * n1 + [1] * n2, 1)):
-        A_ub.append([Fraction(a) for a in vec])
-        b_ub.append(Fraction(val))
-        A_ub.append([-Fraction(a) for a in vec])
-        b_ub.append(Fraction(-val))
-    strict = set()
-    for j in range(nv):
-        A_ub.append([Fraction(-1) if l == j else Fraction(0) for l in range(nv)])
-        b_ub.append(Fraction(0))
-        strict.add(len(A_ub) - 1)
-    ok, _ = lp_feasible_strict(A_ub, b_ub, strict, cap=Fraction(1, 4))
-    return not ok
+def _circuits(coords):
+    """Every circuit of the points as (Z+, Z-), in one orientation.
 
-
-def _all_covering_simplex_sets(A: PointConfiguration):
-    """All ways to cover N by interior-disjoint maximal simplices on A.
-
-    Non-face-to-face covers can appear here; the regularity filter removes
-    them (a height certificate forces face-to-face lower hulls).
+    A circuit is a minimal affinely dependent subset: its homogenised columns
+    have a one-dimensional nullspace with full support, whose signs split it.
+    Circuits have at most dim+2 points; two distinct points never do.
     """
-    coords = _chart(A)
     d = len(coords[0])
-    total = config_volume(A)
-    if d == 1:
-        order = sorted(range(A.size), key=lambda i: coords[i][0])
-        inner = order[1:-1]
-        out = []
-        for mask in range(1 << len(inner)):
-            chosen = [order[0]] + [p for b, p in enumerate(inner) if mask >> b & 1] + [order[-1]]
-            chosen.sort(key=lambda i: coords[i][0])
-            out.append([tuple(sorted((chosen[t], chosen[t + 1]))) for t in range(len(chosen) - 1)])
-        return out
-    from itertools import combinations
+    out = []
+    for k in range(3, d + 3):
+        for Z in combinations(range(len(coords)), k):
+            rows = [[1] * k] + [[coords[j][i] for j in Z] for i in range(d)]
+            null = rational_nullspace(rows)
+            if len(null) == 1 and all(null[0]):
+                lam = null[0]
+                plus = frozenset(z for z, a in zip(Z, lam) if a > 0)
+                out.append((plus, frozenset(Z) - plus))
+    return out
 
-    candidates = []
-    for c in combinations(range(A.size), d + 1):
-        if _cell_volume(coords, c) > 0:
-            candidates.append(c)
-    disjoint = {}
 
-    def compat(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in disjoint:
-            disjoint[key] = _interiors_disjoint(coords, candidates[key[0]], candidates[key[1]])
-        return disjoint[key]
+def _flips(cells, circuits):
+    """Cell sets one bistellar flip away from the triangulation ``cells``.
 
-    results = []
-
-    def extend(start, chosen, vol):
-        if vol == total:
-            results.append([candidates[i] for i in chosen])
-            return
-        for i in range(start, len(candidates)):
-            v = _cell_volume(coords, candidates[i])
-            if vol + v > total:
+    Circuit Z = (Z+, Z-) is flippable when every rho = Z - {z}, z in Z+, has
+    the same nonempty link {sigma - rho : rho <= sigma}; the flip swaps the
+    cells rho + l for (Z - {z}) + l, z in Z-, over the link cells l
+    (De Loera-Rambau-Santos, Triangulations, 2010, sec. 4.4).
+    """
+    star = {}
+    for s in cells:
+        for r in range(2, len(s) + 1):
+            for rho in combinations(s, r):
+                rho = frozenset(rho)
+                star.setdefault(rho, set()).add(s - rho)
+    for plus, minus in circuits:
+        Z = plus | minus
+        for old, new in ((plus, minus), (minus, plus)):
+            link = star.get(Z - {next(iter(old))})
+            if not link or any(star.get(Z - {z}) != link for z in old):
                 continue
-            if all(compat(i, j) for j in chosen):
-                extend(i + 1, chosen + [i], vol + v)
-
-    extend(0, [], 0)
-    return results
+            gone = {(Z - {z}) | l for z in old for l in link}
+            yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}
 
 
+@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
 def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_ENUMERATION_CAP):
     """All regular triangulations, certified one by one by the height LP.
 
-    Exhaustive search over simplex covers; a random-height spot check asserts
-    that lower-hull triangulations all appear in the enumerated set.
+    Regular triangulations are the vertices of the secondary polytope and its
+    edges are flips, so a breadth-first search over flips from one lower-hull
+    triangulation reaches all of them (Gelfand-Kapranov-Zelevinsky 1994,
+    ch. 7).  Only certified triangulations are expanded; non-regular
+    neighbours are dropped.  A random-height spot check asserts that
+    lower-hull triangulations all appear in the enumerated set.
     """
     if A.size > cap:
         raise EnumerationCapError(f"enumeration capped at {cap} points, got {A.size}")
-    out = []
-    for cells in _all_covering_simplex_sets(A):
-        T = make_triangulation(A, cells)
-        ok, _ = is_regular(A, T)
-        if ok:
-            out.append(T)
-    out = sorted(set(out), key=lambda T: T.cells)
     rng = random.Random(20240 + A.size)
+    spot = []
     for _ in range(20):
         heights = [Fraction(rng.randrange(-10**6, 10**6), 992) for _ in range(A.size)]
         try:
-            T = regular_triangulation(A, heights)
+            spot.append(regular_triangulation(A, heights))
         except DegenerateHeightsError:
             continue
-        if T not in out:
-            raise AssertionError("random lower-hull triangulation missing from enumeration")
-    return tuple(out)
+    if not spot:
+        raise DegenerateHeightsError("no generic heights among 20 random draws")
+    circuits = _circuits(_chart(A))
+    seen = {spot[0].cells}
+    queue = deque([spot[0]])
+    out = []
+    while queue:
+        T = queue.popleft()
+        if not is_regular(A, T)[0]:
+            continue
+        out.append(T)
+        for cells in _flips(frozenset(map(frozenset, T.cells)), circuits):
+            U = make_triangulation(A, cells)
+            if U.total_volume != T.total_volume:
+                raise AssertionError("a flip must keep the covered volume")
+            if U.cells not in seen:
+                seen.add(U.cells)
+                queue.append(U)
+    found = {T.cells for T in out}
+    if any(T.cells not in found for T in spot):
+        raise AssertionError("random lower-hull triangulation missing from enumeration")
+    return tuple(sorted(out, key=lambda T: T.cells))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
 def secondary_polytope(A: PointConfiguration) -> Polytope:
     """Convex hull of the characteristic vectors of all regular triangulations."""
     vecs = [gkz_vector(A, T) for T in enumerate_regular_triangulations(A)]

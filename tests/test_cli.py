@@ -128,6 +128,18 @@ def test_malformed_labels_and_beta_are_input_errors():
         assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_monodromy_beta_length_and_ragged_matrix_are_input_errors():
+    for beta in ("1/5", "1/5,1/3,1"):
+        code, out, err = run_cli(["curve", "monodromy", "--delta", "3", "--beta", beta], {})
+        assert code == 2 and out is None
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert "needs 2 entries" in err
+    code, out, err = run_cli(["faces"], {"matrix": [[1, 0], [1]]})
+    assert code == 2 and out is None
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "[2, 1]" in err
+
+
 def test_faces_command():
     code, out, _ = run_cli(["faces"], TRI)
     assert code == 0
