@@ -11,7 +11,8 @@ Reports echo the input and the tool version, and key order is canonical, so
 identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 obstruction or rejection reported, 2 input error,
-3 symbolic budget exceeded.
+3 budget exceeded (symbolic degree, enumeration size or hull point cap),
+4 internal error (a failed invariant of gkzkit itself).
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .configuration import (
     PointConfiguration,
     check_aux_point,
     face_lattice,
-    index_i,
     is_lattice_redundant,
     multiplicity,
     reduction_chain,
     saturate,
-    subdiagram_volume,
 )
 from .continuation import numeric_monodromy
 from .curves import (
@@ -49,6 +48,7 @@ from .hyper import (
     is_nonresonant,
     restrict_to_zero,
 )
+from .polytope import HullCapError
 from .secondary import (
     DegenerateHeightsError,
     EnumerationCapError,
@@ -62,6 +62,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 MONODROMY_TOLERANCE = 1e-9
 
@@ -422,13 +423,10 @@ def main(argv=None) -> int:
     try:
         data = _load_payload(args.input)
         payload, code = HANDLERS[args.command](data, args)
-    except InputError as exc:
+    except (InputError, IndexError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except IndexError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (BudgetExceededError, EnumerationCapError) as exc:
+    except (BudgetExceededError, EnumerationCapError, HullCapError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ResonantParameterError as exc:
@@ -439,6 +437,10 @@ def main(argv=None) -> int:
         # drops, unsupported degrees) are rejections, not crashes
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
+    except Exception as exc:
+        # anything else is a failed invariant of gkzkit, not a verdict on the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     report = {
         "command": args.command,
         "input": data,

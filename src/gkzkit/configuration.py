@@ -121,13 +121,10 @@ class PointConfiguration:
         """Basis of Z_A cut to the direction space of N; points in these coords."""
         span = [vsub(p, self.points[0]) for p in self.points[1:]]
         direction_lattice = self.group_lattice.intersect_subspace(span)
-        coords = []
-        for p in self.points:
-            x = direction_lattice.coordinates(vsub(p, self.points[0]))
-            if x is None:
-                raise AssertionError("config differences must lie in the direction lattice")
-            coords.append(x)
-        return direction_lattice, tuple(coords)
+        coords = tuple(direction_lattice.coordinates(vsub(p, self.points[0])) for p in self.points)
+        if None in coords:
+            raise AssertionError("config differences must lie in the direction lattice")
+        return direction_lattice, coords
 
     @cached_property
     def volume(self) -> int:
@@ -156,8 +153,13 @@ class PointConfiguration:
     def face_points(self, face: Face):
         return tuple(self.points[i] for i in face.indices)
 
+    @cached_property
+    def minimal_faces(self):
+        """The face whose relative interior holds each column, by index."""
+        return tuple(minimal_face_containing(self.poset, p) for p in self.points)
+
     def minimal_face(self, i: int) -> Face:
-        return minimal_face_containing(self.poset, self.points[i])
+        return self.minimal_faces[i]
 
     def face_int_semiideal(self):
         """Downward closure of the faces carrying a relative interior point of A."""
@@ -231,11 +233,10 @@ def _cone_facet_inner_normals(G):
         s = 1 if G[0][0] > 0 else -1
         return [(s,)]
     hull = convex_hull([(0,) * r] + [tuple(g) for g in G])
-    zero_coords = hull.chart_coords((0,) * r)
-    return [
+    return [  # the facets through the apex, point 0
         tuple(-a for a in hull.ambient_functional(h))
-        for h, c in hull.facets
-        if dot(h, zero_coords) == c
+        for (h, _), on in zip(hull.facets, hull.facet_sets)
+        if 0 in on
     ]
 
 

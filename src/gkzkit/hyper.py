@@ -81,14 +81,9 @@ def is_nonresonant(A: PointConfiguration, beta) -> ResonanceReport:
     for face in A.poset.of_dim(d - 1):
         rows = integer_orthogonal_complement(A.face_points(face), A.ambient_dim)
         M = IntMatrix(rows)
-        image = Lattice.from_generators(
-            [M.column(j) for j in range(M.cols)], M.rows
-        )
-        target = M.mul_vec(beta)
-        coords = solve_rational(image.basis.entries, target)
-        if coords is not None and all(c.denominator == 1 for c in coords):
-            if image.basis.mul_vec(coords) == target:
-                return ResonanceReport(False, face.indices)
+        image = Lattice.from_generators(M.columns_list(), M.rows)
+        if M.mul_vec(beta) in image:
+            return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)
 
 

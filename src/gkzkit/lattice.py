@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .intlinalg import (
     IntMatrix,
@@ -19,7 +21,6 @@ from .intlinalg import (
     integer_kernel_basis,
     integer_orthogonal_complement,
     smith_normal_form_transforms,
-    solve_rational,
     vsub,
 )
 
@@ -32,6 +33,29 @@ class ContainmentError(ValueError):
 
 class TorsionError(ValueError):
     """A quotient that was required to be torsion-free has torsion."""
+
+
+def hnf_solve(rows, pivots, v):
+    """Coordinates of v in the columns of a column-HNF matrix, as a pair
+    (numerators, denominator > 0), or None when v is outside their span.
+
+    Column j is zero above its pivot row ``pivots[j]`` and every later column
+    is zero on that row, so forward substitution on the pivot rows solves the
+    system; v is in the span iff the residual then vanishes on every row.
+    Scaling by the lcm of v's denominators and the pivots keeps it integral.
+    """
+    den = lcm(*(a.denominator for a in v))
+    for j, p in enumerate(pivots):
+        den *= rows[p][j]
+    w = [a.numerator * (den // a.denominator) for a in v]
+    num = []
+    for j, p in enumerate(pivots):
+        row = rows[p]
+        num.append((w[p] - sum(row[k] * num[k] for k in range(j))) // row[j])
+    for row, target in zip(rows, w, strict=True):
+        if sum(a * n for a, n in zip(row, num)) != target:
+            return None
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -61,24 +85,23 @@ class Lattice:
     def generators(self):
         return tuple(self.basis.column(j) for j in range(self.basis.cols))
 
+    @cached_property
+    def pivots(self):
+        """Pivot row of each basis column: its first nonzero entry."""
+        rows = self.basis.entries
+        return tuple(next(i for i, row in enumerate(rows) if row[j]) for j in range(self.rank))
+
     def coordinates(self, v):
         """Integer coordinates of v in this basis, or None if v is not a member."""
-        x = solve_rational(self.basis.entries, tuple(v))
-        if x is None or any(a.denominator != 1 for a in x):
+        solved = hnf_solve(self.basis.entries, self.pivots, v)
+        if solved is None or any(n % solved[1] for n in solved[0]):
             return None
-        coords = tuple(int(a) for a in x)
-        if self.basis.mul_vec(coords) != tuple(v):
-            return None
-        return coords
+        return tuple(n // solved[1] for n in solved[0])
 
     def rational_coordinates(self, v):
         """Rational coordinates of v in the basis, or None if outside the span."""
-        x = solve_rational(self.basis.entries, tuple(v))
-        if x is None:
-            return None
-        if self.basis.mul_vec(x) != tuple(Fraction(a) for a in v):
-            return None
-        return x
+        solved = hnf_solve(self.basis.entries, self.pivots, v)
+        return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
 
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None
@@ -95,10 +118,6 @@ class Lattice:
         kernel = integer_kernel_basis(IntMatrix(rows))
         gens = [self.basis.mul_vec(k) for k in kernel]
         return Lattice.from_generators(gens, self.ambient_dim)
-
-    def saturation(self) -> "Lattice":
-        """Smallest saturated lattice (in Z^ambient) containing self."""
-        return Lattice.standard(self.ambient_dim).intersect_subspace(self.generators())
 
 
 @dataclass(frozen=True)
@@ -196,28 +215,21 @@ def lattice_index(sup: Lattice, sub: Lattice):
 
     Raises ContainmentError when sub is not contained in sup.
     """
-    coords = []
-    for g in sub.generators():
-        c = sup.coordinates(g)
-        if c is None:
-            raise ContainmentError("sub lattice not contained in sup lattice")
-        coords.append(c)
+    coords = [sup.coordinates(g) for g in sub.generators()]
+    if None in coords:
+        raise ContainmentError("sub lattice not contained in sup lattice")
     if sub.rank < sup.rank:
         return INFINITE
-    d = det_fraction(coords)
-    return abs(int(d))
+    return abs(int(det_fraction(coords)))
 
 
 def quotient(source: Lattice, kernel: Lattice, require_torsion_free: bool = True) -> QuotientLattice:
     """Quotient of source by a sublattice, with an explicit projection matrix."""
-    coords = []
-    for g in kernel.generators():
-        c = source.coordinates(g)
-        if c is None:
-            raise ContainmentError("kernel not contained in source")
-        coords.append(c)
+    coords = [source.coordinates(g) for g in kernel.generators()]
+    if None in coords:
+        raise ContainmentError("kernel not contained in source")
     r = source.rank
-    K = IntMatrix.from_columns(coords, rows=r) if coords else IntMatrix.from_columns([], rows=r)
+    K = IntMatrix.from_columns(coords, rows=r)
     U, D, _ = smith_normal_form_transforms(K)
     k = kernel.rank
     torsion = tuple(D.entries[i][i] for i in range(k) if abs(D.entries[i][i]) != 1)

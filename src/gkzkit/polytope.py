@@ -10,9 +10,10 @@ membership queries accept ambient points.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import ceil, floor, lcm
 
 from .intlinalg import (
     clear_denominators,
@@ -21,16 +22,15 @@ from .intlinalg import (
     primitive,
     rational_nullspace,
     rational_rank,
-    solve_rational,
     vsub,
 )
-from .lattice import AffineLattice
+from .lattice import AffineLattice, Lattice, hnf_solve
 
 HULL_POINT_CAP = 48
 
 
-def _as_fraction_vec(p):
-    return tuple(Fraction(a) for a in p)
+class HullCapError(ValueError):
+    """The hull input exceeds HULL_POINT_CAP points."""
 
 
 @dataclass(frozen=True)
@@ -50,53 +50,55 @@ class Polytope:
     points: tuple
     dim: int
     chart_anchor: tuple
-    chart_basis: tuple  # tuples spanning the affine hull, ambient coords
+    chart: Lattice  # HNF lattice of the point differences; its basis spans the affine hull
     facets: tuple  # (primitive integer chart-normal h, integer offset c), h.x <= c inside
     vertex_indices: tuple
+    point_coords: tuple = field(compare=False, repr=False)  # chart coordinates of ``points``
 
     # -- coordinates ---------------------------------------------------------
 
+    def _slacks(self, point):
+        """D * (c - h . x) for each facet (h, c) at the chart coordinates x of
+        an ambient point, one D > 0 for all; None off the affine hull."""
+        s = hnf_solve(self.chart.basis.entries, self.chart.pivots, vsub(point, self.chart_anchor))
+        return None if s is None else [c * s[1] - dot(h, s[0]) for h, c in self.facets]
+
     def chart_coords(self, point):
         """Chart coordinates of an ambient point, or None if off the affine hull."""
-        if self.dim == 0:
-            return () if _as_fraction_vec(point) == _as_fraction_vec(self.chart_anchor) else None
-        diff = vsub(_as_fraction_vec(point), _as_fraction_vec(self.chart_anchor))
-        rows = tuple(zip(*self.chart_basis))  # ambient x dim matrix
-        x = solve_rational(rows, diff)
-        if x is None:
-            return None
-        back = tuple(
-            sum(x[j] * Fraction(self.chart_basis[j][i]) for j in range(self.dim))
-            for i in range(len(diff))
-        )
-        return x if back == diff else None
+        return self.chart.rational_coordinates(vsub(point, self.chart_anchor))
 
     def ambient_functional(self, h):
         """Integer ambient functional f with f . b_j = t * h_j on the chart
         basis vectors b_j, t > 0 the least factor making f integral.
 
         f restricts to t * h on the chart directions, so it orders points of
-        the affine hull as the chart functional h does.
+        the affine hull as the chart functional h does.  It is supported on
+        the pivot rows, where the system is upper triangular (b_k vanishes on
+        the pivot rows of the earlier columns): back substitution solves it.
         """
-        f = solve_rational(self.chart_basis, list(h))
-        if f is None:
-            raise AssertionError("chart basis must admit a dual functional")
+        rows, piv = self.chart.basis.entries, self.chart.pivots
+        f = [Fraction(0)] * len(rows)
+        for j in reversed(range(self.dim)):
+            rest = sum(rows[piv[k]][j] * f[piv[k]] for k in range(j + 1, self.dim))
+            f[piv[j]] = (h[j] - rest) / Fraction(rows[piv[j]][j])
         return clear_denominators(f)
 
+    @cached_property
+    def facet_sets(self):
+        """For each facet, the indices of the points lying on it."""
+        return tuple(
+            frozenset(i for i, x in enumerate(self.point_coords) if dot(h, x) == c)
+            for h, c in self.facets
+        )
+
     def contains(self, point) -> bool:
-        x = self.chart_coords(point)
-        if x is None:
-            return False
-        return all(dot(h, x) <= c for h, c in self.facets)
+        slacks = self._slacks(point)
+        return slacks is not None and all(a >= 0 for a in slacks)
 
     def contains_strict(self, point) -> bool:
         """Membership in the relative interior."""
-        x = self.chart_coords(point)
-        if x is None:
-            return False
-        if self.dim == 0:
-            return True
-        return all(dot(h, x) < c for h, c in self.facets)
+        slacks = self._slacks(point)
+        return slacks is not None and all(a > 0 for a in slacks)
 
     @property
     def vertices(self):
@@ -109,20 +111,17 @@ def convex_hull(points) -> Polytope:
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) > HULL_POINT_CAP:
-        raise ValueError(f"hull limited to {HULL_POINT_CAP} points, got {len(pts)}")
-    anchor = min(pts, key=_as_fraction_vec)
-    diffs = [vsub(_as_fraction_vec(p), _as_fraction_vec(anchor)) for p in pts]
+        raise HullCapError(f"hull limited to {HULL_POINT_CAP} points, got {len(pts)}")
+    anchor = min(pts)
+    diffs = [vsub(p, anchor) for p in pts]
     # chart basis = HNF basis of the difference lattice, so integer input
     # points get integer chart coordinates
-    from .lattice import Lattice
-
     gens = [clear_denominators(d) for d in diffs if any(d)]
-    lat = Lattice.from_generators(gens, len(anchor)) if gens else None
-    dim = lat.rank if lat else 0
+    lat = Lattice.from_generators(gens, len(anchor))
+    coords = tuple(lat.rational_coordinates(d) for d in diffs)
+    dim = lat.rank
     if dim == 0:
-        return Polytope(pts, 0, anchor, (), (), (0,))
-    chart = Polytope(pts, dim, anchor, lat.generators(), (), ())
-    coords = [chart.chart_coords(p) for p in pts]
+        return Polytope(pts, 0, anchor, lat, (), (0,), coords)
     # the facet search runs on the integer points D * x: same hyperplanes,
     # same sides, without Fraction arithmetic in the inner loop
     D = lcm(*(a.denominator for x in coords for a in x))
@@ -157,7 +156,7 @@ def convex_hull(points) -> Polytope:
         active = [h for h, c in facets if dot(h, x) == c * D]
         if active and rational_rank(active) == dim:
             vert.append(i)
-    return Polytope(pts, dim, anchor, lat.generators(), facets, tuple(vert))
+    return Polytope(pts, dim, anchor, lat, facets, tuple(vert), coords)
 
 
 @dataclass(frozen=True)
@@ -187,10 +186,7 @@ class FacePoset:
 
 def face_poset(P: Polytope) -> FacePoset:
     """All nonempty faces of P, closed under intersection."""
-    coords = [P.chart_coords(p) for p in P.points]
-    active_sets = [
-        frozenset(i for i, x in enumerate(coords) if dot(h, x) == c) for h, c in P.facets
-    ]
+    coords, active_sets = P.point_coords, P.facet_sets
     all_idx = frozenset(range(len(P.points)))
     seen = {all_idx}
     queue = [all_idx]
@@ -225,55 +221,55 @@ def face_poset(P: Polytope) -> FacePoset:
 def minimal_face_containing(poset: FacePoset, point) -> Face:
     """The unique face whose relative interior holds the point."""
     P = poset.polytope
-    x = P.chart_coords(point)
-    if x is None or not P.contains(point):
+    slacks = P._slacks(point)
+    if slacks is None or any(a < 0 for a in slacks):
         raise ValueError(f"{tuple(point)} is not in the polytope")
-    coords = [P.chart_coords(p) for p in P.points]
     s = set(range(len(P.points)))
-    for h, c in P.facets:
-        if dot(h, x) == c:
-            s &= {i for i, y in enumerate(coords) if dot(h, y) == c}
+    for a, on in zip(slacks, P.facet_sets):
+        if a == 0:
+            s &= on
     return poset.face_with_indices(s)
 
 
-def face_polytope(poset_or_P, face: Face) -> Polytope:
-    P = poset_or_P.polytope if isinstance(poset_or_P, FacePoset) else poset_or_P
-    return convex_hull([P.points[i] for i in face.indices])
-
-
-def lattice_points_in(P: Polytope, L: AffineLattice, strict: bool = False):
+def lattice_points_in(
+    P: Polytope, L: AffineLattice, strict: bool = False, face: Face | None = None
+):
     """All points of the affine lattice inside P (relative interior if strict).
 
-    Requires the rational span of L to contain P's affine hull.
+    Given a face of P, the points inside that face instead (its relative
+    interior if strict), with no hull of the face built: a point of P's
+    affine hull lies in the face iff it satisfies every facet of P through
+    the face with equality and the other facets weakly, and in its relative
+    interior iff it satisfies the others strictly.  The search box comes from
+    the vertices of P on the face.  L's span must contain the face's hull.
     """
-    if L.rank == 0:
-        inside = P.contains_strict(L.anchor) if strict else P.contains(L.anchor)
-        return (tuple(L.anchor),) if inside else ()
+    on = frozenset(face.indices if face is not None else range(len(P.points)))
+    through = [on <= s for s in P.facet_sets]
+    boxes = [
+        L.delta.rational_coordinates(vsub(P.points[i], L.anchor))
+        for i in P.vertex_indices
+        if i in on
+    ]
+    if None in boxes:
+        raise ValueError("lattice span does not contain the polytope's hull")
     gens = L.delta.generators()
-    boxes = []
-    for v in (P.points[i] for i in P.vertex_indices) if P.vertex_indices else P.points:
-        x = L.delta.rational_coordinates(vsub(_as_fraction_vec(v), _as_fraction_vec(L.anchor)))
-        if x is None:
-            raise ValueError("lattice span does not contain the polytope's hull")
-        boxes.append(x)
-    lo = [min(b[i] for b in boxes) for i in range(L.rank)]
-    hi = [max(b[i] for b in boxes) for i in range(L.rank)]
+    lo = [ceil(min(b[j] for b in boxes)) for j in range(L.rank)]
+    hi = [floor(max(b[j] for b in boxes)) for j in range(L.rank)]
     out = []
-    rng = [range(int(a.__ceil__()), int(b.__floor__()) + 1) for a, b in zip(lo, hi)]
-    test = P.contains_strict if strict else P.contains
-    for m in itertools.product(*rng):
-        p = tuple(
-            L.anchor[i] + sum(m[j] * gens[j][i] for j in range(L.rank))
-            for i in range(len(L.anchor))
-        )
-        if test(p):
+    for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
+        slacks = P._slacks(p)
+        if slacks is not None and all(
+            a == 0 if t else a > 0 if strict else a >= 0 for a, t in zip(slacks, through)
+        ):
             out.append(p)
     return tuple(sorted(out))
 
 
 def relative_interior_lattice_points(P: Polytope, face: Face, L: AffineLattice):
-    """Lattice points strictly inside a face (the vertex itself for 0-faces)."""
-    return lattice_points_in(face_polytope(P, face), L, strict=True)
+    """Lattice points strictly inside a face of P (the vertex itself for
+    0-faces), from P's facets; L must span the face's affine hull."""
+    return lattice_points_in(P, L, strict=True, face=face)
 
 
 def triangulate_vertices(points):
@@ -293,7 +289,7 @@ def _triangulate(P: Polytope):
     if len(verts) == P.dim + 1:
         return [tuple(verts)]
     poset = face_poset(P)
-    v0 = min(verts, key=_as_fraction_vec)
+    v0 = min(verts)
     out = []
     for f in poset.of_dim(P.dim - 1):
         fpts = [P.points[i] for i in f.indices]
@@ -318,6 +314,6 @@ def normalized_volume(points) -> Fraction:
         raise ValueError("normalized_volume needs full-dimensional input")
     total = Fraction(0)
     for simplex in _triangulate(P):
-        rows = [vsub(_as_fraction_vec(p), _as_fraction_vec(simplex[0])) for p in simplex[1:]]
+        rows = [vsub(p, simplex[0]) for p in simplex[1:]]
         total += abs(det_fraction(rows))
     return total

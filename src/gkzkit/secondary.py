@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .configuration import PointConfiguration
-from .intlinalg import det_fraction, dot, rational_nullspace, solve_rational, vsub
+from .intlinalg import det_fraction, rational_nullspace, solve_rational, vsub
 from .lp import lp_feasible_strict
 from .polytope import Polytope, convex_hull
 
@@ -84,10 +84,9 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
         # affine heights: the lower hull is the whole polytope
         cells = [tuple(range(A.size))]
     else:
-        xs = [hull.chart_coords(p) for p in lifted]
         cells = [
-            tuple(i for i, x in enumerate(xs) if dot(h, x) == c)
-            for h, c in hull.facets
+            tuple(sorted(on))
+            for (h, _), on in zip(hull.facets, hull.facet_sets)
             if hull.ambient_functional(h)[-1] < 0  # lower facets only
         ]
     for cell in cells:

@@ -1,0 +1,234 @@
+"""Differential tests: triangular solves on HNF bases against Gauss-Jordan.
+
+The references below are the earlier routes, kept verbatim up to access
+paths: chart coordinates, ambient functionals and lattice coordinates through
+``solve_rational`` with a back-multiplication check, and face interiors from
+a fresh hull of each face.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from _corpus import random_small_config
+from gkzkit import configuration, lattice, polytope
+from gkzkit.configuration import (
+    PointConfiguration,
+    face_lattice,
+    reduction_chain,
+    saturate,
+)
+from gkzkit.intlinalg import IntMatrix, clear_denominators, solve_rational, vsub
+from gkzkit.lattice import Lattice
+from gkzkit.polytope import convex_hull, lattice_points_in, relative_interior_lattice_points
+
+OBSTRUCTED = PointConfiguration.from_columns(
+    [
+        (1, 0, 1, 0),
+        (1, 1, 2, 0),
+        (1, 2, 0, 0),
+        (1, 1, 1, 0),
+        (1, 2, 0, 2),
+        (1, 1, 0, 3),
+        (1, 0, 0, 4),
+    ]
+)
+
+
+def _as_fraction_vec(p):
+    return tuple(Fraction(a) for a in p)
+
+
+def _chart_coords_ref(P, point):
+    """Chart coordinates of an ambient point, or None if off the affine hull."""
+    chart_basis = P.chart.generators()
+    if P.dim == 0:
+        return () if _as_fraction_vec(point) == _as_fraction_vec(P.chart_anchor) else None
+    diff = vsub(_as_fraction_vec(point), _as_fraction_vec(P.chart_anchor))
+    rows = tuple(zip(*chart_basis))  # ambient x dim matrix
+    x = solve_rational(rows, diff)
+    if x is None:
+        return None
+    back = tuple(
+        sum(x[j] * Fraction(chart_basis[j][i]) for j in range(P.dim))
+        for i in range(len(diff))
+    )
+    return x if back == diff else None
+
+
+def _ambient_functional_ref(P, h):
+    f = solve_rational(P.chart.generators(), list(h))
+    if f is None:
+        raise AssertionError("chart basis must admit a dual functional")
+    return clear_denominators(f)
+
+
+def _coordinates_ref(L, v):
+    """Integer coordinates of v in this basis, or None if v is not a member."""
+    x = solve_rational(L.basis.entries, tuple(v))
+    if x is None or any(a.denominator != 1 for a in x):
+        return None
+    coords = tuple(int(a) for a in x)
+    if L.basis.mul_vec(coords) != tuple(v):
+        return None
+    return coords
+
+
+def _rational_coordinates_ref(L, v):
+    """Rational coordinates of v in the basis, or None if outside the span."""
+    x = solve_rational(L.basis.entries, tuple(v))
+    if x is None:
+        return None
+    if L.basis.mul_vec(x) != tuple(Fraction(a) for a in v):
+        return None
+    return x
+
+
+def _relint_ref(P, face, L):
+    """Lattice points strictly inside a face (the vertex itself for 0-faces)."""
+    return lattice_points_in(convex_hull([P.points[i] for i in face.indices]), L, strict=True)
+
+
+def _solve_ref(rows, pivots, v):
+    """The solve kernel's contract met by Gauss-Jordan, for swapping in."""
+    x = _rational_coordinates_ref(Lattice(len(rows), IntMatrix(rows)), v)
+    if x is None:
+        return None
+    den = lcm(*(a.denominator for a in x))
+    return [int(a * den) for a in x], den
+
+
+def _coord(rng, rational):
+    a = rng.randint(-3, 3)
+    return Fraction(a, rng.randint(1, 4)) if rational else a
+
+
+def _point_sets(seed, count):
+    """Seeded point sets, ambient dimension 1-5, some rational, some flat."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        rational = rng.random() < 0.4
+        k = rng.randint(1, 7)
+        if rng.random() < 0.35:  # on an affine subspace of lower dimension
+            base = [_coord(rng, rational) for _ in range(n)]
+            dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+            pts = {
+                tuple(b + sum(rng.randint(-2, 2) * d[i] for d in dirs) for i, b in enumerate(base))
+                for _ in range(k)
+            }
+        else:
+            pts = {tuple(_coord(rng, rational) for _ in range(n)) for _ in range(k)}
+        yield rng, sorted(pts)
+
+
+def _queries(rng, pts):
+    """The points, rational affine combinations of them (on the hull's
+    affine span) and random points (mostly off it, when the set is flat)."""
+    n = len(pts[0])
+    out = list(pts)
+    for _ in range(4):
+        w = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in pts]
+        w[0] += 1 - sum(w)
+        out.append(tuple(sum(c * p[i] for c, p in zip(w, pts)) for i in range(n)))
+        out.append(tuple(_coord(rng, rng.random() < 0.5) for _ in range(n)))
+    return out
+
+
+def test_chart_coords_and_ambient_functionals_match_gauss_jordan():
+    nones = facets = 0
+    for rng, pts in _point_sets(7, 400):
+        P = convex_hull(pts)
+        assert P.point_coords == tuple(_chart_coords_ref(P, p) for p in pts)
+        for q in _queries(rng, pts):
+            got = P.chart_coords(q)
+            assert got == _chart_coords_ref(P, q)
+            nones += got is None
+        for h, _ in P.facets:
+            assert P.ambient_functional(h) == _ambient_functional_ref(P, h)
+            facets += 1
+    assert nones > 100 and facets > 1000
+
+
+def test_lattice_coordinates_match_gauss_jordan():
+    rng = random.Random(11)
+    nones = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n + 1))]
+        if not any(any(g) for g in gens):
+            continue
+        L = Lattice.from_generators(gens, n)
+        queries = []
+        for _ in range(4):
+            c = [rng.randint(-3, 3) for _ in gens]
+            member = tuple(sum(a * g[i] for a, g in zip(c, gens)) for i in range(n))
+            queries.append(member)
+            # a half step along one generator: in the span, often not a member
+            queries.append(tuple(m + Fraction(g, 2) for m, g in zip(member, gens[0])))
+            queries.append(tuple(rng.randint(-5, 5) for _ in range(n)))
+            queries.append(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)))
+        for v in queries:
+            got = L.coordinates(v)
+            assert got == _coordinates_ref(L, v)
+            assert L.rational_coordinates(v) == _rational_coordinates_ref(L, v)
+            assert (v in L) == (got is not None)
+            nones += got is None
+    assert nones > 400
+
+
+def _configs():
+    rng = random.Random(88)  # the corpus of acceptance criterion 8, first configs
+    return [random_small_config(rng) for _ in range(30)]
+
+
+def test_face_interiors_match_rehulled_faces():
+    for A in [*_configs(), OBSTRUCTED, saturate(OBSTRUCTED, "s").result]:
+        for face in A.poset.faces:
+            L = face_lattice(A, face)
+            assert relative_interior_lattice_points(A.newton, face, L) == _relint_ref(
+                A.newton, face, L
+            )
+
+
+def _fresh(A):
+    return PointConfiguration.from_columns(A.points, A.labels)
+
+
+def _saturations_and_chains(A, chain_modes):
+    A = _fresh(A)
+    sats = tuple(saturate(A, mode) for mode in ("s", "p", "full"))
+    return sats, tuple(reduction_chain(A, mode) for mode in chain_modes)
+
+
+@pytest.mark.parametrize("which", ["corpus", "obstructed"])
+def test_saturations_and_chains_match_the_gauss_jordan_route(which, monkeypatch):
+    # OBSTRUCTED is complete under "p"; its "s" chain is the stuck one
+    configs, modes = (_configs(), ("p",)) if which == "corpus" else ([OBSTRUCTED], ("p", "s"))
+    got = [_saturations_and_chains(A, modes) for A in configs]
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "hnf_solve", _solve_ref)
+        m.setattr(polytope, "hnf_solve", _solve_ref)
+        m.setattr(configuration, "relative_interior_lattice_points", _relint_ref)
+        want = [_saturations_and_chains(A, modes) for A in configs]
+    assert got == want
+    if which == "obstructed":
+        assert got[0][1][1].obstruction == ((1, 1, 1, 1),)
+
+
+def test_face_saturation_hulls_only_the_newton_polytope(monkeypatch):
+    calls = []
+
+    def counting(points):
+        calls.append(tuple(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(polytope, "convex_hull", counting)
+    monkeypatch.setattr(configuration, "convex_hull", counting)
+    for A in [*_configs()[:10], OBSTRUCTED]:
+        A = _fresh(A)
+        calls.clear()
+        saturate(A, "s")
+        assert calls == [A.points]

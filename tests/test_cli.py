@@ -170,3 +170,25 @@ def test_determinism():
         )
         outs.add(proc.stdout)
     assert len(outs) == 1
+
+
+def test_hull_cap_is_a_budget_error():
+    # 49 distinct columns: the Newton polytope's hull refuses them up front
+    code, out, err = run_cli(["faces"], {"matrix": [[1, i] for i in range(49)]})
+    assert code == 3 and out is None
+    assert err == "budget exceeded: hull limited to 48 points, got 49\n"
+
+
+def test_internal_failure_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    from gkzkit import cli
+
+    def broken(data, args):
+        raise AssertionError("lower hull cells must cover the polytope")
+
+    monkeypatch.setitem(cli.HANDLERS, "faces", broken)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(TRI))
+    assert cli.main(["--input", str(path), "faces"]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: lower hull cells must cover the polytope\n"
