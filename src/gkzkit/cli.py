@@ -10,9 +10,10 @@ monodromy command emits floating complex numbers, with its tolerance stated.
 Reports echo the input and the tool version, and key order is canonical, so
 identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 obstruction or rejection reported, 2 input error,
-3 budget exceeded (symbolic degree, enumeration size or hull point cap),
-4 internal error (a failed invariant of gkzkit itself).
+Exit codes: 0 success, 1 obstruction or rejection reported, 2 input error
+(malformed JSON, a matrix entry that is not an integer, ...), 3 budget
+exceeded (symbolic degree, enumeration size, hull point cap or lattice-point
+search box), 4 internal error (a failed invariant of gkzkit itself).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .hyper import (
     is_nonresonant,
     restrict_to_zero,
 )
-from .polytope import HullCapError
+from .polytope import HullCapError, LatticeBudgetError
 from .secondary import (
     DegenerateHeightsError,
     EnumerationCapError,
@@ -100,14 +101,25 @@ def _load_payload(path: str | None):
     return data
 
 
-def _config_from(data) -> PointConfiguration:
+def _matrix_from(data, missing: str):
+    """The column-major 'matrix': a nonempty list of lists of integers (JSON
+    numbers without a fraction part; booleans are not integers here)."""
     cols = data.get("matrix")
     if not isinstance(cols, list) or not cols:
-        raise InputError("input needs a nonempty column-major 'matrix'")
-    try:
-        cols = [[int(a) for a in col] for col in cols]
-    except (TypeError, ValueError) as exc:
-        raise InputError("matrix entries must be integers") from exc
+        raise InputError(missing)
+    for j, col in enumerate(cols):
+        if not isinstance(col, list):
+            raise InputError(f"matrix column {j} must be a list, got {json.dumps(col)}")
+        for i, a in enumerate(col):
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise InputError(
+                    f"matrix entry {i} of column {j} must be an integer, got {json.dumps(a)}"
+                )
+    return cols
+
+
+def _config_from(data) -> PointConfiguration:
+    cols = _matrix_from(data, "input needs a nonempty column-major 'matrix'")
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
         raise InputError(f"matrix columns must have equal lengths, got {lengths}")
@@ -139,14 +151,12 @@ def _beta_from(data, args, length, source):
 
 
 def _curve_from(data) -> MonomialCurveConfig:
-    cols = data.get("matrix")
-    if not isinstance(cols, list) or not cols:
-        raise InputError("curve commands need a 2-row column-major 'matrix'")
+    cols = _matrix_from(data, "curve commands need a 2-row column-major 'matrix'")
     exps = []
     for col in cols:
-        if len(col) != 2 or int(col[0]) != 1:
+        if len(col) != 2 or col[0] != 1:
             raise InputError("curve columns must look like (1, exponent)")
-        exps.append(int(col[1]))
+        exps.append(col[1])
     try:
         return MonomialCurveConfig(tuple(exps))
     except ValueError as exc:
@@ -426,7 +436,7 @@ def main(argv=None) -> int:
     except (InputError, IndexError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceededError, EnumerationCapError, HullCapError) as exc:
+    except (BudgetExceededError, EnumerationCapError, HullCapError, LatticeBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ResonantParameterError as exc:

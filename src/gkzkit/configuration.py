@@ -44,6 +44,10 @@ from .polytope import (
 )
 
 
+# (configuration, face) pairs whose index and subdiagram volume stay cached.
+FACE_CACHE_SIZE = 1024
+
+
 class InhomogeneousError(ValueError):
     """The columns admit no functional evaluating to 1 on every column."""
 
@@ -183,7 +187,7 @@ def face_group(A: PointConfiguration, face: Face) -> Lattice:
     return lattice_span(A.face_points(face), "linear")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FACE_CACHE_SIZE)
 def index_i(A: PointConfiguration, face: Face) -> int:
     """[Z_A cut to the face span : group generated by the face points]."""
     if face.supporting is None:
@@ -286,7 +290,7 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
     return q, sorted(images)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FACE_CACHE_SIZE)
 def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """Lattice volume between the hulls of the quotient semigroup and its
     nonzero part, computed polyhedrally.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 Vec = tuple
 Mat = tuple
@@ -47,14 +47,15 @@ def primitive(v):
     return tuple(a // g for a in v)
 
 
+def _integral(v):
+    """(w, D): the rationals v times the lcm D of their denominators."""
+    D = lcm(*(a.denominator for a in v))
+    return [a.numerator * (D // a.denominator) for a in v], D
+
+
 def clear_denominators(v):
     """Smallest positive multiple of a rational vector that is integral."""
-    lcm = 1
-    fracs = [Fraction(a) for a in v]
-    for a in fracs:
-        d = a.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return tuple(int(a * lcm) for a in fracs)
+    return tuple(_integral([Fraction(a) for a in v])[0])
 
 
 def dot(u, v):
@@ -292,24 +293,69 @@ def integer_kernel_basis(M: IntMatrix):
     return tuple(out)
 
 
+def _eliminate(rows, r, col, prev):
+    """One fraction-free Gauss-Jordan step on integer rows, in place.
+
+    Clears column ``col`` from every row but ``r`` through
+    row <- (pv * row - row[col] * rows[r]) / prev, pv = rows[r][col], where
+    prev is the pivot of the previous step (1 at the start).  Every entry then
+    stays a minor of the starting matrix, so the division is exact (Bareiss,
+    Math. Comp. 1968) and every pivot row carries pv on its pivot column.
+    """
+    pr = rows[r]
+    pv = pr[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[col]
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, pr)]
+
+
+def _reduce(rows, ncols):
+    """Fraction-free reduced echelon form of integer rows, in place.
+
+    Pivots are the first nonzero entry at or below the current row, column by
+    column.  Returns (pivot columns, d, sign): rows[k] has d on its pivot
+    column and zeros on the other pivot columns, rows past the rank are zero
+    on the first ``ncols`` columns, and sign is the parity of the row swaps.
+    Dividing rows[k] by d gives the reduced row echelon form.
+    """
+    pivots, prev, sign = [], 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        _eliminate(rows, r, col, prev)
+        prev = rows[r][col]
+        pivots.append(col)
+    return pivots, prev, sign
+
+
+def _null_vectors(rows):
+    """Integer right nullspace basis of rational rows, and the d of
+    :func:`_reduce`: one vector per free column c, d on c and minus the
+    reduced rows' entries in column c on the pivot columns."""
+    work = [_integral(row)[0] for row in rows]
+    n = len(work[0]) if work else 0
+    pivots, d, _ = _reduce(work, n)
+    out = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = d
+            for row, pc in zip(work, pivots):
+                v[pc] = -row[fc]
+            out.append(v)
+    return out, d
+
+
 def rational_rank(rows) -> int:
     """Rank over Q of a list of vectors."""
-    work = [[Fraction(a) for a in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        work[rank] = [a / pv for a in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+    work = [_integral(row)[0] for row in rows]
+    return len(_reduce(work, len(work[0]) if work else 0)[0])
 
 
 def solve_rational(A_rows, b):
@@ -317,96 +363,44 @@ def solve_rational(A_rows, b):
 
     A_rows is a sequence of matrix rows; free variables are set to zero.
     """
-    m = len(A_rows)
-    n = len(A_rows[0]) if m else 0
-    aug = [[Fraction(a) for a in row] + [Fraction(b[i])] for i, row in enumerate(A_rows)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [a / pv for a in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b_ for a, b_ in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][n] != 0:
-            return None
+    n = len(A_rows[0]) if A_rows else 0
+    aug = [_integral((*row, b[i]))[0] for i, row in enumerate(A_rows)]
+    pivots, d, _ = _reduce(aug, n)
+    if any(row[n] for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
+    for row, col in zip(aug, pivots):
+        x[col] = Fraction(row[n], d)
     return tuple(x)
 
 
 def rational_nullspace(A_rows):
     """Basis of the rational right nullspace of the row list A_rows."""
-    m = len(A_rows)
-    n = len(A_rows[0]) if m else 0
-    work = [[Fraction(a) for a in row] for row in A_rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        work[rank] = [a / pv for a in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(tuple(v))
-    return basis
+    vectors, d = _null_vectors(A_rows)
+    return [tuple(Fraction(a, d) for a in v) for v in vectors]
 
 
 def integer_orthogonal_complement(vectors, dim: int):
     """Integer vectors c with c . v = 0 for every given v.
 
     The returned rows span the rational orthogonal complement of ``vectors``,
-    so {x : c . x = 0 for all returned c} is exactly the rational span.
+    so {x : c . x = 0 for all returned c} is exactly the rational span.  Each
+    is primitive and positive on its free column: the smallest integral
+    multiple of the rational nullspace vector that is 1 there.
     """
     if not vectors:
         return tuple(IntMatrix.identity(dim).entries)
-    null = rational_nullspace([tuple(v) for v in vectors])
-    return tuple(clear_denominators(v) for v in null)
+    null, d = _null_vectors(vectors)
+    return tuple(primitive([-a for a in v] if d < 0 else v) for v in null)
 
 
 def det_fraction(rows) -> Fraction:
-    """Determinant of a square rational matrix, by fraction-free-ish elimination."""
-    n = len(rows)
-    work = [[Fraction(a) for a in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        work[col] = [a / pv for a in work[col]]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
+    """Determinant of a square rational matrix, by fraction-free elimination."""
+    scaled = [_integral(row) for row in rows]
+    pivots, d, sign = _reduce([w for w, _ in scaled], len(rows))
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * d, prod(D for _, D in scaled))
 
 
 def enumerate_box(lo, hi):

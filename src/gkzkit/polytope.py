@@ -12,25 +12,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm, prod
 
 from .intlinalg import (
     clear_denominators,
     det_fraction,
     dot,
-    primitive,
-    rational_nullspace,
+    integer_orthogonal_complement,
     rational_rank,
     vsub,
 )
 from .lattice import AffineLattice, Lattice, hnf_solve
 
 HULL_POINT_CAP = 48
+# Points of the search box that lattice_points_in may test.  The largest box
+# the test suite, the benchmark workloads and the scripts reach has 45 points.
+LATTICE_BOX_CAP = 10_000
 
 
 class HullCapError(ValueError):
     """The hull input exceeds HULL_POINT_CAP points."""
+
+
+class LatticeBudgetError(ValueError):
+    """A lattice-point search box exceeds LATTICE_BOX_CAP points."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,7 @@ class Polytope:
     facets: tuple  # (primitive integer chart-normal h, integer offset c), h.x <= c inside
     vertex_indices: tuple
     point_coords: tuple = field(compare=False, repr=False)  # chart coordinates of ``points``
+    facet_sets: tuple = field(compare=False, repr=False)  # indices of the points on each facet
 
     # -- coordinates ---------------------------------------------------------
 
@@ -82,14 +88,6 @@ class Polytope:
             rest = sum(rows[piv[k]][j] * f[piv[k]] for k in range(j + 1, self.dim))
             f[piv[j]] = (h[j] - rest) / Fraction(rows[piv[j]][j])
         return clear_denominators(f)
-
-    @cached_property
-    def facet_sets(self):
-        """For each facet, the indices of the points lying on it."""
-        return tuple(
-            frozenset(i for i, x in enumerate(self.point_coords) if dot(h, x) == c)
-            for h, c in self.facets
-        )
 
     def contains(self, point) -> bool:
         slacks = self._slacks(point)
@@ -121,25 +119,21 @@ def convex_hull(points) -> Polytope:
     coords = tuple(lat.rational_coordinates(d) for d in diffs)
     dim = lat.rank
     if dim == 0:
-        return Polytope(pts, 0, anchor, lat, (), (0,), coords)
+        return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
     # the facet search runs on the integer points D * x: same hyperplanes,
     # same sides, without Fraction arithmetic in the inner loop
     D = lcm(*(a.denominator for x in coords for a in x))
     icoords = [tuple(int(a * D) for a in x) for x in coords]
-    facets = set()
-    on_facet = []  # index sets of the facet hyperplanes found so far
+    # facet (integer normal, integer offset) in chart coordinates -> points on it
+    facets = {}
     for subset in itertools.combinations(range(len(pts)), dim):
-        if any(s.issuperset(subset) for s in on_facet):
+        if any(s.issuperset(subset) for s in facets.values()):
             continue  # lies on a facet already found
         base = icoords[subset[0]]
-        if dim == 1:
-            null = [(Fraction(1),)]
-        else:
-            rows = [vsub(icoords[i], base) for i in subset[1:]]
-            null = rational_nullspace(rows)
+        null = integer_orthogonal_complement([vsub(icoords[i], base) for i in subset[1:]], dim)
         if len(null) != 1:
             continue  # subset does not span a hyperplane in the chart
-        h = primitive(clear_denominators(null[0]))
+        h = null[0]
         c = dot(h, base)
         side_hi = any(dot(h, x) > c for x in icoords)
         side_lo = any(dot(h, x) < c for x in icoords)
@@ -147,16 +141,21 @@ def convex_hull(points) -> Polytope:
             continue
         if side_hi:
             h, c = tuple(-a for a in h), -c
-        on_facet.append(frozenset(i for i, x in enumerate(icoords) if dot(h, x) == c))
-        hc = clear_denominators((*h, Fraction(c, D)))
-        facets.add((hc[:-1], hc[-1]))
-    facets = tuple(sorted(facets))
+        # h . x <= c / D in chart coordinates; as h is primitive, the least
+        # integral multiple is (k h, c / g) with g = gcd(c, D), k = D / g
+        g = gcd(c, D)
+        facets[tuple(D // g * a for a in h), c // g] = frozenset(
+            i for i, x in enumerate(icoords) if dot(h, x) == c
+        )
+    order = tuple(sorted(facets))
     vert = []
     for i, x in enumerate(icoords):
-        active = [h for h, c in facets if dot(h, x) == c * D]
+        active = [h for h, c in order if dot(h, x) == c * D]
         if active and rational_rank(active) == dim:
             vert.append(i)
-    return Polytope(pts, dim, anchor, lat, facets, tuple(vert), coords)
+    return Polytope(
+        pts, dim, anchor, lat, order, tuple(vert), coords, tuple(facets[f] for f in order)
+    )
 
 
 @dataclass(frozen=True)
@@ -242,6 +241,8 @@ def lattice_points_in(
     the face with equality and the other facets weakly, and in its relative
     interior iff it satisfies the others strictly.  The search box comes from
     the vertices of P on the face.  L's span must contain the face's hull.
+    A search box of more than LATTICE_BOX_CAP points raises
+    LatticeBudgetError before any point is tested.
     """
     on = frozenset(face.indices if face is not None else range(len(P.points)))
     through = [on <= s for s in P.facet_sets]
@@ -255,6 +256,11 @@ def lattice_points_in(
     gens = L.delta.generators()
     lo = [ceil(min(b[j] for b in boxes)) for j in range(L.rank)]
     hi = [floor(max(b[j] for b in boxes)) for j in range(L.rank)]
+    size = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+    if size > LATTICE_BOX_CAP:
+        raise LatticeBudgetError(
+            f"lattice-point search limited to {LATTICE_BOX_CAP} box points, got {size}"
+        )
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))

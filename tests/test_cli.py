@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 TRI = {"matrix": [[1, 0, 0], [1, 3, 0], [1, 0, 3], [1, 1, 0], [1, 0, 2]]}
 CURVE013 = {"matrix": [[1, 0], [1, 1], [1, 3]]}
@@ -177,6 +178,33 @@ def test_hull_cap_is_a_budget_error():
     code, out, err = run_cli(["faces"], {"matrix": [[1, i] for i in range(49)]})
     assert code == 3 and out is None
     assert err == "budget exceeded: hull limited to 48 points, got 49\n"
+
+
+def test_non_integer_matrix_entries_are_input_errors():
+    cases = [
+        (["faces"], {"matrix": [[1, 0], [1, 1.5]]}, "entry 1 of column 1", "1.5"),
+        (["faces"], {"matrix": [[1, 0], [True, 1]]}, "entry 0 of column 1", "true"),
+        (["faces"], {"matrix": [[1, 0], [1, "2"]]}, "entry 1 of column 1", '"2"'),
+        (["curve", "edet"], {"matrix": [5, 6]}, "column 0 must be a list", "5"),
+        (["curve", "edet"], {"matrix": [[1, 0], [1, None]]}, "entry 1 of column 1", "null"),
+        (["curve", "edet"], {"matrix": [[1, 0], [1, "x"]]}, "entry 1 of column 1", '"x"'),
+    ]
+    for args, payload, where, shown in cases:
+        code, out, err = run_cli(args, payload)
+        assert code == 2 and out is None, (payload, code, err)
+        assert err.startswith("input error: matrix ") and err.count("\n") == 1
+        assert where in err and err.rstrip().endswith(shown)
+
+
+def test_lattice_point_search_box_is_a_budget_error():
+    payload = {"matrix": [[1, 0], [1, 1], [1, 10**8]]}
+    start = time.perf_counter()
+    code, out, err = run_cli(["saturate", "--mode", "full"], payload)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out is None
+    assert err == (
+        "budget exceeded: lattice-point search limited to 10000 box points, got 100000001\n"
+    )
 
 
 def test_internal_failure_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
