@@ -13,13 +13,16 @@ identical invocations are byte-identical.
 Exit codes: 0 success, 1 obstruction or rejection reported, 2 input error
 (malformed JSON, a matrix entry that is not an integer, ...), 3 budget
 exceeded (symbolic degree, enumeration size, hull point cap or lattice-point
-search box), 4 internal error (a failed invariant of gkzkit itself).
+search box), 4 internal error (a failed invariant of gkzkit itself).  If the
+reader closes the pipe before the report is written (``gkzkit mults | head -c
+1``), the command still exits with its own code, and prints no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -163,6 +166,13 @@ def _curve_from(data) -> MonomialCurveConfig:
         raise InputError(str(exc)) from exc
 
 
+def _column(A: PointConfiguration, k: int) -> int:
+    """A column index from the command line, checked against the matrix."""
+    if not 0 <= k < A.size:
+        raise InputError(f"column {k} out of range")
+    return k
+
+
 def _point(p):
     return [int(a) for a in p]
 
@@ -208,7 +218,7 @@ def _run_saturate(data, args):
 
 def _run_redundant(data, args):
     A = _config_from(data)
-    rep = is_lattice_redundant(A, args.col)
+    rep = is_lattice_redundant(A, _column(A, args.col))
     return {
         "column": args.col,
         "redundant": bool(rep),
@@ -236,6 +246,8 @@ def _run_mults(data, args):
 
 def _run_aux_check(data, args):
     A = _config_from(data)
+    if args.k == args.a or not (0 <= args.k < A.size and 0 <= args.a < A.size):
+        raise InputError("need two distinct valid column indices")
     cert = check_aux_point(A, args.k, args.a)
     payload = {
         "deleted": args.k,
@@ -302,9 +314,7 @@ def _run_series(data, args):
     beta = _beta_from(data, args, A.ambient_dim, "one per matrix row")
     if not args.extend:
         raise InputError("series currently supports the --extend pipeline")
-    k = args.col
-    if not 0 <= k < A.size:
-        raise InputError(f"column {k} out of range")
+    k = _column(A, args.col)
     A_k = A.delete(k)
     psi_order = args.psi_order or 2 * args.order + 2
     T = None
@@ -433,7 +443,7 @@ def main(argv=None) -> int:
     try:
         data = _load_payload(args.input)
         payload, code = HANDLERS[args.command](data, args)
-    except (InputError, IndexError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, EnumerationCapError, HullCapError, LatticeBudgetError) as exc:
@@ -457,7 +467,13 @@ def main(argv=None) -> int:
         "version": __version__,
         "result": payload,
     }
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    try:
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at /dev/null so that the flush at
+        # interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -3,26 +3,40 @@
 Triangulations are stored as sorted tuples of maximal cells (column index
 tuples) with lattice volumes normalized to the group generated by the
 configuration.  Regularity is always certified by exact rational feasibility
-of the height system, never assumed from the construction.
+of the height system, never assumed from the construction.  The heights of
+each certificate also certify the secondary polytope without a hull: they
+single out their triangulation's GKZ vector as the unique minimiser of their
+functional, so it is a vertex.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .configuration import PointConfiguration
-from .intlinalg import det_fraction, rational_nullspace, solve_rational, vsub
+from .intlinalg import (
+    _reduce,
+    clear_denominators,
+    det_fraction,
+    dot,
+    primitive,
+    rational_nullspace,
+    rational_rank,
+    vsub,
+)
 from .lp import lp_feasible_strict
-from .polytope import Polytope, convex_hull
+from .polytope import convex_hull
 
 DEFAULT_ENUMERATION_CAP = 12
 # Configurations whose triangulations and secondary polytope stay cached.
 SECONDARY_CACHE_SIZE = 64
+# Random spot-check heights are integers over this denominator.
+SPOT_DENOMINATOR = 992
 
 
 class DegenerateHeightsError(ValueError):
@@ -37,6 +51,9 @@ class EnumerationCapError(ValueError):
 class Triangulation:
     cells: tuple  # sorted tuples of column indices, each of size dim+1
     volumes: tuple  # lattice volume of each cell, normalized to Z_A
+    # integer heights whose lower hull is exactly these cells: the regularity
+    # certificate kept by the enumeration, None elsewhere
+    heights: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_volume(self) -> int:
@@ -109,33 +126,45 @@ def gkz_vector(A: PointConfiguration, T: Triangulation):
     return tuple(phi)
 
 
-def is_regular(A: PointConfiguration, T: Triangulation):
-    """Exact LP certificate: heights whose lower hull induces exactly T."""
+@lru_cache(maxsize=1)
+def _folding_rows(A: PointConfiguration, T: Triangulation):
+    """The folding rows of T: for each cell sigma and column p outside it,
+    the smallest positive integer multiple r of sum_j lam_j e_j - e_p, where
+    lam are the affine weights of p on sigma.
+
+    r . w < 0 says that p lifts strictly above the plane through the lifted
+    cell, so heights w have lower hull exactly T iff every row is negative on
+    w.  The last result is cached: the enumeration reuses the rows that
+    ``is_regular`` just built.
+    """
     coords = _chart(A)
     rows = []
-    rhs = []
-    strict = set()
     for cell in T.cells:
-        base = coords[cell[0]]
-        mat = [[Fraction(coords[j][i] - base[i]) for j in cell[1:]] for i in range(len(base))]
-        for p in range(A.size):
-            if p in cell:
-                continue
-            lam_tail = solve_rational(mat, vsub(coords[p], base))
-            if lam_tail is None:
-                raise AssertionError("cell must span the chart")
-            lam = [1 - sum(lam_tail), *lam_tail]
-            # interpolated height at p must be strictly above the lift of p
-            row = [Fraction(0)] * A.size
-            for w, j in zip(lam, cell):
-                row[j] += w
-            row[p] -= 1
-            rows.append(row)
-            rhs.append(Fraction(0))
-            strict.add(len(rows) - 1)
+        outside = [p for p in range(A.size) if p not in cell]
+        # homogenised cell columns, then every outside column: reduced to
+        # D * [I | lam], one weight column per outside point
+        system = [
+            [1] * A.size,
+            *([coords[j][i] for j in (*cell, *outside)] for i in range(len(coords[0]))),
+        ]
+        pivots, D, _ = _reduce(system, len(cell))
+        if len(pivots) != len(cell):
+            raise AssertionError("cell must span the chart")
+        for t, p in enumerate(outside, start=len(cell)):
+            row = [0] * A.size
+            for k, j in enumerate(cell):
+                row[j] = system[k][t]
+            row[p] = -D
+            rows.append(primitive([-a for a in row] if D < 0 else row))
+    return tuple(rows)
+
+
+def is_regular(A: PointConfiguration, T: Triangulation):
+    """Exact LP certificate: heights whose lower hull induces exactly T."""
+    rows = _folding_rows(A, T)
     if not rows:
         return True, (0,) * A.size
-    ok, witness = lp_feasible_strict(rows, rhs, strict)
+    ok, witness = lp_feasible_strict(rows, [0] * len(rows), set(range(len(rows))))
     if not ok:
         return False, None
     return True, tuple(witness)
@@ -185,6 +214,27 @@ def _flips(cells, circuits):
             yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}
 
 
+def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
+    """The lower hull of the integer heights / SPOT_DENOMINATOR, found among
+    the ``certified`` (GKZ vector, triangulation, folding rows) triples when
+    their rows prove it, and by the lifted hull otherwise.
+
+    If every folding row of a certified T is negative on the heights, their
+    lower hull is T: each lifted cell lies on a supporting hyperplane with
+    every other lifted point strictly above it, so it is a lower facet with no
+    other point on it, and the cells already cover ``config_volume``, which
+    leaves no room for another lower facet.  Only one T can pass: the one
+    whose GKZ vector minimises the heights' functional (Gelfand-Kapranov-
+    Zelevinsky 1994, ch. 7), so that is the one tested.  Heights that no
+    certified T passes take the lifted hull, which may raise
+    DegenerateHeightsError.
+    """
+    _, T, rows = min(certified, key=lambda c: dot(heights, c[0]))
+    if all(dot(r, heights) < 0 for r in rows):
+        return T
+    return regular_triangulation(A, [Fraction(h, SPOT_DENOMINATOR) for h in heights])
+
+
 @lru_cache(maxsize=SECONDARY_CACHE_SIZE)
 def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_ENUMERATION_CAP):
     """All regular triangulations, certified one by one by the height LP.
@@ -193,30 +243,38 @@ def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_E
     edges are flips, so a breadth-first search over flips from one lower-hull
     triangulation reaches all of them (Gelfand-Kapranov-Zelevinsky 1994,
     ch. 7).  Only certified triangulations are expanded; non-regular
-    neighbours are dropped.  A random-height spot check asserts that
-    lower-hull triangulations all appear in the enumerated set.
+    neighbours are dropped, and each returned triangulation keeps its
+    certificate's heights, scaled to integers.
+
+    A random-height spot check asserts that lower-hull triangulations all
+    appear in the enumerated set.  Of 20 seeded height draws, the first
+    generic one is lifted and hulled, and starts the search; each later draw
+    is matched to a certified triangulation by that triangulation's folding
+    rows, or hulled where no rows match (see ``_lower_hull``).
     """
     if A.size > cap:
         raise EnumerationCapError(f"enumeration capped at {cap} points, got {A.size}")
     rng = random.Random(20240 + A.size)
-    spot = []
-    for _ in range(20):
-        heights = [Fraction(rng.randrange(-10**6, 10**6), 992) for _ in range(A.size)]
+    draws = [[rng.randrange(-10**6, 10**6) for _ in range(A.size)] for _ in range(20)]
+    for first, heights in enumerate(draws):
         try:
-            spot.append(regular_triangulation(A, heights))
+            start = regular_triangulation(A, [Fraction(h, SPOT_DENOMINATOR) for h in heights])
+            break
         except DegenerateHeightsError:
             continue
-    if not spot:
+    else:
         raise DegenerateHeightsError("no generic heights among 20 random draws")
     circuits = _circuits(_chart(A))
-    seen = {spot[0].cells}
-    queue = deque([spot[0]])
-    out = []
+    seen = {start.cells}
+    queue = deque([start])
+    certified = []
     while queue:
         T = queue.popleft()
-        if not is_regular(A, T)[0]:
+        ok, witness = is_regular(A, T)
+        if not ok:
             continue
-        out.append(T)
+        T = Triangulation(T.cells, T.volumes, clear_denominators(witness))
+        certified.append((gkz_vector(A, T), T, _folding_rows(A, T)))
         for cells in _flips(frozenset(map(frozenset, T.cells)), circuits):
             U = make_triangulation(A, cells)
             if U.total_volume != T.total_volume:
@@ -224,17 +282,58 @@ def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_E
             if U.cells not in seen:
                 seen.add(U.cells)
                 queue.append(U)
-    found = {T.cells for T in out}
-    if any(T.cells not in found for T in spot):
-        raise AssertionError("random lower-hull triangulation missing from enumeration")
-    return tuple(sorted(out, key=lambda T: T.cells))
+    found = {T.cells for _, T, _ in certified}
+    if start.cells not in found:
+        raise AssertionError("the lower-hull triangulation that starts the search is not regular")
+    for heights in draws[first + 1:]:
+        try:
+            T = _lower_hull(A, certified, heights)
+        except DegenerateHeightsError:
+            continue
+        if T.cells not in found:
+            raise AssertionError("random lower-hull triangulation missing from enumeration")
+    return tuple(sorted((T for _, T, _ in certified), key=lambda T: T.cells))
+
+
+@dataclass(frozen=True)
+class SecondaryPolytope:
+    """The secondary polytope by its vertices, each with its certificate:
+    ``witnesses[k]`` is an integer functional minimised over the vertices at
+    ``vertices[k]`` alone."""
+
+    vertices: tuple  # sorted GKZ vectors
+    dim: int
+    witnesses: tuple
+
+
+def _certified_vertices(vectors, witnesses) -> SecondaryPolytope:
+    """Certify each vector a vertex of the hull of all of them by its witness.
+
+    <w, v> < <w, u> for every other u makes v the unique minimiser of a linear
+    functional over the hull, so a vertex (and distinct from the others).
+    The affine dimension is the rank of the differences.
+    """
+    pairs = sorted(zip(vectors, witnesses))
+    for k, (v, w) in enumerate(pairs):
+        own = dot(w, v)
+        if any(dot(w, u) <= own for j, (u, _) in enumerate(pairs) if j != k):
+            raise AssertionError(f"heights {w} do not single out the GKZ vector {v}")
+    vertices = tuple(v for v, _ in pairs)
+    dim = rational_rank([vsub(v, vertices[0]) for v in vertices[1:]])
+    return SecondaryPolytope(vertices, dim, tuple(w for _, w in pairs))
 
 
 @lru_cache(maxsize=SECONDARY_CACHE_SIZE)
-def secondary_polytope(A: PointConfiguration) -> Polytope:
-    """Convex hull of the characteristic vectors of all regular triangulations."""
-    vecs = [gkz_vector(A, T) for T in enumerate_regular_triangulations(A)]
-    return convex_hull(sorted(set(vecs)))
+def secondary_polytope(A: PointConfiguration) -> SecondaryPolytope:
+    """The characteristic vectors of all regular triangulations, each certified
+    a vertex of their convex hull by its triangulation's regularity heights.
+
+    Heights w whose lower hull is T make <w, phi_T> < <w, phi_U> for every
+    other triangulation U (Gelfand-Kapranov-Zelevinsky 1994, ch. 7):
+    the certificate must hold, and it is checked, not assumed.
+    """
+    tris = enumerate_regular_triangulations(A)
+    return _certified_vertices([gkz_vector(A, T) for T in tris], [T.heights for T in tris])
 
 
 @dataclass(frozen=True)

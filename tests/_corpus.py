@@ -6,6 +6,16 @@ from fractions import Fraction
 from gkzkit.configuration import PointConfiguration
 from gkzkit.intlinalg import rational_rank, vsub
 
+# The three planar sets of the benchmark catalog, and the "mother of all
+# examples": a triangle with a homothetic inner triangle, whose two twisted
+# triangulations are not regular.
+CATALOG = (
+    ((0, 0), (1, 0), (0, 1), (2, 2), (1, 1)),
+    ((0, 0), (2, 0), (0, 1), (1, 1), (1, 0)),
+    ((0, 0), (1, 0), (2, 1), (1, 2), (1, 1)),
+)
+MOTHER = ((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2))
+
 
 def random_planar_config(rng: random.Random, max_coord=3, min_pts=4, max_pts=7):
     """A quasi-homogeneous configuration with a two-dimensional hull."""

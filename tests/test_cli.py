@@ -1,12 +1,28 @@
 """End-to-end CLI runs: JSON reports, exit codes, determinism."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 import time
 
+import pytest
+
 TRI = {"matrix": [[1, 0, 0], [1, 3, 0], [1, 0, 3], [1, 1, 0], [1, 0, 2]]}
 CURVE013 = {"matrix": [[1, 0], [1, 1], [1, 3]]}
+OBSTRUCTED = {
+    "matrix": [
+        [1, 0, 1, 0],
+        [1, 1, 2, 0],
+        [1, 2, 0, 0],
+        [1, 1, 1, 0],
+        [1, 2, 0, 2],
+        [1, 1, 0, 3],
+        [1, 0, 0, 4],
+        [1, 1, 1, 1],
+    ]
+}
 
 
 def run_cli(args, payload):
@@ -59,19 +75,7 @@ def test_malformed_json():
 
 
 def test_aux_check_rejection_exit_code():
-    obstructed = {
-        "matrix": [
-            [1, 0, 1, 0],
-            [1, 1, 2, 0],
-            [1, 2, 0, 0],
-            [1, 1, 1, 0],
-            [1, 2, 0, 2],
-            [1, 1, 0, 3],
-            [1, 0, 0, 4],
-            [1, 1, 1, 1],
-        ]
-    }
-    code, out, _ = run_cli(["aux-check", "--k", "7", "--a", "3"], obstructed)
+    code, out, _ = run_cli(["aux-check", "--k", "7", "--a", "3"], OBSTRUCTED)
     assert code == 1
     assert out["result"]["accepted"] is False
 
@@ -220,3 +224,72 @@ def test_internal_failure_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: AssertionError: lower hull cells must cover the polytope\n"
+
+
+def test_secondary_polytope_past_the_hull_cap():
+    # 64 GKZ vectors: more than the hull takes, certified by their heights
+    code, out, err = run_cli(["secondary"], {"matrix": [[1, i] for i in range(8)]})
+    assert code == 0, err
+    assert len(out["result"]["vertices"]) == 64 and out["result"]["dim"] == 6
+
+
+def test_bad_column_indices_are_input_errors():
+    code, out, err = run_cli(["redundant", "--col", "99"], TRI)
+    assert code == 2 and out is None
+    assert err == "input error: column 99 out of range\n"
+    for k, a in (("1", "1"), ("3", "5"), ("-1", "2")):
+        code, out, err = run_cli(["aux-check", "--k", k, "--a", a], TRI)
+        assert code == 2 and out is None
+        assert err == "input error: need two distinct valid column indices\n"
+
+
+def test_internal_index_error_is_an_internal_failure(tmp_path, monkeypatch, capsys):
+    from gkzkit import cli
+
+    def broken(data, args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setitem(cli.HANDLERS, "faces", broken)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(TRI))
+    assert cli.main(["--input", str(path), "faces"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: IndexError: list index out of range\n"
+
+
+@pytest.mark.parametrize(
+    "args, payload, expect",
+    [(["mults"], CURVE013, 0), (["aux-check", "--k", "7", "--a", "3"], OBSTRUCTED, 1)],
+)
+def test_closed_stdout_keeps_the_exit_code(tmp_path, monkeypatch, capsys, args, payload, expect):
+    from gkzkit import cli
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert cli.main(["--input", str(path), *args]) == expect
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_that_hangs_up_gets_no_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkzkit", "aux-check", "--k", "7", "--a", "3"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()  # no reader is left when the report is written
+    _, err = proc.communicate(json.dumps(OBSTRUCTED))
+    assert proc.returncode == 1 and err == ""

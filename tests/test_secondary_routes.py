@@ -1,0 +1,175 @@
+"""Differential tests: the witness certificates of ``gkzkit.secondary``
+against the hulls they replaced.
+
+The references below are the earlier routes, kept verbatim: the secondary
+polytope as the convex hull of the GKZ vectors, and the spot check as the
+lower hull of every lifted random draw.
+"""
+
+import random
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from _corpus import CATALOG, MOTHER
+from gkzkit import secondary
+from gkzkit.configuration import PointConfiguration
+from gkzkit.polytope import HULL_POINT_CAP, convex_hull
+from gkzkit.secondary import (
+    SPOT_DENOMINATOR,
+    DegenerateHeightsError,
+    _certified_vertices,
+    _chart,
+    _flips,
+    _folding_rows,
+    _lower_hull,
+    enumerate_regular_triangulations,
+    gkz_vector,
+    regular_triangulation,
+    secondary_polytope,
+)
+
+
+def config(points):
+    return PointConfiguration.from_columns([(1, *p) for p in points])
+
+
+def _family():
+    """Segments of 3-7 points, planar sets of 4-6, the catalog and the mother
+    of all examples."""
+    rng = random.Random(7)
+    out = [config([(a,) for a in sorted(rng.sample(range(10), n))]) for n in range(3, 8)]
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    for n in (4, 5, 6):
+        A = config(rng.sample(grid, n))
+        while len(_chart(A)[0]) != 2:
+            A = config(rng.sample(grid, n))
+        out.append(A)
+    return out + [config(points) for points in (*CATALOG, MOTHER)]
+
+
+FAMILY = _family()
+
+
+def hull_secondary_polytope(A):
+    """The earlier route: the convex hull of the GKZ vectors."""
+    vecs = [gkz_vector(A, T) for T in enumerate_regular_triangulations(A)]
+    return convex_hull(sorted(set(vecs)))
+
+
+def hull_verdict(A, heights):
+    """The earlier spot check: the lifted lower hull of one draw."""
+    try:
+        return regular_triangulation(A, [Fraction(h, SPOT_DENOMINATOR) for h in heights])
+    except DegenerateHeightsError:
+        return DegenerateHeightsError
+
+
+def test_witness_vertices_match_the_hull():
+    for A in FAMILY:
+        S = secondary_polytope(A)
+        assert len(S.vertices) <= HULL_POINT_CAP
+        P = hull_secondary_polytope(A)
+        assert S.vertices == tuple(sorted(P.vertices)), A.points
+        assert S.dim == P.dim, A.points
+
+
+def test_forged_witness_is_rejected():
+    # the segment {0, 1, 2}: <(0,-1,0), .> is least at (1,2,1), <(0,1,0), .> at (2,0,2)
+    vectors = [(1, 2, 1), (2, 0, 2)]
+    assert _certified_vertices(vectors, [(0, -1, 0), (0, 1, 0)]).dim == 1
+    with pytest.raises(AssertionError):
+        _certified_vertices(vectors, [(0, -1, 0), (1, 1, 1)])  # a tie, 4 = 4
+    with pytest.raises(AssertionError):
+        _certified_vertices(vectors, [(0, -1, 0), (0, -1, 0)])  # the wrong side
+    S = secondary_polytope(config(MOTHER))
+    assert _certified_vertices(S.vertices, S.witnesses) == S
+    swapped = (S.witnesses[1], S.witnesses[0], *S.witnesses[2:])
+    with pytest.raises(AssertionError):
+        _certified_vertices(S.vertices, swapped)
+
+
+def test_spot_check_gives_the_hull_verdict(monkeypatch):
+    hulls = []
+
+    def counted(A, heights):
+        hulls.append(heights)
+        return regular_triangulation(A, heights)
+
+    monkeypatch.setattr(secondary, "regular_triangulation", counted)
+    rng = random.Random(11)
+    generic = total = 0
+    for A in FAMILY:
+        tris = enumerate_regular_triangulations(A)
+        certified = [(gkz_vector(A, T), T, _folding_rows(A, T)) for T in tris]
+        # a spread of 2 makes degenerate lifts common, 10**6 rare
+        draws = [[0] * A.size] + [
+            [rng.randint(-spread, spread) for _ in range(A.size)]
+            for spread in (2, 10**6)
+            for _ in range(15)
+        ]
+        for heights in draws:
+            expect = hull_verdict(A, heights)
+            hulls.clear()
+            try:
+                got = _lower_hull(A, certified, heights)
+            except DegenerateHeightsError:
+                got = DegenerateHeightsError
+            assert got == expect, (A.points, heights)
+            # the rows decide every generic draw; only degenerate ones are hulled
+            assert len(hulls) == (expect is DegenerateHeightsError)
+            generic += expect is not DegenerateHeightsError
+            total += 1
+    assert total / 2 < generic < total  # both kinds of draw were seen
+
+
+def test_a_dropped_flip_is_caught(monkeypatch):
+    def dropped(cells, circuits):
+        return islice(_flips(cells, circuits), 1, None)
+
+    monkeypatch.setattr(secondary, "_flips", dropped)
+    for A in (config([(a,) for a in range(5)]), config(CATALOG[0]), config(MOTHER)):
+        with pytest.raises(AssertionError, match="missing from enumeration"):
+            enumerate_regular_triangulations.__wrapped__(A)
+
+
+def test_enumeration_hulls_one_lift(monkeypatch):
+    calls = []
+
+    def counted(A, heights):
+        calls.append(heights)
+        return regular_triangulation(A, heights)
+
+    monkeypatch.setattr(secondary, "regular_triangulation", counted)
+    for points in CATALOG:
+        calls.clear()
+        enumerate_regular_triangulations.__wrapped__(config(points))
+        assert len(calls) == 1
+
+
+def test_degenerate_draws_are_skipped(monkeypatch):
+    class Coarse(random.Random):
+        """Spot-check heights in {-2, ..., 2}: degenerate lifts are common."""
+
+        def randrange(self, start, stop):
+            return super().randrange(-2, 3)
+
+    outcomes = []
+
+    def counted(A, heights):
+        try:
+            T = regular_triangulation(A, heights)
+        except DegenerateHeightsError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return T
+
+    A = config(CATALOG[0])
+    expect = enumerate_regular_triangulations(A)
+    monkeypatch.setattr(secondary, "regular_triangulation", counted)
+    monkeypatch.setattr(secondary.random, "Random", Coarse)
+    assert enumerate_regular_triangulations.__wrapped__(A) == expect
+    # degenerate draws before the first generic one, and after it
+    assert outcomes.index(True) > 0 and outcomes[outcomes.index(True) + 1:].count(False) > 0

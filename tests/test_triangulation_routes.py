@@ -8,6 +8,7 @@ the Newton polytope by maximal simplices with pairwise disjoint interiors
 import random
 from fractions import Fraction
 
+from _corpus import CATALOG, MOTHER
 from gkzkit import secondary
 from gkzkit.configuration import PointConfiguration
 from gkzkit.lp import lp_feasible_strict
@@ -21,15 +22,6 @@ from gkzkit.secondary import (
     secondary_polytope,
 )
 
-# The three planar sets of the benchmark catalog, and the "mother of all
-# examples": a triangle with a homothetic inner triangle, whose two twisted
-# triangulations are not regular.
-CATALOG = (
-    ((0, 0), (1, 0), (0, 1), (2, 2), (1, 1)),
-    ((0, 0), (2, 0), (0, 1), (1, 1), (1, 0)),
-    ((0, 0), (1, 0), (2, 1), (1, 2), (1, 1)),
-)
-MOTHER = ((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2))
 
 
 def _interiors_disjoint(coords, c1, c2) -> bool:
