@@ -1,9 +1,9 @@
 """Exact combinatorial invariants of toric point configurations.
 
-Lattice normal forms, exact polytopes and face posets, face saturations and
-their multiplicities, regular triangulations and secondary polytopes,
-truncated hypergeometric series with an extension operator, and monomial
-curve discriminants with numeric monodromy cross-checks.
+Hermite normal forms and lattices, exact polytopes and face posets, face
+saturations and their multiplicities, regular triangulations and secondary
+polytopes, truncated hypergeometric series with an extension operator, and
+monomial curve discriminants with numeric monodromy cross-checks.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ from .hyper import (
     rank_volume,
     toric_kernel_basis,
 )
-from .lattice import AffineLattice, Lattice, lattice_index, lattice_span, quotient
+from .lattice import AffineLattice, Lattice, lattice_index, lattice_span
 from .polytope import convex_hull, face_poset
 from .secondary import (
     Triangulation,

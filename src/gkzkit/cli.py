@@ -38,7 +38,6 @@ from .configuration import (
 )
 from .continuation import numeric_monodromy
 from .curves import (
-    BudgetExceededError,
     MonomialCurveConfig,
     discriminant_curve,
     principal_determinant_curve,
@@ -52,10 +51,9 @@ from .hyper import (
     is_nonresonant,
     restrict_to_zero,
 )
-from .polytope import HullCapError, LatticeBudgetError
+from .polytope import BudgetError
 from .secondary import (
     DegenerateHeightsError,
-    EnumerationCapError,
     enumerate_regular_triangulations,
     gkz_vector,
     regular_triangulation,
@@ -446,7 +444,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (BudgetExceededError, EnumerationCapError, HullCapError, LatticeBudgetError) as exc:
+    except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ResonantParameterError as exc:

@@ -25,12 +25,13 @@ from .intlinalg import (
     IntMatrix,
     clear_denominators,
     dot,
+    integer_orthogonal_complement,
     primitive,
     rational_rank,
     solve_rational,
     vsub,
 )
-from .lattice import AffineLattice, Lattice, lattice_index, lattice_span, quotient
+from .lattice import AffineLattice, Lattice, lattice_index, lattice_span
 from .lp import OPTIMAL, lp_maximize
 from .polytope import (
     Face,
@@ -60,6 +61,14 @@ def check_homogeneous(columns):
     if h is None:
         raise InhomogeneousError("no functional takes the value 1 on every column")
     return h
+
+
+def _free_label(labels) -> str:
+    """The first label a{n} not in use with n past the column count."""
+    n = len(labels) + 1
+    while f"a{n}" in labels:
+        n += 1
+    return f"a{n}"
 
 
 @dataclass(frozen=True)
@@ -143,11 +152,7 @@ class PointConfiguration:
     def with_point(self, point, label=None) -> "PointConfiguration":
         point = tuple(int(a) for a in point)
         if label is None:
-            base = len(self.points) + 1
-            existing = set(self.labels)
-            while f"a{base}" in existing:
-                base += 1
-            label = f"a{base}"
+            label = _free_label(self.labels)
         return PointConfiguration.from_columns(
             [*self.points, point], [*self.labels, label]
         )
@@ -283,11 +288,24 @@ def _minkowski_generators(G, normals):
 
 
 def _face_quotient_images(A: PointConfiguration, face: Face):
-    kernel = A.group_lattice.intersect_subspace(A.face_points(face))
-    q = quotient(A.group_lattice, kernel)
-    images = {q.project(p) for p in A.points}
-    images.discard((0,) * q.quotient_rank)
-    return q, sorted(images)
+    """(project, G): the map of a column to its image in Z_A / (Z_A ∩ span Γ),
+    and the sorted nonzero images of the columns.
+
+    The rows of C = integer_orthogonal_complement(Γ) vanish exactly on
+    span Γ, so x -> C x maps Z_A onto C(Z_A) with kernel Z_A ∩ span Γ.  That
+    image is the subgroup of Z^len(C) generated by the C p, hence free: the
+    quotient has no torsion.  A column's image is C p in coordinates of the
+    HNF basis of C(Z_A), an integer vector of length rank C(Z_A).
+    """
+    C = integer_orthogonal_complement(A.face_points(face), A.ambient_dim)
+    image = Lattice.from_generators([[dot(c, p) for c in C] for p in A.points], len(C))
+
+    def project(p):
+        return image.coordinates([dot(c, p) for c in C])
+
+    images = {project(p) for p in A.points}
+    images.discard((0,) * image.rank)
+    return project, sorted(images)
 
 
 @lru_cache(maxsize=FACE_CACHE_SIZE)
@@ -307,17 +325,18 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
-    q, G = _face_quotient_images(A, face)
+    _, G = _face_quotient_images(A, face)
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
+    r = len(G[0])
     normals = _cone_facet_inner_normals(G)
-    hfun = tuple(sum(n[i] for n in normals) for i in range(q.quotient_rank))
+    hfun = tuple(sum(n[i] for n in normals) for i in range(r))
     hvals = [sum(a * b for a, b in zip(hfun, g)) for g in G]
     if any(v <= 0 for v in hvals):
         raise AssertionError("truncating functional must be positive on the cone")
     c = 1 + max(hvals)
     extremes = _extreme_rays(G, normals)
-    cone_trunc = [(0,) * q.quotient_rank] + [
+    cone_trunc = [(0,) * r] + [
         tuple(Fraction(c, sum(a * b for a, b in zip(hfun, e))) * x for x in e)
         for e in extremes
     ]
@@ -396,8 +415,8 @@ def subdiagram_volume_oracle(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1
-    q, G = _face_quotient_images(A, face)
-    if q.quotient_rank == 1:
+    _, G = _face_quotient_images(A, face)
+    if len(G[0]) == 1:
         gens = sorted({abs(g[0]) for g in G})
         signs = {1 if g[0] > 0 else -1 for g in G}
         if len(signs) != 1:
@@ -414,7 +433,7 @@ def subdiagram_volume_oracle(A: PointConfiguration, face: Face) -> int:
                     frontier.append(y)
         nonzero = sorted(e for e in elements if e)
         return min(nonzero) if nonzero else bound
-    if q.quotient_rank != 2:
+    if len(G[0]) != 2:
         raise ValueError("oracle supports quotient rank 1 and 2 only")
     # strictly positive integer functional on the cone, via LP
     n = len(G)
@@ -550,9 +569,10 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
     else:
         raise ValueError(f"unknown saturation mode {mode!r}")
     added = tuple(sorted(pts - set(A.points)))
-    result = A
-    for p in added:
-        result = result.with_point(p)
+    labels = list(A.labels)
+    for _ in added:  # the labels a chain of with_point calls would choose
+        labels.append(_free_label(labels))
+    result = PointConfiguration.from_columns([*A.points, *added], labels)
     return SaturationResult(mode, added, result)
 
 

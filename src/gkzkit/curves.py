@@ -9,7 +9,6 @@ the coefficient variables y_0 .. y_{m+1}.
 from __future__ import annotations
 
 import cmath
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,16 +26,11 @@ from .polynomials import (
     sylvester_resultant,
 )
 from .secondary import secondary_polytope
-from .polytope import convex_hull
+from .polytope import BudgetError, convex_hull
 
 
-def symbolic_budget(default: int = 6) -> int:
-    raw = os.environ.get("GKZKIT_BUDGET")
-    return int(raw) if raw else default
-
-
-class BudgetExceededError(ValueError):
-    pass
+# Largest toric degree whose principal determinant is expanded symbolically.
+SYMBOLIC_DEGREE_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -77,13 +71,13 @@ def _principal_determinant_from_support(exps) -> dict:
         f_coeffs[a] = {tuple(1 if j == i else 0 for j in range(nvars)): 1}
         if a:
             g_coeffs[a] = {tuple(1 if j == i else 0 for j in range(nvars)): a}
-    res = sylvester_resultant(None, None, delta, delta, nvars, f_coeffs, g_coeffs)
+    res = sylvester_resultant(delta, delta, f_coeffs, g_coeffs)
     return normalize_sign(primitive_part(res))
 
 
 def principal_determinant_curve(cfg: MonomialCurveConfig) -> dict:
-    if cfg.delta > symbolic_budget():
-        raise BudgetExceededError(f"toric degree {cfg.delta} over the symbolic budget")
+    if cfg.delta > SYMBOLIC_DEGREE_CAP:
+        raise BudgetError(f"toric degree {cfg.delta} over the symbolic budget")
     return _principal_determinant_from_support(cfg.exponents)
 
 

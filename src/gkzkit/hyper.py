@@ -21,9 +21,11 @@ from math import factorial, gcd
 from .configuration import PointConfiguration
 from .intlinalg import (
     IntMatrix,
+    enumerate_box,
     integer_kernel_basis,
     integer_orthogonal_complement,
     solve_rational,
+    xgcd,
 )
 from .lattice import Lattice
 from .lp import OPTIMAL, lp_maximize
@@ -94,8 +96,6 @@ def resonance_box_oracle(A: PointConfiguration, betas, radius: int = 5):
     are enumerated once and the betas tested by set membership, which is the
     same existential search with the loop order swapped.
     """
-    from .intlinalg import enumerate_box
-
     d = A.newton.dim
     n = A.ambient_dim
     face_data = []
@@ -155,8 +155,6 @@ def kernel_ball(basis: KernelBasis, order: int):
         hi.append(int(Fraction(bounds[0]).__floor__()))
         lo.append(int(Fraction(bounds[1]).__ceil__()))
     out = []
-    from .intlinalg import enumerate_box
-
     for m in enumerate_box(lo, hi):
         u = tuple(
             sum(m[l] * basis.vectors[l][j] for l in range(r))
@@ -560,8 +558,6 @@ def _bezout_combination(values, g):
             cur = [0] * len(values)
             cur[i] = 1 if a > 0 else -1
             continue
-        from .intlinalg import xgcd
-
         new_g, x, y = xgcd(cur_g, a)
         cur = [x * c for c in cur]
         cur[i] += y

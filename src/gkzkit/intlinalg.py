@@ -2,8 +2,9 @@
 
 Everything in this module works on immutable nested tuples and never touches
 floating point.  Matrices are tuples of row tuples; "columns" of a matrix M
-are M's column vectors.  All normal forms are canonical so that equal lattices
-get structurally equal representations.
+are M's column vectors.  The column Hermite normal form, the only integer
+normal form, is canonical so that equal lattices get structurally equal
+representations.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _integral(v):
 
 def clear_denominators(v):
     """Smallest positive multiple of a rational vector that is integral."""
-    return tuple(_integral([Fraction(a) for a in v])[0])
+    return tuple(_integral(v)[0])
 
 
 def dot(u, v):
@@ -190,97 +191,6 @@ def column_hnf(M: IntMatrix):
     H = IntMatrix.from_columns(cols, rows=m)
     U = IntMatrix.from_columns(ucols, rows=n)
     return H, U
-
-
-def smith_normal_form_transforms(M: IntMatrix):
-    """Return (U, D, V) with D = U*M*V diagonal, d_1 | d_2 | ..., U, V unimodular."""
-    m, n = M.rows, M.cols
-    a = [list(row) for row in M.entries]
-    U = [list(row) for row in IntMatrix.identity(m).entries]
-    V = [list(row) for row in IntMatrix.identity(n).entries]
-
-    def row_sub(i, src, q):
-        a[i] = [p - q * r for p, r in zip(a[i], a[src])]
-        U[i] = [p - q * r for p, r in zip(U[i], U[src])]
-
-    def col_sub(j, src, q):
-        for r in range(m):
-            a[r][j] -= q * a[r][src]
-        for r in range(n):
-            V[r][j] -= q * V[r][src]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    s = 0
-    while True:
-        pos = None
-        best = None
-        for i in range(s, m):
-            for j in range(s, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pos = (i, j)
-        if pos is None:
-            break
-        row_swap(s, pos[0])
-        col_swap(s, pos[1])
-        while True:
-            dirty = False
-            for i in range(s + 1, m):
-                if a[i][s]:
-                    q = a[i][s] // a[s][s]
-                    row_sub(i, s, q)
-                    if a[i][s]:  # remainder became the smaller pivot candidate
-                        row_swap(s, i)
-                        dirty = True
-            for j in range(s + 1, n):
-                if a[s][j]:
-                    q = a[s][j] // a[s][s]
-                    col_sub(j, s, q)
-                    if a[s][j]:
-                        col_swap(s, j)
-                        dirty = True
-            if not dirty and all(a[i][s] == 0 for i in range(s + 1, m)) and all(
-                a[s][j] == 0 for j in range(s + 1, n)
-            ):
-                break
-        if a[s][s] < 0:
-            a[s] = [-x for x in a[s]]
-            U[s] = [-x for x in U[s]]
-        # enforce divisibility d_s | a[i][j]
-        fixed = False
-        for i in range(s + 1, m):
-            for j in range(s + 1, n):
-                if a[i][j] % a[s][s] != 0:
-                    row_sub(s, i, -1)  # add row i into the pivot row
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        s += 1
-    return IntMatrix(tuple(map(tuple, U))), IntMatrix(tuple(map(tuple, a))), IntMatrix(
-        tuple(map(tuple, V))
-    )
-
-
-def smith_normal_form(M: IntMatrix):
-    """Nonzero invariant factors (d_1 | d_2 | ...) of an integer matrix."""
-    _, D, _ = smith_normal_form_transforms(M)
-    out = []
-    for i in range(min(D.rows, D.cols)):
-        if D.entries[i][i] != 0:
-            out.append(D.entries[i][i])
-    return tuple(out)
 
 
 def integer_kernel_basis(M: IntMatrix):

@@ -1,10 +1,10 @@
-"""Integer lattices: spans, indices, quotients and lattice-normalized volumes.
+"""Integer lattices: spans, indices and lattice-normalized volumes.
 
 A :class:`Lattice` is a subgroup of Z^ambient stored through a canonical
 column-HNF basis, so equality of lattices is structural equality.  Affine
 lattices are (anchor, difference lattice) pairs; the two notions are kept
 separate on purpose because face lattices of a point configuration are affine
-objects while index and quotient computations happen on genuine subgroups.
+objects while index computations happen on genuine subgroups.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .intlinalg import (
     det_fraction,
     integer_kernel_basis,
     integer_orthogonal_complement,
-    smith_normal_form_transforms,
     vsub,
 )
 
@@ -29,10 +28,6 @@ INFINITE = float("inf")
 
 class ContainmentError(ValueError):
     """A claimed sublattice is not contained in the ambient one."""
-
-
-class TorsionError(ValueError):
-    """A quotient that was required to be torsion-free has torsion."""
 
 
 def hnf_solve(rows, pivots, v):
@@ -160,37 +155,6 @@ class AffineLattice:
         return self.delta.rank
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
-    source: Lattice
-    kernel: Lattice
-    projection: IntMatrix  # maps source *coordinates* onto Z^quotient_rank
-    quotient_rank: int
-    torsion: tuple  # nontrivial invariant factors of the torsion part
-
-    def project(self, v):
-        """Image in Z^quotient_rank of an ambient vector v in the source lattice."""
-        coords = self.source.coordinates(v)
-        if coords is None:
-            raise ContainmentError(f"{v} is not in the source lattice")
-        return self.projection.mul_vec(coords)
-
-    def lift(self, q):
-        """Some ambient source-lattice vector projecting to q.
-
-        The projection surjects onto Z^rank, so its column HNF is the identity
-        padded with zero columns and an integral preimage always exists.
-        """
-        H, U = column_hnf(self.projection)
-        q = tuple(q)
-        for i in range(self.quotient_rank):
-            if H.entries[i][i] != 1:
-                raise ValueError("projection is not surjective")
-        y = q + (0,) * (self.projection.cols - self.quotient_rank)
-        coords = U.mul_vec(y)
-        return self.source.basis.mul_vec(coords)
-
-
 def lattice_span(points, mode: str):
     """Affine or linear integer span of a point list.
 
@@ -221,23 +185,6 @@ def lattice_index(sup: Lattice, sub: Lattice):
     if sub.rank < sup.rank:
         return INFINITE
     return abs(int(det_fraction(coords)))
-
-
-def quotient(source: Lattice, kernel: Lattice, require_torsion_free: bool = True) -> QuotientLattice:
-    """Quotient of source by a sublattice, with an explicit projection matrix."""
-    coords = [source.coordinates(g) for g in kernel.generators()]
-    if None in coords:
-        raise ContainmentError("kernel not contained in source")
-    r = source.rank
-    K = IntMatrix.from_columns(coords, rows=r)
-    U, D, _ = smith_normal_form_transforms(K)
-    k = kernel.rank
-    torsion = tuple(D.entries[i][i] for i in range(k) if abs(D.entries[i][i]) != 1)
-    if torsion and require_torsion_free:
-        raise TorsionError(f"quotient has torsion {torsion}")
-    # rows k..r-1 of U kill the kernel and surject onto Z^(r-k)
-    proj = IntMatrix(tuple(U.entries[i] for i in range(k, r)))
-    return QuotientLattice(source, kernel, proj, r - k, torsion)
 
 
 def simplex_volume(L: Lattice, vertices):

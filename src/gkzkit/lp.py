@@ -123,18 +123,17 @@ def lp_maximize(c, A_ub, b_ub):
     return OPTIMAL, x, value
 
 
-def lp_feasible_strict(A_ub, b_ub, strict_rows, cap=Fraction(1)):
+def lp_feasible_strict(A_ub, b_ub, strict_rows, cap=1):
     """Is there x with A x <= b, strictly on the given rows?
 
     Maximizes a margin t added to every strict row (capped to stay bounded)
     and reports (feasible, witness).
     """
     n = len(A_ub[0]) if A_ub else 0
-    A = [list(map(Fraction, row)) + [Fraction(1) if i in strict_rows else Fraction(0)]
-         for i, row in enumerate(A_ub)]
-    A.append([Fraction(0)] * n + [Fraction(1)])
-    b = list(b_ub) + [cap]
-    c = [Fraction(0)] * n + [Fraction(1)]
+    A = [[*row, 1 if i in strict_rows else 0] for i, row in enumerate(A_ub)]
+    A.append([0] * n + [1])
+    b = [*b_ub, cap]
+    c = [0] * n + [1]
     status, x, value = lp_maximize(c, A, b)
     if status != OPTIMAL:
         return False, None

@@ -173,7 +173,7 @@ def determinant(matrix):
     return minor((1 << n) - 1, 0)
 
 
-def sylvester_resultant(p, q, pdeg: int, qdeg: int, nvars: int, var_exps_p, var_exps_q):
+def sylvester_resultant(pdeg: int, qdeg: int, var_exps_p, var_exps_q):
     """Resultant in an eliminated variable z of two polynomials given as
     coefficient lists: var_exps_p[j] is the coefficient polynomial of z^j."""
     n = pdeg + qdeg

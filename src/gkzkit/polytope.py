@@ -30,12 +30,10 @@ HULL_POINT_CAP = 48
 LATTICE_BOX_CAP = 10_000
 
 
-class HullCapError(ValueError):
-    """The hull input exceeds HULL_POINT_CAP points."""
-
-
-class LatticeBudgetError(ValueError):
-    """A lattice-point search box exceeds LATTICE_BOX_CAP points."""
+class BudgetError(ValueError):
+    """A computation would exceed one of gkzkit's work budgets: the hull
+    point cap, the lattice-point search box, the triangulation enumeration
+    cap or the symbolic degree cap.  The message says which."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ def convex_hull(points) -> Polytope:
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     if len(pts) > HULL_POINT_CAP:
-        raise HullCapError(f"hull limited to {HULL_POINT_CAP} points, got {len(pts)}")
+        raise BudgetError(f"hull limited to {HULL_POINT_CAP} points, got {len(pts)}")
     anchor = min(pts)
     diffs = [vsub(p, anchor) for p in pts]
     # chart basis = HNF basis of the difference lattice, so integer input
@@ -241,8 +239,8 @@ def lattice_points_in(
     the face with equality and the other facets weakly, and in its relative
     interior iff it satisfies the others strictly.  The search box comes from
     the vertices of P on the face.  L's span must contain the face's hull.
-    A search box of more than LATTICE_BOX_CAP points raises
-    LatticeBudgetError before any point is tested.
+    A search box of more than LATTICE_BOX_CAP points raises BudgetError
+    before any point is tested.
     """
     on = frozenset(face.indices if face is not None else range(len(P.points)))
     through = [on <= s for s in P.facet_sets]
@@ -258,7 +256,7 @@ def lattice_points_in(
     hi = [floor(max(b[j] for b in boxes)) for j in range(L.rank)]
     size = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
     if size > LATTICE_BOX_CAP:
-        raise LatticeBudgetError(
+        raise BudgetError(
             f"lattice-point search limited to {LATTICE_BOX_CAP} box points, got {size}"
         )
     out = []

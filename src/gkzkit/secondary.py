@@ -30,7 +30,7 @@ from .intlinalg import (
     vsub,
 )
 from .lp import lp_feasible_strict
-from .polytope import convex_hull
+from .polytope import BudgetError, convex_hull
 
 DEFAULT_ENUMERATION_CAP = 12
 # Configurations whose triangulations and secondary polytope stay cached.
@@ -41,10 +41,6 @@ SPOT_DENOMINATOR = 992
 
 class DegenerateHeightsError(ValueError):
     """The lifted lower hull has a non-simplicial cell; perturb the heights."""
-
-
-class EnumerationCapError(ValueError):
-    """The configuration exceeds the triangulation-enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,7 @@ def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_E
     rows, or hulled where no rows match (see ``_lower_hull``).
     """
     if A.size > cap:
-        raise EnumerationCapError(f"enumeration capped at {cap} points, got {A.size}")
+        raise BudgetError(f"enumeration capped at {cap} points, got {A.size}")
     rng = random.Random(20240 + A.size)
     draws = [[rng.randrange(-10**6, 10**6) for _ in range(A.size)] for _ in range(20)]
     for first, heights in enumerate(draws):

@@ -106,10 +106,10 @@ def test_criterion_2_obstructed_configuration():
             )
             f_after = s.poset.face_with_indices(tuple(s.index_of(p) for p in pts))
             assert subdiagram_volume(OBSTRUCTED, f_before) > subdiagram_volume(s, f_after)
-            q, _ = _face_quotient_images(s, f_after)
+            project, _ = _face_quotient_images(s, f_after)
             off = [p for p in s.points if p not in set(s.face_points(f_after))]
-            hull = convex_hull([q.project(p) for p in off])
-            assert q.project(new) in hull.vertices
+            hull = convex_hull([project(p) for p in off])
+            assert project(new) in hull.vertices
     print(f"\nCRITERION 2: PASS (obstructed configuration reproduced, {b.elapsed:.2f}s)")
 
 

@@ -1,8 +1,12 @@
 """Saturations, redundancy, indices, subdiagram volumes, multiplicities,
 auxiliary-point certificates and reduction chains."""
 
+import random
+import time
+
 import pytest
 
+from _corpus import random_small_config
 from gkzkit.configuration import (
     InhomogeneousError,
     PointConfiguration,
@@ -121,6 +125,33 @@ def test_saturate_idempotent():
         assert again.added_points == ()
 
 
+def test_saturate_matches_a_chain_of_with_point():
+    rng = random.Random(31)
+    configs = [OBSTRUCTED, TRI.delete(0)]
+    for _ in range(12):
+        A = random_small_config(rng)
+        # deleting a column leaves the label a<size> taken, so labels must skip
+        configs.append(A.delete(0) if rng.random() < 0.5 else A)
+    for A in configs:
+        for mode in ("p", "s", "full"):
+            sat = saturate(A, mode)
+            ref = A
+            for p in sat.added_points:
+                ref = ref.with_point(p)
+            got = sat.result
+            assert (got.points, got.labels, got.homogeneity) == (
+                ref.points, ref.labels, ref.homogeneity
+            )
+
+
+def test_long_segment_saturates_in_one_build():
+    A = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 1000)])
+    t0 = time.perf_counter()
+    full = saturate(A, "full").result
+    assert time.perf_counter() - t0 < 2.0
+    assert full.size == 1001 and full.labels[-1] == "a1001"
+
+
 def test_face_int_semiideal_triangle():
     fint = TRI.face_int_semiideal()
     dims = sorted(f.dim for f in fint)
@@ -222,11 +253,11 @@ def test_obstructed_projected_point_is_hull_vertex():
         [(1, 2, 0, 2), (1, 1, 0, 3), (1, 0, 0, 4)],
     ):
         face = face_by_points(s, pts)
-        q, _ = _face_quotient_images(s, face)
+        project, _ = _face_quotient_images(s, face)
         off = [p for p in s.points if p not in set(s.face_points(face))]
-        images = [q.project(p) for p in off]
+        images = [project(p) for p in off]
         hull = convex_hull(images)
-        assert q.project(new) in hull.vertices
+        assert project(new) in hull.vertices
 
 
 def test_aux_point_certificate_on_edge_extension():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.curves import (
-    BudgetExceededError,
+    BudgetError,
     MonomialCurveConfig,
     beukers_generators,
     discriminant_curve,
@@ -77,7 +77,7 @@ def test_verify_factorization_small_degrees():
 
 
 def test_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetError):
         principal_determinant_curve(MonomialCurveConfig((0, 1, 7)))
 
 

@@ -1,11 +1,18 @@
-"""Differential tests: LP-free subdiagram volumes against the LP route.
+"""Differential tests: LP-free subdiagram volumes against the LP route, and
+quotient images from the face's constraint rows against the Smith route.
 
-The reference below is the earlier LP-based route, kept verbatim: one exact
+The first reference is the earlier LP-based route, kept verbatim: one exact
 LP per generator to keep only vertices of conv(G) + cone(G), and one exact
 cone-membership LP per direction to find the extreme rays in rank >= 3.
+
+The second is the earlier quotient route, kept verbatim: Z_A / (Z_A ∩ span Γ)
+through a Smith normal form with transforms of the kernel's coordinates in
+the basis of Z_A.
 """
 
 import random
+
+from sympy import Matrix
 
 from _corpus import random_small_config
 from gkzkit import configuration
@@ -19,7 +26,8 @@ from gkzkit.configuration import (
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
-from gkzkit.intlinalg import primitive, rational_rank, vsub
+from gkzkit.intlinalg import IntMatrix, primitive, rational_rank, vsub
+from gkzkit.lattice import ContainmentError
 from gkzkit.lp import OPTIMAL, lp_maximize
 
 OBSTRUCTED = PointConfiguration.from_columns(
@@ -137,8 +145,8 @@ def _assert_routes_agree(configs, monkeypatch):
         for face in A.poset.faces:
             if face.supporting is None:
                 continue
-            q, G = _face_quotient_images(A, face)
-            ranks.add(q.quotient_rank)
+            _, G = _face_quotient_images(A, face)
+            ranks.add(len(G[0]))
             assert _extreme_rays(G, _cone_facet_inner_normals(G)) == _extreme_rays_lp(G)
             assert subdiagram_volume(A, face) == _lp_volume(A, face, monkeypatch)
     return ranks
@@ -205,3 +213,154 @@ def test_subdiagram_volume_solves_no_lp(monkeypatch):
     for A in _solid_configs(7, 1):
         for face in A.poset.faces:
             subdiagram_volume.__wrapped__(A, face)
+
+
+# -- the Smith-normal-form quotient route, the reference of the tests below ----
+
+
+def ref_smith_normal_form_transforms(M: IntMatrix):
+    """Return (U, D, V) with D = U*M*V diagonal, d_1 | d_2 | ..., U, V unimodular."""
+    m, n = M.rows, M.cols
+    a = [list(row) for row in M.entries]
+    U = [list(row) for row in IntMatrix.identity(m).entries]
+    V = [list(row) for row in IntMatrix.identity(n).entries]
+
+    def row_sub(i, src, q):
+        a[i] = [p - q * r for p, r in zip(a[i], a[src])]
+        U[i] = [p - q * r for p, r in zip(U[i], U[src])]
+
+    def col_sub(j, src, q):
+        for r in range(m):
+            a[r][j] -= q * a[r][src]
+        for r in range(n):
+            V[r][j] -= q * V[r][src]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for r in range(m):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    s = 0
+    while True:
+        pos = None
+        best = None
+        for i in range(s, m):
+            for j in range(s, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    pos = (i, j)
+        if pos is None:
+            break
+        row_swap(s, pos[0])
+        col_swap(s, pos[1])
+        while True:
+            dirty = False
+            for i in range(s + 1, m):
+                if a[i][s]:
+                    q = a[i][s] // a[s][s]
+                    row_sub(i, s, q)
+                    if a[i][s]:  # remainder became the smaller pivot candidate
+                        row_swap(s, i)
+                        dirty = True
+            for j in range(s + 1, n):
+                if a[s][j]:
+                    q = a[s][j] // a[s][s]
+                    col_sub(j, s, q)
+                    if a[s][j]:
+                        col_swap(s, j)
+                        dirty = True
+            if not dirty and all(a[i][s] == 0 for i in range(s + 1, m)) and all(
+                a[s][j] == 0 for j in range(s + 1, n)
+            ):
+                break
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            U[s] = [-x for x in U[s]]
+        # enforce divisibility d_s | a[i][j]
+        fixed = False
+        for i in range(s + 1, m):
+            for j in range(s + 1, n):
+                if a[i][j] % a[s][s] != 0:
+                    row_sub(s, i, -1)  # add row i into the pivot row
+                    fixed = True
+                    break
+            if fixed:
+                break
+        if fixed:
+            continue
+        s += 1
+    return IntMatrix(tuple(map(tuple, U))), IntMatrix(tuple(map(tuple, a))), IntMatrix(
+        tuple(map(tuple, V))
+    )
+
+
+def ref_quotient_project(source, kernel):
+    """The projection of source onto Z^(rank source - rank kernel), and that
+    rank; the quotient must be torsion-free."""
+    coords = [source.coordinates(g) for g in kernel.generators()]
+    if None in coords:
+        raise ContainmentError("kernel not contained in source")
+    r = source.rank
+    K = IntMatrix.from_columns(coords, rows=r)
+    U, D, _ = ref_smith_normal_form_transforms(K)
+    k = kernel.rank
+    torsion = tuple(D.entries[i][i] for i in range(k) if abs(D.entries[i][i]) != 1)
+    if torsion:
+        raise AssertionError(f"quotient has torsion {torsion}")
+    # rows k..r-1 of U kill the kernel and surject onto Z^(r-k)
+    proj = IntMatrix(tuple(U.entries[i] for i in range(k, r)))
+
+    def project(v):
+        coords = source.coordinates(v)
+        if coords is None:
+            raise ContainmentError(f"{v} is not in the source lattice")
+        return proj.mul_vec(coords)
+
+    return project, r - k
+
+
+def ref_face_quotient_images(A, face):
+    kernel = A.group_lattice.intersect_subspace(A.face_points(face))
+    project, rank = ref_quotient_project(A.group_lattice, kernel)
+    images = {project(p) for p in A.points}
+    images.discard((0,) * rank)
+    return project, sorted(images)
+
+
+def _unimodular_image(R, N):
+    """Is there an integer U with det U = ±1 and U r = n for each pair of
+    columns?  The columns of R generate Z^rank, so U is unique if it exists."""
+    R, N = Matrix(R).T, Matrix(N).T
+    if R.shape != N.shape or R.rank() != R.rows:
+        return False
+    U = N * R.T * (R * R.T).inv()
+    return U * R == N and all(a.is_integer for a in U) and abs(U.det()) == 1
+
+
+def test_quotient_images_match_the_smith_route(monkeypatch):
+    rng = random.Random(88)  # the corpus of acceptance criterion 8, first configs
+    configs = [random_small_config(rng) for _ in range(30)]
+    configs += [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(5, 3)
+    ranks = set()
+    faces = 0
+    for A in configs:
+        for face in A.poset.faces:
+            if face.supporting is None:
+                continue
+            project, G = _face_quotient_images(A, face)
+            ref_project, ref_G = ref_face_quotient_images(A, face)
+            ranks.add(len(G[0]))
+            assert len(G) == len(ref_G)
+            R = [ref_project(p) for p in A.points]
+            assert _unimodular_image(R, [project(p) for p in A.points]), (A.points, face)
+            with monkeypatch.context() as m:
+                m.setattr(configuration, "_face_quotient_images", ref_face_quotient_images)
+                ref_volume = subdiagram_volume.__wrapped__(A, face)
+            assert subdiagram_volume.__wrapped__(A, face) == ref_volume
+            faces += 1
+    assert ranks == {1, 2, 3} and faces >= 300
