@@ -313,8 +313,11 @@ def _run_series(data, args):
     if not args.extend:
         raise InputError("series currently supports the --extend pipeline")
     k = _column(A, args.col)
+    for flag, value in (("--order", args.order), ("--psi-order", args.psi_order)):
+        if value is not None and value < 0:
+            raise InputError(f"{flag} must be nonnegative, got {value}")
     A_k = A.delete(k)
-    psi_order = args.psi_order or 2 * args.order + 2
+    psi_order = 2 * args.order + 2 if args.psi_order is None else args.psi_order
     T = None
     for attempt in range(6):  # deterministic height perturbations
         heights = [

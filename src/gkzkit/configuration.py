@@ -36,11 +36,13 @@ from .lp import OPTIMAL, lp_maximize
 from .polytope import (
     Face,
     FacePoset,
+    cell_volume,
     convex_hull,
     face_poset,
     lattice_points_in,
     minimal_face_containing,
     normalized_volume,
+    pulling_cells,
     relative_interior_lattice_points,
 )
 
@@ -127,22 +129,27 @@ class PointConfiguration:
     @cached_property
     def affine_lattice(self) -> AffineLattice:
         """The affine lattice spanned by all columns."""
-        return lattice_span(self.points, "affine")
+        return AffineLattice(self.points[0], self.newton.chart)
 
     @cached_property
-    def volume_chart(self):
-        """Basis of Z_A cut to the direction space of N; points in these coords."""
-        span = [vsub(p, self.points[0]) for p in self.points[1:]]
-        direction_lattice = self.group_lattice.intersect_subspace(span)
-        coords = tuple(direction_lattice.coordinates(vsub(p, self.points[0])) for p in self.points)
-        if None in coords:
-            raise AssertionError("config differences must lie in the direction lattice")
-        return direction_lattice, coords
+    def chart_points(self):
+        """Integer coordinates of the columns in the Newton polytope's chart,
+        in which normalized volumes are volumes with respect to Z_A.
+
+        The chart lattice is the difference lattice of the columns, and that
+        is Z_A cut to the direction space of N: a vector sum k_i a_i of that
+        space vanishes under the homogeneity functional, which is 1 on every
+        a_i, so sum k_i = 0 and the vector is sum k_i (a_i - a_1).
+        """
+        coords = self.newton.point_coords
+        if any(a.denominator != 1 for x in coords for a in x):
+            raise AssertionError("integer columns must get integer chart coordinates")
+        return tuple(tuple(int(a) for a in x) for x in coords)
 
     @cached_property
     def volume(self) -> int:
         """Normalized volume of the Newton polytope with respect to Z_A."""
-        return int(normalized_volume(self.volume_chart[1]))
+        return int(sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset)))
 
     def delete(self, i: int) -> "PointConfiguration":
         cols = [c for j, c in enumerate(self.points) if j != i]

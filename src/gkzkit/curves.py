@@ -96,13 +96,13 @@ def _univariate_squarefree(p) -> bool:
     for _ in range(4):
         a = [rng.randrange(-9, 10) for _ in range(nvars)]
         b = [rng.randrange(-9, 10) for _ in range(nvars)]
-        coeffs = [Fraction(0)] * (deg + 1)
+        coeffs = [0] * (deg + 1)
         for e, c in p.items():
-            # expand prod (a_i + b_i t)^{e_i}
-            term = [Fraction(c)]
+            # expand prod (a_i + b_i t)^{e_i} in integers; only the gcd needs rationals
+            term = [c]
             for ai, bi, ei in zip(a, b, e):
                 for _ in range(ei):
-                    nxt = [Fraction(0)] * (len(term) + 1)
+                    nxt = [0] * (len(term) + 1)
                     for d, tc in enumerate(term):
                         nxt[d] += tc * ai
                         nxt[d + 1] += tc * bi
@@ -113,6 +113,7 @@ def _univariate_squarefree(p) -> bool:
             coeffs.pop()
         if len(coeffs) - 1 != deg:
             continue  # degenerate direction, retry
+        coeffs = [Fraction(c) for c in coeffs]
         der = [d * c for d, c in enumerate(coeffs)][1:]
         g = _poly_gcd_univariate(coeffs, der)
         return len(g) == 1
@@ -155,7 +156,11 @@ def discriminant_curve(cfg: MonomialCurveConfig) -> dict:
     (coordinate factors) and the whole segment, whose discriminant enters
     with multiplicity one; squarefreeness is certified on specializations.
     """
-    E = principal_determinant_curve(cfg)
+    return _coordinate_free_factor(principal_determinant_curve(cfg))
+
+
+def _coordinate_free_factor(E) -> dict:
+    """E without its monomial and integer content, certified squarefree."""
     _, rest = strip_monomial_content(E)
     rest = normalize_sign(primitive_part(rest))
     if rest and max(sum(e) for e in rest) > 0:
@@ -183,7 +188,8 @@ def verify_factorization(cfg: MonomialCurveConfig) -> FactorizationReport:
     E = principal_determinant_curve(cfg)
     shifts, rest = strip_monomial_content(E)
     rest = normalize_sign(primitive_part(rest))
-    D = discriminant_curve(cfg)
+    # The discriminant is read off the same E: one resultant expansion per support.
+    D = _coordinate_free_factor(E)
     trivial_discriminant = max((sum(e) for e in D), default=0) == 0
     power = 0
     work = dict(rest)

@@ -67,14 +67,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Rectangular matrix with exact integer entries, stored row-major."""

@@ -1,4 +1,4 @@
-"""Integer lattices: spans, indices and lattice-normalized volumes.
+"""Integer lattices: spans and indices.
 
 A :class:`Lattice` is a subgroup of Z^ambient stored through a canonical
 column-HNF basis, so equality of lattices is structural equality.  Affine
@@ -186,24 +186,3 @@ def lattice_index(sup: Lattice, sub: Lattice):
         return INFINITE
     return abs(int(det_fraction(coords)))
 
-
-def simplex_volume(L: Lattice, vertices):
-    """Lattice-normalized volume of a simplex with d+1 vertices, d = rank L.
-
-    Vertices may be rational points of the affine span of L (translated to the
-    first vertex); the volume is |det| of the edge vectors in L's basis.
-    """
-    vertices = [tuple(v) for v in vertices]
-    if len(vertices) != L.rank + 1:
-        raise ValueError("need rank+1 vertices")
-    edges = []
-    for v in vertices[1:]:
-        diff = tuple(Fraction(a) - Fraction(b) for a, b in zip(v, vertices[0]))
-        x = L.rational_coordinates(diff)
-        if x is None:
-            raise ValueError(f"edge {diff} is outside the rational span of the lattice")
-        edges.append(x)
-    if not edges:
-        return 1  # 0-dimensional simplex
-    vol = abs(det_fraction(edges))
-    return int(vol) if vol.denominator == 1 else vol

@@ -276,32 +276,41 @@ def relative_interior_lattice_points(P: Polytope, face: Face, L: AffineLattice):
     return lattice_points_in(P, L, strict=True, face=face)
 
 
-def triangulate_vertices(points):
-    """Decompose conv(points) into simplices on the given points.
+def pulling_cells(poset: FacePoset):
+    """The pulling triangulation of the poset's polytope from its least
+    vertex, as tuples of point indices with dim+1 entries each.
 
-    Returns tuples of points; each simplex has dim+1 elements.  Points interior
-    to the hull are ignored.
+    The least vertex v of a face is coned over the pulling triangulations of
+    the face's facets that miss v, and the facets of a face are the faces of
+    the poset one dimension lower inside it, so no face is hulled again.
+    Pulling triangulations are regular (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, sec. 4.3).  Points that are not vertices are in
+    no cell; the points must be distinct.
     """
-    return _triangulate(convex_hull(points))
+    P = poset.polytope
+    vertices = set(P.vertex_indices)
+
+    def pull(face):
+        verts = [i for i in face.indices if i in vertices]
+        if len(verts) == face.dim + 1:
+            return [tuple(verts)]
+        v = min(verts, key=P.points.__getitem__)
+        inside = set(face.indices)
+        return [
+            (v, *cell)
+            for f in poset.of_dim(face.dim - 1)
+            if v not in f.indices and inside.issuperset(f.indices)
+            for cell in pull(f)
+        ]
+
+    return pull(poset.top)
 
 
-def _triangulate(P: Polytope):
-    """Pulling triangulation of the hull P from its least vertex."""
-    verts = [P.points[i] for i in P.vertex_indices]
-    if P.dim == 0:
-        return [(verts[0],)]
-    if len(verts) == P.dim + 1:
-        return [tuple(verts)]
-    poset = face_poset(P)
-    v0 = min(verts)
-    out = []
-    for f in poset.of_dim(P.dim - 1):
-        fpts = [P.points[i] for i in f.indices]
-        if v0 in fpts:
-            continue
-        for s in triangulate_vertices(fpts):
-            out.append((v0,) + s)
-    return out
+def cell_volume(coords, cell) -> Fraction:
+    """|det| of the edge vectors of the simplex on ``coords[i]``, i in cell:
+    its normalized volume when the coordinates are lattice coordinates."""
+    base = coords[cell[0]]
+    return abs(det_fraction([vsub(coords[j], base) for j in cell[1:]]))
 
 
 def normalized_volume(points) -> Fraction:
@@ -309,15 +318,10 @@ def normalized_volume(points) -> Fraction:
 
     The coordinates are taken to be lattice coordinates: a unimodular simplex
     has volume 1 (this is dim! times the Euclidean volume).  The hull must be
-    full-dimensional in those coordinates.
+    full-dimensional in those coordinates.  Repeated points count once.
     """
-    pts = [tuple(p) for p in points]
-    ambient = len(pts[0])
+    pts = list(dict.fromkeys(tuple(p) for p in points))
     P = convex_hull(pts)
-    if P.dim != ambient:
+    if P.dim != len(pts[0]):
         raise ValueError("normalized_volume needs full-dimensional input")
-    total = Fraction(0)
-    for simplex in _triangulate(P):
-        rows = [vsub(p, simplex[0]) for p in simplex[1:]]
-        total += abs(det_fraction(rows))
-    return total
+    return sum((cell_volume(pts, c) for c in pulling_cells(face_poset(P))), Fraction(0))

@@ -22,7 +22,6 @@ from .configuration import PointConfiguration
 from .intlinalg import (
     _reduce,
     clear_denominators,
-    det_fraction,
     dot,
     primitive,
     rational_nullspace,
@@ -30,7 +29,7 @@ from .intlinalg import (
     vsub,
 )
 from .lp import lp_feasible_strict
-from .polytope import BudgetError, convex_hull
+from .polytope import BudgetError, cell_volume, convex_hull, pulling_cells
 
 DEFAULT_ENUMERATION_CAP = 12
 # Configurations whose triangulations and secondary polytope stay cached.
@@ -56,25 +55,14 @@ class Triangulation:
         return sum(self.volumes)
 
 
-def _chart(A: PointConfiguration):
-    return A.volume_chart[1]
-
-
-def _cell_volume(coords, cell) -> int:
-    base = coords[cell[0]]
-    rows = [vsub(coords[j], base) for j in cell[1:]]
-    return abs(int(det_fraction(rows)))
-
-
 def config_volume(A: PointConfiguration) -> int:
     """Normalized volume of the Newton polytope with respect to Z_A."""
     return A.volume
 
 
 def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
-    coords = _chart(A)
     cells = tuple(sorted(tuple(sorted(c)) for c in cells))
-    vols = tuple(_cell_volume(coords, c) for c in cells)
+    vols = tuple(int(cell_volume(A.chart_points, c)) for c in cells)
     if any(v == 0 for v in vols):
         raise ValueError("degenerate cell")
     return Triangulation(cells, vols)
@@ -86,7 +74,7 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
     Heights must be generic enough that every lower cell is a simplex;
     otherwise a DegenerateHeightsError suggests perturbing them.
     """
-    coords = _chart(A)
+    coords = A.chart_points
     heights = [Fraction(h) for h in heights]
     if len(heights) != A.size:
         raise ValueError("need one height per column")
@@ -133,7 +121,7 @@ def _folding_rows(A: PointConfiguration, T: Triangulation):
     w.  The last result is cached: the enumeration reuses the rows that
     ``is_regular`` just built.
     """
-    coords = _chart(A)
+    coords = A.chart_points
     rows = []
     for cell in T.cells:
         outside = [p for p in range(A.size) if p not in cell]
@@ -236,31 +224,24 @@ def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_E
     """All regular triangulations, certified one by one by the height LP.
 
     Regular triangulations are the vertices of the secondary polytope and its
-    edges are flips, so a breadth-first search over flips from one lower-hull
+    edges are flips, so a breadth-first search over flips from one regular
     triangulation reaches all of them (Gelfand-Kapranov-Zelevinsky 1994,
-    ch. 7).  Only certified triangulations are expanded; non-regular
-    neighbours are dropped, and each returned triangulation keeps its
-    certificate's heights, scaled to integers.
+    ch. 7).  The search starts from the pulling triangulation of the Newton
+    polytope, which is regular; it is certified like the others.  Only
+    certified triangulations are expanded; non-regular neighbours are
+    dropped, and each returned triangulation keeps its certificate's heights,
+    scaled to integers.
 
     A random-height spot check asserts that lower-hull triangulations all
-    appear in the enumerated set.  Of 20 seeded height draws, the first
-    generic one is lifted and hulled, and starts the search; each later draw
-    is matched to a certified triangulation by that triangulation's folding
-    rows, or hulled where no rows match (see ``_lower_hull``).
+    appear in the enumerated set: each of 20 seeded height draws is matched
+    to a certified triangulation by that triangulation's folding rows, or
+    hulled where no rows match (see ``_lower_hull``).  Degenerate draws are
+    skipped, but at least one must be generic.
     """
     if A.size > cap:
         raise BudgetError(f"enumeration capped at {cap} points, got {A.size}")
-    rng = random.Random(20240 + A.size)
-    draws = [[rng.randrange(-10**6, 10**6) for _ in range(A.size)] for _ in range(20)]
-    for first, heights in enumerate(draws):
-        try:
-            start = regular_triangulation(A, [Fraction(h, SPOT_DENOMINATOR) for h in heights])
-            break
-        except DegenerateHeightsError:
-            continue
-    else:
-        raise DegenerateHeightsError("no generic heights among 20 random draws")
-    circuits = _circuits(_chart(A))
+    start = make_triangulation(A, pulling_cells(A.poset))
+    circuits = _circuits(A.chart_points)
     seen = {start.cells}
     queue = deque([start])
     certified = []
@@ -280,14 +261,20 @@ def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_E
                 queue.append(U)
     found = {T.cells for _, T, _ in certified}
     if start.cells not in found:
-        raise AssertionError("the lower-hull triangulation that starts the search is not regular")
-    for heights in draws[first + 1:]:
+        raise AssertionError("the pulling triangulation that starts the search is not regular")
+    rng = random.Random(20240 + A.size)
+    generic = False
+    for _ in range(20):
+        heights = [rng.randrange(-10**6, 10**6) for _ in range(A.size)]
         try:
             T = _lower_hull(A, certified, heights)
         except DegenerateHeightsError:
             continue
+        generic = True
         if T.cells not in found:
             raise AssertionError("random lower-hull triangulation missing from enumeration")
+    if not generic:
+        raise DegenerateHeightsError("no generic heights among 20 random draws")
     return tuple(sorted((T for _, T, _ in certified), key=lambda T: T.cells))
 
 

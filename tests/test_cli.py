@@ -120,6 +120,31 @@ def test_hypothesis_violations_are_clean_rejections():
     assert code == 2
 
 
+def test_series_order_flags(tmp_path, capsys):
+    from gkzkit import cli
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": [[1, 0], [1, 1], [1, 2], [1, 3]], "beta": ["0", "1/2"]}))
+
+    def series(*flags):
+        argv = ["--input", str(path), "series", "--extend", "--col", "2", *flags]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if out else None, err
+
+    for flags, shown in ((["--order", "-1"], "--order must be nonnegative, got -1"),
+                         (["--order", "2", "--psi-order", "-3"],
+                          "--psi-order must be nonnegative, got -3")):
+        code, out, err = series(*flags)
+        assert code == 2 and out is None
+        assert err == f"input error: {shown}\n"
+    # an explicit 0 is used as given; the default 2 * order + 2 needs the flag absent
+    code, out, _ = series("--order", "2", "--psi-order", "0")
+    assert code == 0 and out["result"]["input_series"]["truncation_order"] == 0
+    code, out, _ = series("--order", "2")
+    assert code == 0 and out["result"]["input_series"]["truncation_order"] == 6
+
+
 def test_malformed_labels_and_beta_are_input_errors():
     for labels in (5, "abc", [[1], [2], [3]]):
         code, out, err = run_cli(["faces"], dict(CURVE013, labels=labels))

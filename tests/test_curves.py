@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkzkit import curves
 from gkzkit.curves import (
     BudgetError,
     MonomialCurveConfig,
@@ -14,6 +15,7 @@ from gkzkit.curves import (
     restriction_factors_divide,
     verify_factorization,
 )
+from gkzkit.polynomials import pmul
 
 
 def P(dict_):  # exponent dict shorthand
@@ -74,6 +76,29 @@ def test_verify_factorization_small_degrees():
     assert rep3.discriminant_power == 1
     assert rep3.newton_matches_secondary
     assert verify_factorization(MonomialCurveConfig((0, 1, 2, 3)))
+
+
+def test_verify_factorization_expands_one_resultant(monkeypatch):
+    # the discriminant is read off the principal determinant already expanded
+    calls = []
+    real = curves.sylvester_resultant
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(curves, "sylvester_resultant", counted)
+    for exps in ((0, 1, 3), (0, 1, 2, 3), (0, 1, 5, 6)):
+        calls.clear()
+        assert verify_factorization(MonomialCurveConfig(exps))
+        assert calls == [exps[-1]]
+
+
+def test_squarefree_certificate_sees_a_square():
+    for exps in ((0, 1, 3), (0, 1, 2, 3), (0, 2, 3, 5)):
+        D = discriminant_curve(MonomialCurveConfig(exps))
+        assert curves._univariate_squarefree(D)
+        assert not curves._univariate_squarefree(pmul(D, D))
 
 
 def test_budget():

@@ -1,4 +1,4 @@
-"""Hermite normal forms, spans, indices, simplex volumes."""
+"""Hermite normal forms, spans, indices."""
 
 import random
 
@@ -20,7 +20,6 @@ from gkzkit.lattice import (
     Lattice,
     lattice_index,
     lattice_span,
-    simplex_volume,
 )
 
 matrices = st.integers(1, 4).flatmap(
@@ -145,23 +144,6 @@ def test_index_multiplicativity():
     M = Lattice.from_generators([(1, 1), (0, 2)])
     K = Lattice.from_generators([(2, 2), (0, 6)])
     assert lattice_index(L, M) * lattice_index(M, K) == lattice_index(L, K)
-
-
-def test_simplex_volume_basics():
-    Z2 = Lattice.standard(2)
-    assert simplex_volume(Z2, [(0, 0), (1, 0), (0, 1)]) == 1
-    seg = Lattice.from_generators([(0, 1)])
-    assert simplex_volume(seg, [(1, 0), (1, 3)]) == 3
-    assert simplex_volume(seg, [(1, 2), (1, 2)]) == 0
-
-
-def test_simplex_volume_translation_and_permutation_invariance():
-    Z2 = Lattice.standard(2)
-    verts = [(0, 0), (3, 1), (1, 2)]
-    v0 = simplex_volume(Z2, verts)
-    assert v0 == simplex_volume(Z2, [verts[2], verts[0], verts[1]])
-    shifted = [(a + 4, b - 7) for a, b in verts]
-    assert v0 == simplex_volume(Z2, shifted)
 
 
 def test_affine_lattice_equality_and_hash():

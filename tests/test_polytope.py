@@ -11,8 +11,8 @@ from gkzkit.polytope import (
     lattice_points_in,
     minimal_face_containing,
     normalized_volume,
+    pulling_cells,
     relative_interior_lattice_points,
-    triangulate_vertices,
 )
 
 # planar configuration on the triangle with vertices (1,0,0), (1,3,0), (1,0,3)
@@ -138,7 +138,7 @@ def test_triangulation_and_volume():
     assert normalized_volume([(0, 0), (3, 0), (0, 3), (1, 1)]) == 9
     square = [(0, 0), (2, 0), (0, 2), (2, 2)]
     assert normalized_volume(square) == 8
-    tris = triangulate_vertices(square)
+    tris = pulling_cells(face_poset(convex_hull(square)))
     assert len(tris) == 2
 
 

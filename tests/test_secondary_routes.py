@@ -3,12 +3,13 @@ against the hulls they replaced.
 
 The references below are the earlier routes, kept verbatim: the secondary
 polytope as the convex hull of the GKZ vectors, and the spot check as the
-lower hull of every lifted random draw.
+lower hull of every lifted random draw.  The enumeration hulls no lift of its
+own: it starts from the pulling triangulation, and the folding rows decide
+every generic draw.
 """
 
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -20,7 +21,6 @@ from gkzkit.secondary import (
     SPOT_DENOMINATOR,
     DegenerateHeightsError,
     _certified_vertices,
-    _chart,
     _flips,
     _folding_rows,
     _lower_hull,
@@ -43,7 +43,7 @@ def _family():
     grid = [(x, y) for x in range(4) for y in range(4)]
     for n in (4, 5, 6):
         A = config(rng.sample(grid, n))
-        while len(_chart(A)[0]) != 2:
+        while len(A.chart_points[0]) != 2:
             A = config(rng.sample(grid, n))
         out.append(A)
     return out + [config(points) for points in (*CATALOG, MOTHER)]
@@ -126,15 +126,26 @@ def test_spot_check_gives_the_hull_verdict(monkeypatch):
 
 def test_a_dropped_flip_is_caught(monkeypatch):
     def dropped(cells, circuits):
-        return islice(_flips(cells, circuits), 1, None)
+        return list(_flips(cells, circuits))[:-1]
 
+    def unchecked(A, certified, heights):
+        return certified[0][1]
+
+    configs = [config([(a,) for a in range(5)]), config(CATALOG[0]), config(MOTHER)]
+    expect = [enumerate_regular_triangulations(A) for A in configs]
     monkeypatch.setattr(secondary, "_flips", dropped)
-    for A in (config([(a,) for a in range(5)]), config(CATALOG[0]), config(MOTHER)):
+    for A, full in zip(configs, expect):
+        # the mutated search really loses a triangulation ...
+        with monkeypatch.context() as m:
+            m.setattr(secondary, "_lower_hull", unchecked)
+            lossy = enumerate_regular_triangulations.__wrapped__(A)
+        assert set(lossy) < set(full), A.points
+        # ... and the spot check catches it
         with pytest.raises(AssertionError, match="missing from enumeration"):
             enumerate_regular_triangulations.__wrapped__(A)
 
 
-def test_enumeration_hulls_one_lift(monkeypatch):
+def test_enumeration_hulls_no_lift(monkeypatch):
     calls = []
 
     def counted(A, heights):
@@ -143,9 +154,8 @@ def test_enumeration_hulls_one_lift(monkeypatch):
 
     monkeypatch.setattr(secondary, "regular_triangulation", counted)
     for points in CATALOG:
-        calls.clear()
         enumerate_regular_triangulations.__wrapped__(config(points))
-        assert len(calls) == 1
+    assert calls == []
 
 
 def test_degenerate_draws_are_skipped(monkeypatch):
@@ -154,6 +164,12 @@ def test_degenerate_draws_are_skipped(monkeypatch):
 
         def randrange(self, start, stop):
             return super().randrange(-2, 3)
+
+    class Flat(random.Random):
+        """All-zero spot-check heights: every lift is degenerate."""
+
+        def randrange(self, start, stop):
+            return 0
 
     outcomes = []
 
@@ -171,5 +187,8 @@ def test_degenerate_draws_are_skipped(monkeypatch):
     monkeypatch.setattr(secondary, "regular_triangulation", counted)
     monkeypatch.setattr(secondary.random, "Random", Coarse)
     assert enumerate_regular_triangulations.__wrapped__(A) == expect
-    # degenerate draws before the first generic one, and after it
-    assert outcomes.index(True) > 0 and outcomes[outcomes.index(True) + 1:].count(False) > 0
+    # degenerate draws were hulled, and skipped
+    assert outcomes.count(False) > 0
+    monkeypatch.setattr(secondary.random, "Random", Flat)
+    with pytest.raises(DegenerateHeightsError, match="no generic heights"):
+        enumerate_regular_triangulations.__wrapped__(A)

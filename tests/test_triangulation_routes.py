@@ -12,9 +12,8 @@ from _corpus import CATALOG, MOTHER
 from gkzkit import secondary
 from gkzkit.configuration import PointConfiguration
 from gkzkit.lp import lp_feasible_strict
+from gkzkit.polytope import cell_volume
 from gkzkit.secondary import (
-    _cell_volume,
-    _chart,
     config_volume,
     enumerate_regular_triangulations,
     is_regular,
@@ -59,7 +58,7 @@ def _all_covering_simplex_sets(A: PointConfiguration):
     Non-face-to-face covers can appear here; the regularity filter removes
     them (a height certificate forces face-to-face lower hulls).
     """
-    coords = _chart(A)
+    coords = A.chart_points
     d = len(coords[0])
     total = config_volume(A)
     if d == 1:
@@ -75,7 +74,7 @@ def _all_covering_simplex_sets(A: PointConfiguration):
 
     candidates = []
     for c in combinations(range(A.size), d + 1):
-        if _cell_volume(coords, c) > 0:
+        if cell_volume(coords, c) > 0:
             candidates.append(c)
     disjoint = {}
 
@@ -92,7 +91,7 @@ def _all_covering_simplex_sets(A: PointConfiguration):
             results.append([candidates[i] for i in chosen])
             return
         for i in range(start, len(candidates)):
-            v = _cell_volume(coords, candidates[i])
+            v = cell_volume(coords, candidates[i])
             if vol + v > total:
                 continue
             if all(compat(i, j) for j in chosen):
@@ -128,7 +127,7 @@ def _family():
     box = [(x, y, z) for x in range(2) for y in range(2) for z in range(3)]
     for n in (5, 6, 6):
         A = config(rng.sample(box, n))
-        while len(_chart(A)[0]) != 3:
+        while len(A.chart_points[0]) != 3:
             A = config(rng.sample(box, n))
         out.append(A)
     return out + [config(pts) for pts in CATALOG]
