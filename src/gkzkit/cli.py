@@ -316,6 +316,8 @@ def _run_series(data, args):
     for flag, value in (("--order", args.order), ("--psi-order", args.psi_order)):
         if value is not None and value < 0:
             raise InputError(f"{flag} must be nonnegative, got {value}")
+    if k in A.newton.vertex_indices:  # before the deletion, which may leave no column
+        raise ValueError("the added column must not be a vertex")
     A_k = A.delete(k)
     psi_order = 2 * args.order + 2 if args.psi_order is None else args.psi_order
     T = None

@@ -212,86 +212,20 @@ def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _extreme_rays(G, normals=None):
-    """Primitive direction representatives of the extreme rays of cone(G).
-
-    In rank >= 3 the rays are read off the inner facet normals of cone(G),
-    taken from ``normals`` when the caller has them already.
-    """
+def _extreme_rays(G):
+    """Primitive direction representatives of the extreme rays of the rank-2
+    cone(G): two, or one when the images are collinear."""
     dirs = sorted({primitive(g) for g in G})
-    r = len(dirs[0])
-    if r == 1 or len(dirs) == 1:
-        return dirs[:1] if len(dirs) == 1 else sorted({(d[0] // abs(d[0]),) for d in dirs})
-    if r == 2:
-        out = []
-        for g in dirs:
-            if all(_cross(g, h) >= 0 for h in dirs):
-                out.append(g)
-                break
-        for g in dirs:
-            if all(_cross(g, h) <= 0 for h in dirs):
-                out.append(g)
-                break
-        return sorted(set(out))
-    # g spans an extreme ray iff the facets through it cut out a line
-    if normals is None:
-        normals = _cone_facet_inner_normals(dirs)
-    return [
-        g for g in dirs
-        if rational_rank([n for n in normals if dot(n, g) == 0]) == r - 1
-    ]
-
-
-def _cone_facet_inner_normals(G):
-    """Primitive inner normals of the facets of the full-dimensional cone(G)."""
-    r = len(G[0])
-    if r == 1:
-        s = 1 if G[0][0] > 0 else -1
-        return [(s,)]
-    hull = convex_hull([(0,) * r] + [tuple(g) for g in G])
-    return [  # the facets through the apex, point 0
-        tuple(-a for a in hull.ambient_functional(h))
-        for (h, _), on in zip(hull.facets, hull.facet_sets)
-        if 0 in on
-    ]
-
-
-def _minkowski_generators(G, normals):
-    """Generators enough to span conv(G) + cone(G), found without an LP.
-
-    Two prunings, neither of which changes the truncated hull that
-    :func:`subdiagram_volume` measures.
-
-    Dominance: with n . x >= 0 for all inner facet normals n deciding x in
-    cone(G), drop g whenever g - g' lies in cone(G) for another g' in G.  On
-    the pointed cone(G) the relation g' <= g iff g - g' in cone(G) is a
-    partial order, so every dropped g lies in g'' + cone(G) for a kept,
-    minimal g'' below it.  Then g and every shift g + t*e along a ray already
-    lie in conv(kept) + cone(G), so dropping g changes neither
-    conv(G) + cone(G) nor its truncation at h <= c.
-
-    Convexity: of the points left, drop those that are not vertices of their
-    own hull.  Such a g is a convex combination sum lambda_i g_i of kept
-    vertices.  Its shift to the truncation level, g + t(g) e with
-    t(g) = (c - h.g) / h.e affine in g, is then sum lambda_i (g_i + t(g_i) e),
-    a convex combination of the kept shifts, so the hull is unchanged.
-
-    No vertex of conv(G) + cone(G) is dropped: a vertex is neither g' + r for
-    a nonzero r in the recession cone nor a convex combination of other
-    points of the set.  The pruning may keep points that are not vertices
-    (a convex combination of kept points plus a ray); they only add hull
-    input and never change a volume.
-    """
-    kept = [
-        g for g in G
-        if not any(
-            g2 != g and all(dot(n, vsub(g, g2)) >= 0 for n in normals) for g2 in G
-        )
-    ]
-    if len(kept) <= 2:
-        return kept  # one or two points are all vertices
-    vertices = set(convex_hull(kept).vertex_indices)
-    return [g for i, g in enumerate(kept) if i in vertices]
+    out = []
+    for g in dirs:
+        if all(_cross(g, h) >= 0 for h in dirs):
+            out.append(g)
+            break
+    for g in dirs:
+        if all(_cross(g, h) <= 0 for h in dirs):
+            out.append(g)
+            break
+    return sorted(set(out))
 
 
 def _face_quotient_images(A: PointConfiguration, face: Face):
@@ -318,17 +252,33 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
 @lru_cache(maxsize=FACE_CACHE_SIZE)
 def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """Lattice volume between the hulls of the quotient semigroup and its
-    nonzero part, computed polyhedrally.
+    nonzero part: vol conv({0} ∪ G) - vol conv(G).
 
     Writing S for the semigroup generated by the images G of the off-face
     points (in the quotient of the ambient group by the saturated span of the
-    face), one has conv(S \\ 0) = conv(G) + cone(G): every nonempty sum g_1 +
-    ... + g_m lies in g_1 + cone(G), and conversely any g + sum lambda_j g_j
-    with real lambda_j >= 0 is a convex combination of the semigroup points
-    g + sum (integer roundings of lambda_j) g_j.  Both hulls agree beyond any
-    truncation h <= c with h positive on the cone and c past every vertex of
-    conv(G) + cone(G) (those vertices are among G), so the volume of the set
-    difference is the difference of the truncated volumes.
+    face), one has Q = conv(S \\ 0) = conv(G) + cone(G): every nonempty sum
+    g_1 + ... + g_m lies in g_1 + cone(G), and conversely any
+    g + sum lambda_j g_j with real lambda_j >= 0 is a convex combination of
+    the semigroup points g + sum (integer roundings of lambda_j) g_j.  The
+    subdiagram volume is that of cone(G) \\ Q, which equals
+    conv({0} ∪ G) \\ conv(G) up to boundaries:
+
+    * Take x in the interior of cone(G) but not in Q.  Some t x is in Q, so
+      the ray from 0 enters Q at a point y = t x with t > 1.  A hyperplane
+      separating Q from the segment [0, y) gives a functional l >= c on Q
+      with l(y) = c and l(0) = 0 <= c, and c = 0 would make l vanish at the
+      interior point x of cone(G) while l >= 0 on the cone.  Each extreme
+      ray of cone(G) carries a generator, on which l >= c > 0, so l is
+      positive on every extreme ray: the face l = c of Q is bounded, hence a
+      face of conv(G), and x lies between 0 and y in conv({0} ∪ G).
+    * Conversely, beneath-beyond (Edelsbrunner, *Algorithms in Combinatorial
+      Geometry*, 1987, sec. 8.4) writes conv({0} ∪ G) as conv(G) plus the
+      pyramids from 0 over the facets of conv(G) visible from 0 (over
+      conv(G) itself when it is not full-dimensional).  Such a facet has a
+      functional l >= c on G with l(0) = 0 < c, so l >= 0 on cone(G) and
+      l >= c on Q, while the pyramid lies in l <= c.
+
+    conv(G) has volume 0 unless G affinely spans the rank-r quotient.
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
@@ -336,25 +286,9 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
     r = len(G[0])
-    normals = _cone_facet_inner_normals(G)
-    hfun = tuple(sum(n[i] for n in normals) for i in range(r))
-    hvals = [sum(a * b for a, b in zip(hfun, g)) for g in G]
-    if any(v <= 0 for v in hvals):
-        raise AssertionError("truncating functional must be positive on the cone")
-    c = 1 + max(hvals)
-    extremes = _extreme_rays(G, normals)
-    cone_trunc = [(0,) * r] + [
-        tuple(Fraction(c, sum(a * b for a, b in zip(hfun, e))) * x for x in e)
-        for e in extremes
-    ]
-    mink_gens = _minkowski_generators(G, normals)
-    shifted = list(mink_gens)
-    for g in mink_gens:
-        hg = sum(a * b for a, b in zip(hfun, g))
-        for e in extremes:
-            he = sum(a * b for a, b in zip(hfun, e))
-            shifted.append(tuple(x + Fraction(c - hg, he) * y for x, y in zip(g, e)))
-    vol = normalized_volume(cone_trunc) - normalized_volume(sorted(set(shifted)))
+    vol = normalized_volume([(0,) * r, *G])
+    if rational_rank([vsub(g, G[0]) for g in G[1:]]) == r:
+        vol -= normalized_volume(G)
     if vol < 0 or vol.denominator != 1:
         raise AssertionError(f"subdiagram volume must be a nonnegative integer, got {vol}")
     return int(vol)

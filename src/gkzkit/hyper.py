@@ -13,6 +13,7 @@ only when every preimage offset lies in the region.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,6 @@ from math import factorial, gcd
 from .configuration import PointConfiguration
 from .intlinalg import (
     IntMatrix,
-    enumerate_box,
     integer_kernel_basis,
     integer_orthogonal_complement,
     solve_rational,
@@ -102,7 +102,7 @@ def resonance_box_oracle(A: PointConfiguration, betas, radius: int = 5):
     for face in A.poset.of_dim(d - 1):
         rows = integer_orthogonal_complement(A.face_points(face), n)
         M = IntMatrix(rows)
-        hits = {M.mul_vec(g) for g in enumerate_box((-radius,) * n, (radius,) * n)}
+        hits = {M.mul_vec(g) for g in itertools.product(range(-radius, radius + 1), repeat=n)}
         face_data.append((M, hits))
     out = []
     for beta in betas:
@@ -155,7 +155,7 @@ def kernel_ball(basis: KernelBasis, order: int):
         hi.append(int(Fraction(bounds[0]).__floor__()))
         lo.append(int(Fraction(bounds[1]).__ceil__()))
     out = []
-    for m in enumerate_box(lo, hi):
+    for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         u = tuple(
             sum(m[l] * basis.vectors[l][j] for l in range(r))
             for j in range(len(basis.vectors[0]))

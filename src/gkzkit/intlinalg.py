@@ -9,7 +9,6 @@ representations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -105,17 +104,6 @@ class IntMatrix:
 
     def columns_list(self):
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().entries
-        return IntMatrix(
-            tuple(tuple(dot(row, col) for col in ot) for row in self.entries)
-        )
 
     def mul_vec(self, v):
         return tuple(dot(row, v) for row in self.entries)
@@ -303,9 +291,3 @@ def det_fraction(rows) -> Fraction:
     if len(pivots) < len(rows):
         return Fraction(0)
     return Fraction(sign * d, prod(D for _, D in scaled))
-
-
-def enumerate_box(lo, hi):
-    """Iterate integer points of the box prod [lo_i, hi_i]."""
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return itertools.product(*ranges)

@@ -69,10 +69,6 @@ class Lattice:
         cols = [H.column(j) for j in range(H.cols) if any(H.column(j))]
         return cls(ambient_dim, IntMatrix.from_columns(cols, rows=ambient_dim))
 
-    @classmethod
-    def standard(cls, n: int) -> "Lattice":
-        return cls(n, IntMatrix.identity(n))
-
     @property
     def rank(self) -> int:
         return self.basis.cols

@@ -324,4 +324,6 @@ def normalized_volume(points) -> Fraction:
     P = convex_hull(pts)
     if P.dim != len(pts[0]):
         raise ValueError("normalized_volume needs full-dimensional input")
+    if len(P.vertex_indices) == P.dim + 1:
+        return cell_volume(pts, P.vertex_indices)
     return sum((cell_volume(pts, c) for c in pulling_cells(face_poset(P))), Fraction(0))

@@ -120,6 +120,13 @@ def test_hypothesis_violations_are_clean_rejections():
     assert code == 2
 
 
+def test_series_over_the_only_column_is_a_vertex_rejection():
+    # deleting the only column would leave no configuration to extend from
+    payload = {"matrix": [[1, 0]], "beta": ["0", "0"]}
+    code, out, err = run_cli(["series", "--extend", "--col", "0", "--order", "1"], payload)
+    assert (code, out, err) == (1, None, "rejected: the added column must not be a vertex\n")
+
+
 def test_series_order_flags(tmp_path, capsys):
     from gkzkit import cli
 

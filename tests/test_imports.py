@@ -1,7 +1,8 @@
-"""Every name a gkzkit module imports is used in that module.
+"""Every name a gkzkit module imports is used in that module, and every
+module-level _private function or class is named somewhere else in gkzkit.
 
-The package ``__init__`` is exempt: its imports are the public API it
-re-exports.
+The package ``__init__`` is exempt from the first guard: its imports are the
+public API it re-exports.
 """
 
 import ast
@@ -39,3 +40,48 @@ def test_modules_use_every_import():
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def unreferenced_privates(sources):
+    """(file, line, name) of each module-level _private function or class
+    that no statement of ``sources`` names outside its own definition."""
+    blocks = []  # (file, top-level statement, names it mentions)
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            blocks.append((path, node, names))
+    return sorted(
+        (path, node.lineno, node.name)
+        for path, node, _ in blocks
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for _, other, names in blocks if other is not node)
+    )
+
+
+def test_the_guard_sees_unreferenced_privates():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Dead:\n    pass\n"
+            "def _imported():\n    pass\n"
+            "def _attribute():\n    pass\n"
+            "def public():\n    return _called()\n"
+        ),
+        "b.py": "from a import _imported\nimport a\na._attribute()\n",
+    }
+    assert unreferenced_privates(sources) == [("a.py", 3, "_recursive"), ("a.py", 5, "_Dead")]
+
+
+def test_private_definitions_are_named_elsewhere():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_privates(sources) == []

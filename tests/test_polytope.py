@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkzkit import polytope
 from gkzkit.lattice import lattice_span
 from gkzkit.polytope import (
     convex_hull,
@@ -140,6 +141,19 @@ def test_triangulation_and_volume():
     assert normalized_volume(square) == 8
     tris = pulling_cells(face_poset(convex_hull(square)))
     assert len(tris) == 2
+
+
+def test_simplex_volume_builds_no_face_poset(monkeypatch):
+    def forbidden(P):
+        raise AssertionError("a simplex needs no face poset")
+
+    monkeypatch.setattr(polytope, "face_poset", forbidden)
+    # points inside, on an edge and repeated do not stop a hull from being a simplex
+    assert normalized_volume([(0, 0), (3, 0), (0, 3), (1, 1), (1, 0), (0, 0)]) == 9
+    assert normalized_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)]) == 3
+    assert normalized_volume([(2,), (7,), (4,)]) == 5
+    with pytest.raises(AssertionError, match="no face poset"):
+        normalized_volume([(0, 0), (2, 0), (0, 2), (2, 2)])
 
 
 def test_rational_points_hull():

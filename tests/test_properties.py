@@ -104,7 +104,7 @@ def test_index_multiplicativity_random(seed):
             if det != 0:
                 return rows
 
-    L = Lattice.standard(2)
+    L = Lattice.from_generators([(1, 0), (0, 1)])
     B = unimodularish()
     M = Lattice.from_generators(B)
     C = unimodularish(1, 3)

@@ -1,34 +1,42 @@
-"""Differential tests: LP-free subdiagram volumes against the LP route, and
-quotient images from the face's constraint rows against the Smith route.
+"""Differential tests: subdiagram volumes as a pyramid difference against the
+truncation route, the truncation route against its LP variant, and quotient
+images from the face's constraint rows against the Smith route.
 
-The first reference is the earlier LP-based route, kept verbatim: one exact
-LP per generator to keep only vertices of conv(G) + cone(G), and one exact
+The first reference is the earlier truncation route, kept verbatim: it cuts
+cone(G) and conv(G) + cone(G) at a level h <= c past every generator and
+subtracts the truncated volumes.  Its hull input is pruned by the cone's own
+facet normals: dominated generators and non-vertices go, and in rank >= 3 the
+extreme rays are read off those normals.
+
+The second is the LP variant of that route, kept verbatim: one exact LP per
+generator to keep only vertices of conv(G) + cone(G), and one exact
 cone-membership LP per direction to find the extreme rays in rank >= 3.
 
-The second is the earlier quotient route, kept verbatim: Z_A / (Z_A ∩ span Γ)
+The third is the earlier quotient route, kept verbatim: Z_A / (Z_A ∩ span Γ)
 through a Smith normal form with transforms of the kernel's coordinates in
 the basis of Z_A.
 """
 
 import random
+from fractions import Fraction
 
 from sympy import Matrix
 
 from _corpus import random_small_config
-from gkzkit import configuration
+from gkzkit import configuration, polytope
 from gkzkit.configuration import (
     PointConfiguration,
-    _cone_facet_inner_normals,
+    _cross,
     _extreme_rays,
     _face_quotient_images,
-    _minkowski_generators,
     saturate,
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
-from gkzkit.intlinalg import IntMatrix, primitive, rational_rank, vsub
+from gkzkit.intlinalg import IntMatrix, dot, primitive, rational_rank, vsub
 from gkzkit.lattice import ContainmentError
 from gkzkit.lp import OPTIMAL, lp_maximize
+from gkzkit.polytope import convex_hull, normalized_volume
 
 OBSTRUCTED = PointConfiguration.from_columns(
     [
@@ -41,6 +49,140 @@ OBSTRUCTED = PointConfiguration.from_columns(
         (1, 0, 0, 4),
     ]
 )
+
+
+# -- the truncation route, the reference of subdiagram_volume -------------------
+
+
+def ref_extreme_rays(G, normals=None):
+    """Primitive direction representatives of the extreme rays of cone(G).
+
+    In rank >= 3 the rays are read off the inner facet normals of cone(G),
+    taken from ``normals`` when the caller has them already.
+    """
+    dirs = sorted({primitive(g) for g in G})
+    r = len(dirs[0])
+    if r == 1 or len(dirs) == 1:
+        return dirs[:1] if len(dirs) == 1 else sorted({(d[0] // abs(d[0]),) for d in dirs})
+    if r == 2:
+        out = []
+        for g in dirs:
+            if all(_cross(g, h) >= 0 for h in dirs):
+                out.append(g)
+                break
+        for g in dirs:
+            if all(_cross(g, h) <= 0 for h in dirs):
+                out.append(g)
+                break
+        return sorted(set(out))
+    # g spans an extreme ray iff the facets through it cut out a line
+    if normals is None:
+        normals = ref_cone_facet_inner_normals(dirs)
+    return [
+        g for g in dirs
+        if rational_rank([n for n in normals if dot(n, g) == 0]) == r - 1
+    ]
+
+
+def ref_cone_facet_inner_normals(G):
+    """Primitive inner normals of the facets of the full-dimensional cone(G)."""
+    r = len(G[0])
+    if r == 1:
+        s = 1 if G[0][0] > 0 else -1
+        return [(s,)]
+    hull = convex_hull([(0,) * r] + [tuple(g) for g in G])
+    return [  # the facets through the apex, point 0
+        tuple(-a for a in hull.ambient_functional(h))
+        for (h, _), on in zip(hull.facets, hull.facet_sets)
+        if 0 in on
+    ]
+
+
+def ref_minkowski_generators(G, normals):
+    """Generators enough to span conv(G) + cone(G), found without an LP.
+
+    Two prunings, neither of which changes the truncated hull that
+    :func:`ref_truncated_volume` measures.
+
+    Dominance: with n . x >= 0 for all inner facet normals n deciding x in
+    cone(G), drop g whenever g - g' lies in cone(G) for another g' in G.  On
+    the pointed cone(G) the relation g' <= g iff g - g' in cone(G) is a
+    partial order, so every dropped g lies in g'' + cone(G) for a kept,
+    minimal g'' below it.  Then g and every shift g + t*e along a ray already
+    lie in conv(kept) + cone(G), so dropping g changes neither
+    conv(G) + cone(G) nor its truncation at h <= c.
+
+    Convexity: of the points left, drop those that are not vertices of their
+    own hull.  Such a g is a convex combination sum lambda_i g_i of kept
+    vertices.  Its shift to the truncation level, g + t(g) e with
+    t(g) = (c - h.g) / h.e affine in g, is then sum lambda_i (g_i + t(g_i) e),
+    a convex combination of the kept shifts, so the hull is unchanged.
+
+    No vertex of conv(G) + cone(G) is dropped: a vertex is neither g' + r for
+    a nonzero r in the recession cone nor a convex combination of other
+    points of the set.  The pruning may keep points that are not vertices
+    (a convex combination of kept points plus a ray); they only add hull
+    input and never change a volume.
+    """
+    kept = [
+        g for g in G
+        if not any(
+            g2 != g and all(dot(n, vsub(g, g2)) >= 0 for n in normals) for g2 in G
+        )
+    ]
+    if len(kept) <= 2:
+        return kept  # one or two points are all vertices
+    vertices = set(convex_hull(kept).vertex_indices)
+    return [g for i, g in enumerate(kept) if i in vertices]
+
+
+def ref_truncated_volume(
+    A, face, minkowski_generators=ref_minkowski_generators, extreme_rays=ref_extreme_rays
+):
+    """Lattice volume between the hulls of the quotient semigroup and its
+    nonzero part, computed polyhedrally.
+
+    Writing S for the semigroup generated by the images G of the off-face
+    points (in the quotient of the ambient group by the saturated span of the
+    face), one has conv(S \\ 0) = conv(G) + cone(G): every nonempty sum g_1 +
+    ... + g_m lies in g_1 + cone(G), and conversely any g + sum lambda_j g_j
+    with real lambda_j >= 0 is a convex combination of the semigroup points
+    g + sum (integer roundings of lambda_j) g_j.  Both hulls agree beyond any
+    truncation h <= c with h positive on the cone and c past every vertex of
+    conv(G) + cone(G) (those vertices are among G), so the volume of the set
+    difference is the difference of the truncated volumes.
+    """
+    if face.supporting is None:
+        return 1  # the trivial quotient semigroup by convention
+    _, G = _face_quotient_images(A, face)
+    if not G:
+        raise AssertionError("a proper face must leave nonzero images")
+    r = len(G[0])
+    normals = ref_cone_facet_inner_normals(G)
+    hfun = tuple(sum(n[i] for n in normals) for i in range(r))
+    hvals = [sum(a * b for a, b in zip(hfun, g)) for g in G]
+    if any(v <= 0 for v in hvals):
+        raise AssertionError("truncating functional must be positive on the cone")
+    c = 1 + max(hvals)
+    extremes = extreme_rays(G, normals)
+    cone_trunc = [(0,) * r] + [
+        tuple(Fraction(c, sum(a * b for a, b in zip(hfun, e))) * x for x in e)
+        for e in extremes
+    ]
+    mink_gens = minkowski_generators(G, normals)
+    shifted = list(mink_gens)
+    for g in mink_gens:
+        hg = sum(a * b for a, b in zip(hfun, g))
+        for e in extremes:
+            he = sum(a * b for a, b in zip(hfun, e))
+            shifted.append(tuple(x + Fraction(c - hg, he) * y for x, y in zip(g, e)))
+    vol = normalized_volume(cone_trunc) - normalized_volume(sorted(set(shifted)))
+    if vol < 0 or vol.denominator != 1:
+        raise AssertionError(f"subdiagram volume must be a nonnegative integer, got {vol}")
+    return int(vol)
+
+
+# -- the LP variant of the truncation route --------------------------------------
 
 
 def _in_cone(x, gens) -> bool:
@@ -104,7 +246,7 @@ def _extreme_rays_lp(G):
     """Extreme rays with the rank >= 3 branch deciding by cone membership LPs."""
     dirs = sorted({primitive(g) for g in G})
     if len(dirs[0]) <= 2 or len(dirs) == 1:
-        return _extreme_rays(G)
+        return ref_extreme_rays(G)
     out = []
     for i, g in enumerate(dirs):
         others = [h for j, h in enumerate(dirs) if j != i]
@@ -114,14 +256,17 @@ def _extreme_rays_lp(G):
     return out
 
 
-def _lp_volume(A, face, monkeypatch):
-    """subdiagram_volume with the LP pruning and LP extreme rays swapped in."""
-    with monkeypatch.context() as m:
-        m.setattr(
-            configuration, "_minkowski_generators", lambda G, normals: _minkowski_hull_generators(G)
-        )
-        m.setattr(configuration, "_extreme_rays", lambda G, normals=None: _extreme_rays_lp(G))
-        return subdiagram_volume.__wrapped__(A, face)
+def _lp_volume(A, face):
+    """The truncation route with the LP pruning and LP extreme rays."""
+    return ref_truncated_volume(
+        A,
+        face,
+        lambda G, normals: _minkowski_hull_generators(G),
+        lambda G, normals: _extreme_rays_lp(G),
+    )
+
+
+# -- corpora and the differential tests ------------------------------------------
 
 
 def _solid_configs(seed, count):
@@ -139,7 +284,7 @@ def _solid_configs(seed, count):
     return out
 
 
-def _assert_routes_agree(configs, monkeypatch):
+def _assert_routes_agree(configs):
     ranks = set()
     for A in configs:
         for face in A.poset.faces:
@@ -147,27 +292,44 @@ def _assert_routes_agree(configs, monkeypatch):
                 continue
             _, G = _face_quotient_images(A, face)
             ranks.add(len(G[0]))
-            assert _extreme_rays(G, _cone_facet_inner_normals(G)) == _extreme_rays_lp(G)
-            assert subdiagram_volume(A, face) == _lp_volume(A, face, monkeypatch)
+            assert ref_extreme_rays(G, ref_cone_facet_inner_normals(G)) == _extreme_rays_lp(G)
+            if len(G[0]) == 2:
+                assert _extreme_rays(G) == ref_extreme_rays(G)
+            v = subdiagram_volume(A, face)
+            assert v == ref_truncated_volume(A, face) == _lp_volume(A, face), (A.points, face)
     return ranks
 
 
-def test_routes_agree_on_criterion_8_corpus(monkeypatch):
+def test_routes_agree_on_criterion_8_corpus():
     rng = random.Random(88)  # the corpus of acceptance criterion 8, first configs
     configs = [random_small_config(rng) for _ in range(10)]
-    assert _assert_routes_agree(configs, monkeypatch) == {1, 2}
+    assert _assert_routes_agree(configs) == {1, 2}
 
 
-def test_routes_agree_on_obstructed(monkeypatch):
-    # the vertex a2 of the s-saturation has the largest shifted set met so
-    # far: 30 points, where dominance alone would keep 35
+def test_routes_agree_on_obstructed():
+    # the vertex a2 of the s-saturation has the largest shifted set of the
+    # truncation route met so far: 30 points, where dominance alone would
+    # keep 35
     configs = [OBSTRUCTED, saturate(OBSTRUCTED, "s").result]
-    assert 3 in _assert_routes_agree(configs, monkeypatch)
+    assert 3 in _assert_routes_agree(configs)
 
 
-def test_routes_agree_on_solid_family(monkeypatch):
+def test_routes_agree_on_solid_family():
     # vertices of 3-polytopes give rank-3 quotients, out of the oracle's reach
-    assert 3 in _assert_routes_agree(_solid_configs(5, 1), monkeypatch)
+    assert 3 in _assert_routes_agree(_solid_configs(5, 1))
+
+
+def test_pyramid_difference_matches_the_truncation_route():
+    rng = random.Random(88)  # the whole corpus of acceptance criterion 8
+    configs = [random_small_config(rng) for _ in range(100)]
+    configs += [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(9, 25)
+    ranks = {}
+    for A in configs:
+        for face in A.poset.faces:
+            assert subdiagram_volume(A, face) == ref_truncated_volume(A, face), (A.points, face)
+            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[1][0])
+            ranks[r] = ranks.get(r, 0) + 1
+    assert set(ranks) == {0, 1, 2, 3} and sum(ranks.values()) >= 1500, ranks
 
 
 def _vertex_quotient(A, vertex):
@@ -175,34 +337,60 @@ def _vertex_quotient(A, vertex):
     return face, _face_quotient_images(A, face)[1]
 
 
-def test_collinear_generators_stay_under_the_hull_cap():
+def _hull_sizes(A, face, monkeypatch):
+    """The point counts of the hulls subdiagram_volume builds on the face."""
+    sizes = []
+
+    def counting_hull(points):
+        sizes.append(len(points))
+        return convex_hull(points)
+
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "convex_hull", counting_hull)
+        subdiagram_volume.__wrapped__(A, face)
+    return sizes
+
+
+def test_collinear_generators_stay_under_the_hull_cap(monkeypatch):
     # the vertex (1,0,0) sees 17 quotient images on one segment; none
-    # dominates another, and kept whole they would shift to 51 hull points
+    # dominates another, and the truncation route, kept whole, would shift
+    # them to 51 hull points
     n = 16
     A = PointConfiguration.from_columns([(1, 0, 0)] + [(1, k, n - k) for k in range(n + 1)])
     face, G = _vertex_quotient(A, (1, 0, 0))
     assert len(G) == n + 1
-    kept = _minkowski_generators(G, _cone_facet_inner_normals(G))
+    kept = ref_minkowski_generators(G, ref_cone_facet_inner_normals(G))
     assert kept == _minkowski_hull_generators(G) and len(kept) == 2
     # the gap is the triangle x, y >= 0, x + y <= n of area n^2, measured in
     # the quotient lattice x + y = 0 mod n of index n
     assert subdiagram_volume(A, face) == n == subdiagram_volume_oracle(A, face)
+    assert ref_truncated_volume(A, face) == n
+    # the pyramid over a segment of images: one hull, of 0 and the images
+    assert _hull_sizes(A, face, monkeypatch) == [n + 2]
 
 
-def test_coplanar_generators_stay_under_the_hull_cap():
-    # rank-3 analogue, out of the oracle's reach: 15 images on a triangle
-    n = 4
-    pts = [(1, a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
-    A = PointConfiguration.from_columns([(1, 0, 0, 0)] + pts)
-    face, G = _vertex_quotient(A, (1, 0, 0, 0))
-    assert len(G) == 15
-    normals = _cone_facet_inner_normals(G)
-    kept = _minkowski_generators(G, normals)
-    assert kept == _minkowski_hull_generators(G) and len(kept) == 3
-    assert _extreme_rays(G, normals) == _extreme_rays_lp(G)
-    # the gap is the simplex x >= 0, x1 + x2 + x3 <= n of volume n^3,
-    # measured in the quotient lattice x1 + x2 + x3 = 0 mod n of index n
-    assert subdiagram_volume(A, face) == n**2
+def test_coplanar_generators_stay_under_the_hull_cap(monkeypatch):
+    # rank-3 analogue, out of the oracle's reach: 15 and 28 images on a triangle
+    for n in (4, 6):
+        pts = [(1, a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+        A = PointConfiguration.from_columns([(1, 0, 0, 0)] + pts)
+        face, G = _vertex_quotient(A, (1, 0, 0, 0))
+        assert len(G) == len(pts)
+        normals = ref_cone_facet_inner_normals(G)
+        kept = ref_minkowski_generators(G, normals)
+        assert kept == _minkowski_hull_generators(G) and len(kept) == 3
+        assert ref_extreme_rays(G, normals) == _extreme_rays_lp(G)
+        # the gap is the simplex x >= 0, x1 + x2 + x3 <= n of volume n^3,
+        # measured in the quotient lattice x1 + x2 + x3 = 0 mod n of index n
+        assert subdiagram_volume(A, face) == n**2 == ref_truncated_volume(A, face)
+        assert _hull_sizes(A, face, monkeypatch) == [len(G) + 1]
+
+
+def test_subdiagram_volume_builds_at_most_two_hulls_of_at_most_size_points(monkeypatch):
+    for A in [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(5, 1):
+        for face in A.poset.faces:
+            sizes = _hull_sizes(A, face, monkeypatch)
+            assert len(sizes) <= 2 and all(s <= A.size for s in sizes), (A.points, face)
 
 
 def test_subdiagram_volume_solves_no_lp(monkeypatch):
