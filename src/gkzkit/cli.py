@@ -12,10 +12,11 @@ identical invocations are byte-identical.
 
 Exit codes: 0 success, 1 obstruction or rejection reported, 2 input error
 (malformed JSON, a matrix entry that is not an integer, ...), 3 budget
-exceeded (symbolic degree, enumeration size, hull point cap or lattice-point
-search box), 4 internal error (a failed invariant of gkzkit itself).  If the
-reader closes the pipe before the report is written (``gkzkit mults | head -c
-1``), the command still exits with its own code, and prints no traceback.
+exceeded (symbolic degree, enumeration size, the hull's candidate facet pairs
+or lattice-point search box), 4 internal error (a failed invariant of gkzkit
+itself).  If the reader closes the pipe before the report is written (``gkzkit
+mults | head -c 1``), the command still exits with its own code, and prints no
+traceback.
 """
 
 from __future__ import annotations

@@ -95,9 +95,9 @@ class PointConfiguration:
 
     # -- basic views ---------------------------------------------------------
 
-    @property
+    @cached_property
     def points(self):
-        return tuple(self.matrix.column(j) for j in range(self.matrix.cols))
+        return tuple(zip(*self.matrix.entries))
 
     @property
     def size(self) -> int:

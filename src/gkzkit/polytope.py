@@ -1,10 +1,11 @@
 """Exact convex hulls, face posets and lattice-point enumeration.
 
-Polytopes here are tiny (a dozen points, ambient dimension at most six), so
-the hull is found by exhaustive facet search over point subsets with exact
-rational arithmetic.  Configurations whose affine span drops dimension are
-handled through an affine chart: facet data lives in chart coordinates, all
-membership queries accept ambient points.
+Polytopes here are small (at most a few hundred points) and highly
+degenerate, so the hull is exact and integral: a double-description pass over
+integer chart coordinates, which needs no general position, under a budget on
+the facet pairs it tests.  Configurations whose affine span drops dimension
+are handled through an affine chart: facet data lives in chart coordinates,
+all membership queries accept ambient points.
 """
 
 from __future__ import annotations
@@ -19,21 +20,26 @@ from .intlinalg import (
     det_fraction,
     dot,
     integer_orthogonal_complement,
-    rational_rank,
+    primitive,
+    vec_gcd,
     vsub,
 )
 from .lattice import AffineLattice, Lattice, hnf_solve
 
-HULL_POINT_CAP = 48
+# Candidate facet pairs that one hull may test.  The largest hull of the test
+# suite needs 8333 (the 128 GKZ vectors of the 9-point segment), those of the
+# benchmark workloads and the scripts 59, `curve verify` on the support
+# {0,...,5} 651; the cyclic 6-polytope on 24 points needs 711416.
+HULL_PAIR_CAP = 200_000
 # Points of the search box that lattice_points_in may test.  The largest box
 # the test suite, the benchmark workloads and the scripts reach has 45 points.
 LATTICE_BOX_CAP = 10_000
 
 
 class BudgetError(ValueError):
-    """A computation would exceed one of gkzkit's work budgets: the hull
-    point cap, the lattice-point search box, the triangulation enumeration
-    cap or the symbolic degree cap.  The message says which."""
+    """A computation would exceed one of gkzkit's work budgets: the hull's
+    candidate facet pairs, the lattice-point search box, the triangulation
+    enumeration cap or the symbolic degree cap.  The message says which."""
 
 
 @dataclass(frozen=True)
@@ -101,13 +107,95 @@ class Polytope:
         return tuple(self.points[i] for i in self.vertex_indices)
 
 
+def _simplex(icoords, dim):
+    """Indices of dim + 1 affinely independent points, the first of each
+    new direction: the differences from the first point are reduced,
+    fraction-free, against the echelon rows of the directions kept so far."""
+    base, rows, out = icoords[0], [], [0]
+    for i, x in enumerate(icoords):
+        v = vsub(x, base)
+        for col, r in rows:
+            if v[col]:
+                v = tuple(r[col] * a - v[col] * b for a, b in zip(v, r))
+        col = next((j for j, a in enumerate(v) if a), None)
+        if col is not None:
+            rows.append((col, primitive(v)))
+            out.append(i)
+            if len(out) == dim + 1:
+                break
+    return out
+
+
+def _facet_rays(icoords, dim):
+    """The facets of conv(icoords), full-dimensional integer points, as
+    (primitive integer h, c, bit mask of the points with h . x = c), h . x <= c
+    on every point.
+
+    Double description (Fukuda & Prodon, *Double description method
+    revisited*, 1996): the inequalities (h, c) valid on the points inserted so
+    far form a pointed cone, and its extreme rays are their hull's facets.
+    Each ray carries its set Z of inserted points tight on it.  The pass
+    starts from a simplex, whose dim + 1 facets are the rays of its cone.
+    Inserting a point x keeps the rays with s = h . x - c <= 0, adding x to Z
+    where s = 0, and combines each kept ray a with s_a < 0 and each cut ray b
+    with s_b > 0 into s_b a - s_a b, which is tight on x, if a and b are
+    adjacent.  Adjacency is decided on the Z sets alone: the face of the cone
+    tight on Z = Z_a & Z_b is spanned by the rays whose Z contains Z, so it is
+    the 2-face spanned by a and b iff no third ray's Z contains Z; a 2-face
+    needs at least dim - 1 tight points.  No general position is needed, and
+    repeated points are tight together.
+
+    More than HULL_PAIR_CAP candidate pairs raise BudgetError.
+    """
+    start = _simplex(icoords, dim)
+    rays = []
+    for j in start:
+        on = [i for i in start if i != j]
+        base = icoords[on[0]]
+        (h,) = integer_orthogonal_complement([vsub(icoords[i], base) for i in on[1:]], dim)
+        c = dot(h, base)
+        if dot(h, icoords[j]) > c:
+            h, c = tuple(-a for a in h), -c
+        rays.append((h, c, sum(1 << i for i in on)))
+    rest = sorted(set(range(len(icoords))) - set(start))
+    pairs = 0
+    for step, i in enumerate(rest):
+        x, bit = icoords[i], 1 << i
+        cut, kept, below = [], [], []
+        for h, c, z in rays:
+            s = dot(h, x) - c
+            if s > 0:
+                cut.append((s, h, c, z))
+            elif s:
+                kept.append((h, c, z))
+                below.append((s, h, c, z))
+            else:
+                kept.append((h, c, z | bit))
+        pairs += len(below) * len(cut)
+        if pairs > HULL_PAIR_CAP:
+            raise BudgetError(
+                f"hull limited to {HULL_PAIR_CAP} candidate facet pairs, {pairs} needed "
+                f"with {len(start) + step} of {len(icoords)} points inserted "
+                f"and {len(rays)} facets so far"
+            )
+        masks = [z for _, _, z in rays]
+        for sa, ha, ca, za in below:
+            for sb, hb, cb, zb in cut:
+                z = za & zb
+                if z.bit_count() < dim - 1 or sum(w & z == z for w in masks) > 2:
+                    continue
+                h = [sb * a - sa * b for a, b in zip(ha, hb)]
+                g = vec_gcd(h)
+                kept.append((tuple(a // g for a in h), (sb * ca - sa * cb) // g, z | bit))
+        rays = kept
+    return rays
+
+
 def convex_hull(points) -> Polytope:
     """Exact hull of integer or rational points; V- and H-data consistent."""
     pts = tuple(tuple(p) for p in points)
     if not pts:
         raise ValueError("convex_hull needs at least one point")
-    if len(pts) > HULL_POINT_CAP:
-        raise BudgetError(f"hull limited to {HULL_POINT_CAP} points, got {len(pts)}")
     anchor = min(pts)
     diffs = [vsub(p, anchor) for p in pts]
     # chart basis = HNF basis of the difference lattice, so integer input
@@ -118,42 +206,33 @@ def convex_hull(points) -> Polytope:
     dim = lat.rank
     if dim == 0:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
-    # the facet search runs on the integer points D * x: same hyperplanes,
+    # the facets are found on the integer points D * x: same hyperplanes,
     # same sides, without Fraction arithmetic in the inner loop
     D = lcm(*(a.denominator for x in coords for a in x))
-    icoords = [tuple(int(a * D) for a in x) for x in coords]
-    # facet (integer normal, integer offset) in chart coordinates -> points on it
+    icoords = [tuple(a.numerator * (D // a.denominator) for a in x) for x in coords]
     facets = {}
-    for subset in itertools.combinations(range(len(pts)), dim):
-        if any(s.issuperset(subset) for s in facets.values()):
-            continue  # lies on a facet already found
-        base = icoords[subset[0]]
-        null = integer_orthogonal_complement([vsub(icoords[i], base) for i in subset[1:]], dim)
-        if len(null) != 1:
-            continue  # subset does not span a hyperplane in the chart
-        h = null[0]
-        c = dot(h, base)
-        side_hi = any(dot(h, x) > c for x in icoords)
-        side_lo = any(dot(h, x) < c for x in icoords)
-        if side_hi and side_lo:
-            continue
-        if side_hi:
-            h, c = tuple(-a for a in h), -c
+    for h, c, z in _facet_rays(icoords, dim):
         # h . x <= c / D in chart coordinates; as h is primitive, the least
         # integral multiple is (k h, c / g) with g = gcd(c, D), k = D / g
         g = gcd(c, D)
-        facets[tuple(D // g * a for a in h), c // g] = frozenset(
-            i for i, x in enumerate(icoords) if dot(h, x) == c
-        )
+        facets[tuple(D // g * a for a in h), c // g] = z
     order = tuple(sorted(facets))
+    masks = [facets[f] for f in order]
+    # a point is a vertex iff the facets through it meet in copies of it
+    everything = (1 << len(pts)) - 1
+    copies = {}
+    for i, x in enumerate(icoords):
+        copies[x] = copies.get(x, 0) | 1 << i
     vert = []
     for i, x in enumerate(icoords):
-        active = [h for h, c in order if dot(h, x) == c * D]
-        if active and rational_rank(active) == dim:
+        meet = everything
+        for z in masks:
+            if z >> i & 1:
+                meet &= z
+        if meet & ~copies[x] == 0:
             vert.append(i)
-    return Polytope(
-        pts, dim, anchor, lat, order, tuple(vert), coords, tuple(facets[f] for f in order)
-    )
+    sets = tuple(frozenset(i for i in range(len(pts)) if z >> i & 1) for z in masks)
+    return Polytope(pts, dim, anchor, lat, order, tuple(vert), coords, sets)
 
 
 @dataclass(frozen=True)
@@ -183,7 +262,7 @@ class FacePoset:
 
 def face_poset(P: Polytope) -> FacePoset:
     """All nonempty faces of P, closed under intersection."""
-    coords, active_sets = P.point_coords, P.facet_sets
+    active_sets = P.facet_sets
     all_idx = frozenset(range(len(P.points)))
     seen = {all_idx}
     queue = [all_idx]
@@ -194,11 +273,14 @@ def face_poset(P: Polytope) -> FacePoset:
             if t and t not in seen:
                 seen.add(t)
                 queue.append(t)
+    # the face lattice is graded: a face's dim is the length of the longest
+    # chain of faces below it
+    dims = {}
+    for s in sorted(seen, key=len):
+        dims[s] = 1 + max((d for t, d in dims.items() if t < s), default=-1)
     faces = []
     top = None
-    for s in seen:
-        pts = [coords[i] for i in s]
-        d = rational_rank([vsub(x, pts[0]) for x in pts[1:]]) if len(pts) > 1 else 0
+    for s, d in dims.items():
         if s == all_idx:
             sup = None
         else:

@@ -210,10 +210,25 @@ def test_determinism():
 
 
 def test_hull_cap_is_a_budget_error():
-    # 49 distinct columns: the Newton polytope's hull refuses them up front
-    code, out, err = run_cli(["faces"], {"matrix": [[1, i] for i in range(49)]})
+    # the cyclic 6-polytope on 24 points needs 711416 candidate facet pairs
+    payload = {"matrix": [[t**k for k in range(7)] for t in range(24)]}
+    start = time.perf_counter()
+    code, out, err = run_cli(["faces"], payload)
+    assert time.perf_counter() - start < 5
     assert code == 3 and out is None
-    assert err == "budget exceeded: hull limited to 48 points, got 49\n"
+    assert err.startswith("budget exceeded: hull limited to 200000 candidate facet pairs")
+    assert err.count("\n") == 1 and "of 24 points inserted" in err and "facets so far" in err
+    # the budget bounds work, not input size: 49 collinear columns are cheap
+    code, out, _ = run_cli(["faces"], {"matrix": [[1, i] for i in range(49)]})
+    assert code == 0
+    assert [len(f["points"]) for f in out["result"]["faces"]] == [1, 1, 49]
+
+
+def test_curve_verify_on_six_points():
+    # the Newton polytope of E has 59 points
+    code, out, _ = run_cli(["curve", "verify"], {"matrix": [[1, a] for a in range(6)]})
+    assert code == 0
+    assert out["result"]["ok"] and out["result"]["newton_matches_secondary"]
 
 
 def test_non_integer_matrix_entries_are_input_errors():

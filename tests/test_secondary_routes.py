@@ -16,7 +16,7 @@ import pytest
 from _corpus import CATALOG, MOTHER
 from gkzkit import secondary
 from gkzkit.configuration import PointConfiguration
-from gkzkit.polytope import HULL_POINT_CAP, convex_hull
+from gkzkit.polytope import convex_hull
 from gkzkit.secondary import (
     SPOT_DENOMINATOR,
     DegenerateHeightsError,
@@ -67,9 +67,9 @@ def hull_verdict(A, heights):
 
 
 def test_witness_vertices_match_the_hull():
-    for A in FAMILY:
+    # and the 8- and 9-point segments: 64 and 128 GKZ vectors
+    for A in (*FAMILY, config([(a,) for a in range(8)]), config([(a,) for a in range(9)])):
         S = secondary_polytope(A)
-        assert len(S.vertices) <= HULL_POINT_CAP
         P = hull_secondary_polytope(A)
         assert S.vertices == tuple(sorted(P.vertices)), A.points
         assert S.dim == P.dim, A.points
