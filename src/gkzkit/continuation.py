@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .ode import CurveODE, certify_ode, ode_from_system
 
@@ -64,24 +64,17 @@ def taylor_step_matrix(ode: CurveODE, z0: complex, z1: complex, order: int = TAY
                         continue
                     if m - j < 0:
                         continue
-                    s += ql * a[m] * _ff(m, j)
-            denom = lead * _ff(n + d, d)
+                    s += ql * a[m] * perm(m, j)
+            denom = lead * perm(n + d, d)
             a[n + d] = -s / denom
         state = []
         for der in range(d):
             val = 0j
             for m in range(der, order + d + 1):
-                val += a[m] * _ff(m, der) * h ** (m - der)
+                val += a[m] * perm(m, der) * h ** (m - der)
             state.append(val)
         cols.append(state)
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-
-
-def _ff(m: int, j: int) -> float:
-    out = 1
-    for t in range(j):
-        out *= m - t
-    return out
 
 
 def mat_mul(a, b):

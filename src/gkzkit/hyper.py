@@ -6,6 +6,14 @@ configuration matrix.  Coefficients follow the classical gamma-ratio closed
 form, so every contiguity relation imposed by the box operators
 del^{u+} - del^{u-} holds identically on stored terms.
 
+Every shifted-factorial product on the generating side (the gamma ratios,
+their contiguity products, derivatives and antiderivatives) goes through one
+kernel, _falling: the falling factorials of base + u per coordinate, formed
+as one integer product over a power of each coordinate's denominator.  The
+box branch of apply_operator, which annihilation_check runs as the
+certificate, forms its products inline in Fractions instead, so that the
+check shares no arithmetic with the operators it certifies.
+
 Truncation honesty: each series carries the set of kernel offsets whose true
 coefficient is known ("region").  An operator image coefficient is asserted
 only when every preimage offset lies in the region.
@@ -22,13 +30,13 @@ from math import factorial, gcd
 from .configuration import PointConfiguration
 from .intlinalg import (
     IntMatrix,
+    dot,
     integer_kernel_basis,
     integer_orthogonal_complement,
     solve_rational,
     xgcd,
 )
 from .lattice import Lattice
-from .lp import OPTIMAL, lp_maximize
 from .secondary import config_volume
 
 
@@ -120,42 +128,31 @@ def _l1(u) -> int:
 
 
 def kernel_ball(basis: KernelBasis, order: int):
-    """All kernel lattice points with L1 norm at most order."""
+    """All kernel lattice points with L1 norm at most order, sorted.
+
+    The points are B m for integer m in a box, B the matrix whose columns are
+    the basis vectors.  On the polytope {m : |B m|_1 <= order} each |m_i| is
+    largest at a vertex.  |B m|_1 is linear on each cone cut out by the
+    hyperplanes (B m)_j = 0, so a vertex spans an extreme ray of such a cone:
+    it lies on r - 1 linearly independent of them, which fix it up to scale.
+    Hence |m_i| <= order * max |w_i| / |B w|_1 over the rays w orthogonal to
+    the (r - 1)-row subsets J of B with a one-dimensional complement (J empty
+    in rank 1): the same box as an LP maximising each |m_i| on the polytope.
+    """
     r = basis.rank
     if r == 0:
         raise ValueError("kernel ball needs a nonempty basis")
-    k = len(basis.vectors[0])
-    if r == 1:
-        w = basis.vectors[0]
-        step = _l1(w)
-        m = order // step
-        pts = [tuple(t * a for a in w) for t in range(-m, m + 1)]
-        return tuple(p for p in pts if _l1(p) <= order)
-    # bounding box for the coefficients via exact LP on |B m|_1 <= order
-    lo, hi = [], []
-    for i in range(r):
-        bounds = []
-        for sign in (1, -1):
-            c = [0] * r + [0] * k
-            c[i] = sign
-            A_ub = []
-            b_ub = []
-            for j in range(k):
-                row = [basis.vectors[l][j] for l in range(r)]
-                A_ub.append(row + [-1 if t == j else 0 for t in range(k)])
-                b_ub.append(0)
-                A_ub.append([-a for a in row] + [-1 if t == j else 0 for t in range(k)])
-                b_ub.append(0)
-            A_ub.append([0] * r + [1] * k)
-            b_ub.append(order)
-            status, x, value = lp_maximize(c, A_ub, b_ub)
-            if status != OPTIMAL:
-                raise AssertionError("kernel ball must be bounded")
-            bounds.append(value if sign == 1 else -value)
-        hi.append(int(Fraction(bounds[0]).__floor__()))
-        lo.append(int(Fraction(bounds[1]).__ceil__()))
+    rows = tuple(zip(*basis.vectors))
+    bound = [0] * r
+    for J in itertools.combinations(rows, r - 1):
+        ray = integer_orthogonal_complement(J, r)
+        if len(ray) != 1:
+            continue
+        w = ray[0]
+        norm = _l1(dot(row, w) for row in rows)
+        bound = [max(b, order * abs(a) // norm) for b, a in zip(bound, w)]
     out = []
-    for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+    for m in itertools.product(*(range(-b, b + 1) for b in bound)):
         u = tuple(
             sum(m[l] * basis.vectors[l][j] for l in range(r))
             for j in range(len(basis.vectors[0]))
@@ -165,27 +162,52 @@ def kernel_ball(basis: KernelBasis, order: int):
     return tuple(sorted(set(out)))
 
 
+def _falling(base, u, n) -> Fraction:
+    """prod_j x_j (x_j - 1) ... (x_j - n_j + 1) at x = base + u.
+
+    base is rational, u integer and n >= 0.  With x_j = p_j / q_j the product
+    is one integer product over prod_j q_j^(n_j); coordinates with n_j = 0
+    cost nothing.
+    """
+    num = den = 1
+    for b, uj, nj in zip(base, u, n):
+        if nj:
+            q = b.denominator
+            p = b.numerator + uj * q
+            for t in range(nj):
+                num *= p - t * q
+            den *= q**nj
+    return Fraction(num, den)
+
+
+def _contiguity_products(base, u, w):
+    """(P+, P-) with c_{u+w} P+ = c_u P- for any solution series with the
+    given base exponent; the identity is the box operator del^{w+} - del^{w-}
+    acting on exponents base + offset.  P+ is the rising product
+    (x + 1) ... (x + w_j) at x = base + u, the falling one at x + w_j."""
+    wplus = tuple(max(a, 0) for a in w)
+    wminus = tuple(max(-a, 0) for a in w)
+    return (
+        _falling(base, tuple(a + b for a, b in zip(u, wplus)), wplus),
+        _falling(base, u, wminus),
+    )
+
+
 def gamma_coefficient(v, u):
     """Gamma-ratio coefficient of y^(v+u) relative to c_0 = 1.
 
     c_u multiplies (v_j - s) over s = 0..-u_j-1 where u_j < 0 and divides by
-    (v_j + t) over t = 1..u_j where u_j > 0; a vanishing divisor names a
-    resonant integer translate.
+    (v_j + t) over t = 1..u_j where u_j > 0: the contiguity ratio from offset
+    0.  A vanishing divisor names a resonant integer translate.
     """
-    c = Fraction(1)
-    for j, uj in enumerate(u):
-        vj = Fraction(v[j])
-        if uj > 0:
-            for t in range(1, uj + 1):
-                if vj + t == 0:
-                    raise ResonantParameterError(
-                        f"exponent {vj} at coordinate {j} meets the integer translate {-t}"
-                    )
-                c /= vj + t
-        elif uj < 0:
-            for s in range(-uj):
-                c *= vj - s
-    return c
+    v = tuple(Fraction(a) for a in v)
+    pp, pm = _contiguity_products(v, (0,) * len(v), u)
+    if pp == 0:
+        j = next(j for j, x in enumerate(v) if x.denominator == 1 and 0 < -x <= u[j])
+        raise ResonantParameterError(
+            f"exponent {v[j]} at coordinate {j} meets the integer translate {v[j]}"
+        )
+    return pm / pp
 
 
 @dataclass(frozen=True)
@@ -266,12 +288,8 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
         ball = [(0,) * A.size]
     else:
         ball = kernel_ball(basis, order)
-    terms = {}
-    for u in ball:
-        c = gamma_coefficient(v, u)
-        if c != 0:
-            terms[u] = c
-    return TruncatedSeries.make(A, beta, v, terms, set(ball), order)
+    terms = {u: gamma_coefficient(v, u) for u in ball}
+    return TruncatedSeries.make(A, beta, v, terms, ball, order)
 
 
 # -- operators --------------------------------------------------------------------
@@ -292,24 +310,16 @@ class OperatorSpec:
         return cls("box", vector=tuple(u))
 
 
-def _falling(x, n: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(n):
-        out *= x - t
-    return out
-
-
 def apply_operator(series: TruncatedSeries, op: OperatorSpec) -> TruncatedSeries:
     """Exact term-wise action of an Euler or box operator."""
     if op.kind == "euler":
         i = op.index
         beta_i = series.beta[i]
         row = series.config.matrix.entries[i]
-        out = {}
-        for u, c in series.term_items:
-            mult = sum(r * (v + uu) for r, v, uu in zip(row, series.base_exponent, u)) - beta_i
-            if mult != 0:
-                out[u] = c * mult
+        out = {
+            u: c * (sum(r * (v + uu) for r, v, uu in zip(row, series.base_exponent, u)) - beta_i)
+            for u, c in series.term_items
+        }
         return TruncatedSeries.make(
             series.config, series.beta, series.base_exponent, out,
             series.region, series.truncation_order,
@@ -326,14 +336,16 @@ def apply_operator(series: TruncatedSeries, op: OperatorSpec) -> TruncatedSeries
         )
         out = {}
         for u, c in series.term_items:
+            # the certificate's own products, not the _falling kernel
             ff_plus = Fraction(1)
             ff_minus = Fraction(1)
             for j, wj in enumerate(w):
                 x = series.base_exponent[j] + u[j]
-                if wj > 0:
-                    ff_plus *= _falling(x, wj)
-                elif wj < 0:
-                    ff_minus *= _falling(x, -wj)
+                for t in range(abs(wj)):
+                    if wj > 0:
+                        ff_plus *= x - t
+                    else:
+                        ff_minus *= x - t
             if ff_plus != 0:
                 out[u] = out.get(u, Fraction(0)) + c * ff_plus
             shifted = tuple(a + b for a, b in zip(u, w))
@@ -360,34 +372,10 @@ def differentiate(series: TruncatedSeries, gamma) -> TruncatedSeries:
         b - s
         for b, s in zip(series.beta, series.config.matrix.mul_vec(gamma))
     )
-    out = {}
-    for u, c in series.term_items:
-        f = Fraction(1)
-        for j, g in enumerate(gamma):
-            f *= _falling(series.base_exponent[j] + u[j], g)
-        if f != 0:
-            out[u] = c * f
-    return TruncatedSeries(
-        series.config, beta, base,
-        tuple(sorted(out.items())), series.region, series.truncation_order,
+    out = {u: c * _falling(series.base_exponent, u, gamma) for u, c in series.term_items}
+    return TruncatedSeries.make(
+        series.config, beta, base, out, series.region, series.truncation_order,
     )
-
-
-def _contiguity_products(base, u, w):
-    """(P+, P-) with c_{u+w} P+ = c_u P- for any solution series with the
-    given base exponent; the identity is the box operator del^{w+} - del^{w-}
-    acting on exponents base + offset."""
-    pp = Fraction(1)
-    pm = Fraction(1)
-    for j, wj in enumerate(w):
-        x = Fraction(base[j]) + u[j]
-        if wj > 0:
-            for t in range(1, wj + 1):
-                pp *= x + t
-        elif wj < 0:
-            for s in range(-wj):
-                pm *= x - s
-    return pp, pm
 
 
 def antiderivative(series: TruncatedSeries, gamma) -> TruncatedSeries:
@@ -410,10 +398,7 @@ def antiderivative(series: TruncatedSeries, gamma) -> TruncatedSeries:
     out = {}
     undetermined = set()
     for u in series.region:
-        div = Fraction(1)
-        for j, g in enumerate(gamma):
-            for t in range(1, g + 1):
-                div *= series.base_exponent[j] + u[j] + t
+        div = _falling(base, u, gamma)  # (x + 1) ... (x + gamma) at the old x
         if div == 0:
             undetermined.add(u)
             continue
@@ -440,12 +425,8 @@ def antiderivative(series: TruncatedSeries, gamma) -> TruncatedSeries:
                 undetermined.discard(m)
                 progress = True
                 break
-    region = frozenset(series.region - undetermined)
-    out = {u: c for u, c in out.items() if u in region}
-    return TruncatedSeries(
-        series.config, beta, base,
-        tuple(sorted(out.items())), region, series.truncation_order,
-    )
+    region = series.region - undetermined  # holds every key of out
+    return TruncatedSeries.make(series.config, beta, base, out, region, series.truncation_order)
 
 
 def shift_inverse(series: TruncatedSeries, u) -> TruncatedSeries:

@@ -90,6 +90,12 @@ def test_gamma_coefficient_binomial():
     assert gamma_coefficient(v, (0, 0)) == 1
     assert gamma_coefficient(v, (-1, 1)) == Fraction(5, 2)
     assert gamma_coefficient(v, (-2, 2)) == Fraction(5, 2) * Fraction(3, 2) / 2
+    # a divisor v_j + t, t = 1..u_j, vanishes: the resonant integer translate
+    v = (Fraction(1, 2), Fraction(-2))
+    assert gamma_coefficient(v, (-1, 1)) == Fraction(-1, 2)
+    with pytest.raises(ResonantParameterError, match="coordinate 1 meets the integer translate -2"):
+        gamma_coefficient(v, (-3, 3))
+    assert gamma_coefficient((Fraction(1, 2), Fraction(-4)), (-3, 3)) == Fraction(-1, 16)
 
 
 def test_gamma_series_curve():
@@ -100,6 +106,20 @@ def test_gamma_series_curve():
     box = apply_operator(s, OperatorSpec.box(w))
     assert box.is_zero
     assert annihilation_check(s)
+    # kernels of rank 2: the segment {0,1,2,3} and a planar set of five points
+    planar = PointConfiguration.from_columns(
+        [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 2, 1)]
+    )
+    cases = (
+        (C0123, BETA, (0, 3), (22, 66, 148)),
+        (planar, (0, Fraction(1, 3), Fraction(1, 5)), (0, 1, 2), (29, 85, 179)),
+    )
+    for A, beta, cell, zeros in cases:
+        assert toric_kernel_basis(A).rank == 2
+        for order, zero in zip((4, 8, 12), zeros):
+            report = annihilation_check(gamma_series(A, beta, cell, order))
+            assert report, report.determined_nonzero
+            assert report.determined_zero == zero
 
 
 def test_gamma_series_simplex_single_term():
