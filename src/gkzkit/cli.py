@@ -45,7 +45,6 @@ from .curves import (
     verify_factorization,
 )
 from .hyper import (
-    ResonantParameterError,
     annihilation_check,
     extend_solution,
     gamma_series,
@@ -453,9 +452,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ResonantParameterError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
     except ValueError as exc:
         # hypothesis violations from the library (vertex deletions, lattice
         # drops, unsupported degrees) are rejections, not crashes

@@ -463,9 +463,10 @@ def is_lattice_redundant(A: PointConfiguration, i: int) -> RedundancyReport:
     for face in A.poset.faces:
         if i not in face.indices:
             continue
-        with_pt = lattice_span([A.points[j] for j in face.indices], "affine")
+        # the span grows by the point's direction, so it keeps its lattice
+        # iff the point already lies in the span of the others
         without = lattice_span([A.points[j] for j in face.indices if j != i], "affine")
-        same = with_pt == without
+        same = A.points[i] in without
         per_face.append((face.indices, same))
         ok = ok and same
     reason = "all face lattices agree" if ok else "some face lattice drops"

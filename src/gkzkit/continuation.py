@@ -17,6 +17,7 @@ from math import factorial, perm
 from .ode import CurveODE, certify_ode, ode_from_system
 
 TAYLOR_ORDER = 60
+CIRCLE_NODES = 12
 STEP_FACTOR = 0.5
 LOCAL_ERROR_TARGET = 1e-12
 
@@ -36,7 +37,7 @@ def _poly_shift(coeffs, z0: complex):
     return out
 
 
-def taylor_step_matrix(ode: CurveODE, z0: complex, z1: complex, order: int = TAYLOR_ORDER):
+def taylor_step_matrix(ode: CurveODE, z0: complex, z1: complex):
     """Transfer matrix taking the state at z0 to the state at z1.
 
     Requires |z1 - z0| to be well inside the convergence disc around z0.
@@ -49,10 +50,10 @@ def taylor_step_matrix(ode: CurveODE, z0: complex, z1: complex, order: int = TAY
     h = z1 - z0
     cols = []
     for init in range(d):
-        a = [0j] * (order + d + 1)
+        a = [0j] * (TAYLOR_ORDER + d + 1)
         a[init] = 1.0 / factorial(init)  # state vector carries derivatives
         # recurrence from sum_j q_j(t) f^(j) = 0
-        for n in range(order + 1):
+        for n in range(TAYLOR_ORDER + 1):
             s = 0j
             for j in range(d + 1):
                 poly = q[j]
@@ -70,7 +71,7 @@ def taylor_step_matrix(ode: CurveODE, z0: complex, z1: complex, order: int = TAY
         state = []
         for der in range(d):
             val = 0j
-            for m in range(der, order + d + 1):
+            for m in range(der, TAYLOR_ORDER + d + 1):
                 val += a[m] * perm(m, der) * h ** (m - der)
             state.append(val)
         cols.append(state)
@@ -155,18 +156,18 @@ class PathTransport:
         return M
 
 
-def circle_nodes(center: complex, radius: float, start_angle: float, turns: int = 1, n: int = 12):
-    pts = []
-    steps = n * abs(turns)
-    sign = 1 if turns > 0 else -1
-    for i in range(steps + 1):
-        ang = start_angle + sign * 2 * cmath.pi * i / n
-        pts.append(center + radius * cmath.exp(1j * ang))
-    return pts
+def circle_nodes(center: complex, radius: float, start_angle: float):
+    """One counterclockwise turn around center, CIRCLE_NODES hops from
+    start_angle back to it."""
+    return [
+        center + radius * cmath.exp(1j * (start_angle + 2 * cmath.pi * i / CIRCLE_NODES))
+        for i in range(CIRCLE_NODES + 1)
+    ]
 
 
-def loop_around(transport: PathTransport, base: complex, center: complex, ccw: bool = True):
-    """Monodromy of the loop from base around one singular point."""
+def loop_around(transport: PathTransport, base: complex, center: complex):
+    """Monodromy of the counterclockwise loop from base around one singular
+    point."""
     others = [s for s in transport.singular if abs(s - center) > 1e-12]
     radius = 0.4 * min(abs(s - center) for s in others) if others else 0.5 * abs(base - center)
     radius = min(radius, 0.5 * abs(base - center))
@@ -174,7 +175,7 @@ def loop_around(transport: PathTransport, base: complex, center: complex, ccw: b
     entry = center + radius * direction
     ang = cmath.phase(direction)
     to_entry = [base, entry]
-    circle = circle_nodes(center, radius, ang, 1 if ccw else -1)
+    circle = circle_nodes(center, radius, ang)
     M_in = transport.transfer(to_entry)
     M_circ = transport.transfer(circle)
     M_out = transport.transfer([entry, base])
@@ -189,7 +190,7 @@ def big_circle(transport: PathTransport, base: complex):
     for s in transport.singular:
         if abs(abs(s) - r) < 1e-9:
             raise ValueError("base circle passes through a singular point")
-    return transport.transfer(circle_nodes(0, r, ang, 1))
+    return transport.transfer(circle_nodes(0, r, ang))
 
 
 @dataclass(frozen=True)

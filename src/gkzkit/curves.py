@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .configuration import PointConfiguration, multiplicity, saturate
+from .intlinalg import det_fraction
 from .polynomials import (
     normalize_sign,
     pdivmod_exact,
@@ -23,6 +24,7 @@ from .polynomials import (
     strip_monomial_content,
     substitute_zero,
     support,
+    sylvester_matrix,
     sylvester_resultant,
 )
 from .secondary import secondary_polytope
@@ -41,10 +43,7 @@ class MonomialCurveConfig:
         e = tuple(int(a) for a in self.exponents)
         if len(e) < 2 or e[0] != 0 or sorted(set(e)) != list(e):
             raise ValueError("need strictly increasing exponents starting at 0")
-        g = 0
-        for a in e[1:]:
-            g = gcd(g, a)
-        if g != 1:
+        if gcd(*e) != 1:
             raise ValueError("exponents must have gcd one")
         object.__setattr__(self, "exponents", e)
 
@@ -86,7 +85,9 @@ def _univariate_squarefree(p) -> bool:
 
     A square factor survives specialization to a generic line, so a
     squarefree specialization certifies the multivariate statement; a few
-    retries guard against degenerate lines.
+    retries guard against degenerate lines.  On a line where p keeps its
+    degree, p and p' have leading coefficients that do not vanish, so they
+    are coprime iff their integer Sylvester matrix is nonsingular.
     """
     if not p:
         return False
@@ -98,7 +99,7 @@ def _univariate_squarefree(p) -> bool:
         b = [rng.randrange(-9, 10) for _ in range(nvars)]
         coeffs = [0] * (deg + 1)
         for e, c in p.items():
-            # expand prod (a_i + b_i t)^{e_i} in integers; only the gcd needs rationals
+            # expand prod (a_i + b_i t)^{e_i} in integers
             term = [c]
             for ai, bi, ei in zip(a, b, e):
                 for _ in range(ei):
@@ -113,40 +114,9 @@ def _univariate_squarefree(p) -> bool:
             coeffs.pop()
         if len(coeffs) - 1 != deg:
             continue  # degenerate direction, retry
-        coeffs = [Fraction(c) for c in coeffs]
         der = [d * c for d, c in enumerate(coeffs)][1:]
-        g = _poly_gcd_univariate(coeffs, der)
-        return len(g) == 1
+        return det_fraction(sylvester_matrix(coeffs, der)) != 0
     raise AssertionError("no generic specialization line found")
-
-
-def _poly_gcd_univariate(p, q):
-    p = list(p)
-    q = list(q)
-    while q and all(c == 0 for c in q):
-        q = []
-    while q:
-        r = _poly_mod(p, q)
-        p, q = q, r
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _poly_mod(p, q):
-    p = list(p)
-    dq = len(q) - 1
-    while len(p) - 1 >= dq and any(c != 0 for c in p):
-        if p[-1] == 0:
-            p.pop()
-            continue
-        f = p[-1] / q[-1]
-        shift = len(p) - len(q)
-        for i, c in enumerate(q):
-            p[shift + i] -= f * c
-        p.pop()
-    while p and p[-1] == 0:
-        p.pop()
-    return p
 
 
 def discriminant_curve(cfg: MonomialCurveConfig) -> dict:
@@ -186,21 +156,13 @@ def verify_factorization(cfg: MonomialCurveConfig) -> FactorizationReport:
     independently computed multiplicities, and its Newton polytope against
     the secondary polytope."""
     E = principal_determinant_curve(cfg)
-    shifts, rest = strip_monomial_content(E)
-    rest = normalize_sign(primitive_part(rest))
-    # The discriminant is read off the same E: one resultant expansion per support.
+    shifts, _ = strip_monomial_content(E)
+    # The discriminant is read off the same E: one resultant expansion per
+    # support.  D is E without its monomial and content, certified squarefree,
+    # so it enters E exactly once unless it is constant.
     D = _coordinate_free_factor(E)
     trivial_discriminant = max((sum(e) for e in D), default=0) == 0
-    power = 0
-    work = dict(rest)
-    if not trivial_discriminant:
-        while True:
-            q = pdivmod_exact(work, D)
-            if q is None:
-                break
-            work = q
-            power += 1
-    constant_left = max((sum(e) for e in work), default=0) == 0
+    power = 0 if trivial_discriminant else 1
     A = cfg.point_configuration()
     v0 = A.poset.face_with_indices((0,))
     vd = A.poset.face_with_indices((A.size - 1,))
@@ -212,8 +174,7 @@ def verify_factorization(cfg: MonomialCurveConfig) -> FactorizationReport:
     newton = convex_hull(support(E))
     newton_ok = set(newton.vertices) == set(sec.vertices)
     ok = (
-        constant_left
-        and interior_clean
+        interior_clean
         and shifts[0] == m0
         and shifts[-1] == md
         and (power == mtop == 1 or trivial_discriminant)

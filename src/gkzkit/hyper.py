@@ -37,7 +37,6 @@ from .intlinalg import (
     xgcd,
 )
 from .lattice import Lattice
-from .secondary import config_volume
 
 
 class ResonantParameterError(ValueError):
@@ -60,7 +59,7 @@ def toric_kernel_basis(A: PointConfiguration) -> KernelBasis:
 
 def rank_volume(A: PointConfiguration) -> int:
     """Normalized volume of the Newton polytope: the generic holonomic rank."""
-    return config_volume(A)
+    return A.volume
 
 
 # -- nonresonance ---------------------------------------------------------------
@@ -495,9 +494,7 @@ def kernel_slice_representative(A: PointConfiguration, k: int, ell: int):
     if not basis:
         return None if ell else (0,) * A.size
     kcoords = [w[k] for w in basis]
-    g = 0
-    for a in kcoords:
-        g = gcd(g, a)
+    g = gcd(*kcoords)
     if g == 0:
         return None if ell else (0,) * A.size
     if ell % g != 0:

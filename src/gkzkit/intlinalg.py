@@ -33,10 +33,7 @@ def xgcd(a: int, b: int):
 
 
 def vec_gcd(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g
+    return gcd(*v)
 
 
 def primitive(v):

@@ -134,9 +134,8 @@ class AffineLattice:
         """
         basis = self.delta.basis
         rep = list(self.anchor)
-        for j in range(basis.cols):
+        for j, p in enumerate(self.delta.pivots):
             col = basis.column(j)
-            p = next(i for i, a in enumerate(col) if a)
             q = rep[p] // col[p]
             if q:
                 for i in range(len(rep)):

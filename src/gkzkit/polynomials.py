@@ -51,10 +51,7 @@ def pmul(p, q):
 
 
 def content(p) -> int:
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
-    return g
+    return gcd(*p.values())
 
 
 def primitive_part(p):
@@ -131,7 +128,8 @@ def support(p):
 
 def determinant(matrix):
     """Determinant of a square matrix of polynomials, by minor expansion
-    memoized on row masks (entries are sparse, sizes are tiny)."""
+    memoized on row masks (entries are sparse, sizes are tiny).  A zero
+    entry may be given as the empty polynomial or as 0."""
     n = len(matrix)
     if n == 0:
         return {(): 1}
@@ -173,19 +171,22 @@ def determinant(matrix):
     return minor((1 << n) - 1, 0)
 
 
+def sylvester_matrix(p, q):
+    """Sylvester matrix of two polynomials in z given as coefficient lists,
+    p[j] the coefficient of z^j: deg q shifted rows of p's coefficients above
+    deg p shifted rows of q's, highest power first, 0 elsewhere."""
+    m, n = len(p) - 1, len(q) - 1
+    rows = []
+    for coeffs, copies in ((p, n), (q, m)):
+        for shift in range(copies):
+            row = [0] * (m + n)
+            for j, c in enumerate(coeffs):
+                row[shift + len(coeffs) - 1 - j] = c
+            rows.append(row)
+    return rows
+
+
 def sylvester_resultant(pdeg: int, qdeg: int, var_exps_p, var_exps_q):
     """Resultant in an eliminated variable z of two polynomials given as
     coefficient lists: var_exps_p[j] is the coefficient polynomial of z^j."""
-    n = pdeg + qdeg
-    rows = []
-    for shift in range(qdeg):
-        row = [poly() for _ in range(n)]
-        for j in range(pdeg + 1):
-            row[shift + (pdeg - j)] = var_exps_p[j]
-        rows.append(row)
-    for shift in range(pdeg):
-        row = [poly() for _ in range(n)]
-        for j in range(qdeg + 1):
-            row[shift + (qdeg - j)] = var_exps_q[j]
-        rows.append(row)
-    return determinant(rows)
+    return determinant(sylvester_matrix(var_exps_p[: pdeg + 1], var_exps_q[: qdeg + 1]))

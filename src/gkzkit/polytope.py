@@ -16,11 +16,12 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm, prod
 
 from .intlinalg import (
+    _reduce,
     clear_denominators,
     det_fraction,
     dot,
     integer_orthogonal_complement,
-    primitive,
+    solve_rational,
     vec_gcd,
     vsub,
 )
@@ -83,14 +84,15 @@ class Polytope:
 
         f restricts to t * h on the chart directions, so it orders points of
         the affine hull as the chart functional h does.  It is supported on
-        the pivot rows, where the system is upper triangular (b_k vanishes on
-        the pivot rows of the earlier columns): back substitution solves it.
+        the pivot rows, where the system is square and triangular (b_k
+        vanishes on the pivot rows of the earlier columns), so its solution
+        is unique.
         """
         rows, piv = self.chart.basis.entries, self.chart.pivots
-        f = [Fraction(0)] * len(rows)
-        for j in reversed(range(self.dim)):
-            rest = sum(rows[piv[k]][j] * f[piv[k]] for k in range(j + 1, self.dim))
-            f[piv[j]] = (h[j] - rest) / Fraction(rows[piv[j]][j])
+        x = solve_rational([[rows[p][j] for p in piv] for j in range(self.dim)], h)
+        f = [0] * len(rows)
+        for p, a in zip(piv, x):
+            f[p] = a
         return clear_denominators(f)
 
     def contains(self, point) -> bool:
@@ -107,23 +109,13 @@ class Polytope:
         return tuple(self.points[i] for i in self.vertex_indices)
 
 
-def _simplex(icoords, dim):
-    """Indices of dim + 1 affinely independent points, the first of each
-    new direction: the differences from the first point are reduced,
-    fraction-free, against the echelon rows of the directions kept so far."""
-    base, rows, out = icoords[0], [], [0]
-    for i, x in enumerate(icoords):
-        v = vsub(x, base)
-        for col, r in rows:
-            if v[col]:
-                v = tuple(r[col] * a - v[col] * b for a, b in zip(v, r))
-        col = next((j for j, a in enumerate(v) if a), None)
-        if col is not None:
-            rows.append((col, primitive(v)))
-            out.append(i)
-            if len(out) == dim + 1:
-                break
-    return out
+def _simplex(icoords):
+    """Indices of dim + 1 affinely independent points among full-dimensional
+    integer points, the first of each new direction: point 0 and the pivot
+    columns of the matrix whose columns are the differences from it."""
+    base = icoords[0]
+    rows = list(zip(*(vsub(x, base) for x in icoords)))
+    return [0, *_reduce(rows, len(icoords))[0]]
 
 
 def _facet_rays(icoords, dim):
@@ -147,7 +139,7 @@ def _facet_rays(icoords, dim):
 
     More than HULL_PAIR_CAP candidate pairs raise BudgetError.
     """
-    start = _simplex(icoords, dim)
+    start = _simplex(icoords)
     rays = []
     for j in start:
         on = [i for i in start if i != j]

@@ -31,7 +31,8 @@ from .intlinalg import (
 from .lp import lp_feasible_strict
 from .polytope import BudgetError, cell_volume, convex_hull, pulling_cells
 
-DEFAULT_ENUMERATION_CAP = 12
+# Largest configuration whose regular triangulations are enumerated.
+ENUMERATION_CAP = 12
 # Configurations whose triangulations and secondary polytope stay cached.
 SECONDARY_CACHE_SIZE = 64
 # Random spot-check heights are integers over this denominator.
@@ -220,7 +221,7 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
 
 
 @lru_cache(maxsize=SECONDARY_CACHE_SIZE)
-def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_ENUMERATION_CAP):
+def enumerate_regular_triangulations(A: PointConfiguration):
     """All regular triangulations, certified one by one by the height LP.
 
     Regular triangulations are the vertices of the secondary polytope and its
@@ -238,8 +239,8 @@ def enumerate_regular_triangulations(A: PointConfiguration, cap: int = DEFAULT_E
     hulled where no rows match (see ``_lower_hull``).  Degenerate draws are
     skipped, but at least one must be generic.
     """
-    if A.size > cap:
-        raise BudgetError(f"enumeration capped at {cap} points, got {A.size}")
+    if A.size > ENUMERATION_CAP:
+        raise BudgetError(f"enumeration capped at {ENUMERATION_CAP} points, got {A.size}")
     start = make_triangulation(A, pulling_cells(A.poset))
     circuits = _circuits(A.chart_points)
     seen = {start.cells}

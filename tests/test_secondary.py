@@ -91,7 +91,7 @@ def test_enumeration_counts_power_rule():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        enumerate_regular_triangulations(curve(list(range(14))), cap=12)
+        enumerate_regular_triangulations(curve(list(range(14))))
 
 
 def test_regularity_certificate_roundtrip():
