@@ -35,7 +35,6 @@ from .hyper import (
     extend_solution,
     gamma_series,
     is_nonresonant,
-    rank_volume,
     toric_kernel_basis,
 )
 from .lattice import AffineLattice, Lattice, lattice_index, lattice_span

@@ -81,10 +81,17 @@ class PointConfiguration:
 
     @classmethod
     def from_columns(cls, columns, labels=None) -> "PointConfiguration":
-        cols = [tuple(int(a) for a in c) for c in columns]
+        return cls._checked([tuple(int(a) for a in c) for c in columns], labels, None)
+
+    @classmethod
+    def _checked(cls, cols, labels, h):
+        """The configuration of distinct integer columns, with the homogeneity
+        functional h if it is known to be the one :func:`check_homogeneous`
+        finds, or None to solve for it."""
         if len(set(cols)) != len(cols):
             raise ValueError("columns must be distinct")
-        h = check_homogeneous(cols)
+        if h is None:
+            h = check_homogeneous(cols)
         if labels is None:
             labels = tuple(f"a{i + 1}" for i in range(len(cols)))
         else:
@@ -160,9 +167,13 @@ class PointConfiguration:
         point = tuple(int(a) for a in point)
         if label is None:
             label = _free_label(self.labels)
-        return PointConfiguration.from_columns(
-            [*self.points, point], [*self.labels, label]
-        )
+        h = None
+        if self.newton.dim + 1 == self.ambient_dim and dot(self.homogeneity, point) == 1:
+            # the columns span the ambient space, so h is the only functional
+            # that is 1 on them; if h . point != 1, none is 1 on the new
+            # columns and solving for one raises InhomogeneousError
+            h = self.homogeneity
+        return PointConfiguration._checked([*self.points, point], [*self.labels, label], h)
 
     # -- faces ---------------------------------------------------------------
 

@@ -57,11 +57,6 @@ def toric_kernel_basis(A: PointConfiguration) -> KernelBasis:
     return KernelBasis(integer_kernel_basis(A.matrix))
 
 
-def rank_volume(A: PointConfiguration) -> int:
-    """Normalized volume of the Newton polytope: the generic holonomic rank."""
-    return A.volume
-
-
 # -- nonresonance ---------------------------------------------------------------
 
 

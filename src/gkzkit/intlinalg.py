@@ -4,7 +4,10 @@ Everything in this module works on immutable nested tuples and never touches
 floating point.  Matrices are tuples of row tuples; "columns" of a matrix M
 are M's column vectors.  The column Hermite normal form, the only integer
 normal form, is canonical so that equal lattices get structurally equal
-representations.
+representations.  One in-place kernel, ``_hnf``, computes it on lists of
+integer columns; only ``column_hnf`` (and so ``integer_kernel_basis``) asks
+it to carry the unimodular transform, while a lattice span keeps just the
+reduced columns.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(a) for a in row) for row in self.entries)
+        rows = tuple(tuple(map(int, row)) for row in self.entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", rows)
@@ -90,7 +93,9 @@ class IntMatrix:
             if rows is None:
                 raise ValueError("empty matrix needs explicit row count")
             return cls(tuple(() for _ in range(rows)))
-        return cls(tuple(zip(*columns)))
+        if rows is not None and len(columns[0]) != rows:
+            raise ValueError(f"columns must have length {rows}")
+        return cls(tuple(zip(*columns, strict=True)))
 
     @classmethod
     def identity(cls, n: int):
@@ -106,8 +111,56 @@ class IntMatrix:
         return tuple(dot(row, v) for row in self.entries)
 
 
-def _colop_sub(cols, j, src, q):
-    cols[j] = tuple(a - q * b for a, b in zip(cols[j], cols[src]))
+def _subtract(c, d, q, lo):
+    """c -= q * d in place, from entry lo on: d vanishes before it."""
+    for i in range(lo, len(c)):
+        c[i] -= q * d[i]
+
+
+def _hnf(cols, m):
+    """Column Hermite normal form of the first m rows of the integer column
+    lists ``cols``, in place.  Entries past row m, such as a transform block
+    below the matrix, undergo the same column operations.  Returns the rank:
+    the columns past it vanish on the first m rows.
+
+    Each row is swept with gcd column steps until one column in the pivot
+    range is nonzero on it (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 1993, sec. 2.4.2); that column moves to the pivot slot,
+    is made positive, and reduces the entries to its left into [0, pivot).
+    Columns at or past the pivot slot vanish above the current row, so each
+    step starts there.
+    """
+    n, piv = len(cols), 0
+    for row in range(m):
+        if piv == n:
+            break
+        while True:
+            nz = [l for l in range(piv, n) if cols[l][row]]
+            if len(nz) < 2:
+                break
+            c, d = cols[nz[0]], cols[nz[1]]
+            a, b = c[row], d[row]
+            if a % b == 0:
+                _subtract(c, d, a // b, row)
+            elif b % a == 0:
+                _subtract(d, c, b // a, row)
+            else:
+                g, x, y = xgcd(a, b)
+                a, b = a // g, b // g
+                for i in range(row, len(c)):
+                    c[i], d[i] = x * c[i] + y * d[i], a * d[i] - b * c[i]
+        if not nz:
+            continue
+        cols[nz[0]], cols[piv] = cols[piv], cols[nz[0]]
+        c = cols[piv]
+        if c[row] < 0:
+            c[row:] = [-a for a in c[row:]]
+        for l in range(piv):
+            q = cols[l][row] // c[row]  # floor division: remainder in [0, pivot)
+            if q:
+                _subtract(cols[l], c, q, row)
+        piv += 1
+    return piv
 
 
 def column_hnf(M: IntMatrix):
@@ -119,55 +172,10 @@ def column_hnf(M: IntMatrix):
     row lie in [0, pivot), and zero columns are shifted to the right.
     """
     m, n = M.rows, M.cols
-    cols = M.columns_list()
-    ucols = IntMatrix.identity(n).columns_list()
-    piv = 0
-    for row in range(m):
-        # sweep the row with extended-gcd column ops until one pivot survives
-        j = piv
-        while True:
-            nz = [l for l in range(piv, n) if cols[l][row] != 0]
-            if not nz:
-                break
-            j = nz[0]
-            if len(nz) == 1:
-                break
-            l = nz[1]
-            a, b = cols[j][row], cols[l][row]
-            if a % b == 0:
-                q = a // b
-                _colop_sub(cols, j, l, q)
-                _colop_sub(ucols, j, l, q)
-            elif b % a == 0:
-                q = b // a
-                _colop_sub(cols, l, j, q)
-                _colop_sub(ucols, l, j, q)
-            else:
-                g, x, y = xgcd(a, b)
-                cj, cl = cols[j], cols[l]
-                uj, ul = ucols[j], ucols[l]
-                cols[j] = tuple(x * p + y * q_ for p, q_ in zip(cj, cl))
-                ucols[j] = tuple(x * p + y * q_ for p, q_ in zip(uj, ul))
-                cols[l] = tuple((-b // g) * p + (a // g) * q_ for p, q_ in zip(cj, cl))
-                ucols[l] = tuple((-b // g) * p + (a // g) * q_ for p, q_ in zip(uj, ul))
-        if not any(cols[l][row] != 0 for l in range(piv, n)):
-            continue
-        if j != piv:
-            cols[j], cols[piv] = cols[piv], cols[j]
-            ucols[j], ucols[piv] = ucols[piv], ucols[j]
-        if cols[piv][row] < 0:
-            cols[piv] = tuple(-a for a in cols[piv])
-            ucols[piv] = tuple(-a for a in ucols[piv])
-        p = cols[piv][row]
-        for l in range(piv):
-            q = cols[l][row] // p  # floor division puts remainder in [0, p)
-            if q:
-                _colop_sub(cols, l, piv, q)
-                _colop_sub(ucols, l, piv, q)
-        piv += 1
-    H = IntMatrix.from_columns(cols, rows=m)
-    U = IntMatrix.from_columns(ucols, rows=n)
-    return H, U
+    cols = [[*c, *(int(i == j) for i in range(n))] for j, c in enumerate(M.columns_list())]
+    _hnf(cols, m)
+    H = IntMatrix.from_columns([c[:m] for c in cols], rows=m)
+    return H, IntMatrix.from_columns([c[m:] for c in cols], rows=n)
 
 
 def integer_kernel_basis(M: IntMatrix):

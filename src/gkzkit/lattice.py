@@ -16,7 +16,7 @@ from math import lcm
 
 from .intlinalg import (
     IntMatrix,
-    column_hnf,
+    _hnf,
     det_fraction,
     integer_kernel_basis,
     integer_orthogonal_complement,
@@ -38,6 +38,7 @@ def hnf_solve(rows, pivots, v):
     is zero on that row, so forward substitution on the pivot rows solves the
     system; v is in the span iff the residual then vanishes on every row.
     Scaling by the lcm of v's denominators and the pivots keeps it integral.
+    For integer v the denominator is the product of the pivots.
     """
     den = lcm(*(a.denominator for a in v))
     for j, p in enumerate(pivots):
@@ -46,9 +47,14 @@ def hnf_solve(rows, pivots, v):
     num = []
     for j, p in enumerate(pivots):
         row = rows[p]
-        num.append((w[p] - sum(row[k] * num[k] for k in range(j))) // row[j])
-    for row, target in zip(rows, w, strict=True):
-        if sum(a * n for a, n in zip(row, num)) != target:
+        t = w[p]
+        for k in range(j):
+            t -= row[k] * num[k]
+        num.append(t // row[j])
+    for row, t in zip(rows, w, strict=True):
+        for a, n in zip(row, num):
+            t -= a * n
+        if t:
             return None
     return num, den
 
@@ -60,14 +66,15 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, generators, ambient_dim: int | None = None) -> "Lattice":
-        generators = [tuple(int(a) for a in g) for g in generators]
+        cols = [list(map(int, g)) for g in generators]
         if ambient_dim is None:
-            if not generators:
+            if not cols:
                 raise ValueError("empty generator list needs explicit ambient_dim")
-            ambient_dim = len(generators[0])
-        H, _ = column_hnf(IntMatrix.from_columns(generators, rows=ambient_dim))
-        cols = [H.column(j) for j in range(H.cols) if any(H.column(j))]
-        return cls(ambient_dim, IntMatrix.from_columns(cols, rows=ambient_dim))
+            ambient_dim = len(cols[0])
+        if any(len(c) != ambient_dim for c in cols):
+            raise ValueError(f"generators must have length {ambient_dim}")
+        rank = _hnf(cols, ambient_dim)
+        return cls(ambient_dim, IntMatrix.from_columns(cols[:rank], rows=ambient_dim))
 
     @property
     def rank(self) -> int:

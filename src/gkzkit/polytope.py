@@ -194,14 +194,21 @@ def convex_hull(points) -> Polytope:
     # points get integer chart coordinates
     gens = [clear_denominators(d) for d in diffs if any(d)]
     lat = Lattice.from_generators(gens, len(anchor))
-    coords = tuple(lat.rational_coordinates(d) for d in diffs)
     dim = lat.rank
+    # chart coordinates over one denominator: hnf_solve puts the diffs, made
+    # integral by the lcm E of their denominators, over E * the pivots.  The
+    # facets are found on the integer points D * x, D the least common
+    # denominator: same hyperplanes, same sides, no Fraction arithmetic.
+    E = lcm(*(a.denominator for d in diffs for a in d))
+    rows, piv = lat.basis.entries, lat.pivots
+    nums = [hnf_solve(rows, piv, [a.numerator * (E // a.denominator) for a in d]) for d in diffs]
+    E *= nums[0][1]
+    g = gcd(E, *(a for x, _ in nums for a in x))
+    D = E // g
+    icoords = [tuple(a // g for a in x) for x, _ in nums]
+    coords = tuple(tuple(Fraction(a, D) for a in x) for x in icoords)
     if dim == 0:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
-    # the facets are found on the integer points D * x: same hyperplanes,
-    # same sides, without Fraction arithmetic in the inner loop
-    D = lcm(*(a.denominator for x in coords for a in x))
-    icoords = [tuple(a.numerator * (D // a.denominator) for a in x) for x in coords]
     facets = {}
     for h, c, z in _facet_rays(icoords, dim):
         # h . x <= c / D in chart coordinates; as h is primitive, the least

@@ -144,6 +144,33 @@ def test_saturate_matches_a_chain_of_with_point():
             )
 
 
+def test_with_point_matches_a_rebuild():
+    # with_point keeps the parent's functional when the columns span the
+    # ambient space; the result must be the configuration from_columns builds
+    rng = random.Random(47)
+    flat = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 3, 0)])
+    configs = [OBSTRUCTED, TRI, flat] + [random_small_config(rng) for _ in range(16)]
+    kept = 0
+    for A in configs:
+        chains = [saturate(A, mode).added_points for mode in ("p", "s", "full")]
+        chains.append(tuple(reduction_chain(A, "s").end.points[A.size:]))
+        chains.append(((1, 0, 1), (1, 2, 0)) if A is flat else ())
+        for chain in chains:
+            current = A
+            for p in chain:
+                got = current.with_point(p)
+                ref = PointConfiguration.from_columns([*current.points, p], got.labels)
+                assert got == ref and got.homogeneity == ref.homogeneity
+                kept += current.newton.dim + 1 == current.ambient_dim
+                current = got
+        off = tuple(2 * a for a in A.points[0])
+        with pytest.raises(InhomogeneousError):
+            A.with_point(off)
+        with pytest.raises(ValueError, match="distinct"):
+            A.with_point(A.points[-1])
+    assert kept >= 50
+
+
 def test_long_segment_saturates_in_one_build():
     A = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 1000)])
     t0 = time.perf_counter()

@@ -19,7 +19,6 @@ from gkzkit.hyper import (
     is_nonresonant,
     kernel_ball,
     kernel_slice_representative,
-    rank_volume,
     resonance_box_oracle,
     restrict_to_zero,
     shift_inverse,
@@ -283,10 +282,11 @@ def test_gamma_series_order_prefix_stability():
 
 
 def test_rank_volume():
-    assert rank_volume(C013) == 3
-    assert rank_volume(C0123) == 3
-    assert rank_volume(SIMPLEX) == 1
+    # the generic holonomic rank is the normalized volume of the Newton polytope
+    assert C013.volume == 3
+    assert C0123.volume == 3
+    assert SIMPLEX.volume == 1
     tri = PointConfiguration.from_columns(
         [(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 1, 0), (1, 0, 2)]
     )
-    assert rank_volume(tri) == 9
+    assert tri.volume == 9

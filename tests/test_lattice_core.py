@@ -99,6 +99,18 @@ def test_kernel_basis():
     assert sorted(map(abs, u)) == [1, 2, 3]
 
 
+def test_generators_of_the_wrong_length_are_rejected():
+    # both once came back as lattices with a truncated basis
+    with pytest.raises(ValueError, match="length 2"):
+        Lattice.from_generators([(1, 2), (1,)])
+    with pytest.raises(ValueError, match="length 2"):
+        Lattice.from_generators([(1, 2, 3)], 2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2), (1,)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2, 3)], rows=2)
+
+
 def test_affine_span_collinear_points():
     L = lattice_span([(1, 0, 0), (1, 3, 0), (1, 1, 0)], "affine")
     assert L.rank == 1
