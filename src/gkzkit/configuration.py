@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 from .intlinalg import (
     IntMatrix,
     clear_denominators,
+    det_fraction,
     dot,
     integer_orthogonal_complement,
     primitive,
@@ -41,7 +42,6 @@ from .polytope import (
     face_poset,
     lattice_points_in,
     minimal_face_containing,
-    normalized_volume,
     pulling_cells,
     relative_interior_lattice_points,
 )
@@ -88,6 +88,9 @@ class PointConfiguration:
         """The configuration of distinct integer columns, with the homogeneity
         functional h if it is known to be the one :func:`check_homogeneous`
         finds, or None to solve for it."""
+        lengths = sorted({len(c) for c in cols})
+        if len(lengths) > 1:
+            raise ValueError(f"columns must have equal lengths, got {lengths}")
         if len(set(cols)) != len(cols):
             raise ValueError("columns must be distinct")
         if h is None:
@@ -167,12 +170,11 @@ class PointConfiguration:
         point = tuple(int(a) for a in point)
         if label is None:
             label = _free_label(self.labels)
-        h = None
-        if self.newton.dim + 1 == self.ambient_dim and dot(self.homogeneity, point) == 1:
-            # the columns span the ambient space, so h is the only functional
-            # that is 1 on them; if h . point != 1, none is 1 on the new
-            # columns and solving for one raises InhomogeneousError
-            h = self.homogeneity
+        # if the columns span the ambient space, h is the only functional
+        # that is 1 on them; if h . point != 1, none is 1 on the new columns
+        # and solving for one raises InhomogeneousError
+        spans = self.newton.dim + 1 == self.ambient_dim == len(point)
+        h = self.homogeneity if spans and dot(self.homogeneity, point) == 1 else None
         return PointConfiguration._checked([*self.points, point], [*self.labels, label], h)
 
     # -- faces ---------------------------------------------------------------
@@ -263,7 +265,8 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
 @lru_cache(maxsize=FACE_CACHE_SIZE)
 def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """Lattice volume between the hulls of the quotient semigroup and its
-    nonzero part: vol conv({0} ∪ G) - vol conv(G).
+    nonzero part: the sum of the pyramids from 0 over the facets of conv(G)
+    that 0 sees.
 
     Writing S for the semigroup generated by the images G of the off-face
     points (in the quotient of the ambient group by the saturated span of the
@@ -289,20 +292,24 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
       functional l >= c on G with l(0) = 0 < c, so l >= 0 on cone(G) and
       l >= c on Q, while the pyramid lies in l <= c.
 
-    conv(G) has volume 0 unless G affinely spans the rank-r quotient.
+    G spans the rank-r quotient, so conv(G) is full-dimensional or lies in
+    an affine hyperplane missing 0, and then 0 sees all of it.  The pyramid
+    from 0 over a simplex on r points G_σ has volume |det G_σ|.
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
     _, G = _face_quotient_images(A, face)
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
-    r = len(G[0])
-    vol = normalized_volume([(0,) * r, *G])
-    if rational_rank([vsub(g, G[0]) for g in G[1:]]) == r:
-        vol -= normalized_volume(G)
-    if vol < 0 or vol.denominator != 1:
-        raise AssertionError(f"subdiagram volume must be a nonnegative integer, got {vol}")
-    return int(vol)
+    poset = face_poset(convex_hull(G))
+    x = poset.polytope.chart_coords((0,) * len(G[0]))
+    if x is None:
+        seen = [poset.top]
+    else:
+        facets = poset.of_dim(poset.top.dim - 1)
+        seen = [f for f in facets if dot(f.supporting[0], x) > f.supporting[1]]
+    cells = [cell for f in seen for cell in pulling_cells(poset, f)]
+    return sum(abs(int(det_fraction([G[i] for i in cell]))) for cell in cells)
 
 
 def _hull2d(points):
@@ -535,7 +542,7 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
 @dataclass(frozen=True)
 class FaceCheck:
     face_indices: tuple
-    route: str  # "top" | "lattice-membership" | "multiplicity" | "pyramid" | "failed"
+    route: str  # "top" | "lattice-membership" | "multiplicity" | "pyramid" | "failed" | "skipped"
     detail: str
 
 

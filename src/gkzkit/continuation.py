@@ -19,7 +19,6 @@ from .ode import CurveODE, certify_ode, ode_from_system
 TAYLOR_ORDER = 60
 CIRCLE_NODES = 12
 STEP_FACTOR = 0.5
-LOCAL_ERROR_TARGET = 1e-12
 
 
 def _poly_shift(coeffs, z0: complex):

@@ -357,9 +357,10 @@ def relative_interior_lattice_points(P: Polytope, face: Face, L: AffineLattice):
     return lattice_points_in(P, L, strict=True, face=face)
 
 
-def pulling_cells(poset: FacePoset):
-    """The pulling triangulation of the poset's polytope from its least
-    vertex, as tuples of point indices with dim+1 entries each.
+def pulling_cells(poset: FacePoset, face: Face | None = None):
+    """The pulling triangulation of a face of the poset's polytope (the whole
+    polytope by default) from its least vertex, as tuples of point indices
+    with face.dim + 1 entries each.
 
     The least vertex v of a face is coned over the pulling triangulations of
     the face's facets that miss v, and the facets of a face are the faces of
@@ -384,7 +385,7 @@ def pulling_cells(poset: FacePoset):
             for cell in pull(f)
         ]
 
-    return pull(poset.top)
+    return pull(poset.top if face is None else face)
 
 
 def cell_volume(coords, cell) -> Fraction:
@@ -392,19 +393,3 @@ def cell_volume(coords, cell) -> Fraction:
     its normalized volume when the coordinates are lattice coordinates."""
     base = coords[cell[0]]
     return abs(det_fraction([vsub(coords[j], base) for j in cell[1:]]))
-
-
-def normalized_volume(points) -> Fraction:
-    """Lattice-normalized volume of conv(points) in the given coordinates.
-
-    The coordinates are taken to be lattice coordinates: a unimodular simplex
-    has volume 1 (this is dim! times the Euclidean volume).  The hull must be
-    full-dimensional in those coordinates.  Repeated points count once.
-    """
-    pts = list(dict.fromkeys(tuple(p) for p in points))
-    P = convex_hull(pts)
-    if P.dim != len(pts[0]):
-        raise ValueError("normalized_volume needs full-dimensional input")
-    if len(P.vertex_indices) == P.dim + 1:
-        return cell_volume(pts, P.vertex_indices)
-    return sum((cell_volume(pts, c) for c in pulling_cells(face_poset(P))), Fraction(0))

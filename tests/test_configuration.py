@@ -2,6 +2,7 @@
 auxiliary-point certificates and reduction chains."""
 
 import random
+import re
 import time
 
 import pytest
@@ -61,6 +62,20 @@ def test_homogeneity():
         check_homogeneous([(1, 0), (2, 0)])
     with pytest.raises(InhomogeneousError):
         PointConfiguration.from_columns([(1, 0), (2, 0)])
+
+
+def test_columns_of_unequal_length_are_rejected():
+    cases = {
+        ((1, 0), (1, 1), (1,)): "[1, 2]",
+        ((1, 0, 0), (1, 1)): "[2, 3]",
+        ((1,), (1, 1)): "[1, 2]",
+    }
+    for columns, lengths in cases.items():
+        message = f"columns must have equal lengths, got {lengths}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PointConfiguration.from_columns(columns)
+        with pytest.raises(ValueError, match="equal lengths"):
+            PointConfiguration.from_columns(columns[:1]).with_point(columns[-1])
 
 
 def test_face_lattices_of_triangle():

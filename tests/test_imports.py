@@ -1,5 +1,6 @@
-"""Every name a gkzkit module imports is used in that module, and every
-module-level _private function or class is named somewhere else in gkzkit.
+"""Every name a gkzkit module imports is used in that module, every
+module-level _private function or class is named somewhere else in gkzkit,
+and every module-level UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` is exempt from the first guard: its imports are the
 public API it re-exports.
@@ -85,3 +86,51 @@ def test_the_guard_sees_unreferenced_privates():
 def test_private_definitions_are_named_elsewhere():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unreferenced_privates(sources) == []
+
+
+def unread_constants(sources):
+    """(file, line, name) of each module-level UPPER_CASE assignment whose
+    name no module of ``sources`` reads or imports."""
+    assigned = []
+    read = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [
+                (path, node.lineno, t.id)
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.isupper()
+            ]
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                read.add(sub.name)
+    return sorted(hit for hit in assigned if hit[2] not in read)
+
+
+def test_the_guard_sees_unread_constants():
+    sources = {
+        "a.py": (
+            "READ = 1\nIMPORTED = 2\nATTRIBUTE = 3\nDEAD = 4\nTYPED: int = 5\n"
+            "REBOUND = 6\nREBOUND = 7\nlower = 8\n"
+            "def f():\n    LOCAL = 9\n    return READ\n"
+        ),
+        "b.py": "from a import IMPORTED\nimport a\nprint(a.ATTRIBUTE)\n",
+    }
+    assert unread_constants(sources) == [
+        ("a.py", 4, "DEAD"), ("a.py", 5, "TYPED"), ("a.py", 6, "REBOUND"), ("a.py", 7, "REBOUND")
+    ]
+
+
+def test_constants_are_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_constants(sources) == []

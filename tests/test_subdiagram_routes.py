@@ -1,18 +1,23 @@
-"""Differential tests: subdiagram volumes as a pyramid difference against the
-truncation route, the truncation route against its LP variant, and quotient
-images from the face's constraint rows against the Smith route.
+"""Differential tests: subdiagram volumes as pyramids over the facets of
+conv(G) that 0 sees against the pyramid difference and the truncation
+route, the truncation route against its LP variant, and quotient images from
+the face's constraint rows against the Smith route.
 
-The first reference is the earlier truncation route, kept verbatim: it cuts
+The first reference is the earlier pyramid-difference route, kept verbatim
+but for its cache and docstring: vol conv({0} ∪ G) - vol conv(G), two
+hulls per face, with the earlier normalized_volume, kept verbatim beside it.
+
+The second is the earlier truncation route, kept verbatim: it cuts
 cone(G) and conv(G) + cone(G) at a level h <= c past every generator and
 subtracts the truncated volumes.  Its hull input is pruned by the cone's own
 facet normals: dominated generators and non-vertices go, and in rank >= 3 the
 extreme rays are read off those normals.
 
-The second is the LP variant of that route, kept verbatim: one exact LP per
+The third is the LP variant of that route, kept verbatim: one exact LP per
 generator to keep only vertices of conv(G) + cone(G), and one exact
 cone-membership LP per direction to find the extreme rays in rank >= 3.
 
-The third is the earlier quotient route, kept verbatim: Z_A / (Z_A ∩ span Γ)
+The fourth is the earlier quotient route, kept verbatim: Z_A / (Z_A ∩ span Γ)
 through a Smith normal form with transforms of the kernel's coordinates in
 the basis of Z_A.
 """
@@ -23,7 +28,7 @@ from fractions import Fraction
 from sympy import Matrix
 
 from _corpus import random_small_config
-from gkzkit import configuration, polytope
+from gkzkit import configuration
 from gkzkit.configuration import (
     PointConfiguration,
     _cross,
@@ -36,7 +41,7 @@ from gkzkit.configuration import (
 from gkzkit.intlinalg import IntMatrix, dot, primitive, rational_rank, vsub
 from gkzkit.lattice import ContainmentError
 from gkzkit.lp import OPTIMAL, lp_maximize
-from gkzkit.polytope import convex_hull, normalized_volume
+from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
 
 OBSTRUCTED = PointConfiguration.from_columns(
     [
@@ -51,7 +56,43 @@ OBSTRUCTED = PointConfiguration.from_columns(
 )
 
 
-# -- the truncation route, the reference of subdiagram_volume -------------------
+# -- the pyramid difference, the reference of subdiagram_volume ------------------
+
+
+def normalized_volume(points) -> Fraction:
+    """Lattice-normalized volume of conv(points) in the given coordinates.
+
+    The coordinates are taken to be lattice coordinates: a unimodular simplex
+    has volume 1 (this is dim! times the Euclidean volume).  The hull must be
+    full-dimensional in those coordinates.  Repeated points count once.
+    """
+    pts = list(dict.fromkeys(tuple(p) for p in points))
+    P = convex_hull(pts)
+    if P.dim != len(pts[0]):
+        raise ValueError("normalized_volume needs full-dimensional input")
+    if len(P.vertex_indices) == P.dim + 1:
+        return cell_volume(pts, P.vertex_indices)
+    return sum((cell_volume(pts, c) for c in pulling_cells(face_poset(P))), Fraction(0))
+
+
+def ref_pyramid_difference(A, face):
+    """vol conv({0} ∪ G) - vol conv(G), the second term only when conv(G)
+    is full-dimensional."""
+    if face.supporting is None:
+        return 1  # the trivial quotient semigroup by convention
+    _, G = _face_quotient_images(A, face)
+    if not G:
+        raise AssertionError("a proper face must leave nonzero images")
+    r = len(G[0])
+    vol = normalized_volume([(0,) * r, *G])
+    if rational_rank([vsub(g, G[0]) for g in G[1:]]) == r:
+        vol -= normalized_volume(G)
+    if vol < 0 or vol.denominator != 1:
+        raise AssertionError(f"subdiagram volume must be a nonnegative integer, got {vol}")
+    return int(vol)
+
+
+# -- the truncation route, the second reference ---------------------------------
 
 
 def ref_extreme_rays(G, normals=None):
@@ -319,17 +360,52 @@ def test_routes_agree_on_solid_family():
     assert 3 in _assert_routes_agree(_solid_configs(5, 1))
 
 
-def test_pyramid_difference_matches_the_truncation_route():
-    rng = random.Random(88)  # the whole corpus of acceptance criterion 8
+def _corpus():
+    """The configurations of acceptance criterion 8, OBSTRUCTED and its
+    s-saturation, and the seeded 3-polytopes."""
+    rng = random.Random(88)
     configs = [random_small_config(rng) for _ in range(100)]
-    configs += [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(9, 25)
+    return configs + [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(9, 25)
+
+
+def _collinear(n):
+    """The vertex (1, 0, 0) and n + 1 points whose images at it lie on a segment."""
+    return PointConfiguration.from_columns([(1, 0, 0)] + [(1, k, n - k) for k in range(n + 1)])
+
+
+def _coplanar(n):
+    """The vertex (1, 0, 0, 0) and the points whose images at it lie on a triangle."""
+    pts = [(1, a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    return PointConfiguration.from_columns([(1, 0, 0, 0)] + pts)
+
+
+def test_subdiagram_volume_matches_the_truncation_route():
     ranks = {}
-    for A in configs:
+    for A in _corpus():
         for face in A.poset.faces:
             assert subdiagram_volume(A, face) == ref_truncated_volume(A, face), (A.points, face)
             r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[1][0])
             ranks[r] = ranks.get(r, 0) + 1
     assert set(ranks) == {0, 1, 2, 3} and sum(ranks.values()) >= 1500, ranks
+
+
+def test_pyramid_sum_matches_the_pyramid_difference():
+    configs = _corpus() + [_collinear(n) for n in (1, 5, 16)] + [_coplanar(n) for n in (2, 4, 6)]
+    flat = solid = 0
+    ranks = set()
+    for A in configs:
+        for face in A.poset.faces:
+            if face.supporting is None:
+                continue
+            assert subdiagram_volume(A, face) == ref_pyramid_difference(A, face), (A.points, face)
+            G = _face_quotient_images(A, face)[1]
+            ranks.add(len(G[0]))
+            if rational_rank([vsub(g, G[0]) for g in G[1:]]) == len(G[0]):
+                solid += 1
+            else:
+                flat += 1
+    # both branches: 0 sees some facets of a solid conv(G), or all of a flat one
+    assert ranks == {1, 2, 3} and flat >= 100 and solid >= 100 and flat + solid >= 1506
 
 
 def _vertex_quotient(A, vertex):
@@ -346,7 +422,7 @@ def _hull_sizes(A, face, monkeypatch):
         return convex_hull(points)
 
     with monkeypatch.context() as m:
-        m.setattr(polytope, "convex_hull", counting_hull)
+        m.setattr(configuration, "convex_hull", counting_hull)
         subdiagram_volume.__wrapped__(A, face)
     return sizes
 
@@ -356,7 +432,7 @@ def test_collinear_generators_stay_under_the_hull_cap(monkeypatch):
     # dominates another, and the truncation route, kept whole, would shift
     # them to 51 hull points
     n = 16
-    A = PointConfiguration.from_columns([(1, 0, 0)] + [(1, k, n - k) for k in range(n + 1)])
+    A = _collinear(n)
     face, G = _vertex_quotient(A, (1, 0, 0))
     assert len(G) == n + 1
     kept = ref_minkowski_generators(G, ref_cone_facet_inner_normals(G))
@@ -365,17 +441,16 @@ def test_collinear_generators_stay_under_the_hull_cap(monkeypatch):
     # the quotient lattice x + y = 0 mod n of index n
     assert subdiagram_volume(A, face) == n == subdiagram_volume_oracle(A, face)
     assert ref_truncated_volume(A, face) == n
-    # the pyramid over a segment of images: one hull, of 0 and the images
-    assert _hull_sizes(A, face, monkeypatch) == [n + 2]
+    # the pyramid over a segment of images: one hull, of the images
+    assert _hull_sizes(A, face, monkeypatch) == [n + 1]
 
 
 def test_coplanar_generators_stay_under_the_hull_cap(monkeypatch):
     # rank-3 analogue, out of the oracle's reach: 15 and 28 images on a triangle
     for n in (4, 6):
-        pts = [(1, a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
-        A = PointConfiguration.from_columns([(1, 0, 0, 0)] + pts)
+        A = _coplanar(n)
         face, G = _vertex_quotient(A, (1, 0, 0, 0))
-        assert len(G) == len(pts)
+        assert len(G) == A.size - 1
         normals = ref_cone_facet_inner_normals(G)
         kept = ref_minkowski_generators(G, normals)
         assert kept == _minkowski_hull_generators(G) and len(kept) == 3
@@ -383,14 +458,15 @@ def test_coplanar_generators_stay_under_the_hull_cap(monkeypatch):
         # the gap is the simplex x >= 0, x1 + x2 + x3 <= n of volume n^3,
         # measured in the quotient lattice x1 + x2 + x3 = 0 mod n of index n
         assert subdiagram_volume(A, face) == n**2 == ref_truncated_volume(A, face)
-        assert _hull_sizes(A, face, monkeypatch) == [len(G) + 1]
+        assert _hull_sizes(A, face, monkeypatch) == [len(G)]
 
 
-def test_subdiagram_volume_builds_at_most_two_hulls_of_at_most_size_points(monkeypatch):
+def test_subdiagram_volume_builds_one_hull_per_proper_face(monkeypatch):
     for A in [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(5, 1):
         for face in A.poset.faces:
             sizes = _hull_sizes(A, face, monkeypatch)
-            assert len(sizes) <= 2 and all(s <= A.size for s in sizes), (A.points, face)
+            expect = 0 if face.supporting is None else 1
+            assert len(sizes) == expect and all(s <= A.size for s in sizes), (A.points, face)
 
 
 def test_subdiagram_volume_solves_no_lp(monkeypatch):
