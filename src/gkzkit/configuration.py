@@ -19,20 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import prod
 
 from .intlinalg import (
     IntMatrix,
+    _hnf,
+    _ints,
     clear_denominators,
     det_fraction,
     dot,
-    integer_orthogonal_complement,
     primitive,
     rational_rank,
     solve_rational,
     vsub,
 )
-from .lattice import AffineLattice, Lattice, lattice_index, lattice_span
+from .lattice import AffineLattice, Lattice, lattice_span
 from .lp import OPTIMAL, lp_maximize
 from .polytope import (
     Face,
@@ -45,10 +47,6 @@ from .polytope import (
     pulling_cells,
     relative_interior_lattice_points,
 )
-
-
-# (configuration, face) pairs whose index and subdiagram volume stay cached.
-FACE_CACHE_SIZE = 1024
 
 
 class InhomogeneousError(ValueError):
@@ -81,7 +79,7 @@ class PointConfiguration:
 
     @classmethod
     def from_columns(cls, columns, labels=None) -> "PointConfiguration":
-        return cls._checked([tuple(int(a) for a in c) for c in columns], labels, None)
+        return cls._checked([tuple(_ints(c)) for c in columns], labels, None)
 
     @classmethod
     def _checked(cls, cols, labels, h):
@@ -162,12 +160,14 @@ class PointConfiguration:
         return int(sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset)))
 
     def delete(self, i: int) -> "PointConfiguration":
+        if not 0 <= i < self.size:
+            raise IndexError(f"column {i} out of range")
         cols = [c for j, c in enumerate(self.points) if j != i]
         labels = tuple(l for j, l in enumerate(self.labels) if j != i)
         return PointConfiguration.from_columns(cols, labels)
 
     def with_point(self, point, label=None) -> "PointConfiguration":
-        point = tuple(int(a) for a in point)
+        point = tuple(_ints(point))
         if label is None:
             label = _free_label(self.labels)
         # if the columns span the ambient space, h is the only functional
@@ -212,13 +212,32 @@ def face_group(A: PointConfiguration, face: Face) -> Lattice:
     return lattice_span(A.face_points(face), "linear")
 
 
-@lru_cache(maxsize=FACE_CACHE_SIZE)
+def _face_hnf(A: PointConfiguration, face: Face):
+    """(L, tail): the s columns of L and the last r - s columns of U, where
+    X U = [L | 0] is the column HNF of the m x r matrix X of the face points'
+    coordinates in Z_A, run with the identity below X; U is unimodular."""
+    coords = [A.group_lattice.coordinates(p) for p in A.face_points(face)]
+    m, r = len(coords), A.group_lattice.rank
+    cols = [[*(x[j] for x in coords), *(int(i == j) for i in range(r))] for j in range(r)]
+    s = _hnf(cols, m)
+    return [c[:m] for c in cols[:s]], [c[m:] for c in cols[s:]]
+
+
 def index_i(A: PointConfiguration, face: Face) -> int:
-    """[Z_A cut to the face span : group generated by the face points]."""
+    """[Z_A ∩ span Γ : Z_{A∩Γ}], the order of the torsion of Z_A / Z_{A∩Γ}.
+
+    With X U = [L | 0] from :func:`_face_hnf`, the automorphism x -> U^T x of
+    the coordinates of Z_A maps Z_A ∩ span Γ onto Z^s x 0, the kernel of its
+    last r - s entries (see :func:`_face_quotient_images`), and the face
+    point in row k of X to row k of L.  So Z_A / Z_{A∩Γ} is Z^(r - s) plus
+    Z^s modulo the lattice of the m rows of L, whose index is the product of
+    the pivots of their HNF.  The pivots of L itself are not the index: for
+    X = [[2], [1]] the pivot is 2, but the rows span Z.
+    """
     if face.supporting is None:
         return 1
-    sup = A.group_lattice.intersect_subspace(A.face_points(face))
-    return lattice_index(sup, face_group(A, face))
+    rows = [list(row) for row in zip(*_face_hnf(A, face)[0])]
+    return prod(rows[j][j] for j in range(_hnf(rows, len(rows[0]))))
 
 
 def _cross(a, b):
@@ -245,24 +264,24 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
     """(project, G): the map of a column to its image in Z_A / (Z_A ∩ span Γ),
     and the sorted nonzero images of the columns.
 
-    The rows of C = integer_orthogonal_complement(Γ) vanish exactly on
-    span Γ, so x -> C x maps Z_A onto C(Z_A) with kernel Z_A ∩ span Γ.  That
-    image is the subgroup of Z^len(C) generated by the C p, hence free: the
-    quotient has no torsion.  A column's image is C p in coordinates of the
-    HNF basis of C(Z_A), an integer vector of length rank C(Z_A).
+    With X U = [L | 0] from :func:`_face_hnf`, each of the last r - s columns
+    u of U has X u = 0, so x -> u . x vanishes on span Γ.  U^T is unimodular,
+    so its last r - s rows map the coordinates of Z_A onto Z^(r - s).  The
+    kernel is saturated, of rank s, and holds the face points, of rank s: it
+    is Z_A ∩ span Γ.  A column's image is (u . coordinates) over those u,
+    and the quotient has no torsion.
     """
-    C = integer_orthogonal_complement(A.face_points(face), A.ambient_dim)
-    image = Lattice.from_generators([[dot(c, p) for c in C] for p in A.points], len(C))
+    _, tail = _face_hnf(A, face)
 
     def project(p):
-        return image.coordinates([dot(c, p) for c in C])
+        x = A.group_lattice.coordinates(p)
+        return tuple(dot(u, x) for u in tail)
 
     images = {project(p) for p in A.points}
-    images.discard((0,) * image.rank)
+    images.discard((0,) * len(tail))
     return project, sorted(images)
 
 
-@lru_cache(maxsize=FACE_CACHE_SIZE)
 def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """Lattice volume between the hulls of the quotient semigroup and its
     nonzero part: the sum of the pyramids from 0 over the facets of conv(G)

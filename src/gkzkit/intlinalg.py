@@ -5,9 +5,9 @@ floating point.  Matrices are tuples of row tuples; "columns" of a matrix M
 are M's column vectors.  The column Hermite normal form, the only integer
 normal form, is canonical so that equal lattices get structurally equal
 representations.  One in-place kernel, ``_hnf``, computes it on lists of
-integer columns; only ``column_hnf`` (and so ``integer_kernel_basis``) asks
-it to carry the unimodular transform, while a lattice span keeps just the
-reduced columns.
+integer columns; ``column_hnf`` (and so ``integer_kernel_basis``) and the
+face HNF of ``configuration`` ask it to carry the unimodular transform,
+while a lattice span keeps just the reduced columns.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ def primitive(v):
     if g in (0, 1):
         return tuple(v)
     return tuple(a // g for a in v)
+
+
+def _ints(v):
+    """The entries of v as a list of ints; ValueError names the first entry
+    that is not an integer.  Integral values such as Fraction(2) and 2.0 pass."""
+    out = list(map(int, v))
+    for a, b in zip(out, v):
+        if a != b:
+            raise ValueError(f"non-integral entry {b!r}")
+    return out
 
 
 def _integral(v):

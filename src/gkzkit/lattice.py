@@ -14,14 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .intlinalg import (
-    IntMatrix,
-    _hnf,
-    det_fraction,
-    integer_kernel_basis,
-    integer_orthogonal_complement,
-    vsub,
-)
+from .intlinalg import IntMatrix, _hnf, _ints, det_fraction, vsub
 
 INFINITE = float("inf")
 
@@ -66,7 +59,7 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, generators, ambient_dim: int | None = None) -> "Lattice":
-        cols = [list(map(int, g)) for g in generators]
+        cols = [_ints(g) for g in generators]
         if ambient_dim is None:
             if not cols:
                 raise ValueError("empty generator list needs explicit ambient_dim")
@@ -103,19 +96,6 @@ class Lattice:
 
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None
-
-    def intersect_subspace(self, spanning_vectors) -> "Lattice":
-        """The saturated sublattice of self lying in the rational span of the vectors."""
-        constraints = integer_orthogonal_complement(spanning_vectors, self.ambient_dim)
-        rows = tuple(
-            tuple(sum(c[i] * g[i] for i in range(self.ambient_dim)) for g in self.generators())
-            for c in constraints
-        )
-        if not rows:
-            return self
-        kernel = integer_kernel_basis(IntMatrix(rows))
-        gens = [self.basis.mul_vec(k) for k in kernel]
-        return Lattice.from_generators(gens, self.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -163,7 +143,7 @@ def lattice_span(points, mode: str):
     mode "affine": lattice of pairwise differences, anchored at the first
     point.  mode "linear": group generated by the points themselves.
     """
-    points = [tuple(int(a) for a in p) for p in points]
+    points = [tuple(_ints(p)) for p in points]
     if not points:
         raise ValueError("lattice_span needs at least one point")
     dim = len(points[0])

@@ -4,6 +4,7 @@ auxiliary-point certificates and reduction chains."""
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,29 @@ def test_columns_of_unequal_length_are_rejected():
             PointConfiguration.from_columns(columns)
         with pytest.raises(ValueError, match="equal lengths"):
             PointConfiguration.from_columns(columns[:1]).with_point(columns[-1])
+
+
+def test_non_integral_entries_are_rejected():
+    with pytest.raises(ValueError, match=r"^non-integral entry 0\.5$"):
+        PointConfiguration.from_columns([(1, 0.5), (1, 1), (1, Fraction(7, 2))])
+    with pytest.raises(ValueError, match=r"^non-integral entry Fraction\(7, 2\)$"):
+        PointConfiguration.from_columns([(1, 0), (1, 1), (1, Fraction(7, 2))])
+    C = PointConfiguration.from_columns([(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
+        C.with_point((1, 2.5))
+    # integral values of any number type are accepted, as ints
+    A = PointConfiguration.from_columns([(1, 0), (1, Fraction(2)), (1, 3.0)])
+    assert A.points == ((1, 0), (1, 2), (1, 3))
+    assert all(type(a) is int for p in A.points for a in p)
+    assert C.with_point((Fraction(1), 2.0)).points == ((1, 0), (1, 1), (1, 2))
+
+
+def test_delete_rejects_columns_out_of_range():
+    A = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2), (1, 3)])
+    for i in (-1, A.size):
+        with pytest.raises(IndexError, match=f"^column {i} out of range$"):
+            A.delete(i)
+    assert A.delete(A.size - 1).points == ((1, 0), (1, 1), (1, 2))
 
 
 def test_face_lattices_of_triangle():

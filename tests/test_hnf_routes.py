@@ -7,6 +7,10 @@ helper, ``Lattice.from_generators`` through an ``IntMatrix`` round trip that
 discarded the transform, and ``hnf_solve`` with generator sums.  The routes
 under test run through the one in-place kernel ``intlinalg._hnf``, which
 carries the transform only for ``column_hnf``.
+
+``ref_intersect_subspace`` is the earlier ``Lattice.intersect_subspace`` on
+these references.  The library no longer has it; the index, quotient and
+chart references of other test files take Z_A ∩ span Γ from it.
 """
 
 import random
@@ -193,7 +197,7 @@ def test_column_hnf_matches_the_tuple_route():
 
 def test_lattices_match_the_tuple_route():
     kernels = 0
-    for rng, M in _corpus(77, 800):
+    for _, M in _corpus(77, 800):
         cols = M.columns_list()
         L = Lattice.from_generators(cols, M.rows)
         assert L == ref_from_generators(cols, M.rows)
@@ -201,8 +205,6 @@ def test_lattices_match_the_tuple_route():
         ker = integer_kernel_basis(M)
         assert ker == ref_integer_kernel_basis(M)
         kernels += bool(ker)
-        span = [tuple(rng.randint(-4, 4) for _ in range(M.rows)) for _ in range(rng.randint(0, 3))]
-        assert L.intersect_subspace(span) == ref_intersect_subspace(L, span)
     assert kernels >= 200
 
 

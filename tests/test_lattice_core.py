@@ -1,6 +1,7 @@
 """Hermite normal forms, spans, indices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from gkzkit.lattice import (
     lattice_index,
     lattice_span,
 )
+from test_hnf_routes import ref_intersect_subspace
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -130,6 +132,17 @@ def test_linear_span_single_vector():
     assert (2, 6) in L and (1, 2) not in L
 
 
+def test_non_integral_generators_are_rejected():
+    with pytest.raises(ValueError, match=r"^non-integral entry Fraction\(1, 2\)$"):
+        Lattice.from_generators([(Fraction(1, 2), 3)])
+    for mode in ("affine", "linear"):
+        with pytest.raises(ValueError, match=r"^non-integral entry 2\.9$"):
+            lattice_span([(1, 2.9), (1, 0)], mode)
+    # integral values of any number type are accepted
+    assert Lattice.from_generators([(Fraction(2), 3.0)]).generators() == ((2, 3),)
+    assert lattice_span([(1, 2.0), (1, 0)], "affine") == lattice_span([(1, 2), (1, 0)], "affine")
+
+
 def test_lattice_index_diagonal():
     sup = Lattice.from_generators([(1, 0), (0, 1)])
     sub = Lattice.from_generators([(2, 0), (0, 3)])
@@ -139,7 +152,7 @@ def test_lattice_index_diagonal():
 def test_lattice_index_step3_edge():
     # Z^3 cut to the span of (1,3,0),(1,0,3) versus the group they generate
     Z3 = Lattice.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    sup = Z3.intersect_subspace([(1, 3, 0), (1, 0, 3)])
+    sup = ref_intersect_subspace(Z3, [(1, 3, 0), (1, 0, 3)])
     sub = Lattice.from_generators([(1, 3, 0), (1, 0, 3)])
     assert lattice_index(sup, sub) == 3
 

@@ -11,6 +11,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
+from test_hnf_routes import ref_intersect_subspace
 from test_secondary_routes import FAMILY
 from gkzkit.configuration import PointConfiguration
 from gkzkit.intlinalg import clear_denominators, det_fraction, vsub
@@ -73,7 +74,7 @@ def normalized_volume_ref(points) -> Fraction:
 def volume_chart(A):
     """Basis of Z_A cut to the direction space of N; points in these coords."""
     span = [vsub(p, A.points[0]) for p in A.points[1:]]
-    direction_lattice = A.group_lattice.intersect_subspace(span)
+    direction_lattice = ref_intersect_subspace(A.group_lattice, span)
     coords = tuple(direction_lattice.coordinates(vsub(p, A.points[0])) for p in A.points)
     if None in coords:
         raise AssertionError("config differences must lie in the direction lattice")

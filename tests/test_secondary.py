@@ -137,6 +137,14 @@ def test_facet_restriction_rejects_lattice_drop():
         check_facet_restriction(A, 0)  # vertex
 
 
+def test_facet_restriction_rejects_columns_out_of_range():
+    # a negative column was deleted as a no-op and compared A with itself
+    A = curve([0, 1, 2, 3])
+    for i in (-3, -1, A.size, 9):
+        with pytest.raises(IndexError, match=f"^column {i} out of range$"):
+            check_facet_restriction(A, i)
+
+
 def test_facet_restriction_rejects_planar_lattice_drop():
     tri = PointConfiguration.from_columns(
         [(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 1, 0), (1, 0, 2)]

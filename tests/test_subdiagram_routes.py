@@ -1,7 +1,7 @@
 """Differential tests: subdiagram volumes as pyramids over the facets of
 conv(G) that 0 sees against the pyramid difference and the truncation
-route, the truncation route against its LP variant, and quotient images from
-the face's constraint rows against the Smith route.
+route, the truncation route against its LP variant, quotient images against
+the Smith route, and face indices against the intersected-subspace route.
 
 The first reference is the earlier pyramid-difference route, kept verbatim
 but for its cache and docstring: vol conv({0} ∪ G) - vol conv(G), two
@@ -19,7 +19,14 @@ cone-membership LP per direction to find the extreme rays in rank >= 3.
 
 The fourth is the earlier quotient route, kept verbatim: Z_A / (Z_A ∩ span Γ)
 through a Smith normal form with transforms of the kernel's coordinates in
-the basis of Z_A.
+the basis of Z_A.  Both it and the fifth take Z_A ∩ span Γ from the earlier
+``Lattice.intersect_subspace``, kept as ``ref_intersect_subspace`` in
+``test_hnf_routes.py``.
+
+The fifth is the earlier index route, kept verbatim but for its cache:
+[Z_A ∩ span Γ : Z_{A∩Γ}] as ``lattice_index`` of the intersected subspace
+and the face group.  The routes under test read both the index and the
+quotient off one column HNF of the face's coordinates in Z_A.
 """
 
 import random
@@ -28,18 +35,21 @@ from fractions import Fraction
 from sympy import Matrix
 
 from _corpus import random_small_config
+from test_hnf_routes import ref_intersect_subspace
 from gkzkit import configuration
 from gkzkit.configuration import (
     PointConfiguration,
     _cross,
     _extreme_rays,
     _face_quotient_images,
+    face_group,
+    index_i,
     saturate,
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
 from gkzkit.intlinalg import IntMatrix, dot, primitive, rational_rank, vsub
-from gkzkit.lattice import ContainmentError
+from gkzkit.lattice import ContainmentError, lattice_index
 from gkzkit.lp import OPTIMAL, lp_maximize
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
 
@@ -423,7 +433,7 @@ def _hull_sizes(A, face, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(configuration, "convex_hull", counting_hull)
-        subdiagram_volume.__wrapped__(A, face)
+        subdiagram_volume(A, face)
     return sizes
 
 
@@ -476,7 +486,7 @@ def test_subdiagram_volume_solves_no_lp(monkeypatch):
     monkeypatch.setattr(configuration, "lp_maximize", forbidden)
     for A in _solid_configs(7, 1):
         for face in A.poset.faces:
-            subdiagram_volume.__wrapped__(A, face)
+            subdiagram_volume(A, face)
 
 
 # -- the Smith-normal-form quotient route, the reference of the tests below ----
@@ -589,7 +599,7 @@ def ref_quotient_project(source, kernel):
 
 
 def ref_face_quotient_images(A, face):
-    kernel = A.group_lattice.intersect_subspace(A.face_points(face))
+    kernel = ref_intersect_subspace(A.group_lattice, A.face_points(face))
     project, rank = ref_quotient_project(A.group_lattice, kernel)
     images = {project(p) for p in A.points}
     images.discard((0,) * rank)
@@ -624,7 +634,31 @@ def test_quotient_images_match_the_smith_route(monkeypatch):
             assert _unimodular_image(R, [project(p) for p in A.points]), (A.points, face)
             with monkeypatch.context() as m:
                 m.setattr(configuration, "_face_quotient_images", ref_face_quotient_images)
-                ref_volume = subdiagram_volume.__wrapped__(A, face)
-            assert subdiagram_volume.__wrapped__(A, face) == ref_volume
+                ref_volume = subdiagram_volume(A, face)
+            assert subdiagram_volume(A, face) == ref_volume
             faces += 1
     assert ranks == {1, 2, 3} and faces >= 300
+
+
+# -- the intersected-subspace index, the reference of index_i -------------------
+
+
+def ref_index_i(A: PointConfiguration, face) -> int:
+    """[Z_A cut to the face span : group generated by the face points]."""
+    if face.supporting is None:
+        return 1
+    sup = ref_intersect_subspace(A.group_lattice, A.face_points(face))
+    return lattice_index(sup, face_group(A, face))
+
+
+def test_index_matches_the_intersected_subspace_route():
+    configs = _corpus() + [_collinear(n) for n in (1, 5, 16)] + [_coplanar(n) for n in (2, 4, 6)]
+    counts = {}
+    for A in configs:
+        for face in A.poset.faces:
+            i = index_i(A, face)
+            assert i == ref_index_i(A, face), (A.points, face)
+            counts[i] = counts.get(i, 0) + 1
+    # 151 faces have i > 1; the pivots of L itself are wrong on 23 of them
+    assert set(counts) == {1, 2, 3, 4} and sum(counts.values()) == 1724, counts
+    assert sum(n for i, n in counts.items() if i > 1) >= 100, counts
