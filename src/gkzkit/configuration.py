@@ -29,6 +29,7 @@ from .intlinalg import (
     clear_denominators,
     det_fraction,
     dot,
+    integer_orthogonal_complement,
     primitive,
     rational_rank,
     solve_rational,
@@ -63,6 +64,19 @@ def check_homogeneous(columns):
     return h
 
 
+def _column(c) -> tuple:
+    """A column as a tuple of ints.  ValueError when it is not a sequence of
+    integers; booleans are not integers here, as in the CLI."""
+    try:
+        col = tuple(c)
+        ints = tuple(_ints(col))
+    except TypeError:
+        ints = None
+    if ints is None or any(isinstance(a, bool) for a in col):
+        raise ValueError(f"column {c!r} is not a sequence of integers")
+    return ints
+
+
 def _free_label(labels) -> str:
     """The first label a{n} not in use with n past the column count."""
     n = len(labels) + 1
@@ -79,7 +93,7 @@ class PointConfiguration:
 
     @classmethod
     def from_columns(cls, columns, labels=None) -> "PointConfiguration":
-        return cls._checked([tuple(_ints(c)) for c in columns], labels, None)
+        return cls._checked([_column(c) for c in columns], labels, None)
 
     @classmethod
     def _checked(cls, cols, labels, h):
@@ -167,7 +181,7 @@ class PointConfiguration:
         return PointConfiguration.from_columns(cols, labels)
 
     def with_point(self, point, label=None) -> "PointConfiguration":
-        point = tuple(_ints(point))
+        point = _column(point)
         if label is None:
             label = _free_label(self.labels)
         # if the columns span the ambient space, h is the only functional
@@ -189,6 +203,33 @@ class PointConfiguration:
 
     def minimal_face(self, i: int) -> Face:
         return self.minimal_faces[i]
+
+    @cached_property
+    def _face_interiors(self):
+        """Face indices -> the face's relative-interior lattice points, filled
+        on demand by :meth:`face_interior`."""
+        return {}
+
+    def face_interior(self, face: Face):
+        """The points of face_lattice(A, face) in the face's relative interior
+        (the vertex itself for 0-faces), computed once per face."""
+        memo = self._face_interiors
+        pts = memo.get(face.indices)
+        if pts is None:
+            L = face_lattice(self, face)
+            pts = memo[face.indices] = relative_interior_lattice_points(self.newton, face, L)
+        return pts
+
+    @cached_property
+    def facet_constraints(self):
+        """(face, M, image) for each codimension-one face: integer rows M
+        cutting out the face's linear span, and the lattice M(Z^(1+n))
+        generated by M's columns."""
+        out = []
+        for face in self.poset.of_dim(self.newton.dim - 1):
+            M = IntMatrix(integer_orthogonal_complement(self.face_points(face), self.ambient_dim))
+            out.append((face, M, Lattice.from_generators(M.columns_list(), M.rows)))
+        return tuple(out)
 
     def face_int_semiideal(self):
         """Downward closure of the faces carrying a relative interior point of A."""
@@ -236,7 +277,13 @@ def index_i(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1
-    rows = [list(row) for row in zip(*_face_hnf(A, face)[0])]
+    return _row_index(_face_hnf(A, face)[0])
+
+
+def _row_index(L):
+    """The index in Z^s of the lattice of the rows of L, s columns: the
+    product of the pivots of their HNF."""
+    rows = [list(row) for row in zip(*L)]
     return prod(rows[j][j] for j in range(_hnf(rows, len(rows[0]))))
 
 
@@ -271,7 +318,11 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
     is Z_A ∩ span Γ.  A column's image is (u . coordinates) over those u,
     and the quotient has no torsion.
     """
-    _, tail = _face_hnf(A, face)
+    return _quotient_images(A, _face_hnf(A, face)[1])
+
+
+def _quotient_images(A: PointConfiguration, tail):
+    """(project, G) of :func:`_face_quotient_images`, from the tail of U."""
 
     def project(p):
         x = A.group_lattice.coordinates(p)
@@ -317,7 +368,12 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
-    _, G = _face_quotient_images(A, face)
+    return _seen_pyramids(_face_quotient_images(A, face)[1])
+
+
+def _seen_pyramids(G):
+    """The subdiagram volume of the nonzero images G, as in
+    :func:`subdiagram_volume`."""
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
     poset = face_poset(convex_hull(G))
@@ -467,8 +523,13 @@ class MultiplicityRecord:
 
 
 def multiplicity(A: PointConfiguration, face: Face) -> MultiplicityRecord:
-    i = index_i(A, face)
-    v = subdiagram_volume(A, face)
+    """index_i(A, face) and subdiagram_volume(A, face), both read off one
+    :func:`_face_hnf` of a proper face."""
+    if face.supporting is None:
+        return MultiplicityRecord(face, 1, 1, 1)
+    L, tail = _face_hnf(A, face)
+    i = _row_index(L)
+    v = _seen_pyramids(_quotient_images(A, tail)[1])
     return MultiplicityRecord(face, i, v, i * v)
 
 
@@ -543,8 +604,7 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
         faces = A.poset.faces if mode == "s" else A.face_int_semiideal()
         pts = set()
         for face in faces:
-            L = face_lattice(A, face)
-            pts.update(relative_interior_lattice_points(A.newton, face, L))
+            pts.update(A.face_interior(face))
     else:
         raise ValueError(f"unknown saturation mode {mode!r}")
     added = tuple(sorted(pts - set(A.points)))

@@ -36,7 +36,6 @@ from .intlinalg import (
     solve_rational,
     xgcd,
 )
-from .lattice import Lattice
 
 
 class ResonantParameterError(ValueError):
@@ -74,18 +73,15 @@ def is_nonresonant(A: PointConfiguration, beta) -> ResonanceReport:
 
     For each such face take integer constraint rows C cutting out its span;
     beta - gamma lies in the span for an integer gamma iff C beta lies in the
-    lattice generated by the columns of C.  (For a full-dimensional Newton
+    lattice generated by the columns of C.  Both are built once per
+    configuration, in ``A.facet_constraints``.  (For a full-dimensional Newton
     polytope C is one primitive row h, the lattice h(Z^(1+n)) is all of Z, and
     the test degenerates to h(beta) being an integer.)
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != A.ambient_dim:
         raise ValueError("parameter length must match the ambient dimension")
-    d = A.newton.dim
-    for face in A.poset.of_dim(d - 1):
-        rows = integer_orthogonal_complement(A.face_points(face), A.ambient_dim)
-        M = IntMatrix(rows)
-        image = Lattice.from_generators(M.columns_list(), M.rows)
+    for face, M, image in A.facet_constraints:
         if M.mul_vec(beta) in image:
             return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)

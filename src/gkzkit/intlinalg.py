@@ -50,10 +50,11 @@ def primitive(v):
 def _ints(v):
     """The entries of v as a list of ints; ValueError names the first entry
     that is not an integer.  Integral values such as Fraction(2) and 2.0 pass."""
+    v = list(v)
     out = list(map(int, v))
-    for a, b in zip(out, v):
-        if a != b:
-            raise ValueError(f"non-integral entry {b!r}")
+    if out != v:
+        bad = next(b for a, b in zip(out, v) if a != b)
+        raise ValueError(f"non-integral entry {bad!r}")
     return out
 
 
@@ -83,7 +84,7 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.entries)
+        rows = tuple(tuple(_ints(row)) for row in self.entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", rows)

@@ -13,15 +13,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm, prod
+from math import gcd, lcm, prod
 
 from .intlinalg import (
+    _integral,
     _reduce,
     clear_denominators,
     det_fraction,
     dot,
     integer_orthogonal_complement,
-    solve_rational,
     vec_gcd,
     vsub,
 )
@@ -34,6 +34,8 @@ from .lattice import AffineLattice, Lattice, hnf_solve
 HULL_PAIR_CAP = 200_000
 # Points of the search box that lattice_points_in may test.  The largest box
 # the test suite, the benchmark workloads and the scripts reach has 45 points.
+# The cap bounds the box's size, not the work of finding the points inside:
+# every box point is tested, so a box under it can still hold few hits.
 LATTICE_BOX_CAP = 10_000
 
 
@@ -77,23 +79,6 @@ class Polytope:
     def chart_coords(self, point):
         """Chart coordinates of an ambient point, or None if off the affine hull."""
         return self.chart.rational_coordinates(vsub(point, self.chart_anchor))
-
-    def ambient_functional(self, h):
-        """Integer ambient functional f with f . b_j = t * h_j on the chart
-        basis vectors b_j, t > 0 the least factor making f integral.
-
-        f restricts to t * h on the chart directions, so it orders points of
-        the affine hull as the chart functional h does.  It is supported on
-        the pivot rows, where the system is square and triangular (b_k
-        vanishes on the pivot rows of the earlier columns), so its solution
-        is unique.
-        """
-        rows, piv = self.chart.basis.entries, self.chart.pivots
-        x = solve_rational([[rows[p][j] for p in piv] for j in range(self.dim)], h)
-        f = [0] * len(rows)
-        for p, a in zip(piv, x):
-            f[p] = a
-        return clear_denominators(f)
 
     def contains(self, point) -> bool:
         slacks = self._slacks(point)
@@ -322,32 +307,63 @@ def lattice_points_in(
     the vertices of P on the face.  L's span must contain the face's hull.
     A search box of more than LATTICE_BOX_CAP points raises BudgetError
     before any point is tested.
+
+    A point anchor + sum m_k g_k of L has chart coordinates affine in m, so
+    each facet's slack is one integer affine form in m, over one common
+    denominator: L's anchor and generators are solved in P's chart once, on
+    the pivot rows of the chart basis, where the system is square and
+    triangular.  The residual off those rows is affine in m too, and must
+    vanish for the point to lie on P's affine hull.  Box points are tested
+    by the forms alone; only a hit is built as an ambient point.
     """
     on = frozenset(face.indices if face is not None else range(len(P.points)))
     through = [on <= s for s in P.facet_sets]
+    # the vertices' coordinates in L, each as (numerators, denominator)
     boxes = [
-        L.delta.rational_coordinates(vsub(P.points[i], L.anchor))
+        hnf_solve(L.delta.basis.entries, L.delta.pivots, vsub(P.points[i], L.anchor))
         for i in P.vertex_indices
         if i in on
     ]
     if None in boxes:
         raise ValueError("lattice span does not contain the polytope's hull")
     gens = L.delta.generators()
-    lo = [ceil(min(b[j] for b in boxes)) for j in range(L.rank)]
-    hi = [floor(max(b[j] for b in boxes)) for j in range(L.rank)]
+    lo = [min(-(-x[j] // d) for x, d in boxes) for j in range(L.rank)]
+    hi = [max(x[j] // d for x, d in boxes) for j in range(L.rank)]
     size = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
     if size > LATTICE_BOX_CAP:
         raise BudgetError(
             f"lattice-point search limited to {LATTICE_BOX_CAP} box points, got {size}"
         )
+    # E (p - chart anchor) = w0 + sum m_k E g_k is integral; x0 and xs are
+    # D times the chart coordinates of w0 and of the E g_k
+    w0, E = _integral(vsub(L.anchor, P.chart_anchor))
+    vecs = [w0, *([E * a for a in g] for g in gens)]
+    rows, piv = P.chart.basis.entries, P.chart.pivots
+    square = [rows[p] for p in piv]
+    solved = [hnf_solve(square, range(P.dim), [v[p] for p in piv]) for v in vecs]
+    D = lcm(*(den for _, den in solved))
+    x0, *xs = ([a * (D // den) for a in num] for num, den in solved)
+    # (constant, coefficients, tight): E D times a facet's slack, tight on
+    # the facets through the face, and D times a row of the residual
+    forms = [
+        (c * E * D - dot(h, x0), [-dot(h, x) for x in xs], t)
+        for (h, c), t in zip(P.facets, through)
+    ]
+    for i, row in enumerate(rows):
+        a, *k = (D * v[i] - dot(row, x) for v, x in zip(vecs, (x0, *xs)))
+        if a or any(k):
+            forms.append((a, k, True))
+    least = 1 if strict else 0
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
-        slacks = P._slacks(p)
-        if slacks is not None and all(
-            a == 0 if t else a > 0 if strict else a >= 0 for a, t in zip(slacks, through)
-        ):
-            out.append(p)
+        for a, k, tight in forms:
+            s = a + dot(k, m)
+            if (s != 0) if tight else (s < least):
+                break
+        else:
+            out.append(
+                tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
+            )
     return tuple(sorted(out))
 
 

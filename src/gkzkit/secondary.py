@@ -86,10 +86,14 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
         # affine heights: the lower hull is the whole polytope
         cells = [tuple(range(A.size))]
     else:
+        # a facet is lower iff its outer normal points down: the ambient
+        # functional f with f . b_j = t h_j (t > 0) on the chart basis b has
+        # f . e_last = t (h . u), u the chart coordinates of e_last
+        u = hull.chart.rational_coordinates((0,) * d + (1,))
         cells = [
             tuple(sorted(on))
             for (h, _), on in zip(hull.facets, hull.facet_sets)
-            if hull.ambient_functional(h)[-1] < 0  # lower facets only
+            if dot(h, u) < 0
         ]
     for cell in cells:
         if len(cell) != d + 1:

@@ -4,6 +4,12 @@ The references below are the earlier routes, kept verbatim up to access
 paths: chart coordinates, ambient functionals and lattice coordinates through
 ``solve_rational`` with a back-multiplication check, and face interiors from
 a fresh hull of each face.
+
+``ref_ambient_functional`` is the earlier ``Polytope.ambient_functional``,
+kept verbatim up to access paths: the triangular solve on the chart basis's
+pivot rows.  The library no longer calls it; it is checked against the
+Gauss-Jordan route here and shared with the references of
+``test_pulling_routes.py`` and ``test_subdiagram_routes.py``.
 """
 
 import random
@@ -56,6 +62,24 @@ def _chart_coords_ref(P, point):
         for i in range(len(diff))
     )
     return x if back == diff else None
+
+
+def ref_ambient_functional(P, h):
+    """Integer ambient functional f with f . b_j = t * h_j on the chart
+    basis vectors b_j, t > 0 the least factor making f integral.
+
+    f restricts to t * h on the chart directions, so it orders points of
+    the affine hull as the chart functional h does.  It is supported on
+    the pivot rows, where the system is square and triangular (b_k
+    vanishes on the pivot rows of the earlier columns), so its solution
+    is unique.
+    """
+    rows, piv = P.chart.basis.entries, P.chart.pivots
+    x = solve_rational([[rows[p][j] for p in piv] for j in range(P.dim)], h)
+    f = [0] * len(rows)
+    for p, a in zip(piv, x):
+        f[p] = a
+    return clear_denominators(f)
 
 
 def _ambient_functional_ref(P, h):
@@ -147,7 +171,7 @@ def test_chart_coords_and_ambient_functionals_match_gauss_jordan():
             assert got == _chart_coords_ref(P, q)
             nones += got is None
         for h, _ in P.facets:
-            assert P.ambient_functional(h) == _ambient_functional_ref(P, h)
+            assert ref_ambient_functional(P, h) == _ambient_functional_ref(P, h)
             facets += 1
     assert nones > 100 and facets > 1000
 
@@ -232,3 +256,24 @@ def test_face_saturation_hulls_only_the_newton_polytope(monkeypatch):
         calls.clear()
         saturate(A, "s")
         assert calls == [A.points]
+
+
+def test_face_interiors_are_computed_once_per_face(monkeypatch):
+    calls = []
+
+    def counting(P, face, L):
+        calls.append(face.indices)
+        return relative_interior_lattice_points(P, face, L)
+
+    monkeypatch.setattr(configuration, "relative_interior_lattice_points", counting)
+    for A in [*_configs()[:10], OBSTRUCTED]:
+        A = _fresh(A)
+        calls.clear()
+        saturate(A, "p")
+        assert sorted(calls) == sorted(f.indices for f in A.face_int_semiideal())
+        A = _fresh(A)
+        calls.clear()
+        saturate(A, "s")
+        saturate(A, "p")
+        reduction_chain(A, "p")
+        assert sorted(calls) == sorted(f.indices for f in A.poset.faces)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from _corpus import random_small_config
+from gkzkit import configuration
 from gkzkit.configuration import (
     InhomogeneousError,
     PointConfiguration,
@@ -92,6 +93,25 @@ def test_non_integral_entries_are_rejected():
     assert A.points == ((1, 0), (1, 2), (1, 3))
     assert all(type(a) is int for p in A.points for a in p)
     assert C.with_point((Fraction(1), 2.0)).points == ((1, 0), (1, 1), (1, 2))
+
+
+def test_columns_of_non_numbers_are_a_value_error():
+    with pytest.raises(ValueError, match=r"^column \(\(1,\), 0\) is not a sequence of integers$"):
+        PointConfiguration.from_columns([((1,), 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"^column None is not a sequence of integers$"):
+        PointConfiguration.from_columns([None, (1, 1)])
+    C = PointConfiguration.from_columns([(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"^column \(1, \[2\]\) is not a sequence of integers$"):
+        C.with_point((1, [2]))
+
+
+def test_boolean_entries_are_rejected():
+    # as in the CLI, which refuses `true`: a bool is not an integer here
+    with pytest.raises(ValueError, match=r"^column \(True, 0\) is not a sequence of integers$"):
+        PointConfiguration.from_columns([(True, 0), (1, 1)])
+    C = PointConfiguration.from_columns([(1, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"^column \(1, False\) is not a sequence of integers$"):
+        C.with_point((1, False))
 
 
 def test_delete_rejects_columns_out_of_range():
@@ -402,3 +422,21 @@ def test_oracle_matches_main_on_obstructed_faces():
     assert subdiagram_volume(s, edge) == subdiagram_volume_oracle(s, edge)
     tri = face_by_points(s, [(1, 0, 1, 0), (1, 1, 2, 0), (1, 2, 0, 0), (1, 1, 1, 0)])
     assert subdiagram_volume(s, tri) == subdiagram_volume_oracle(s, tri)
+
+
+def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
+    calls = []
+    face_hnf = configuration._face_hnf
+
+    def counting(A, face):
+        calls.append(face.indices)
+        return face_hnf(A, face)
+
+    monkeypatch.setattr(configuration, "_face_hnf", counting)
+    A = PointConfiguration.from_columns(TRI.points)
+    table = multiplicity_table(A)
+    proper = [f.indices for f in A.poset.faces if f.supporting is not None]
+    assert len(proper) == 6 and sorted(calls) == sorted(proper)
+    assert [(r.index_i, r.subvol_v) for r in table] == [
+        (index_i(A, r.face), subdiagram_volume(A, r.face)) for r in table
+    ]

@@ -143,6 +143,19 @@ def test_non_integral_generators_are_rejected():
     assert lattice_span([(1, 2.0), (1, 0)], "affine") == lattice_span([(1, 2), (1, 0)], "affine")
 
 
+def test_int_matrix_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match=r"^non-integral entry 0\.5$"):
+        IntMatrix(((0.5, 1), (Fraction(7, 2), 2)))
+    with pytest.raises(ValueError, match=r"^non-integral entry Fraction\(7, 2\)$"):
+        IntMatrix(((0, 1), (Fraction(7, 2), 2)))
+    with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
+        IntMatrix.from_columns([(1, 2.5), (0, 1)])
+    # integral values of any number type are stored as ints
+    M = IntMatrix(((Fraction(2), 1.0), (0, -3)))
+    assert M.entries == ((2, 1), (0, -3))
+    assert all(type(a) is int for row in M.entries for a in row)
+
+
 def test_lattice_index_diagonal():
     sup = Lattice.from_generators([(1, 0), (0, 1)])
     sub = Lattice.from_generators([(2, 0), (0, 3)])

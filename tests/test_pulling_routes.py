@@ -11,6 +11,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
+from test_chart_routes import ref_ambient_functional
 from test_hnf_routes import ref_intersect_subspace
 from test_secondary_routes import FAMILY
 from gkzkit.configuration import PointConfiguration
@@ -108,7 +109,7 @@ def regular_triangulation_ref(A, heights):
         cells = [
             tuple(sorted(on))
             for (h, _), on in zip(hull.facets, hull.facet_sets)
-            if hull.ambient_functional(h)[-1] < 0
+            if ref_ambient_functional(hull, h)[-1] < 0
         ]
     for cell in cells:
         if len(cell) != d + 1:

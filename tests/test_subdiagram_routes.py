@@ -35,6 +35,7 @@ from fractions import Fraction
 from sympy import Matrix
 
 from _corpus import random_small_config
+from test_chart_routes import ref_ambient_functional
 from test_hnf_routes import ref_intersect_subspace
 from gkzkit import configuration
 from gkzkit.configuration import (
@@ -143,7 +144,7 @@ def ref_cone_facet_inner_normals(G):
         return [(s,)]
     hull = convex_hull([(0,) * r] + [tuple(g) for g in G])
     return [  # the facets through the apex, point 0
-        tuple(-a for a in hull.ambient_functional(h))
+        tuple(-a for a in ref_ambient_functional(hull, h))
         for (h, _), on in zip(hull.facets, hull.facet_sets)
         if 0 in on
     ]
