@@ -44,7 +44,6 @@ from .polytope import (
     convex_hull,
     face_poset,
     lattice_points_in,
-    minimal_face_containing,
     pulling_cells,
     relative_interior_lattice_points,
 )
@@ -181,15 +180,20 @@ class PointConfiguration:
         return PointConfiguration.from_columns(cols, labels)
 
     def with_point(self, point, label=None) -> "PointConfiguration":
-        point = _column(point)
         if label is None:
             label = _free_label(self.labels)
+        return self._extended([_column(point)], [label])
+
+    def _extended(self, cols, labels) -> "PointConfiguration":
+        """The configuration with integer columns and their labels appended."""
         # if the columns span the ambient space, h is the only functional
-        # that is 1 on them; if h . point != 1, none is 1 on the new columns
+        # that is 1 on them; if h . col != 1, none is 1 on the new columns
         # and solving for one raises InhomogeneousError
-        spans = self.newton.dim + 1 == self.ambient_dim == len(point)
-        h = self.homogeneity if spans and dot(self.homogeneity, point) == 1 else None
-        return PointConfiguration._checked([*self.points, point], [*self.labels, label], h)
+        h = self.homogeneity
+        spans = self.newton.dim + 1 == self.ambient_dim
+        if not spans or any(len(c) != self.ambient_dim or dot(h, c) != 1 for c in cols):
+            h = None
+        return PointConfiguration._checked([*self.points, *cols], [*self.labels, *labels], h)
 
     # -- faces ---------------------------------------------------------------
 
@@ -198,8 +202,14 @@ class PointConfiguration:
 
     @cached_property
     def minimal_faces(self):
-        """The face whose relative interior holds each column, by index."""
-        return tuple(minimal_face_containing(self.poset, p) for p in self.points)
+        """The face whose relative interior holds each column, by index: the
+        meet of the facets through the column, the top face if none is."""
+        every = frozenset(range(self.size))
+        sets = self.newton.facet_sets
+        return tuple(
+            self.poset.face_with_indices(every.intersection(*(s for s in sets if i in s)))
+            for i in range(self.size)
+        )
 
     def minimal_face(self, i: int) -> Face:
         return self.minimal_faces[i]
@@ -611,8 +621,7 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
     labels = list(A.labels)
     for _ in added:  # the labels a chain of with_point calls would choose
         labels.append(_free_label(labels))
-    result = PointConfiguration.from_columns([*A.points, *added], labels)
-    return SaturationResult(mode, added, result)
+    return SaturationResult(mode, added, A._extended(added, labels[A.size:]))
 
 
 # -- auxiliary-point certificates ----------------------------------------------
@@ -812,7 +821,7 @@ def dim2_interior_witness(A: PointConfiguration):
         raise ValueError("construction requires a two-dimensional Newton polytope")
     if saturate(A, "p").added_points:
         raise ValueError("construction assumes a partially face-saturated configuration")
-    interior = lattice_points_in(A.newton, A.affine_lattice, strict=True)
+    interior = set(lattice_points_in(A.newton, A.affine_lattice, strict=True))
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
         edges = [e for e in A.poset.of_dim(1) if vi in e.indices]
@@ -834,7 +843,10 @@ def dim2_interior_witness(A: PointConfiguration):
             lengths.append(ell)
             steps.append(tuple(d // ell for d in diff))
         candidate = tuple(v[i] + steps[0][i] + steps[1][i] for i in range(len(v)))
-        if A.newton.contains_strict(candidate):
+        # v is a column and each step generates an edge's lattice, so the
+        # candidate lies in Z_A's affine lattice and is interior iff it is
+        # one of that lattice's interior points
+        if candidate in interior:
             witness = PlanarWitness(
                 v, (edges[0].indices, edges[1].indices), tuple(lengths), candidate
             )

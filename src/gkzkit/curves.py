@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .configuration import PointConfiguration, multiplicity, saturate
-from .intlinalg import det_fraction
+from .intlinalg import _ints, det_fraction
 from .polynomials import (
     normalize_sign,
     pdivmod_exact,
@@ -40,7 +40,10 @@ class MonomialCurveConfig:
     exponents: tuple  # 0 = e_0 < e_1 < ... < e_last = delta
 
     def __post_init__(self):
-        e = tuple(int(a) for a in self.exponents)
+        exps = tuple(self.exponents)
+        if any(isinstance(a, bool) for a in exps):
+            raise ValueError("exponents must be integers, not booleans")
+        e = tuple(_ints(exps))
         if len(e) < 2 or e[0] != 0 or sorted(set(e)) != list(e):
             raise ValueError("need strictly increasing exponents starting at 0")
         if gcd(*e) != 1:

@@ -30,6 +30,7 @@ from math import factorial, gcd
 from .configuration import PointConfiguration
 from .intlinalg import (
     IntMatrix,
+    _ints,
     dot,
     integer_kernel_basis,
     integer_orthogonal_complement,
@@ -132,6 +133,8 @@ def kernel_ball(basis: KernelBasis, order: int):
     r = basis.rank
     if r == 0:
         raise ValueError("kernel ball needs a nonempty basis")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     rows = tuple(zip(*basis.vectors))
     bound = [0] * r
     for J in itertools.combinations(rows, r - 1):
@@ -255,6 +258,8 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
     With base_exponent the caller may pick any other v with A v = beta (for
     example a kernel-rational translate selecting a different local solution).
     """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     res = is_nonresonant(A, beta)
     if not res:
         raise ResonantParameterError(
@@ -354,7 +359,7 @@ def apply_operator(series: TruncatedSeries, op: OperatorSpec) -> TruncatedSeries
 
 def differentiate(series: TruncatedSeries, gamma) -> TruncatedSeries:
     """Apply del^gamma for gamma in N^k, term by term."""
-    gamma = tuple(int(g) for g in gamma)
+    gamma = tuple(_ints(gamma))
     if any(g < 0 for g in gamma):
         raise ValueError("gamma must be nonnegative")
     base = tuple(v - g for v, g in zip(series.base_exponent, gamma))
@@ -377,7 +382,7 @@ def antiderivative(series: TruncatedSeries, gamma) -> TruncatedSeries:
     propagation from determined neighbours; anything still undetermined is
     dropped from the region rather than guessed.
     """
-    gamma = tuple(int(g) for g in gamma)
+    gamma = tuple(_ints(gamma))
     if any(g < 0 for g in gamma):
         raise ValueError("gamma must be nonnegative")
     base = tuple(v + g for v, g in zip(series.base_exponent, gamma))
@@ -423,7 +428,7 @@ def shift_inverse(series: TruncatedSeries, u) -> TruncatedSeries:
     """del^{-u} for a mixed-sign integer vector u: differentiate by the
     negative part first (killing factors act before any division), then
     antidifferentiate by the positive part."""
-    u = tuple(int(a) for a in u)
+    u = tuple(_ints(u))
     uplus = tuple(max(a, 0) for a in u)
     uminus = tuple(max(-a, 0) for a in u)
     return antiderivative(differentiate(series, uminus), uplus)

@@ -5,7 +5,7 @@ degenerate, so the hull is exact and integral: a double-description pass over
 integer chart coordinates, which needs no general position, under a budget on
 the facet pairs it tests.  Configurations whose affine span drops dimension
 are handled through an affine chart: facet data lives in chart coordinates,
-all membership queries accept ambient points.
+lattice-point queries take ambient lattices.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .intlinalg import (
@@ -68,26 +69,9 @@ class Polytope:
     point_coords: tuple = field(compare=False, repr=False)  # chart coordinates of ``points``
     facet_sets: tuple = field(compare=False, repr=False)  # indices of the points on each facet
 
-    # -- coordinates ---------------------------------------------------------
-
-    def _slacks(self, point):
-        """D * (c - h . x) for each facet (h, c) at the chart coordinates x of
-        an ambient point, one D > 0 for all; None off the affine hull."""
-        s = hnf_solve(self.chart.basis.entries, self.chart.pivots, vsub(point, self.chart_anchor))
-        return None if s is None else [c * s[1] - dot(h, s[0]) for h, c in self.facets]
-
     def chart_coords(self, point):
         """Chart coordinates of an ambient point, or None if off the affine hull."""
         return self.chart.rational_coordinates(vsub(point, self.chart_anchor))
-
-    def contains(self, point) -> bool:
-        slacks = self._slacks(point)
-        return slacks is not None and all(a >= 0 for a in slacks)
-
-    def contains_strict(self, point) -> bool:
-        """Membership in the relative interior."""
-        slacks = self._slacks(point)
-        return slacks is not None and all(a > 0 for a in slacks)
 
     @property
     def vertices(self):
@@ -228,12 +212,16 @@ class FacePoset:
     def of_dim(self, d):
         return tuple(f for f in self.faces if f.dim == d)
 
+    @cached_property
+    def _by_indices(self):
+        return {f.indices: f for f in self.faces}
+
     def face_with_indices(self, indices):
         key = tuple(sorted(indices))
-        for f in self.faces:
-            if f.indices == key:
-                return f
-        raise KeyError(f"no face with point set {key}")
+        face = self._by_indices.get(key)
+        if face is None:
+            raise KeyError(f"no face with point set {key}")
+        return face
 
     def subfaces(self, face: Face):
         s = set(face.indices)
@@ -279,19 +267,6 @@ def face_poset(P: Polytope) -> FacePoset:
             top = face
     faces.sort(key=lambda f: (f.dim, f.indices))
     return FacePoset(P, tuple(faces), top)
-
-
-def minimal_face_containing(poset: FacePoset, point) -> Face:
-    """The unique face whose relative interior holds the point."""
-    P = poset.polytope
-    slacks = P._slacks(point)
-    if slacks is None or any(a < 0 for a in slacks):
-        raise ValueError(f"{tuple(point)} is not in the polytope")
-    s = set(range(len(P.points)))
-    for a, on in zip(slacks, P.facet_sets):
-        if a == 0:
-            s &= on
-    return poset.face_with_indices(s)
 
 
 def lattice_points_in(

@@ -205,6 +205,8 @@ def test_determinism():
             capture_output=True,
             text=True,
         )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["added_points"]
         outs.add(proc.stdout)
     assert len(outs) == 1
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from _corpus import random_small_config
+from test_incidence_routes import ref_contains_strict
 from gkzkit import configuration
 from gkzkit.configuration import (
     InhomogeneousError,
@@ -383,7 +384,7 @@ def test_dim2_witness_triangle():
     trip = saturate(TRI, "p").result
     w = dim2_interior_witness(trip)
     assert w is not None
-    assert trip.newton.contains_strict(w.point)
+    assert ref_contains_strict(trip.newton, w.point)
     assert w.point == (1, 1, 1)
     with pytest.raises(ValueError):
         dim2_interior_witness(TRI)
@@ -440,3 +441,32 @@ def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
     assert [(r.index_i, r.subvol_v) for r in table] == [
         (index_i(A, r.face), subdiagram_volume(A, r.face)) for r in table
     ]
+
+
+def test_saturation_reuses_the_homogeneity_of_a_spanning_configuration(monkeypatch):
+    rng = random.Random(5)
+    # a triangle whose columns do not span the ambient space
+    flat = PointConfiguration.from_columns([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0)])
+    configs = [TRI, OBSTRUCTED, CURVE013, flat, *(random_small_config(rng) for _ in range(20))]
+    calls = []
+    solve = configuration.check_homogeneous
+
+    def counting(cols):
+        calls.append(len(cols))
+        return solve(cols)
+
+    solved = 0
+    for A in configs:
+        A = PointConfiguration.from_columns(A.points, A.labels)
+        spans = A.newton.dim + 1 == A.ambient_dim
+        for mode in ("s", "p", "full"):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(configuration, "check_homogeneous", counting)
+                got = saturate(A, mode)
+            # a rebuild solves for the functional of the result
+            want = PointConfiguration.from_columns(got.result.points, got.result.labels)
+            assert got.result == want and got.result.homogeneity == want.homogeneity
+            assert calls == ([] if spans else [want.size])
+            solved += bool(calls)
+    assert solved == 3

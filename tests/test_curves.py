@@ -169,3 +169,19 @@ def test_beukers_beta_zero():
         for j in range(3):
             assert abs(g1[i][j] - (1 if i == j else 0)) < 1e-12
     assert abs(sum(g3[i][i] for i in range(3)) - 1) < 1e-12  # trace -1+1+1
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [(0, 1.5, 3), (0, Fraction(5, 2), 5), (0, True, 3), (False, 1, 3), (0, "1", 3)],
+)
+def test_non_integer_exponents_are_rejected(exponents):
+    # int() truncated these: (0, 1.5, 3) was read as (0, 1, 3)
+    with pytest.raises(ValueError):
+        MonomialCurveConfig(exponents)
+
+
+def test_integral_exponents_of_other_types_are_integers():
+    cfg = MonomialCurveConfig((0, 1.0, Fraction(3)))
+    assert cfg.exponents == (0, 1, 3)
+    assert all(type(a) is int for a in cfg.exponents)

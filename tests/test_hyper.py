@@ -290,3 +290,25 @@ def test_rank_volume():
         [(1, 0, 0), (1, 3, 0), (1, 0, 3), (1, 1, 0), (1, 0, 2)]
     )
     assert tri.volume == 9
+
+
+@pytest.mark.parametrize("vector", [(1.5, 0, 0), (0, Fraction(1, 2), 0), (0, "x", 1)])
+def test_non_integral_exponent_vectors_are_rejected(vector):
+    # the vector was truncated by int(): (1.5, 0, 0) differentiated by (1, 0, 0)
+    s = gamma_series(C013, BETA, (0, 2), 4)
+    for op in (differentiate, antiderivative, shift_inverse):
+        with pytest.raises(ValueError):
+            op(s, vector)
+    # integral values of other types still act as their integers
+    assert differentiate(s, (1.0, Fraction(0), 0)) == differentiate(s, (1, 0, 0))
+
+
+def test_negative_orders_are_rejected():
+    with pytest.raises(ValueError, match="order must be nonnegative, got -3"):
+        gamma_series(C013, BETA, (0, 2), -3)
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        kernel_ball(toric_kernel_basis(C013), -1)
+    # a rank-0 kernel builds no ball; the order is checked all the same
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        gamma_series(SIMPLEX, (1, Fraction(1, 3), Fraction(1, 3)), (0, 1, 2), -1)
+    assert kernel_ball(toric_kernel_basis(C013), 0) == ((0, 0, 0),)

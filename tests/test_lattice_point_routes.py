@@ -5,7 +5,7 @@ facet constraints against a rebuild per call.
 
 The references below are the earlier routes, kept verbatim up to access
 paths: ``ref_lattice_points_in`` builds every box point and tests it by
-``P._slacks``, one solve in P's chart per point; ``ref_regular_triangulation``
+``ref_slacks`` (the earlier ``P._slacks``), one solve in P's chart per point; ``ref_regular_triangulation``
 picks the lower facets by the last entry of each facet's ambient functional;
 ``ref_is_nonresonant`` builds each codimension-one face's constraint rows and
 image lattice on every call.
@@ -20,6 +20,7 @@ import pytest
 
 from _corpus import random_beta
 from test_chart_routes import OBSTRUCTED, _configs, _point_sets, ref_ambient_functional
+from test_incidence_routes import ref_slacks
 from test_subdiagram_routes import _collinear, _coplanar, _corpus
 from gkzkit.configuration import face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant
@@ -74,7 +75,7 @@ def ref_lattice_points_in(P, L, strict=False, face=None, tight_weakly=False):
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
-        slacks = P._slacks(p)
+        slacks = ref_slacks(P, p)
         if slacks is not None and all(
             (a >= 0 if tight_weakly else a == 0) if t else a > 0 if strict else a >= 0
             for a, t in zip(slacks, through)

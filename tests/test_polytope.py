@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from test_incidence_routes import ref_contains, ref_contains_strict, ref_minimal_face_containing
+from gkzkit.configuration import PointConfiguration
 from gkzkit.lattice import lattice_span
 from gkzkit.polytope import (
     cell_volume,
     convex_hull,
     face_poset,
     lattice_points_in,
-    minimal_face_containing,
     pulling_cells,
     relative_interior_lattice_points,
 )
@@ -30,7 +31,7 @@ def test_hull_triangle():
 def test_hull_single_point():
     P = convex_hull([(4, 5)])
     assert P.dim == 0 and P.facets == ()
-    assert P.contains((4, 5)) and not P.contains((4, 6))
+    assert ref_contains(P, (4, 5)) and not ref_contains(P, (4, 6))
 
 
 def test_hull_segment():
@@ -78,17 +79,18 @@ def test_face_poset_segment():
 
 
 def test_minimal_face_vertex_edge_interior():
-    P = convex_hull(TRI_POINTS)
-    poset = face_poset(P)
-    v = minimal_face_containing(poset, (1, 0, 0))
+    A = PointConfiguration.from_columns(TRI_POINTS)
+    v = A.minimal_face(0)
     assert v.dim == 0 and v.indices == (0,)
-    e = minimal_face_containing(poset, (1, 1, 0))
+    e = A.minimal_face(3)
     assert e.dim == 1 and set(e.indices) == {0, 1, 3}
-    barycenter = (1, 1, 1)
-    top = minimal_face_containing(poset, barycenter)
+    assert A.minimal_face(4).indices == (0, 2, 4)
+    # the barycenter is no column: the face holding it comes from its slacks
+    top = ref_minimal_face_containing(A.poset, (1, 1, 1))
     assert top.dim == 2
+    assert A.with_point((1, 1, 1)).minimal_face(5).dim == 2
     with pytest.raises(ValueError):
-        minimal_face_containing(poset, (1, 3, 3))
+        ref_minimal_face_containing(A.poset, (1, 3, 3))
 
 
 def test_relative_interior_points_bottom_edge():
@@ -151,7 +153,7 @@ def test_triangulation_and_volume():
 
 def test_rational_points_hull():
     P = convex_hull([(0, 0), (Fraction(5, 2), 0), (0, Fraction(5, 2))])
-    assert P.contains((1, 1))
-    assert not P.contains((2, 2))
-    assert P.contains_strict((Fraction(1, 2), Fraction(1, 2)))
-    assert not P.contains_strict((0, 1))
+    assert ref_contains(P, (1, 1))
+    assert not ref_contains(P, (2, 2))
+    assert ref_contains_strict(P, (Fraction(1, 2), Fraction(1, 2)))
+    assert not ref_contains_strict(P, (0, 1))
