@@ -814,9 +814,16 @@ class PlanarWitness:
 
 def dim2_interior_witness(A: PointConfiguration):
     """For a two-dimensional, partially face-saturated configuration, search
-    the vertices of N for one whose two incident edge steps land inside N;
-    returns None exactly when Z_A has no interior points at all (verified by
-    enumeration)."""
+    the vertices of N for one whose two incident edge steps land inside N.
+
+    Returns None when Z_A has no interior points at all (verified by
+    enumeration).  When it has some but no vertex's candidate is an interior
+    point with a certified auxiliary check, it raises AssertionError("...no
+    vertex works").  That happens on p-saturated inputs whose edges carry no
+    relative-interior column, so the edge steps stay coarse.  One is the
+    quadrilateral (0,0), (2,0), (4,4), (1,4) with its seven interior points
+    as columns: the step along (0,0)-(2,0) is (2,0), and every vertex's
+    candidate lands outside N or on its boundary."""
     if A.newton.dim != 2:
         raise ValueError("construction requires a two-dimensional Newton polytope")
     if saturate(A, "p").added_points:

@@ -550,6 +550,8 @@ def extend_solution(
     shift of psi along any kernel vector with k-coordinate l (zero when no
     such vector exists).  The result restricts to psi at y_k = 0.
     """
+    if order_in_yk < 0:
+        raise ValueError(f"order must be nonnegative, got {order_in_yk}")
     beta = tuple(Fraction(b) for b in beta)
     A_k = A.delete(k)
     if psi.config.matrix != A_k.matrix:

@@ -2,15 +2,18 @@
 
 Triangulations are stored as sorted tuples of maximal cells (column index
 tuples) with lattice volumes normalized to the group generated by the
-configuration.  Regularity is always certified by exact rational feasibility
-of the height system, never assumed from the construction.  The heights of
-each certificate also certify the secondary polytope without a hull: they
-single out their triangulation's GKZ vector as the unique minimiser of their
-functional, so it is a vertex.
+configuration.  Regularity is always certified by integer heights whose
+lower hull is exactly the triangulation, checked by exact dot products with
+its folding rows and never assumed from the construction: the enumeration
+finds them on a ray through a flip parent's heights, or by an exact LP when
+the ray misses.  The heights of each certificate also certify the secondary
+polytope without a hull: they single out their triangulation's GKZ vector as
+the unique minimiser of their functional, so it is a vertex.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -48,7 +51,8 @@ class Triangulation:
     cells: tuple  # sorted tuples of column indices, each of size dim+1
     volumes: tuple  # lattice volume of each cell, normalized to Z_A
     # integer heights whose lower hull is exactly these cells: the regularity
-    # certificate kept by the enumeration, None elsewhere
+    # certificate kept by the enumeration (from a ray or the LP, see
+    # ``_certify``), None elsewhere
     heights: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -61,10 +65,21 @@ def config_volume(A: PointConfiguration) -> int:
     return A.volume
 
 
-def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
-    cells = tuple(sorted(tuple(sorted(c)) for c in cells))
-    vols = tuple(int(cell_volume(A.chart_points, c)) for c in cells)
-    if any(v == 0 for v in vols):
+def _sorted_cells(cells) -> tuple:
+    return tuple(sorted(tuple(sorted(c)) for c in cells))
+
+
+def make_triangulation(A: PointConfiguration, cells, volumes=None) -> Triangulation:
+    """The triangulation with these cells; ``volumes``, a dict from sorted
+    cell to lattice volume, memoises the volumes across calls."""
+    cells = _sorted_cells(cells)
+    if volumes is None:
+        volumes = {}
+    for c in cells:
+        if c not in volumes:
+            volumes[c] = int(cell_volume(A.chart_points, c))
+    vols = tuple(volumes[c] for c in cells)
+    if 0 in vols:
         raise ValueError("degenerate cell")
     return Triangulation(cells, vols)
 
@@ -159,12 +174,72 @@ def is_regular(A: PointConfiguration, T: Triangulation):
     return True, tuple(witness)
 
 
+def _ray_heights(rows, w, lam):
+    """Integer heights on the line w + t lam on which every row is negative,
+    or None when the line misses that open cone.
+
+    Row r is negative at w + t lam exactly when (r.w) + t (r.lam) < 0, an open
+    half-line of t (everything or nothing when r.lam = 0), so the steps that
+    pass every row form an open interval, computed exactly.  The step taken
+    is the integer of least absolute value in it, or its midpoint when it
+    holds no integer; t = num/den gives the heights primitive(den w + num lam).
+    """
+    lo = hi = None
+    for r in rows:
+        a, b = dot(r, w), dot(r, lam)
+        if b > 0:
+            if hi is None or Fraction(-a, b) < hi:
+                hi = Fraction(-a, b)
+        elif b < 0:
+            if lo is None or Fraction(-a, b) > lo:
+                lo = Fraction(-a, b)
+        elif a >= 0:
+            return None
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    if lo is not None and lo >= 0:
+        t = Fraction(math.floor(lo) + 1)
+    elif hi is not None and hi <= 0:
+        t = Fraction(math.ceil(hi) - 1)
+    else:
+        t = Fraction(0)
+    if (lo is not None and t <= lo) or (hi is not None and t >= hi):
+        t = (lo + hi) / 2
+    num, den = t.numerator, t.denominator
+    return primitive([den * x + num * y for x, y in zip(w, lam)])
+
+
+def _certify(A: PointConfiguration, T: Triangulation, ray=None):
+    """(True, integer heights whose lower hull is exactly T), or (False, None)
+    when T is not regular.
+
+    ``ray`` = (w, lam) holds the heights w of a certified flip neighbour of T
+    and the dependence lam of the circuit flipped.  The flip crosses the wall
+    lam.w = 0 between the two secondary cones (Gelfand-Kapranov-Zelevinsky
+    1994, ch. 7), so the line w + t lam often passes through T's cone: heights
+    found there are checked against every folding row of T by integer dot
+    products.  Without a ray, or when the line misses the cone, the exact LP
+    of ``is_regular`` decides, so a non-regular T is always rejected by it.
+    """
+    if ray is not None:
+        rows = _folding_rows(A, T)
+        heights = _ray_heights(rows, *ray)
+        if heights is not None:
+            if not all(dot(r, heights) < 0 for r in rows):
+                raise AssertionError(f"ray heights {heights} fail the folding rows of {T.cells}")
+            return True, heights
+    ok, witness = is_regular(A, T)
+    return ok, clear_denominators(witness) if ok else None
+
+
 def _circuits(coords):
-    """Every circuit of the points as (Z+, Z-), in one orientation.
+    """Every circuit of the points as (Z+, Z-, lam), in one orientation.
 
     A circuit is a minimal affinely dependent subset: its homogenised columns
     have a one-dimensional nullspace with full support, whose signs split it.
-    Circuits have at most dim+2 points; two distinct points never do.
+    lam is that dependence as a primitive integer vector over all the points,
+    positive on Z+, negative on Z- and zero elsewhere.  Circuits have at most
+    dim+2 points; two distinct points never do.
     """
     d = len(coords[0])
     out = []
@@ -173,14 +248,16 @@ def _circuits(coords):
             rows = [[1] * k] + [[coords[j][i] for j in Z] for i in range(d)]
             null = rational_nullspace(rows)
             if len(null) == 1 and all(null[0]):
-                lam = null[0]
-                plus = frozenset(z for z, a in zip(Z, lam) if a > 0)
-                out.append((plus, frozenset(Z) - plus))
+                weights = dict(zip(Z, primitive(clear_denominators(null[0]))))
+                lam = tuple(weights.get(j, 0) for j in range(len(coords)))
+                plus = frozenset(z for z in Z if lam[z] > 0)
+                out.append((plus, frozenset(Z) - plus, lam))
     return out
 
 
 def _flips(cells, circuits):
-    """Cell sets one bistellar flip away from the triangulation ``cells``.
+    """(cell set, lam) for each triangulation one bistellar flip away from the
+    triangulation ``cells``, lam the dependence of the circuit flipped.
 
     Circuit Z = (Z+, Z-) is flippable when every rho = Z - {z}, z in Z+, has
     the same nonempty link {sigma - rho : rho <= sigma}; the flip swaps the
@@ -193,14 +270,14 @@ def _flips(cells, circuits):
             for rho in combinations(s, r):
                 rho = frozenset(rho)
                 star.setdefault(rho, set()).add(s - rho)
-    for plus, minus in circuits:
+    for plus, minus, lam in circuits:
         Z = plus | minus
         for old, new in ((plus, minus), (minus, plus)):
             link = star.get(Z - {next(iter(old))})
             if not link or any(star.get(Z - {z}) != link for z in old):
                 continue
             gone = {(Z - {z}) | l for z in old for l in link}
-            yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}
+            yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}, lam
 
 
 def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
@@ -226,16 +303,21 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
 
 @lru_cache(maxsize=SECONDARY_CACHE_SIZE)
 def enumerate_regular_triangulations(A: PointConfiguration):
-    """All regular triangulations, certified one by one by the height LP.
+    """All regular triangulations, each certified by its own integer heights.
 
     Regular triangulations are the vertices of the secondary polytope and its
     edges are flips, so a breadth-first search over flips from one regular
     triangulation reaches all of them (Gelfand-Kapranov-Zelevinsky 1994,
     ch. 7).  The search starts from the pulling triangulation of the Newton
-    polytope, which is regular; it is certified like the others.  Only
-    certified triangulations are expanded; non-regular neighbours are
-    dropped, and each returned triangulation keeps its certificate's heights,
-    scaled to integers.
+    polytope, which is regular; the exact LP certifies it.  Each neighbour
+    queued carries the heights of the certified triangulation that reached it
+    first and the dependence of the circuit flipped: heights on the ray
+    through them certify it when the ray meets its cone, and the LP decides
+    otherwise (see ``_certify``), so non-regular neighbours are always
+    rejected by the LP.  Only certified triangulations are expanded, and each
+    returned one keeps its certificate's heights.  A flip's cells are checked
+    against the triangulations already queued before any volume is computed,
+    and each distinct cell's volume is computed once per search.
 
     A random-height spot check asserts that lower-hull triangulations all
     appear in the enumerated set: each of 20 seeded height draws is matched
@@ -245,25 +327,28 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     """
     if A.size > ENUMERATION_CAP:
         raise BudgetError(f"enumeration capped at {ENUMERATION_CAP} points, got {A.size}")
-    start = make_triangulation(A, pulling_cells(A.poset))
+    volumes = {}
+    start = make_triangulation(A, pulling_cells(A.poset), volumes)
     circuits = _circuits(A.chart_points)
     seen = {start.cells}
-    queue = deque([start])
+    queue = deque([(start, None)])
     certified = []
     while queue:
-        T = queue.popleft()
-        ok, witness = is_regular(A, T)
+        T, ray = queue.popleft()
+        ok, heights = _certify(A, T, ray)
         if not ok:
             continue
-        T = Triangulation(T.cells, T.volumes, clear_denominators(witness))
+        T = Triangulation(T.cells, T.volumes, heights)
         certified.append((gkz_vector(A, T), T, _folding_rows(A, T)))
-        for cells in _flips(frozenset(map(frozenset, T.cells)), circuits):
-            U = make_triangulation(A, cells)
+        for cells, lam in _flips(frozenset(map(frozenset, T.cells)), circuits):
+            cells = _sorted_cells(cells)
+            if cells in seen:
+                continue
+            seen.add(cells)
+            U = make_triangulation(A, cells, volumes)
             if U.total_volume != T.total_volume:
                 raise AssertionError("a flip must keep the covered volume")
-            if U.cells not in seen:
-                seen.add(U.cells)
-                queue.append(U)
+            queue.append((U, (heights, lam)))
     found = {T.cells for _, T, _ in certified}
     if start.cells not in found:
         raise AssertionError("the pulling triangulation that starts the search is not regular")

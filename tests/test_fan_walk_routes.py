@@ -1,0 +1,187 @@
+"""Differential tests: the walk of the secondary fan, which certifies each flip
+neighbour on a ray through its parent's heights and runs the LP only on a
+miss, against the walk that runs the LP on every candidate.
+
+The reference below is the earlier enumeration, kept verbatim but for its
+cache and docstring: every triangulation the search visits is certified by
+the ``is_regular`` LP, and every flip's volumes are computed before the
+search asks whether it has seen the flip.  ``ref_circuits`` and
+``ref_flips`` are the earlier ``_circuits`` and ``_flips``, kept verbatim:
+their circuits carry no dependence and their flips no circuit.
+``test_pulling_routes.py`` builds its lifted-start reference from them.
+"""
+
+import random
+from collections import deque
+from itertools import combinations
+
+from test_secondary_routes import FAMILY
+from test_triangulation_routes import _family, config
+from gkzkit import secondary
+from gkzkit.intlinalg import clear_denominators, dot, rational_nullspace
+from gkzkit.polytope import pulling_cells
+from gkzkit.secondary import (
+    DegenerateHeightsError,
+    Triangulation,
+    _certified_vertices,
+    _folding_rows,
+    _lower_hull,
+    _ray_heights,
+    enumerate_regular_triangulations,
+    gkz_vector,
+    is_regular,
+    make_triangulation,
+    regular_triangulation,
+    secondary_polytope,
+)
+
+
+def ref_circuits(coords):
+    """Every circuit of the points as (Z+, Z-), in one orientation.
+
+    A circuit is a minimal affinely dependent subset: its homogenised columns
+    have a one-dimensional nullspace with full support, whose signs split it.
+    Circuits have at most dim+2 points; two distinct points never do.
+    """
+    d = len(coords[0])
+    out = []
+    for k in range(3, d + 3):
+        for Z in combinations(range(len(coords)), k):
+            rows = [[1] * k] + [[coords[j][i] for j in Z] for i in range(d)]
+            null = rational_nullspace(rows)
+            if len(null) == 1 and all(null[0]):
+                lam = null[0]
+                plus = frozenset(z for z, a in zip(Z, lam) if a > 0)
+                out.append((plus, frozenset(Z) - plus))
+    return out
+
+
+def ref_flips(cells, circuits):
+    """Cell sets one bistellar flip away from the triangulation ``cells``.
+
+    Circuit Z = (Z+, Z-) is flippable when every rho = Z - {z}, z in Z+, has
+    the same nonempty link {sigma - rho : rho <= sigma}; the flip swaps the
+    cells rho + l for (Z - {z}) + l, z in Z-, over the link cells l
+    (De Loera-Rambau-Santos, Triangulations, 2010, sec. 4.4).
+    """
+    star = {}
+    for s in cells:
+        for r in range(2, len(s) + 1):
+            for rho in combinations(s, r):
+                rho = frozenset(rho)
+                star.setdefault(rho, set()).add(s - rho)
+    for plus, minus in circuits:
+        Z = plus | minus
+        for old, new in ((plus, minus), (minus, plus)):
+            link = star.get(Z - {next(iter(old))})
+            if not link or any(star.get(Z - {z}) != link for z in old):
+                continue
+            gone = {(Z - {z}) | l for z in old for l in link}
+            yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}
+
+
+def enumerate_lp_ref(A):
+    """The earlier enumeration: one exact LP per candidate."""
+    start = make_triangulation(A, pulling_cells(A.poset))
+    circuits = ref_circuits(A.chart_points)
+    seen = {start.cells}
+    queue = deque([start])
+    certified = []
+    while queue:
+        T = queue.popleft()
+        ok, witness = is_regular(A, T)
+        if not ok:
+            continue
+        T = Triangulation(T.cells, T.volumes, clear_denominators(witness))
+        certified.append((gkz_vector(A, T), T, _folding_rows(A, T)))
+        for cells in ref_flips(frozenset(map(frozenset, T.cells)), circuits):
+            U = make_triangulation(A, cells)
+            if U.total_volume != T.total_volume:
+                raise AssertionError("a flip must keep the covered volume")
+            if U.cells not in seen:
+                seen.add(U.cells)
+                queue.append(U)
+    found = {T.cells for _, T, _ in certified}
+    if start.cells not in found:
+        raise AssertionError("the pulling triangulation that starts the search is not regular")
+    rng = random.Random(20240 + A.size)
+    generic = False
+    for _ in range(20):
+        heights = [rng.randrange(-10**6, 10**6) for _ in range(A.size)]
+        try:
+            T = _lower_hull(A, certified, heights)
+        except DegenerateHeightsError:
+            continue
+        generic = True
+        if T.cells not in found:
+            raise AssertionError("random lower-hull triangulation missing from enumeration")
+    if not generic:
+        raise DegenerateHeightsError("no generic heights among 20 random draws")
+    return tuple(sorted((T for _, T, _ in certified), key=lambda T: T.cells))
+
+
+# The 9-point segment, the 3x3 grid and the unit cube, with their numbers of
+# regular triangulations (De Loera-Rambau-Santos, Triangulations, 2010).
+LARGE = (
+    (config([(a,) for a in range(9)]), 128),
+    (config([(x, y) for x in range(3) for y in range(3)]), 387),
+    (config([(x, y, z) for x in range(2) for y in range(2) for z in range(2)]), 74),
+)
+
+
+def test_fan_walk_matches_the_lp_per_candidate_walk():
+    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE)):
+        got = enumerate_regular_triangulations(A)
+        expect = enumerate_lp_ref(A)
+        assert [(T.cells, T.volumes) for T in got] == [
+            (T.cells, T.volumes) for T in expect
+        ], A.points
+        ref = _certified_vertices([gkz_vector(A, T) for T in expect], [T.heights for T in expect])
+        S = secondary_polytope(A)
+        assert (S.vertices, S.dim) == (ref.vertices, ref.dim), A.points
+        for T, R in zip(got, expect):
+            assert all(dot(r, T.heights) < 0 for r in _folding_rows(A, R)), (A.points, T)
+    for A, count in LARGE:
+        assert len(enumerate_regular_triangulations(A)) == count
+
+
+def test_witnesses_are_the_lifted_hulls_heights():
+    # an oracle apart from the folding rows: the lower hull of each witness
+    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE)):
+        for T in enumerate_regular_triangulations(A):
+            assert regular_triangulation(A, T.heights) == T, (A.points, T)
+
+
+def test_rays_certify_most_neighbours(monkeypatch):
+    lp = []
+
+    def counted(A, T):
+        result = is_regular(A, T)
+        lp.append(result[0])
+        return result
+
+    monkeypatch.setattr(secondary, "is_regular", counted)
+    for A, count in LARGE:
+        lp.clear()
+        assert len(enumerate_regular_triangulations.__wrapped__(A)) == count
+        # the start and the misses: every one of these configurations has
+        # only regular triangulations, so every LP certifies
+        assert all(lp) and 1 <= len(lp) < count / 2, (A.points, len(lp))
+
+
+def test_ray_steps_inside_the_open_interval():
+    w, lam = (1, 0), (0, 1)
+    # 1 - 3t < 0 and -2 + 3t < 0: t in (1/3, 2/3) holds no integer, so the
+    # midpoint 1/2 gives 2w + lam
+    assert _ray_heights([(1, -3), (-2, 3)], w, lam) == (2, 1)
+    # 1 - 3t < 0 alone: the least integer past 1/3
+    assert _ray_heights([(1, -3)], w, lam) == (1, 1)
+    # 1 + 3t < 0: t < -1/3, on the other side of w
+    assert _ray_heights([(1, 3)], w, lam) == (1, -1)
+    # t in (1, 2) on one row pair, and the integer steps of the ends rejected
+    assert _ray_heights([(1, -1), (-2, 1)], w, lam) == (2, 3)
+    # empty intervals: t > 2/3 and t < 1/3, and a row that no step moves
+    assert _ray_heights([(2, -3), (-1, 3)], w, lam) is None
+    assert _ray_heights([(1, 0), (-2, 3)], w, lam) is None
+    # every row negative at w: no step
+    assert _ray_heights([(-1, 0), (-1, 1)], w, lam) == (1, 0)

@@ -311,4 +311,10 @@ def test_negative_orders_are_rejected():
     # a rank-0 kernel builds no ball; the order is checked all the same
     with pytest.raises(ValueError, match="order must be nonnegative"):
         gamma_series(SIMPLEX, (1, Fraction(1, 3), Fraction(1, 3)), (0, 1, 2), -1)
+    # the extension gave a series with an empty region, which passed the
+    # annihilation check
+    psi = gamma_series(C013, BETA, (0, 2), 8)
+    with pytest.raises(ValueError, match="order must be nonnegative, got -2"):
+        extend_solution(psi, C0123, 2, BETA, -2)
+    assert extend_solution(psi, C0123, 2, BETA, 0).region
     assert kernel_ball(toric_kernel_basis(C013), 0) == ((0, 0, 0),)

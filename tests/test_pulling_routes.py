@@ -4,7 +4,9 @@ routes that rebuilt it.
 The references below are the earlier routes, kept verbatim up to access
 paths: the pulling triangulation that hulls every facet again, the volume
 over it, the volume chart as Z_A cut to the direction space of N, and the
-enumeration started from the lower hull of the first generic random lift.
+enumeration started from the lower hull of the first generic random lift,
+with the earlier circuits and flips of ``test_fan_walk_routes.py`` and one
+LP per candidate.
 """
 
 import random
@@ -12,17 +14,16 @@ from collections import deque
 from fractions import Fraction
 
 from test_chart_routes import ref_ambient_functional
+from test_fan_walk_routes import ref_circuits, ref_flips
 from test_hnf_routes import ref_intersect_subspace
 from test_secondary_routes import FAMILY
 from gkzkit.configuration import PointConfiguration
-from gkzkit.intlinalg import clear_denominators, det_fraction, vsub
+from gkzkit.intlinalg import clear_denominators, det_fraction, dot, vsub
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
 from gkzkit.secondary import (
     SPOT_DENOMINATOR,
     DegenerateHeightsError,
     Triangulation,
-    _circuits,
-    _flips,
     _folding_rows,
     _lower_hull,
     enumerate_regular_triangulations,
@@ -137,7 +138,7 @@ def enumerate_ref(A):
             continue
     else:
         raise DegenerateHeightsError("no generic heights among 20 random draws")
-    circuits = _circuits(volume_chart(A)[1])
+    circuits = ref_circuits(volume_chart(A)[1])
     seen = {start.cells}
     queue = deque([start])
     certified = []
@@ -148,7 +149,7 @@ def enumerate_ref(A):
             continue
         T = Triangulation(T.cells, T.volumes, clear_denominators(witness))
         certified.append((gkz_vector(A, T), T, _folding_rows(A, T)))
-        for cells in _flips(frozenset(map(frozenset, T.cells)), circuits):
+        for cells in ref_flips(frozenset(map(frozenset, T.cells)), circuits):
             U = make_triangulation_ref(A, cells)
             if U.total_volume != T.total_volume:
                 raise AssertionError("a flip must keep the covered volume")
@@ -267,6 +268,9 @@ def test_enumeration_matches_the_lifted_start():
     for A in FAMILY:
         got = enumerate_regular_triangulations(A)
         expect = enumerate_ref(A)
-        assert [(T.cells, T.volumes, T.heights) for T in got] == [
-            (T.cells, T.volumes, T.heights) for T in expect
+        assert [(T.cells, T.volumes) for T in got] == [
+            (T.cells, T.volumes) for T in expect
         ], A.points
+        # the witnesses differ: each must pass the reference's folding rows
+        for T, R in zip(got, expect):
+            assert all(dot(r, T.heights) < 0 for r in _folding_rows(A, R)), (A.points, T)

@@ -14,6 +14,7 @@ from gkzkit.configuration import PointConfiguration
 from gkzkit.lp import lp_feasible_strict
 from gkzkit.polytope import cell_volume
 from gkzkit.secondary import (
+    _certify,
     config_volume,
     enumerate_regular_triangulations,
     is_regular,
@@ -141,16 +142,26 @@ def test_flips_match_cover_enumeration():
 def test_mother_of_all_examples(monkeypatch):
     A = config(MOTHER)
     verdicts = []
+    lp_verdicts = []
 
-    def counted(A, T):
-        result = is_regular(A, T)
+    def counted(A, T, ray=None):
+        result = _certify(A, T, ray)
         verdicts.append(result[0])
         return result
 
-    monkeypatch.setattr(secondary, "is_regular", counted)
+    def counted_lp(A, T):
+        result = is_regular(A, T)
+        lp_verdicts.append(result[0])
+        return result
+
+    monkeypatch.setattr(secondary, "_certify", counted)
+    monkeypatch.setattr(secondary, "is_regular", counted_lp)
     tris = enumerate_regular_triangulations.__wrapped__(A)
     assert len(tris) == 16
     assert len(verdicts) == 18 and verdicts.count(False) == 2
+    # the LP certifies the start and makes both rejections; rays certify
+    # the other 15
+    assert sorted(lp_verdicts) == [False, False, True]
     monkeypatch.undo()
     for T in tris:
         assert is_regular(A, T)[0]
@@ -162,11 +173,11 @@ def test_enumeration_runs_once_per_configuration(monkeypatch):
     A = config(CATALOG[1], [f"once{i}" for i in range(5)])
     calls = []
 
-    def counted(A, T):
+    def counted(A, T, ray=None):
         calls.append(T)
-        return is_regular(A, T)
+        return _certify(A, T, ray)
 
-    monkeypatch.setattr(secondary, "is_regular", counted)
+    monkeypatch.setattr(secondary, "_certify", counted)
     secondary_polytope(A)
     first = len(calls)
     assert first >= 5
