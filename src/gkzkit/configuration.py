@@ -31,7 +31,6 @@ from .intlinalg import (
     dot,
     integer_orthogonal_complement,
     primitive,
-    rational_rank,
     solve_rational,
     vsub,
 )
@@ -581,18 +580,13 @@ def is_lattice_redundant(A: PointConfiguration, i: int) -> RedundancyReport:
     return RedundancyReport(ok, reason, tuple(per_face))
 
 
-def _is_pyramid(points) -> bool:
-    """A configuration is a pyramid if deleting some point drops its affine dimension."""
-    pts = [tuple(p) for p in points]
-    if len(pts) < 2:
-        return False
-    full = rational_rank([vsub(p, pts[0]) for p in pts[1:]])
-    for skip in range(len(pts)):
-        rest = [p for j, p in enumerate(pts) if j != skip]
-        r = rational_rank([vsub(p, rest[0]) for p in rest[1:]]) if len(rest) > 1 else 0
-        if r < full:
-            return True
-    return False
+def _is_pyramid(A: PointConfiguration, face: Face) -> bool:
+    """A configuration is a pyramid if deleting some point drops its affine
+    dimension.  The face's points are one exactly when a proper face of it
+    holds all of them but one: the others then span a hyperplane of the
+    face's hull that the last point is off, so they fill a facet of the face.
+    """
+    return any(len(f.indices) == len(face.indices) - 1 for f in A.poset.subfaces(face))
 
 
 # -- saturation ----------------------------------------------------------------
@@ -659,13 +653,13 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
         return AuxCertificate(False, k, a, (f"column {k} is not lattice redundant: {red.reason}",))
     # the deletion argument needs every discriminant factor involving the
     # deleted coordinate to involve the auxiliary one: every face through k
-    # must contain a (equivalently a lies on the minimal face of k)
-    for face in A.poset.faces:
-        if k in face.indices and a not in face.indices:
-            return AuxCertificate(
-                False, k, a,
-                (f"face {face.indices} contains the deleted point but not the auxiliary",),
-            )
+    # must contain a, i.e. the minimal face of k must
+    face = A.minimal_face(k)
+    if a not in face.indices:
+        return AuxCertificate(
+            False, k, a,
+            (f"face {face.indices} contains the deleted point but not the auxiliary",),
+        )
     A_k = A.delete(k)
     checks = []
     # high-dimensional faces have low quotient rank and are cheap to settle;
@@ -691,7 +685,7 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
                 FaceCheck(face.indices, "multiplicity", f"m = {m_with} on both sides")
             )
             continue
-        if _is_pyramid(A.face_points(face)):
+        if _is_pyramid(A, face):
             checks.append(
                 FaceCheck(face.indices, "pyramid", "face configuration is a pyramid, hence defective")
             )

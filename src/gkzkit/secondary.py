@@ -6,9 +6,10 @@ configuration.  Regularity is always certified by integer heights whose
 lower hull is exactly the triangulation, checked by exact dot products with
 its folding rows and never assumed from the construction: the enumeration
 finds them on a ray through a flip parent's heights, or by an exact LP when
-the ray misses.  The heights of each certificate also certify the secondary
-polytope without a hull: they single out their triangulation's GKZ vector as
-the unique minimiser of their functional, so it is a vertex.
+the ray misses.  The supports of the same folding rows are the circuits the
+walk flips along.  The heights of each certificate also certify the
+secondary polytope without a hull: they single out their triangulation's
+GKZ vector as the unique minimiser of their functional, so it is a vertex.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .intlinalg import (
     clear_denominators,
     dot,
     primitive,
-    rational_nullspace,
     rational_rank,
     vsub,
 )
@@ -116,7 +116,7 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
                 f"lower cell {cell} is not a simplex; perturb the heights"
             )
     T = make_triangulation(A, cells)
-    if T.total_volume != config_volume(A):
+    if T.total_volume != A.volume:
         raise AssertionError("lower hull cells must cover the polytope")
     return T
 
@@ -139,7 +139,8 @@ def _folding_rows(A: PointConfiguration, T: Triangulation):
     r . w < 0 says that p lifts strictly above the plane through the lifted
     cell, so heights w have lower hull exactly T iff every row is negative on
     w.  The last result is cached: the enumeration reuses the rows that
-    ``is_regular`` just built.
+    ``_certify`` or ``is_regular`` just built, for the spot check and for the
+    circuits that ``_flips`` tries.
     """
     coords = A.chart_points
     rows = []
@@ -232,30 +233,7 @@ def _certify(A: PointConfiguration, T: Triangulation, ray=None):
     return ok, clear_denominators(witness) if ok else None
 
 
-def _circuits(coords):
-    """Every circuit of the points as (Z+, Z-, lam), in one orientation.
-
-    A circuit is a minimal affinely dependent subset: its homogenised columns
-    have a one-dimensional nullspace with full support, whose signs split it.
-    lam is that dependence as a primitive integer vector over all the points,
-    positive on Z+, negative on Z- and zero elsewhere.  Circuits have at most
-    dim+2 points; two distinct points never do.
-    """
-    d = len(coords[0])
-    out = []
-    for k in range(3, d + 3):
-        for Z in combinations(range(len(coords)), k):
-            rows = [[1] * k] + [[coords[j][i] for j in Z] for i in range(d)]
-            null = rational_nullspace(rows)
-            if len(null) == 1 and all(null[0]):
-                weights = dict(zip(Z, primitive(clear_denominators(null[0]))))
-                lam = tuple(weights.get(j, 0) for j in range(len(coords)))
-                plus = frozenset(z for z in Z if lam[z] > 0)
-                out.append((plus, frozenset(Z) - plus, lam))
-    return out
-
-
-def _flips(cells, circuits):
+def _flips(cells, rows):
     """(cell set, lam) for each triangulation one bistellar flip away from the
     triangulation ``cells``, lam the dependence of the circuit flipped.
 
@@ -263,16 +241,27 @@ def _flips(cells, circuits):
     the same nonempty link {sigma - rho : rho <= sigma}; the flip swaps the
     cells rho + l for (Z - {z}) + l, z in Z-, over the link cells l
     (De Loera-Rambau-Santos, Triangulations, 2010, sec. 4.4).
+
+    The circuits tried are the supports of the triangulation's folding
+    ``rows``, each once, by (size, indices).  If the cells hold (Z - {z}) + l
+    for z in Z+, the row of that cell and z is the dependence of Z + l, whose
+    one circuit is Z, so every flippable circuit is a support and its row is
+    lam up to sign.  The sign does not matter: cells of a triangulation meet
+    in common faces, so it holds the cells of at most one side of Z.
     """
+    circuits = {}
+    for row in rows:
+        circuits.setdefault(tuple(j for j, a in enumerate(row) if a), row)
     star = {}
     for s in cells:
         for r in range(2, len(s) + 1):
             for rho in combinations(s, r):
                 rho = frozenset(rho)
                 star.setdefault(rho, set()).add(s - rho)
-    for plus, minus, lam in circuits:
-        Z = plus | minus
-        for old, new in ((plus, minus), (minus, plus)):
+    for Z, lam in sorted(circuits.items(), key=lambda c: (len(c[0]), c[0])):
+        plus = frozenset(z for z in Z if lam[z] > 0)
+        Z = frozenset(Z)
+        for old, new in ((plus, Z - plus), (Z - plus, plus)):
             link = star.get(Z - {next(iter(old))})
             if not link or any(star.get(Z - {z}) != link for z in old):
                 continue
@@ -288,7 +277,7 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
     If every folding row of a certified T is negative on the heights, their
     lower hull is T: each lifted cell lies on a supporting hyperplane with
     every other lifted point strictly above it, so it is a lower facet with no
-    other point on it, and the cells already cover ``config_volume``, which
+    other point on it, and the cells already cover ``A.volume``, which
     leaves no room for another lower facet.  Only one T can pass: the one
     whose GKZ vector minimises the heights' functional (Gelfand-Kapranov-
     Zelevinsky 1994, ch. 7), so that is the one tested.  Heights that no
@@ -311,13 +300,14 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     ch. 7).  The search starts from the pulling triangulation of the Newton
     polytope, which is regular; the exact LP certifies it.  Each neighbour
     queued carries the heights of the certified triangulation that reached it
-    first and the dependence of the circuit flipped: heights on the ray
-    through them certify it when the ray meets its cone, and the LP decides
-    otherwise (see ``_certify``), so non-regular neighbours are always
-    rejected by the LP.  Only certified triangulations are expanded, and each
-    returned one keeps its certificate's heights.  A flip's cells are checked
-    against the triangulations already queued before any volume is computed,
-    and each distinct cell's volume is computed once per search.
+    first and the dependence of the circuit flipped, one of that
+    triangulation's folding rows (see ``_flips``): heights on the ray through
+    them certify it when the ray meets its cone, and the LP decides otherwise
+    (see ``_certify``), so non-regular neighbours are always rejected by the
+    LP.  Only certified triangulations are expanded, and each returned one
+    keeps its certificate's heights.  A flip's cells are checked against the
+    triangulations already queued before any volume is computed, and each
+    distinct cell's volume is computed once per search.
 
     A random-height spot check asserts that lower-hull triangulations all
     appear in the enumerated set: each of 20 seeded height draws is matched
@@ -329,7 +319,6 @@ def enumerate_regular_triangulations(A: PointConfiguration):
         raise BudgetError(f"enumeration capped at {ENUMERATION_CAP} points, got {A.size}")
     volumes = {}
     start = make_triangulation(A, pulling_cells(A.poset), volumes)
-    circuits = _circuits(A.chart_points)
     seen = {start.cells}
     queue = deque([(start, None)])
     certified = []
@@ -339,8 +328,9 @@ def enumerate_regular_triangulations(A: PointConfiguration):
         if not ok:
             continue
         T = Triangulation(T.cells, T.volumes, heights)
-        certified.append((gkz_vector(A, T), T, _folding_rows(A, T)))
-        for cells, lam in _flips(frozenset(map(frozenset, T.cells)), circuits):
+        rows = _folding_rows(A, T)
+        certified.append((gkz_vector(A, T), T, rows))
+        for cells, lam in _flips(frozenset(map(frozenset, T.cells)), rows):
             cells = _sorted_cells(cells)
             if cells in seen:
                 continue

@@ -80,6 +80,37 @@ def test_aux_check_rejection_exit_code():
     assert out["result"]["accepted"] is False
 
 
+def test_aux_check_names_the_face_that_misses_the_auxiliary():
+    # column 2 lies inside the edge (0, 1, 2, 3), which misses column 4
+    payload = {"matrix": [[1, 0, 0], [1, 1, 0], [1, 2, 0], [1, 3, 0], [1, 0, 3]]}
+    code, out, _ = run_cli(["aux-check", "--k", "2", "--a", "4"], payload)
+    assert code == 1
+    assert out["result"]["reasons"] == [
+        "face (0, 1, 2, 3) contains the deleted point but not the auxiliary"
+    ]
+
+
+def test_aux_check_pyramid_route():
+    # the multiplicity of the edge (1, 4) changes with column 3 deleted, and
+    # its two points make it a pyramid
+    payload = {"matrix": [[1, 0, 1], [1, 0, 3], [1, 2, 0], [1, 2, 3], [1, 3, 4], [1, 4, 3]]}
+    code, out, _ = run_cli(["aux-check", "--k", "3", "--a", "1"], payload)
+    assert code == 0 and out["result"]["accepted"] is True
+    routes = {tuple(r["face"]): r["route"] for r in out["result"]["reasons"]}
+    assert routes == {
+        (0, 1, 2, 3, 4, 5): "top",
+        (0, 1): "multiplicity",
+        (1, 4): "pyramid",
+        (1,): "multiplicity",
+    }
+
+
+def test_enumeration_cap_is_a_budget_error():
+    code, out, err = run_cli(["secondary"], {"matrix": [[1, i] for i in range(13)]})
+    assert code == 3 and out is None
+    assert err == "budget exceeded: enumeration capped at 12 points, got 13\n"
+
+
 def test_reduce_and_series_and_secondary():
     code, out, _ = run_cli(["reduce", "--mode", "p"], TRI)
     assert code == 0 and out["result"]["complete"] is True

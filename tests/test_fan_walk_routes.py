@@ -3,27 +3,34 @@ neighbour on a ray through its parent's heights and runs the LP only on a
 miss, against the walk that runs the LP on every candidate.
 
 The reference below is the earlier enumeration, kept verbatim but for its
-cache and docstring: every triangulation the search visits is certified by
-the ``is_regular`` LP, and every flip's volumes are computed before the
-search asks whether it has seen the flip.  ``ref_circuits`` and
+docstring, and cached so that two tests share its runs: every triangulation
+the search visits is certified by the ``is_regular`` LP, and every flip's
+volumes are computed before the search asks whether it has seen the flip.  ``ref_circuits`` and
 ``ref_flips`` are the earlier ``_circuits`` and ``_flips``, kept verbatim:
 their circuits carry no dependence and their flips no circuit.
 ``test_pulling_routes.py`` builds its lifted-start reference from them.
+They are also the reference of the walk's flips, which take their circuits
+from the supports of each triangulation's folding rows instead of scanning
+every point subset; ``ref_dependence`` is the dependence the earlier
+``_circuits`` attached to a circuit.
 """
 
 import random
 from collections import deque
+from functools import cache
 from itertools import combinations
 
+from _corpus import MOTHER
 from test_secondary_routes import FAMILY
 from test_triangulation_routes import _family, config
 from gkzkit import secondary
-from gkzkit.intlinalg import clear_denominators, dot, rational_nullspace
+from gkzkit.intlinalg import clear_denominators, dot, primitive, rational_nullspace
 from gkzkit.polytope import pulling_cells
 from gkzkit.secondary import (
     DegenerateHeightsError,
     Triangulation,
     _certified_vertices,
+    _flips,
     _folding_rows,
     _lower_hull,
     _ray_heights,
@@ -56,6 +63,16 @@ def ref_circuits(coords):
     return out
 
 
+def ref_dependence(coords, Z):
+    """The primitive integer affine dependence of the points Z, over all the
+    points, from the one-dimensional nullspace of their homogenised columns."""
+    rows = [[1] * len(Z)] + [[coords[j][i] for j in Z] for i in range(len(coords[0]))]
+    null = rational_nullspace(rows)
+    assert len(null) == 1 and all(null[0]), Z
+    weights = dict(zip(Z, primitive(clear_denominators(null[0]))))
+    return tuple(weights.get(j, 0) for j in range(len(coords)))
+
+
 def ref_flips(cells, circuits):
     """Cell sets one bistellar flip away from the triangulation ``cells``.
 
@@ -80,6 +97,7 @@ def ref_flips(cells, circuits):
             yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}
 
 
+@cache
 def enumerate_lp_ref(A):
     """The earlier enumeration: one exact LP per candidate."""
     start = make_triangulation(A, pulling_cells(A.poset))
@@ -185,3 +203,27 @@ def test_ray_steps_inside_the_open_interval():
     assert _ray_heights([(1, 0), (-2, 3)], w, lam) is None
     # every row negative at w: no step
     assert _ray_heights([(-1, 0), (-1, 1)], w, lam) == (1, 0)
+
+
+def test_flips_read_off_the_folding_rows_match_the_circuit_scan():
+    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE), config(MOTHER)):
+        coords = A.chart_points
+        circuits = ref_circuits(coords)
+        # the reference walk's triangulations, so that a flip the rows miss
+        # fails here rather than in the walk's own checks
+        for T in enumerate_lp_ref(A):
+            cells = frozenset(map(frozenset, T.cells))
+            got = list(_flips(cells, _folding_rows(A, T)))
+            # the circuit each reference flip swaps along
+            expect = {}
+            for plus, minus in circuits:
+                for flip in ref_flips(cells, [(plus, minus)]):
+                    assert flip not in expect, (A.points, T.cells)
+                    expect[flip] = tuple(sorted(plus | minus))
+            # the same flips in the same order, so the walk queues the same
+            # neighbours as the scan of every point subset did
+            assert [flip for flip, _ in got] == list(ref_flips(cells, circuits)), T.cells
+            for flip, lam in got:
+                Z = expect[flip]
+                ref = ref_dependence(coords, Z)
+                assert lam in (ref, tuple(-a for a in ref)), (A.points, T.cells, Z)

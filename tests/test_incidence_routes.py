@@ -1,7 +1,9 @@
 """Differential tests: each column's minimal face, read off the hull's facet
-incidences, against a solve in the chart per column; and the planar interior
+incidences, against a solve in the chart per column; the planar interior
 witness, whose candidates are looked up among the enumerated interior points,
-against the same search testing each candidate by its slacks.
+against the same search testing each candidate by its slacks; and the two
+face questions of ``check_aux_point``, read off the face poset, against the
+scans they replace.
 
 The references below are the earlier routes, kept verbatim up to access
 paths: ``ref_slacks``, ``ref_contains`` and ``ref_contains_strict`` are the
@@ -12,6 +14,10 @@ product per facet; ``ref_minimal_face_containing`` is the earlier
 earlier ``configuration.dim2_interior_witness``.  The library no longer calls
 any of them; ``test_polytope.py``, ``test_configuration.py`` and
 ``test_lattice_point_routes.py`` test membership through them.
+``ref_is_pyramid`` is the earlier ``configuration._is_pyramid``, one
+``rational_rank`` per point, and ``ref_uncovering_face`` the earlier scan of
+``check_aux_point`` for a face through the deleted column that misses the
+auxiliary one.
 """
 
 import random
@@ -24,12 +30,14 @@ from test_subdiagram_routes import _collinear, _coplanar, _corpus
 from gkzkit.configuration import (
     PlanarWitness,
     PointConfiguration,
+    _is_pyramid,
     check_aux_point,
     dim2_interior_witness,
     face_lattice,
+    is_lattice_redundant,
     saturate,
 )
-from gkzkit.intlinalg import dot, vsub
+from gkzkit.intlinalg import dot, rational_rank, vsub
 from gkzkit.lattice import hnf_solve
 from gkzkit.polytope import lattice_points_in
 
@@ -110,6 +118,32 @@ def ref_dim2_interior_witness(A: PointConfiguration):
                 return witness
     if interior:
         raise AssertionError("interior lattice points exist but no vertex works")
+    return None
+
+
+# -- the face scans of check_aux_point -------------------------------------------------
+
+
+def ref_is_pyramid(points) -> bool:
+    """A configuration is a pyramid if deleting some point drops its affine dimension."""
+    pts = [tuple(p) for p in points]
+    if len(pts) < 2:
+        return False
+    full = rational_rank([vsub(p, pts[0]) for p in pts[1:]])
+    for skip in range(len(pts)):
+        rest = [p for j, p in enumerate(pts) if j != skip]
+        r = rational_rank([vsub(p, rest[0]) for p in rest[1:]]) if len(rest) > 1 else 0
+        if r < full:
+            return True
+    return False
+
+
+def ref_uncovering_face(A, k, a):
+    """The first face, by (dim, indices), that holds column k but not column
+    a, or None when every face through k holds a."""
+    for face in A.poset.faces:
+        if k in face.indices and a not in face.indices:
+            return face
     return None
 
 
@@ -213,3 +247,39 @@ def test_planar_witnesses_match_the_slack_route():
             found += 1
             assert ref_contains_strict(A.newton, got[1].point)
     assert found >= 30 and nones >= 1, (found, nones)
+
+
+def test_pyramids_are_read_off_the_face_poset():
+    counts = [0, 0]
+    for A in [*_incidence_configs(23, 300), *_route_corpora()]:
+        for face in A.poset.faces:
+            expect = ref_is_pyramid(A.face_points(face))
+            assert _is_pyramid(A, face) == expect, (A.points, face.indices)
+            counts[expect] += 1
+    assert min(counts) >= 500, counts
+
+
+def test_aux_rejections_name_the_minimal_face():
+    # every face through k holds a iff k's minimal face does, and the first
+    # face by (dim, indices) that misses a is that minimal face; the library
+    # states the rejection only for a lattice-redundant k
+    configs = _incidence_configs(29, 200)
+    rejected = stated = 0
+    for A in [*configs, *(saturate(A, "s").result for A in configs[:100]), OBSTRUCTED]:
+        for k in range(A.size):
+            redundant = bool(is_lattice_redundant(A, k))
+            for a in range(A.size):
+                if a == k:
+                    continue
+                face = ref_uncovering_face(A, k, a)
+                if face is None:
+                    assert a in A.minimal_face(k).indices, (A.points, k, a)
+                    continue
+                assert face is A.minimal_face(k), (A.points, k, a)
+                rejected += 1
+                if redundant:
+                    cert = check_aux_point(A, k, a)
+                    text = f"face {face.indices} contains the deleted point but not the auxiliary"
+                    assert not cert and cert.reasons == (text,), (A.points, k, a)
+                    stated += 1
+    assert rejected >= 5000 and stated >= 80, (rejected, stated)

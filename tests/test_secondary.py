@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.configuration import PointConfiguration, saturate
+from gkzkit.polytope import BudgetError
 from gkzkit.secondary import (
     DegenerateHeightsError,
     check_facet_restriction,
@@ -161,3 +162,8 @@ def test_rank_volume_triangle():
     # volume is invariant under saturation
     assert config_volume(saturate(tri, "s").result) == 9
     assert config_volume(saturate(tri, "full").result) == 9
+
+
+def test_enumeration_is_capped_at_twelve_points():
+    with pytest.raises(BudgetError, match=r"^enumeration capped at 12 points, got 13$"):
+        enumerate_regular_triangulations(curve(range(13)))
