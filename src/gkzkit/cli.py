@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +32,6 @@ from . import __version__
 from .configuration import (
     PointConfiguration,
     check_aux_point,
-    face_lattice,
     is_lattice_redundant,
     multiplicity,
     reduction_chain,
@@ -85,6 +85,13 @@ def parse_frac(s) -> Fraction:
         raise InputError(f"bad rational {s!r}") from exc
 
 
+def _finite(token):
+    """A JSON float; NaN, Infinity and overflows would not echo as standard JSON."""
+    if not math.isfinite(x := float(token)):
+        raise InputError(f"non-finite number {token}")
+    return x
+
+
 def _load_payload(path: str | None):
     try:
         if path and path != "-":
@@ -94,7 +101,7 @@ def _load_payload(path: str | None):
             raw = sys.stdin.read()
         if not raw.strip():
             return {}
-        data = json.loads(raw)
+        data = json.loads(raw, parse_constant=_finite, parse_float=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input: {exc}") from exc
     if not isinstance(data, dict):
@@ -126,7 +133,7 @@ def _config_from(data) -> PointConfiguration:
         raise InputError(f"matrix columns must have equal lengths, got {lengths}")
     labels = data.get("labels")
     if labels is not None and (
-        not isinstance(labels, list) or any(isinstance(l, (list, dict)) for l in labels)
+        not isinstance(labels, list) or any(type(l) not in (str, int, float) for l in labels)
     ):
         raise InputError("'labels' must be a list of strings or numbers")
     try:
@@ -189,17 +196,15 @@ def _series_json(s):
 
 def _run_faces(data, args):
     A = _config_from(data)
-    faces = []
-    for f in A.poset.faces:
-        L = face_lattice(A, f)
-        faces.append(
-            {
-                "dim": f.dim,
-                "points": [_point(A.points[i]) for i in f.indices],
-                "labels": [A.labels[i] for i in f.indices],
-                "lattice_rank": L.rank,
-            }
-        )
+    faces = [
+        {
+            "dim": f.dim,
+            "points": [_point(A.points[i]) for i in f.indices],
+            "labels": [A.labels[i] for i in f.indices],
+            "lattice_rank": f.dim,  # a face's points span its affine hull
+        }
+        for f in A.poset.faces
+    ]
     return {"faces": faces, "newton_dim": A.newton.dim}, EXIT_OK
 
 

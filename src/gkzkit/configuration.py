@@ -257,11 +257,6 @@ def face_lattice(A: PointConfiguration, face: Face) -> AffineLattice:
     return lattice_span(A.face_points(face), "affine")
 
 
-def face_group(A: PointConfiguration, face: Face) -> Lattice:
-    """Group generated by the configuration points on the face."""
-    return lattice_span(A.face_points(face), "linear")
-
-
 def _face_hnf(A: PointConfiguration, face: Face):
     """(L, tail): the s columns of L and the last r - s columns of U, where
     X U = [L | 0] is the column HNF of the m x r matrix X of the face points'
@@ -645,6 +640,8 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     each face through a the multiplicity is unchanged by the deletion (shown
     by group membership of the deleted point, by exact multiplicity
     comparison, or by the pyramid sufficient condition for defectiveness).
+    Membership reads the redundancy check made first: k lies in the group of
+    a face's other points iff on it (off it, h(k) = 1 keeps k off its span).
     """
     if k == a or not (0 <= k < A.size and 0 <= a < A.size):
         raise IndexError("need two distinct valid column indices")
@@ -671,15 +668,14 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
         if face.supporting is None:
             checks.append(FaceCheck(face.indices, "top", "m(A, N) = 1 always"))
             continue
-        group_without = face_group(A_k, _matching_face(A_k, A, face))
-        if A.points[k] in group_without:
+        if k in face.indices:
             checks.append(
                 FaceCheck(face.indices, "lattice-membership",
                           "deleted point lies in the group of the remaining face points")
             )
             continue
         m_with = multiplicity(A, face).mult_m
-        m_without = multiplicity(A_k, _matching_face(A_k, A, face)).mult_m
+        m_without = multiplicity(A_k, _matching_face(A_k, face, k)).mult_m
         if m_with == m_without:
             checks.append(
                 FaceCheck(face.indices, "multiplicity", f"m = {m_with} on both sides")
@@ -702,12 +698,10 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     return AuxCertificate(True, k, a, tuple(checks))
 
 
-def _matching_face(B: PointConfiguration, A: PointConfiguration, face: Face) -> Face:
-    """The face of B's poset carrying the same geometric face of A (B's points
-    must be a subset of A's with the same Newton polytope)."""
-    pts = set(B.points) & set(A.face_points(face))
-    idx = tuple(sorted(B.index_of(p) for p in pts))
-    return B.poset.face_with_indices(idx)
+def _matching_face(B: PointConfiguration, face: Face, k: int) -> Face:
+    """The face of B = A.delete(k) carrying A's ``face``.  Needs k off A's
+    vertices, as a redundant k is: B then keeps N and A's faces, minus k."""
+    return B.poset.face_with_indices(tuple(j - (j > k) for j in face.indices if j != k))
 
 
 # -- reduction chains ------------------------------------------------------------
@@ -822,7 +816,7 @@ def dim2_interior_witness(A: PointConfiguration):
         raise ValueError("construction requires a two-dimensional Newton polytope")
     if saturate(A, "p").added_points:
         raise ValueError("construction assumes a partially face-saturated configuration")
-    interior = set(lattice_points_in(A.newton, A.affine_lattice, strict=True))
+    interior = set(A.face_interior(A.poset.top))
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
         edges = [e for e in A.poset.of_dim(1) if vi in e.indices]

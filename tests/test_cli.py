@@ -184,12 +184,24 @@ def test_series_order_flags(tmp_path, capsys):
 
 
 def test_malformed_labels_and_beta_are_input_errors():
-    for labels in (5, "abc", [[1], [2], [3]]):
+    for labels in (5, "abc", [[1], [2], [3]], [None, "b", "c"], [True, "b", "c"], [1, 2, False]):
         code, out, err = run_cli(["faces"], dict(CURVE013, labels=labels))
         assert code == 2 and out is None
-        assert err.startswith("input error:") and err.count("\n") == 1
+        assert err == "input error: 'labels' must be a list of strings or numbers\n"
     code, out, _ = run_cli(["faces"], dict(CURVE013, labels=[1, 2, 3]))
     assert code == 0 and out["input"]["labels"] == [1, 2, 3]
+    # non-finite numbers would echo into a report that is not standard JSON
+    matrix = json.dumps(CURVE013["matrix"])
+    for token in ("NaN", "Infinity", "-Infinity", "1e400", "-1E+400"):
+        for extra in (f'"note": {token}', f'"labels": ["a", {token}, "c"]'):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gkzkit", "faces"],
+                input=f'{{"matrix": {matrix}, {extra}}}',
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == f"input error: non-finite number {token}\n"
     for beta in (["0"], 5):
         code, out, err = run_cli(["nonresonant"], dict(CURVE013, beta=beta))
         assert code == 2 and out is None

@@ -38,13 +38,17 @@ def payloads(draw, curve=False):
             column = st.lists(entries, min_size=rows, max_size=rows)
         matrix = draw(st.lists(column, min_size=1, max_size=6, unique_by=tuple))
     data = {"matrix": matrix, "beta": draw(st.lists(fractions, min_size=rows, max_size=rows))}
-    fault = draw(st.sampled_from([None] * 8 + ["entry", "ragged", "labels", "beta", "repeat"]))
+    faults = ["entry", "ragged", "labels", "odd label", "beta", "repeat"]
+    fault = draw(st.sampled_from([None] * 8 + faults))
     if fault == "entry":
         matrix[-1][-1] = draw(st.sampled_from([1.5, "2", None, True, [1]]))
     elif fault == "ragged":
         matrix[0].append(0)
     elif fault == "labels":
         data["labels"] = draw(st.sampled_from([5, "abc", [[1]], ["x"] * len(matrix), ["a"]]))
+    elif fault == "odd label":
+        # a null or NaN label among otherwise distinct ones
+        data["labels"] = [draw(st.sampled_from([None, float("nan")])), *range(1, len(matrix))]
     elif fault == "beta":
         data["beta"] = draw(st.sampled_from([[], ["1/0"], ["x"], "1/2", [0] * (rows + 1)]))
     elif fault == "repeat":
@@ -102,5 +106,16 @@ def test_every_invocation_ends_in_a_documented_verdict(command, data):
         sys.stdin = stdin
     assert code in (0, 1, 2, 3), (argv, payload, err.getvalue())
     assert err.getvalue().count("\n") <= 1, (argv, payload, err.getvalue())
-    if code in (0, 1) and out.getvalue():
-        assert json.loads(out.getvalue())["command"] == argv[0]
+    labels = payload.get("labels")
+    odd = labels[0] if isinstance(labels, list) and labels else ""
+    if odd != odd or (odd is None and command != "curve"):
+        # a NaN label fails the parse, a null one every command that reads labels
+        assert code == 2, (argv, payload, out.getvalue())
+    if out.getvalue():
+        # every report is standard JSON: no NaN or Infinity
+        report = json.loads(out.getvalue(), parse_constant=_refuse)
+        assert code in (0, 1) and report["command"] == argv[0]
+
+
+def _refuse(token):
+    raise AssertionError(f"report holds the non-standard number {token}")

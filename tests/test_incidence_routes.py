@@ -17,7 +17,10 @@ any of them; ``test_polytope.py``, ``test_configuration.py`` and
 ``ref_is_pyramid`` is the earlier ``configuration._is_pyramid``, one
 ``rational_rank`` per point, and ``ref_uncovering_face`` the earlier scan of
 ``check_aux_point`` for a face through the deleted column that misses the
-auxiliary one.
+auxiliary one.  ``ref_check_aux_point`` and ``ref_matching_face`` are the
+earlier ``check_aux_point``, whose membership route built the group of the
+face's remaining points in A - k, and the earlier ``_matching_face``, which
+found that face of A - k by intersecting point sets.
 """
 
 import random
@@ -26,15 +29,20 @@ import pytest
 
 from _corpus import random_planar_config
 from test_chart_routes import OBSTRUCTED, _configs
-from test_subdiagram_routes import _collinear, _coplanar, _corpus
+from test_subdiagram_routes import _collinear, _coplanar, _corpus, face_group
+from gkzkit import cli, configuration
 from gkzkit.configuration import (
+    AuxCertificate,
+    FaceCheck,
     PlanarWitness,
     PointConfiguration,
     _is_pyramid,
+    _matching_face,
     check_aux_point,
     dim2_interior_witness,
     face_lattice,
     is_lattice_redundant,
+    multiplicity,
     saturate,
 )
 from gkzkit.intlinalg import dot, rational_rank, vsub
@@ -145,6 +153,80 @@ def ref_uncovering_face(A, k, a):
         if k in face.indices and a not in face.indices:
             return face
     return None
+
+
+# -- the group route of check_aux_point -------------------------------------------------
+
+
+def ref_check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
+    """Certify that column a can serve as the auxiliary point for deleting
+    column k: k is lattice redundant, every face through k contains a, and for
+    each face through a the multiplicity is unchanged by the deletion (shown
+    by group membership of the deleted point, by exact multiplicity
+    comparison, or by the pyramid sufficient condition for defectiveness).
+    """
+    if k == a or not (0 <= k < A.size and 0 <= a < A.size):
+        raise IndexError("need two distinct valid column indices")
+    red = is_lattice_redundant(A, k)
+    if not red:
+        return AuxCertificate(False, k, a, (f"column {k} is not lattice redundant: {red.reason}",))
+    # the deletion argument needs every discriminant factor involving the
+    # deleted coordinate to involve the auxiliary one: every face through k
+    # must contain a, i.e. the minimal face of k must
+    face = A.minimal_face(k)
+    if a not in face.indices:
+        return AuxCertificate(
+            False, k, a,
+            (f"face {face.indices} contains the deleted point but not the auxiliary",),
+        )
+    A_k = A.delete(k)
+    checks = []
+    # high-dimensional faces have low quotient rank and are cheap to settle;
+    # evaluate those first and stop at the first failure
+    faces = sorted(
+        (f for f in A.poset.faces if a in f.indices), key=lambda f: (-f.dim, f.indices)
+    )
+    for pos, face in enumerate(faces):
+        if face.supporting is None:
+            checks.append(FaceCheck(face.indices, "top", "m(A, N) = 1 always"))
+            continue
+        group_without = face_group(A_k, ref_matching_face(A_k, A, face))
+        if A.points[k] in group_without:
+            checks.append(
+                FaceCheck(face.indices, "lattice-membership",
+                          "deleted point lies in the group of the remaining face points")
+            )
+            continue
+        m_with = multiplicity(A, face).mult_m
+        m_without = multiplicity(A_k, ref_matching_face(A_k, A, face)).mult_m
+        if m_with == m_without:
+            checks.append(
+                FaceCheck(face.indices, "multiplicity", f"m = {m_with} on both sides")
+            )
+            continue
+        if _is_pyramid(A, face):
+            checks.append(
+                FaceCheck(face.indices, "pyramid", "face configuration is a pyramid, hence defective")
+            )
+            continue
+        checks.append(
+            FaceCheck(face.indices, "failed",
+                      f"m changes {m_with} -> {m_without} and no defectiveness certificate")
+        )
+        checks.extend(
+            FaceCheck(f.indices, "skipped", "not evaluated after first failure")
+            for f in faces[pos + 1:]
+        )
+        return AuxCertificate(False, k, a, tuple(checks))
+    return AuxCertificate(True, k, a, tuple(checks))
+
+
+def ref_matching_face(B: PointConfiguration, A: PointConfiguration, face):
+    """The face of B's poset carrying the same geometric face of A (B's points
+    must be a subset of A's with the same Newton polytope)."""
+    pts = set(B.points) & set(A.face_points(face))
+    idx = tuple(sorted(B.index_of(p) for p in pts))
+    return B.poset.face_with_indices(idx)
 
 
 # -- corpora -------------------------------------------------------------------------
@@ -283,3 +365,76 @@ def test_aux_rejections_name_the_minimal_face():
                     assert not cert and cert.reasons == (text,), (A.points, k, a)
                     stated += 1
     assert rejected >= 5000 and stated >= 80, (rejected, stated)
+
+
+def test_aux_certificates_match_the_group_route():
+    # every ordered (k, a) pair of curves, planar sets, 3-polytopes,
+    # OBSTRUCTED and its s-saturation; a membership route that misreads
+    # incidence, or a face of A - k off by one column, changes some route
+    routes = {}
+    for A in _corpus():
+        for k in range(A.size):
+            for a in range(A.size):
+                if a == k:
+                    continue
+                cert = check_aux_point(A, k, a)
+                ref = ref_check_aux_point(A, k, a)
+                assert (cert.ok, cert.reasons) == (ref.ok, ref.reasons), (A.points, k, a)
+                for r in cert.reasons:
+                    if isinstance(r, FaceCheck):
+                        key = r.route
+                    else:
+                        key = "not redundant" if "not lattice redundant" in r else "uncovered"
+                    routes[key] = routes.get(key, 0) + 1
+    expect = {"top", "lattice-membership", "multiplicity", "pyramid", "failed", "skipped",
+              "not redundant", "uncovered"}
+    assert set(routes) == expect, routes
+
+
+def test_faces_of_the_deletion_match_the_point_set_route():
+    # every face of A, through k or not, for every column k off the vertices
+    checked = 0
+    for A in _corpus():
+        for k in range(A.size):
+            if k in A.newton.vertex_indices:
+                continue
+            A_k = A.delete(k)
+            for face in A.poset.faces:
+                assert _matching_face(A_k, face, k) is ref_matching_face(A_k, A, face)
+                checked += 1
+    assert checked >= 1000, checked
+
+
+def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatch):
+    # on every pair that reaches the face loop: the membership route builds
+    # no group, and the multiplicity route reads the face of A - k by its
+    # indices, so no lattice_span runs beyond is_lattice_redundant's
+    calls = [0]
+    span = configuration.lattice_span
+
+    def counted(*args):
+        calls[0] += 1
+        return span(*args)
+
+    monkeypatch.setattr(configuration, "lattice_span", counted)
+    looped = 0
+    for A in _corpus():
+        for k in range(A.size):
+            for a in range(A.size):
+                if a == k or not isinstance(check_aux_point(A, k, a).reasons[0], FaceCheck):
+                    continue
+                calls[0] = 0
+                is_lattice_redundant(PointConfiguration.from_columns(A.points), k)
+                alone = calls[0]
+                calls[0] = 0
+                check_aux_point(PointConfiguration.from_columns(A.points), k, a)
+                assert calls[0] == alone, (A.points, k, a)
+                looped += 1
+    assert looped >= 400, looped
+
+
+def test_faces_report_lattice_rank_is_the_face_lattice_rank():
+    for A in [*_corpus(), *_incidence_configs(31, 100)]:
+        report, _ = cli._run_faces({"matrix": [list(p) for p in A.points]}, None)
+        ranks = [f["lattice_rank"] for f in report["faces"]]
+        assert ranks == [face_lattice(A, f).rank for f in A.poset.faces], A.points

@@ -43,14 +43,13 @@ from gkzkit.configuration import (
     _cross,
     _extreme_rays,
     _face_quotient_images,
-    face_group,
     index_i,
     saturate,
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
 from gkzkit.intlinalg import IntMatrix, dot, primitive, rational_rank, vsub
-from gkzkit.lattice import ContainmentError, lattice_index
+from gkzkit.lattice import ContainmentError, lattice_index, lattice_span
 from gkzkit.lp import OPTIMAL, lp_maximize
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
 
@@ -642,6 +641,12 @@ def test_quotient_images_match_the_smith_route(monkeypatch):
 
 
 # -- the intersected-subspace index, the reference of index_i -------------------
+
+
+def face_group(A: PointConfiguration, face):
+    """Group generated by the configuration points on the face; the earlier
+    ``configuration.face_group``, which the library no longer calls."""
+    return lattice_span(A.face_points(face), "linear")
 
 
 def ref_index_i(A: PointConfiguration, face) -> int:
