@@ -126,16 +126,23 @@ def _matrix_from(data, missing: str):
     return cols
 
 
-def _config_from(data) -> PointConfiguration:
-    cols = _matrix_from(data, "input needs a nonempty column-major 'matrix'")
-    lengths = [len(col) for col in cols]
-    if len(set(lengths)) > 1:
-        raise InputError(f"matrix columns must have equal lengths, got {lengths}")
+def _labels_from(data):
+    """The optional 'labels': None or a list of strings and numbers (JSON
+    null and booleans are neither)."""
     labels = data.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or any(type(l) not in (str, int, float) for l in labels)
     ):
         raise InputError("'labels' must be a list of strings or numbers")
+    return labels
+
+
+def _config_from(data) -> PointConfiguration:
+    cols = _matrix_from(data, "input needs a nonempty column-major 'matrix'")
+    lengths = [len(col) for col in cols]
+    if len(set(lengths)) > 1:
+        raise InputError(f"matrix columns must have equal lengths, got {lengths}")
+    labels = _labels_from(data)
     try:
         return PointConfiguration.from_columns(cols, labels)
     except ValueError as exc:
@@ -165,6 +172,7 @@ def _curve_from(data) -> MonomialCurveConfig:
         if len(col) != 2 or col[0] != 1:
             raise InputError("curve columns must look like (1, exponent)")
         exps.append(col[1])
+    _labels_from(data)  # the curve commands use no labels, but check them as the others do
     try:
         return MonomialCurveConfig(tuple(exps))
     except ValueError as exc:

@@ -130,9 +130,6 @@ class PointConfiguration:
     def index_of(self, point) -> int:
         return self.points.index(tuple(point))
 
-    def label_of(self, point) -> str:
-        return self.labels[self.index_of(point)]
-
     @cached_property
     def newton(self):
         return convex_hull(self.points)
@@ -145,6 +142,13 @@ class PointConfiguration:
     def group_lattice(self) -> Lattice:
         """Z_A: the group generated by the columns."""
         return Lattice.from_generators(self.points)
+
+    @cached_property
+    def group_coordinates(self):
+        """Each column's integer coordinates in the basis of Z_A, solved once
+        per configuration: every face's HNF and quotient images read their
+        columns' coordinates from here."""
+        return tuple(self.group_lattice.coordinates(p) for p in self.points)
 
     @cached_property
     def affine_lattice(self) -> AffineLattice:
@@ -261,7 +265,7 @@ def _face_hnf(A: PointConfiguration, face: Face):
     """(L, tail): the s columns of L and the last r - s columns of U, where
     X U = [L | 0] is the column HNF of the m x r matrix X of the face points'
     coordinates in Z_A, run with the identity below X; U is unimodular."""
-    coords = [A.group_lattice.coordinates(p) for p in A.face_points(face)]
+    coords = [A.group_coordinates[i] for i in face.indices]
     m, r = len(coords), A.group_lattice.rank
     cols = [[*(x[j] for x in coords), *(int(i == j) for i in range(r))] for j in range(r)]
     s = _hnf(cols, m)
@@ -332,7 +336,7 @@ def _quotient_images(A: PointConfiguration, tail):
         x = A.group_lattice.coordinates(p)
         return tuple(dot(u, x) for u in tail)
 
-    images = {project(p) for p in A.points}
+    images = {tuple(dot(u, x) for u in tail) for x in A.group_coordinates}
     images.discard((0,) * len(tail))
     return project, sorted(images)
 
@@ -368,7 +372,14 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
 
     G spans the rank-r quotient, so conv(G) is full-dimensional or lies in
     an affine hyperplane missing 0, and then 0 sees all of it.  The pyramid
-    from 0 over a simplex on r points G_σ has volume |det G_σ|.
+    from 0 over a simplex on r points G_σ has volume |det G_σ|, so a seen
+    facet that is a simplex is one pyramid, and only the others need the
+    face poset of conv(G) for their pulling triangulations.
+
+    On a facet of A the quotient has rank 1 and G lies on one side of 0, so
+    conv(G) is the segment [g_min, g_max], 0 sees only its near end, and v
+    is the least lattice distance min |g| of an off-facet column from the
+    facet.
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
@@ -377,17 +388,35 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
 
 def _seen_pyramids(G):
     """The subdiagram volume of the nonzero images G, as in
-    :func:`subdiagram_volume`."""
+    :func:`subdiagram_volume`: on a facet (rank 1) the least |g|, with no
+    hull; otherwise the pyramids over the seen faces of one hull P of G.  A
+    seen facet is a simplex when it has P.dim vertices, and all of P, seen
+    when 0 is off its affine hull, when it has P.dim + 1.  A simplex is its
+    own pulling triangulation, so the face poset is built only when a seen
+    face is not one.
+    """
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
-    poset = face_poset(convex_hull(G))
-    x = poset.polytope.chart_coords((0,) * len(G[0]))
+    if len(G[0]) == 1:
+        if G[0][0] < 0 < G[-1][0]:
+            raise AssertionError("a facet's images must lie on one side of 0")
+        return min(abs(g) for (g,) in G)
+    P = convex_hull(G)
+    x = P.chart_coords((0,) * len(G[0]))
     if x is None:
-        seen = [poset.top]
+        seen, k = [frozenset(range(len(G)))], P.dim + 1
     else:
-        facets = poset.of_dim(poset.top.dim - 1)
-        seen = [f for f in facets if dot(f.supporting[0], x) > f.supporting[1]]
-    cells = [cell for f in seen for cell in pulling_cells(poset, f)]
+        seen, k = [s for (h, c), s in zip(P.facets, P.facet_sets) if dot(h, x) > c], P.dim
+    vertices = frozenset(P.vertex_indices)
+    cells, poset = [], None
+    for s in seen:
+        verts = sorted(s & vertices)
+        if len(verts) == k:
+            cells.append(verts)
+            continue
+        if poset is None:
+            poset = face_poset(P)
+        cells += pulling_cells(poset, poset.face_with_indices(s))
     return sum(abs(int(det_fraction([G[i] for i in cell]))) for cell in cells)
 
 

@@ -228,10 +228,6 @@ class TruncatedSeries:
     def coefficient(self, u):
         return self.terms.get(tuple(u), Fraction(0))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.term_items
-
     def scaled(self, c) -> "TruncatedSeries":
         c = Fraction(c)
         return TruncatedSeries.make(

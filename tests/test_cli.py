@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,16 @@ def test_malformed_labels_and_beta_are_input_errors():
         assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_curve_commands_check_labels():
+    for action in ("edet", "disc", "verify"):
+        for labels in (5, "abc", [None, "b", "c"], [True, "b", "c"]):
+            code, out, err = run_cli(["curve", action], dict(CURVE013, labels=labels))
+            assert code == 2 and out is None
+            assert err == "input error: 'labels' must be a list of strings or numbers\n"
+    code, out, _ = run_cli(["curve", "edet"], dict(CURVE013, labels=["x", 2, 3.5]))
+    assert code == 0 and out["input"]["labels"] == ["x", 2, 3.5]
+
+
 def test_monodromy_beta_length_and_ragged_matrix_are_input_errors():
     for beta in ("1/5", "1/5,1/3,1"):
         code, out, err = run_cli(["curve", "monodromy", "--delta", "3", "--beta", beta], {})
@@ -385,3 +396,21 @@ def test_reader_that_hangs_up_gets_no_traceback():
     proc.stdout.close()  # no reader is left when the report is written
     _, err = proc.communicate(json.dumps(OBSTRUCTED))
     assert proc.returncode == 1 and err == ""
+
+
+CLI_CORPUS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "cli_corpus.json").read_text(encoding="utf-8")
+)["cases"]
+
+
+@pytest.mark.parametrize("case", CLI_CORPUS, ids=[c["id"] for c in CLI_CORPUS])
+def test_cli_corpus_replays_byte_identical(monkeypatch, capsys, case):
+    # the benchmark's recorded reports, known_defect cases included: both
+    # now meet the contract
+    from gkzkit import cli
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+    code = cli.main(case["args"])
+    out, err = capsys.readouterr()
+    assert code == case["exit"], err
+    assert out.encode() == case["stdout"].encode()

@@ -263,7 +263,7 @@ def test_labels_stable_under_insertion_and_deletion():
     assert bigger.labels[:5] == TRI.labels and len(bigger.labels) == 6
     smaller = bigger.delete(1)
     assert smaller.labels == ("a1", "a3", "a4", "a5", bigger.labels[5])
-    assert smaller.label_of((1, 1, 0)) == "a4"
+    assert smaller.labels[smaller.index_of((1, 1, 0))] == "a4"
 
 
 def test_newton_unchanged_by_saturation():

@@ -27,11 +27,20 @@ The fifth is the earlier index route, kept verbatim but for its cache:
 [Z_A ∩ span Γ : Z_{A∩Γ}] as ``lattice_index`` of the intersected subspace
 and the face group.  The routes under test read both the index and the
 quotient off one column HNF of the face's coordinates in Z_A.
+
+The sixth is the earlier multiplicity route, kept verbatim but for its
+docstrings: the face HNF and the quotient images solve each point in Z_A
+again on every face, and the seen pyramids build a hull, its face poset
+and a pulling triangulation on every face, facets included.  The route
+under test reads the columns' coordinates once per configuration, reads a
+facet's v off its images, and builds the face poset only for a seen face
+that is not a simplex.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from sympy import Matrix
 
 from _corpus import random_small_config
@@ -43,12 +52,15 @@ from gkzkit.configuration import (
     _cross,
     _extreme_rays,
     _face_quotient_images,
+    _row_index,
+    _seen_pyramids,
     index_i,
+    multiplicity,
     saturate,
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
-from gkzkit.intlinalg import IntMatrix, dot, primitive, rational_rank, vsub
+from gkzkit.intlinalg import IntMatrix, _hnf, det_fraction, dot, primitive, rational_rank, vsub
 from gkzkit.lattice import ContainmentError, lattice_index, lattice_span
 from gkzkit.lp import OPTIMAL, lp_maximize
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
@@ -472,11 +484,17 @@ def test_coplanar_generators_stay_under_the_hull_cap(monkeypatch):
 
 
 def test_subdiagram_volume_builds_one_hull_per_proper_face(monkeypatch):
+    # a facet's images lie on one side of 0 on a line: v is the least |g|,
+    # read off them with no hull
+    facets = 0
     for A in [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(5, 1):
         for face in A.poset.faces:
             sizes = _hull_sizes(A, face, monkeypatch)
-            expect = 0 if face.supporting is None else 1
+            facet = face.dim == A.newton.dim - 1
+            facets += facet
+            expect = 0 if face.supporting is None or facet else 1
             assert len(sizes) == expect and all(s <= A.size for s in sizes), (A.points, face)
+    assert facets >= 10
 
 
 def test_subdiagram_volume_solves_no_lp(monkeypatch):
@@ -487,6 +505,122 @@ def test_subdiagram_volume_solves_no_lp(monkeypatch):
     for A in _solid_configs(7, 1):
         for face in A.poset.faces:
             subdiagram_volume(A, face)
+
+
+# -- per-face solves and a poset per face, the reference of multiplicity -------
+
+
+def ref_face_hnf(A, face):
+    """(L, tail) of ``_face_hnf``, each face point solved in Z_A again."""
+    coords = [A.group_lattice.coordinates(p) for p in A.face_points(face)]
+    m, r = len(coords), A.group_lattice.rank
+    cols = [[*(x[j] for x in coords), *(int(i == j) for i in range(r))] for j in range(r)]
+    s = _hnf(cols, m)
+    return [c[:m] for c in cols[:s]], [c[m:] for c in cols[s:]]
+
+
+def ref_quotient_images(A, tail):
+    """(project, G) of ``_face_quotient_images``, from the tail of U."""
+
+    def project(p):
+        x = A.group_lattice.coordinates(p)
+        return tuple(dot(u, x) for u in tail)
+
+    images = {project(p) for p in A.points}
+    images.discard((0,) * len(tail))
+    return project, sorted(images)
+
+
+def ref_seen_pyramids(G):
+    """The subdiagram volume of the nonzero images G, as in
+    :func:`subdiagram_volume`."""
+    if not G:
+        raise AssertionError("a proper face must leave nonzero images")
+    poset = face_poset(convex_hull(G))
+    x = poset.polytope.chart_coords((0,) * len(G[0]))
+    if x is None:
+        seen = [poset.top]
+    else:
+        facets = poset.of_dim(poset.top.dim - 1)
+        seen = [f for f in facets if dot(f.supporting[0], x) > f.supporting[1]]
+    cells = [cell for f in seen for cell in pulling_cells(poset, f)]
+    return sum(abs(int(det_fraction([G[i] for i in cell]))) for cell in cells)
+
+
+def ref_multiplicity(A, face):
+    """(i, v, m) as the earlier ``multiplicity`` computed them."""
+    if face.supporting is None:
+        return 1, 1, 1
+    L, tail = ref_face_hnf(A, face)
+    i = _row_index(L)
+    v = ref_seen_pyramids(ref_quotient_images(A, tail)[1])
+    return i, v, i * v
+
+
+def _square_pyramid():
+    """The vertex (1, 0, 0, 0), a unit square at height 1 and an apex above
+    its corner: at the vertex the images span a square pyramid, and the one
+    facet 0 sees is its square base, which is not a simplex."""
+    square = [(1, a, b, 1) for a in (0, 1) for b in (0, 1)]
+    return PointConfiguration.from_columns([(1, 0, 0, 0), *square, (1, 1, 1, 2)])
+
+
+def _poset_builds(A, face, monkeypatch):
+    """The face posets multiplicity builds on the face."""
+    calls = []
+
+    def counting_poset(P):
+        calls.append(P)
+        return face_poset(P)
+
+    A.poset  # the Newton polytope's own poset, once per configuration
+    with monkeypatch.context() as m:
+        m.setattr(configuration, "face_poset", counting_poset)
+        multiplicity(A, face)
+    return len(calls)
+
+
+def test_multiplicity_matches_the_per_face_route():
+    counts = {}
+    for A in _corpus() + [_collinear(16), _coplanar(4), _square_pyramid()]:
+        for face in A.poset.faces:
+            rec = multiplicity(A, face)
+            got = (rec.index_i, rec.subvol_v, rec.mult_m)
+            assert rec.face == face and got == ref_multiplicity(A, face), (A.points, face)
+            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[1][0])
+            counts[r] = counts.get(r, 0) + 1
+    assert set(counts) == {0, 1, 2, 3} and sum(counts.values()) >= 1500, counts
+
+
+def test_group_coordinates_are_the_columns_in_the_basis_of_z_a():
+    for A in _corpus() + [_collinear(16), _coplanar(4)]:
+        assert len(A.group_coordinates) == A.size
+        for i, p in enumerate(A.points):
+            assert A.group_coordinates[i] == A.group_lattice.coordinates(p)
+
+
+def test_facet_images_on_both_sides_of_zero_fail_the_invariant():
+    assert _seen_pyramids([(2,), (3,)]) == 2 and _seen_pyramids([(-4,), (-3,)]) == 3
+    with pytest.raises(AssertionError, match="one side of 0"):
+        _seen_pyramids([(-1,), (2,)])
+
+
+def test_face_poset_only_for_seen_faces_that_are_not_simplices(monkeypatch):
+    A = _square_pyramid()
+    face, G = _vertex_quotient(A, (1, 0, 0, 0))
+    assert len(G) == 5 and len(G[0]) == 3
+    assert _poset_builds(A, face, monkeypatch) == 1
+    # the pyramid from 0 over the unit square at lattice height 1
+    assert multiplicity(A, face).subvol_v == 2 == ref_seen_pyramids(G)
+    # in quotient rank <= 2 every seen face is a point or a segment
+    for A in _corpus()[:100]:
+        for face in A.poset.faces:
+            assert _poset_builds(A, face, monkeypatch) == 0, (A.points, face)
+    # the seeded 3-polytopes reach both routes
+    builds = [
+        _poset_builds(A, face, monkeypatch) for A in _solid_configs(9, 25) for face in A.poset.faces
+    ]
+    assert 0 < sum(builds) < len(builds)
 
 
 # -- the Smith-normal-form quotient route, the reference of the tests below ----
