@@ -326,19 +326,20 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
     is Z_A ∩ span Γ.  A column's image is (u . coordinates) over those u,
     and the quotient has no torsion.
     """
-    return _quotient_images(A, _face_hnf(A, face)[1])
-
-
-def _quotient_images(A: PointConfiguration, tail):
-    """(project, G) of :func:`_face_quotient_images`, from the tail of U."""
+    tail = _face_hnf(A, face)[1]
 
     def project(p):
         x = A.group_lattice.coordinates(p)
         return tuple(dot(u, x) for u in tail)
 
-    images = {tuple(dot(u, x) for u in tail) for x in A.group_coordinates}
+    return project, _quotient_images(A.group_coordinates, tail)
+
+
+def _quotient_images(coords, tail):
+    """G of :func:`_face_quotient_images` over the columns with Z_A coordinates ``coords``."""
+    images = {tuple(dot(u, x) for u in tail) for x in coords}
     images.discard((0,) * len(tail))
-    return project, sorted(images)
+    return sorted(images)
 
 
 def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
@@ -562,7 +563,7 @@ def multiplicity(A: PointConfiguration, face: Face) -> MultiplicityRecord:
         return MultiplicityRecord(face, 1, 1, 1)
     L, tail = _face_hnf(A, face)
     i = _row_index(L)
-    v = _seen_pyramids(_quotient_images(A, tail)[1])
+    v = _seen_pyramids(_quotient_images(A.group_coordinates, tail))
     return MultiplicityRecord(face, i, v, i * v)
 
 
@@ -671,6 +672,9 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     comparison, or by the pyramid sufficient condition for defectiveness).
     Membership reads the redundancy check made first: k lies in the group of
     a face's other points iff on it (off it, h(k) = 1 keeps k off its span).
+    It also gives Z_{A-k} = Z_A, with the same HNF basis, and a face Γ missing
+    k keeps its points, so :func:`_face_hnf`, i and the quotient map are A's:
+    m(A - k, Γ) only leaves k's image out of G.
     """
     if k == a or not (0 <= k < A.size and 0 <= a < A.size):
         raise IndexError("need two distinct valid column indices")
@@ -686,7 +690,6 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
             False, k, a,
             (f"face {face.indices} contains the deleted point but not the auxiliary",),
         )
-    A_k = A.delete(k)
     checks = []
     # high-dimensional faces have low quotient rank and are cheap to settle;
     # evaluate those first and stop at the first failure
@@ -703,8 +706,7 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
                           "deleted point lies in the group of the remaining face points")
             )
             continue
-        m_with = multiplicity(A, face).mult_m
-        m_without = multiplicity(A_k, _matching_face(A_k, face, k)).mult_m
+        m_with, m_without = _aux_multiplicities(A, face, k)
         if m_with == m_without:
             checks.append(
                 FaceCheck(face.indices, "multiplicity", f"m = {m_with} on both sides")
@@ -727,10 +729,13 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     return AuxCertificate(True, k, a, tuple(checks))
 
 
-def _matching_face(B: PointConfiguration, face: Face, k: int) -> Face:
-    """The face of B = A.delete(k) carrying A's ``face``.  Needs k off A's
-    vertices, as a redundant k is: B then keeps N and A's faces, minus k."""
-    return B.poset.face_with_indices(tuple(j - (j > k) for j in face.indices if j != k))
+def _aux_multiplicities(A: PointConfiguration, face: Face, k: int):
+    """(m(A, Γ), m(A - k, Γ)) from one :func:`_face_hnf`; see :func:`check_aux_point`."""
+    L, tail = _face_hnf(A, face)
+    i, coords = _row_index(L), A.group_coordinates
+    v_with = _seen_pyramids(_quotient_images(coords, tail))
+    v_without = _seen_pyramids(_quotient_images(coords[:k] + coords[k + 1:], tail))
+    return i * v_with, i * v_without
 
 
 # -- reduction chains ------------------------------------------------------------
@@ -849,8 +854,6 @@ def dim2_interior_witness(A: PointConfiguration):
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
         edges = [e for e in A.poset.of_dim(1) if vi in e.indices]
-        if len(edges) != 2:
-            continue
         steps = []
         lengths = []
         for e in edges:

@@ -54,9 +54,6 @@ class Face:
     supporting: tuple | None  # (chart functional h, offset c); None for the top face
     dim: int
 
-    def __len__(self):
-        return len(self.indices)
-
 
 @dataclass(frozen=True)
 class Polytope:

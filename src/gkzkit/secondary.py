@@ -38,8 +38,6 @@ from .polytope import BudgetError, cell_volume, convex_hull, pulling_cells
 ENUMERATION_CAP = 12
 # Configurations whose triangulations and secondary polytope stay cached.
 SECONDARY_CACHE_SIZE = 64
-# Random spot-check heights are integers over this denominator.
-SPOT_DENOMINATOR = 992
 
 
 class DegenerateHeightsError(ValueError):
@@ -270,9 +268,9 @@ def _flips(cells, rows):
 
 
 def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
-    """The lower hull of the integer heights / SPOT_DENOMINATOR, found among
-    the ``certified`` (GKZ vector, triangulation, folding rows) triples when
-    their rows prove it, and by the lifted hull otherwise.
+    """The lower hull of the integer heights, found among the ``certified``
+    (GKZ vector, triangulation, folding rows) triples when their rows prove
+    it, and otherwise by the lifted hull of the heights themselves.
 
     If every folding row of a certified T is negative on the heights, their
     lower hull is T: each lifted cell lies on a supporting hyperplane with
@@ -287,7 +285,7 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
     _, T, rows = min(certified, key=lambda c: dot(heights, c[0]))
     if all(dot(r, heights) < 0 for r in rows):
         return T
-    return regular_triangulation(A, [Fraction(h, SPOT_DENOMINATOR) for h in heights])
+    return regular_triangulation(A, heights)
 
 
 @lru_cache(maxsize=SECONDARY_CACHE_SIZE)

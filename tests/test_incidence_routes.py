@@ -20,7 +20,9 @@ any of them; ``test_polytope.py``, ``test_configuration.py`` and
 auxiliary one.  ``ref_check_aux_point`` and ``ref_matching_face`` are the
 earlier ``check_aux_point``, whose membership route built the group of the
 face's remaining points in A - k, and the earlier ``_matching_face``, which
-found that face of A - k by intersecting point sets.
+found that face of A - k by intersecting point sets.  The reference also
+rebuilds A - k for its multiplicity route, which the library now reads off
+A's own quotient of the face.
 """
 
 import random
@@ -36,8 +38,8 @@ from gkzkit.configuration import (
     FaceCheck,
     PlanarWitness,
     PointConfiguration,
+    _aux_multiplicities,
     _is_pyramid,
-    _matching_face,
     check_aux_point,
     dim2_interior_witness,
     face_lattice,
@@ -391,24 +393,75 @@ def test_aux_certificates_match_the_group_route():
     assert set(routes) == expect, routes
 
 
-def test_faces_of_the_deletion_match_the_point_set_route():
-    # every face of A, through k or not, for every column k off the vertices
-    checked = 0
+def test_aux_multiplicities_match_the_rebuilt_deletion():
+    # every proper face missing k, for every lattice-redundant k: both
+    # multiplicities read off A's quotient of the face equal those of A and
+    # of the rebuilt A - k; a certificate that drops no column, or the wrong
+    # one, misreads the pairs whose multiplicity changes
+    pairs = changed = 0
     for A in _corpus():
         for k in range(A.size):
-            if k in A.newton.vertex_indices:
+            if not is_lattice_redundant(A, k):
                 continue
             A_k = A.delete(k)
             for face in A.poset.faces:
-                assert _matching_face(A_k, face, k) is ref_matching_face(A_k, A, face)
-                checked += 1
-    assert checked >= 1000, checked
+                if face.supporting is None or k in face.indices:
+                    continue
+                expect = (
+                    multiplicity(A, face).mult_m,
+                    multiplicity(A_k, ref_matching_face(A_k, A, face)).mult_m,
+                )
+                assert _aux_multiplicities(A, face, k) == expect, (A.points, k, face.indices)
+                pairs += 1
+                changed += expect[0] != expect[1]
+    assert pairs >= 600 and 0 < changed < pairs, (pairs, changed)
+
+
+def test_aux_certificates_build_no_configuration(monkeypatch):
+    # the certificate neither deletes k nor checks a new configuration, and
+    # runs one _face_hnf for both multiplicities of each face that reaches
+    # the multiplicity route (multiplicity, pyramid or failed)
+    configs = [PointConfiguration.from_columns(A.points) for A in _corpus()]
+    calls = {"delete": 0, "_checked": 0, "_face_hnf": 0}
+    delete, checked, face_hnf = (
+        PointConfiguration.delete, PointConfiguration._checked, configuration._face_hnf
+    )
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(PointConfiguration, "delete", counted("delete", delete))
+    monkeypatch.setattr(
+        PointConfiguration, "_checked", classmethod(counted("_checked", lambda cls, *a: checked(*a)))
+    )
+    monkeypatch.setattr(configuration, "_face_hnf", counted("_face_hnf", face_hnf))
+    compared = 0
+    for A in configs:
+        for k in range(A.size):
+            for a in range(A.size):
+                if a == k:
+                    continue
+                calls["_face_hnf"] = 0
+                cert = check_aux_point(A, k, a)
+                reached = sum(
+                    isinstance(r, FaceCheck) and r.route in ("multiplicity", "pyramid", "failed")
+                    for r in cert.reasons
+                )
+                assert calls["_face_hnf"] == reached, (A.points, k, a)
+                compared += reached
+    assert calls["delete"] == calls["_checked"] == 0, calls
+    assert compared >= 800, compared
+    configs[0].delete(0)  # the counters see a deletion
+    assert calls["delete"] == calls["_checked"] == 1, calls
 
 
 def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatch):
     # on every pair that reaches the face loop: the membership route builds
-    # no group, and the multiplicity route reads the face of A - k by its
-    # indices, so no lattice_span runs beyond is_lattice_redundant's
+    # no group, and the multiplicity route reads m(A - k, Γ) off A's quotient
+    # of the face, so no lattice_span runs beyond is_lattice_redundant's
     calls = [0]
     span = configuration.lattice_span
 

@@ -21,7 +21,6 @@ from gkzkit.configuration import PointConfiguration
 from gkzkit.intlinalg import clear_denominators, det_fraction, dot, vsub
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
 from gkzkit.secondary import (
-    SPOT_DENOMINATOR,
     DegenerateHeightsError,
     Triangulation,
     _folding_rows,
@@ -30,6 +29,9 @@ from gkzkit.secondary import (
     gkz_vector,
     is_regular,
 )
+
+# The earlier spot check's heights were integers over this denominator.
+SPOT_DENOMINATOR = 992
 
 
 def triangulate_vertices(points):

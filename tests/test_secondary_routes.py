@@ -18,7 +18,6 @@ from gkzkit import secondary
 from gkzkit.configuration import PointConfiguration
 from gkzkit.polytope import convex_hull
 from gkzkit.secondary import (
-    SPOT_DENOMINATOR,
     DegenerateHeightsError,
     _certified_vertices,
     _flips,
@@ -29,6 +28,9 @@ from gkzkit.secondary import (
     regular_triangulation,
     secondary_polytope,
 )
+
+# The earlier spot check's heights were integers over this denominator.
+SPOT_DENOMINATOR = 992
 
 
 def config(points):
