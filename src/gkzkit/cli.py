@@ -384,6 +384,7 @@ def _run_curve(data, args):
         }
         return payload, EXIT_OK if rep else EXIT_REJECTED
     if args.action == "monodromy":
+        _labels_from(data)  # unused, but checked as in the other curve actions
         if args.delta is None:
             raise InputError("monodromy needs --delta")
         beta = _beta_from(data, args, 2, "beta_1 and beta_2 of the curve system")

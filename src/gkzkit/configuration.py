@@ -25,11 +25,12 @@ from math import prod
 from .intlinalg import (
     IntMatrix,
     _hnf,
+    _hnf_kernel,
     _ints,
     clear_denominators,
     det_fraction,
     dot,
-    integer_orthogonal_complement,
+    integer_kernel_basis,
     primitive,
     solve_rational,
     vsub,
@@ -240,7 +241,7 @@ class PointConfiguration:
         generated by M's columns."""
         out = []
         for face in self.poset.of_dim(self.newton.dim - 1):
-            M = IntMatrix(integer_orthogonal_complement(self.face_points(face), self.ambient_dim))
+            M = IntMatrix(integer_kernel_basis(self.face_points(face), self.ambient_dim))
             out.append((face, M, Lattice.from_generators(M.columns_list(), M.rows)))
         return tuple(out)
 
@@ -262,14 +263,10 @@ def face_lattice(A: PointConfiguration, face: Face) -> AffineLattice:
 
 
 def _face_hnf(A: PointConfiguration, face: Face):
-    """(L, tail): the s columns of L and the last r - s columns of U, where
-    X U = [L | 0] is the column HNF of the m x r matrix X of the face points'
-    coordinates in Z_A, run with the identity below X; U is unimodular."""
-    coords = [A.group_coordinates[i] for i in face.indices]
-    m, r = len(coords), A.group_lattice.rank
-    cols = [[*(x[j] for x in coords), *(int(i == j) for i in range(r))] for j in range(r)]
-    s = _hnf(cols, m)
-    return [c[:m] for c in cols[:s]], [c[m:] for c in cols[s:]]
+    """(L, tail) of :func:`_hnf_kernel` on the m x r matrix X of the face
+    points' coordinates in Z_A: X U = [L | 0] with U unimodular, L the s
+    nonzero columns of the HNF and tail the last r - s columns of U."""
+    return _hnf_kernel([A.group_coordinates[i] for i in face.indices], A.group_lattice.rank)
 
 
 def index_i(A: PointConfiguration, face: Face) -> int:

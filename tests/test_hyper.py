@@ -248,12 +248,12 @@ def test_psi_ell_independent_of_representative():
     # the kernel of the enlarged curve has rank 2, so the slice at a given
     # ell has many representatives; the shifted series must agree
     from gkzkit.hyper import _drop
-    from gkzkit.intlinalg import IntMatrix, integer_kernel_basis
+    from gkzkit.intlinalg import integer_kernel_basis
 
     psi = gamma_series(C013, BETA, (0, 2), 8)
     u = kernel_slice_representative(C0123, 2, 2)
     basis = toric_kernel_basis(C0123).vectors
-    rel = integer_kernel_basis(IntMatrix((tuple(w[2] for w in basis),)))[0]
+    rel = integer_kernel_basis([[w[2] for w in basis]], len(basis))[0]
     z = tuple(sum(rel[l] * basis[l][j] for l in range(len(basis))) for j in range(4))
     assert z[2] == 0 and any(z)
     alt = tuple(a + b for a, b in zip(u, z))
@@ -301,6 +301,22 @@ def test_non_integral_exponent_vectors_are_rejected(vector):
             op(s, vector)
     # integral values of other types still act as their integers
     assert differentiate(s, (1.0, Fraction(0), 0)) == differentiate(s, (1, 0, 0))
+
+
+def test_extension_checks_its_inputs():
+    psi = gamma_series(C013, BETA, (0, 2), 8)  # C0123 without column 2
+    for k in (4, -1):
+        with pytest.raises(IndexError, match=f"^column {k} out of range$"):
+            extend_solution(psi, C0123, k, BETA, 2)
+    with pytest.raises(ValueError, match="must live on the configuration minus column k"):
+        extend_solution(psi, C0123, 1, BETA, 2)
+    C012 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2)])
+    with pytest.raises(ValueError, match="must not be a vertex"):
+        extend_solution(gamma_series(C012, BETA, (0, 2), 4), C0123, 3, BETA, 2)
+    C02 = PointConfiguration.from_columns([(1, 0), (1, 2)])  # index 2 in Z^2
+    C021 = PointConfiguration.from_columns([(1, 0), (1, 2), (1, 1)])
+    with pytest.raises(ValueError, match="must not change the group lattice"):
+        extend_solution(gamma_series(C02, BETA, (0, 1), 4), C021, 2, BETA, 2)
 
 
 def test_negative_orders_are_rejected():

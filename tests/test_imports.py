@@ -1,6 +1,8 @@
 """Every name a gkzkit module imports is used in that module, every
 module-level _private function or class is named somewhere else in gkzkit,
-and every module-level UPPER_CASE constant is read somewhere in gkzkit.
+every module-level public function or class is named somewhere else in
+gkzkit, ``bench/`` or ``scripts/`` or is declared in ``TEST_ONLY``, and
+every module-level UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` is exempt from the first guard: its imports are the
 public API it re-exports.
@@ -12,6 +14,14 @@ from pathlib import Path
 import gkzkit
 
 SOURCES = sorted(Path(gkzkit.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+CALLERS = sorted([*(REPO / "bench").glob("*.py"), *(REPO / "scripts").glob("*.py")])
+# Public library functions and classes that only tests call, each with the
+# reason it stays in the library.
+TEST_ONLY = {
+    "curves.restriction_factors_divide": "the paper's restriction check, run by the acceptance tests",
+    "curves.reduces_to_three_point_support": "the paper's three-point check, run by the acceptance tests",
+}
 
 
 def unused_imports(source: str):
@@ -43,21 +53,27 @@ def test_modules_use_every_import():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _mentioned(node):
+    """Every name, attribute and imported name that the AST node mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
 def unreferenced_privates(sources):
     """(file, line, name) of each module-level _private function or class
     that no statement of ``sources`` names outside its own definition."""
-    blocks = []  # (file, top-level statement, names it mentions)
-    for path, source in sources.items():
-        for node in ast.parse(source).body:
-            names = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
-                elif isinstance(sub, ast.alias):
-                    names.add(sub.name)
-            blocks.append((path, node, names))
+    blocks = [  # (file, top-level statement, names it mentions)
+        (path, node, _mentioned(node))
+        for path, source in sources.items()
+        for node in ast.parse(source).body
+    ]
     return sorted(
         (path, node.lineno, node.name)
         for path, node, _ in blocks
@@ -86,6 +102,50 @@ def test_the_guard_sees_unreferenced_privates():
 def test_private_definitions_are_named_elsewhere():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unreferenced_privates(sources) == []
+
+
+def uncalled_publics(sources, callers):
+    """(module, name) of each module-level public function or class of
+    ``sources`` that no other top-level statement of ``sources`` and no
+    module of ``callers`` names."""
+    blocks = [
+        (path, node, _mentioned(node))
+        for path, source in sources.items()
+        for node in ast.parse(source).body
+    ]
+    outside = set().union(*(_mentioned(ast.parse(source)) for source in callers.values()))
+    return sorted(
+        (Path(path).stem, node.name)
+        for path, node, _ in blocks
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in names for _, other, names in blocks if other is not node)
+    )
+
+
+def test_the_guard_sees_uncalled_publics():
+    sources = {
+        "a.py": (
+            "def called():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Dead:\n    pass\n"
+            "def exported():\n    pass\n"
+            "def scripted():\n    pass\n"
+            "def _private():\n    return called()\n"
+        ),
+        "__init__.py": "from .a import exported\n",
+    }
+    callers = {"run.py": "import a\na.scripted()\n"}
+    assert uncalled_publics(sources, callers) == [("a", "Dead"), ("a", "recursive")]
+
+
+def test_public_definitions_have_a_caller_outside_the_tests():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    callers = {str(path): path.read_text(encoding="utf-8") for path in CALLERS}
+    assert len(callers) > 5
+    found = {f"{module}.{name}" for module, name in uncalled_publics(sources, callers)}
+    assert found == set(TEST_ONLY)
 
 
 def unread_constants(sources):

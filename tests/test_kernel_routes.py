@@ -1,14 +1,20 @@
 """Differential tests: the fraction-free elimination kernel against Fraction
 Gauss-Jordan.
 
-The references below are the earlier Fraction routines, kept verbatim:
+The references below are the earlier Fraction routines, kept verbatim but
+for the identity matrix, which ``IntMatrix`` no longer builds:
 ``rational_rank``, ``solve_rational``, ``rational_nullspace``,
 ``det_fraction`` and ``integer_orthogonal_complement`` from ``intlinalg``, the
 Fraction tableau ``lp_maximize`` from ``lp`` (with its ``lp_feasible_strict``
 wrapper), and the facet search of ``convex_hull`` with its Fraction nullspace
 per subset and the recomputed ``facet_sets``.  Results must be identical,
 every ``None`` and the LP witness x included.  sympy (a test-only import)
-checks rank, determinant and nullspace independently.
+checks rank, determinant and the integer kernel independently.
+
+The library computes nullspaces and orthogonal complements by the HNF
+kernel now, so ``ref_rational_nullspace`` and
+``ref_integer_orthogonal_complement`` are the references of
+``test_hnf_routes.py`` and tools of other reference routes.
 """
 
 import itertools
@@ -19,9 +25,10 @@ from math import lcm
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from gkzkit import intlinalg, lp
-from gkzkit.intlinalg import IntMatrix, clear_denominators, dot, primitive, vsub
+from gkzkit.intlinalg import clear_denominators, dot, primitive, vsub
 from gkzkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_maximize
 from gkzkit.polytope import convex_hull
 
@@ -118,7 +125,7 @@ def ref_integer_orthogonal_complement(vectors, dim: int):
     so {x : c . x = 0 for all returned c} is exactly the rational span.
     """
     if not vectors:
-        return tuple(IntMatrix.identity(dim).entries)
+        return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     null = ref_rational_nullspace([tuple(v) for v in vectors])
     return tuple(clear_denominators(v) for v in null)
 
@@ -366,10 +373,6 @@ def test_kernel_matches_fraction_gauss_jordan_on_seeded_matrices():
         deficient += rank < min(m, n)
         negative_pivot += next((row[0] for row in rows if row[0]), 0) < 0
         assert intlinalg.rational_rank(rows) == rank
-        assert intlinalg.rational_nullspace(rows) == ref_rational_nullspace(rows)
-        assert intlinalg.integer_orthogonal_complement(
-            rows, n
-        ) == ref_integer_orthogonal_complement(rows, n)
         b = [_entry(rng, rational) for _ in range(m)]
         if rng.random() < 0.5:  # a consistent right-hand side
             x = [_entry(rng, rational) for _ in range(n)]
@@ -380,9 +383,7 @@ def test_kernel_matches_fraction_gauss_jordan_on_seeded_matrices():
         square = [row[:m] for row in rows] if m <= n else rows[:n]
         assert intlinalg.det_fraction(square) == ref_det_fraction(square)
     assert deficient > 500 and negative_pivot > 500 and inconsistent > 300
-    assert intlinalg.rational_nullspace([]) == ref_rational_nullspace([]) == []
     assert intlinalg.det_fraction([]) == ref_det_fraction([]) == 1
-    assert intlinalg.integer_orthogonal_complement([], 3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _lp(rng):
@@ -465,13 +466,17 @@ _ENTRIES = st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4, max_deno
 def test_kernel_against_sympy(rows):
     M = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row] for row in rows])
     assert intlinalg.rational_rank(rows) == M.rank()
-    null = intlinalg.rational_nullspace(rows)
+    # scaling a row to integers keeps its kernel
+    null = intlinalg.integer_kernel_basis([clear_denominators(row) for row in rows], M.cols)
     assert len(null) == len(M.nullspace())
     span = sympy.Matrix.hstack(*M.nullspace()) if null else None
     for v in null:
-        col = sympy.Matrix([sympy.Rational(a.numerator, a.denominator) for a in v])
+        col = sympy.Matrix(v)
         assert M * col == sympy.zeros(M.rows, 1)
         assert sympy.Matrix.hstack(span, col).rank() == span.rank()
+    if null:  # a Z-basis of the kernel lattice, which is saturated
+        snf = smith_normal_form(sympy.Matrix(null), domain=sympy.ZZ)
+        assert [abs(snf[i, i]) for i in range(len(null))] == [1] * len(null)
     k = min(M.rows, M.cols)
     square = [row[:k] for row in rows[:k]]
     det = M[:k, :k].det()

@@ -21,10 +21,11 @@ import pytest
 from _corpus import random_beta
 from test_chart_routes import OBSTRUCTED, _configs, _point_sets, ref_ambient_functional
 from test_incidence_routes import ref_slacks
+from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from test_subdiagram_routes import _collinear, _coplanar, _corpus
 from gkzkit.configuration import face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant
-from gkzkit.intlinalg import IntMatrix, dot, integer_orthogonal_complement, vsub
+from gkzkit.intlinalg import IntMatrix, dot, vsub
 from gkzkit.lattice import AffineLattice, Lattice
 from gkzkit.polytope import (
     LATTICE_BOX_CAP,
@@ -127,7 +128,8 @@ def test_points_off_a_flat_hull_match_the_per_point_scan():
     for _, pts in _point_sets(7, 120):
         P = convex_hull(pts)
         n = len(pts[0])
-        L = AffineLattice(pts[0], Lattice.from_generators(IntMatrix.identity(n).entries))
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        L = AffineLattice(pts[0], Lattice.from_generators(unit))
         for strict in (True, False):
             error, got = _outcome(lattice_points_in, P, L, strict)
             assert (error, got) == _outcome(ref_lattice_points_in, P, L, strict), pts

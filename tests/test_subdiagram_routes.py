@@ -630,8 +630,8 @@ def ref_smith_normal_form_transforms(M: IntMatrix):
     """Return (U, D, V) with D = U*M*V diagonal, d_1 | d_2 | ..., U, V unimodular."""
     m, n = M.rows, M.cols
     a = [list(row) for row in M.entries]
-    U = [list(row) for row in IntMatrix.identity(m).entries]
-    V = [list(row) for row in IntMatrix.identity(n).entries]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_sub(i, src, q):
         a[i] = [p - q * r for p, r in zip(a[i], a[src])]
