@@ -80,7 +80,10 @@ def frac_str(x) -> str:
 
 def parse_frac(s) -> Fraction:
     try:
-        return Fraction(str(s))
+        t, limit = str(s), sys.int_info.default_max_str_digits
+        if len(t) > limit or abs(int(t.lower().partition("e")[2] or 0)) > limit:
+            raise ValueError  # past Python's int-string limit, refused before 10 ** e is built
+        return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}") from exc
 
@@ -102,7 +105,9 @@ def _load_payload(path: str | None):
         if not raw.strip():
             return {}
         data = json.loads(raw, parse_constant=_finite, parse_float=_finite)
-    except (OSError, json.JSONDecodeError) as exc:
+    except InputError:
+        raise
+    except (OSError, ValueError) as exc:  # an integer past the int-string limit too
         raise InputError(f"cannot read input: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
@@ -457,8 +462,10 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits()
     try:
         data = _load_payload(args.input)
+        sys.set_int_max_str_digits(0)  # the input is read: computed numbers print in full
         payload, code = HANDLERS[args.command](data, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -475,20 +482,23 @@ def main(argv=None) -> int:
         # anything else is a failed invariant of gkzkit, not a verdict on the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    report = {
-        "command": args.command,
-        "input": data,
-        "version": __version__,
-        "result": payload,
-    }
-    try:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone; point stdout at /dev/null so that the flush at
-        # interpreter exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+    else:
+        report = {
+            "command": args.command,
+            "input": data,
+            "version": __version__,
+            "result": payload,
+        }
+        try:
+            print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; point stdout at /dev/null so that the flush at
+            # interpreter exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

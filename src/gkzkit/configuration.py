@@ -35,7 +35,7 @@ from .intlinalg import (
     solve_rational,
     vsub,
 )
-from .lattice import AffineLattice, Lattice, lattice_span
+from .lattice import AffineLattice, Lattice, hnf_solve, lattice_span
 from .lp import OPTIMAL, lp_maximize
 from .polytope import (
     Face,
@@ -169,7 +169,7 @@ class PointConfiguration:
         coords = self.newton.point_coords
         if any(a.denominator != 1 for x in coords for a in x):
             raise AssertionError("integer columns must get integer chart coordinates")
-        return tuple(tuple(int(a) for a in x) for x in coords)
+        return coords
 
     @cached_property
     def volume(self) -> int:
@@ -400,11 +400,14 @@ def _seen_pyramids(G):
             raise AssertionError("a facet's images must lie on one side of 0")
         return min(abs(g) for (g,) in G)
     P = convex_hull(G)
-    x = P.chart_coords((0,) * len(G[0]))
+    # 0's chart coordinates are num / den, den > 0, or None off P's affine hull
+    x = hnf_solve(P.chart.basis.entries, P.chart.pivots, [-a for a in P.chart_anchor])
     if x is None:
         seen, k = [frozenset(range(len(G)))], P.dim + 1
     else:
-        seen, k = [s for (h, c), s in zip(P.facets, P.facet_sets) if dot(h, x) > c], P.dim
+        num, den = x
+        seen = [s for (h, c), s in zip(P.facets, P.facet_sets) if dot(h, num) > c * den]
+        k = P.dim
     vertices = frozenset(P.vertex_indices)
     cells, poset = [], None
     for s in seen:

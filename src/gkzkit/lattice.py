@@ -10,7 +10,6 @@ objects while index computations happen on genuine subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -88,11 +87,6 @@ class Lattice:
         if solved is None or any(n % solved[1] for n in solved[0]):
             return None
         return tuple(n // solved[1] for n in solved[0])
-
-    def rational_coordinates(self, v):
-        """Rational coordinates of v in the basis, or None if outside the span."""
-        solved = hnf_solve(self.basis.entries, self.pivots, v)
-        return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
 
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None

@@ -22,7 +22,6 @@ from .intlinalg import (
     clear_denominators,
     det_fraction,
     dot,
-    integer_kernel_basis,
     vec_gcd,
     vsub,
 )
@@ -66,22 +65,27 @@ class Polytope:
     point_coords: tuple = field(compare=False, repr=False)  # chart coordinates of ``points``
     facet_sets: tuple = field(compare=False, repr=False)  # indices of the points on each facet
 
-    def chart_coords(self, point):
-        """Chart coordinates of an ambient point, or None if off the affine hull."""
-        return self.chart.rational_coordinates(vsub(point, self.chart_anchor))
-
     @property
     def vertices(self):
         return tuple(self.points[i] for i in self.vertex_indices)
 
 
-def _simplex(icoords):
-    """Indices of dim + 1 affinely independent points among full-dimensional
-    integer points, the first of each new direction: point 0 and the pivot
-    columns of the matrix whose columns are the differences from it."""
-    base = icoords[0]
-    rows = list(zip(*(vsub(x, base) for x in icoords)))
-    return [0, *_reduce(rows, len(icoords))[0]]
+def _start(icoords, dim):
+    """(start, rays) for full-dimensional integer points: dim + 1 affinely
+    independent ones, the first of each new direction, and the facet of their
+    simplex opposite each.  One fraction-free elimination of (1, ..., 1) and
+    the coordinate rows, with the identity beside them, gives T B = d I on
+    the pivot columns B: row k of sign(d) T is (c, w) with c + w . x = 0 on
+    the other start points, and (-w, c) / gcd(w) is the facet opposite k."""
+    n, eye = len(icoords), range(dim + 1)
+    rows = [[*r, *(int(i == k) for k in eye)] for i, r in enumerate([[1] * n, *zip(*icoords)])]
+    start, d, _ = _reduce(rows, n)
+    rays = []
+    for i, row in zip(start, rows):
+        c, *w = row[n:] if d > 0 else [-a for a in row[n:]]
+        g = vec_gcd(w)
+        rays.append((tuple(-a // g for a in w), c // g, sum(1 << j for j in start if j != i)))
+    return start, rays
 
 
 def _facet_rays(icoords, dim):
@@ -93,28 +97,20 @@ def _facet_rays(icoords, dim):
     revisited*, 1996): the inequalities (h, c) valid on the points inserted so
     far form a pointed cone, and its extreme rays are their hull's facets.
     Each ray carries its set Z of inserted points tight on it.  The pass
-    starts from a simplex, whose dim + 1 facets are the rays of its cone.
-    Inserting a point x keeps the rays with s = h . x - c <= 0, adding x to Z
-    where s = 0, and combines each kept ray a with s_a < 0 and each cut ray b
-    with s_b > 0 into s_b a - s_a b, which is tight on x, if a and b are
-    adjacent.  Adjacency is decided on the Z sets alone: the face of the cone
-    tight on Z = Z_a & Z_b is spanned by the rays whose Z contains Z, so it is
-    the 2-face spanned by a and b iff no third ray's Z contains Z; a 2-face
-    needs at least dim - 1 tight points.  No general position is needed, and
+    starts from a simplex, whose dim + 1 facets, read off one elimination by
+    :func:`_start`, are the rays of its cone.  Inserting a point x keeps the
+    rays with s = h . x - c <= 0, adding x to Z where s = 0, and combines
+    each kept ray a with s_a < 0 and each cut ray b with s_b > 0 into
+    s_b a - s_a b, which is tight on x, if a and b are adjacent.  Adjacency
+    is decided on the Z sets alone: the face of the cone tight on
+    Z = Z_a & Z_b is spanned by the rays whose Z contains Z, so it is the
+    2-face spanned by a and b iff no third ray's Z contains Z; a 2-face needs
+    at least dim - 1 tight points.  No general position is needed, and
     repeated points are tight together.
 
     More than HULL_PAIR_CAP candidate pairs raise BudgetError.
     """
-    start = _simplex(icoords)
-    rays = []
-    for j in start:
-        on = [i for i in start if i != j]
-        base = icoords[on[0]]
-        (h,) = integer_kernel_basis([vsub(icoords[i], base) for i in on[1:]], dim)
-        c = dot(h, base)
-        if dot(h, icoords[j]) > c:
-            h, c = tuple(-a for a in h), -c
-        rays.append((h, c, sum(1 << i for i in on)))
+    start, rays = _start(icoords, dim)
     rest = sorted(set(range(len(icoords))) - set(start))
     pairs = 0
     for step, i in enumerate(rest):
@@ -150,7 +146,8 @@ def _facet_rays(icoords, dim):
 
 
 def convex_hull(points) -> Polytope:
-    """Exact hull of integer or rational points; V- and H-data consistent."""
+    """Exact hull of integer or rational points; V- and H-data consistent.
+    Integer points get int chart coordinates, rational ones Fractions."""
     pts = tuple(tuple(p) for p in points)
     if not pts:
         raise ValueError("convex_hull needs at least one point")
@@ -171,8 +168,8 @@ def convex_hull(points) -> Polytope:
     E *= nums[0][1]
     g = gcd(E, *(a for x, _ in nums for a in x))
     D = E // g
-    icoords = [tuple(a // g for a in x) for x, _ in nums]
-    coords = tuple(tuple(Fraction(a, D) for a in x) for x in icoords)
+    icoords = tuple(tuple(a // g for a in x) for x, _ in nums)
+    coords = icoords if D == 1 else tuple(tuple(Fraction(a, D) for a in x) for x in icoords)
     if dim == 0:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
     facets = {}

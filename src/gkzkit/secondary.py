@@ -31,6 +31,7 @@ from .intlinalg import (
     rational_rank,
     vsub,
 )
+from .lattice import hnf_solve
 from .lp import lp_feasible_strict
 from .polytope import BudgetError, cell_volume, convex_hull, pulling_cells
 
@@ -83,17 +84,17 @@ def make_triangulation(A: PointConfiguration, cells, volumes=None) -> Triangulat
 
 
 def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
-    """Project the lower hull of the height-lifted configuration.
-
-    Heights must be generic enough that every lower cell is a simplex;
-    otherwise a DegenerateHeightsError suggests perturbing them.
+    """Project the lower hull of the height-lifted configuration, lifted by
+    the least positive integer multiple of the heights, which has the same
+    lower hull.  Heights must be generic enough that every lower cell is a
+    simplex; otherwise a DegenerateHeightsError suggests perturbing them.
     """
     coords = A.chart_points
     heights = [Fraction(h) for h in heights]
     if len(heights) != A.size:
         raise ValueError("need one height per column")
     d = len(coords[0])
-    lifted = [(*coords[i], heights[i]) for i in range(A.size)]
+    lifted = [(*x, w) for x, w in zip(coords, clear_denominators(heights))]
     hull = convex_hull(lifted)
     if hull.dim <= d:
         # affine heights: the lower hull is the whole polytope
@@ -101,8 +102,8 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
     else:
         # a facet is lower iff its outer normal points down: the ambient
         # functional f with f . b_j = t h_j (t > 0) on the chart basis b has
-        # f . e_last = t (h . u), u the chart coordinates of e_last
-        u = hull.chart.rational_coordinates((0,) * d + (1,))
+        # f . e_last = t (h . x), x = u / den the chart coordinates of e_last
+        u, _ = hnf_solve(hull.chart.basis.entries, hull.chart.pivots, (0,) * d + (1,))
         cells = [
             tuple(sorted(on))
             for (h, _), on in zip(hull.facets, hull.facet_sets)

@@ -10,6 +10,10 @@ kept verbatim up to access paths: the triangular solve on the chart basis's
 pivot rows.  The library no longer calls it; it is checked against the
 Gauss-Jordan route here and shared with the references of
 ``test_pulling_routes.py`` and ``test_subdiagram_routes.py``.
+
+The library reads chart and lattice coordinates as ``hnf_solve``'s pair of
+integer numerators and positive denominator; ``rational_coordinates`` reads
+the pair as Fractions for the tests, and the routes tests share it.
 """
 
 import random
@@ -27,7 +31,7 @@ from gkzkit.configuration import (
     saturate,
 )
 from gkzkit.intlinalg import IntMatrix, clear_denominators, solve_rational, vsub
-from gkzkit.lattice import Lattice
+from gkzkit.lattice import Lattice, hnf_solve
 from gkzkit.polytope import convex_hull, lattice_points_in, relative_interior_lattice_points
 
 OBSTRUCTED = PointConfiguration.from_columns(
@@ -41,6 +45,15 @@ OBSTRUCTED = PointConfiguration.from_columns(
         (1, 0, 0, 4),
     ]
 )
+
+
+def rational_coordinates(L, v):
+    """Rational coordinates of v in the basis of the lattice L, or None off
+    its span: the numerators of ``hnf_solve`` over its denominator.  The
+    chart coordinates of a point p of a hull P are those of p - P.chart_anchor
+    in P.chart."""
+    solved = hnf_solve(L.basis.entries, L.pivots, v)
+    return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
 
 
 def _as_fraction_vec(p):
@@ -167,7 +180,7 @@ def test_chart_coords_and_ambient_functionals_match_gauss_jordan():
         P = convex_hull(pts)
         assert P.point_coords == tuple(_chart_coords_ref(P, p) for p in pts)
         for q in _queries(rng, pts):
-            got = P.chart_coords(q)
+            got = rational_coordinates(P.chart, vsub(q, P.chart_anchor))
             assert got == _chart_coords_ref(P, q)
             nones += got is None
         for h, _ in P.facets:
@@ -197,7 +210,7 @@ def test_lattice_coordinates_match_gauss_jordan():
         for v in queries:
             got = L.coordinates(v)
             assert got == _coordinates_ref(L, v)
-            assert L.rational_coordinates(v) == _rational_coordinates_ref(L, v)
+            assert rational_coordinates(L, v) == _rational_coordinates_ref(L, v)
             assert (v in L) == (got is not None)
             nones += got is None
     assert nones > 400

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -302,6 +303,45 @@ def test_non_integer_matrix_entries_are_input_errors():
         assert code == 2 and out is None, (payload, code, err)
         assert err.startswith("input error: matrix ") and err.count("\n") == 1
         assert where in err and err.rstrip().endswith(shown)
+
+
+def _run_text(args, text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzkit", *args], input=text, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_numbers_past_the_int_string_limit(monkeypatch, capsys):
+    # Python refuses int strings of more than 4300 digits; an input integer or a
+    # beta past that is an input error, and a beta exponent is checked before
+    # its power of ten is built
+    big = "7" * 5000
+    for text in (f'{{"matrix": [[1, 0], [1, {big}]]}}', f'{{"matrix": [[1, 0], [1, 1]], "n": {big}}}'):
+        code, out, err = _run_text(["faces"], text)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("input error: cannot read input: Exceeds the limit (4300 digits)")
+    start = time.perf_counter()
+    for beta in ("1e5000", "-1E+5000", "1e-5000", "1e999999999", big, f"1/{big}"):
+        code, out, err = run_cli(["nonresonant"], {"matrix": [[1, 0], [1, 1]], "beta": [beta, "0"]})
+        assert code == 2 and out is None and err == f"input error: bad rational {beta!r}\n"
+    assert time.perf_counter() - start < 10
+    # JSON numbers as beta keep their float's exponent, within +-324
+    code, out, _ = _run_text(["nonresonant"], '{"matrix": [[1, 0], [1, 1]], "beta": [1e300, 5e-324]}')
+    beta = json.loads(out)["result"]["beta"]
+    assert code == 0 and beta[0] == "1" + "0" * 300 and beta[1].startswith("1/2" + "0" * 320)
+    # a computed report holding integers past the limit is printed in full
+    n = 10**2200
+    payload = {"matrix": [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, n, 0], [1, 0, n]]}
+    code, out, err = _run_text(["mults"], json.dumps(payload))
+    assert code == 0 and err == "" and len(out) > 20_000
+    assert max(map(len, re.findall(r"\d+", out))) == 4400  # multiplicities of order n**2
+    # in process, the interpreter's limit is back after the report
+    from gkzkit import cli
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["mults"]) == 0 and len(capsys.readouterr().out) > 20_000
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_lattice_point_search_box_is_a_budget_error():

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from gkzkit import cli
 
 entries = st.integers(-3, 3)
+# an integer past Python's 4300-digit int-string limit; the payload holds it as
+# a string, which the test writes into the JSON text as a bare number
+OVERSIZED = "9" * 4301
 fractions = st.sampled_from(["0", "1", "-1", "1/2", "-1/3", "1/5", "2/7"])
 
 
@@ -38,7 +41,7 @@ def payloads(draw, curve=False):
             column = st.lists(entries, min_size=rows, max_size=rows)
         matrix = draw(st.lists(column, min_size=1, max_size=6, unique_by=tuple))
     data = {"matrix": matrix, "beta": draw(st.lists(fractions, min_size=rows, max_size=rows))}
-    faults = ["entry", "ragged", "labels", "odd label", "beta", "repeat"]
+    faults = ["entry", "ragged", "labels", "odd label", "beta", "repeat", "oversized"]
     fault = draw(st.sampled_from([None] * 8 + faults))
     if fault == "entry":
         matrix[-1][-1] = draw(st.sampled_from([1.5, "2", None, True, [1]]))
@@ -53,6 +56,11 @@ def payloads(draw, curve=False):
         data["beta"] = draw(st.sampled_from([[], ["1/0"], ["x"], "1/2", [0] * (rows + 1)]))
     elif fault == "repeat":
         matrix.append(list(matrix[0]))
+    elif fault == "oversized":
+        if draw(st.booleans()):
+            data[draw(st.text("abcxyz", min_size=1, max_size=3))] = OVERSIZED
+        else:
+            data["beta"] = ["1e5000"] * rows
     return data
 
 
@@ -98,7 +106,8 @@ def test_every_invocation_ends_in_a_documented_verdict(command, data):
     argv = [command, *_flags(command, data.draw, len(payload["matrix"]))]
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(payload))
+    text = json.dumps(payload).replace(json.dumps(OVERSIZED), OVERSIZED)
+    sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -111,6 +120,10 @@ def test_every_invocation_ends_in_a_documented_verdict(command, data):
     if odd != odd or (odd is None and command != "curve"):
         # a NaN label fails the parse, a null one every command that reads labels
         assert code == 2, (argv, payload, out.getvalue())
+    reads_beta = command == "series" or (command == "nonresonant" and "--beta" not in argv)
+    if OVERSIZED in text or (payload["beta"][:1] == ["1e5000"] and reads_beta):
+        # the parse refuses the integer; series and nonresonant read the beta
+        assert code == 2, (argv, payload, err.getvalue())
     if out.getvalue():
         # every report is standard JSON: no NaN or Infinity
         report = json.loads(out.getvalue(), parse_constant=_refuse)

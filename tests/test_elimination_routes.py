@@ -1,12 +1,14 @@
-"""Differential tests: the hull's start simplex, the curve squarefree test,
-the factorization check and the lattice-redundancy test, against the routes
-they replaced.
+"""Differential tests: the hull's start simplex and its facets, the curve
+squarefree test, the factorization check and the lattice-redundancy test,
+against the routes they replaced.
 
 The references are the earlier routes, kept verbatim: the start simplex as
-its own fraction-free echelon loop, the squarefree test as a Fraction Euclid
-on a line specialization, the factorization check dividing the
-coordinate-free part by the discriminant until it stops, and the redundancy
-test comparing the spans of a face with and without the point.  The start
+its own fraction-free echelon loop, the start as that simplex's pivot
+columns plus one integer kernel per facet (``ref_start``), the squarefree
+test as a Fraction Euclid on a line specialization, the factorization check
+dividing the coordinate-free part by the discriminant until it stops, and
+the redundancy test comparing the spans of a face with and without the
+point.  The start
 simplex and the squarefree test under test go through the one elimination
 kernel ``intlinalg._reduce``.  (The chart's ambient functional, which now
 goes through ``solve_rational`` too, is compared with Gauss-Jordan in
@@ -36,7 +38,7 @@ from gkzkit.curves import (
     principal_determinant_curve,
     verify_factorization,
 )
-from gkzkit.intlinalg import primitive, rational_rank, vsub
+from gkzkit.intlinalg import _reduce, dot, integer_kernel_basis, primitive, rational_rank, vsub
 from gkzkit.lattice import lattice_span
 from gkzkit.polynomials import (
     normalize_sign,
@@ -46,7 +48,7 @@ from gkzkit.polynomials import (
     strip_monomial_content,
     support,
 )
-from gkzkit.polytope import BudgetError, _simplex, convex_hull
+from gkzkit.polytope import BudgetError, _start, convex_hull
 from gkzkit.secondary import secondary_polytope
 
 OBSTRUCTED = PointConfiguration.from_columns(
@@ -84,6 +86,24 @@ def ref_simplex(icoords, dim):
             if len(out) == dim + 1:
                 break
     return out
+
+
+def ref_start(icoords, dim):
+    """The earlier start of the double-description pass: ``_simplex`` and its
+    loop of one integer kernel per facet."""
+    base = icoords[0]
+    rows = list(zip(*(vsub(x, base) for x in icoords)))
+    start = [0, *_reduce(rows, len(icoords))[0]]
+    rays = []
+    for j in start:
+        on = [i for i in start if i != j]
+        base = icoords[on[0]]
+        (h,) = integer_kernel_basis([vsub(icoords[i], base) for i in on[1:]], dim)
+        c = dot(h, base)
+        if dot(h, icoords[j]) > c:
+            h, c = tuple(-a for a in h), -c
+        rays.append((h, c, sum(1 << i for i in on)))
+    return start, rays
 
 
 def ref_univariate_squarefree(p) -> bool:
@@ -273,7 +293,7 @@ def test_start_simplex_matches_the_echelon_loop():
     skipped = 0
     for pts in sets:
         dim = len(pts[0])
-        got = _simplex(pts)
+        got = _start(pts, dim)[0]
         assert got == ref_simplex(pts, dim), pts
         skipped += got[-1] > dim
     # most sets have a dependent point before their last direction
@@ -283,11 +303,38 @@ def test_start_simplex_matches_the_echelon_loop():
 def test_start_simplex_keeps_the_cyclic_budget_message(monkeypatch):
     with pytest.raises(BudgetError) as new:
         convex_hull(CYCLIC)
-    monkeypatch.setattr(polytope, "_simplex", lambda icoords: ref_simplex(icoords, len(icoords[0])))
+    monkeypatch.setattr(polytope, "_start", ref_start)
     with pytest.raises(BudgetError) as ref:
         convex_hull(CYCLIC)
     assert str(new.value) == str(ref.value)
     assert "of 24 points inserted" in str(new.value)
+
+
+def test_start_matches_the_kernel_per_facet(monkeypatch):
+    # every input the hulls of test_hull_routes' corpus start from, then
+    # this file's full-dimensional sets and the cyclic 6-polytope
+    from test_hull_routes import _corpus as hull_corpus
+
+    inputs = []
+
+    def spy(icoords, dim):
+        inputs.append((icoords, dim))
+        return ref_start(icoords, dim)
+
+    monkeypatch.setattr(polytope, "_start", spy)
+    for pts in hull_corpus():
+        convex_hull(pts)
+    monkeypatch.undo()
+    hulls = len(inputs)
+    inputs += [(pts, len(pts[0])) for pts in _full_dimensional_sets(random.Random(1207), 400)]
+    inputs.append(([p[1:] for p in CYCLIC], 6))
+    flips = 0
+    for icoords, dim in inputs:
+        start, rays = _start(icoords, dim)
+        assert (start, rays) == ref_start(icoords, dim), icoords
+        flips += _reduce([[1] * len(icoords), *map(list, zip(*icoords))], len(icoords))[1] < 0
+    assert hulls >= 2000 and {d for _, d in inputs} == {1, 2, 3, 4, 5, 6}
+    assert flips > 100  # elimination ends on a negative pivot: the sign flip is needed
 
 
 def test_squarefree_matches_the_fraction_euclid():

@@ -14,8 +14,10 @@ build themselves, ``hnf_with_transform``.
 The integer kernel is checked against ``ref_integer_kernel_basis`` (the
 zero columns of ``ref_column_hnf``) and against the span of the Bareiss
 orthogonal complement, ``ref_integer_orthogonal_complement`` of
-``test_kernel_routes.py``, on that file's seeded matrices and on every input
-the hulls and faces of the routes corpora hand to it.
+``test_kernel_routes.py``, on that file's seeded matrices, on every input
+the faces of the routes corpora hand to it, and on the start-facet rows the
+earlier hull start, ``ref_start`` of ``test_elimination_routes.py``, builds
+on the hull corpus (the hull's own start takes no kernel).
 
 ``ref_intersect_subspace`` is the earlier ``Lattice.intersect_subspace`` on
 these references.  The library no longer has it; the index, quotient and
@@ -26,10 +28,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from test_elimination_routes import ref_start
 from test_hull_routes import _corpus as hull_corpus
 from test_kernel_routes import _matrix as seeded_matrix
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
-from gkzkit import configuration, intlinalg
+from gkzkit import configuration, intlinalg, polytope
 from gkzkit.configuration import index_i
 from gkzkit.intlinalg import (
     IntMatrix,
@@ -310,6 +313,8 @@ def test_kernel_matches_the_references_on_the_hull_and_face_inputs(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_hnf_kernel", spy)
     monkeypatch.setattr(configuration, "_hnf_kernel", spy)
+    # the hull's start reaches no kernel; its earlier route took one per facet
+    monkeypatch.setattr(polytope, "_start", ref_start)
     for pts in hull_corpus():
         convex_hull(pts)
     hulls = len(inputs)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from _corpus import CATALOG, MOTHER
+from test_chart_routes import rational_coordinates
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from gkzkit.intlinalg import clear_denominators, dot, rational_rank, vsub
 from gkzkit.lattice import Lattice
@@ -30,7 +31,7 @@ def ref_convex_hull(points) -> Polytope:
     # points get integer chart coordinates
     gens = [clear_denominators(d) for d in diffs if any(d)]
     lat = Lattice.from_generators(gens, len(anchor))
-    coords = tuple(lat.rational_coordinates(d) for d in diffs)
+    coords = tuple(rational_coordinates(lat, d) for d in diffs)
     dim = lat.rank
     if dim == 0:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())

@@ -19,7 +19,13 @@ from math import ceil, floor, prod
 import pytest
 
 from _corpus import random_beta
-from test_chart_routes import OBSTRUCTED, _configs, _point_sets, ref_ambient_functional
+from test_chart_routes import (
+    OBSTRUCTED,
+    _configs,
+    _point_sets,
+    rational_coordinates,
+    ref_ambient_functional,
+)
 from test_incidence_routes import ref_slacks
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from test_subdiagram_routes import _collinear, _coplanar, _corpus
@@ -59,7 +65,7 @@ def ref_lattice_points_in(P, L, strict=False, face=None, tight_weakly=False):
     on = frozenset(face.indices if face is not None else range(len(P.points)))
     through = [on <= s for s in P.facet_sets]
     boxes = [
-        L.delta.rational_coordinates(vsub(P.points[i], L.anchor))
+        rational_coordinates(L.delta, vsub(P.points[i], L.anchor))
         for i in P.vertex_indices
         if i in on
     ]
@@ -191,7 +197,7 @@ def test_lower_facets_match_the_ambient_functionals():
         for heights in [_heights(rng, A) for _ in range(3)] + [[0] * A.size]:
             hull = convex_hull([(*x, h) for x, h in zip(A.chart_points, heights)])
             if hull.dim > d:
-                u = hull.chart.rational_coordinates((0,) * d + (1,))
+                u = rational_coordinates(hull.chart, (0,) * d + (1,))
                 for h, _ in hull.facets:
                     down = dot(h, u) < 0
                     assert down == (ref_ambient_functional(hull, h)[-1] < 0)

@@ -1,11 +1,18 @@
 """Hulls, face posets, minimal faces, relative-interior lattice points."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from test_chart_routes import rational_coordinates
+from test_hull_routes import _corpus as hull_corpus
 from test_incidence_routes import ref_contains, ref_contains_strict, ref_minimal_face_containing
-from gkzkit.configuration import PointConfiguration
+from test_lattice_point_routes import _heights
+from test_subdiagram_routes import _corpus as routes_corpus
+from gkzkit import polytope
+from gkzkit.configuration import PointConfiguration, multiplicity_table
+from gkzkit.intlinalg import vsub
 from gkzkit.lattice import lattice_span
 from gkzkit.polytope import (
     cell_volume,
@@ -15,6 +22,7 @@ from gkzkit.polytope import (
     pulling_cells,
     relative_interior_lattice_points,
 )
+from gkzkit.secondary import DegenerateHeightsError, regular_triangulation
 
 # planar configuration on the triangle with vertices (1,0,0), (1,3,0), (1,0,3)
 # and marked points on two of its edges
@@ -44,7 +52,7 @@ def test_hull_segment():
 def test_every_face_is_exactly_its_equality_set():
     P = convex_hull(TRI_POINTS)
     poset = face_poset(P)
-    coords = [P.chart_coords(p) for p in P.points]
+    coords = [rational_coordinates(P.chart, vsub(p, P.chart_anchor)) for p in P.points]
     for f in poset.faces:
         if f.supporting is None:
             continue
@@ -157,3 +165,27 @@ def test_rational_points_hull():
     assert not ref_contains(P, (2, 2))
     assert ref_contains_strict(P, (Fraction(1, 2), Fraction(1, 2)))
     assert not ref_contains_strict(P, (0, 1))
+
+
+def test_integer_points_build_no_fraction_in_the_hull_layer(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"the hull layer built Fraction{args}")
+
+    monkeypatch.setattr(polytope, "Fraction", refuse)
+    hulls = lifts = 0
+    for pts in hull_corpus():
+        if all(type(a) is int for p in pts for a in p):
+            P = convex_hull(pts)
+            assert all(type(a) is int for x in P.point_coords for a in x)
+            hulls += 1
+    rng = random.Random(2411)
+    for A in routes_corpus():
+        assert A.volume > 0
+        multiplicity_table(A)
+        for _ in range(2):  # heights over the denominator 997
+            try:
+                regular_triangulation(A, _heights(rng, A))
+                lifts += 1
+            except DegenerateHeightsError:
+                pass
+    assert hulls > 2000 and lifts > 200, (hulls, lifts)

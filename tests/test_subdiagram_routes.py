@@ -44,7 +44,7 @@ import pytest
 from sympy import Matrix
 
 from _corpus import random_small_config
-from test_chart_routes import ref_ambient_functional
+from test_chart_routes import rational_coordinates, ref_ambient_functional
 from test_hnf_routes import ref_intersect_subspace
 from gkzkit import configuration
 from gkzkit.configuration import (
@@ -537,7 +537,8 @@ def ref_seen_pyramids(G):
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
     poset = face_poset(convex_hull(G))
-    x = poset.polytope.chart_coords((0,) * len(G[0]))
+    P = poset.polytope
+    x = rational_coordinates(P.chart, vsub((0,) * len(G[0]), P.chart_anchor))
     if x is None:
         seen = [poset.top]
     else:
