@@ -45,7 +45,6 @@ from .polytope import (
     face_poset,
     lattice_points_in,
     pulling_cells,
-    relative_interior_lattice_points,
 )
 
 
@@ -166,10 +165,7 @@ class PointConfiguration:
         space vanishes under the homogeneity functional, which is 1 on every
         a_i, so sum k_i = 0 and the vector is sum k_i (a_i - a_1).
         """
-        coords = self.newton.point_coords
-        if any(a.denominator != 1 for x in coords for a in x):
-            raise AssertionError("integer columns must get integer chart coordinates")
-        return coords
+        return self.newton.point_coords
 
     @cached_property
     def volume(self) -> int:
@@ -231,7 +227,7 @@ class PointConfiguration:
         pts = memo.get(face.indices)
         if pts is None:
             L = face_lattice(self, face)
-            pts = memo[face.indices] = relative_interior_lattice_points(self.newton, face, L)
+            pts = memo[face.indices] = lattice_points_in(self.newton, L, strict=True, face=face)
         return pts
 
     @cached_property
@@ -313,8 +309,7 @@ def _extreme_rays(G):
 
 
 def _face_quotient_images(A: PointConfiguration, face: Face):
-    """(project, G): the map of a column to its image in Z_A / (Z_A ∩ span Γ),
-    and the sorted nonzero images of the columns.
+    """G: the sorted nonzero images of the columns in Z_A / (Z_A ∩ span Γ).
 
     With X U = [L | 0] from :func:`_face_hnf`, each of the last r - s columns
     u of U has X u = 0, so x -> u . x vanishes on span Γ.  U^T is unimodular,
@@ -323,13 +318,7 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
     is Z_A ∩ span Γ.  A column's image is (u . coordinates) over those u,
     and the quotient has no torsion.
     """
-    tail = _face_hnf(A, face)[1]
-
-    def project(p):
-        x = A.group_lattice.coordinates(p)
-        return tuple(dot(u, x) for u in tail)
-
-    return project, _quotient_images(A.group_coordinates, tail)
+    return _quotient_images(A.group_coordinates, _face_hnf(A, face)[1])
 
 
 def _quotient_images(coords, tail):
@@ -381,7 +370,7 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
-    return _seen_pyramids(_face_quotient_images(A, face)[1])
+    return _seen_pyramids(_face_quotient_images(A, face))
 
 
 def _seen_pyramids(G):
@@ -483,7 +472,7 @@ def subdiagram_volume_oracle(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1
-    _, G = _face_quotient_images(A, face)
+    G = _face_quotient_images(A, face)
     if len(G[0]) == 1:
         gens = sorted({abs(g[0]) for g in G})
         signs = {1 if g[0] > 0 else -1 for g in G}
@@ -730,11 +719,14 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
 
 
 def _aux_multiplicities(A: PointConfiguration, face: Face, k: int):
-    """(m(A, Γ), m(A - k, Γ)) from one :func:`_face_hnf`; see :func:`check_aux_point`."""
+    """(m(A, Γ), m(A - k, Γ)) from one :func:`_face_hnf`; see :func:`check_aux_point`.
+    When k's image is zero or another column's, G(A - k) = G(A) and v is reused."""
     L, tail = _face_hnf(A, face)
     i, coords = _row_index(L), A.group_coordinates
-    v_with = _seen_pyramids(_quotient_images(coords, tail))
-    v_without = _seen_pyramids(_quotient_images(coords[:k] + coords[k + 1:], tail))
+    G = _quotient_images(coords, tail)
+    G_without = _quotient_images(coords[:k] + coords[k + 1:], tail)
+    v_with = _seen_pyramids(G)
+    v_without = v_with if G_without == G else _seen_pyramids(G_without)
     return i * v_with, i * v_without
 
 

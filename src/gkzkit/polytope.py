@@ -14,17 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 
-from .intlinalg import (
-    _integral,
-    _reduce,
-    clear_denominators,
-    det_fraction,
-    dot,
-    vec_gcd,
-    vsub,
-)
+from .intlinalg import _ints, _reduce, det_fraction, dot, vec_gcd, vsub
 from .lattice import AffineLattice, Lattice, hnf_solve
 
 # Candidate facet pairs that one hull may test.  The largest hull of the test
@@ -146,47 +138,30 @@ def _facet_rays(icoords, dim):
 
 
 def convex_hull(points) -> Polytope:
-    """Exact hull of integer or rational points; V- and H-data consistent.
-    Integer points get int chart coordinates, rational ones Fractions."""
-    pts = tuple(tuple(p) for p in points)
+    """Exact hull of integer points; V- and H-data consistent.  An entry
+    that is not an integer raises ValueError naming it."""
+    pts = tuple(tuple(_ints(p)) for p in points)
     if not pts:
         raise ValueError("convex_hull needs at least one point")
     anchor = min(pts)
     diffs = [vsub(p, anchor) for p in pts]
-    # chart basis = HNF basis of the difference lattice, so integer input
-    # points get integer chart coordinates
-    gens = [clear_denominators(d) for d in diffs if any(d)]
-    lat = Lattice.from_generators(gens, len(anchor))
+    # chart basis = HNF basis of the difference lattice, so every difference
+    # has integer chart coordinates
+    lat = Lattice.from_generators([d for d in diffs if any(d)], len(anchor))
     dim = lat.rank
-    # chart coordinates over one denominator: hnf_solve puts the diffs, made
-    # integral by the lcm E of their denominators, over E * the pivots.  The
-    # facets are found on the integer points D * x, D the least common
-    # denominator: same hyperplanes, same sides, no Fraction arithmetic.
-    E = lcm(*(a.denominator for d in diffs for a in d))
-    rows, piv = lat.basis.entries, lat.pivots
-    nums = [hnf_solve(rows, piv, [a.numerator * (E // a.denominator) for a in d]) for d in diffs]
-    E *= nums[0][1]
-    g = gcd(E, *(a for x, _ in nums for a in x))
-    D = E // g
-    icoords = tuple(tuple(a // g for a in x) for x, _ in nums)
-    coords = icoords if D == 1 else tuple(tuple(Fraction(a, D) for a in x) for x in icoords)
+    coords = tuple(lat.coordinates(d) for d in diffs)
     if dim == 0:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
-    facets = {}
-    for h, c, z in _facet_rays(icoords, dim):
-        # h . x <= c / D in chart coordinates; as h is primitive, the least
-        # integral multiple is (k h, c / g) with g = gcd(c, D), k = D / g
-        g = gcd(c, D)
-        facets[tuple(D // g * a for a in h), c // g] = z
+    facets = {(h, c): z for h, c, z in _facet_rays(coords, dim)}
     order = tuple(sorted(facets))
     masks = [facets[f] for f in order]
     # a point is a vertex iff the facets through it meet in copies of it
     everything = (1 << len(pts)) - 1
     copies = {}
-    for i, x in enumerate(icoords):
+    for i, x in enumerate(coords):
         copies[x] = copies.get(x, 0) | 1 << i
     vert = []
-    for i, x in enumerate(icoords):
+    for i, x in enumerate(coords):
         meet = everything
         for z in masks:
             if z >> i & 1:
@@ -303,19 +278,18 @@ def lattice_points_in(
         raise BudgetError(
             f"lattice-point search limited to {LATTICE_BOX_CAP} box points, got {size}"
         )
-    # E (p - chart anchor) = w0 + sum m_k E g_k is integral; x0 and xs are
-    # D times the chart coordinates of w0 and of the E g_k
-    w0, E = _integral(vsub(L.anchor, P.chart_anchor))
-    vecs = [w0, *([E * a for a in g] for g in gens)]
+    # p - chart anchor = w0 + sum m_k g_k; x0 and xs are D times the chart
+    # coordinates of w0 and of the g_k
+    vecs = [vsub(L.anchor, P.chart_anchor), *gens]
     rows, piv = P.chart.basis.entries, P.chart.pivots
     square = [rows[p] for p in piv]
     solved = [hnf_solve(square, range(P.dim), [v[p] for p in piv]) for v in vecs]
     D = lcm(*(den for _, den in solved))
     x0, *xs = ([a * (D // den) for a in num] for num, den in solved)
-    # (constant, coefficients, tight): E D times a facet's slack, tight on
-    # the facets through the face, and D times a row of the residual
+    # (constant, coefficients, tight): D times a facet's slack, tight on the
+    # facets through the face, and D times a row of the residual
     forms = [
-        (c * E * D - dot(h, x0), [-dot(h, x) for x in xs], t)
+        (c * D - dot(h, x0), [-dot(h, x) for x in xs], t)
         for (h, c), t in zip(P.facets, through)
     ]
     for i, row in enumerate(rows):
@@ -334,12 +308,6 @@ def lattice_points_in(
                 tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
             )
     return tuple(sorted(out))
-
-
-def relative_interior_lattice_points(P: Polytope, face: Face, L: AffineLattice):
-    """Lattice points strictly inside a face of P (the vertex itself for
-    0-faces), from P's facets; L must span the face's affine hull."""
-    return lattice_points_in(P, L, strict=True, face=face)
 
 
 def pulling_cells(poset: FacePoset, face: Face | None = None):

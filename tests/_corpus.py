@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from gkzkit.configuration import PointConfiguration
 from gkzkit.intlinalg import rational_rank, vsub
@@ -15,6 +16,14 @@ CATALOG = (
     ((0, 0), (1, 0), (2, 1), (1, 2), (1, 1)),
 )
 MOTHER = ((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2))
+
+
+def integral_multiple(points):
+    """(D * points as int tuples, D), D the least common denominator of the
+    entries: the integer points that ``convex_hull`` takes for a rational
+    set, with the same combinatorics, and volumes scaled by D^dim."""
+    D = lcm(*(Fraction(a).denominator for p in points for a in p))
+    return [tuple(int(a * D) for a in p) for p in points], D
 
 
 def random_planar_config(rng: random.Random, max_coord=3, min_pts=4, max_pts=7):

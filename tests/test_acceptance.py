@@ -94,7 +94,8 @@ def test_criterion_2_obstructed_configuration():
         for a in range(s.size):
             if a != k:
                 assert not check_aux_point(s, k, a)
-        from gkzkit.configuration import _face_quotient_images
+        from gkzkit.configuration import _face_hnf
+        from gkzkit.intlinalg import dot
         from gkzkit.polytope import convex_hull
 
         for pts in (
@@ -106,10 +107,13 @@ def test_criterion_2_obstructed_configuration():
             )
             f_after = s.poset.face_with_indices(tuple(s.index_of(p) for p in pts))
             assert subdiagram_volume(OBSTRUCTED, f_before) > subdiagram_volume(s, f_after)
-            project, _ = _face_quotient_images(s, f_after)
+            # each column's image in the quotient by the face's saturated span
+            tail = _face_hnf(s, f_after)[1]
+            columns = zip(s.points, s.group_coordinates)
+            image = {p: tuple(dot(u, x) for u in tail) for p, x in columns}
             off = [p for p in s.points if p not in set(s.face_points(f_after))]
-            hull = convex_hull([project(p) for p in off])
-            assert project(new) in hull.vertices
+            hull = convex_hull([image[p] for p in off])
+            assert image[new] in hull.vertices
     print(f"\nCRITERION 2: PASS (obstructed configuration reproduced, {b.elapsed:.2f}s)")
 
 

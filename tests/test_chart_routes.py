@@ -22,7 +22,7 @@ from math import lcm
 
 import pytest
 
-from _corpus import random_small_config
+from _corpus import integral_multiple, random_small_config
 from gkzkit import configuration, lattice, polytope
 from gkzkit.configuration import (
     PointConfiguration,
@@ -32,7 +32,7 @@ from gkzkit.configuration import (
 )
 from gkzkit.intlinalg import IntMatrix, clear_denominators, solve_rational, vsub
 from gkzkit.lattice import Lattice, hnf_solve
-from gkzkit.polytope import convex_hull, lattice_points_in, relative_interior_lattice_points
+from gkzkit.polytope import convex_hull, lattice_points_in
 
 OBSTRUCTED = PointConfiguration.from_columns(
     [
@@ -123,9 +123,12 @@ def _rational_coordinates_ref(L, v):
     return x
 
 
-def _relint_ref(P, face, L):
-    """Lattice points strictly inside a face (the vertex itself for 0-faces)."""
-    return lattice_points_in(convex_hull([P.points[i] for i in face.indices]), L, strict=True)
+def _lattice_points_in_ref(P, L, strict=False, face=None):
+    """``lattice_points_in``, with the points of a face read off a fresh hull
+    of the face (the vertex itself for 0-faces)."""
+    if face is not None:
+        P = convex_hull([P.points[i] for i in face.indices])
+    return lattice_points_in(P, L, strict)
 
 
 def _solve_ref(rows, pivots, v):
@@ -143,7 +146,8 @@ def _coord(rng, rational):
 
 
 def _point_sets(seed, count):
-    """Seeded point sets, ambient dimension 1-5, some rational, some flat."""
+    """Seeded point sets, ambient dimension 1-5, some flat.  Some are drawn
+    rational and scaled to integers by their least common denominator."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 5)
@@ -158,7 +162,7 @@ def _point_sets(seed, count):
             }
         else:
             pts = {tuple(_coord(rng, rational) for _ in range(n)) for _ in range(k)}
-        yield rng, sorted(pts)
+        yield rng, integral_multiple(sorted(pts))[0]
 
 
 def _queries(rng, pts):
@@ -225,9 +229,8 @@ def test_face_interiors_match_rehulled_faces():
     for A in [*_configs(), OBSTRUCTED, saturate(OBSTRUCTED, "s").result]:
         for face in A.poset.faces:
             L = face_lattice(A, face)
-            assert relative_interior_lattice_points(A.newton, face, L) == _relint_ref(
-                A.newton, face, L
-            )
+            got = lattice_points_in(A.newton, L, strict=True, face=face)
+            assert got == _lattice_points_in_ref(A.newton, L, True, face)
 
 
 def _fresh(A):
@@ -248,7 +251,7 @@ def test_saturations_and_chains_match_the_gauss_jordan_route(which, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(lattice, "hnf_solve", _solve_ref)
         m.setattr(polytope, "hnf_solve", _solve_ref)
-        m.setattr(configuration, "relative_interior_lattice_points", _relint_ref)
+        m.setattr(configuration, "lattice_points_in", _lattice_points_in_ref)
         want = [_saturations_and_chains(A, modes) for A in configs]
     assert got == want
     if which == "obstructed":
@@ -274,11 +277,12 @@ def test_face_saturation_hulls_only_the_newton_polytope(monkeypatch):
 def test_face_interiors_are_computed_once_per_face(monkeypatch):
     calls = []
 
-    def counting(P, face, L):
-        calls.append(face.indices)
-        return relative_interior_lattice_points(P, face, L)
+    def counting(P, L, strict=False, face=None):
+        if face is not None:
+            calls.append(face.indices)
+        return lattice_points_in(P, L, strict, face)
 
-    monkeypatch.setattr(configuration, "relative_interior_lattice_points", counting)
+    monkeypatch.setattr(configuration, "lattice_points_in", counting)
     for A in [*_configs()[:10], OBSTRUCTED]:
         A = _fresh(A)
         calls.clear()

@@ -330,7 +330,8 @@ def test_obstructed_subdiagram_volumes_drop_strictly():
 
 
 def test_obstructed_projected_point_is_hull_vertex():
-    from gkzkit.configuration import _face_quotient_images
+    from gkzkit.configuration import _face_hnf
+    from gkzkit.intlinalg import dot
     from gkzkit.polytope import convex_hull
 
     s = saturate(OBSTRUCTED, "s").result
@@ -340,11 +341,13 @@ def test_obstructed_projected_point_is_hull_vertex():
         [(1, 2, 0, 2), (1, 1, 0, 3), (1, 0, 0, 4)],
     ):
         face = face_by_points(s, pts)
-        project, _ = _face_quotient_images(s, face)
+        # each column's image in the quotient by the face's saturated span
+        tail = _face_hnf(s, face)[1]
+        columns = zip(s.points, s.group_coordinates)
+        image = {p: tuple(dot(u, x) for u in tail) for p, x in columns}
         off = [p for p in s.points if p not in set(s.face_points(face))]
-        images = [project(p) for p in off]
-        hull = convex_hull(images)
-        assert project(new) in hull.vertices
+        hull = convex_hull([image[p] for p in off])
+        assert image[new] in hull.vertices
 
 
 def test_aux_point_certificate_on_edge_extension():

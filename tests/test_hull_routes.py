@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from _corpus import CATALOG, MOTHER
+from _corpus import CATALOG, MOTHER, integral_multiple
 from test_chart_routes import rational_coordinates
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from gkzkit.intlinalg import clear_denominators, dot, rational_rank, vsub
@@ -111,9 +111,10 @@ def ref_face_poset(P: Polytope) -> FacePoset:
 
 
 def _point_set(rng):
-    """Up to ten points of a random lattice of rank 1-4, embedded in
-    ambient dimension up to 6 and translated; some sets rational, some
-    points repeated."""
+    """(points, D): up to ten points of a random lattice of rank 1-4,
+    embedded in ambient dimension up to 6 and translated, some repeated.
+    Some sets are rational; they are scaled to integers by their least
+    common denominator D, so their charts are proper sublattices."""
     dim = rng.randint(1, 4)
     ambient = rng.randint(dim, min(6, dim + 2))
     denominators = (1, 2, 3) if rng.random() < 0.2 else (1,)
@@ -129,29 +130,35 @@ def _point_set(rng):
             continue
         m = [rng.randint(-2, 2) for _ in range(dim)]
         p = [a + sum(k * b[j] for k, b in zip(m, basis)) for j, a in enumerate(shift)]
-        pts.append(tuple(int(a) if a.denominator == 1 else a for a in p))
-    return pts
+        pts.append(tuple(p))
+    return integral_multiple(pts)
+
+
+def _scaled_corpus():
+    """The seeded sets as (points, D), D > 1 for a scaled rational set, and
+    the fixed sets with D = 1."""
+    rng = random.Random(20261018)
+    sets = [_point_set(rng) for _ in range(2600)]
+    fixed = [[(1, *p) for p in points] for points in (*CATALOG, MOTHER)]
+    fixed.append([(t, t * t, t**3, t**4) for t in range(9)])  # a cyclic 4-polytope
+    fixed.append([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)] * 2)
+    return sets + [(pts, 1) for pts in fixed]
 
 
 def _corpus():
-    rng = random.Random(20261018)
-    sets = [_point_set(rng) for _ in range(2600)]
-    sets += [[(1, *p) for p in points] for points in (*CATALOG, MOTHER)]
-    sets.append([(t, t * t, t**3, t**4) for t in range(9)])  # a cyclic 4-polytope
-    sets.append([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)] * 2)
-    return sets
+    return [pts for pts, _ in _scaled_corpus()]
 
 
 def test_hull_and_poset_match_the_subset_search():
     spread = {
         "dims": set(),
         "lower": 0,
-        "rational": 0,
+        "scaled": 0,
         "repeated": 0,
         "interior": 0,
         "faces": 0,
     }
-    for pts in _corpus():
+    for pts, D in _scaled_corpus():
         P, R = convex_hull(pts), ref_convex_hull(pts)
         assert P == R, pts
         assert P.facet_sets == R.facet_sets and P.point_coords == R.point_coords, pts
@@ -159,10 +166,10 @@ def test_hull_and_poset_match_the_subset_search():
         assert faces == ref_face_poset(R).faces, pts
         spread["dims"].add(P.dim)
         spread["lower"] += P.dim < len(pts[0])
-        spread["rational"] += any(isinstance(a, Fraction) for p in pts for a in p)
+        spread["scaled"] += D > 1
         spread["repeated"] += len(set(pts)) < len(pts)
         spread["interior"] += len(P.vertex_indices) < len(set(pts))
         spread["faces"] += len(faces)
     assert spread["dims"] == {0, 1, 2, 3, 4}
-    assert min(spread["lower"], spread["rational"], spread["repeated"]) > 300, spread
+    assert min(spread["lower"], spread["scaled"], spread["repeated"]) > 300, spread
     assert spread["interior"] > 400 and spread["faces"] > 30_000, spread

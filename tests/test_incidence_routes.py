@@ -417,6 +417,43 @@ def test_aux_multiplicities_match_the_rebuilt_deletion():
     assert pairs >= 600 and 0 < changed < pairs, (pairs, changed)
 
 
+def test_aux_multiplicities_reuse_v_when_the_images_stay(monkeypatch):
+    # _seen_pyramids runs once on a face where dropping k leaves the images
+    # G unchanged, that is, where k's image is another column's
+    calls = []
+    seen = configuration._seen_pyramids
+    monkeypatch.setattr(configuration, "_seen_pyramids", lambda G: calls.append(G) or seen(G))
+    # a 3 x 1 rectangle of points, k = (1, 1, 1) lattice redundant on its top edge
+    A = PointConfiguration.from_columns([(1, x, y) for y in (0, 1) for x in range(4)])
+    k, a = A.index_of((1, 1, 1)), A.index_of((1, 3, 1))
+    # on the edge x = 3, k's image, its distance 2 from the edge, is (1, 1, 0)'s
+    edge = A.poset.face_with_indices((A.index_of((1, 3, 0)), a))
+    assert _aux_multiplicities(A, edge, k) == (1, 1) and len(calls) == 1
+    # at the vertex a, k's image (-2, 0) is no other column's
+    calls.clear()
+    assert _aux_multiplicities(A, A.minimal_face(a), k) == (1, 1) and len(calls) == 2
+    calls.clear()
+    cert = check_aux_point(A, k, a)
+    routes = [r.route for r in cert.reasons]
+    assert routes == ["top", "multiplicity", "lattice-membership", "multiplicity"]
+    assert len(calls) == 3
+    ref = ref_check_aux_point(A, k, a)
+    assert cert.ok and (cert.ok, cert.reasons) == (ref.ok, ref.reasons)
+    # over the corpus: some faces reuse v, some do not
+    counts = {1: 0, 2: 0}
+    for A in _corpus():
+        for k in range(A.size):
+            if not is_lattice_redundant(A, k):
+                continue
+            for face in A.poset.faces:
+                if face.supporting is None or k in face.indices:
+                    continue
+                calls.clear()
+                _aux_multiplicities(A, face, k)
+                counts[len(calls)] += 1
+    assert counts[1] >= 100 and counts[2] >= 100, counts
+
+
 def test_aux_certificates_build_no_configuration(monkeypatch):
     # the certificate neither deletes k nor checks a new configuration, and
     # runs one _face_hnf for both multiplicities of each face that reaches

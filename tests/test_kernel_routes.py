@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
+from _corpus import integral_multiple
 from gkzkit import intlinalg, lp
 from gkzkit.intlinalg import clear_denominators, dot, primitive, vsub
 from gkzkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_maximize
@@ -442,12 +443,12 @@ def test_hull_facets_vertices_and_facet_sets_match_the_fraction_search():
         pts = set()
         for _ in range(count):
             p = [rng.randint(-2, 2) for _ in range(dim)]
-            if trial % 3 == 0:  # rational points
+            if trial % 3 == 0:  # rational points, scaled to integers below
                 p = [Fraction(a, rng.choice((1, 2, 3))) for a in p]
             if trial % 4 == 1 and dim > 1:  # lower-dimensional: a hyperplane
                 p[-1] = p[0] + 1
             pts.add(tuple(p))
-        P = convex_hull(sorted(pts))
+        P = convex_hull(integral_multiple(sorted(pts))[0])
         if P.dim == 0:
             assert P.facets == () and P.facet_sets == ()
             continue

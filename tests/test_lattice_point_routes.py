@@ -6,7 +6,9 @@ facet constraints against a rebuild per call.
 The references below are the earlier routes, kept verbatim up to access
 paths: ``ref_lattice_points_in`` builds every box point and tests it by
 ``ref_slacks`` (the earlier ``P._slacks``), one solve in P's chart per point; ``ref_regular_triangulation``
-picks the lower facets by the last entry of each facet's ambient functional;
+picks the lower facets by the last entry of each facet's ambient functional,
+on the lift by the heights times their least common denominator, as the
+library lifts;
 ``ref_is_nonresonant`` builds each codimension-one face's constraint rows and
 image lattice on every call.
 """
@@ -31,7 +33,7 @@ from test_kernel_routes import ref_integer_orthogonal_complement as integer_orth
 from test_subdiagram_routes import _collinear, _coplanar, _corpus
 from gkzkit.configuration import face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant
-from gkzkit.intlinalg import IntMatrix, dot, vsub
+from gkzkit.intlinalg import IntMatrix, clear_denominators, dot, vsub
 from gkzkit.lattice import AffineLattice, Lattice
 from gkzkit.polytope import (
     LATTICE_BOX_CAP,
@@ -163,7 +165,8 @@ def ref_regular_triangulation(A, heights):
     if len(heights) != A.size:
         raise ValueError("need one height per column")
     d = len(coords[0])
-    lifted = [(*coords[i], heights[i]) for i in range(A.size)]
+    # the heights times their least common denominator: the library's lift
+    lifted = [(*x, w) for x, w in zip(coords, clear_denominators(heights))]
     hull = convex_hull(lifted)
     if hull.dim <= d:
         cells = [tuple(range(A.size))]
@@ -195,7 +198,8 @@ def test_lower_facets_match_the_ambient_functionals():
     for A in _corpus()[:120]:
         d = A.newton.dim
         for heights in [_heights(rng, A) for _ in range(3)] + [[0] * A.size]:
-            hull = convex_hull([(*x, h) for x, h in zip(A.chart_points, heights)])
+            lift = clear_denominators(heights)
+            hull = convex_hull([(*x, w) for x, w in zip(A.chart_points, lift)])
             if hull.dim > d:
                 u = rational_coordinates(hull.chart, (0,) * d + (1,))
                 for h, _ in hull.facets:

@@ -1,13 +1,14 @@
 """Hulls, face posets, minimal faces, relative-interior lattice points."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from test_chart_routes import rational_coordinates
 from test_hull_routes import _corpus as hull_corpus
-from test_incidence_routes import ref_contains, ref_contains_strict, ref_minimal_face_containing
+from test_incidence_routes import ref_contains, ref_minimal_face_containing
 from test_lattice_point_routes import _heights
 from test_subdiagram_routes import _corpus as routes_corpus
 from gkzkit import polytope
@@ -20,7 +21,6 @@ from gkzkit.polytope import (
     face_poset,
     lattice_points_in,
     pulling_cells,
-    relative_interior_lattice_points,
 )
 from gkzkit.secondary import DegenerateHeightsError, regular_triangulation
 
@@ -106,7 +106,7 @@ def test_relative_interior_points_bottom_edge():
     poset = face_poset(P)
     edge = poset.face_with_indices((0, 1, 3))
     L = lattice_span([(1, 0, 0), (1, 3, 0), (1, 1, 0)], "affine")
-    pts = relative_interior_lattice_points(P, edge, L)
+    pts = lattice_points_in(P, L, strict=True, face=edge)
     assert pts == ((1, 1, 0), (1, 2, 0))
 
 
@@ -115,14 +115,14 @@ def test_relative_interior_points_step3_edge_is_empty():
     poset = face_poset(P)
     edge = poset.face_with_indices((1, 2))
     L = lattice_span([(1, 3, 0), (1, 0, 3)], "affine")
-    assert relative_interior_lattice_points(P, edge, L) == ()
+    assert lattice_points_in(P, L, strict=True, face=edge) == ()
 
 
 def test_relative_interior_points_two_face():
     P = convex_hull(TRI_POINTS)
     poset = face_poset(P)
     L = lattice_span(TRI_POINTS, "affine")
-    pts = relative_interior_lattice_points(P, poset.top, L)
+    pts = lattice_points_in(P, L, strict=True, face=poset.top)
     assert pts == ((1, 1, 1),)
 
 
@@ -131,7 +131,7 @@ def test_vertex_relative_interior_is_itself():
     poset = face_poset(P)
     v = poset.face_with_indices((0,))
     L = lattice_span(TRI_POINTS, "affine")
-    assert relative_interior_lattice_points(P, v, L) == ((1, 0, 0),)
+    assert lattice_points_in(P, L, strict=True, face=v) == ((1, 0, 0),)
 
 
 def test_lattice_points_in_triangle():
@@ -159,12 +159,18 @@ def test_triangulation_and_volume():
     assert len(tris) == 2
 
 
-def test_rational_points_hull():
-    P = convex_hull([(0, 0), (Fraction(5, 2), 0), (0, Fraction(5, 2))])
-    assert ref_contains(P, (1, 1))
-    assert not ref_contains(P, (2, 2))
-    assert ref_contains_strict(P, (Fraction(1, 2), Fraction(1, 2)))
-    assert not ref_contains_strict(P, (0, 1))
+@pytest.mark.parametrize(
+    "entry", [0.5, Fraction(5, 2), "1", "1/2"], ids=["float", "fraction", "string", "ratio-string"]
+)
+def test_hull_refuses_non_integer_entries(entry):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        convex_hull([(entry, 0), (1, 1)])
+
+
+def test_hull_takes_integral_values_of_other_types():
+    P = convex_hull([(0, 0), (2.0, Fraction(4, 2)), (0, 1)])
+    assert P.points == ((0, 0), (2, 2), (0, 1))
+    assert all(type(a) is int for p in P.points for a in p)
 
 
 def test_integer_points_build_no_fraction_in_the_hull_layer(monkeypatch):
@@ -174,10 +180,9 @@ def test_integer_points_build_no_fraction_in_the_hull_layer(monkeypatch):
     monkeypatch.setattr(polytope, "Fraction", refuse)
     hulls = lifts = 0
     for pts in hull_corpus():
-        if all(type(a) is int for p in pts for a in p):
-            P = convex_hull(pts)
-            assert all(type(a) is int for x in P.point_coords for a in x)
-            hulls += 1
+        P = convex_hull(pts)
+        assert all(type(a) is int for x in P.point_coords for a in x)
+        hulls += 1
     rng = random.Random(2411)
     for A in routes_corpus():
         assert A.volume > 0

@@ -4,15 +4,17 @@ routes that rebuilt it.
 The references below are the earlier routes, kept verbatim up to access
 paths: the pulling triangulation that hulls every facet again, the volume
 over it, the volume chart as Z_A cut to the direction space of N, and the
-enumeration started from the lower hull of the first generic random lift,
-with the earlier circuits and flips of ``test_fan_walk_routes.py`` and one
-LP per candidate.
+enumeration started from the lower hull of the first generic random lift
+(by the heights times their least common denominator, as the library
+lifts), with the earlier circuits and flips of ``test_fan_walk_routes.py``
+and one LP per candidate.
 """
 
 import random
 from collections import deque
 from fractions import Fraction
 
+from _corpus import integral_multiple
 from test_chart_routes import ref_ambient_functional
 from test_fan_walk_routes import ref_circuits, ref_flips
 from test_hnf_routes import ref_intersect_subspace
@@ -104,7 +106,8 @@ def regular_triangulation_ref(A, heights):
     coords = volume_chart(A)[1]
     heights = [Fraction(h) for h in heights]
     d = len(coords[0])
-    lifted = [(*coords[i], heights[i]) for i in range(A.size)]
+    # the heights times their least common denominator: the library's lift
+    lifted = [(*x, w) for x, w in zip(coords, clear_denominators(heights))]
     hull = convex_hull(lifted)
     if hull.dim <= d:
         cells = [tuple(range(A.size))]
@@ -172,8 +175,9 @@ def enumerate_ref(A):
 
 
 def _point_sets(seed, count):
-    """Integer and rational point sets in dimensions 1-4, some with repeated
-    points and some of lower dimension."""
+    """Integer point sets in dimensions 1-4, some with repeated points and
+    some of lower dimension.  Some are drawn rational and scaled to integers
+    by their least common denominator."""
     rng = random.Random(seed)
     out = []
     for k in range(count):
@@ -192,7 +196,7 @@ def _point_sets(seed, count):
             pts = [pts[0]] * n if d == 1 else [(*p[:-1], p[0]) for p in pts]
         if k % 4 == 3:
             pts += rng.sample(pts, 2)
-        out.append(pts)
+        out.append(integral_multiple(pts)[0])
     return out
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 import pytest
 from sympy import Matrix
 
-from _corpus import random_small_config
+from _corpus import integral_multiple, random_small_config
 from test_chart_routes import rational_coordinates, ref_ambient_functional
 from test_hnf_routes import ref_intersect_subspace
 from gkzkit import configuration
@@ -51,6 +51,7 @@ from gkzkit.configuration import (
     PointConfiguration,
     _cross,
     _extreme_rays,
+    _face_hnf,
     _face_quotient_images,
     _row_index,
     _seen_pyramids,
@@ -87,14 +88,17 @@ def normalized_volume(points) -> Fraction:
     The coordinates are taken to be lattice coordinates: a unimodular simplex
     has volume 1 (this is dim! times the Euclidean volume).  The hull must be
     full-dimensional in those coordinates.  Repeated points count once.
+    Rational points are hulled as the integer points D * points, D their
+    least common denominator, and the volume is divided by D^dim.
     """
-    pts = list(dict.fromkeys(tuple(p) for p in points))
+    pts, D = integral_multiple(list(dict.fromkeys(tuple(p) for p in points)))
     P = convex_hull(pts)
     if P.dim != len(pts[0]):
         raise ValueError("normalized_volume needs full-dimensional input")
     if len(P.vertex_indices) == P.dim + 1:
-        return cell_volume(pts, P.vertex_indices)
-    return sum((cell_volume(pts, c) for c in pulling_cells(face_poset(P))), Fraction(0))
+        return cell_volume(pts, P.vertex_indices) / D**P.dim
+    cells = pulling_cells(face_poset(P))
+    return sum((cell_volume(pts, c) for c in cells), Fraction(0)) / D**P.dim
 
 
 def ref_pyramid_difference(A, face):
@@ -102,7 +106,7 @@ def ref_pyramid_difference(A, face):
     is full-dimensional."""
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
-    _, G = _face_quotient_images(A, face)
+    G = _face_quotient_images(A, face)
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
     r = len(G[0])
@@ -217,7 +221,7 @@ def ref_truncated_volume(
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
-    _, G = _face_quotient_images(A, face)
+    G = _face_quotient_images(A, face)
     if not G:
         raise AssertionError("a proper face must leave nonzero images")
     r = len(G[0])
@@ -353,7 +357,7 @@ def _assert_routes_agree(configs):
         for face in A.poset.faces:
             if face.supporting is None:
                 continue
-            _, G = _face_quotient_images(A, face)
+            G = _face_quotient_images(A, face)
             ranks.add(len(G[0]))
             assert ref_extreme_rays(G, ref_cone_facet_inner_normals(G)) == _extreme_rays_lp(G)
             if len(G[0]) == 2:
@@ -406,7 +410,7 @@ def test_subdiagram_volume_matches_the_truncation_route():
     for A in _corpus():
         for face in A.poset.faces:
             assert subdiagram_volume(A, face) == ref_truncated_volume(A, face), (A.points, face)
-            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[1][0])
+            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[0])
             ranks[r] = ranks.get(r, 0) + 1
     assert set(ranks) == {0, 1, 2, 3} and sum(ranks.values()) >= 1500, ranks
 
@@ -420,7 +424,7 @@ def test_pyramid_sum_matches_the_pyramid_difference():
             if face.supporting is None:
                 continue
             assert subdiagram_volume(A, face) == ref_pyramid_difference(A, face), (A.points, face)
-            G = _face_quotient_images(A, face)[1]
+            G = _face_quotient_images(A, face)
             ranks.add(len(G[0]))
             if rational_rank([vsub(g, G[0]) for g in G[1:]]) == len(G[0]):
                 solid += 1
@@ -432,7 +436,7 @@ def test_pyramid_sum_matches_the_pyramid_difference():
 
 def _vertex_quotient(A, vertex):
     face = A.minimal_face(A.index_of(vertex))
-    return face, _face_quotient_images(A, face)[1]
+    return face, _face_quotient_images(A, face)
 
 
 def _hull_sizes(A, face, monkeypatch):
@@ -588,7 +592,7 @@ def test_multiplicity_matches_the_per_face_route():
             rec = multiplicity(A, face)
             got = (rec.index_i, rec.subvol_v, rec.mult_m)
             assert rec.face == face and got == ref_multiplicity(A, face), (A.points, face)
-            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[1][0])
+            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[0])
             counts[r] = counts.get(r, 0) + 1
     assert set(counts) == {0, 1, 2, 3} and sum(counts.values()) >= 1500, counts
 
@@ -761,14 +765,20 @@ def test_quotient_images_match_the_smith_route(monkeypatch):
         for face in A.poset.faces:
             if face.supporting is None:
                 continue
-            project, G = _face_quotient_images(A, face)
+            G = _face_quotient_images(A, face)
+            tail = _face_hnf(A, face)[1]
+            images = [tuple(dot(u, x) for u in tail) for x in A.group_coordinates]
+            assert G == sorted(set(images) - {(0,) * len(tail)})
             ref_project, ref_G = ref_face_quotient_images(A, face)
             ranks.add(len(G[0]))
             assert len(G) == len(ref_G)
             R = [ref_project(p) for p in A.points]
-            assert _unimodular_image(R, [project(p) for p in A.points]), (A.points, face)
+            assert _unimodular_image(R, images), (A.points, face)
             with monkeypatch.context() as m:
-                m.setattr(configuration, "_face_quotient_images", ref_face_quotient_images)
+                m.setattr(
+                    configuration, "_face_quotient_images",
+                    lambda A, face: ref_face_quotient_images(A, face)[1],
+                )
                 ref_volume = subdiagram_volume(A, face)
             assert subdiagram_volume(A, face) == ref_volume
             faces += 1
