@@ -4,47 +4,71 @@ Hermite normal forms and lattices, exact polytopes and face posets, face
 saturations and their multiplicities, regular triangulations and secondary
 polytopes, truncated hypergeometric series with an extension operator, and
 monomial curve discriminants with numeric monodromy cross-checks.
+
+Public names load on first use, so ``import gkzkit`` imports no submodule and
+a command of the CLI loads only the modules it runs.
 """
 
 __version__ = "0.1.0"
 
-from .configuration import (
-    PointConfiguration,
-    check_aux_point,
-    dim2_interior_witness,
-    face_lattice,
-    index_i,
-    is_lattice_redundant,
-    multiplicity,
-    multiplicity_table,
-    reduction_chain,
-    saturate,
-    subdiagram_volume,
-    subdiagram_volume_oracle,
-)
-from .curves import (
-    MonomialCurveConfig,
-    beukers_generators,
-    discriminant_curve,
-    principal_determinant_curve,
-    verify_factorization,
-)
-from .hyper import (
-    TruncatedSeries,
-    annihilation_check,
-    extend_solution,
-    gamma_series,
-    is_nonresonant,
-    toric_kernel_basis,
-)
-from .lattice import AffineLattice, Lattice, lattice_index, lattice_span
-from .polytope import convex_hull, face_poset
-from .secondary import (
-    Triangulation,
-    enumerate_regular_triangulations,
-    gkz_vector,
-    regular_triangulation,
-    secondary_polytope,
-)
+# Public name -> the submodule that defines it; a submodule maps to itself.
+_EXPORTS = {
+    "AffineLattice": "lattice",
+    "Lattice": "lattice",
+    "MonomialCurveConfig": "curves",
+    "PointConfiguration": "configuration",
+    "Triangulation": "secondary",
+    "TruncatedSeries": "hyper",
+    "annihilation_check": "hyper",
+    "beukers_generators": "curves",
+    "check_aux_point": "configuration",
+    "configuration": "configuration",
+    "convex_hull": "polytope",
+    "curves": "curves",
+    "dim2_interior_witness": "configuration",
+    "discriminant_curve": "curves",
+    "enumerate_regular_triangulations": "secondary",
+    "extend_solution": "hyper",
+    "face_lattice": "configuration",
+    "face_poset": "polytope",
+    "gamma_series": "hyper",
+    "gkz_vector": "secondary",
+    "hyper": "hyper",
+    "index_i": "configuration",
+    "intlinalg": "intlinalg",
+    "is_lattice_redundant": "configuration",
+    "is_nonresonant": "hyper",
+    "lattice": "lattice",
+    "lattice_index": "lattice",
+    "lattice_span": "lattice",
+    "lp": "lp",
+    "multiplicity": "configuration",
+    "multiplicity_table": "configuration",
+    "polynomials": "polynomials",
+    "polytope": "polytope",
+    "principal_determinant_curve": "curves",
+    "reduction_chain": "configuration",
+    "regular_triangulation": "secondary",
+    "saturate": "configuration",
+    "secondary": "secondary",
+    "secondary_polytope": "secondary",
+    "subdiagram_volume": "configuration",
+    "subdiagram_volume_oracle": "configuration",
+    "toric_kernel_basis": "hyper",
+    "verify_factorization": "curves",
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = _EXPORTS[name]
+    value = import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

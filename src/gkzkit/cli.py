@@ -29,36 +29,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .configuration import (
-    PointConfiguration,
-    check_aux_point,
-    is_lattice_redundant,
-    multiplicity,
-    reduction_chain,
-    saturate,
-)
-from .continuation import numeric_monodromy
-from .curves import (
-    MonomialCurveConfig,
-    discriminant_curve,
-    principal_determinant_curve,
-    verify_factorization,
-)
-from .hyper import (
-    annihilation_check,
-    extend_solution,
-    gamma_series,
-    is_nonresonant,
-    restrict_to_zero,
-)
+# main catches BudgetError; every other library name is imported by the
+# handler that uses it, so a command loads only the modules it runs
 from .polytope import BudgetError
-from .secondary import (
-    DegenerateHeightsError,
-    enumerate_regular_triangulations,
-    gkz_vector,
-    regular_triangulation,
-    secondary_polytope,
-)
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -143,6 +116,8 @@ def _labels_from(data):
 
 
 def _config_from(data) -> PointConfiguration:
+    from .configuration import PointConfiguration
+
     cols = _matrix_from(data, "input needs a nonempty column-major 'matrix'")
     lengths = [len(col) for col in cols]
     if len(set(lengths)) > 1:
@@ -171,6 +146,8 @@ def _beta_from(data, args, length, source):
 
 
 def _curve_from(data) -> MonomialCurveConfig:
+    from .curves import MonomialCurveConfig
+
     cols = _matrix_from(data, "curve commands need a 2-row column-major 'matrix'")
     exps = []
     for col in cols:
@@ -222,6 +199,8 @@ def _run_faces(data, args):
 
 
 def _run_saturate(data, args):
+    from .configuration import saturate
+
     A = _config_from(data)
     res = saturate(A, args.mode)
     return {
@@ -233,6 +212,8 @@ def _run_saturate(data, args):
 
 
 def _run_redundant(data, args):
+    from .configuration import is_lattice_redundant
+
     A = _config_from(data)
     rep = is_lattice_redundant(A, _column(A, args.col))
     return {
@@ -244,6 +225,8 @@ def _run_redundant(data, args):
 
 
 def _run_mults(data, args):
+    from .configuration import multiplicity
+
     A = _config_from(data)
     rows = []
     for f in A.poset.faces:
@@ -261,6 +244,8 @@ def _run_mults(data, args):
 
 
 def _run_aux_check(data, args):
+    from .configuration import check_aux_point
+
     A = _config_from(data)
     if args.k == args.a or not (0 <= args.k < A.size and 0 <= args.a < A.size):
         raise InputError("need two distinct valid column indices")
@@ -279,6 +264,8 @@ def _run_aux_check(data, args):
 
 
 def _run_reduce(data, args):
+    from .configuration import reduction_chain
+
     A = _config_from(data)
     chain = reduction_chain(A, args.mode)
     payload = {
@@ -298,6 +285,8 @@ def _run_reduce(data, args):
 
 
 def _run_secondary(data, args):
+    from .secondary import enumerate_regular_triangulations, gkz_vector, secondary_polytope
+
     A = _config_from(data)
     S = secondary_polytope(A)
     payload = {"vertices": [_point(v) for v in sorted(S.vertices)], "dim": S.dim}
@@ -315,6 +304,8 @@ def _run_secondary(data, args):
 
 
 def _run_nonresonant(data, args):
+    from .hyper import is_nonresonant
+
     A = _config_from(data)
     beta = _beta_from(data, args, A.ambient_dim, "one per matrix row")
     rep = is_nonresonant(A, beta)
@@ -326,6 +317,9 @@ def _run_nonresonant(data, args):
 
 
 def _run_series(data, args):
+    from .hyper import annihilation_check, extend_solution, gamma_series, restrict_to_zero
+    from .secondary import DegenerateHeightsError, regular_triangulation
+
     A = _config_from(data)
     beta = _beta_from(data, args, A.ambient_dim, "one per matrix row")
     if not args.extend:
@@ -374,6 +368,8 @@ def _run_series(data, args):
 
 def _run_curve(data, args):
     if args.action in ("edet", "disc", "verify"):
+        from .curves import discriminant_curve, principal_determinant_curve, verify_factorization
+
         cfg = _curve_from(data)
         if args.action == "edet":
             return {"principal_determinant": _poly_json(principal_determinant_curve(cfg))}, EXIT_OK
@@ -389,6 +385,8 @@ def _run_curve(data, args):
         }
         return payload, EXIT_OK if rep else EXIT_REJECTED
     if args.action == "monodromy":
+        from .continuation import numeric_monodromy
+
         _labels_from(data)  # unused, but checked as in the other curve actions
         if args.delta is None:
             raise InputError("monodromy needs --delta")

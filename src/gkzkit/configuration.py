@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
+from numbers import Number
 
 from .intlinalg import (
     IntMatrix,
@@ -64,15 +65,15 @@ def check_homogeneous(columns):
 
 def _column(c) -> tuple:
     """A column as a tuple of ints.  ValueError when it is not a sequence of
-    integers; booleans are not integers here, as in the CLI."""
+    numbers (booleans are not numbers here, as in the CLI), or naming the
+    entry when a number is not an integer."""
     try:
         col = tuple(c)
-        ints = tuple(_ints(col))
     except TypeError:
-        ints = None
-    if ints is None or any(isinstance(a, bool) for a in col):
+        col = None
+    if col is None or not all(isinstance(a, Number) and not isinstance(a, bool) for a in col):
         raise ValueError(f"column {c!r} is not a sequence of integers")
-    return ints
+    return tuple(_ints(col))
 
 
 def _free_label(labels) -> str:

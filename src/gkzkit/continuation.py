@@ -47,31 +47,33 @@ def taylor_step_matrix(ode: CurveODE, z0: complex, z1: complex):
     if abs(lead) == 0:
         raise ZeroDivisionError("expansion point is singular")
     h = z1 - z0
+    top = TAYLOR_ORDER + d
+    P = [[perm(m, j) for j in range(d + 1)] for m in range(top + 1)]
+    # the recurrence's terms in summation order; the leading one is solved for
+    terms = [
+        (j, l, ql)
+        for j, poly in enumerate(q)
+        for l, ql in enumerate(poly)
+        if ql != 0 and not (j == d and l == 0)
+    ]
+    H = [h ** k for k in range(top + 1)]
     cols = []
     for init in range(d):
-        a = [0j] * (TAYLOR_ORDER + d + 1)
+        a = [0j] * (top + 1)
         a[init] = 1.0 / factorial(init)  # state vector carries derivatives
         # recurrence from sum_j q_j(t) f^(j) = 0
         for n in range(TAYLOR_ORDER + 1):
             s = 0j
-            for j in range(d + 1):
-                poly = q[j]
-                for l, ql in enumerate(poly):
-                    if ql == 0:
-                        continue
+            for j, l, ql in terms:
+                if l <= n:
                     m = n - l + j
-                    if m < 0 or m > n + d or (j == d and l == 0):
-                        continue
-                    if m - j < 0:
-                        continue
-                    s += ql * a[m] * perm(m, j)
-            denom = lead * perm(n + d, d)
-            a[n + d] = -s / denom
+                    s += ql * a[m] * P[m][j]
+            a[n + d] = -s / (lead * P[n + d][d])
         state = []
         for der in range(d):
             val = 0j
-            for m in range(der, TAYLOR_ORDER + d + 1):
-                val += a[m] * perm(m, der) * h ** (m - der)
+            for m in range(der, top + 1):
+                val += a[m] * P[m][der] * H[m - der]
             state.append(val)
         cols.append(state)
     return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial, gcd
 
 from .configuration import PointConfiguration
@@ -51,8 +51,13 @@ class KernelBasis:
         return len(self.vectors)
 
 
+@lru_cache
 def toric_kernel_basis(A: PointConfiguration) -> KernelBasis:
-    """Basis of {u in Z^k : A u = 0}, the exponents of the toric relations."""
+    """Basis of {u in Z^k : A u = 0}, the exponents of the toric relations.
+
+    Cached per configuration: the extension pipeline asks for the bases of A
+    and of A - k in turn, once per derivative, contiguity step and operator.
+    """
     return KernelBasis(integer_kernel_basis(A.matrix.entries, A.size))
 
 

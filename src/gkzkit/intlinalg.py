@@ -50,13 +50,23 @@ def primitive(v):
 
 def _ints(v):
     """The entries of v as a list of ints; ValueError names the first entry
-    that is not an integer.  Integral values such as Fraction(2) and 2.0 pass."""
+    that is not an integer, None, inf and NaN too.  Integral values such as
+    Fraction(2) and 2.0 pass."""
     v = list(v)
-    out = list(map(int, v))
+    try:
+        out = list(map(int, v))
+    except (TypeError, ValueError, OverflowError):
+        out = None
     if out != v:
-        bad = next(b for a, b in zip(out, v) if a != b)
-        raise ValueError(f"non-integral entry {bad!r}")
+        raise ValueError(f"non-integral entry {next(a for a in v if not _is_integer(a))!r}")
     return out
+
+
+def _is_integer(a):
+    try:
+        return int(a) == a
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _integral(v):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkzkit import hyper
 from gkzkit.configuration import PointConfiguration
 from gkzkit.hyper import (
     OperatorSpec,
@@ -225,6 +226,27 @@ def test_extension_pipeline():
     report = annihilation_check(F)
     assert report, report.determined_nonzero
     assert report.determined_zero > 0
+
+
+def test_toric_kernel_is_computed_once_per_configuration(monkeypatch):
+    kernels, kernel = [], hyper.integer_kernel_basis
+
+    def spy(rows, n):
+        kernels.append(rows)
+        return kernel(rows, n)
+
+    monkeypatch.setattr(hyper, "integer_kernel_basis", spy)
+    # labels of its own keep A and A - k out of the cache entries of other tests
+    cols = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 2, 1)]
+    A = PointConfiguration.from_columns(cols, [f"once{j}" for j in range(5)])
+    A_k = A.delete(3)
+    beta = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    psi = gamma_series(A_k, beta, (0, 1, 2), 10)
+    F = extend_solution(psi, A, 3, beta, 4)
+    assert annihilation_check(F)
+    assert restrict_to_zero(F, 3).terms == psi.terms
+    toric = [rows for rows in kernels if rows in (A.matrix.entries, A_k.matrix.entries)]
+    assert sorted(toric) == sorted([A.matrix.entries, A_k.matrix.entries])
 
 
 def test_extension_zero_input():

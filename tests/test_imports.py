@@ -4,8 +4,9 @@ every module-level public function or class is named somewhere else in
 gkzkit, ``bench/`` or ``scripts/`` or is declared in ``TEST_ONLY``, and
 every module-level UPPER_CASE constant is read somewhere in gkzkit.
 
-The package ``__init__`` is exempt from the first guard: its imports are the
-public API it re-exports.
+The package ``__init__`` re-exports its public API through the
+``_EXPORTS = {name: module}`` table that its ``__getattr__`` resolves, so the
+names in that table count as mentioned, as ``from .x import name`` would.
 """
 
 import ast
@@ -45,11 +46,7 @@ def test_the_guard_sees_unused_names():
 
 def test_modules_use_every_import():
     assert len(SOURCES) > 10
-    found = {
-        path.name: unused_imports(path.read_text(encoding="utf-8"))
-        for path in SOURCES
-        if path.name != "__init__.py"
-    }
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -64,6 +61,13 @@ def _mentioned(node):
         elif isinstance(sub, ast.alias):
             names.add(sub.name)
     return names
+
+
+def _exported(node):
+    """The names of an ``_EXPORTS = {name: module}`` table, if node is one."""
+    if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
+        return {key.value for key in node.value.keys}
+    return set()
 
 
 def unreferenced_privates(sources):
@@ -106,10 +110,10 @@ def test_private_definitions_are_named_elsewhere():
 
 def uncalled_publics(sources, callers):
     """(module, name) of each module-level public function or class of
-    ``sources`` that no other top-level statement of ``sources`` and no
-    module of ``callers`` names."""
+    ``sources`` that no other top-level statement of ``sources`` (an
+    ``_EXPORTS`` table by its keys) and no module of ``callers`` names."""
     blocks = [
-        (path, node, _mentioned(node))
+        (path, node, _mentioned(node) | _exported(node))
         for path, source in sources.items()
         for node in ast.parse(source).body
     ]
@@ -131,13 +135,16 @@ def test_the_guard_sees_uncalled_publics():
             "def recursive(n):\n    return recursive(n - 1)\n"
             "class Dead:\n    pass\n"
             "def exported():\n    pass\n"
+            "def imported():\n    pass\n"
+            "def keyed():\n    pass\n"
             "def scripted():\n    pass\n"
             "def _private():\n    return called()\n"
         ),
-        "__init__.py": "from .a import exported\n",
+        "__init__.py": '_EXPORTS = {"exported": "a", "a": "a"}\n',
+        "c.py": 'from .a import imported\nTABLE = {"keyed": 1}\n',
     }
     callers = {"run.py": "import a\na.scripted()\n"}
-    assert uncalled_publics(sources, callers) == [("a", "Dead"), ("a", "recursive")]
+    assert uncalled_publics(sources, callers) == [("a", "Dead"), ("a", "keyed"), ("a", "recursive")]
 
 
 def test_public_definitions_have_a_caller_outside_the_tests():

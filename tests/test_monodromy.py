@@ -2,13 +2,17 @@
 degree-3 generators."""
 
 from fractions import Fraction
+from math import factorial, perm
 
 import pytest
 
 from gkzkit.continuation import (
+    TAYLOR_ORDER,
+    _poly_shift,
     charpoly,
     mat_mul,
     numeric_monodromy,
+    taylor_step_matrix,
 )
 from gkzkit.curves import beukers_generators
 from gkzkit.ode import certify_ode, ode_from_system, pulled_back_series
@@ -42,6 +46,68 @@ def test_pulled_back_series_exponents():
     exps = sorted(s)
     assert exps[0] == Fraction(1, 3)
     assert all((e - Fraction(1, 3)).denominator == 1 for e in exps)
+
+
+def ref_taylor_step_matrix(ode, z0: complex, z1: complex):
+    """The Taylor step with perm(m, j) and h ** k computed inside the loops:
+    the reference that the step's tables must reproduce bit for bit."""
+    d = ode.delta
+    q = [_poly_shift(c, z0) for c in ode.coefficients]
+    lead = q[d][0]
+    if abs(lead) == 0:
+        raise ZeroDivisionError("expansion point is singular")
+    h = z1 - z0
+    cols = []
+    for init in range(d):
+        a = [0j] * (TAYLOR_ORDER + d + 1)
+        a[init] = 1.0 / factorial(init)
+        for n in range(TAYLOR_ORDER + 1):
+            s = 0j
+            for j in range(d + 1):
+                poly = q[j]
+                for l, ql in enumerate(poly):
+                    if ql == 0:
+                        continue
+                    m = n - l + j
+                    if m < 0 or m > n + d or (j == d and l == 0):
+                        continue
+                    if m - j < 0:
+                        continue
+                    s += ql * a[m] * perm(m, j)
+            denom = lead * perm(n + d, d)
+            a[n + d] = -s / denom
+        state = []
+        for der in range(d):
+            val = 0j
+            for m in range(der, TAYLOR_ORDER + d + 1):
+                val += a[m] * perm(m, der) * h ** (m - der)
+            state.append(val)
+        cols.append(state)
+    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+
+
+@pytest.mark.parametrize(
+    "delta, beta",
+    [
+        (2, (0, Fraction(1, 2))),
+        (3, BETA),
+        (4, (Fraction(1, 7), Fraction(2, 5))),
+        (5, (Fraction(-3, 4), Fraction(1, 9))),
+    ],
+)
+def test_taylor_step_matches_the_reference_exactly(delta, beta):
+    ode = ode_from_system(delta, beta)
+    r = abs(float(ode.singular_points()[1]))
+    steps = [  # each hop well inside the disc that misses 0 and the discriminant point
+        (r / 2, r / 2 + 0.1j * r),
+        (1j * r, (0.2 + 1.2j) * r),
+        (-r / 3, (-0.4 + 0.05j) * r),
+        (0.25 + 0.5j, 0.25 + 0.5j),
+    ]
+    for z0, z1 in steps:
+        assert taylor_step_matrix(ode, z0, z1) == ref_taylor_step_matrix(ode, z0, z1)
+    with pytest.raises(ZeroDivisionError):
+        taylor_step_matrix(ode, 0j, 0.1)
 
 
 def test_trivial_loop_identity():

@@ -160,7 +160,9 @@ def test_triangulation_and_volume():
 
 
 @pytest.mark.parametrize(
-    "entry", [0.5, Fraction(5, 2), "1", "1/2"], ids=["float", "fraction", "string", "ratio-string"]
+    "entry",
+    [0.5, Fraction(5, 2), "1", "1/2", float("inf"), float("nan"), None],
+    ids=["float", "fraction", "string", "ratio-string", "inf", "nan", "none"],
 )
 def test_hull_refuses_non_integer_entries(entry):
     with pytest.raises(ValueError, match=re.escape(repr(entry))):
