@@ -17,7 +17,6 @@ The module computes, exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
@@ -32,6 +31,7 @@ from .intlinalg import (
     det_fraction,
     dot,
     integer_kernel_basis,
+    record,
     primitive,
     solve_rational,
     vsub,
@@ -84,7 +84,7 @@ def _free_label(labels) -> str:
     return f"a{n}"
 
 
-@dataclass(frozen=True)
+@record
 class PointConfiguration:
     matrix: IntMatrix  # (1+n) x k, columns are the characters
     homogeneity: tuple
@@ -538,7 +538,7 @@ def subdiagram_volume_oracle(A: PointConfiguration, face: Face) -> int:
     return int(v)
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicityRecord:
     face: Face
     index_i: int
@@ -564,7 +564,7 @@ def multiplicity_table(A: PointConfiguration):
 # -- redundancy ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RedundancyReport:
     redundant: bool
     reason: str
@@ -607,7 +607,7 @@ def _is_pyramid(A: PointConfiguration, face: Face) -> bool:
 # -- saturation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SaturationResult:
     mode: str
     added_points: tuple
@@ -636,14 +636,14 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
 # -- auxiliary-point certificates ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FaceCheck:
     face_indices: tuple
     route: str  # "top" | "lattice-membership" | "multiplicity" | "pyramid" | "failed" | "skipped"
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class AuxCertificate:
     ok: bool
     k: int
@@ -734,14 +734,14 @@ def _aux_multiplicities(A: PointConfiguration, face: Face, k: int):
 # -- reduction chains ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ChainStep:
     added_point: tuple
     face_indices: tuple  # certifying face, as indices in the *enlarged* config
     witness: tuple  # the distinct relative interior point
 
 
-@dataclass(frozen=True)
+@record
 class ReductionChain:
     start: PointConfiguration
     end: PointConfiguration
@@ -819,7 +819,7 @@ def replay_chain(chain: ReductionChain) -> bool:
 # -- the planar interior-point construction --------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PlanarWitness:
     vertex: tuple
     edges: tuple  # the two incident edges, as index tuples

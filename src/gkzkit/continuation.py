@@ -10,10 +10,10 @@ reaches the local error target.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
 
+from .intlinalg import record
 from .ode import CurveODE, certify_ode, ode_from_system
 
 TAYLOR_ORDER = 60
@@ -126,7 +126,7 @@ def charpoly(a):
     return tuple(c)
 
 
-@dataclass(frozen=True)
+@record
 class PathTransport:
     ode: CurveODE
     singular: tuple
@@ -194,7 +194,7 @@ def big_circle(transport: PathTransport, base: complex):
     return transport.transfer(circle_nodes(0, r, ang))
 
 
-@dataclass(frozen=True)
+@record
 class MonodromyResult:
     delta: int
     beta: tuple

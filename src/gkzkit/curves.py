@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .configuration import PointConfiguration, multiplicity, saturate
-from .intlinalg import _ints, det_fraction
+from .intlinalg import _ints, det_fraction, record
 from .polynomials import (
     normalize_sign,
     pdivmod_exact,
@@ -27,7 +26,6 @@ from .polynomials import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from .secondary import secondary_polytope
 from .polytope import BudgetError, convex_hull
 
 
@@ -35,7 +33,7 @@ from .polytope import BudgetError, convex_hull
 SYMBOLIC_DEGREE_CAP = 6
 
 
-@dataclass(frozen=True)
+@record
 class MonomialCurveConfig:
     exponents: tuple  # 0 = e_0 < e_1 < ... < e_last = delta
 
@@ -142,7 +140,7 @@ def _coordinate_free_factor(E) -> dict:
     return rest
 
 
-@dataclass(frozen=True)
+@record
 class FactorizationReport:
     ok: bool
     vertex_multiplicities: tuple  # (m at vertex 0, m at vertex delta)
@@ -158,6 +156,8 @@ def verify_factorization(cfg: MonomialCurveConfig) -> FactorizationReport:
     """Check the face factorization of the principal determinant against the
     independently computed multiplicities, and its Newton polytope against
     the secondary polytope."""
+    from .secondary import secondary_polytope  # here, so edet and disc do not load it
+
     E = principal_determinant_curve(cfg)
     shifts, _ = strip_monomial_content(E)
     # The discriminant is read off the same E: one resultant expansion per
@@ -221,7 +221,7 @@ def restriction_factors_divide(cfg: MonomialCurveConfig, i: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class ReductionToThreePoints:
     ok: bool
     delta: int
@@ -243,7 +243,7 @@ def reduces_to_three_point_support(cfg: MonomialCurveConfig) -> ReductionToThree
     return ReductionToThreePoints(ok, cfg.delta, tuple(sorted(satA)))
 
 
-@dataclass(frozen=True)
+@record
 class MonodromyGenerators:
     beta: tuple
     matrices: tuple  # three square complex matrices of size delta

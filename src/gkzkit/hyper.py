@@ -22,7 +22,6 @@ only when every preimage offset lies in the region.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd
@@ -33,6 +32,7 @@ from .intlinalg import (
     _ints,
     dot,
     integer_kernel_basis,
+    record,
     solve_rational,
     xgcd,
 )
@@ -42,7 +42,7 @@ class ResonantParameterError(ValueError):
     """A coefficient recurrence met a vanishing exponent product."""
 
 
-@dataclass(frozen=True)
+@record
 class KernelBasis:
     vectors: tuple
 
@@ -64,7 +64,7 @@ def toric_kernel_basis(A: PointConfiguration) -> KernelBasis:
 # -- nonresonance ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ResonanceReport:
     nonresonant: bool
     witness_face: tuple | None  # indices of an offending codimension-one face
@@ -206,7 +206,7 @@ def gamma_coefficient(v, u):
     return pm / pp
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSeries:
     config: PointConfiguration
     beta: tuple
@@ -289,7 +289,7 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
 # -- operators --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OperatorSpec:
     kind: str  # "euler" | "box"
     index: int | None = None
@@ -436,7 +436,7 @@ def shift_inverse(series: TruncatedSeries, u) -> TruncatedSeries:
 # -- annihilation -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AnnihilationReport:
     passed: bool
     determined_zero: int
@@ -485,27 +485,12 @@ def kernel_slice_representative(A: PointConfiguration, k: int, ell: int):
     The representative is reduced against the sublattice of kernel vectors
     vanishing at k; the construction downstream is representative-independent.
     """
-    basis = toric_kernel_basis(A).vectors
-    if not basis:
-        return None if ell else (0,) * A.size
-    kcoords = [w[k] for w in basis]
-    g = gcd(*kcoords)
+    g, step, fixed = _kernel_slice(A, k)
     if g == 0:
         return None if ell else (0,) * A.size
     if ell % g != 0:
         return None
-    # combine basis vectors to reach k-coordinate g, then scale
-    coeffs = _bezout_combination(kcoords, g)
-    u = tuple(
-        (ell // g) * sum(c * w[j] for c, w in zip(coeffs, basis))
-        for j in range(A.size)
-    )
-    # reduce against the full sublattice of kernel vectors vanishing at k
-    rel = integer_kernel_basis([kcoords], len(kcoords))
-    fixed = [
-        tuple(sum(r[l] * basis[l][j] for l in range(len(basis))) for j in range(A.size))
-        for r in rel
-    ]
+    u = tuple((ell // g) * a for a in step)
     for z in fixed:
         better = True
         while better:
@@ -516,6 +501,29 @@ def kernel_slice_representative(A: PointConfiguration, k: int, ell: int):
                     u = cand
                     better = True
     return u
+
+
+@lru_cache
+def _kernel_slice(A: PointConfiguration, k: int):
+    """(g, step, fixed) for the kernel slices of A at column k, shared by every
+    ell: g >= 0 generates the k-coordinates of the toric kernel, step is a
+    kernel vector with k-coordinate g (when g > 0), and fixed is a basis of
+    the kernel vectors vanishing at k.  The extension asks for one slice per
+    order in y_k, so this is computed once per (A, k)."""
+    basis = toric_kernel_basis(A).vectors
+    kcoords = [w[k] for w in basis]
+    g = gcd(*kcoords)
+    if g == 0:
+        return 0, (), ()
+    # combine basis vectors to reach k-coordinate g
+    coeffs = _bezout_combination(kcoords, g)
+    step = tuple(sum(c * w[j] for c, w in zip(coeffs, basis)) for j in range(A.size))
+    rel = integer_kernel_basis([kcoords], len(kcoords))
+    fixed = tuple(
+        tuple(sum(r[l] * basis[l][j] for l in range(len(basis))) for j in range(A.size))
+        for r in rel
+    )
+    return g, step, fixed
 
 
 def _bezout_combination(values, g):

@@ -9,13 +9,16 @@ integer columns.  Only ``_hnf_kernel``, behind ``integer_kernel_basis`` and
 the face HNF of ``configuration``, asks it to carry the unimodular
 transform, and so every integer kernel is a Z-basis; a lattice span keeps
 just the reduced columns.
+
+The module also holds ``record``, the decorator of the library's value
+classes: every command loads this module, so it costs no import of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul, sub
 
 Vec = tuple
 Mat = tuple
@@ -81,14 +84,83 @@ def clear_denominators(v):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vectors of lengths {len(u)} and {len(v)}")
+    return tuple(map(sub, u, v))
 
 
-@dataclass(frozen=True)
+def _record_repr(self):
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown_fields)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, hidden=()):
+    """Class decorator for the library's immutable value classes, as
+    ``dataclass(frozen=True)`` would make them without importing
+    ``dataclasses`` (and its ``inspect``) at start-up.
+
+    The annotated names of the class body are its fields, in order, with
+    their class-level values as defaults.  One compiled source gives the
+    class ``__init__`` (which ends with ``__post_init__`` when the class has
+    one), ``__eq__`` (same class and equal field tuples) and ``__hash__``
+    (of that tuple); the fields in ``hidden`` stay out of both and out of the
+    shared ``__repr__``.  Assignment and deletion raise AttributeError;
+    ``object.__setattr__`` in ``__post_init__`` and ``cached_property`` write
+    past them.  Methods the class defines itself are kept, ``__hash__`` too.
+    """
+    if cls is None:
+        return lambda cls: record(cls, hidden=hidden)
+    names = list(cls.__dict__.get("__annotations__", {}))
+    defaults = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
+    if any(name not in cls.__dict__ for name in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with one")
+    shown = tuple(name for name in names if name not in hidden)
+    mine = "".join(f"self.{name}," for name in shown)
+    theirs = "".join(f"other.{name}," for name in shown)
+    source = "\n".join([
+        f"def __init__(self, {', '.join(names)}):",
+        *(f" _set(self, {name!r}, {name})" for name in names),
+        *([" self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "def __eq__(self, other):",
+        " if other.__class__ is self.__class__:",
+        f"  return ({mine}) == ({theirs})",
+        " return NotImplemented",
+        "def __hash__(self):",
+        f" return hash(({mine}))",
+    ])
+    made = {"_set": object.__setattr__}
+    exec(source, made)
+    made["__init__"].__defaults__ = defaults
+    cls._shown_fields = shown
+    for name, fn in (
+        ("__init__", made["__init__"]),
+        ("__repr__", _record_repr),
+        ("__eq__", made["__eq__"]),
+        ("__setattr__", _record_setattr),
+        ("__delattr__", _record_delattr),
+    ):
+        if name not in cls.__dict__:
+            setattr(cls, name, fn)
+    if cls.__dict__.get("__hash__") is None:
+        cls.__hash__ = made["__hash__"]
+    return cls
+
+
+@record
 class IntMatrix:
     """Rectangular matrix with exact integer entries, stored row-major."""
 

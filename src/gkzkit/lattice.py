@@ -9,11 +9,10 @@ objects while index computations happen on genuine subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .intlinalg import IntMatrix, _hnf, _ints, det_fraction, vsub
+from .intlinalg import IntMatrix, _hnf, _ints, det_fraction, record, vsub
 
 INFINITE = float("inf")
 
@@ -51,7 +50,7 @@ def hnf_solve(rows, pivots, v):
     return num, den
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     ambient_dim: int
     basis: IntMatrix  # ambient_dim x rank, canonical column HNF, full column rank
@@ -92,7 +91,7 @@ class Lattice:
         return self.coordinates(v) is not None
 
 
-@dataclass(frozen=True)
+@record
 class AffineLattice:
     """anchor + difference lattice; the model of a face lattice Z_{A∩Γ}."""
 

@@ -15,10 +15,10 @@ from the toric side must be annihilated to the working order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import PointConfiguration
+from .intlinalg import record
 from .hyper import gamma_series, is_nonresonant, ResonantParameterError
 
 
@@ -41,7 +41,7 @@ def _stirling2(n: int, k: int) -> int:
     return table[n][k]
 
 
-@dataclass(frozen=True)
+@record
 class CurveODE:
     delta: int
     beta: tuple

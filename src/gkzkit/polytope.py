@@ -11,12 +11,11 @@ lattice-point queries take ambient lattices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-from .intlinalg import _ints, _reduce, det_fraction, dot, vec_gcd, vsub
+from .intlinalg import _ints, _reduce, det_fraction, dot, record, vec_gcd, vsub
 from .lattice import AffineLattice, Lattice, hnf_solve
 
 # Candidate facet pairs that one hull may test.  The largest hull of the test
@@ -37,7 +36,7 @@ class BudgetError(ValueError):
     enumeration cap or the symbolic degree cap.  The message says which."""
 
 
-@dataclass(frozen=True)
+@record
 class Face:
     """A face of a polytope, identified by the input points lying on it."""
 
@@ -46,7 +45,7 @@ class Face:
     dim: int
 
 
-@dataclass(frozen=True)
+@record(hidden=("point_coords", "facet_sets"))
 class Polytope:
     points: tuple
     dim: int
@@ -54,8 +53,8 @@ class Polytope:
     chart: Lattice  # HNF lattice of the point differences; its basis spans the affine hull
     facets: tuple  # (primitive integer chart-normal h, integer offset c), h.x <= c inside
     vertex_indices: tuple
-    point_coords: tuple = field(compare=False, repr=False)  # chart coordinates of ``points``
-    facet_sets: tuple = field(compare=False, repr=False)  # indices of the points on each facet
+    point_coords: tuple  # chart coordinates of ``points``
+    facet_sets: tuple  # indices of the points on each facet
 
     @property
     def vertices(self):
@@ -172,7 +171,7 @@ def convex_hull(points) -> Polytope:
     return Polytope(pts, dim, anchor, lat, order, tuple(vert), coords, sets)
 
 
-@dataclass(frozen=True)
+@record
 class FacePoset:
     polytope: Polytope
     faces: tuple  # all faces, graded by (dim, indices)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -29,6 +28,7 @@ from .intlinalg import (
     dot,
     primitive,
     rational_rank,
+    record,
     vsub,
 )
 from .lattice import hnf_solve
@@ -45,14 +45,14 @@ class DegenerateHeightsError(ValueError):
     """The lifted lower hull has a non-simplicial cell; perturb the heights."""
 
 
-@dataclass(frozen=True)
+@record(hidden=("heights",))
 class Triangulation:
     cells: tuple  # sorted tuples of column indices, each of size dim+1
     volumes: tuple  # lattice volume of each cell, normalized to Z_A
     # integer heights whose lower hull is exactly these cells: the regularity
     # certificate kept by the enumeration (from a ray or the LP, see
     # ``_certify``), None elsewhere
-    heights: tuple | None = field(default=None, compare=False, repr=False)
+    heights: tuple | None = None
 
     @property
     def total_volume(self) -> int:
@@ -357,7 +357,7 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     return tuple(sorted((T for _, T, _ in certified), key=lambda T: T.cells))
 
 
-@dataclass(frozen=True)
+@record
 class SecondaryPolytope:
     """The secondary polytope by its vertices, each with its certificate:
     ``witnesses[k]`` is an integer functional minimised over the vertices at
@@ -398,7 +398,7 @@ def secondary_polytope(A: PointConfiguration) -> SecondaryPolytope:
     return _certified_vertices([gkz_vector(A, T) for T in tris], [T.heights for T in tris])
 
 
-@dataclass(frozen=True)
+@record
 class FacetRestrictionReport:
     ok: bool
     detail: str

@@ -1,6 +1,7 @@
 """Toric kernels, nonresonance, truncated series, operators, extension."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from gkzkit.hyper import (
     shift_inverse,
     toric_kernel_basis,
 )
+from gkzkit.intlinalg import integer_kernel_basis
 
 C013 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 3)])
 C0123 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2), (1, 3)])
@@ -247,6 +249,53 @@ def test_toric_kernel_is_computed_once_per_configuration(monkeypatch):
     assert restrict_to_zero(F, 3).terms == psi.terms
     toric = [rows for rows in kernels if rows in (A.matrix.entries, A_k.matrix.entries)]
     assert sorted(toric) == sorted([A.matrix.entries, A_k.matrix.entries])
+
+
+def ref_kernel_slice_representative(A, k, ell):
+    """kernel_slice_representative with its slice data computed on every call."""
+    basis = toric_kernel_basis(A).vectors
+    kcoords = [w[k] for w in basis]
+    g = gcd(*kcoords)
+    if g == 0:
+        return None if ell else (0,) * A.size
+    if ell % g:
+        return None
+    coeffs = hyper._bezout_combination(kcoords, g)
+    u = tuple((ell // g) * sum(c * w[j] for c, w in zip(coeffs, basis)) for j in range(A.size))
+    rel = integer_kernel_basis([kcoords], len(kcoords))
+    for r in rel:
+        z = tuple(sum(r[l] * basis[l][j] for l in range(len(basis))) for j in range(A.size))
+        better = True
+        while better:
+            better = False
+            for t in (1, -1):
+                cand = tuple(a + t * b for a, b in zip(u, z))
+                if sum(map(abs, cand)) < sum(map(abs, u)):
+                    u, better = cand, True
+    return u
+
+
+def test_slice_data_is_computed_once_per_column(monkeypatch):
+    calls, kernel = [], hyper.integer_kernel_basis
+
+    def spy(rows, n):
+        calls.append(rows)
+        return kernel(rows, n)
+
+    monkeypatch.setattr(hyper, "integer_kernel_basis", spy)
+    # labels of its own keep A and A - k out of the cache entries of other tests
+    A = PointConfiguration.from_columns([(1, a) for a in (0, 1, 2, 3)], ["slice0", "slice1", "slice2", "slice3"])
+    beta = (Fraction(1, 3), Fraction(1, 5))
+    psi = gamma_series(A.delete(2), beta, (0, 2), 6)
+    extend_solution(psi, A, 2, beta, 8)
+    kernel_slice_representative(A, 1, 3)
+    kcoords = [[[w[k] for w in toric_kernel_basis(A).vectors]] for k in (2, 1)]
+    assert [rows for rows in calls if rows in kcoords] == kcoords
+    monkeypatch.undo()
+    for B in (A, C013, C0123, SIMPLEX, PointConfiguration.from_columns([(1, 0), (1, 2), (1, 4), (1, 6)])):
+        for k in range(B.size):
+            for ell in range(7):
+                assert kernel_slice_representative(B, k, ell) == ref_kernel_slice_representative(B, k, ell)
 
 
 def test_extension_zero_input():

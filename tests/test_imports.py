@@ -1,5 +1,6 @@
-"""Every name a gkzkit module imports is used in that module, every
-module-level _private function or class is named somewhere else in gkzkit,
+"""No gkzkit module imports ``dataclasses``, every name a gkzkit module
+imports is used in that module, every module-level _private function or
+class is named somewhere else in gkzkit,
 every module-level public function or class is named somewhere else in
 gkzkit, ``bench/`` or ``scripts/`` or is declared in ``TEST_ONLY``, and
 every module-level UPPER_CASE constant is read somewhere in gkzkit.
@@ -48,6 +49,29 @@ def test_modules_use_every_import():
     assert len(SOURCES) > 10
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def imported_modules(source: str):
+    """The top-level names of the modules that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_guard_sees_imported_modules():
+    source = "import os.path\nfrom dataclasses import field\nfrom . import lp\ndef f():\n    import json\n"
+    assert imported_modules(source) == {"os", "dataclasses", "json"}
+
+
+def test_no_module_imports_dataclasses():
+    """Its import pulls in ``inspect`` and costs every command start-up
+    several milliseconds; the value classes use ``intlinalg.record``."""
+    found = {path.name for path in SOURCES if "dataclasses" in imported_modules(path.read_text(encoding="utf-8"))}
+    assert found == set()
 
 
 def _mentioned(node):

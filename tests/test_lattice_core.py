@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, zeros
 from sympy.matrices.normalforms import hermite_normal_form
 
-from gkzkit.intlinalg import IntMatrix, det_fraction, integer_kernel_basis
+from gkzkit.intlinalg import IntMatrix, det_fraction, dot, integer_kernel_basis, vsub
 from gkzkit.lattice import (
     INFINITE,
     ContainmentError,
@@ -94,6 +94,20 @@ def test_kernel_basis():
     u = ker[0]
     assert A.mul_vec(u) == (0, 0)
     assert sorted(map(abs, u)) == [1, 2, 3]
+
+
+def test_vector_kernels_match_the_generator_forms():
+    rng = random.Random(5)
+    for n in range(6):
+        u = [rng.randint(-9, 9) for _ in range(n)]
+        v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        assert dot(u, v) == sum(a * b for a, b in zip(u, v))
+        assert vsub(u, v) == tuple(a - b for a, b in zip(u, v))
+    for u, v in [((1, 2), (1, 2, 3)), ((1, 2, 3), [1, 2]), ((), (0,))]:
+        with pytest.raises(ValueError):
+            dot(u, v)
+        with pytest.raises(ValueError):
+            vsub(u, v)
 
 
 def test_generators_of_the_wrong_length_are_rejected():
