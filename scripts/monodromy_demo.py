@@ -42,7 +42,7 @@ def main():
                     mat_mul(printed[i], printed[j]),
                 )
                 print(f"  charpoly(gen{i + 1} gen{j + 1}) error: {err:.2e}")
-        det0 = res.invariants["loop0_det"]
+        det0 = dict(res.invariants)["loop0_det"]
         print(f"  |det| of the loop around the origin: {abs(det0):.12f}")
 
 

@@ -404,7 +404,7 @@ def _run_curve(data, args):
             ],
             "invariants": {
                 k: ([cplx(x) for x in v] if isinstance(v, tuple) else cplx(v))
-                for k, v in sorted(res.invariants.items())
+                for k, v in res.invariants
             },
         }
         return payload, EXIT_OK

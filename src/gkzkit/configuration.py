@@ -18,7 +18,7 @@ The module computes, exactly:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import prod
 from numbers import Number
 
@@ -368,6 +368,12 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     conv(G) is the segment [g_min, g_max], 0 sees only its near end, and v
     is the least lattice distance min |g| of an off-facet column from the
     facet.
+
+    In rank 2, G lies in an open half-plane, and the seen facets of conv(G)
+    are the edges of its chain from the first ray of cone(G) to the last
+    that faces 0.  One angular scan of G finds that chain with no hull, and
+    v is the sum of det(p, q) over its consecutive points p, q.  Only rank
+    >= 3 builds the one hull of G above.
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
@@ -376,8 +382,9 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
 
 def _seen_pyramids(G):
     """The subdiagram volume of the nonzero images G, as in
-    :func:`subdiagram_volume`: on a facet (rank 1) the least |g|, with no
-    hull; otherwise the pyramids over the seen faces of one hull P of G.  A
+    :func:`subdiagram_volume`: on a facet (rank 1) the least |g| and in
+    rank 2 the chain of :func:`_seen_chain`, both with no hull; otherwise
+    the pyramids over the seen faces of one hull P of G.  A
     seen facet is a simplex when it has P.dim vertices, and all of P, seen
     when 0 is off its affine hull, when it has P.dim + 1.  A simplex is its
     own pulling triangulation, so the face poset is built only when a seen
@@ -389,6 +396,8 @@ def _seen_pyramids(G):
         if G[0][0] < 0 < G[-1][0]:
             raise AssertionError("a facet's images must lie on one side of 0")
         return min(abs(g) for (g,) in G)
+    if len(G[0]) == 2:
+        return _seen_chain(G)
     P = convex_hull(G)
     # 0's chart coordinates are num / den, den > 0, or None off P's affine hull
     x = hnf_solve(P.chart.basis.entries, P.chart.pivots, [-a for a in P.chart_anchor])
@@ -409,6 +418,47 @@ def _seen_pyramids(G):
             poset = face_poset(P)
         cells += pulling_cells(poset, poset.face_with_indices(s))
     return sum(abs(int(det_fraction([G[i] for i in cell]))) for cell in cells)
+
+
+def _ccw_first(a, b):
+    """Negative when b lies counterclockwise of a, or on the same ray and
+    farther: on an open half-plane, the angular order, nearest first."""
+    return a[1] * b[0] - a[0] * b[1] or abs(a[0]) + abs(a[1]) - abs(b[0]) - abs(b[1])
+
+
+_BY_ANGLE = cmp_to_key(_ccw_first)
+
+
+def _seen_chain(G):
+    """Rank 2: the sum of det(p, q) over consecutive points p, q of the
+    chain of conv(G) that 0 sees, by one angular scan (Graham, *An efficient
+    algorithm for determining the convex hull of a finite planar set*, 1972).
+
+    In angular order the chain runs from the first ray of cone(G) to the
+    last with conv(G) on its right, so a left turn a -> b -> g puts b beyond
+    the segment [a, g] and b is popped.  Ties on a ray go nearest first: a
+    point behind a nearer one is then popped at the next turn, or adds det 0
+    on the last ray, while in mixed order the chain could restart from a
+    farther point.  Collinear points add up to the pyramid over their
+    segment, which also covers conv(G) on a line missing 0.  The comparison
+    is an order only when G lies in an open half-plane: every g must lie in
+    the cone of the first and last points, and that cone must be pointed.
+    """
+    order = sorted(G, key=_BY_ANGLE)
+    (f0, f1), (l0, l1) = order[0], order[-1]
+    if f0 * l1 <= f1 * l0 or any(f0 * g1 < f1 * g0 or g0 * l1 < g1 * l0 for g0, g1 in G):
+        if all(f0 * g1 == f1 * g0 and f0 * g0 + f1 * g1 > 0 for g0, g1 in G):
+            raise AssertionError("a rank-2 quotient's images must not lie on one ray")
+        raise AssertionError("a rank-2 quotient's images must lie in an open half-plane")
+    chain = []
+    for g0, g1 in order:
+        while len(chain) > 1:
+            (a0, a1), (b0, b1) = chain[-2], chain[-1]
+            if (b0 - a0) * (g1 - b1) <= (b1 - a1) * (g0 - b0):
+                break
+            chain.pop()
+        chain.append((g0, g1))
+    return sum(p0 * q1 - p1 * q0 for (p0, p1), (q0, q1) in zip(chain, chain[1:]))
 
 
 def _hull2d(points):

@@ -201,7 +201,7 @@ class MonodromyResult:
     base_point: complex
     loop_matrices: tuple  # lifted loops around 0, the discriminant point, infinity
     generators: tuple  # the three generator-matched matrices
-    invariants: dict
+    invariants: tuple  # sorted (name, value) pairs
     trivial_loop_error: float
 
 
@@ -267,5 +267,6 @@ def numeric_monodromy(delta: int, beta, base_point: complex | None = None) -> Mo
     ):
         inv.update(_invariants(name, M))
     return MonodromyResult(
-        delta, (b1, b2), base_point, (m0, mstar, minf), (n1, n2, n3), inv, trivial_err
+        delta, (b1, b2), base_point, (m0, mstar, minf), (n1, n2, n3),
+        tuple(sorted(inv.items())), trivial_err,
     )

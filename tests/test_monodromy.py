@@ -118,7 +118,7 @@ def test_trivial_loop_identity():
 def test_origin_loop_determinant_modulus():
     res = numeric_monodromy(3, BETA)
     m0 = res.loop_matrices[0]
-    det = res.invariants["loop0_det"]
+    det = dict(res.invariants)["loop0_det"]
     assert abs(abs(det) - 1) < 1e-9
 
 
@@ -149,8 +149,12 @@ def test_triple_product_matches():
 def test_invariants_base_point_independent():
     res1 = numeric_monodromy(3, BETA)
     res2 = numeric_monodromy(3, BETA, base_point=2.0 + 9.5j)
+    # trace, det and charpoly of ten matrices, as sorted pairs: a result hashes
+    names = [name for name, _ in res1.invariants]
+    assert names == sorted(set(names)) and len(names) == 30
+    assert hash(res1) == hash(numeric_monodromy(3, BETA)) and hash(res2) != hash(res1)
     for key in ("gen2_charpoly", "gen3_charpoly", "gen23_charpoly", "loopstar_trace"):
-        a, b = res1.invariants[key], res2.invariants[key]
+        a, b = dict(res1.invariants)[key], dict(res2.invariants)[key]
         if isinstance(a, tuple):
             assert all(abs(x - y) < 1e-8 for x, y in zip(a, b))
         else:
@@ -161,7 +165,7 @@ def test_delta2_monodromy_runs():
     res = numeric_monodromy(2, (0, Fraction(1, 2)))
     assert res.trivial_loop_error < 1e-9
     # reflection at the discriminant point: eigenvalues 1 and -exp(2 pi i b1) = -1
-    cp = res.invariants["loopstar_charpoly"]
+    cp = dict(res.invariants)["loopstar_charpoly"]
     assert abs(cp[1] - 0) < 1e-8  # trace 1 + (-1) = 0
     assert abs(cp[2] - (-1)) < 1e-8
 

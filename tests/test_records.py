@@ -273,10 +273,12 @@ def test_fields_are_frozen(cls):
 
 def test_monodromy_result_matches_the_dataclass():
     cls = continuation.MonodromyResult
-    args = (3, (Fraction(1, 3), Fraction(1, 5)), 1.3j, ((1,),), ((2,),), {"gen1_trace": 3}, 1e-12)
+    invariants = (("gen1_det", 1j), ("gen1_trace", 3))
+    args = (3, (Fraction(1, 3), Fraction(1, 5)), 1.3j, ((1,),), ((2,),), invariants, 1e-12)
     x, ref = cls(*args), REFERENCE[cls](*args)
     assert repr(x) == repr(ref) and x == cls(*args)
-    assert hashed(x) == hashed(ref)
+    # the invariants are a tuple of pairs, so a result is a hashable value
+    assert hashed(x) == hashed(ref) == hash(cls(*args))
     with pytest.raises(AttributeError):
         x.delta = 2
 

@@ -34,7 +34,10 @@ again on every face, and the seen pyramids build a hull, its face poset
 and a pulling triangulation on every face, facets included.  The route
 under test reads the columns' coordinates once per configuration, reads a
 facet's v off its images, and builds the face poset only for a seen face
-that is not a simplex.
+that is not a simplex.  In rank 2 it builds no hull at all: one angular
+scan keeps the chain of conv(G) that 0 sees.  That scan is checked against
+``ref_seen_pyramids`` on seeded half-plane sets and against the sweep
+oracle on every rank-2 face of the corpus.
 """
 
 import random
@@ -54,6 +57,7 @@ from gkzkit.configuration import (
     _face_hnf,
     _face_quotient_images,
     _row_index,
+    _seen_chain,
     _seen_pyramids,
     index_i,
     multiplicity,
@@ -467,8 +471,8 @@ def test_collinear_generators_stay_under_the_hull_cap(monkeypatch):
     # the quotient lattice x + y = 0 mod n of index n
     assert subdiagram_volume(A, face) == n == subdiagram_volume_oracle(A, face)
     assert ref_truncated_volume(A, face) == n
-    # the pyramid over a segment of images: one hull, of the images
-    assert _hull_sizes(A, face, monkeypatch) == [n + 1]
+    # the pyramid over a segment of images, off one angular scan: no hull
+    assert _hull_sizes(A, face, monkeypatch) == []
 
 
 def test_coplanar_generators_stay_under_the_hull_cap(monkeypatch):
@@ -489,16 +493,17 @@ def test_coplanar_generators_stay_under_the_hull_cap(monkeypatch):
 
 def test_subdiagram_volume_builds_one_hull_per_proper_face(monkeypatch):
     # a facet's images lie on one side of 0 on a line: v is the least |g|,
-    # read off them with no hull
-    facets = 0
+    # read off them with no hull; rank-2 images are scanned by angle, with
+    # no hull; only rank >= 3 builds one
+    counts = {}
     for A in [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + _solid_configs(5, 1):
         for face in A.poset.faces:
             sizes = _hull_sizes(A, face, monkeypatch)
-            facet = face.dim == A.newton.dim - 1
-            facets += facet
-            expect = 0 if face.supporting is None or facet else 1
+            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[0])
+            counts[r] = counts.get(r, 0) + 1
+            expect = 1 if r >= 3 else 0
             assert len(sizes) == expect and all(s <= A.size for s in sizes), (A.points, face)
-    assert facets >= 10
+    assert counts[1] >= 10 and counts[2] >= 10 and counts[3] >= 1, counts
 
 
 def test_subdiagram_volume_solves_no_lp(monkeypatch):
@@ -608,6 +613,103 @@ def test_facet_images_on_both_sides_of_zero_fail_the_invariant():
     assert _seen_pyramids([(2,), (3,)]) == 2 and _seen_pyramids([(-4,), (-3,)]) == 3
     with pytest.raises(AssertionError, match="one side of 0"):
         _seen_pyramids([(-1,), (2,)])
+
+
+def test_rank_2_images_off_an_open_half_plane_fail_the_invariant():
+    assert _seen_pyramids([(0, 1), (1, 0)]) == 1 and _seen_pyramids([(1, -1), (1, 1), (2, 0)]) == 2
+    # the hull route has no such check: it reads 0 off the triangle around 0
+    assert ref_seen_pyramids([(-1, -1), (0, 1), (1, 0)]) == 0
+    for G in [
+        [(-1, -1), (0, 1), (1, 0)],
+        [(-1, 0), (0, 1), (1, 0)],
+        [(-1, 0), (1, 0)],
+        [(-2, -1), (1, 0), (2, 1)],
+        [(-1, 1), (0, -1), (1, 1)],
+        # sorted by angle its first and last points span a pointed cone,
+        # which misses (1, 1)
+        [(-2, -2), (-2, -1), (-1, -1), (1, 1)],
+    ]:
+        with pytest.raises(AssertionError, match="open half-plane"):
+            _seen_pyramids(G)
+    for G in [[(1, 2), (2, 4)], [(-3, 0), (-2, 0), (-1, 0)]]:
+        with pytest.raises(AssertionError, match="one ray"):
+            _seen_pyramids(G)
+
+
+def _half_plane_sets(seed, count):
+    """Seeded sets of distinct points of Z^2 in an open half-plane phi > 0,
+    not all on one ray, in four kinds by turn: random points; points on a
+    line missing 0; a few rays with up to three points each; random points
+    with multiples of some of them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        phi = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if phi == (0, 0):
+            continue
+        box = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if dot(phi, (x, y)) > 0]
+        kind = len(out) % 4
+        if kind == 0:
+            G = rng.sample(box, rng.randint(2, 9))
+        elif kind == 1:
+            p, d = rng.choice(box), primitive((-phi[1], phi[0]))
+            G = [(p[0] + k * d[0], p[1] + k * d[1]) for k in rng.sample(range(-5, 6), rng.randint(2, 6))]
+        elif kind == 2:
+            rays = {primitive(g) for g in rng.sample(box, rng.randint(2, 4))}
+            G = [(t * g[0], t * g[1]) for g in rays for t in rng.sample(range(1, 5), rng.randint(1, 3))]
+        else:
+            G = rng.sample(box, rng.randint(2, 6))
+            G += [(t * g[0], t * g[1]) for g in rng.sample(G, rng.randint(1, len(G))) for t in (2, 3)]
+        G = sorted(set(G))
+        if rational_rank(G) == 2:
+            out.append(G)
+    return out
+
+
+def test_rank_2_scan_matches_the_hull_route_on_half_plane_sets():
+    rng = random.Random(2828)
+    flat = rays = 0
+    for G in _half_plane_sets(28, 5000):
+        v = ref_seen_pyramids(G)
+        # the scan orders the ties on a ray itself, whatever the input order
+        assert _seen_pyramids(G) == v == _seen_chain(rng.sample(G, len(G))), G
+        flat += rational_rank([vsub(g, G[0]) for g in G[1:]]) == 1
+        rays += len({primitive(g) for g in G}) < len(G)
+    assert flat >= 1250 and rays >= 2500, (flat, rays)
+
+
+def test_rank_2_scan_matches_the_oracle_on_every_rank_2_face():
+    faces = 0
+    for A in _corpus():
+        for face in A.poset.faces:
+            if face.supporting is not None and len(_face_quotient_images(A, face)[0]) == 2:
+                assert subdiagram_volume(A, face) == subdiagram_volume_oracle(A, face), (A.points, face)
+                faces += 1
+    assert faces >= 500, faces
+
+
+def test_rank_2_scan_runs_through_no_oracle_or_hull_helper(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rank-2 scan must not run through this helper")
+
+    faces = [
+        (A, face)
+        for A in _corpus() + [_collinear(16)]
+        for face in A.poset.faces
+        if face.supporting is not None and len(_face_quotient_images(A, face)[0]) == 2
+    ]
+    sets = _half_plane_sets(29, 200)
+    for name in [
+        "_hull2d", "_shoelace2", "_clip_halfplane", "_extreme_rays", "_cross",
+        "convex_hull", "face_poset", "pulling_cells", "hnf_solve", "det_fraction",
+    ]:
+        monkeypatch.setattr(configuration, name, forbidden)
+    for A, face in faces:
+        subdiagram_volume(A, face)
+        multiplicity(A, face)
+    for G in sets:
+        _seen_pyramids(G)
+    assert len(faces) >= 500
 
 
 def test_face_poset_only_for_seen_faces_that_are_not_simplices(monkeypatch):
