@@ -43,6 +43,7 @@ from .polytope import (
     FacePoset,
     cell_volume,
     convex_hull,
+    extended_hull,
     face_poset,
     lattice_points_in,
     pulling_cells,
@@ -187,14 +188,21 @@ class PointConfiguration:
 
     def _extended(self, cols, labels) -> "PointConfiguration":
         """The configuration with integer columns and their labels appended."""
-        # if the columns span the ambient space, h is the only functional
-        # that is 1 on them; if h . col != 1, none is 1 on the new columns
-        # and solving for one raises InhomogeneousError
+        # columns in N and on A's affine lattice keep the Newton hull and Z_A,
+        # and h is 1 on them.  If the columns span the ambient space, h is the
+        # only functional that is 1 on them; if h . col != 1, none is 1 on the
+        # new columns and solving for one raises InhomogeneousError
         h = self.homogeneity
+        fits = all(len(c) == self.ambient_dim for c in cols)
+        P = extended_hull(self.newton, cols) if fits else None
         spans = self.newton.dim + 1 == self.ambient_dim
-        if not spans or any(len(c) != self.ambient_dim or dot(h, c) != 1 for c in cols):
+        if not spans or P is None and not (fits and all(dot(h, c) == 1 for c in cols)):
             h = None
-        return PointConfiguration._checked([*self.points, *cols], [*self.labels, *labels], h)
+        B = PointConfiguration._checked([*self.points, *cols], [*self.labels, *labels], h)
+        if P is not None:
+            object.__setattr__(B, "newton", P)
+            object.__setattr__(B, "group_lattice", self.group_lattice)
+        return B
 
     # -- faces ---------------------------------------------------------------
 
@@ -218,17 +226,63 @@ class PointConfiguration:
     @cached_property
     def _face_interiors(self):
         """Face indices -> the face's relative-interior lattice points, filled
-        on demand by :meth:`face_interior`."""
+        on demand by :meth:`face_lattice_points`."""
+        return {}
+
+    @cached_property
+    def _face_scans(self):
+        """Face indices -> the points of the face's own lattice in the face,
+        for each face scanned so far."""
         return {}
 
     def face_interior(self, face: Face):
         """The points of face_lattice(A, face) in the face's relative interior
-        (the vertex itself for 0-faces), computed once per face."""
+        (the vertex itself for 0-faces).  A face whose interior is not known
+        yet is scanned, which fills the interiors of all its subfaces: to scan
+        each face at most once, ask for larger faces first."""
         memo = self._face_interiors
-        pts = memo.get(face.indices)
-        if pts is None:
-            L = face_lattice(self, face)
-            pts = memo[face.indices] = lattice_points_in(self.newton, L, strict=True, face=face)
+        if face.indices not in memo:
+            self.face_lattice_points(face)
+        return memo[face.indices]
+
+    def face_lattice_points(self, face: Face):
+        """The points of face_lattice(A, face) in the face, by one scan of
+        the face's box, made once per face.
+
+        The scan also fills :meth:`face_interior` for every subface Γ' of
+        the face.  A hit lies in the relative interior of the face where its
+        tight facets meet, and each subface is tight on a distinct set of
+        facets.  A hit in the relative interior of Γ' belongs to Γ''s
+        interior iff it lies in face_lattice(A, Γ'), which is a sublattice
+        of the face's lattice; a column on Γ' always does.
+        """
+        scans = self._face_scans
+        pts = scans.get(face.indices)
+        if pts is not None:
+            return pts
+        L = self.affine_lattice if face.supporting is None else face_lattice(self, face)
+        hits = lattice_points_in(self.newton, L, face=face)
+        sets = self.newton.facet_sets
+        interiors, by_mask = {}, {}
+        for f in self.poset.subfaces(face):
+            on = set(f.indices)
+            by_mask[sum(1 << j for j, s in enumerate(sets) if on <= s)] = f
+            interiors[f.indices] = []
+        columns = set(self.points)
+        lattices = {face.indices: L}
+        for p, mask in hits:
+            f = by_mask[mask]
+            if p not in columns:
+                sub = lattices.get(f.indices)
+                if sub is None:
+                    sub = lattices[f.indices] = face_lattice(self, f)
+                if p not in sub:
+                    continue
+            interiors[f.indices].append(p)
+        memo = self._face_interiors
+        for key, inside in interiors.items():
+            memo.setdefault(key, tuple(inside))
+        pts = scans[face.indices] = tuple(p for p, _ in hits)
         return pts
 
     @cached_property
@@ -406,6 +460,8 @@ def _seen_pyramids(G):
     else:
         num, den = x
         seen = [s for (h, c), s in zip(P.facets, P.facet_sets) if dot(h, num) > c * den]
+        if not seen:
+            raise AssertionError("a quotient's images must lie in an open half-space")
         k = P.dim
     vertices = frozenset(P.vertex_indices)
     cells, poset = [], None
@@ -668,11 +724,12 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
     """Face saturation (mode "s"), partial face saturation (mode "p"), or the
     full lattice-point saturation of the Newton polytope (mode "full")."""
     if mode == "full":
-        pts = set(lattice_points_in(A.newton, A.affine_lattice))
+        pts = set(A.face_lattice_points(A.poset.top))
     elif mode in ("s", "p"):
         faces = A.poset.faces if mode == "s" else A.face_int_semiideal()
         pts = set()
-        for face in faces:
+        # largest first, so that only the maximal faces are scanned
+        for face in sorted(faces, key=lambda f: (-f.dim, f.indices)):
             pts.update(A.face_interior(face))
     else:
         raise ValueError(f"unknown saturation mode {mode!r}")
@@ -849,10 +906,14 @@ def reduction_chain(A: PointConfiguration, mode: str) -> ReductionChain:
 
 
 def replay_chain(chain: ReductionChain) -> bool:
-    """Re-verify every chain step certificate from scratch."""
+    """Re-verify every chain step certificate from scratch: each enlarged
+    configuration is built from its columns, with a fresh hull, not
+    inherited from the one before as :func:`reduction_chain` builds it."""
     current = chain.start
     for step in chain.steps:
-        enlarged = current.with_point(step.added_point)
+        enlarged = PointConfiguration.from_columns(
+            [*current.points, step.added_point], [*current.labels, _free_label(current.labels)]
+        )
         ni = enlarged.index_of(step.added_point)
         if not is_lattice_redundant(enlarged, ni):
             return False

@@ -24,7 +24,8 @@ from .lattice import AffineLattice, Lattice, hnf_solve
 # {0,...,5} 651; the cyclic 6-polytope on 24 points needs 711416.
 HULL_PAIR_CAP = 200_000
 # Points of the search box that lattice_points_in may test.  The largest box
-# the test suite, the benchmark workloads and the scripts reach has 45 points.
+# the benchmark workloads and the scripts reach has 45 points; the test suite
+# reaches 8640 on purpose, in its lattice-point routes corpus.
 # The cap bounds the box's size, not the work of finding the points inside:
 # every box point is tested, so a box under it can still hold few hits.
 LATTICE_BOX_CAP = 10_000
@@ -171,6 +172,35 @@ def convex_hull(points) -> Polytope:
     return Polytope(pts, dim, anchor, lat, order, tuple(vert), coords, sets)
 
 
+def extended_hull(P: Polytope, new):
+    """convex_hull(P.points + new), read off P when every new integer point
+    lies in P and on the affine lattice chart_anchor + P.chart, and None
+    otherwise.  The new points must be distinct from P's.
+
+    Such points keep the hull, its facets, its vertices and the difference
+    lattice.  They keep the chart anchor too: min(points) is the least point
+    of P in the lexicographic order, and that is a vertex (minimising each
+    coordinate in turn narrows P to a face each time, down to a point).  So
+    the new points only add their chart coordinates, and join each facet
+    set where they are tight.
+    """
+    fresh = []
+    for p in new:
+        x = P.chart.coordinates(vsub(p, P.chart_anchor))
+        if x is None or any(dot(h, x) > c for h, c in P.facets):
+            return None
+        fresh.append(x)
+    n = len(P.points)
+    sets = tuple(
+        s.union(n + k for k, x in enumerate(fresh) if dot(h, x) == c)
+        for (h, c), s in zip(P.facets, P.facet_sets)
+    )
+    return Polytope(
+        (*P.points, *new), P.dim, P.chart_anchor, P.chart, P.facets, P.vertex_indices,
+        (*P.point_coords, *fresh), sets,
+    )
+
+
 @record
 class FacePoset:
     polytope: Polytope
@@ -240,7 +270,10 @@ def face_poset(P: Polytope) -> FacePoset:
 def lattice_points_in(
     P: Polytope, L: AffineLattice, strict: bool = False, face: Face | None = None
 ):
-    """All points of the affine lattice inside P (relative interior if strict).
+    """All points of the affine lattice inside P (relative interior if strict),
+    as sorted (point, mask) pairs: bit j of mask is set when the point lies
+    on ``P.facets[j]``, so the point is in the relative interior of the face
+    where those facets meet.
 
     Given a face of P, the points inside that face instead (its relative
     interior if strict), with no hull of the face built: a point of P's
@@ -285,27 +318,30 @@ def lattice_points_in(
     solved = [hnf_solve(square, range(P.dim), [v[p] for p in piv]) for v in vecs]
     D = lcm(*(den for _, den in solved))
     x0, *xs = ([a * (D // den) for a in num] for num, den in solved)
-    # (constant, coefficients, tight): D times a facet's slack, tight on the
-    # facets through the face, and D times a row of the residual
+    # (constant, coefficients, tight, bit): D times a facet's slack, tight on
+    # the facets through the face, and D times a row of the residual, which
+    # has no bit
     forms = [
-        (c * D - dot(h, x0), [-dot(h, x) for x in xs], t)
-        for (h, c), t in zip(P.facets, through)
+        (c * D - dot(h, x0), [-dot(h, x) for x in xs], t, 1 << j)
+        for j, ((h, c), t) in enumerate(zip(P.facets, through))
     ]
     for i, row in enumerate(rows):
         a, *k = (D * v[i] - dot(row, x) for v, x in zip(vecs, (x0, *xs)))
         if a or any(k):
-            forms.append((a, k, True))
+            forms.append((a, k, True, 0))
     least = 1 if strict else 0
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        for a, k, tight in forms:
+        mask = 0
+        for a, k, tight, bit in forms:
             s = a + dot(k, m)
             if (s != 0) if tight else (s < least):
                 break
+            if not s:
+                mask |= bit
         else:
-            out.append(
-                tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
-            )
+            p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
+            out.append((p, mask))
     return tuple(sorted(out))
 
 

@@ -30,7 +30,7 @@ from gkzkit.configuration import (
     reduction_chain,
     saturate,
 )
-from gkzkit.intlinalg import IntMatrix, clear_denominators, solve_rational, vsub
+from gkzkit.intlinalg import IntMatrix, clear_denominators, dot, solve_rational, vsub
 from gkzkit.lattice import Lattice, hnf_solve
 from gkzkit.polytope import convex_hull, lattice_points_in
 
@@ -125,10 +125,20 @@ def _rational_coordinates_ref(L, v):
 
 def _lattice_points_in_ref(P, L, strict=False, face=None):
     """``lattice_points_in``, with the points of a face read off a fresh hull
-    of the face (the vertex itself for 0-faces)."""
-    if face is not None:
-        P = convex_hull([P.points[i] for i in face.indices])
-    return lattice_points_in(P, L, strict)
+    of the face (the vertex itself for 0-faces), and each point's bits of
+    the facets of P it lies on read off its Gauss-Jordan chart coordinates."""
+    Q = P if face is None else convex_hull([P.points[i] for i in face.indices])
+    out = []
+    for p, _ in lattice_points_in(Q, L, strict):
+        x = _chart_coords_ref(P, p)
+        out.append((p, sum(1 << j for j, (h, c) in enumerate(P.facets) if dot(h, x) == c)))
+    return tuple(out)
+
+
+def ref_face_interior(A, face):
+    """The earlier ``PointConfiguration.face_interior``: one strict scan of
+    each face in its own face lattice."""
+    return tuple(p for p, _ in lattice_points_in(A.newton, face_lattice(A, face), True, face))
 
 
 def _solve_ref(rows, pivots, v):
@@ -229,8 +239,27 @@ def test_face_interiors_match_rehulled_faces():
     for A in [*_configs(), OBSTRUCTED, saturate(OBSTRUCTED, "s").result]:
         for face in A.poset.faces:
             L = face_lattice(A, face)
-            got = lattice_points_in(A.newton, L, strict=True, face=face)
-            assert got == _lattice_points_in_ref(A.newton, L, True, face)
+            for strict in (True, False):
+                got = lattice_points_in(A.newton, L, strict, face)
+                assert got == _lattice_points_in_ref(A.newton, L, strict, face)
+
+
+def test_face_interiors_from_one_scan_match_the_per_face_scans():
+    from test_subdiagram_routes import _corpus
+
+    faces = hits = coarse = 0
+    for A in [*_configs(), *_corpus()]:
+        for order in (1, -1):  # smallest faces first, then the top alone
+            A = _fresh(A)
+            for face in A.poset.faces[::order]:
+                assert A.face_interior(face) == ref_face_interior(A, face), (A.points, face)
+        faces += len(A.poset.faces)
+        hits += sum(len(A.face_interior(f)) > (f.dim == 0) for f in A.poset.faces)
+        full = tuple(p for p, _ in lattice_points_in(A.newton, A.affine_lattice))
+        assert A.face_lattice_points(A.poset.top) == full
+        # points of N off the lattice of the face they are interior to
+        coarse += len(set(full).difference(*(A.face_interior(f) for f in A.poset.faces)))
+    assert faces > 1800 and hits > 200 and coarse > 100, (faces, hits, coarse)
 
 
 def _fresh(A):
@@ -274,23 +303,40 @@ def test_face_saturation_hulls_only_the_newton_polytope(monkeypatch):
         assert calls == [A.points]
 
 
+def _maximal(faces):
+    return sorted(f.indices for f in faces if not any(set(f.indices) < set(g.indices) for g in faces))
+
+
 def test_face_interiors_are_computed_once_per_face(monkeypatch):
     calls = []
 
     def counting(P, L, strict=False, face=None):
-        if face is not None:
-            calls.append(face.indices)
+        calls.append(face.indices)
         return lattice_points_in(P, L, strict, face)
 
     monkeypatch.setattr(configuration, "lattice_points_in", counting)
-    for A in [*_configs()[:10], OBSTRUCTED]:
+    below = 0
+    for A in [*_configs(), OBSTRUCTED]:
+        # "p" scans the maximal faces it needs, each once; then "s" scans
+        # the top if "p" did not, and nothing more is scanned
         A = _fresh(A)
         calls.clear()
         saturate(A, "p")
-        assert sorted(calls) == sorted(f.indices for f in A.face_int_semiideal())
-        A = _fresh(A)
+        assert sorted(calls) == _maximal(A.face_int_semiideal())
+        below += A.poset.top not in A.face_int_semiideal()
         calls.clear()
         saturate(A, "s")
         saturate(A, "p")
+        saturate(A, "full")
         reduction_chain(A, "p")
-        assert sorted(calls) == sorted(f.indices for f in A.poset.faces)
+        for face in A.poset.faces:
+            A.face_interior(face)
+        assert calls == ([] if A.poset.top in A.face_int_semiideal() else [A.poset.top.indices])
+        # "s" and "full" each scan N's box once, and share it
+        for first in ("s", "full"):
+            A = _fresh(A)
+            calls.clear()
+            saturate(A, first)
+            saturate(A, "full" if first == "s" else "s")
+            assert calls == [A.poset.top.indices]
+    assert below >= 8, below

@@ -5,7 +5,8 @@ facet constraints against a rebuild per call.
 
 The references below are the earlier routes, kept verbatim up to access
 paths: ``ref_lattice_points_in`` builds every box point and tests it by
-``ref_slacks`` (the earlier ``P._slacks``), one solve in P's chart per point; ``ref_regular_triangulation``
+``ref_slacks`` (the earlier ``P._slacks``), one solve in P's chart per point,
+and reads each hit's mask of tight facets off the same slacks; ``ref_regular_triangulation``
 picks the lower facets by the last entry of each facet's ambient functional,
 on the lift by the heights times their least common denominator, as the
 library lifts;
@@ -59,7 +60,7 @@ HEIGHT_DENOMINATOR = 997
 
 def ref_lattice_points_in(P, L, strict=False, face=None, tight_weakly=False):
     """All points of the affine lattice inside P (relative interior if strict),
-    or inside the given face of P.
+    or inside the given face of P, each with the bits of the facets it lies on.
 
     ``tight_weakly`` is the mutation of the face test: the facets through the
     face are tested weakly (>= 0) instead of with equality.
@@ -89,7 +90,7 @@ def ref_lattice_points_in(P, L, strict=False, face=None, tight_weakly=False):
             (a >= 0 if tight_weakly else a == 0) if t else a > 0 if strict else a >= 0
             for a, t in zip(slacks, through)
         ):
-            out.append(p)
+            out.append((p, sum(1 << j for j, a in enumerate(slacks) if a == 0)))
     return tuple(sorted(out))
 
 

@@ -107,7 +107,9 @@ def test_relative_interior_points_bottom_edge():
     edge = poset.face_with_indices((0, 1, 3))
     L = lattice_span([(1, 0, 0), (1, 3, 0), (1, 1, 0)], "affine")
     pts = lattice_points_in(P, L, strict=True, face=edge)
-    assert pts == ((1, 1, 0), (1, 2, 0))
+    # each point is tight on the edge's facet alone
+    bit = 1 << P.facet_sets.index(frozenset(edge.indices))
+    assert pts == (((1, 1, 0), bit), ((1, 2, 0), bit))
 
 
 def test_relative_interior_points_step3_edge_is_empty():
@@ -123,7 +125,7 @@ def test_relative_interior_points_two_face():
     poset = face_poset(P)
     L = lattice_span(TRI_POINTS, "affine")
     pts = lattice_points_in(P, L, strict=True, face=poset.top)
-    assert pts == ((1, 1, 1),)
+    assert pts == (((1, 1, 1), 0),)
 
 
 def test_vertex_relative_interior_is_itself():
@@ -131,7 +133,9 @@ def test_vertex_relative_interior_is_itself():
     poset = face_poset(P)
     v = poset.face_with_indices((0,))
     L = lattice_span(TRI_POINTS, "affine")
-    assert lattice_points_in(P, L, strict=True, face=v) == ((1, 0, 0),)
+    bits = sum(1 << j for j, s in enumerate(P.facet_sets) if 0 in s)
+    assert bits.bit_count() == 2
+    assert lattice_points_in(P, L, strict=True, face=v) == (((1, 0, 0), bits),)
 
 
 def test_lattice_points_in_triangle():

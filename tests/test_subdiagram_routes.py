@@ -636,6 +636,20 @@ def test_rank_2_images_off_an_open_half_plane_fail_the_invariant():
             _seen_pyramids(G)
 
 
+def test_rank_3_images_around_0_fail_the_invariant():
+    # 0 = (sum of the first four) / 4 lies inside conv(G); the hull route
+    # finds no seen facet and returned 0 on both sets before the check
+    tetra = [(-1, -1, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for G in [tetra, sorted([*tetra, (2, 0, 0)])]:
+        assert ref_seen_pyramids(G) == 0
+        with pytest.raises(AssertionError, match="open half-space"):
+            _seen_pyramids(G)
+    # on the boundary of conv(G), 0 sees no facet either
+    with pytest.raises(AssertionError, match="open half-space"):
+        _seen_pyramids([(-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert _seen_pyramids([(1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
+
+
 def _half_plane_sets(seed, count):
     """Seeded sets of distinct points of Z^2 in an open half-plane phi > 0,
     not all on one ray, in four kinds by turn: random points; points on a
