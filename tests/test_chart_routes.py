@@ -249,7 +249,7 @@ def test_face_interiors_from_one_scan_match_the_per_face_scans():
 
     faces = hits = coarse = 0
     for A in [*_configs(), *_corpus()]:
-        for order in (1, -1):  # smallest faces first, then the top alone
+        for order in (1, -1):  # smallest faces first, then the top first
             A = _fresh(A)
             for face in A.poset.faces[::order]:
                 assert A.face_interior(face) == ref_face_interior(A, face), (A.points, face)

@@ -355,17 +355,17 @@ def test_lattice_point_search_box_is_a_budget_error():
     )
 
 
-def test_saturations_scan_only_boxes_the_face_by_face_scan_did():
+def test_saturation_box_budgets():
     # no column is interior, so "p" scans the two vertices and never N's box
     code, out, err = run_cli(["saturate", "--mode", "p"], {"matrix": [[1, 0], [1, 10**8]]})
     assert code == 0 and err == "" and out["result"]["added_points"] == []
     budget = "budget exceeded: lattice-point search limited to 10000 box points, got {}\n"
-    # an interior column: "s" and "p" both need N's box, as face by face
+    # an interior column: "s" and "p" both need N's box
     for mode in ("s", "p"):
         code, out, err = run_cli(["saturate", "--mode", mode], {"matrix": [[1, 0], [1, 1], [1, 10**8]]})
         assert (code, out, err) == (3, None, budget.format(100000001))
-    # an edge and N over the cap: "s" now scans N first and names its box,
-    # where the face-by-face scan named the edge's 20001; "p" needs the edge only
+    # an edge and N over the cap: "s" scans N first and names N's box, and
+    # "p" needs the edge only
     payload = {"matrix": [[1, 0, 0], [1, 20000, 0], [1, 0, 1], [1, 1, 0]]}
     for mode, size in (("s", 40002), ("p", 20001), ("full", 40002)):
         code, out, err = run_cli(["saturate", "--mode", mode], payload)
