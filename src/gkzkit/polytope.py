@@ -267,22 +267,20 @@ def face_poset(P: Polytope) -> FacePoset:
     return FacePoset(P, tuple(faces), top)
 
 
-def lattice_points_in(
-    P: Polytope, L: AffineLattice, strict: bool = False, face: Face | None = None
-):
-    """All points of the affine lattice inside P (relative interior if strict),
-    as sorted (point, mask) pairs: bit j of mask is set when the point lies
-    on ``P.facets[j]``, so the point is in the relative interior of the face
-    where those facets meet.
+def lattice_points_in(P: Polytope, L: AffineLattice, face: Face | None = None):
+    """All points of the affine lattice inside P, as sorted (point, mask)
+    pairs: bit j of mask is set when the point lies on ``P.facets[j]``, so
+    the point is in the relative interior of the face where those facets
+    meet.
 
-    Given a face of P, the points inside that face instead (its relative
-    interior if strict), with no hull of the face built: a point of P's
-    affine hull lies in the face iff it satisfies every facet of P through
-    the face with equality and the other facets weakly, and in its relative
-    interior iff it satisfies the others strictly.  The search box comes from
-    the vertices of P on the face.  L's span must contain the face's hull.
-    A search box of more than LATTICE_BOX_CAP points raises BudgetError
-    before any point is tested.
+    Given a face of P, the points inside that face instead, with no hull of
+    the face built: a point of P's affine hull lies in the face iff it
+    satisfies every facet of P through the face with equality and the other
+    facets weakly, and in its relative interior iff it satisfies the others
+    strictly, that is iff its mask holds the face's facets alone.  The
+    search box comes from the vertices of P on the face.  L's span must
+    contain the face's hull.  A search box of more than LATTICE_BOX_CAP
+    points raises BudgetError before any point is tested.
 
     A point anchor + sum m_k g_k of L has chart coordinates affine in m, so
     each facet's slack is one integer affine form in m, over one common
@@ -329,13 +327,12 @@ def lattice_points_in(
         a, *k = (D * v[i] - dot(row, x) for v, x in zip(vecs, (x0, *xs)))
         if a or any(k):
             forms.append((a, k, True, 0))
-    least = 1 if strict else 0
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         mask = 0
         for a, k, tight, bit in forms:
             s = a + dot(k, m)
-            if (s != 0) if tight else (s < least):
+            if (s != 0) if tight else (s < 0):
                 break
             if not s:
                 mask |= bit

@@ -5,16 +5,16 @@ tuples) with lattice volumes normalized to the group generated by the
 configuration.  Regularity is always certified by integer heights whose
 lower hull is exactly the triangulation, checked by exact dot products with
 its folding rows and never assumed from the construction: the enumeration
-finds them on a ray through a flip parent's heights, or by an exact LP when
-the ray misses.  The supports of the same folding rows are the circuits the
-walk flips along.  The heights of each certificate also certify the
-secondary polytope without a hull: they single out their triangulation's
-GKZ vector as the unique minimiser of their functional, so it is a vertex.
+finds them on the pulling heights of its start, on a ray through the heights
+of a flip parent, or by an exact LP when every ray misses.  The supports of
+the same folding rows are the circuits the walk flips along.  The heights of
+each certificate also certify the secondary polytope without a hull: they
+single out their triangulation's GKZ vector as the unique minimiser of their
+functional, so it is a vertex.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -39,6 +39,10 @@ from .polytope import BudgetError, cell_volume, convex_hull, pulling_cells
 ENUMERATION_CAP = 12
 # Configurations whose triangulations and secondary polytope stay cached.
 SECONDARY_CACHE_SIZE = 64
+# Base of the pulling heights that start the enumeration (see
+# ``_pulling_heights``): the least base that lifts the pulling triangulation
+# of every input measured.
+_PULL_BASE = 3
 
 
 class DegenerateHeightsError(ValueError):
@@ -68,16 +72,10 @@ def _sorted_cells(cells) -> tuple:
     return tuple(sorted(tuple(sorted(c)) for c in cells))
 
 
-def make_triangulation(A: PointConfiguration, cells, volumes=None) -> Triangulation:
-    """The triangulation with these cells; ``volumes``, a dict from sorted
-    cell to lattice volume, memoises the volumes across calls."""
+def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
+    """The triangulation with these cells."""
     cells = _sorted_cells(cells)
-    if volumes is None:
-        volumes = {}
-    for c in cells:
-        if c not in volumes:
-            volumes[c] = int(cell_volume(A.chart_points, c))
-    vols = tuple(volumes[c] for c in cells)
+    vols = tuple(int(cell_volume(A.chart_points, c)) for c in cells)
     if 0 in vols:
         raise ValueError("degenerate cell")
     return Triangulation(cells, vols)
@@ -129,43 +127,47 @@ def gkz_vector(A: PointConfiguration, T: Triangulation):
     return tuple(phi)
 
 
-@lru_cache(maxsize=1)
-def _folding_rows(A: PointConfiguration, T: Triangulation):
-    """The folding rows of T: for each cell sigma and column p outside it,
-    the smallest positive integer multiple r of sum_j lam_j e_j - e_p, where
-    lam are the affine weights of p on sigma.
+def _cell_rows(A: PointConfiguration, cell):
+    """(lattice volume, folding rows) of one sorted cell: for each column p
+    outside it, ascending, the smallest positive integer multiple r of
+    sum_j lam_j e_j - e_p, where lam are the affine weights of p on the cell.
 
     r . w < 0 says that p lifts strictly above the plane through the lifted
-    cell, so heights w have lower hull exactly T iff every row is negative on
-    w.  The last result is cached: the enumeration reuses the rows that
-    ``_certify`` or ``is_regular`` just built, for the spot check and for the
-    circuits that ``_flips`` tries.
+    cell.  One fraction-free elimination of the homogenised cell columns
+    against every outside column reduces them to D * [I | lam], and |D| is
+    the determinant of the homogenised cell, its lattice volume.
     """
     coords = A.chart_points
+    outside = [p for p in range(A.size) if p not in cell]
+    system = [
+        [1] * A.size,
+        *([coords[j][i] for j in (*cell, *outside)] for i in range(len(coords[0]))),
+    ]
+    pivots, D, _ = _reduce(system, len(cell))
+    if len(pivots) != len(cell):
+        raise ValueError("degenerate cell")
     rows = []
-    for cell in T.cells:
-        outside = [p for p in range(A.size) if p not in cell]
-        # homogenised cell columns, then every outside column: reduced to
-        # D * [I | lam], one weight column per outside point
-        system = [
-            [1] * A.size,
-            *([coords[j][i] for j in (*cell, *outside)] for i in range(len(coords[0]))),
-        ]
-        pivots, D, _ = _reduce(system, len(cell))
-        if len(pivots) != len(cell):
-            raise AssertionError("cell must span the chart")
-        for t, p in enumerate(outside, start=len(cell)):
-            row = [0] * A.size
-            for k, j in enumerate(cell):
-                row[j] = system[k][t]
-            row[p] = -D
-            rows.append(primitive([-a for a in row] if D < 0 else row))
-    return tuple(rows)
+    for t, p in enumerate(outside, start=len(cell)):
+        row = [0] * A.size
+        for k, j in enumerate(cell):
+            row[j] = system[k][t]
+        row[p] = -D
+        rows.append(primitive([-a for a in row] if D < 0 else row))
+    return abs(D), tuple(rows)
 
 
-def is_regular(A: PointConfiguration, T: Triangulation):
-    """Exact LP certificate: heights whose lower hull induces exactly T."""
-    rows = _folding_rows(A, T)
+def _folding_rows(A: PointConfiguration, T: Triangulation):
+    """The folding rows of T: those of each cell (see ``_cell_rows``), cells
+    in order.  Heights w have lower hull exactly T iff every row is negative
+    on w.  The enumeration reads the same rows off its table of cells."""
+    return tuple(r for cell in T.cells for r in _cell_rows(A, cell)[1])
+
+
+def is_regular(A: PointConfiguration, T: Triangulation, rows=None):
+    """Exact LP certificate: heights whose lower hull induces exactly T.
+    ``rows`` are T's folding rows when the caller has them."""
+    if rows is None:
+        rows = _folding_rows(A, T)
     if not rows:
         return True, (0,) * A.size
     ok, witness = lp_feasible_strict(rows, [0] * len(rows), set(range(len(rows))))
@@ -180,56 +182,79 @@ def _ray_heights(rows, w, lam):
 
     Row r is negative at w + t lam exactly when (r.w) + t (r.lam) < 0, an open
     half-line of t (everything or nothing when r.lam = 0), so the steps that
-    pass every row form an open interval, computed exactly.  The step taken
-    is the integer of least absolute value in it, or its midpoint when it
-    holds no integer; t = num/den gives the heights primitive(den w + num lam).
+    pass every row form an open interval, computed exactly: its ends are
+    kept as (numerator, positive denominator) pairs and compared by
+    cross-multiplication.  The step taken is the integer of least absolute
+    value in it, or its midpoint when it holds no integer; t = num/den gives
+    the heights primitive(den w + num lam).
     """
     lo = hi = None
     for r in rows:
         a, b = dot(r, w), dot(r, lam)
         if b > 0:
-            if hi is None or Fraction(-a, b) < hi:
-                hi = Fraction(-a, b)
+            # t < -a/b
+            if hi is None or -a * hi[1] < hi[0] * b:
+                hi = (-a, b)
         elif b < 0:
-            if lo is None or Fraction(-a, b) > lo:
-                lo = Fraction(-a, b)
+            # t > a/(-b)
+            if lo is None or a * lo[1] > -b * lo[0]:
+                lo = (a, -b)
         elif a >= 0:
             return None
-    if lo is not None and hi is not None and lo >= hi:
+    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
         return None
-    if lo is not None and lo >= 0:
-        t = Fraction(math.floor(lo) + 1)
-    elif hi is not None and hi <= 0:
-        t = Fraction(math.ceil(hi) - 1)
+    if lo is not None and lo[0] >= 0:
+        t = lo[0] // lo[1] + 1
+    elif hi is not None and hi[0] <= 0:
+        t = -(-hi[0] // hi[1]) - 1
     else:
-        t = Fraction(0)
-    if (lo is not None and t <= lo) or (hi is not None and t >= hi):
-        t = (lo + hi) / 2
-    num, den = t.numerator, t.denominator
+        t = 0
+    if (lo is not None and t * lo[1] <= lo[0]) or (hi is not None and t * hi[1] >= hi[0]):
+        mid = Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1])
+        num, den = mid.numerator, mid.denominator
+    else:
+        num, den = t, 1
     return primitive([den * x + num * y for x, y in zip(w, lam)])
 
 
-def _certify(A: PointConfiguration, T: Triangulation, ray=None):
+def _certify(A: PointConfiguration, T: Triangulation, rows, rays=()):
     """(True, integer heights whose lower hull is exactly T), or (False, None)
-    when T is not regular.
+    when T is not regular; ``rows`` are T's folding rows.
 
-    ``ray`` = (w, lam) holds the heights w of a certified flip neighbour of T
-    and the dependence lam of the circuit flipped.  The flip crosses the wall
-    lam.w = 0 between the two secondary cones (Gelfand-Kapranov-Zelevinsky
-    1994, ch. 7), so the line w + t lam often passes through T's cone: heights
-    found there are checked against every folding row of T by integer dot
-    products.  Without a ray, or when the line misses the cone, the exact LP
-    of ``is_regular`` decides, so a non-regular T is always rejected by it.
+    Each ray (w, lam) of ``rays`` is tried in turn.  In the enumeration, w are
+    the heights of a certified flip neighbour of T and lam the dependence of
+    the circuit flipped.  The flip crosses the wall lam.w = 0 between the two
+    secondary cones (Gelfand-Kapranov-Zelevinsky 1994, ch. 7), so the line
+    w + t lam often passes through T's cone: heights found there are checked
+    against every folding row of T by integer dot products.  When every line
+    misses the cone, the exact LP of ``is_regular`` decides, so a non-regular
+    T is always rejected by it.
     """
-    if ray is not None:
-        rows = _folding_rows(A, T)
-        heights = _ray_heights(rows, *ray)
+    for w, lam in rays:
+        heights = _ray_heights(rows, w, lam)
         if heights is not None:
             if not all(dot(r, heights) < 0 for r in rows):
                 raise AssertionError(f"ray heights {heights} fail the folding rows of {T.cells}")
             return True, heights
-    ok, witness = is_regular(A, T)
+    ok, witness = is_regular(A, T, rows)
     return ok, clear_denominators(witness) if ok else None
+
+
+def _pulling_heights(A: PointConfiguration):
+    """Heights meant to lift the pulling triangulation of ``pulling_cells``:
+    the k-th of the m vertices of the Newton polytope, in point order, gets
+    -_PULL_BASE**(m-1-k), far below every later vertex, so each face is
+    coned from its least vertex (De Loera-Rambau-Santos, Triangulations,
+    2010, sec. 4.3); every other column gets 0, above the vertices' hull.
+    The base may be too small for that; the enumeration checks the heights
+    against the folding rows before it keeps them.
+    """
+    P = A.newton
+    order = sorted(P.vertex_indices, key=P.points.__getitem__)
+    heights = [0] * A.size
+    for k, i in enumerate(order):
+        heights[i] = -(_PULL_BASE ** (len(order) - 1 - k))
+    return tuple(heights)
 
 
 def _flips(cells, rows):
@@ -297,16 +322,21 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     edges are flips, so a breadth-first search over flips from one regular
     triangulation reaches all of them (Gelfand-Kapranov-Zelevinsky 1994,
     ch. 7).  The search starts from the pulling triangulation of the Newton
-    polytope, which is regular; the exact LP certifies it.  Each neighbour
-    queued carries the heights of the certified triangulation that reached it
-    first and the dependence of the circuit flipped, one of that
-    triangulation's folding rows (see ``_flips``): heights on the ray through
-    them certify it when the ray meets its cone, and the LP decides otherwise
-    (see ``_certify``), so non-regular neighbours are always rejected by the
-    LP.  Only certified triangulations are expanded, and each returned one
-    keeps its certificate's heights.  A flip's cells are checked against the
-    triangulations already queued before any volume is computed, and each
-    distinct cell's volume is computed once per search.
+    polytope, which is regular, with one ray: the line from 0 through its
+    pulling heights (see ``_pulling_heights``).  Each flip from a certified
+    triangulation adds a ray to the neighbour it reaches while that neighbour
+    waits in the queue: the certified heights and the dependence of the
+    circuit flipped, one of their triangulation's folding rows (see
+    ``_flips``).  ``_certify`` tries the rays in arrival order and runs the
+    LP only when every one misses, so non-regular neighbours are always
+    rejected by the LP.  Only certified triangulations are expanded, and
+    each returned one keeps its certificate's heights.
+
+    Each distinct cell is eliminated once per search, for its volume and its
+    folding rows together (see ``_cell_rows``); a triangulation's rows are
+    its cells' rows in order, as ``_folding_rows`` gives them.  A flip's
+    cells are checked against the triangulations already queued before any
+    cell is eliminated.
 
     A random-height spot check asserts that lower-hull triangulations all
     appear in the enumerated set: each of 20 seeded height draws is matched
@@ -316,28 +346,41 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     """
     if A.size > ENUMERATION_CAP:
         raise BudgetError(f"enumeration capped at {ENUMERATION_CAP} points, got {A.size}")
-    volumes = {}
-    start = make_triangulation(A, pulling_cells(A.poset), volumes)
+    table = {}  # sorted cell -> (lattice volume, folding rows)
+
+    def triangulation(cells):
+        for c in cells:
+            if c not in table:
+                table[c] = _cell_rows(A, c)
+        return Triangulation(cells, tuple(table[c][0] for c in cells))
+
+    start = triangulation(_sorted_cells(pulling_cells(A.poset)))
     seen = {start.cells}
-    queue = deque([(start, None)])
+    # the rays of each queued triangulation, in arrival order
+    rays = {start.cells: [((0,) * A.size, _pulling_heights(A))]}
+    queue = deque([start])
     certified = []
     while queue:
-        T, ray = queue.popleft()
-        ok, heights = _certify(A, T, ray)
+        T = queue.popleft()
+        rows = tuple(r for c in T.cells for r in table[c][1])
+        ok, heights = _certify(A, T, rows, rays.pop(T.cells))
         if not ok:
             continue
         T = Triangulation(T.cells, T.volumes, heights)
-        rows = _folding_rows(A, T)
         certified.append((gkz_vector(A, T), T, rows))
         for cells, lam in _flips(frozenset(map(frozenset, T.cells)), rows):
             cells = _sorted_cells(cells)
+            if cells in rays:
+                rays[cells].append((heights, lam))
+                continue
             if cells in seen:
                 continue
             seen.add(cells)
-            U = make_triangulation(A, cells, volumes)
+            rays[cells] = [(heights, lam)]
+            U = triangulation(cells)
             if U.total_volume != T.total_volume:
                 raise AssertionError("a flip must keep the covered volume")
-            queue.append((U, (heights, lam)))
+            queue.append(U)
     found = {T.cells for _, T, _ in certified}
     if start.cells not in found:
         raise AssertionError("the pulling triangulation that starts the search is not regular")

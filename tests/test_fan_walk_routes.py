@@ -1,6 +1,6 @@
 """Differential tests: the walk of the secondary fan, which certifies each flip
-neighbour on a ray through its parent's heights and runs the LP only on a
-miss, against the walk that runs the LP on every candidate.
+neighbour on the rays of the parents that reach it and runs the LP only when
+every ray misses, against the walk that runs the LP on every candidate.
 
 The reference below is the earlier enumeration, kept verbatim but for its
 docstring, and cached so that two tests share its runs: every triangulation
@@ -13,10 +13,18 @@ They are also the reference of the walk's flips, which take their circuits
 from the supports of each triangulation's folding rows instead of scanning
 every point subset; ``ref_dependence`` is the dependence the earlier
 ``_circuits`` attached to a circuit.
+
+``ref_folding_rows`` and ``ref_ray_heights`` are the earlier ``_folding_rows``
+(one elimination per cell of each triangulation, apart from the volumes) and
+``_ray_heights`` (the interval kept in Fractions), kept verbatim but for
+their docstrings: the references of the walk's table of cells and of the
+integer interval.
 """
 
+import math
 import random
 from collections import deque
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -25,15 +33,17 @@ from test_secondary_routes import FAMILY
 from test_triangulation_routes import _family, config
 from gkzkit import secondary
 from test_kernel_routes import ref_rational_nullspace as rational_nullspace
-from gkzkit.intlinalg import clear_denominators, dot, primitive
-from gkzkit.polytope import pulling_cells
+from gkzkit.intlinalg import _reduce, clear_denominators, dot, primitive
+from gkzkit.polytope import cell_volume, pulling_cells
 from gkzkit.secondary import (
     DegenerateHeightsError,
     Triangulation,
     _certified_vertices,
+    _certify,
     _flips,
     _folding_rows,
     _lower_hull,
+    _pulling_heights,
     _ray_heights,
     enumerate_regular_triangulations,
     gkz_vector,
@@ -174,18 +184,90 @@ def test_witnesses_are_the_lifted_hulls_heights():
 def test_rays_certify_most_neighbours(monkeypatch):
     lp = []
 
-    def counted(A, T):
-        result = is_regular(A, T)
+    def counted(A, T, rows=None):
+        result = is_regular(A, T, rows)
         lp.append(result[0])
         return result
 
     monkeypatch.setattr(secondary, "is_regular", counted)
-    for A, count in LARGE:
+    for (A, count), misses in zip(LARGE, (7, 11, 8)):
         lp.clear()
         assert len(enumerate_regular_triangulations.__wrapped__(A)) == count
-        # the start and the misses: every one of these configurations has
-        # only regular triangulations, so every LP certifies
-        assert all(lp) and 1 <= len(lp) < count / 2, (A.points, len(lp))
+        # the misses of every parent's ray: every one of these configurations
+        # has only regular triangulations, so every LP certifies
+        assert all(lp) and len(lp) == misses, (A.points, len(lp))
+
+
+def _visits(monkeypatch, A):
+    """The first LP's triangulation and every (triangulation, folding rows)
+    pair that one uncached walk of A certifies, in order."""
+    visits, lp = [], []
+
+    def counted(A, T, rows, rays=()):
+        visits.append((T, rows))
+        return _certify(A, T, rows, rays)
+
+    def counted_lp(A, T, rows=None):
+        lp.append(T.cells)
+        return is_regular(A, T, rows)
+
+    monkeypatch.setattr(secondary, "_certify", counted)
+    monkeypatch.setattr(secondary, "is_regular", counted_lp)
+    tris = enumerate_regular_triangulations.__wrapped__(A)
+    monkeypatch.undo()
+    return tris, visits, lp
+
+
+def test_no_start_goes_to_the_lp(monkeypatch):
+    for A in (*FAMILY, *(A for A, _ in LARGE)):
+        _, visits, lp = _visits(monkeypatch, A)
+        start = visits[0][0]
+        assert start.cells == make_triangulation(A, pulling_cells(A.poset)).cells
+        assert start.cells not in lp, A.points
+
+
+def test_unlifted_starts_go_to_the_lp(monkeypatch):
+    # heights that lift nothing: the ray from 0 misses every start's cone
+    for A in (*FAMILY, *(A for A, _ in LARGE)):
+        monkeypatch.setattr(secondary, "_pulling_heights", lambda A: (0,) * A.size)
+        got, visits, lp = _visits(monkeypatch, A)
+        assert lp[0] == visits[0][0].cells, A.points
+        assert got == enumerate_regular_triangulations(A), A.points
+
+
+def ref_folding_rows(A, T):
+    """The earlier ``_folding_rows``: one elimination per cell of T."""
+    coords = A.chart_points
+    rows = []
+    for cell in T.cells:
+        outside = [p for p in range(A.size) if p not in cell]
+        # homogenised cell columns, then every outside column: reduced to
+        # D * [I | lam], one weight column per outside point
+        system = [
+            [1] * A.size,
+            *([coords[j][i] for j in (*cell, *outside)] for i in range(len(coords[0]))),
+        ]
+        pivots, D, _ = _reduce(system, len(cell))
+        if len(pivots) != len(cell):
+            raise AssertionError("cell must span the chart")
+        for t, p in enumerate(outside, start=len(cell)):
+            row = [0] * A.size
+            for k, j in enumerate(cell):
+                row[j] = system[k][t]
+            row[p] = -D
+            rows.append(primitive([-a for a in row] if D < 0 else row))
+    return tuple(rows)
+
+
+def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
+    visited = 0
+    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE)):
+        _, visits, _ = _visits(monkeypatch, A)
+        for T, rows in visits:
+            assert rows == ref_folding_rows(A, T) == _folding_rows(A, T), (A.points, T)
+            assert T.volumes == tuple(int(cell_volume(A.chart_points, c)) for c in T.cells)
+        visited += len(visits)
+    assert visited > 700, visited
 
 
 def test_ray_steps_inside_the_open_interval():
@@ -204,6 +286,56 @@ def test_ray_steps_inside_the_open_interval():
     assert _ray_heights([(1, 0), (-2, 3)], w, lam) is None
     # every row negative at w: no step
     assert _ray_heights([(-1, 0), (-1, 1)], w, lam) == (1, 0)
+
+
+def ref_ray_heights(rows, w, lam):
+    """The earlier ``_ray_heights``: the interval's ends as Fractions."""
+    lo = hi = None
+    for r in rows:
+        a, b = dot(r, w), dot(r, lam)
+        if b > 0:
+            if hi is None or Fraction(-a, b) < hi:
+                hi = Fraction(-a, b)
+        elif b < 0:
+            if lo is None or Fraction(-a, b) > lo:
+                lo = Fraction(-a, b)
+        elif a >= 0:
+            return None
+    if lo is not None and hi is not None and lo >= hi:
+        return None
+    if lo is not None and lo >= 0:
+        t = Fraction(math.floor(lo) + 1)
+    elif hi is not None and hi <= 0:
+        t = Fraction(math.ceil(hi) - 1)
+    else:
+        t = Fraction(0)
+    if (lo is not None and t <= lo) or (hi is not None and t >= hi):
+        t = (lo + hi) / 2
+    num, den = t.numerator, t.denominator
+    return primitive([den * x + num * y for x, y in zip(w, lam)])
+
+
+def test_integer_ray_interval_matches_the_fraction_interval():
+    rng = random.Random(30)
+    seen = {"miss": 0, "integer": 0, "midpoint": 0, "flat": 0, "tie": 0}
+    for _ in range(4000):
+        n = rng.randint(1, 4)
+        w = [rng.randint(-4, 4) for _ in range(n)]
+        lam = [rng.randint(-9, 9) for _ in range(n)]
+        # small entries, so that rows tie on an end, or have r.lam = 0
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        got = _ray_heights(rows, w, lam)
+        assert got == ref_ray_heights(rows, w, lam), (rows, w, lam)
+        ends = [Fraction(-dot(r, w), dot(r, lam)) for r in rows if dot(r, lam)]
+        seen["flat"] += len(ends) < len(rows)
+        seen["tie"] += len(set(ends)) < len(ends)
+        if got is None:
+            seen["miss"] += 1
+            continue
+        assert all(dot(r, got) < 0 for r in rows)
+        steps = {primitive([x + k * y for x, y in zip(w, lam)]) for k in range(-40, 41)}
+        seen["integer" if got in steps else "midpoint"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_flips_read_off_the_folding_rows_match_the_circuit_scan():

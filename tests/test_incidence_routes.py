@@ -94,7 +94,8 @@ def ref_dim2_interior_witness(A: PointConfiguration):
         raise ValueError("construction requires a two-dimensional Newton polytope")
     if saturate(A, "p").added_points:
         raise ValueError("construction assumes a partially face-saturated configuration")
-    interior = [p for p, _ in lattice_points_in(A.newton, A.affine_lattice, strict=True)]
+    # points of the interior lie on no facet
+    interior = [p for p, mask in lattice_points_in(A.newton, A.affine_lattice) if not mask]
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
         edges = [e for e in A.poset.of_dim(1) if vi in e.indices]

@@ -17,6 +17,7 @@ from gkzkit.lattice import (
     lattice_index,
     lattice_span,
 )
+from gkzkit.polytope import convex_hull
 from test_hnf_routes import hnf_with_transform, ref_intersect_subspace
 
 matrices = st.integers(1, 4).flatmap(
@@ -163,6 +164,12 @@ def test_int_matrix_rejects_non_integral_entries():
     M = IntMatrix(((Fraction(2), 1.0), (0, -3)))
     assert M.entries == ((2, 1), (0, -3))
     assert all(type(a) is int for row in M.entries for a in row)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), None])
+def test_non_finite_and_missing_entries_are_refused_by_name(bad):
+    with pytest.raises(ValueError, match=rf"^non-integral entry {bad}$"):
+        convex_hull([(bad, 0), (1, 1)])
 
 
 def test_lattice_index_diagonal():

@@ -26,6 +26,7 @@ from test_chart_routes import (
     OBSTRUCTED,
     _configs,
     _point_sets,
+    interior_points_in,
     rational_coordinates,
     ref_ambient_functional,
 )
@@ -116,7 +117,7 @@ def test_face_points_match_the_per_point_scan():
             # face also holds points of P off the face
             for L in (face_lattice(A, face), A.affine_lattice):
                 for strict in (True, False):
-                    got = lattice_points_in(P, L, strict, face)
+                    got = (interior_points_in if strict else lattice_points_in)(P, L, face)
                     assert got == ref_lattice_points_in(P, L, strict, face), (A.points, face)
                     hits += len(got)
                     # the mutation: facets through the face tested weakly
@@ -124,7 +125,8 @@ def test_face_points_match_the_per_point_scan():
             faces += 1
         for strict in (True, False):
             L = A.affine_lattice
-            assert lattice_points_in(P, L, strict) == ref_lattice_points_in(P, L, strict)
+            got = (interior_points_in if strict else lattice_points_in)(P, L)
+            assert got == ref_lattice_points_in(P, L, strict)
     assert faces > 1900 and hits > 5000, (faces, hits)
     # the comparison above tells the mutation from the live route
     assert mutant_misses > 500, mutant_misses
@@ -140,7 +142,7 @@ def test_points_off_a_flat_hull_match_the_per_point_scan():
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         L = AffineLattice(pts[0], Lattice.from_generators(unit))
         for strict in (True, False):
-            error, got = _outcome(lattice_points_in, P, L, strict)
+            error, got = _outcome(interior_points_in if strict else lattice_points_in, P, L)
             assert (error, got) == _outcome(ref_lattice_points_in, P, L, strict), pts
             budget += error is BudgetError
             if P.dim < n and error is None:
@@ -154,7 +156,7 @@ def test_a_lattice_short_of_the_face_is_refused():
     edge = A.poset.of_dim(1)[0]
     L = face_lattice(A, A.poset.of_dim(0)[0])
     with pytest.raises(ValueError, match="lattice span does not contain"):
-        lattice_points_in(A.newton, L, True, edge)
+        lattice_points_in(A.newton, L, edge)
 
 
 # -- lower facets, the reference of regular_triangulation -------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_chart_routes import rational_coordinates
+from test_chart_routes import interior_points_in, rational_coordinates
 from test_hull_routes import _corpus as hull_corpus
 from test_incidence_routes import ref_contains, ref_minimal_face_containing
 from test_lattice_point_routes import _heights
@@ -106,7 +106,7 @@ def test_relative_interior_points_bottom_edge():
     poset = face_poset(P)
     edge = poset.face_with_indices((0, 1, 3))
     L = lattice_span([(1, 0, 0), (1, 3, 0), (1, 1, 0)], "affine")
-    pts = lattice_points_in(P, L, strict=True, face=edge)
+    pts = interior_points_in(P, L, face=edge)
     # each point is tight on the edge's facet alone
     bit = 1 << P.facet_sets.index(frozenset(edge.indices))
     assert pts == (((1, 1, 0), bit), ((1, 2, 0), bit))
@@ -117,14 +117,14 @@ def test_relative_interior_points_step3_edge_is_empty():
     poset = face_poset(P)
     edge = poset.face_with_indices((1, 2))
     L = lattice_span([(1, 3, 0), (1, 0, 3)], "affine")
-    assert lattice_points_in(P, L, strict=True, face=edge) == ()
+    assert interior_points_in(P, L, face=edge) == ()
 
 
 def test_relative_interior_points_two_face():
     P = convex_hull(TRI_POINTS)
     poset = face_poset(P)
     L = lattice_span(TRI_POINTS, "affine")
-    pts = lattice_points_in(P, L, strict=True, face=poset.top)
+    pts = interior_points_in(P, L, face=poset.top)
     assert pts == (((1, 1, 1), 0),)
 
 
@@ -135,7 +135,7 @@ def test_vertex_relative_interior_is_itself():
     L = lattice_span(TRI_POINTS, "affine")
     bits = sum(1 << j for j, s in enumerate(P.facet_sets) if 0 in s)
     assert bits.bit_count() == 2
-    assert lattice_points_in(P, L, strict=True, face=v) == (((1, 0, 0), bits),)
+    assert interior_points_in(P, L, face=v) == (((1, 0, 0), bits),)
 
 
 def test_lattice_points_in_triangle():

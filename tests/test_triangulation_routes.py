@@ -144,13 +144,13 @@ def test_mother_of_all_examples(monkeypatch):
     verdicts = []
     lp_verdicts = []
 
-    def counted(A, T, ray=None):
-        result = _certify(A, T, ray)
+    def counted(A, T, rows, rays=()):
+        result = _certify(A, T, rows, rays)
         verdicts.append(result[0])
         return result
 
-    def counted_lp(A, T):
-        result = is_regular(A, T)
+    def counted_lp(A, T, rows=None):
+        result = is_regular(A, T, rows)
         lp_verdicts.append(result[0])
         return result
 
@@ -159,9 +159,9 @@ def test_mother_of_all_examples(monkeypatch):
     tris = enumerate_regular_triangulations.__wrapped__(A)
     assert len(tris) == 16
     assert len(verdicts) == 18 and verdicts.count(False) == 2
-    # the LP certifies the start and makes both rejections; rays certify
-    # the other 15
-    assert sorted(lp_verdicts) == [False, False, True]
+    # the LP makes both rejections and nothing else: the pulling heights
+    # certify the start and rays the other 15
+    assert lp_verdicts == [False, False]
     monkeypatch.undo()
     for T in tris:
         assert is_regular(A, T)[0]
@@ -173,9 +173,9 @@ def test_enumeration_runs_once_per_configuration(monkeypatch):
     A = config(CATALOG[1], [f"once{i}" for i in range(5)])
     calls = []
 
-    def counted(A, T, ray=None):
+    def counted(A, T, rows, rays=()):
         calls.append(T)
-        return _certify(A, T, ray)
+        return _certify(A, T, rows, rays)
 
     monkeypatch.setattr(secondary, "_certify", counted)
     secondary_polytope(A)
