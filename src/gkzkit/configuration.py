@@ -23,7 +23,6 @@ from math import prod
 from numbers import Number
 
 from .intlinalg import (
-    IntMatrix,
     _hnf,
     _hnf_kernel,
     _ints,
@@ -87,7 +86,7 @@ def _free_label(labels) -> str:
 
 @record
 class PointConfiguration:
-    matrix: IntMatrix  # (1+n) x k, columns are the characters
+    matrix: tuple  # (1+n) rows x k columns, the columns are the characters
     homogeneity: tuple
     labels: tuple
 
@@ -100,6 +99,8 @@ class PointConfiguration:
         """The configuration of distinct integer columns, with the homogeneity
         functional h if it is known to be the one :func:`check_homogeneous`
         finds, or None to solve for it."""
+        if not cols:
+            raise ValueError("a configuration needs at least one column")
         lengths = sorted({len(c) for c in cols})
         if len(lengths) > 1:
             raise ValueError(f"columns must have equal lengths, got {lengths}")
@@ -113,21 +114,21 @@ class PointConfiguration:
             labels = tuple(labels)
             if len(labels) != len(cols) or len(set(labels)) != len(labels):
                 raise ValueError("labels must be distinct and match the column count")
-        return cls(IntMatrix.from_columns(cols), h, labels)
+        return cls(tuple(zip(*cols)), h, labels)
 
     # -- basic views ---------------------------------------------------------
 
     @cached_property
     def points(self):
-        return tuple(zip(*self.matrix.entries))
+        return tuple(zip(*self.matrix))
 
     @property
     def size(self) -> int:
-        return self.matrix.cols
+        return len(self.matrix[0])
 
     @property
     def ambient_dim(self) -> int:
-        return self.matrix.rows
+        return len(self.matrix)
 
     def index_of(self, point) -> int:
         return self.points.index(tuple(point))
@@ -292,8 +293,8 @@ class PointConfiguration:
         generated by M's columns."""
         out = []
         for face in self.poset.of_dim(self.newton.dim - 1):
-            M = IntMatrix(integer_kernel_basis(self.face_points(face), self.ambient_dim))
-            out.append((face, M, Lattice.from_generators(M.columns_list(), M.rows)))
+            M = integer_kernel_basis(self.face_points(face), self.ambient_dim)
+            out.append((face, M, Lattice.from_generators(zip(*M), len(M))))
         return tuple(out)
 
     def face_int_semiideal(self):
@@ -454,7 +455,7 @@ def _seen_pyramids(G):
         return _seen_chain(G)
     P = convex_hull(G)
     # 0's chart coordinates are num / den, den > 0, or None off P's affine hull
-    x = hnf_solve(P.chart.basis.entries, P.chart.pivots, [-a for a in P.chart_anchor])
+    x = hnf_solve(P.chart.basis, P.chart.pivots, [-a for a in P.chart_anchor])
     if x is None:
         seen, k = [frozenset(range(len(G)))], P.dim + 1
     else:

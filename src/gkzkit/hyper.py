@@ -10,9 +10,9 @@ Every shifted-factorial product on the generating side (the gamma ratios,
 their contiguity products, derivatives and antiderivatives) goes through one
 kernel, _falling: the falling factorials of base + u per coordinate, formed
 as one integer product over a power of each coordinate's denominator.  The
-box branch of apply_operator, which annihilation_check runs as the
-certificate, forms its products inline in Fractions instead, so that the
-check shares no arithmetic with the operators it certifies.
+box operator apply_box, which annihilation_check runs as the certificate,
+forms its products inline in Fractions instead, so that the check shares no
+arithmetic with the operators it certifies.
 
 Truncation honesty: each series carries the set of kernel offsets whose true
 coefficient is known ("region").  An operator image coefficient is asserted
@@ -28,7 +28,6 @@ from math import factorial, gcd
 
 from .configuration import PointConfiguration
 from .intlinalg import (
-    IntMatrix,
     _ints,
     dot,
     integer_kernel_basis,
@@ -42,23 +41,20 @@ class ResonantParameterError(ValueError):
     """A coefficient recurrence met a vanishing exponent product."""
 
 
-@record
-class KernelBasis:
-    vectors: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
+def _mul(rows, v):
+    """The matrix of the integer rows times the vector v."""
+    return tuple(dot(row, v) for row in rows)
 
 
 @lru_cache
-def toric_kernel_basis(A: PointConfiguration) -> KernelBasis:
-    """Basis of {u in Z^k : A u = 0}, the exponents of the toric relations.
+def toric_kernel_basis(A: PointConfiguration) -> tuple:
+    """Basis of {u in Z^k : A u = 0}, the exponents of the toric relations,
+    as a tuple of vectors.
 
     Cached per configuration: the extension pipeline asks for the bases of A
     and of A - k in turn, once per derivative, contiguity step and operator.
     """
-    return KernelBasis(integer_kernel_basis(A.matrix.entries, A.size))
+    return integer_kernel_basis(A.matrix, A.size)
 
 
 # -- nonresonance ---------------------------------------------------------------
@@ -87,7 +83,7 @@ def is_nonresonant(A: PointConfiguration, beta) -> ResonanceReport:
     if len(beta) != A.ambient_dim:
         raise ValueError("parameter length must match the ambient dimension")
     for face, M, image in A.facet_constraints:
-        if M.mul_vec(beta) in image:
+        if _mul(M, beta) in image:
             return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)
 
@@ -103,13 +99,13 @@ def resonance_box_oracle(A: PointConfiguration, betas, radius: int = 5):
     n = A.ambient_dim
     face_data = []
     for face in A.poset.of_dim(d - 1):
-        M = IntMatrix(integer_kernel_basis(A.face_points(face), n))
-        hits = {M.mul_vec(g) for g in itertools.product(range(-radius, radius + 1), repeat=n)}
+        M = integer_kernel_basis(A.face_points(face), n)
+        hits = {_mul(M, g) for g in itertools.product(range(-radius, radius + 1), repeat=n)}
         face_data.append((M, hits))
     out = []
     for beta in betas:
         beta = tuple(Fraction(b) for b in beta)
-        resonant = any(M.mul_vec(beta) in hits for M, hits in face_data)
+        resonant = any(_mul(M, beta) in hits for M, hits in face_data)
         out.append(not resonant)
     return out
 
@@ -121,8 +117,9 @@ def _l1(u) -> int:
     return sum(abs(a) for a in u)
 
 
-def kernel_ball(basis: KernelBasis, order: int):
-    """All kernel lattice points with L1 norm at most order, sorted.
+def kernel_ball(basis, order: int):
+    """All kernel lattice points with L1 norm at most order, sorted, for the
+    tuple of kernel basis vectors ``basis``.
 
     The points are B m for integer m in a box, B the matrix whose columns are
     the basis vectors.  On the polytope {m : |B m|_1 <= order} each |m_i| is
@@ -133,12 +130,12 @@ def kernel_ball(basis: KernelBasis, order: int):
     the (r - 1)-row subsets J of B with a one-dimensional complement (J empty
     in rank 1): the same box as an LP maximising each |m_i| on the polytope.
     """
-    r = basis.rank
+    r = len(basis)
     if r == 0:
         raise ValueError("kernel ball needs a nonempty basis")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    rows = tuple(zip(*basis.vectors))
+    rows = tuple(zip(*basis))
     bound = [0] * r
     for J in itertools.combinations(rows, r - 1):
         ray = integer_kernel_basis(J, r)
@@ -150,8 +147,8 @@ def kernel_ball(basis: KernelBasis, order: int):
     out = []
     for m in itertools.product(*(range(-b, b + 1) for b in bound)):
         u = tuple(
-            sum(m[l] * basis.vectors[l][j] for l in range(r))
-            for j in range(len(basis.vectors[0]))
+            sum(m[l] * basis[l][j] for l in range(r))
+            for j in range(len(basis[0]))
         )
         if _l1(u) <= order:
             out.append(u)
@@ -224,7 +221,7 @@ class TruncatedSeries:
         beta = tuple(Fraction(b) for b in beta)
         base = tuple(Fraction(b) for b in base)
         items = tuple(sorted((u, c) for u, c in terms.items() if c != 0))
-        if config.matrix.mul_vec(base) != beta:
+        if _mul(config.matrix, base) != beta:
             raise ValueError("base exponent must solve A v = beta")
         return cls(config, beta, base, items, frozenset(region), order)
 
@@ -267,7 +264,7 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
     beta = tuple(Fraction(b) for b in beta)
     cell = tuple(sorted(cell))
     if base_exponent is None:
-        cols = [A.matrix.column(j) for j in cell]
+        cols = [A.points[j] for j in cell]
         rows = [[Fraction(cols[j][i]) for j in range(len(cell))] for i in range(A.ambient_dim)]
         sol = solve_rational(rows, beta)
         if sol is None:
@@ -278,7 +275,7 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
     else:
         v = [Fraction(b) for b in base_exponent]
     basis = toric_kernel_basis(A)
-    if basis.rank == 0:
+    if not basis:
         ball = [(0,) * A.size]
     else:
         ball = kernel_ball(basis, order)
@@ -289,71 +286,54 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
 # -- operators --------------------------------------------------------------------
 
 
-@record
-class OperatorSpec:
-    kind: str  # "euler" | "box"
-    index: int | None = None
-    vector: tuple | None = None
+def apply_euler(series: TruncatedSeries, i: int) -> TruncatedSeries:
+    """Exact term-wise action of the i-th Euler operator."""
+    beta_i = series.beta[i]
+    row = series.config.matrix[i]
+    out = {
+        u: c * (sum(r * (v + uu) for r, v, uu in zip(row, series.base_exponent, u)) - beta_i)
+        for u, c in series.term_items
+    }
+    return TruncatedSeries.make(
+        series.config, series.beta, series.base_exponent, out,
+        series.region, series.truncation_order,
+    )
 
-    @classmethod
-    def euler(cls, i: int) -> "OperatorSpec":
-        return cls("euler", index=i)
 
-    @classmethod
-    def box(cls, u) -> "OperatorSpec":
-        return cls("box", vector=tuple(u))
-
-
-def apply_operator(series: TruncatedSeries, op: OperatorSpec) -> TruncatedSeries:
-    """Exact term-wise action of an Euler or box operator."""
-    if op.kind == "euler":
-        i = op.index
-        beta_i = series.beta[i]
-        row = series.config.matrix.entries[i]
-        out = {
-            u: c * (sum(r * (v + uu) for r, v, uu in zip(row, series.base_exponent, u)) - beta_i)
-            for u, c in series.term_items
-        }
-        return TruncatedSeries.make(
-            series.config, series.beta, series.base_exponent, out,
-            series.region, series.truncation_order,
-        )
-    if op.kind == "box":
-        w = op.vector
-        if series.config.matrix.mul_vec(w) != (0,) * series.config.ambient_dim:
-            raise ValueError("box exponent must lie in the kernel")
-        wplus = tuple(max(a, 0) for a in w)
-        base = tuple(v - p for v, p in zip(series.base_exponent, wplus))
-        # the image is homogeneous for the shifted parameter beta - A w_+
-        beta = tuple(
-            b - s for b, s in zip(series.beta, series.config.matrix.mul_vec(wplus))
-        )
-        out = {}
-        for u, c in series.term_items:
-            # the certificate's own products, not the _falling kernel
-            ff_plus = Fraction(1)
-            ff_minus = Fraction(1)
-            for j, wj in enumerate(w):
-                x = series.base_exponent[j] + u[j]
-                for t in range(abs(wj)):
-                    if wj > 0:
-                        ff_plus *= x - t
-                    else:
-                        ff_minus *= x - t
-            if ff_plus != 0:
-                out[u] = out.get(u, Fraction(0)) + c * ff_plus
-            shifted = tuple(a + b for a, b in zip(u, w))
-            if ff_minus != 0:
-                out[shifted] = out.get(shifted, Fraction(0)) - c * ff_minus
-        region = frozenset(
-            m for m in series.region
-            if tuple(a - b for a, b in zip(m, w)) in series.region
-        )
-        out = {u: c for u, c in out.items() if u in region}
-        return TruncatedSeries.make(
-            series.config, beta, base, out, region, series.truncation_order,
-        )
-    raise ValueError(f"unknown operator kind {op.kind!r}")
+def apply_box(series: TruncatedSeries, w) -> TruncatedSeries:
+    """Exact term-wise action of the box operator del^{w+} - del^{w-}."""
+    w = tuple(w)
+    if _mul(series.config.matrix, w) != (0,) * series.config.ambient_dim:
+        raise ValueError("box exponent must lie in the kernel")
+    wplus = tuple(max(a, 0) for a in w)
+    base = tuple(v - p for v, p in zip(series.base_exponent, wplus))
+    # the image is homogeneous for the shifted parameter beta - A w_+
+    beta = tuple(b - s for b, s in zip(series.beta, _mul(series.config.matrix, wplus)))
+    out = {}
+    for u, c in series.term_items:
+        # the certificate's own products, not the _falling kernel
+        ff_plus = Fraction(1)
+        ff_minus = Fraction(1)
+        for j, wj in enumerate(w):
+            x = series.base_exponent[j] + u[j]
+            for t in range(abs(wj)):
+                if wj > 0:
+                    ff_plus *= x - t
+                else:
+                    ff_minus *= x - t
+        if ff_plus != 0:
+            out[u] = out.get(u, Fraction(0)) + c * ff_plus
+        shifted = tuple(a + b for a, b in zip(u, w))
+        if ff_minus != 0:
+            out[shifted] = out.get(shifted, Fraction(0)) - c * ff_minus
+    region = frozenset(
+        m for m in series.region
+        if tuple(a - b for a, b in zip(m, w)) in series.region
+    )
+    out = {u: c for u, c in out.items() if u in region}
+    return TruncatedSeries.make(
+        series.config, beta, base, out, region, series.truncation_order,
+    )
 
 
 def differentiate(series: TruncatedSeries, gamma) -> TruncatedSeries:
@@ -362,10 +342,7 @@ def differentiate(series: TruncatedSeries, gamma) -> TruncatedSeries:
     if any(g < 0 for g in gamma):
         raise ValueError("gamma must be nonnegative")
     base = tuple(v - g for v, g in zip(series.base_exponent, gamma))
-    beta = tuple(
-        b - s
-        for b, s in zip(series.beta, series.config.matrix.mul_vec(gamma))
-    )
+    beta = tuple(b - s for b, s in zip(series.beta, _mul(series.config.matrix, gamma)))
     out = {u: c * _falling(series.base_exponent, u, gamma) for u, c in series.term_items}
     return TruncatedSeries.make(
         series.config, beta, base, out, series.region, series.truncation_order,
@@ -385,10 +362,7 @@ def antiderivative(series: TruncatedSeries, gamma) -> TruncatedSeries:
     if any(g < 0 for g in gamma):
         raise ValueError("gamma must be nonnegative")
     base = tuple(v + g for v, g in zip(series.base_exponent, gamma))
-    beta = tuple(
-        b + s
-        for b, s in zip(series.beta, series.config.matrix.mul_vec(gamma))
-    )
+    beta = tuple(b + s for b, s in zip(series.beta, _mul(series.config.matrix, gamma)))
     out = {}
     undetermined = set()
     for u in series.region:
@@ -399,7 +373,7 @@ def antiderivative(series: TruncatedSeries, gamma) -> TruncatedSeries:
         c = series.coefficient(u)
         if c:
             out[u] = c / div
-    basis = toric_kernel_basis(series.config).vectors
+    basis = toric_kernel_basis(series.config)
     moves = [w for w in basis] + [tuple(-a for a in w) for w in basis]
     progress = True
     while progress and undetermined:
@@ -454,12 +428,12 @@ def annihilation_check(series: TruncatedSeries) -> AnnihilationReport:
     bad = []
     boundary = 0
     for i in range(series.config.ambient_dim):
-        img = apply_operator(series, OperatorSpec.euler(i))
+        img = apply_euler(series, i)
         for u, c in img.term_items:
             bad.append((f"euler_{i}", u, c))
         zero += len(img.region) - len(img.term_items)
-    for w in toric_kernel_basis(series.config).vectors:
-        img = apply_operator(series, OperatorSpec.box(w))
+    for w in toric_kernel_basis(series.config):
+        img = apply_box(series, w)
         for u, c in img.term_items:
             if u in img.region:
                 bad.append((f"box_{w}", u, c))
@@ -510,7 +484,7 @@ def _kernel_slice(A: PointConfiguration, k: int):
     kernel vector with k-coordinate g (when g > 0), and fixed is a basis of
     the kernel vectors vanishing at k.  The extension asks for one slice per
     order in y_k, so this is computed once per (A, k)."""
-    basis = toric_kernel_basis(A).vectors
+    basis = toric_kernel_basis(A)
     kcoords = [w[k] for w in basis]
     g = gcd(*kcoords)
     if g == 0:

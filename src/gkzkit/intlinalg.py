@@ -160,47 +160,6 @@ def record(cls=None, /, *, hidden=()):
     return cls
 
 
-@record
-class IntMatrix:
-    """Rectangular matrix with exact integer entries, stored row-major."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(_ints(row)) for row in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None):
-        columns = [tuple(c) for c in columns]
-        if not columns:
-            if rows is None:
-                raise ValueError("empty matrix needs explicit row count")
-            return cls(tuple(() for _ in range(rows)))
-        if rows is not None and len(columns[0]) != rows:
-            raise ValueError(f"columns must have length {rows}")
-        return cls(tuple(zip(*columns, strict=True)))
-
-    def column(self, j: int):
-        return tuple(row[j] for row in self.entries)
-
-    def columns_list(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def mul_vec(self, v):
-        return tuple(dot(row, v) for row in self.entries)
-
-
 def _subtract(c, d, q, lo):
     """c -= q * d in place, from entry lo on: d vanishes before it."""
     for i in range(lo, len(c)):

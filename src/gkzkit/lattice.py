@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .intlinalg import IntMatrix, _hnf, _ints, det_fraction, record, vsub
+from .intlinalg import _hnf, _ints, det_fraction, record, vsub
 
 INFINITE = float("inf")
 
@@ -53,7 +53,7 @@ def hnf_solve(rows, pivots, v):
 @record
 class Lattice:
     ambient_dim: int
-    basis: IntMatrix  # ambient_dim x rank, canonical column HNF, full column rank
+    basis: tuple  # ambient_dim rows x rank columns, canonical column HNF, full column rank
 
     @classmethod
     def from_generators(cls, generators, ambient_dim: int | None = None) -> "Lattice":
@@ -65,24 +65,25 @@ class Lattice:
         if any(len(c) != ambient_dim for c in cols):
             raise ValueError(f"generators must have length {ambient_dim}")
         rank = _hnf(cols, ambient_dim)
-        return cls(ambient_dim, IntMatrix.from_columns(cols[:rank], rows=ambient_dim))
+        basis = tuple(zip(*cols[:rank])) if rank else ((),) * ambient_dim
+        return cls(ambient_dim, basis)
 
     @property
     def rank(self) -> int:
-        return self.basis.cols
+        return len(self.basis[0]) if self.basis else 0
 
     def generators(self):
-        return tuple(self.basis.column(j) for j in range(self.basis.cols))
+        return tuple(zip(*self.basis))
 
     @cached_property
     def pivots(self):
         """Pivot row of each basis column: its first nonzero entry."""
-        rows = self.basis.entries
+        rows = self.basis
         return tuple(next(i for i, row in enumerate(rows) if row[j]) for j in range(self.rank))
 
     def coordinates(self, v):
         """Integer coordinates of v in this basis, or None if v is not a member."""
-        solved = hnf_solve(self.basis.entries, self.pivots, v)
+        solved = hnf_solve(self.basis, self.pivots, v)
         if solved is None or any(n % solved[1] for n in solved[0]):
             return None
         return tuple(n // solved[1] for n in solved[0])
@@ -112,10 +113,8 @@ class AffineLattice:
         The HNF basis of ``delta`` is triangular on its pivot rows, so greedy
         reduction is canonical: equal affine lattices get equal anchors.
         """
-        basis = self.delta.basis
         rep = list(self.anchor)
-        for j, p in enumerate(self.delta.pivots):
-            col = basis.column(j)
+        for col, p in zip(self.delta.generators(), self.delta.pivots):
             q = rep[p] // col[p]
             if q:
                 for i in range(len(rep)):
@@ -123,7 +122,7 @@ class AffineLattice:
         return tuple(rep)
 
     def __hash__(self):
-        return hash((self.canonical_anchor(), self.delta.basis.entries))
+        return hash((self.canonical_anchor(), self.delta.basis))
 
     @property
     def rank(self) -> int:

@@ -294,7 +294,7 @@ def lattice_points_in(P: Polytope, L: AffineLattice, face: Face | None = None):
     through = [on <= s for s in P.facet_sets]
     # the vertices' coordinates in L, each as (numerators, denominator)
     boxes = [
-        hnf_solve(L.delta.basis.entries, L.delta.pivots, vsub(P.points[i], L.anchor))
+        hnf_solve(L.delta.basis, L.delta.pivots, vsub(P.points[i], L.anchor))
         for i in P.vertex_indices
         if i in on
     ]
@@ -311,7 +311,7 @@ def lattice_points_in(P: Polytope, L: AffineLattice, face: Face | None = None):
     # p - chart anchor = w0 + sum m_k g_k; x0 and xs are D times the chart
     # coordinates of w0 and of the g_k
     vecs = [vsub(L.anchor, P.chart_anchor), *gens]
-    rows, piv = P.chart.basis.entries, P.chart.pivots
+    rows, piv = P.chart.basis, P.chart.pivots
     square = [rows[p] for p in piv]
     solved = [hnf_solve(square, range(P.dim), [v[p] for p in piv]) for v in vecs]
     D = lcm(*(den for _, den in solved))

@@ -101,7 +101,7 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
         # a facet is lower iff its outer normal points down: the ambient
         # functional f with f . b_j = t h_j (t > 0) on the chart basis b has
         # f . e_last = t (h . x), x = u / den the chart coordinates of e_last
-        u, _ = hnf_solve(hull.chart.basis.entries, hull.chart.pivots, (0,) * d + (1,))
+        u, _ = hnf_solve(hull.chart.basis, hull.chart.pivots, (0,) * d + (1,))
         cells = [
             tuple(sorted(on))
             for (h, _), on in zip(hull.facets, hull.facet_sets)

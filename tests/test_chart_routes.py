@@ -30,7 +30,7 @@ from gkzkit.configuration import (
     reduction_chain,
     saturate,
 )
-from gkzkit.intlinalg import IntMatrix, clear_denominators, dot, solve_rational, vsub
+from gkzkit.intlinalg import clear_denominators, dot, solve_rational, vsub
 from gkzkit.lattice import Lattice, hnf_solve
 from gkzkit.polytope import convex_hull, lattice_points_in
 
@@ -52,7 +52,7 @@ def rational_coordinates(L, v):
     its span: the numerators of ``hnf_solve`` over its denominator.  The
     chart coordinates of a point p of a hull P are those of p - P.chart_anchor
     in P.chart."""
-    solved = hnf_solve(L.basis.entries, L.pivots, v)
+    solved = hnf_solve(L.basis, L.pivots, v)
     return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
 
 
@@ -87,7 +87,7 @@ def ref_ambient_functional(P, h):
     vanishes on the pivot rows of the earlier columns), so its solution
     is unique.
     """
-    rows, piv = P.chart.basis.entries, P.chart.pivots
+    rows, piv = P.chart.basis, P.chart.pivots
     x = solve_rational([[rows[p][j] for p in piv] for j in range(P.dim)], h)
     f = [0] * len(rows)
     for p, a in zip(piv, x):
@@ -104,21 +104,21 @@ def _ambient_functional_ref(P, h):
 
 def _coordinates_ref(L, v):
     """Integer coordinates of v in this basis, or None if v is not a member."""
-    x = solve_rational(L.basis.entries, tuple(v))
+    x = solve_rational(L.basis, tuple(v))
     if x is None or any(a.denominator != 1 for a in x):
         return None
     coords = tuple(int(a) for a in x)
-    if L.basis.mul_vec(coords) != tuple(v):
+    if tuple(dot(row, coords) for row in L.basis) != tuple(v):
         return None
     return coords
 
 
 def _rational_coordinates_ref(L, v):
     """Rational coordinates of v in the basis, or None if outside the span."""
-    x = solve_rational(L.basis.entries, tuple(v))
+    x = solve_rational(L.basis, tuple(v))
     if x is None:
         return None
-    if L.basis.mul_vec(x) != tuple(Fraction(a) for a in v):
+    if tuple(dot(row, x) for row in L.basis) != tuple(Fraction(a) for a in v):
         return None
     return x
 
@@ -155,7 +155,7 @@ def ref_face_interior(A, face):
 
 def _solve_ref(rows, pivots, v):
     """The solve kernel's contract met by Gauss-Jordan, for swapping in."""
-    x = _rational_coordinates_ref(Lattice(len(rows), IntMatrix(rows)), v)
+    x = _rational_coordinates_ref(Lattice(len(rows), tuple(map(tuple, rows))), v)
     if x is None:
         return None
     den = lcm(*(a.denominator for a in x))

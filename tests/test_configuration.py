@@ -81,6 +81,17 @@ def test_columns_of_unequal_length_are_rejected():
             PointConfiguration.from_columns(columns[:1]).with_point(columns[-1])
 
 
+def test_empty_configurations_are_refused():
+    message = "^a configuration needs at least one column$"
+    with pytest.raises(ValueError, match=message):
+        PointConfiguration.from_columns([])
+    with pytest.raises(ValueError, match=message):
+        PointConfiguration.from_columns([(1, 0)]).delete(0)
+    # an empty column is ragged against the others
+    with pytest.raises(ValueError, match=re.escape("equal lengths, got [0, 2]")):
+        PointConfiguration.from_columns([(1, 0)]).with_point(())
+
+
 def test_non_integral_entries_are_rejected():
     with pytest.raises(ValueError, match=r"^non-integral entry 0\.5$"):
         PointConfiguration.from_columns([(1, 0.5), (1, 1), (1, Fraction(7, 2))])

@@ -1,10 +1,10 @@
 """Differential tests: the list-based column HNF kernel and the integer
 kernel against the routes they replaced.
 
-The references are the earlier routes, kept verbatim but for the identity
-matrix, which ``IntMatrix`` no longer builds: ``column_hnf`` on tuples with
-the unimodular transform always built, its ``_colop_sub`` helper,
-``Lattice.from_generators`` through an ``IntMatrix`` round trip that
+The references are the earlier routes, kept verbatim but for their
+matrices, which are tuples of rows here as in the library: ``column_hnf`` on
+tuples with the unimodular transform always built, its ``_colop_sub``
+helper, ``Lattice.from_generators`` through a matrix round trip that
 discarded the transform, and ``hnf_solve`` with generator sums.  The routes
 under test run through the one in-place kernel ``intlinalg._hnf``; only
 ``_hnf_kernel``, behind ``integer_kernel_basis`` and the face HNF, carries
@@ -35,7 +35,6 @@ from test_kernel_routes import ref_integer_orthogonal_complement as integer_orth
 from gkzkit import configuration, intlinalg, polytope
 from gkzkit.configuration import index_i
 from gkzkit.intlinalg import (
-    IntMatrix,
     _hnf,
     _hnf_kernel,
     clear_denominators,
@@ -50,11 +49,21 @@ from gkzkit.polytope import convex_hull
 # -- references: the parent's HNF routes, verbatim ------------------------------
 
 
+def from_columns(cols, m):
+    """The matrix with the given columns of length m, as a tuple of rows."""
+    return tuple(zip(*cols)) if cols else ((),) * m
+
+
+def width(M):
+    """The column count of a matrix given as a tuple of rows."""
+    return len(M[0]) if M else 0
+
+
 def _colop_sub(cols, j, src, q):
     cols[j] = tuple(a - q * b for a, b in zip(cols[j], cols[src]))
 
 
-def ref_column_hnf(M: IntMatrix):
+def ref_column_hnf(M):
     """Canonical column Hermite normal form.
 
     Returns (H, U) with H = M*U, U unimodular.  Convention: pivots are
@@ -62,8 +71,8 @@ def ref_column_hnf(M: IntMatrix):
     strictly increasing left to right), entries to the left of a pivot in its
     row lie in [0, pivot), and zero columns are shifted to the right.
     """
-    m, n = M.rows, M.cols
-    cols = M.columns_list()
+    m, n = len(M), width(M)
+    cols = list(zip(*M))
     ucols = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     piv = 0
     for row in range(m):
@@ -109,18 +118,18 @@ def ref_column_hnf(M: IntMatrix):
                 _colop_sub(cols, l, piv, q)
                 _colop_sub(ucols, l, piv, q)
         piv += 1
-    H = IntMatrix.from_columns(cols, rows=m)
-    U = IntMatrix.from_columns(ucols, rows=n)
+    H = from_columns(cols, m)
+    U = from_columns(ucols, n)
     return H, U
 
 
-def ref_integer_kernel_basis(M: IntMatrix):
+def ref_integer_kernel_basis(M):
     """Basis of {u in Z^cols : M*u = 0}, as a tuple of integer vectors."""
     H, U = ref_column_hnf(M)
     out = []
-    for j in range(M.cols):
-        if all(H.entries[i][j] == 0 for i in range(M.rows)):
-            out.append(U.column(j))
+    for j in range(width(M)):
+        if all(H[i][j] == 0 for i in range(len(M))):
+            out.append(tuple(row[j] for row in U))
     return tuple(out)
 
 
@@ -130,9 +139,9 @@ def ref_from_generators(generators, ambient_dim: int | None = None) -> Lattice:
         if not generators:
             raise ValueError("empty generator list needs explicit ambient_dim")
         ambient_dim = len(generators[0])
-    H, _ = ref_column_hnf(IntMatrix.from_columns(generators, rows=ambient_dim))
-    cols = [H.column(j) for j in range(H.cols) if any(H.column(j))]
-    return Lattice(ambient_dim, IntMatrix.from_columns(cols, rows=ambient_dim))
+    H, _ = ref_column_hnf(from_columns(generators, ambient_dim))
+    cols = [c for c in zip(*H) if any(c)]
+    return Lattice(ambient_dim, from_columns(cols, ambient_dim))
 
 
 def ref_intersect_subspace(self: Lattice, spanning_vectors) -> Lattice:
@@ -144,8 +153,8 @@ def ref_intersect_subspace(self: Lattice, spanning_vectors) -> Lattice:
     )
     if not rows:
         return self
-    kernel = ref_integer_kernel_basis(IntMatrix(rows))
-    gens = [self.basis.mul_vec(k) for k in kernel]
+    kernel = ref_integer_kernel_basis(rows)
+    gens = [tuple(dot(row, k) for row in self.basis) for k in kernel]
     return ref_from_generators(gens, self.ambient_dim)
 
 
@@ -189,7 +198,7 @@ def _matrix(rng):
         i = rng.randrange(m)
         for c in cols:
             c[i] = 0
-    return IntMatrix.from_columns([tuple(c) for c in cols], rows=m)
+    return from_columns([tuple(c) for c in cols], m)
 
 
 def _corpus(seed, count):
@@ -200,40 +209,40 @@ def _corpus(seed, count):
 def _shape_counts(corpus):
     counts = {"no columns": 0, "zero row": 0, "zero column": 0, "repeated": 0, "deficient": 0}
     for _, M in corpus:
-        cols = M.columns_list()
+        cols = list(zip(*M))
         counts["no columns"] += not cols
-        counts["zero row"] += bool(cols) and any(not any(r) for r in M.entries)
+        counts["zero row"] += bool(cols) and any(not any(r) for r in M)
         counts["zero column"] += any(not any(c) for c in cols)
         counts["repeated"] += len(set(cols)) < len(cols)
-        counts["deficient"] += ref_from_generators(cols, M.rows).rank < min(M.rows, M.cols)
+        counts["deficient"] += ref_from_generators(cols, len(M)).rank < min(len(M), width(M))
     return counts
 
 
-def hnf_with_transform(M: IntMatrix):
+def hnf_with_transform(M):
     """(H, U) with H = M U, U unimodular: ``_hnf`` run on the columns of M
     with the identity block below them."""
-    m, n = M.rows, M.cols
-    cols = [[*c, *(int(i == j) for i in range(n))] for j, c in enumerate(M.columns_list())]
+    m, n = len(M), width(M)
+    cols = [[*c, *(int(i == j) for i in range(n))] for j, c in enumerate(zip(*M))]
     _hnf(cols, m)
-    H = IntMatrix.from_columns([c[:m] for c in cols], rows=m)
-    return H, IntMatrix.from_columns([c[m:] for c in cols], rows=n)
+    H = from_columns([c[:m] for c in cols], m)
+    return H, from_columns([c[m:] for c in cols], n)
 
 
 def test_hnf_with_a_transform_block_matches_the_tuple_route():
     corpus = _corpus(2024, 2400)
     for _, M in corpus:
-        assert hnf_with_transform(M) == ref_column_hnf(M), M.entries
+        assert hnf_with_transform(M) == ref_column_hnf(M), M
     assert all(c >= 100 for c in _shape_counts(corpus).values())
 
 
 def test_lattices_match_the_tuple_route():
     kernels = 0
     for _, M in _corpus(77, 800):
-        cols = M.columns_list()
-        L = Lattice.from_generators(cols, M.rows)
-        assert L == ref_from_generators(cols, M.rows)
-        assert Lattice.from_generators([list(c) for c in cols], M.rows) == L
-        ker = integer_kernel_basis(M.entries, M.cols)
+        cols = list(zip(*M))
+        L = Lattice.from_generators(cols, len(M))
+        assert L == ref_from_generators(cols, len(M))
+        assert Lattice.from_generators([list(c) for c in cols], len(M)) == L
+        ker = integer_kernel_basis(M, width(M))
         assert ker == ref_integer_kernel_basis(M)
         kernels += bool(ker)
     assert kernels >= 200
@@ -242,17 +251,17 @@ def test_lattices_match_the_tuple_route():
 def test_hnf_solve_matches_the_generator_sums():
     hits = misses = 0
     for rng, M in _corpus(5, 600):
-        L = Lattice.from_generators(M.columns_list(), M.rows)
-        rows, piv = L.basis.entries, L.pivots
+        L = Lattice.from_generators(zip(*M), len(M))
+        rows, piv = L.basis, L.pivots
         for _ in range(4):
             k = [rng.randint(-5, 5) for _ in range(L.rank)]
-            member = [sum(c * g[i] for c, g in zip(k, L.generators())) for i in range(M.rows)]
+            member = [sum(c * g[i] for c, g in zip(k, L.generators())) for i in range(len(M))]
             den = rng.choice((1, 1, 2, 6))
             queries = (
                 member,
                 [Fraction(a, den) for a in member],
-                [rng.randint(-9, 9) for _ in range(M.rows)],
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(M.rows)],
+                [rng.randint(-9, 9) for _ in range(len(M))],
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(len(M))],
             )
             for v in queries:
                 got = hnf_solve(rows, piv, v)
@@ -272,9 +281,9 @@ def _check_kernel(rows, n):
     ker = integer_kernel_basis(rows, n)
     assert ker == tuple(map(tuple, K)), (rows, n)
     if rows:
-        H, _ = ref_column_hnf(IntMatrix(rows))
-        assert ker == ref_integer_kernel_basis(IntMatrix(rows)), (rows, n)
-        assert L == [list(c) for c in H.columns_list() if any(c)], (rows, n)
+        H, _ = ref_column_hnf(rows)
+        assert ker == ref_integer_kernel_basis(rows), (rows, n)
+        assert L == [list(c) for c in zip(*H) if any(c)], (rows, n)
     else:
         assert L == [] and ker == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     assert all(dot(row, u) == 0 for row in rows for u in ker)

@@ -8,12 +8,12 @@ import pytest
 from gkzkit import hyper
 from gkzkit.configuration import PointConfiguration
 from gkzkit.hyper import (
-    OperatorSpec,
     ResonantParameterError,
     TruncatedSeries,
     annihilation_check,
     antiderivative,
-    apply_operator,
+    apply_box,
+    apply_euler,
     differentiate,
     extend_solution,
     gamma_coefficient,
@@ -26,7 +26,7 @@ from gkzkit.hyper import (
     shift_inverse,
     toric_kernel_basis,
 )
-from gkzkit.intlinalg import integer_kernel_basis
+from gkzkit.intlinalg import dot, integer_kernel_basis
 
 C013 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 3)])
 C0123 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2), (1, 3)])
@@ -34,23 +34,28 @@ SIMPLEX = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 0, 1)])
 BETA = (Fraction(0), Fraction(1, 2))
 
 
+def image(A, u):
+    """The product of A's matrix with the vector u."""
+    return tuple(dot(row, u) for row in A.matrix)
+
+
 def test_kernel_basis():
     kb = toric_kernel_basis(C013)
-    assert kb.rank == 1
-    u = kb.vectors[0]
-    assert C013.matrix.mul_vec(u) == (0, 0)
-    assert toric_kernel_basis(SIMPLEX).rank == 0
+    assert len(kb) == 1
+    u = kb[0]
+    assert image(C013, u) == (0, 0)
+    assert toric_kernel_basis(SIMPLEX) == ()
     square = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
-    assert toric_kernel_basis(square).rank == 1
+    assert len(toric_kernel_basis(square)) == 1
 
 
 def test_kernel_ball_rank2():
     kb = toric_kernel_basis(C0123)
-    assert kb.rank == 2
+    assert len(kb) == 2
     ball = kernel_ball(kb, 4)
     assert (0, 0, 0, 0) in ball
     assert all(sum(map(abs, u)) <= 4 for u in ball)
-    assert all(C0123.matrix.mul_vec(u) == (0, 0) for u in ball)
+    assert all(image(C0123, u) == (0, 0) for u in ball)
     # no kernel point of small norm is missed: direct box scan oracle
     direct = {
         u
@@ -61,7 +66,7 @@ def test_kernel_ball_rank2():
             for c in range(-4, 5)
             for d in range(-4, 5)
         )
-        if sum(map(abs, u)) <= 4 and C0123.matrix.mul_vec(u) == (0, 0)
+        if sum(map(abs, u)) <= 4 and image(C0123, u) == (0, 0)
     }
     assert set(ball) == direct
 
@@ -104,8 +109,8 @@ def test_gamma_series_curve():
     s = gamma_series(C013, BETA, (0, 2), 4)
     assert s.coefficient((0, 0, 0)) == 1
     # contiguity replay along the kernel generator
-    w = toric_kernel_basis(C013).vectors[0]
-    box = apply_operator(s, OperatorSpec.box(w))
+    w = toric_kernel_basis(C013)[0]
+    box = apply_box(s, w)
     assert not box.term_items
     assert annihilation_check(s)
     # kernels of rank 2: the segment {0,1,2,3} and a planar set of five points
@@ -117,7 +122,7 @@ def test_gamma_series_curve():
         (planar, (0, Fraction(1, 3), Fraction(1, 5)), (0, 1, 2), (29, 85, 179)),
     )
     for A, beta, cell, zeros in cases:
-        assert toric_kernel_basis(A).rank == 2
+        assert len(toric_kernel_basis(A)) == 2
         for order, zero in zip((4, 8, 12), zeros):
             report = annihilation_check(gamma_series(A, beta, cell, order))
             assert report, report.determined_nonzero
@@ -138,12 +143,12 @@ def test_gamma_series_resonant_rejected():
 def test_euler_annihilates():
     s = gamma_series(C013, BETA, (0, 2), 4)
     for i in range(2):
-        assert not apply_operator(s, OperatorSpec.euler(i)).term_items
+        assert not apply_euler(s, i).term_items
 
 
 def test_box_detects_perturbation():
     s = gamma_series(C013, BETA, (0, 2), 6)
-    w = toric_kernel_basis(C013).vectors[0]
+    w = toric_kernel_basis(C013)[0]
     target = w if w in s.region else tuple(-a for a in w)
     terms = dict(s.term_items)
     terms[target] = terms.get(target, Fraction(0)) + 1
@@ -179,7 +184,7 @@ def test_single_term_antiderivative():
 
 def test_kernel_shift_acts_as_identity():
     s = gamma_series(C013, BETA, (0, 2), 6)
-    w = toric_kernel_basis(C013).vectors[0]
+    w = toric_kernel_basis(C013)[0]
     moved = shift_inverse(s, w)
     assert moved.base_exponent == tuple(
         v + a for v, a in zip(s.base_exponent, w)
@@ -198,7 +203,7 @@ def test_kernel_slice_representative():
     for ell in range(1, 5):
         u = kernel_slice_representative(C0123, 2, ell)
         assert u[2] == ell
-        assert C0123.matrix.mul_vec(u) == (0, 0)
+        assert image(C0123, u) == (0, 0)
     # slices can be empty: the dense quadratic's kernel hits its middle
     # column only with even coefficients
     C012 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2)])
@@ -247,13 +252,13 @@ def test_toric_kernel_is_computed_once_per_configuration(monkeypatch):
     F = extend_solution(psi, A, 3, beta, 4)
     assert annihilation_check(F)
     assert restrict_to_zero(F, 3).terms == psi.terms
-    toric = [rows for rows in kernels if rows in (A.matrix.entries, A_k.matrix.entries)]
-    assert sorted(toric) == sorted([A.matrix.entries, A_k.matrix.entries])
+    toric = [rows for rows in kernels if rows in (A.matrix, A_k.matrix)]
+    assert sorted(toric) == sorted([A.matrix, A_k.matrix])
 
 
 def ref_kernel_slice_representative(A, k, ell):
     """kernel_slice_representative with its slice data computed on every call."""
-    basis = toric_kernel_basis(A).vectors
+    basis = toric_kernel_basis(A)
     kcoords = [w[k] for w in basis]
     g = gcd(*kcoords)
     if g == 0:
@@ -289,7 +294,7 @@ def test_slice_data_is_computed_once_per_column(monkeypatch):
     psi = gamma_series(A.delete(2), beta, (0, 2), 6)
     extend_solution(psi, A, 2, beta, 8)
     kernel_slice_representative(A, 1, 3)
-    kcoords = [[[w[k] for w in toric_kernel_basis(A).vectors]] for k in (2, 1)]
+    kcoords = [[[w[k] for w in toric_kernel_basis(A)]] for k in (2, 1)]
     assert [rows for rows in calls if rows in kcoords] == kcoords
     monkeypatch.undo()
     for B in (A, C013, C0123, SIMPLEX, PointConfiguration.from_columns([(1, 0), (1, 2), (1, 4), (1, 6)])):
@@ -323,7 +328,7 @@ def test_psi_ell_independent_of_representative():
 
     psi = gamma_series(C013, BETA, (0, 2), 8)
     u = kernel_slice_representative(C0123, 2, 2)
-    basis = toric_kernel_basis(C0123).vectors
+    basis = toric_kernel_basis(C0123)
     rel = integer_kernel_basis([[w[2] for w in basis]], len(basis))[0]
     z = tuple(sum(rel[l] * basis[l][j] for l in range(len(basis))) for j in range(4))
     assert z[2] == 0 and any(z)

@@ -1,9 +1,10 @@
 """No gkzkit module imports ``dataclasses``, every name a gkzkit module
 imports is used in that module, every module-level _private function or
 class is named somewhere else in gkzkit,
-every module-level public function or class is named somewhere else in
-gkzkit, ``bench/`` or ``scripts/`` or is declared in ``TEST_ONLY``, and
-every module-level UPPER_CASE constant is read somewhere in gkzkit.
+every module-level public function or class, and every public method or
+property of a gkzkit class, is named somewhere else in gkzkit, ``bench/`` or
+``scripts/`` or is declared in ``TEST_ONLY``, and every module-level
+UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` re-exports its public API through the
 ``_EXPORTS = {name: module}`` table that its ``__getattr__`` resolves, so the
@@ -18,11 +19,13 @@ import gkzkit
 SOURCES = sorted(Path(gkzkit.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parent.parent
 CALLERS = sorted([*(REPO / "bench").glob("*.py"), *(REPO / "scripts").glob("*.py")])
-# Public library functions and classes that only tests call, each with the
-# reason it stays in the library.
+# Public library functions, classes and methods that only tests call, each
+# with the reason it stays in the library.
 TEST_ONLY = {
     "curves.restriction_factors_divide": "the paper's restriction check, run by the acceptance tests",
     "curves.reduces_to_three_point_support": "the paper's three-point check, run by the acceptance tests",
+    "hyper.TruncatedSeries.scaled": "the linearity test of extend_solution in tests/test_hyper.py",
+    "hyper.TruncatedSeries.plus": "the linearity test of extend_solution in tests/test_hyper.py",
 }
 
 
@@ -171,11 +174,61 @@ def test_the_guard_sees_uncalled_publics():
     assert uncalled_publics(sources, callers) == [("a", "Dead"), ("a", "keyed"), ("a", "recursive")]
 
 
+def _attributes(node):
+    """Every attribute name that the AST node reads or writes."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def uncalled_methods(sources, callers):
+    """(module, Class.name) of each public method or property of a
+    module-level class of ``sources`` that no other statement of ``sources``
+    (the other statements of its class included) and no module of
+    ``callers`` names as an attribute: a local variable of the same name is
+    no caller."""
+    outside = set().union(*(_attributes(ast.parse(source)) for source in callers.values()))
+    statements = [  # (file, class or None, statement, attributes it names)
+        (path, cls, node, _attributes(node))
+        for path, source in sources.items()
+        for top in ast.parse(source).body
+        for cls, node in (
+            [(top, sub) for sub in top.body] if isinstance(top, ast.ClassDef) else [(None, top)]
+        )
+    ]
+    return sorted(
+        (Path(path).stem, f"{cls.name}.{node.name}")
+        for path, cls, node, _ in statements
+        if cls is not None
+        and isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in names for _, _, other, names in statements if other is not node)
+    )
+
+
+def test_the_guard_sees_uncalled_methods():
+    sources = {
+        "a.py": (
+            "class Point:\n"
+            "    def used(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    @property\n    def dead(self):\n        return self.dead\n"
+            "    @classmethod\n    def make(cls):\n        return cls()\n"
+            "    def scripted(self):\n        pass\n"
+            "    def _private(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
+            "def used_outside(p):\n    make = p.used()\n    return make\n"
+        ),
+    }
+    callers = {"run.py": "import a\na.Point().scripted()\n"}
+    assert uncalled_methods(sources, callers) == [("a", "Point.dead"), ("a", "Point.make")]
+
+
 def test_public_definitions_have_a_caller_outside_the_tests():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     callers = {str(path): path.read_text(encoding="utf-8") for path in CALLERS}
     assert len(callers) > 5
     found = {f"{module}.{name}" for module, name in uncalled_publics(sources, callers)}
+    found |= {f"{module}.{name}" for module, name in uncalled_methods(sources, callers)}
     assert found == set(TEST_ONLY)
 
 

@@ -57,7 +57,7 @@ from gkzkit.polytope import lattice_points_in
 def ref_slacks(P, point):
     """D * (c - h . x) for each facet (h, c) at the chart coordinates x of
     an ambient point, one D > 0 for all; None off the affine hull."""
-    s = hnf_solve(P.chart.basis.entries, P.chart.pivots, vsub(point, P.chart_anchor))
+    s = hnf_solve(P.chart.basis, P.chart.pivots, vsub(point, P.chart_anchor))
     return None if s is None else [c * s[1] - dot(h, s[0]) for h, c in P.facets]
 
 

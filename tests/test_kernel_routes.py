@@ -2,7 +2,7 @@
 Gauss-Jordan.
 
 The references below are the earlier Fraction routines, kept verbatim but
-for the identity matrix, which ``IntMatrix`` no longer builds:
+for the identity matrix, which the library no longer builds:
 ``rational_rank``, ``solve_rational``, ``rational_nullspace``,
 ``det_fraction`` and ``integer_orthogonal_complement`` from ``intlinalg``, the
 Fraction tableau ``lp_maximize`` from ``lp`` (with its ``lp_feasible_strict``

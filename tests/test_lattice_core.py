@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from sympy import Matrix, zeros
 from sympy.matrices.normalforms import hermite_normal_form
 
-from gkzkit.intlinalg import IntMatrix, det_fraction, dot, integer_kernel_basis, vsub
+from gkzkit.configuration import PointConfiguration
+from gkzkit.intlinalg import det_fraction, dot, integer_kernel_basis, vsub
 from gkzkit.lattice import (
     INFINITE,
     ContainmentError,
@@ -18,7 +19,7 @@ from gkzkit.lattice import (
     lattice_span,
 )
 from gkzkit.polytope import convex_hull
-from test_hnf_routes import hnf_with_transform, ref_intersect_subspace
+from test_hnf_routes import from_columns, hnf_with_transform, ref_intersect_subspace
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -32,43 +33,43 @@ matrices = st.integers(1, 4).flatmap(
 
 
 def test_hnf_identity():
-    I3 = IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     H, U = hnf_with_transform(I3)
     assert H == I3 and U == I3
 
 
 def test_hnf_small_diagonal_case():
-    M = IntMatrix(((2, 4), (0, 6)))
+    M = ((2, 4), (0, 6))
     H, U = hnf_with_transform(M)
-    assert Matrix(M.entries) * Matrix(U.entries) == Matrix(H.entries)
-    assert abs(det_fraction(U.entries)) == 1
-    assert H.entries[0][0] == 2 and H.entries[1][1] == 6
-    assert 0 <= H.entries[1][0] < 6
+    assert Matrix(M) * Matrix(U) == Matrix(H)
+    assert abs(det_fraction(U)) == 1
+    assert H[0][0] == 2 and H[1][1] == 6
+    assert 0 <= H[1][0] < 6
 
 
 def test_hnf_random_replay():
     rng = random.Random(7)
-    M = IntMatrix(tuple(tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(4)))
+    M = tuple(tuple(rng.randint(-9, 9) for _ in range(6)) for _ in range(4))
     H, U = hnf_with_transform(M)
-    assert Matrix(M.entries) * Matrix(U.entries) == Matrix(H.entries)
-    assert abs(det_fraction(U.entries)) == 1
+    assert Matrix(M) * Matrix(U) == Matrix(H)
+    assert abs(det_fraction(U)) == 1
 
 
 @given(matrices)
 @settings(max_examples=60, deadline=None)
 def test_hnf_is_canonical_and_idempotent(rows):
-    M = IntMatrix(tuple(map(tuple, rows)))
+    M = tuple(map(tuple, rows))
     H, U = hnf_with_transform(M)
-    assert Matrix(M.entries) * Matrix(U.entries) == Matrix(H.entries)
-    assert abs(det_fraction(U.entries)) == 1
+    assert Matrix(M) * Matrix(U) == Matrix(H)
+    assert abs(det_fraction(U)) == 1
     H2, _ = hnf_with_transform(H)
     assert H2 == H
     # shuffling generators of the same column span must not change the HNF
-    cols = M.columns_list()
+    cols = list(zip(*M))
     random.Random(0).shuffle(cols)
     cols.append(tuple(a + b for a, b in zip(cols[0], cols[-1])))
-    H3, _ = hnf_with_transform(IntMatrix.from_columns(cols, rows=M.rows))
-    nz = lambda mat: [mat.column(j) for j in range(mat.cols) if any(mat.column(j))]
+    H3, _ = hnf_with_transform(from_columns(cols, len(M)))
+    nz = lambda mat: [c for c in zip(*mat) if any(c)]
     assert nz(H3) == nz(H)
 
 
@@ -79,21 +80,21 @@ def test_hnf_is_canonical_and_idempotent(rows):
 def test_hnf_against_sympy(rows):
     # sympy's HNF has its own convention, so compare the lattices the two
     # forms span: sympy's canonical form of each generating set
-    M = IntMatrix(tuple(map(tuple, rows)))
+    M = tuple(map(tuple, rows))
     H, U = hnf_with_transform(M)
-    assert Matrix(M.entries) * Matrix(U.entries) == Matrix(H.entries)
-    assert abs(det_fraction(U.entries)) == 1
-    nonzero = [H.column(j) for j in range(H.cols) if any(H.column(j))]
-    H_nz = Matrix.hstack(*(Matrix(c) for c in nonzero)) if nonzero else zeros(M.rows, 0)
+    assert Matrix(M) * Matrix(U) == Matrix(H)
+    assert abs(det_fraction(U)) == 1
+    nonzero = [c for c in zip(*H) if any(c)]
+    H_nz = Matrix.hstack(*(Matrix(c) for c in nonzero)) if nonzero else zeros(len(M), 0)
     assert hermite_normal_form(H_nz) == hermite_normal_form(Matrix(rows))
 
 
 def test_kernel_basis():
-    A = IntMatrix(((1, 1, 1), (0, 1, 3)))
-    ker = integer_kernel_basis(A.entries, A.cols)
+    A = ((1, 1, 1), (0, 1, 3))
+    ker = integer_kernel_basis(A, 3)
     assert len(ker) == 1
     u = ker[0]
-    assert A.mul_vec(u) == (0, 0)
+    assert [dot(row, u) for row in A] == [0, 0]
     assert sorted(map(abs, u)) == [1, 2, 3]
 
 
@@ -117,10 +118,6 @@ def test_generators_of_the_wrong_length_are_rejected():
         Lattice.from_generators([(1, 2), (1,)])
     with pytest.raises(ValueError, match="length 2"):
         Lattice.from_generators([(1, 2, 3)], 2)
-    with pytest.raises(ValueError):
-        IntMatrix.from_columns([(1, 2), (1,)])
-    with pytest.raises(ValueError):
-        IntMatrix.from_columns([(1, 2, 3)], rows=2)
 
 
 def test_affine_span_collinear_points():
@@ -154,16 +151,33 @@ def test_non_integral_generators_are_rejected():
 
 
 def test_int_matrix_rejects_non_integral_entries():
-    with pytest.raises(ValueError, match=r"^non-integral entry 0\.5$"):
-        IntMatrix(((0.5, 1), (Fraction(7, 2), 2)))
-    with pytest.raises(ValueError, match=r"^non-integral entry Fraction\(7, 2\)$"):
-        IntMatrix(((0, 1), (Fraction(7, 2), 2)))
-    with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
-        IntMatrix.from_columns([(1, 2.5), (0, 1)])
+    # a matrix enters as the columns of a configuration or the generators of
+    # a lattice, and both refuse the first non-integral entry by name
+    for build in (PointConfiguration.from_columns, Lattice.from_generators):
+        with pytest.raises(ValueError, match=r"^non-integral entry 0\.5$"):
+            build([(0.5, Fraction(7, 2)), (1, 2)])
+        with pytest.raises(ValueError, match=r"^non-integral entry Fraction\(7, 2\)$"):
+            build([(0, Fraction(7, 2)), (1, 2)])
+        with pytest.raises(ValueError, match=r"^non-integral entry 2\.5$"):
+            build([(1, 2.5), (0, 1)])
     # integral values of any number type are stored as ints
-    M = IntMatrix(((Fraction(2), 1.0), (0, -3)))
-    assert M.entries == ((2, 1), (0, -3))
-    assert all(type(a) is int for row in M.entries for a in row)
+    A = PointConfiguration.from_columns([(Fraction(2), 0), (1.0, -3)])
+    assert A.matrix == ((2, 1), (0, -3))
+    assert all(type(a) is int for row in A.matrix for a in row)
+    L = Lattice.from_generators([(Fraction(2), 0), (1.0, -3)])
+    assert L == Lattice.from_generators([(2, 0), (1, -3)])
+    assert all(type(a) is int for row in L.basis for a in row)
+
+
+def test_ragged_and_empty_input_is_refused_by_message():
+    with pytest.raises(ValueError, match="^empty generator list needs explicit ambient_dim$"):
+        Lattice.from_generators([])
+    L = Lattice.from_generators([], 2)
+    assert L.rank == 0 and L.basis == ((), ()) and L.generators() == ()
+    with pytest.raises(ValueError, match="^convex_hull needs at least one point$"):
+        convex_hull([])
+    with pytest.raises(ValueError, match="^vectors of lengths 2 and 1$"):
+        convex_hull([(1, 2), (1,)])
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), None])

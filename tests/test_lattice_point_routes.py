@@ -35,7 +35,7 @@ from test_kernel_routes import ref_integer_orthogonal_complement as integer_orth
 from test_subdiagram_routes import _collinear, _coplanar, _corpus
 from gkzkit.configuration import face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant
-from gkzkit.intlinalg import IntMatrix, clear_denominators, dot, vsub
+from gkzkit.intlinalg import clear_denominators, dot, vsub
 from gkzkit.lattice import AffineLattice, Lattice
 from gkzkit.polytope import (
     LATTICE_BOX_CAP,
@@ -226,9 +226,8 @@ def ref_is_nonresonant(A, beta):
     d = A.newton.dim
     for face in A.poset.of_dim(d - 1):
         rows = integer_orthogonal_complement(A.face_points(face), A.ambient_dim)
-        M = IntMatrix(rows)
-        image = Lattice.from_generators(M.columns_list(), M.rows)
-        if M.mul_vec(beta) in image:
+        image = Lattice.from_generators(zip(*rows), len(rows))
+        if tuple(dot(row, beta) for row in rows) in image:
             return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)
 

@@ -14,6 +14,7 @@ from gkzkit.configuration import (
     saturate,
 )
 from gkzkit.hyper import gamma_coefficient, toric_kernel_basis
+from gkzkit.intlinalg import dot
 from gkzkit.lattice import Lattice, lattice_index
 from gkzkit.secondary import config_volume
 
@@ -108,7 +109,7 @@ def test_index_multiplicativity_random(seed):
     B = unimodularish()
     M = Lattice.from_generators(B)
     C = unimodularish(1, 3)
-    K = Lattice.from_generators([M.basis.mul_vec(c) for c in C])
+    K = Lattice.from_generators([[dot(row, c) for row in M.basis] for c in C])
     assert lattice_index(L, M) * lattice_index(M, K) == lattice_index(L, K)
 
 
@@ -140,7 +141,7 @@ def test_gamma_contiguity_identity(seed):
     rng = random.Random(seed)
     A = random_curve_config(rng)
     kb = toric_kernel_basis(A)
-    if kb.rank == 0:
+    if not kb:
         return
 
     def noninteger():
@@ -149,7 +150,7 @@ def test_gamma_contiguity_identity(seed):
         return Fraction(p, q)
 
     v = tuple(noninteger() for _ in range(A.size))
-    w = kb.vectors[0]
+    w = kb[0]
     for s in range(-2, 3):
         u = tuple(s * a for a in w)
         uw = tuple(a + b for a, b in zip(u, w))

@@ -1,4 +1,4 @@
-"""``intlinalg.record`` against the frozen dataclass that each of the 30
+"""``intlinalg.record`` against the frozen dataclass that each of the 27
 value classes was before it: the same signature, equality, hash and repr on
 corpus instances, the same ``__post_init__`` errors, frozen fields, and
 working ``cached_property``.
@@ -36,15 +36,12 @@ from gkzkit.curves import (
     verify_factorization,
 )
 from gkzkit.hyper import (
-    OperatorSpec,
     annihilation_check,
-    apply_operator,
+    apply_euler,
     extend_solution,
     gamma_series,
     is_nonresonant,
-    toric_kernel_basis,
 )
-from gkzkit.intlinalg import IntMatrix
 from gkzkit.secondary import check_facet_restriction, enumerate_regular_triangulations, secondary_polytope
 
 MODULES = [
@@ -114,13 +111,10 @@ def corpus():
         dim2_interior_witness(saturate(tri, "p").result),
         tri.affine_lattice,
         tri.group_lattice,
-        toric_kernel_basis(curve0123),
         is_nonresonant(curve013, beta),
         extended,
         annihilation_check(extended),
-        OperatorSpec.euler(0),
-        OperatorSpec.box((1, -1, 0, 0)),
-        apply_operator(extended, OperatorSpec.euler(1)),
+        apply_euler(extended, 1),
         MonomialCurveConfig((0, 1, 3)),
         verify_factorization(MonomialCurveConfig((0, 1, 3))),
         reduces_to_three_point_support(MonomialCurveConfig((0, 1, 2, 3))),
@@ -169,7 +163,7 @@ def hashed(x):
 
 
 def test_every_value_class_is_a_record_and_none_uses_dataclasses():
-    assert len(RECORDS) == 30
+    assert len(RECORDS) == 27
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
     assert all(cls.__setattr__ is intlinalg._record_setattr for cls in RECORDS)
 
@@ -223,29 +217,33 @@ def test_a_class_keeps_its_own_eq_hash_and_bool():
 
 
 def test_defaults_and_keyword_construction():
+    # Triangulation is the record with a default: heights, None
+    cls = secondary.Triangulation
+    cells, volumes, heights = ((0, 1), (1, 2)), (1, 2), (0, -1, 0)
     for args, kwargs in [
-        (("box",), {}),
-        (("euler",), {"index": 2}),
-        ((), {"kind": "box", "vector": (1, -1)}),
-        (("euler", 0, (1,)), {}),
+        ((cells, volumes), {}),
+        ((cells,), {"volumes": volumes}),
+        ((), {"cells": cells, "volumes": volumes, "heights": heights}),
+        ((cells, volumes, heights), {}),
     ]:
-        got, want = OperatorSpec(*args, **kwargs), REFERENCE[OperatorSpec](*args, **kwargs)
+        got, want = cls(*args, **kwargs), REFERENCE[cls](*args, **kwargs)
         assert repr(got) == repr(want) and hash(got) == hash(want)
+        assert got.heights == want.heights
     with pytest.raises(TypeError):
-        OperatorSpec()
+        cls()
     with pytest.raises(TypeError):
-        OperatorSpec("box", nonsense=1)
+        cls(cells, volumes, nonsense=1)
 
 
 @pytest.mark.parametrize(
     "cls, bad",
     [
-        (IntMatrix, ((1, 2), (3,))),
-        (IntMatrix, ((1, Fraction(1, 2)),)),
         (MonomialCurveConfig, (0, 2, 1)),
         (MonomialCurveConfig, (0, 2, 4)),
         (MonomialCurveConfig, (0, True)),
     ],
+    # the ids number the bad values from 2, as the suite's test list names them
+    ids=[f"MonomialCurveConfig-bad{i}" for i in (2, 3, 4)],
 )
 def test_post_init_errors_match_the_dataclass(cls, bad):
     with pytest.raises(ValueError) as got:
@@ -256,8 +254,8 @@ def test_post_init_errors_match_the_dataclass(cls, bad):
 
 
 def test_post_init_normalizes_like_the_dataclass():
-    for cls, arg in [(IntMatrix, [[1, 2.0], [Fraction(3), 4]]), (MonomialCurveConfig, [0, 1, 3])]:
-        assert repr(cls(arg)) == repr(REFERENCE[cls](arg))
+    for arg in ([0, 1, 3], (0, 1.0, Fraction(3))):
+        assert repr(MonomialCurveConfig(arg)) == repr(REFERENCE[MonomialCurveConfig](arg))
 
 
 @pytest.mark.parametrize("cls", sorted(CORPUS, key=lambda c: c.__name__), ids=lambda cls: cls.__name__)

@@ -48,7 +48,7 @@ from sympy import Matrix
 
 from _corpus import integral_multiple, random_small_config
 from test_chart_routes import rational_coordinates, ref_ambient_functional
-from test_hnf_routes import ref_intersect_subspace
+from test_hnf_routes import from_columns, ref_intersect_subspace, width
 from gkzkit import configuration
 from gkzkit.configuration import (
     PointConfiguration,
@@ -65,7 +65,7 @@ from gkzkit.configuration import (
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
-from gkzkit.intlinalg import IntMatrix, _hnf, det_fraction, dot, primitive, rational_rank, vsub
+from gkzkit.intlinalg import _hnf, det_fraction, dot, primitive, rational_rank, vsub
 from gkzkit.lattice import ContainmentError, lattice_index, lattice_span
 from gkzkit.lp import OPTIMAL, lp_maximize
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
@@ -747,10 +747,10 @@ def test_face_poset_only_for_seen_faces_that_are_not_simplices(monkeypatch):
 # -- the Smith-normal-form quotient route, the reference of the tests below ----
 
 
-def ref_smith_normal_form_transforms(M: IntMatrix):
+def ref_smith_normal_form_transforms(M):
     """Return (U, D, V) with D = U*M*V diagonal, d_1 | d_2 | ..., U, V unimodular."""
-    m, n = M.rows, M.cols
-    a = [list(row) for row in M.entries]
+    m, n = len(M), width(M)
+    a = [list(row) for row in M]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -823,9 +823,7 @@ def ref_smith_normal_form_transforms(M: IntMatrix):
         if fixed:
             continue
         s += 1
-    return IntMatrix(tuple(map(tuple, U))), IntMatrix(tuple(map(tuple, a))), IntMatrix(
-        tuple(map(tuple, V))
-    )
+    return tuple(map(tuple, U)), tuple(map(tuple, a)), tuple(map(tuple, V))
 
 
 def ref_quotient_project(source, kernel):
@@ -835,20 +833,20 @@ def ref_quotient_project(source, kernel):
     if None in coords:
         raise ContainmentError("kernel not contained in source")
     r = source.rank
-    K = IntMatrix.from_columns(coords, rows=r)
+    K = from_columns(coords, r)
     U, D, _ = ref_smith_normal_form_transforms(K)
     k = kernel.rank
-    torsion = tuple(D.entries[i][i] for i in range(k) if abs(D.entries[i][i]) != 1)
+    torsion = tuple(D[i][i] for i in range(k) if abs(D[i][i]) != 1)
     if torsion:
         raise AssertionError(f"quotient has torsion {torsion}")
     # rows k..r-1 of U kill the kernel and surject onto Z^(r-k)
-    proj = IntMatrix(tuple(U.entries[i] for i in range(k, r)))
+    proj = U[k:r]
 
     def project(v):
         coords = source.coordinates(v)
         if coords is None:
             raise ContainmentError(f"{v} is not in the source lattice")
-        return proj.mul_vec(coords)
+        return tuple(dot(row, coords) for row in proj)
 
     return project, r - k
 
