@@ -42,6 +42,7 @@ from .polytope import (
     FacePoset,
     cell_volume,
     convex_hull,
+    deleted_hull,
     extended_hull,
     face_poset,
     lattice_points_in,
@@ -176,11 +177,36 @@ class PointConfiguration:
         return int(sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset)))
 
     def delete(self, i: int) -> "PointConfiguration":
+        """The configuration without column i.
+
+        If column i is not a vertex of N and the other columns still
+        generate Z_A, the deletion keeps N and Z_A, and so the chart, which
+        is Z_A cut to N's direction space (see :attr:`chart_points`): the
+        Newton hull is re-indexed, not hulled again (see
+        :func:`deleted_hull`), and Z_A, h and the group coordinates solved
+        so far are kept.  Any other deletion builds its configuration
+        afresh, with the remaining columns' Z_A when it was computed.
+        """
         if not 0 <= i < self.size:
             raise IndexError(f"column {i} out of range")
         cols = [c for j, c in enumerate(self.points) if j != i]
-        labels = tuple(l for j, l in enumerate(self.labels) if j != i)
-        return PointConfiguration.from_columns(cols, labels)
+        labels = [l for j, l in enumerate(self.labels) if j != i]
+        P = self.newton
+        if i in P.vertex_indices:
+            return PointConfiguration._checked(cols, labels, None)
+        Z = Lattice.from_generators(cols, self.ambient_dim)
+        keeps = Z == self.group_lattice
+        # columns that generate Z_A span A's space, so the functionals that are
+        # 1 on them are A's, and check_homogeneous, which sets the free
+        # variables of the reduced system to 0, would pick A's h among them
+        B = PointConfiguration._checked(cols, labels, self.homogeneity if keeps else None)
+        object.__setattr__(B, "group_lattice", Z)
+        if keeps:
+            object.__setattr__(B, "newton", deleted_hull(P, i))
+            if "group_coordinates" in vars(self):
+                coords = self.group_coordinates
+                object.__setattr__(B, "group_coordinates", coords[:i] + coords[i + 1:])
+        return B
 
     def with_point(self, point, label=None) -> "PointConfiguration":
         if label is None:

@@ -1,9 +1,10 @@
 """Monomial-curve configurations: principal determinants, discriminants,
 factorization checks, and the printed degree-3 monodromy generators.
 
-The principal determinant of a one-variable support is the Sylvester
-resultant of f and z f' in the dehomogenized variable, expanded exactly over
-the coefficient variables y_0 .. y_{m+1}.
+The principal determinant of a one-variable support is the resultant of f
+and z f' in the dehomogenized variable, expanded exactly over the
+coefficient variables y_0 .. y_{m+1} as the determinant of their
+delta x delta Bezout matrix, half the size of their Sylvester matrix.
 """
 
 from __future__ import annotations
@@ -11,20 +12,21 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .configuration import PointConfiguration, multiplicity, saturate
 from .intlinalg import _ints, det_fraction, record
 from .polynomials import (
+    bezout_matrix,
+    determinant,
     normalize_sign,
+    padd,
     pdivmod_exact,
-    poly,
     primitive_part,
     strip_monomial_content,
     substitute_zero,
     support,
-    sylvester_matrix,
-    sylvester_resultant,
 )
 from .polytope import BudgetError, convex_hull
 
@@ -61,18 +63,21 @@ class MonomialCurveConfig:
 
 
 def _principal_determinant_from_support(exps) -> dict:
-    """Sylvester resultant of f and z f' for the support, content removed."""
+    """The resultant of f and z f' for the support, content removed.
+
+    f = sum_k y_k z^(a_k) and z f' = sum_k a_k y_k z^(a_k) both have degree
+    delta, so the determinant of their Bezout matrix is their resultant up to
+    sign, which ``normalize_sign`` fixes.  The pair of support points k < l
+    contributes (a_l - a_k) y_k y_l to the matrix (see ``bezout_matrix``).
+    """
     exps = tuple(exps)
-    delta = exps[-1]
     nvars = len(exps)
-    f_coeffs = [poly() for _ in range(delta + 1)]
-    g_coeffs = [poly() for _ in range(delta + 1)]
-    for i, a in enumerate(exps):
-        f_coeffs[a] = {tuple(1 if j == i else 0 for j in range(nvars)): 1}
-        if a:
-            g_coeffs[a] = {tuple(1 if j == i else 0 for j in range(nvars)): a}
-    res = sylvester_resultant(delta, delta, f_coeffs, g_coeffs)
-    return normalize_sign(primitive_part(res))
+    pairs = []
+    for k, l in combinations(range(nvars), 2):
+        e = [0] * nvars
+        e[k] = e[l] = 1
+        pairs.append((exps[k], exps[l], {tuple(e): exps[l] - exps[k]}))
+    return normalize_sign(primitive_part(determinant(bezout_matrix(exps[-1], pairs, padd))))
 
 
 def principal_determinant_curve(cfg: MonomialCurveConfig) -> dict:
@@ -87,8 +92,8 @@ def _univariate_squarefree(p) -> bool:
     A square factor survives specialization to a generic line, so a
     squarefree specialization certifies the multivariate statement; a few
     retries guard against degenerate lines.  On a line where p keeps its
-    degree, p and p' have leading coefficients that do not vanish, so they
-    are coprime iff their integer Sylvester matrix is nonsingular.
+    degree, the integer Bezout matrix of p and p' has nullity
+    deg gcd(p, p'), so p is squarefree iff that matrix is nonsingular.
     """
     if not p:
         return False
@@ -115,8 +120,12 @@ def _univariate_squarefree(p) -> bool:
             coeffs.pop()
         if len(coeffs) - 1 != deg:
             continue  # degenerate direction, retry
-        der = [d * c for d, c in enumerate(coeffs)][1:]
-        return det_fraction(sylvester_matrix(coeffs, der)) != 0
+        der = [d * c for d, c in enumerate(coeffs)][1:] + [0]
+        pairs = [
+            (a, b, coeffs[a] * der[b] - coeffs[b] * der[a])
+            for a, b in combinations(range(deg + 1), 2)
+        ]
+        return det_fraction(bezout_matrix(deg, pairs)) != 0
     raise AssertionError("no generic specialization line found")
 
 

@@ -1,17 +1,14 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
 A polynomial is a dict mapping exponent tuples to nonzero ints.  Enough
-machinery for Sylvester resultants, exact division, squarefree checks and
-Newton polytopes; nothing more.
+machinery for resultants as determinants of Bezout matrices, exact
+division, squarefree checks and Newton polytopes; nothing more.
 """
 
 from __future__ import annotations
 
+import operator
 from math import gcd
-
-
-def poly(d=None):
-    return dict(d) if d else {}
 
 
 def pconst(c: int, nvars: int):
@@ -171,22 +168,24 @@ def determinant(matrix):
     return minor((1 << n) - 1, 0)
 
 
-def sylvester_matrix(p, q):
-    """Sylvester matrix of two polynomials in z given as coefficient lists,
-    p[j] the coefficient of z^j: deg q shifted rows of p's coefficients above
-    deg p shifted rows of q's, highest power first, 0 elsewhere."""
-    m, n = len(p) - 1, len(q) - 1
-    rows = []
-    for coeffs, copies in ((p, n), (q, m)):
-        for shift in range(copies):
-            row = [0] * (m + n)
-            for j, c in enumerate(coeffs):
-                row[shift + len(coeffs) - 1 - j] = c
-            rows.append(row)
+def bezout_matrix(n: int, pairs, add=operator.add):
+    """The n x n Bezout matrix of two polynomials p, q in z of degree at most
+    n: entry (i, j) is the coefficient of z^i w^j in
+    (p(z) q(w) - p(w) q(z)) / (w - z).
+
+    ``pairs`` are the triples (a, b, c) with a < b and c = p_a q_b - p_b q_a,
+    the coefficient of z^a w^b - z^b w^a in the numerator; zero ones may be
+    left out.  Since (z^a w^b - z^b w^a) / (w - z) is the sum of
+    z^(a+s) w^(b-1-s) over 0 <= s < b - a, each pair adds c to those
+    entries, summed by ``add``: ints by default, polynomials with ``padd``.
+    A zero entry is left as 0.  When max(deg p, deg q) = n, the matrix has
+    nullity deg gcd(p, q), and for deg p = deg q = n its determinant is the
+    resultant of p and q up to sign (Gelfand-Kapranov-Zelevinsky 1994,
+    ch. 12).
+    """
+    rows = [[0] * n for _ in range(n)]
+    for a, b, c in pairs:
+        for s in range(b - a):
+            row = rows[a + s]
+            row[b - 1 - s] = add(row[b - 1 - s], c) if row[b - 1 - s] else c
     return rows
-
-
-def sylvester_resultant(pdeg: int, qdeg: int, var_exps_p, var_exps_q):
-    """Resultant in an eliminated variable z of two polynomials given as
-    coefficient lists: var_exps_p[j] is the coefficient polynomial of z^j."""
-    return determinant(sylvester_matrix(var_exps_p[: pdeg + 1], var_exps_q[: qdeg + 1]))

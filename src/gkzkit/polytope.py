@@ -201,6 +201,27 @@ def extended_hull(P: Polytope, new):
     )
 
 
+def deleted_hull(P: Polytope, i: int) -> Polytope:
+    """convex_hull of P's points without point i, read off P, for a point i
+    that is not a vertex of P and without which the points' differences
+    still generate the chart lattice.
+
+    Such a deletion keeps the hull, its facets and the chart; it keeps the
+    chart anchor too, a vertex (see :func:`extended_hull`), and so every
+    other point's chart coordinates.  Only the indices move: point j > i
+    becomes j - 1, in the vertex indices, the chart coordinates and the
+    facet sets.
+    """
+    def shift(js):
+        return (j - (j > i) for j in js if j != i)
+
+    return Polytope(
+        P.points[:i] + P.points[i + 1:], P.dim, P.chart_anchor, P.chart, P.facets,
+        tuple(shift(P.vertex_indices)), P.point_coords[:i] + P.point_coords[i + 1:],
+        tuple(frozenset(shift(s)) for s in P.facet_sets),
+    )
+
+
 @record
 class FacePoset:
     polytope: Polytope

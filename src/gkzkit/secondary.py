@@ -20,6 +20,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .configuration import PointConfiguration
 from .intlinalg import (
@@ -308,7 +309,11 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
     certified T passes take the lifted hull, which may raise
     DegenerateHeightsError.
     """
-    _, T, rows = min(certified, key=lambda c: dot(heights, c[0]))
+    best = None
+    for gkz, U, U_rows in certified:
+        value = sum(map(mul, heights, gkz))
+        if best is None or value < best:
+            best, T, rows = value, U, U_rows
     if all(dot(r, heights) < 0 for r in rows):
         return T
     return regular_triangulation(A, heights)
@@ -339,10 +344,11 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     cell is eliminated.
 
     A random-height spot check asserts that lower-hull triangulations all
-    appear in the enumerated set: each of 20 seeded height draws is matched
-    to a certified triangulation by that triangulation's folding rows, or
-    hulled where no rows match (see ``_lower_hull``).  Degenerate draws are
-    skipped, but at least one must be generic.
+    appear in the enumerated set: each of 20 seeded height draws, integers
+    in [-2^20, 2^20) from 21 random bits each, is matched to a certified
+    triangulation by that triangulation's folding rows, or hulled where no
+    rows match (see ``_lower_hull``).  Degenerate draws are skipped, but at
+    least one must be generic.
     """
     if A.size > ENUMERATION_CAP:
         raise BudgetError(f"enumeration capped at {ENUMERATION_CAP} points, got {A.size}")
@@ -387,7 +393,7 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     rng = random.Random(20240 + A.size)
     generic = False
     for _ in range(20):
-        heights = [rng.randrange(-10**6, 10**6) for _ in range(A.size)]
+        heights = [rng.getrandbits(21) - (1 << 20) for _ in range(A.size)]
         try:
             T = _lower_hull(A, certified, heights)
         except DegenerateHeightsError:

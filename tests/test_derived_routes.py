@@ -1,19 +1,26 @@
-"""Differential tests: the Newton hull that an enlarged configuration reads
-off its parent's (``polytope.extended_hull``, behind ``with_point`` and the
-saturation results) against a fresh ``convex_hull`` of its columns.
+"""Differential tests: the Newton hull that an enlarged or a smaller
+configuration reads off its parent's (``polytope.extended_hull``, behind
+``with_point`` and the saturation results, and ``polytope.deleted_hull``,
+behind ``delete``) against a fresh ``convex_hull`` of its columns.
 
 A point of N on Z_A's affine lattice keeps N, its facets, vertices, chart
 lattice and chart anchor, and Z_A; only the facet sets gain it.  A point
 outside N, off the lattice or off N's affine hull falls back to the fresh
-hull, and ``replay_chain`` always builds one.
+hull, and ``replay_chain`` always builds one.  Deleting a column that is not
+a vertex of N, without which the columns still generate Z_A, keeps the same
+data, re-indexed; any other deletion falls back to the fresh configuration.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from _corpus import random_small_config
 from test_chart_routes import OBSTRUCTED
+from test_fan_walk_routes import LARGE
+from test_secondary_routes import FAMILY
 from test_subdiagram_routes import _solid_configs
 from gkzkit import configuration
 from gkzkit.configuration import PointConfiguration, reduction_chain, replay_chain, saturate
@@ -118,3 +125,76 @@ def test_replay_builds_each_enlarged_configuration_from_its_columns(monkeypatch)
 
     monkeypatch.setattr(configuration, "extended_hull", inherited)
     assert all(replay_chain(c) for c in chains if c.complete)
+
+
+def _triangulations_inputs():
+    """The first block of the benchmark's ``triangulations`` workload at seeds
+    1-8, repetitions 0-2: the block each repetition times."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stream = workloads.WORKLOADS["triangulations"].blocks
+    return [inp for seed in range(1, 9) for rep in range(3) for inp in next(stream(seed, rep))]
+
+
+def assert_deleted(A, i, inherited):
+    """A.delete(i) equals the configuration built from the same columns and
+    labels, field by field; ``inherited`` says whether it read its hull off
+    A's."""
+    B = A.delete(i)
+    F = PointConfiguration.from_columns(
+        [p for j, p in enumerate(A.points) if j != i], [l for j, l in enumerate(A.labels) if j != i]
+    )
+    assert ("newton" in vars(B)) == inherited
+    assert (B.points, B.labels, B.homogeneity) == (F.points, F.labels, F.homogeneity)
+    P, Q = B.newton, F.newton
+    assert (P.points, P.dim, P.chart_anchor, P.chart, P.facets) == (
+        Q.points, Q.dim, Q.chart_anchor, Q.chart, Q.facets,
+    )
+    assert (P.vertex_indices, P.point_coords, P.facet_sets) == (
+        Q.vertex_indices, Q.point_coords, Q.facet_sets,
+    )
+    assert B.poset == F.poset
+    assert B.group_lattice == F.group_lattice
+    assert B.group_coordinates == F.group_coordinates
+    assert B.volume == F.volume
+    return B
+
+
+def test_deleting_a_column_that_keeps_the_hull_and_z_a_inherits_them():
+    inputs = _triangulations_inputs()
+    assert len(inputs) == 24 * 5
+    for inp in inputs:
+        A = PointConfiguration.from_columns(inp["cols"])
+        assert_deleted(A, inp["delete"], True)
+    kinds = {"inherited": 0, "vertex": 0, "lattice": 0, "kept_coordinates": 0}
+    for A in (*FAMILY, *(A for A, _ in LARGE)):
+        for i in range(A.size):
+            vertex = i in A.newton.vertex_indices
+            keeps = Lattice.from_generators(A.points[:i] + A.points[i + 1:]) == A.group_lattice
+            if i % 2:  # the group coordinates solved so far are kept too
+                A.group_coordinates
+                kinds["kept_coordinates"] += not vertex and keeps
+            B = assert_deleted(A, i, not vertex and keeps)
+            if not vertex and keeps and i % 2:
+                assert "group_coordinates" in vars(B)
+            kinds["vertex" if vertex else "inherited" if keeps else "lattice"] += 1
+    assert kinds["inherited"] >= 30 and kinds["vertex"] >= 30 and kinds["kept_coordinates"] >= 10, kinds
+
+
+def test_deletions_that_move_the_hull_or_z_a_build_afresh():
+    segment = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2)])
+    # a vertex, whose deletion shrinks N
+    assert_deleted(segment, 2, False)
+    # column 1, without which the columns generate an index-2 sublattice of Z_A
+    B = assert_deleted(segment, 1, False)
+    assert B.group_lattice != segment.group_lattice
+    # a flat configuration, on whose columns more than one functional is 1:
+    # the h kept is the one a fresh configuration solves for
+    flat = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0)])
+    assert_deleted(flat, 1, True)
+    assert_deleted(flat, 2, True)
+    # the last column: the refusal of test_empty_configurations_are_refused
+    with pytest.raises(ValueError, match="^a configuration needs at least one column$"):
+        PointConfiguration.from_columns([(1, 0)]).delete(0)

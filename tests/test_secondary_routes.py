@@ -164,14 +164,15 @@ def test_degenerate_draws_are_skipped(monkeypatch):
     class Coarse(random.Random):
         """Spot-check heights in {-2, ..., 2}: degenerate lifts are common."""
 
-        def randrange(self, start, stop):
-            return super().randrange(-2, 3)
+        def getrandbits(self, k):
+            # randrange would call getrandbits again; random() does not
+            return (1 << k - 1) + int(5 * self.random()) - 2
 
     class Flat(random.Random):
         """All-zero spot-check heights: every lift is degenerate."""
 
-        def randrange(self, start, stop):
-            return 0
+        def getrandbits(self, k):
+            return 1 << k - 1
 
     outcomes = []
 
@@ -194,3 +195,38 @@ def test_degenerate_draws_are_skipped(monkeypatch):
     monkeypatch.setattr(secondary.random, "Random", Flat)
     with pytest.raises(DegenerateHeightsError, match="no generic heights"):
         enumerate_regular_triangulations.__wrapped__(A)
+
+
+def test_the_spot_check_tests_twenty_draws(monkeypatch):
+    """Each enumeration tests 20 seeded height draws, integers in
+    [-2^20, 2^20); every generic one gets its lower hull, which is one of
+    the triangulations enumerated."""
+    draws = []
+
+    def counted(A, certified, heights):
+        try:
+            T = _lower_hull(A, certified, heights)
+        except DegenerateHeightsError:
+            draws.append((heights, None))
+            raise
+        draws.append((heights, T.cells))
+        return T
+
+    monkeypatch.setattr(secondary, "_lower_hull", counted)
+    segment = config([(a,) for a in (0, 1, 3, 4, 7, 9)])
+    for A in (*(config(points) for points in CATALOG), segment):
+        draws.clear()
+        found = {T.cells for T in enumerate_regular_triangulations.__wrapped__(A)}
+        assert len(draws) == 20
+        assert len({tuple(h) for h, _ in draws}) == 20
+        generic = 0
+        for heights, cells in draws:
+            assert len(heights) == A.size and all(-(2**20) <= h < 2**20 for h in heights)
+            try:
+                hull = regular_triangulation(A, heights).cells
+            except DegenerateHeightsError:
+                hull = None
+            assert cells == hull, (A.points, heights)
+            generic += cells is not None
+            assert cells is None or cells in found
+        assert generic == 20  # draws of 21 bits are almost never degenerate
