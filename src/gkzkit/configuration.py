@@ -183,9 +183,9 @@ class PointConfiguration:
         generate Z_A, the deletion keeps N and Z_A, and so the chart, which
         is Z_A cut to N's direction space (see :attr:`chart_points`): the
         Newton hull is re-indexed, not hulled again (see
-        :func:`deleted_hull`), and Z_A, h and the group coordinates solved
-        so far are kept.  Any other deletion builds its configuration
-        afresh, with the remaining columns' Z_A when it was computed.
+        :func:`deleted_hull`), and Z_A and h are kept.  Any other deletion
+        builds its configuration afresh, with the remaining columns' Z_A when
+        it was computed.
         """
         if not 0 <= i < self.size:
             raise IndexError(f"column {i} out of range")
@@ -203,9 +203,6 @@ class PointConfiguration:
         object.__setattr__(B, "group_lattice", Z)
         if keeps:
             object.__setattr__(B, "newton", deleted_hull(P, i))
-            if "group_coordinates" in vars(self):
-                coords = self.group_coordinates
-                object.__setattr__(B, "group_coordinates", coords[:i] + coords[i + 1:])
         return B
 
     def with_point(self, point, label=None) -> "PointConfiguration":

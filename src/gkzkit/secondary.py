@@ -309,11 +309,7 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
     certified T passes take the lifted hull, which may raise
     DegenerateHeightsError.
     """
-    best = None
-    for gkz, U, U_rows in certified:
-        value = sum(map(mul, heights, gkz))
-        if best is None or value < best:
-            best, T, rows = value, U, U_rows
+    _, T, rows = min(certified, key=lambda c: sum(map(mul, heights, c[0])))
     if all(dot(r, heights) < 0 for r in rows):
         return T
     return regular_triangulation(A, heights)
