@@ -39,7 +39,6 @@ _EXPORTS = {
     "is_lattice_redundant": "configuration",
     "is_nonresonant": "hyper",
     "lattice": "lattice",
-    "lattice_index": "lattice",
     "lattice_span": "lattice",
     "lp": "lp",
     "multiplicity": "configuration",

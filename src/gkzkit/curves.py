@@ -203,7 +203,7 @@ def restriction_factors_divide(cfg: MonomialCurveConfig, i: int) -> bool:
     The deleted discriminant is irreducible, so after stripping coordinate
     factors the restriction must be one of its powers (possibly the zeroth).
     """
-    if i in (0, cfg.size - 1):
+    if not 0 < i < cfg.size - 1:
         raise ValueError("restriction checks need a non-vertex column")
     E = principal_determinant_curve(cfg)
     restricted = substitute_zero(E, i)

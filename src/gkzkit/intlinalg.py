@@ -20,10 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-Vec = tuple
-Mat = tuple
-
-
 def xgcd(a: int, b: int):
     """Return (g, x, y) with g = gcd(a, b) >= 0 and g = x*a + y*b."""
     x, nx = 1, 0

@@ -1,4 +1,4 @@
-"""Integer lattices: spans and indices.
+"""Integer lattices and their spans.
 
 A :class:`Lattice` is a subgroup of Z^ambient stored through a canonical
 column-HNF basis, so equality of lattices is structural equality.  Affine
@@ -12,14 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .intlinalg import _hnf, _ints, det_fraction, record, vsub
-
-INFINITE = float("inf")
-
-
-class ContainmentError(ValueError):
-    """A claimed sublattice is not contained in the ambient one."""
-
+from .intlinalg import _hnf, _ints, record, vsub
 
 def hnf_solve(rows, pivots, v):
     """Coordinates of v in the columns of a column-HNF matrix, as a pair
@@ -146,17 +139,3 @@ def lattice_span(points, mode: str):
         diffs = [vsub(p, anchor) for p in points[1:]]
         return AffineLattice(anchor, Lattice.from_generators(diffs, dim))
     raise ValueError(f"unknown span mode {mode!r}")
-
-
-def lattice_index(sup: Lattice, sub: Lattice):
-    """[sup : sub], or INFINITE when the ranks differ.
-
-    Raises ContainmentError when sub is not contained in sup.
-    """
-    coords = [sup.coordinates(g) for g in sub.generators()]
-    if None in coords:
-        raise ContainmentError("sub lattice not contained in sup lattice")
-    if sub.rank < sup.rank:
-        return INFINITE
-    return abs(int(det_fraction(coords)))
-

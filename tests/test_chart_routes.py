@@ -1,19 +1,30 @@
 """Differential tests: triangular solves on HNF bases against Gauss-Jordan.
 
-The references below are the earlier routes, kept verbatim up to access
-paths: chart coordinates, ambient functionals and lattice coordinates through
-``solve_rational`` with a back-multiplication check, and face interiors from
-a fresh hull of each face.
+The references below are the earlier routes, references since commit
+cb84dca, which replaced them, kept verbatim up to access paths: chart
+coordinates, ambient functionals and lattice coordinates through
+``solve_rational`` with a back-multiplication check (``_chart_coords_ref``,
+``_ambient_functional_ref``, ``_coordinates_ref``,
+``_rational_coordinates_ref``, and ``_solve_ref`` to swap in), and face
+points from a fresh hull of each face (``_lattice_points_in_ref``, in its
+present form since commit e8d3094).  They stay as the routes the triangular
+solves replaced, and as the most independent ones: Gauss-Jordan shares no
+step with the HNF solve.
 
-``ref_ambient_functional`` is the earlier ``Polytope.ambient_functional``,
-kept verbatim up to access paths: the triangular solve on the chart basis's
-pivot rows.  The library no longer calls it; it is checked against the
-Gauss-Jordan route here and shared with the references of
-``test_pulling_routes.py`` and ``test_subdiagram_routes.py``.
+``ref_ambient_functional`` is the earlier ``Polytope.ambient_functional``, a
+reference since commit 30258b6, kept verbatim up to access paths: the
+triangular solve on the chart basis's pivot rows.  The library no longer
+calls it; it is checked against the Gauss-Jordan route here and shared with
+the references of ``test_subdiagram_routes.py`` and
+``test_lattice_point_routes.py``.
+
+``ref_face_interior`` is the earlier ``PointConfiguration.face_interior``,
+one scan of each face, a reference since commit f3fca80, which replaced it
+by one scan per maximal face.
 
 The library reads chart and lattice coordinates as ``hnf_solve``'s pair of
-integer numerators and positive denominator; ``rational_coordinates`` reads
-the pair as Fractions for the tests, and the routes tests share it.
+integer numerators and positive denominator; ``rational_coordinates`` of
+``_corpus.py`` reads the pair as Fractions for the tests.
 """
 
 import random
@@ -22,7 +33,15 @@ from math import lcm
 
 import pytest
 
-from _corpus import integral_multiple, random_small_config
+from _corpus import (
+    OBSTRUCTED,
+    chart_point_sets,
+    criterion_8_configs,
+    face_corpus,
+    interior_points_in,
+    random_coord,
+    rational_coordinates,
+)
 from gkzkit import configuration, lattice, polytope
 from gkzkit.configuration import (
     PointConfiguration,
@@ -31,30 +50,8 @@ from gkzkit.configuration import (
     saturate,
 )
 from gkzkit.intlinalg import clear_denominators, dot, solve_rational, vsub
-from gkzkit.lattice import Lattice, hnf_solve
+from gkzkit.lattice import Lattice
 from gkzkit.polytope import convex_hull, lattice_points_in
-
-OBSTRUCTED = PointConfiguration.from_columns(
-    [
-        (1, 0, 1, 0),
-        (1, 1, 2, 0),
-        (1, 2, 0, 0),
-        (1, 1, 1, 0),
-        (1, 2, 0, 2),
-        (1, 1, 0, 3),
-        (1, 0, 0, 4),
-    ]
-)
-
-
-def rational_coordinates(L, v):
-    """Rational coordinates of v in the basis of the lattice L, or None off
-    its span: the numerators of ``hnf_solve`` over its denominator.  The
-    chart coordinates of a point p of a hull P are those of p - P.chart_anchor
-    in P.chart."""
-    solved = hnf_solve(L.basis, L.pivots, v)
-    return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
-
 
 def _as_fraction_vec(p):
     return tuple(Fraction(a) for a in p)
@@ -123,15 +120,6 @@ def _rational_coordinates_ref(L, v):
     return x
 
 
-def interior_points_in(P, L, face=None):
-    """The points of ``lattice_points_in`` in the relative interior of the face
-    (of P by default), read off their masks: those on the facets through the
-    face alone."""
-    on = frozenset(face.indices if face is not None else range(len(P.points)))
-    bits = sum(1 << j for j, s in enumerate(P.facet_sets) if on <= s)
-    return tuple((p, mask) for p, mask in lattice_points_in(P, L, face) if mask == bits)
-
-
 def _lattice_points_in_ref(P, L, face=None, interior=False):
     """``lattice_points_in``, with the points of a face read off a fresh hull
     of the face (the vertex itself for 0-faces), and each point's bits of
@@ -162,31 +150,6 @@ def _solve_ref(rows, pivots, v):
     return [int(a * den) for a in x], den
 
 
-def _coord(rng, rational):
-    a = rng.randint(-3, 3)
-    return Fraction(a, rng.randint(1, 4)) if rational else a
-
-
-def _point_sets(seed, count):
-    """Seeded point sets, ambient dimension 1-5, some flat.  Some are drawn
-    rational and scaled to integers by their least common denominator."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, 5)
-        rational = rng.random() < 0.4
-        k = rng.randint(1, 7)
-        if rng.random() < 0.35:  # on an affine subspace of lower dimension
-            base = [_coord(rng, rational) for _ in range(n)]
-            dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
-            pts = {
-                tuple(b + sum(rng.randint(-2, 2) * d[i] for d in dirs) for i, b in enumerate(base))
-                for _ in range(k)
-            }
-        else:
-            pts = {tuple(_coord(rng, rational) for _ in range(n)) for _ in range(k)}
-        yield rng, integral_multiple(sorted(pts))[0]
-
-
 def _queries(rng, pts):
     """The points, rational affine combinations of them (on the hull's
     affine span) and random points (mostly off it, when the set is flat)."""
@@ -196,13 +159,13 @@ def _queries(rng, pts):
         w = [Fraction(rng.randint(0, 3), rng.randint(1, 3)) for _ in pts]
         w[0] += 1 - sum(w)
         out.append(tuple(sum(c * p[i] for c, p in zip(w, pts)) for i in range(n)))
-        out.append(tuple(_coord(rng, rng.random() < 0.5) for _ in range(n)))
+        out.append(tuple(random_coord(rng, rng.random() < 0.5) for _ in range(n)))
     return out
 
 
 def test_chart_coords_and_ambient_functionals_match_gauss_jordan():
     nones = facets = 0
-    for rng, pts in _point_sets(7, 400):
+    for rng, pts in chart_point_sets(7, 400):
         P = convex_hull(pts)
         assert P.point_coords == tuple(_chart_coords_ref(P, p) for p in pts)
         for q in _queries(rng, pts):
@@ -242,13 +205,8 @@ def test_lattice_coordinates_match_gauss_jordan():
     assert nones > 400
 
 
-def _configs():
-    rng = random.Random(88)  # the corpus of acceptance criterion 8, first configs
-    return [random_small_config(rng) for _ in range(30)]
-
-
 def test_face_interiors_match_rehulled_faces():
-    for A in [*_configs(), OBSTRUCTED, saturate(OBSTRUCTED, "s").result]:
+    for A in [*criterion_8_configs(30), OBSTRUCTED, saturate(OBSTRUCTED, "s").result]:
         for face in A.poset.faces:
             L = face_lattice(A, face)
             for strict in (True, False):
@@ -257,10 +215,8 @@ def test_face_interiors_match_rehulled_faces():
 
 
 def test_face_interiors_from_one_scan_match_the_per_face_scans():
-    from test_subdiagram_routes import _corpus
-
     faces = hits = coarse = 0
-    for A in [*_configs(), *_corpus()]:
+    for A in [*criterion_8_configs(30), *face_corpus()]:
         for order in (1, -1):  # smallest faces first, then the top first
             A = _fresh(A)
             for face in A.poset.faces[::order]:
@@ -287,7 +243,7 @@ def _saturations_and_chains(A, chain_modes):
 @pytest.mark.parametrize("which", ["corpus", "obstructed"])
 def test_saturations_and_chains_match_the_gauss_jordan_route(which, monkeypatch):
     # OBSTRUCTED is complete under "p"; its "s" chain is the stuck one
-    configs, modes = (_configs(), ("p",)) if which == "corpus" else ([OBSTRUCTED], ("p", "s"))
+    configs, modes = (criterion_8_configs(30), ("p",)) if which == "corpus" else ([OBSTRUCTED], ("p", "s"))
     got = [_saturations_and_chains(A, modes) for A in configs]
     with monkeypatch.context() as m:
         m.setattr(lattice, "hnf_solve", _solve_ref)
@@ -308,7 +264,7 @@ def test_face_saturation_hulls_only_the_newton_polytope(monkeypatch):
 
     monkeypatch.setattr(polytope, "convex_hull", counting)
     monkeypatch.setattr(configuration, "convex_hull", counting)
-    for A in [*_configs()[:10], OBSTRUCTED]:
+    for A in [*criterion_8_configs(30)[:10], OBSTRUCTED]:
         A = _fresh(A)
         calls.clear()
         saturate(A, "s")
@@ -328,7 +284,7 @@ def test_face_interiors_are_computed_once_per_face(monkeypatch):
 
     monkeypatch.setattr(configuration, "lattice_points_in", counting)
     below = 0
-    for A in [*_configs(), OBSTRUCTED]:
+    for A in [*criterion_8_configs(30), OBSTRUCTED]:
         # "p" scans the maximal faces it needs, each once; then "s" scans
         # the top if "p" did not, and nothing more is scanned
         A = _fresh(A)

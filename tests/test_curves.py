@@ -111,8 +111,14 @@ def test_restriction_divides():
     assert restriction_factors_divide(MonomialCurveConfig((0, 1, 3)), 1)
     for i in (1, 2):
         assert restriction_factors_divide(MonomialCurveConfig((0, 1, 2, 3)), i)
-    with pytest.raises(ValueError):
-        restriction_factors_divide(MonomialCurveConfig((0, 1, 2)), 0)
+
+
+@pytest.mark.parametrize("i", [-2, -1, 0, 2, 3])
+def test_restriction_needs_a_non_vertex_column(i):
+    # on three columns: the vertices 0 and size - 1 = 2, and indices off
+    # the support, negative ones included
+    with pytest.raises(ValueError, match="non-vertex column"):
+        restriction_factors_divide(MonomialCurveConfig((0, 1, 3)), i)
 
 
 def test_config_validation():

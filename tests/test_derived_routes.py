@@ -9,19 +9,18 @@ outside N, off the lattice or off N's affine hull falls back to the fresh
 hull, and ``replay_chain`` always builds one.  Deleting a column that is not
 a vertex of N, without which the columns still generate Z_A, keeps the same
 data, re-indexed; any other deletion falls back to the fresh configuration.
+
+The reference is the fresh hull itself, the route the inheritance replaced
+(commits f3fca80 and c3851d4): it stays because it is the library's own
+hull, with no parent to read off.
 """
 
 import importlib.util
-import random
 from pathlib import Path
 
 import pytest
 
-from _corpus import random_small_config
-from test_chart_routes import OBSTRUCTED
-from test_fan_walk_routes import LARGE
-from test_secondary_routes import FAMILY
-from test_subdiagram_routes import _solid_configs
+from _corpus import FAMILY, LARGE, OBSTRUCTED, criterion_8_configs, solid_configs
 from gkzkit import configuration
 from gkzkit.configuration import PointConfiguration, reduction_chain, replay_chain, saturate
 from gkzkit.intlinalg import vsub
@@ -30,8 +29,7 @@ from gkzkit.polytope import convex_hull, extended_hull, face_poset, lattice_poin
 
 
 def _configs():
-    rng = random.Random(88)  # the corpus of acceptance criterion 8, first configs
-    return [random_small_config(rng) for _ in range(40)] + [OBSTRUCTED] + _solid_configs(9, 10)
+    return criterion_8_configs(40) + [OBSTRUCTED] + solid_configs(9, 10)
 
 
 def _fresh(A):

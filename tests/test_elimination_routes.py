@@ -2,27 +2,37 @@
 squarefree test, the factorization check and the lattice-redundancy test,
 against the routes they replaced.
 
-The references are the earlier routes, kept verbatim: the start simplex as
-its own fraction-free echelon loop, the start as that simplex's pivot
-columns plus one integer kernel per facet (``ref_start``), the squarefree
-test as a Fraction Euclid on a line specialization, the factorization check
-dividing the coordinate-free part by the discriminant until it stops, and
-the redundancy test comparing the spans of a face with and without the
-point.  The start
-simplex and the squarefree test under test go through the one elimination
-kernel ``intlinalg._reduce``.  (The chart's ambient functional, which now
-goes through ``solve_rational`` too, is compared with Gauss-Jordan in
+The references are the earlier routes, kept verbatim, each the route the
+library replaced and the oldest one left for its layer:
+
+- ``ref_start``, a reference since commit 26f6854: the start as the
+  simplex's pivot columns plus one integer kernel per facet.  The start
+  under test goes through the one elimination kernel ``intlinalg._reduce``.
+- ``ref_univariate_squarefree``, ``ref_verify_factorization`` and
+  ``ref_is_lattice_redundant``, references since commit c581642: the
+  squarefree test as a Fraction Euclid on a line specialization, the
+  factorization check dividing the coordinate-free part by the discriminant
+  until it stops, and the redundancy test comparing the spans of a face
+  with and without the point.
+
+(The chart's ambient functional is compared with Gauss-Jordan in
 ``tests/test_chart_routes.py``.)
 """
 
-import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from _corpus import random_curve_config, random_planar_config
+from _corpus import (
+    OBSTRUCTED,
+    curve_supports,
+    hull_corpus,
+    outcome,
+    random_curve_config,
+    random_planar_config,
+    random_poly,
+)
 from gkzkit import polytope
 from gkzkit.configuration import (
     PointConfiguration,
@@ -38,7 +48,7 @@ from gkzkit.curves import (
     principal_determinant_curve,
     verify_factorization,
 )
-from gkzkit.intlinalg import _reduce, dot, integer_kernel_basis, primitive, rational_rank, vsub
+from gkzkit.intlinalg import _reduce, dot, integer_kernel_basis, rational_rank, vsub
 from gkzkit.lattice import lattice_span
 from gkzkit.polynomials import (
     normalize_sign,
@@ -51,41 +61,11 @@ from gkzkit.polynomials import (
 from gkzkit.polytope import BudgetError, _start, convex_hull
 from gkzkit.secondary import secondary_polytope
 
-OBSTRUCTED = PointConfiguration.from_columns(
-    [
-        (1, 0, 1, 0),
-        (1, 1, 2, 0),
-        (1, 2, 0, 0),
-        (1, 1, 1, 0),
-        (1, 2, 0, 2),
-        (1, 1, 0, 3),
-        (1, 0, 0, 4),
-    ]
-)
 # the cyclic 6-polytope on 24 points, whose hull exceeds the pair budget
 CYCLIC = [tuple(t**k for k in range(7)) for t in range(24)]
 
 
 # -- the earlier routes, the references -------------------------------------------
-
-
-def ref_simplex(icoords, dim):
-    """Indices of dim + 1 affinely independent points, the first of each
-    new direction: the differences from the first point are reduced,
-    fraction-free, against the echelon rows of the directions kept so far."""
-    base, rows, out = icoords[0], [], [0]
-    for i, x in enumerate(icoords):
-        v = vsub(x, base)
-        for col, r in rows:
-            if v[col]:
-                v = tuple(r[col] * a - v[col] * b for a, b in zip(v, r))
-        col = next((j for j, a in enumerate(v) if a), None)
-        if col is not None:
-            rows.append((col, primitive(v)))
-            out.append(i)
-            if len(out) == dim + 1:
-                break
-    return out
 
 
 def ref_start(icoords, dim):
@@ -243,13 +223,6 @@ def ref_is_lattice_redundant(A: PointConfiguration, i: int) -> RedundancyReport:
 # -- inputs -------------------------------------------------------------------------
 
 
-def _outcome(fn, *args):
-    try:
-        return ("value", fn(*args))
-    except Exception as exc:  # the error and its message must match too
-        return ("raises", type(exc), str(exc))
-
-
 def _full_dimensional_sets(rng, count):
     """Integer point sets spanning their space affinely, some opening with
     repeated or collinear points so that the first pivots skip columns."""
@@ -265,39 +238,7 @@ def _full_dimensional_sets(rng, count):
     return out
 
 
-def _random_poly(rng, nvars, terms, max_exp):
-    p = {}
-    while len(p) < terms:
-        e = tuple(rng.randint(0, max_exp) for _ in range(nvars))
-        p[e] = p.get(e, 0) + rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
-        p = {k: c for k, c in p.items() if c}
-    return p
-
-
-def _curve_supports(max_delta):
-    """Every gcd-one support 0 < ... < delta with delta <= max_delta."""
-    for delta in range(1, max_delta + 1):
-        for k in range(delta):
-            for inner in itertools.combinations(range(1, delta), k):
-                e = (0, *inner, delta)
-                if gcd(*e) == 1:
-                    yield e
-
-
 # -- the tests ----------------------------------------------------------------------
-
-
-def test_start_simplex_matches_the_echelon_loop():
-    rng = random.Random(1201)
-    sets = [*_full_dimensional_sets(rng, 400), [p[1:] for p in CYCLIC]]
-    skipped = 0
-    for pts in sets:
-        dim = len(pts[0])
-        got = _start(pts, dim)[0]
-        assert got == ref_simplex(pts, dim), pts
-        skipped += got[-1] > dim
-    # most sets have a dependent point before their last direction
-    assert skipped > len(sets) // 2
 
 
 def test_start_simplex_keeps_the_cyclic_budget_message(monkeypatch):
@@ -311,10 +252,8 @@ def test_start_simplex_keeps_the_cyclic_budget_message(monkeypatch):
 
 
 def test_start_matches_the_kernel_per_facet(monkeypatch):
-    # every input the hulls of test_hull_routes' corpus start from, then
-    # this file's full-dimensional sets and the cyclic 6-polytope
-    from test_hull_routes import _corpus as hull_corpus
-
+    # every input the hulls of the hull corpus start from, then seeded
+    # full-dimensional sets and the cyclic 6-polytope
     inputs = []
 
     def spy(icoords, dim):
@@ -326,6 +265,8 @@ def test_start_matches_the_kernel_per_facet(monkeypatch):
         convex_hull(pts)
     monkeypatch.undo()
     hulls = len(inputs)
+    dependent = _full_dimensional_sets(random.Random(1201), 400)
+    inputs += [(pts, len(pts[0])) for pts in dependent]
     inputs += [(pts, len(pts[0])) for pts in _full_dimensional_sets(random.Random(1207), 400)]
     inputs.append(([p[1:] for p in CYCLIC], 6))
     flips = 0
@@ -335,6 +276,10 @@ def test_start_matches_the_kernel_per_facet(monkeypatch):
         flips += _reduce([[1] * len(icoords), *map(list, zip(*icoords))], len(icoords))[1] < 0
     assert hulls >= 2000 and {d for _, d in inputs} == {1, 2, 3, 4, 5, 6}
     assert flips > 100  # elimination ends on a negative pivot: the sign flip is needed
+    # most of the seed-1201 sets have a dependent point before their last
+    # direction, so the start skips columns
+    skipped = sum(_start(pts, len(pts[0]))[0][-1] > len(pts[0]) for pts in dependent)
+    assert skipped > len(dependent) // 2
 
 
 def test_squarefree_matches_the_fraction_euclid():
@@ -342,21 +287,21 @@ def test_squarefree_matches_the_fraction_euclid():
     polys = [{(0, 0): 7}]
     for _ in range(120):
         nvars = rng.randint(2, 4)
-        polys.append(_random_poly(rng, nvars, rng.randint(1, 5), 3))
+        polys.append(random_poly(rng, nvars, rng.randint(1, 5), 3))
     squares = []
     for p in polys[1:61]:
-        q = _random_poly(rng, len(next(iter(p))), rng.randint(1, 3), 2)
+        q = random_poly(rng, len(next(iter(p))), rng.randint(1, 3), 2)
         squares.append(pmul(p, pmul(q, q)))
     verdicts = []
     for p in polys + squares:
-        got = _outcome(_univariate_squarefree, p)
-        assert got == _outcome(ref_univariate_squarefree, p), p
+        got = outcome(_univariate_squarefree, p)
+        assert got == outcome(ref_univariate_squarefree, p), p
         verdicts.append(got)
     assert ("value", True) in verdicts and ("value", False) in verdicts
 
 
 def test_squarefree_matches_on_curve_discriminants_and_their_squares():
-    supports = list(_curve_supports(6))
+    supports = list(curve_supports(6))
     assert len(supports) == 53
     nontrivial = 0
     for e in supports:
@@ -372,7 +317,7 @@ def test_squarefree_matches_on_curve_discriminants_and_their_squares():
 
 def test_factorization_reports_match():
     powers = set()
-    for e in _curve_supports(6):
+    for e in curve_supports(6):
         cfg = MonomialCurveConfig(e)
         got = verify_factorization(cfg)
         assert got == ref_verify_factorization(cfg), e

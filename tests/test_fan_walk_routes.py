@@ -2,23 +2,27 @@
 neighbour on the rays of the parents that reach it and runs the LP only when
 every ray misses, against the walk that runs the LP on every candidate.
 
-The reference below is the earlier enumeration, kept verbatim but for its
-docstring, and cached so that two tests share its runs: every triangulation
-the search visits is certified by the ``is_regular`` LP, and every flip's
-volumes are computed before the search asks whether it has seen the flip.  ``ref_circuits`` and
-``ref_flips`` are the earlier ``_circuits`` and ``_flips``, kept verbatim:
-their circuits carry no dependence and their flips no circuit.
-``test_pulling_routes.py`` builds its lifted-start reference from them.
-They are also the reference of the walk's flips, which take their circuits
-from the supports of each triangulation's folding rows instead of scanning
-every point subset; ``ref_dependence`` is the dependence the earlier
+``enumerate_lp_ref`` is that earlier enumeration, a reference since commit
+64400be, kept verbatim but for its docstring, and cached so that two tests
+share its runs: every triangulation the search visits is certified by the
+``is_regular`` LP, and every flip's volumes are computed before the search
+asks whether it has seen the flip.  It stays as the route the walk
+replaced; the cover enumeration of ``test_triangulation_routes.py`` is the
+independent one.
+
+``ref_circuits`` and ``ref_flips`` are the earlier ``_circuits`` and
+``_flips``, references since commit 64400be, kept verbatim: their circuits
+carry no dependence and their flips no circuit.  They are the flips of
+``enumerate_lp_ref``, and the reference of the walk's flips, which take their
+circuits from the supports of each triangulation's folding rows instead of
+scanning every point subset; ``ref_dependence`` is the dependence the earlier
 ``_circuits`` attached to a circuit.
 
 ``ref_folding_rows`` and ``ref_ray_heights`` are the earlier ``_folding_rows``
 (one elimination per cell of each triangulation, apart from the volumes) and
-``_ray_heights`` (the interval kept in Fractions), kept verbatim but for
-their docstrings: the references of the walk's table of cells and of the
-integer interval.
+``_ray_heights`` (the interval kept in Fractions), references since commit
+c3224ec, kept verbatim but for their docstrings: the routes the walk's table
+of cells and its integer interval replaced.
 """
 
 import math
@@ -28,11 +32,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from _corpus import MOTHER
-from test_secondary_routes import FAMILY
-from test_triangulation_routes import _family, config
-from gkzkit import secondary
+from _corpus import FAMILY, LARGE, MOTHER, config, cover_family
 from test_kernel_routes import ref_rational_nullspace as rational_nullspace
+from gkzkit import secondary
 from gkzkit.intlinalg import _reduce, clear_denominators, dot, primitive
 from gkzkit.polytope import cell_volume, pulling_cells
 from gkzkit.secondary import (
@@ -43,7 +45,6 @@ from gkzkit.secondary import (
     _flips,
     _folding_rows,
     _lower_hull,
-    _pulling_heights,
     _ray_heights,
     enumerate_regular_triangulations,
     gkz_vector,
@@ -149,17 +150,8 @@ def enumerate_lp_ref(A):
     return tuple(sorted((T for _, T, _ in certified), key=lambda T: T.cells))
 
 
-# The 9-point segment, the 3x3 grid and the unit cube, with their numbers of
-# regular triangulations (De Loera-Rambau-Santos, Triangulations, 2010).
-LARGE = (
-    (config([(a,) for a in range(9)]), 128),
-    (config([(x, y) for x in range(3) for y in range(3)]), 387),
-    (config([(x, y, z) for x in range(2) for y in range(2) for z in range(2)]), 74),
-)
-
-
 def test_fan_walk_matches_the_lp_per_candidate_walk():
-    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE)):
+    for A in (*FAMILY, *cover_family(), *(A for A, _ in LARGE)):
         got = enumerate_regular_triangulations(A)
         expect = enumerate_lp_ref(A)
         assert [(T.cells, T.volumes) for T in got] == [
@@ -176,7 +168,7 @@ def test_fan_walk_matches_the_lp_per_candidate_walk():
 
 def test_witnesses_are_the_lifted_hulls_heights():
     # an oracle apart from the folding rows: the lower hull of each witness
-    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE)):
+    for A in (*FAMILY, *cover_family(), *(A for A, _ in LARGE)):
         for T in enumerate_regular_triangulations(A):
             assert regular_triangulation(A, T.heights) == T, (A.points, T)
 
@@ -261,7 +253,7 @@ def ref_folding_rows(A, T):
 
 def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
     visited = 0
-    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE)):
+    for A in (*FAMILY, *cover_family(), *(A for A, _ in LARGE)):
         _, visits, _ = _visits(monkeypatch, A)
         for T, rows in visits:
             assert rows == ref_folding_rows(A, T) == _folding_rows(A, T), (A.points, T)
@@ -339,7 +331,7 @@ def test_integer_ray_interval_matches_the_fraction_interval():
 
 
 def test_flips_read_off_the_folding_rows_match_the_circuit_scan():
-    for A in (*FAMILY, *_family(), *(A for A, _ in LARGE), config(MOTHER)):
+    for A in (*FAMILY, *cover_family(), *(A for A, _ in LARGE), config(MOTHER)):
         coords = A.chart_points
         circuits = ref_circuits(coords)
         # the reference walk's triangulations, so that a flip the rows miss

@@ -1,18 +1,21 @@
 """Differential tests: the list-based column HNF kernel and the integer
 kernel against the routes they replaced.
 
-The references are the earlier routes, kept verbatim but for their
-matrices, which are tuples of rows here as in the library: ``column_hnf`` on
-tuples with the unimodular transform always built, its ``_colop_sub``
-helper, ``Lattice.from_generators`` through a matrix round trip that
-discarded the transform, and ``hnf_solve`` with generator sums.  The routes
+The references are the earlier routes, references since commit 29d0397,
+which replaced them, kept verbatim but for their matrices, which are tuples
+of rows here as in the library: ``column_hnf`` on tuples with the unimodular
+transform always built (``ref_column_hnf``), its ``_colop_sub`` helper,
+``Lattice.from_generators`` through a matrix round trip that discarded the
+transform (``ref_from_generators``), and ``hnf_solve`` with generator sums
+(``ref_hnf_solve``).  They stay as the routes the in-place kernel replaced;
+sympy's HNF in ``test_lattice_core.py`` is the independent one.  The routes
 under test run through the one in-place kernel ``intlinalg._hnf``; only
 ``_hnf_kernel``, behind ``integer_kernel_basis`` and the face HNF, carries
 the transform.  The tests here run ``_hnf`` with a transform block they
 build themselves, ``hnf_with_transform``.
 
 The integer kernel is checked against ``ref_integer_kernel_basis`` (the
-zero columns of ``ref_column_hnf``) and against the span of the Bareiss
+zero columns of ``ref_column_hnf``) and against the span of the Fraction
 orthogonal complement, ``ref_integer_orthogonal_complement`` of
 ``test_kernel_routes.py``, on that file's seeded matrices, on every input
 the faces of the routes corpora hand to it, and on the start-facet rows the
@@ -28,14 +31,12 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from _corpus import face_corpus, from_columns, hnf_with_transform, hull_corpus, random_rows, width
 from test_elimination_routes import ref_start
-from test_hull_routes import _corpus as hull_corpus
-from test_kernel_routes import _matrix as seeded_matrix
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from gkzkit import configuration, intlinalg, polytope
 from gkzkit.configuration import index_i
 from gkzkit.intlinalg import (
-    _hnf,
     _hnf_kernel,
     clear_denominators,
     dot,
@@ -47,16 +48,6 @@ from gkzkit.lattice import Lattice, hnf_solve
 from gkzkit.polytope import convex_hull
 
 # -- references: the parent's HNF routes, verbatim ------------------------------
-
-
-def from_columns(cols, m):
-    """The matrix with the given columns of length m, as a tuple of rows."""
-    return tuple(zip(*cols)) if cols else ((),) * m
-
-
-def width(M):
-    """The column count of a matrix given as a tuple of rows."""
-    return len(M[0]) if M else 0
 
 
 def _colop_sub(cols, j, src, q):
@@ -218,16 +209,6 @@ def _shape_counts(corpus):
     return counts
 
 
-def hnf_with_transform(M):
-    """(H, U) with H = M U, U unimodular: ``_hnf`` run on the columns of M
-    with the identity block below them."""
-    m, n = len(M), width(M)
-    cols = [[*c, *(int(i == j) for i in range(n))] for j, c in enumerate(zip(*M))]
-    _hnf(cols, m)
-    H = from_columns([c[:m] for c in cols], m)
-    return H, from_columns([c[m:] for c in cols], n)
-
-
 def test_hnf_with_a_transform_block_matches_the_tuple_route():
     corpus = _corpus(2024, 2400)
     for _, M in corpus:
@@ -294,13 +275,13 @@ def _check_kernel(rows, n):
 
 
 def test_kernel_matches_the_references_on_seeded_matrices():
-    # test_kernel_routes' generator of rational rows, some of them sums of
+    # the seeded rational rows of test_kernel_routes.py, some of them sums of
     # earlier rows; each row is scaled to integers, which keeps its kernel
     rng = random.Random(20240515)
     shapes = {"no rows": 0, "zero row": 0, "deficient": 0, "trivial kernel": 0, "rank >= 2": 0}
     for trial in range(2000):
         m, n = rng.randint(0, 6), rng.randint(1, 6)
-        rows = [list(clear_denominators(r)) for r in seeded_matrix(rng, m, n, trial % 2 == 1)]
+        rows = [list(clear_denominators(r)) for r in random_rows(rng, m, n, trial % 2 == 1)]
         r = _check_kernel(rows, n)
         shapes["no rows"] += not rows
         shapes["zero row"] += any(not any(row) for row in rows)
@@ -311,9 +292,6 @@ def test_kernel_matches_the_references_on_seeded_matrices():
 
 
 def test_kernel_matches_the_references_on_the_hull_and_face_inputs(monkeypatch):
-    # imported here: test_subdiagram_routes imports this module
-    from test_subdiagram_routes import _corpus as face_corpus
-
     inputs = set()
 
     def spy(rows, n):

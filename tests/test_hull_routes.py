@@ -1,10 +1,14 @@
 """Differential tests: the double-description hull and the graded face poset
 of ``gkzkit.polytope`` against the routes they replaced.
 
-The references are the earlier routes, kept verbatim but for the input-size
-point cap, which no longer exists: the hull as an exhaustive search over the
-C(n, dim) point subsets, with a vertex test by the rank of the facets through
-a point, and the face dims as the rank of each face's point differences.
+The references are the earlier routes, references since commit 425837f,
+which replaced them, kept verbatim but for the input-size point cap, which
+no longer exists: the hull as an exhaustive search over the C(n, dim) point
+subsets (``ref_convex_hull``), with a vertex test by the rank of the facets
+through a point, and the face dims as the rank of each face's point
+differences (``ref_face_poset``).  They stay as the routes the
+double-description pass replaced, and as the most independent hull: a
+subset search shares no step with incremental rays.
 """
 
 import itertools
@@ -12,8 +16,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from _corpus import CATALOG, MOTHER, integral_multiple
-from test_chart_routes import rational_coordinates
+from _corpus import integral_multiple, rational_coordinates, scaled_hull_corpus
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from gkzkit.intlinalg import clear_denominators, dot, rational_rank, vsub
 from gkzkit.lattice import Lattice
@@ -110,43 +113,25 @@ def ref_face_poset(P: Polytope) -> FacePoset:
 # -- seeded inputs -----------------------------------------------------------------
 
 
-def _point_set(rng):
-    """(points, D): up to ten points of a random lattice of rank 1-4,
-    embedded in ambient dimension up to 6 and translated, some repeated.
-    Some sets are rational; they are scaled to integers by their least
-    common denominator D, so their charts are proper sublattices."""
-    dim = rng.randint(1, 4)
-    ambient = rng.randint(dim, min(6, dim + 2))
-    denominators = (1, 2, 3) if rng.random() < 0.2 else (1,)
-    basis = [
-        [Fraction(rng.randint(-2, 2), rng.choice(denominators)) for _ in range(ambient)]
-        for _ in range(dim)
-    ]
-    shift = [rng.randint(-3, 3) for _ in range(ambient)]
-    pts = []
-    for _ in range(rng.randint(1, 10 if dim < 4 else 9)):
-        if pts and rng.random() < 0.15:
-            pts.append(rng.choice(pts))
-            continue
-        m = [rng.randint(-2, 2) for _ in range(dim)]
-        p = [a + sum(k * b[j] for k, b in zip(m, basis)) for j, a in enumerate(shift)]
-        pts.append(tuple(p))
-    return integral_multiple(pts)
-
-
-def _scaled_corpus():
-    """The seeded sets as (points, D), D > 1 for a scaled rational set, and
-    the fixed sets with D = 1."""
-    rng = random.Random(20261018)
-    sets = [_point_set(rng) for _ in range(2600)]
-    fixed = [[(1, *p) for p in points] for points in (*CATALOG, MOTHER)]
-    fixed.append([(t, t * t, t**3, t**4) for t in range(9)])  # a cyclic 4-polytope
-    fixed.append([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)] * 2)
-    return sets + [(pts, 1) for pts in fixed]
-
-
-def _corpus():
-    return [pts for pts, _ in _scaled_corpus()]
+def _small_sets():
+    """(points, D): 300 seeded sets of up to nine distinct points in dimension
+    1-4, every third rational and every fourth from the second on a
+    hyperplane."""
+    rng = random.Random(4242)
+    out = []
+    for trial in range(300):
+        dim = rng.randint(1, 4)
+        count = rng.randint(1, 9)
+        pts = set()
+        for _ in range(count):
+            p = [rng.randint(-2, 2) for _ in range(dim)]
+            if trial % 3 == 0:  # rational points, scaled to integers below
+                p = [Fraction(a, rng.choice((1, 2, 3))) for a in p]
+            if trial % 4 == 1 and dim > 1:  # lower-dimensional: a hyperplane
+                p[-1] = p[0] + 1
+            pts.add(tuple(p))
+        out.append(integral_multiple(sorted(pts)))
+    return out
 
 
 def test_hull_and_poset_match_the_subset_search():
@@ -157,8 +142,11 @@ def test_hull_and_poset_match_the_subset_search():
         "repeated": 0,
         "interior": 0,
         "faces": 0,
+        "small": 0,
     }
-    for pts, D in _scaled_corpus():
+    corpus = [(pts, D, False) for pts, D in scaled_hull_corpus()]
+    corpus += [(pts, D, True) for pts, D in _small_sets()]
+    for pts, D, small in corpus:
         P, R = convex_hull(pts), ref_convex_hull(pts)
         assert P == R, pts
         assert P.facet_sets == R.facet_sets and P.point_coords == R.point_coords, pts
@@ -170,6 +158,7 @@ def test_hull_and_poset_match_the_subset_search():
         spread["repeated"] += len(set(pts)) < len(pts)
         spread["interior"] += len(P.vertex_indices) < len(set(pts))
         spread["faces"] += len(faces)
-    assert spread["dims"] == {0, 1, 2, 3, 4}
+        spread["small"] += small and P.dim > 0
+    assert spread["dims"] == {0, 1, 2, 3, 4} and spread["small"] > 250, spread
     assert min(spread["lower"], spread["scaled"], spread["repeated"]) > 300, spread
     assert spread["interior"] > 400 and spread["faces"] > 30_000, spread

@@ -7,8 +7,13 @@ property of a gkzkit class, is named somewhere else in gkzkit, ``bench/`` or
 UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` re-exports its public API through the
-``_EXPORTS = {name: module}`` table that its ``__getattr__`` resolves, so the
-names in that table count as mentioned, as ``from .x import name`` would.
+``_EXPORTS = {name: module}`` table that its ``__getattr__`` resolves.  A
+key of that table is no caller: a public name that only the table names has
+no use outside the tests.
+
+Under ``tests/``, every reference (a module-level ``ref_*`` or ``_ref_*``
+function) is named by some other statement, and a module imports nothing
+from a test module but references: corpora come from ``_corpus.py``.
 """
 
 import ast
@@ -18,6 +23,7 @@ import gkzkit
 
 SOURCES = sorted(Path(gkzkit.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parent.parent
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 CALLERS = sorted([*(REPO / "bench").glob("*.py"), *(REPO / "scripts").glob("*.py")])
 # Public library functions, classes and methods that only tests call, each
 # with the reason it stays in the library.
@@ -90,16 +96,10 @@ def _mentioned(node):
     return names
 
 
-def _exported(node):
-    """The names of an ``_EXPORTS = {name: module}`` table, if node is one."""
-    if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
-        return {key.value for key in node.value.keys}
-    return set()
-
-
-def unreferenced_privates(sources):
-    """(file, line, name) of each module-level _private function or class
-    that no statement of ``sources`` names outside its own definition."""
+def unnamed_definitions(sources, wanted):
+    """(file, line, name) of each module-level function or class whose name
+    ``wanted`` accepts and that no statement of ``sources`` names outside its
+    own definition."""
     blocks = [  # (file, top-level statement, names it mentions)
         (path, node, _mentioned(node))
         for path, source in sources.items()
@@ -109,10 +109,15 @@ def unreferenced_privates(sources):
         (path, node.lineno, node.name)
         for path, node, _ in blocks
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        and wanted(node.name)
         and not any(node.name in names for _, other, names in blocks if other is not node)
     )
+
+
+def unreferenced_privates(sources):
+    """(file, line, name) of each module-level _private function or class
+    that no statement of ``sources`` names outside its own definition."""
+    return unnamed_definitions(sources, lambda name: name.startswith("_") and not name.startswith("__"))
 
 
 def test_the_guard_sees_unreferenced_privates():
@@ -137,10 +142,11 @@ def test_private_definitions_are_named_elsewhere():
 
 def uncalled_publics(sources, callers):
     """(module, name) of each module-level public function or class of
-    ``sources`` that no other top-level statement of ``sources`` (an
-    ``_EXPORTS`` table by its keys) and no module of ``callers`` names."""
+    ``sources`` that no other top-level statement of ``sources`` and no
+    module of ``callers`` names; the string keys of an ``_EXPORTS`` table
+    name nothing."""
     blocks = [
-        (path, node, _mentioned(node) | _exported(node))
+        (path, node, _mentioned(node))
         for path, source in sources.items()
         for node in ast.parse(source).body
     ]
@@ -171,7 +177,9 @@ def test_the_guard_sees_uncalled_publics():
         "c.py": 'from .a import imported\nTABLE = {"keyed": 1}\n',
     }
     callers = {"run.py": "import a\na.scripted()\n"}
-    assert uncalled_publics(sources, callers) == [("a", "Dead"), ("a", "keyed"), ("a", "recursive")]
+    assert uncalled_publics(sources, callers) == [
+        ("a", "Dead"), ("a", "exported"), ("a", "keyed"), ("a", "recursive")
+    ]
 
 
 def _attributes(node):
@@ -278,3 +286,75 @@ def test_the_guard_sees_unread_constants():
 def test_constants_are_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unread_constants(sources) == []
+
+
+def _is_reference(name):
+    return name.startswith(("ref_", "_ref_"))
+
+
+def orphaned_references(sources):
+    """(file, line, name) of each module-level ``ref_*`` or ``_ref_*``
+    function or class that no statement of ``sources`` names outside its own
+    definition."""
+    return unnamed_definitions(sources, _is_reference)
+
+
+def test_the_guard_sees_orphaned_references():
+    sources = {
+        "test_a.py": (
+            "def ref_used():\n    return _ref_helper()\n"
+            "def _ref_helper():\n    return 1\n"
+            "def ref_orphan():\n    return 2\n"
+            "def ref_recursive(n):\n    return ref_recursive(n - 1)\n"
+            "def ref_imported():\n    return 3\n"
+            "def test_a():\n    assert ref_used()\n"
+        ),
+        "test_b.py": "from test_a import ref_imported as route\n",
+    }
+    assert orphaned_references(sources) == [("test_a.py", 5, "ref_orphan"), ("test_a.py", 7, "ref_recursive")]
+
+
+def test_every_reference_is_named_elsewhere():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in TESTS}
+    assert len(sources) > 30
+    assert orphaned_references(sources) == []
+
+
+def imports_between_tests(sources):
+    """(file, line, what) of each import, at any depth, of a test module, or
+    of a name other than a reference from one; ``what`` is the module, or
+    module.name."""
+    found = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found += [
+                    (path, node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("test_")
+                ]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_"):
+                found += [
+                    (path, node.lineno, f"{node.module}.{alias.name}")
+                    for alias in node.names
+                    if not _is_reference(alias.name)
+                ]
+    return sorted(found)
+
+
+def test_the_guard_sees_imports_between_tests():
+    sources = {
+        "test_a.py": (
+            "from _corpus import FAMILY\n"
+            "from test_b import ref_route, _ref_helper as helper, CORPUS\n"
+        ),
+        "test_c.py": "import test_b\ndef test_c():\n    from test_b import _configs as configs\n",
+    }
+    assert imports_between_tests(sources) == [
+        ("test_a.py", 2, "test_b.CORPUS"), ("test_c.py", 1, "test_b"), ("test_c.py", 3, "test_b._configs")
+    ]
+
+
+def test_tests_share_only_references():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in TESTS}
+    assert imports_between_tests(sources) == []

@@ -23,15 +23,27 @@ face's remaining points in A - k, and the earlier ``_matching_face``, which
 found that face of A - k by intersecting point sets.  The reference also
 rebuilds A - k for its multiplicity route, which the library now reads off
 A's own quotient of the face.
+
+Each reference dates from the commit that replaced it in the library:
+7677594 for the slack, membership, minimal-face and witness routes, bf3f700
+for the pyramid test and the uncovering scan, and ad28d70 for the aux
+certificate and its matching face.  Each stays as the route the library
+replaced, and the oldest one left for its question.
 """
 
 import random
 
 import pytest
 
-from _corpus import random_planar_config
-from test_chart_routes import OBSTRUCTED, _configs
-from test_subdiagram_routes import _collinear, _coplanar, _corpus, face_group
+from _corpus import (
+    OBSTRUCTED,
+    collinear,
+    coplanar,
+    criterion_8_configs,
+    face_corpus,
+    random_planar_config,
+)
+from test_subdiagram_routes import ref_face_group
 from gkzkit import cli, configuration
 from gkzkit.configuration import (
     AuxCertificate,
@@ -193,7 +205,7 @@ def ref_check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate
         if face.supporting is None:
             checks.append(FaceCheck(face.indices, "top", "m(A, N) = 1 always"))
             continue
-        group_without = face_group(A_k, ref_matching_face(A_k, A, face))
+        group_without = ref_face_group(A_k, ref_matching_face(A_k, A, face))
         if A.points[k] in group_without:
             checks.append(
                 FaceCheck(face.indices, "lattice-membership",
@@ -262,12 +274,12 @@ def _incidence_configs(seed, count):
 def _route_corpora():
     """The corpora of test_chart_routes.py and test_subdiagram_routes.py."""
     return [
-        *_configs(),
+        *criterion_8_configs(30),
         OBSTRUCTED,
         saturate(OBSTRUCTED, "s").result,
-        *_corpus(),
-        *(_collinear(n) for n in (1, 5, 16)),
-        *(_coplanar(n) for n in (2, 4, 6)),
+        *face_corpus(),
+        *(collinear(n) for n in (1, 5, 16)),
+        *(coplanar(n) for n in (2, 4, 6)),
     ]
 
 
@@ -375,7 +387,7 @@ def test_aux_certificates_match_the_group_route():
     # OBSTRUCTED and its s-saturation; a membership route that misreads
     # incidence, or a face of A - k off by one column, changes some route
     routes = {}
-    for A in _corpus():
+    for A in face_corpus():
         for k in range(A.size):
             for a in range(A.size):
                 if a == k:
@@ -400,7 +412,7 @@ def test_aux_multiplicities_match_the_rebuilt_deletion():
     # of the rebuilt A - k; a certificate that drops no column, or the wrong
     # one, misreads the pairs whose multiplicity changes
     pairs = changed = 0
-    for A in _corpus():
+    for A in face_corpus():
         for k in range(A.size):
             if not is_lattice_redundant(A, k):
                 continue
@@ -442,7 +454,7 @@ def test_aux_multiplicities_reuse_v_when_the_images_stay(monkeypatch):
     assert cert.ok and (cert.ok, cert.reasons) == (ref.ok, ref.reasons)
     # over the corpus: some faces reuse v, some do not
     counts = {1: 0, 2: 0}
-    for A in _corpus():
+    for A in face_corpus():
         for k in range(A.size):
             if not is_lattice_redundant(A, k):
                 continue
@@ -459,7 +471,7 @@ def test_aux_certificates_build_no_configuration(monkeypatch):
     # the certificate neither deletes k nor checks a new configuration, and
     # runs one _face_hnf for both multiplicities of each face that reaches
     # the multiplicity route (multiplicity, pyramid or failed)
-    configs = [PointConfiguration.from_columns(A.points) for A in _corpus()]
+    configs = [PointConfiguration.from_columns(A.points) for A in face_corpus()]
     calls = {"delete": 0, "_checked": 0, "_face_hnf": 0}
     delete, checked, face_hnf = (
         PointConfiguration.delete, PointConfiguration._checked, configuration._face_hnf
@@ -509,7 +521,7 @@ def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatc
 
     monkeypatch.setattr(configuration, "lattice_span", counted)
     looped = 0
-    for A in _corpus():
+    for A in face_corpus():
         for k in range(A.size):
             for a in range(A.size):
                 if a == k or not isinstance(check_aux_point(A, k, a).reasons[0], FaceCheck):
@@ -525,7 +537,7 @@ def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatc
 
 
 def test_faces_report_lattice_rank_is_the_face_lattice_rank():
-    for A in [*_corpus(), *_incidence_configs(31, 100)]:
+    for A in [*face_corpus(), *_incidence_configs(31, 100)]:
         report, _ = cli._run_faces({"matrix": [list(p) for p in A.points]}, None)
         ranks = [f["lattice_rank"] for f in report["faces"]]
         assert ranks == [face_lattice(A, f).rank for f in A.poset.faces], A.points

@@ -1,15 +1,17 @@
 """Differential tests: the fraction-free elimination kernel against Fraction
 Gauss-Jordan.
 
-The references below are the earlier Fraction routines, kept verbatim but
-for the identity matrix, which the library no longer builds:
-``rational_rank``, ``solve_rational``, ``rational_nullspace``,
-``det_fraction`` and ``integer_orthogonal_complement`` from ``intlinalg``, the
-Fraction tableau ``lp_maximize`` from ``lp`` (with its ``lp_feasible_strict``
-wrapper), and the facet search of ``convex_hull`` with its Fraction nullspace
-per subset and the recomputed ``facet_sets``.  Results must be identical,
-every ``None`` and the LP witness x included.  sympy (a test-only import)
-checks rank, determinant and the integer kernel independently.
+The references below are the earlier Fraction routines, references since
+commit 3a9ee6e, which replaced them, kept verbatim but for the identity
+matrix, which the library no longer builds: ``rational_rank``,
+``solve_rational``, ``rational_nullspace``, ``det_fraction`` and
+``integer_orthogonal_complement`` from ``intlinalg``, and the Fraction
+tableau ``lp_maximize`` from ``lp`` (with its ``lp_feasible_strict``
+wrapper).  Results must be identical, every ``None`` and the LP witness x
+included.  They stay as the routes the elimination kernel replaced, and as
+the most independent ones: they run no integer elimination.  sympy (a
+test-only import) checks rank, determinant and the integer kernel
+independently.
 
 The library computes nullspaces and orthogonal complements by the HNF
 kernel now, so ``ref_rational_nullspace`` and
@@ -17,21 +19,18 @@ kernel now, so ``ref_rational_nullspace`` and
 ``test_hnf_routes.py`` and tools of other reference routes.
 """
 
-import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from _corpus import integral_multiple
+from _corpus import random_entry, random_rows
 from gkzkit import intlinalg, lp
-from gkzkit.intlinalg import clear_denominators, dot, primitive, vsub
+from gkzkit.intlinalg import clear_denominators
 from gkzkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_feasible_strict, lp_maximize
-from gkzkit.polytope import convex_hull
 
 # -- references: the Fraction Gauss-Jordan routines ------------------------------
 
@@ -290,93 +289,20 @@ def ref_lp_feasible_strict(A_ub, b_ub, strict_rows, cap=Fraction(1)):
     return False, None
 
 
-# -- reference: the hull's facet search with a Fraction nullspace per subset ------
-
-
-def ref_hull_facets(P):
-    """Facets and vertex indices of conv(P.points) by the earlier search, from
-    P's own chart coordinates."""
-    coords, dim = P.point_coords, P.dim
-    D = lcm(*(a.denominator for x in coords for a in x))
-    icoords = [tuple(int(a * D) for a in x) for x in coords]
-    facets = set()
-    on_facet = []  # index sets of the facet hyperplanes found so far
-    for subset in itertools.combinations(range(len(coords)), dim):
-        if any(s.issuperset(subset) for s in on_facet):
-            continue  # lies on a facet already found
-        base = icoords[subset[0]]
-        if dim == 1:
-            null = [(Fraction(1),)]
-        else:
-            rows = [vsub(icoords[i], base) for i in subset[1:]]
-            null = ref_rational_nullspace(rows)
-        if len(null) != 1:
-            continue  # subset does not span a hyperplane in the chart
-        h = primitive(clear_denominators(null[0]))
-        c = dot(h, base)
-        side_hi = any(dot(h, x) > c for x in icoords)
-        side_lo = any(dot(h, x) < c for x in icoords)
-        if side_hi and side_lo:
-            continue
-        if side_hi:
-            h, c = tuple(-a for a in h), -c
-        on_facet.append(frozenset(i for i, x in enumerate(icoords) if dot(h, x) == c))
-        hc = clear_denominators((*h, Fraction(c, D)))
-        facets.add((hc[:-1], hc[-1]))
-    facets = tuple(sorted(facets))
-    vert = []
-    for i, x in enumerate(icoords):
-        active = [h for h, c in facets if dot(h, x) == c * D]
-        if active and ref_rational_rank(active) == dim:
-            vert.append(i)
-    return facets, tuple(vert)
-
-
-def ref_facet_sets(P):
-    """For each facet, the indices of the points lying on it."""
-    return tuple(
-        frozenset(i for i, x in enumerate(P.point_coords) if dot(h, x) == c)
-        for h, c in P.facets
-    )
-
-
-# -- seeded inputs -----------------------------------------------------------------
-
-
-def _entry(rng, rational):
-    a = rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -5, 7))
-    if rational and rng.random() < 0.4:
-        return Fraction(a, rng.choice((1, 2, 3, 4, 6)))
-    return a
-
-
-def _matrix(rng, m, n, rational):
-    """Random rows; some repeat or combine earlier rows (rank deficiency)."""
-    rows = []
-    for _ in range(m):
-        if rows and rng.random() < 0.3:
-            a, b = rng.choice(rows), rng.choice(rows)
-            k = rng.choice((1, -1, 2, Fraction(1, 2)) if rational else (1, -1, 2))
-            rows.append([x + k * y for x, y in zip(a, b)])
-        else:
-            rows.append([_entry(rng, rational) for _ in range(n)])
-    return rows
-
-
 def test_kernel_matches_fraction_gauss_jordan_on_seeded_matrices():
     rng = random.Random(20240515)
     deficient = negative_pivot = inconsistent = 0
     for trial in range(2000):
         rational = trial % 2 == 1
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = _matrix(rng, m, n, rational)
+        rows = random_rows(rng, m, n, rational)
         rank = ref_rational_rank(rows)
         deficient += rank < min(m, n)
         negative_pivot += next((row[0] for row in rows if row[0]), 0) < 0
         assert intlinalg.rational_rank(rows) == rank
-        b = [_entry(rng, rational) for _ in range(m)]
+        b = [random_entry(rng, rational) for _ in range(m)]
         if rng.random() < 0.5:  # a consistent right-hand side
-            x = [_entry(rng, rational) for _ in range(n)]
+            x = [random_entry(rng, rational) for _ in range(n)]
             b = [sum(a * y for a, y in zip(row, x)) for row in rows]
         sol = ref_solve_rational(rows, b)
         inconsistent += sol is None
@@ -390,8 +316,8 @@ def test_kernel_matches_fraction_gauss_jordan_on_seeded_matrices():
 def _lp(rng):
     n, m = rng.randint(1, 4), rng.randint(0, 7)
     rational = rng.random() < 0.4
-    A = _matrix(rng, m, n, rational)
-    b = [_entry(rng, rational) if rng.random() < 0.6 else 0 for _ in range(m)]
+    A = random_rows(rng, m, n, rational)
+    b = [random_entry(rng, rational) if rng.random() < 0.6 else 0 for _ in range(m)]
     for _ in range(rng.randint(0, 2) if A else 0):
         k = rng.randrange(m)
         if rng.random() < 0.5:  # a repeated constraint: degenerate ties
@@ -400,7 +326,7 @@ def _lp(rng):
         else:  # an equality, whose artificial may stay basic after phase I
             A.append([-a for a in A[k]])
             b.append(-b[k])
-    c = [_entry(rng, rational) for _ in range(n)]
+    c = [random_entry(rng, rational) for _ in range(n)]
     return c, A, b
 
 
@@ -432,30 +358,6 @@ def test_integer_tableau_matches_fraction_tableau_on_seeded_lps(monkeypatch):
             )
     assert min(statuses.values()) > 300, statuses
     assert degenerate > 50 and sum(negative) > 50
-
-
-def test_hull_facets_vertices_and_facet_sets_match_the_fraction_search():
-    rng = random.Random(4242)
-    checked = 0
-    for trial in range(300):
-        dim = rng.randint(1, 4)
-        count = rng.randint(1, 9)
-        pts = set()
-        for _ in range(count):
-            p = [rng.randint(-2, 2) for _ in range(dim)]
-            if trial % 3 == 0:  # rational points, scaled to integers below
-                p = [Fraction(a, rng.choice((1, 2, 3))) for a in p]
-            if trial % 4 == 1 and dim > 1:  # lower-dimensional: a hyperplane
-                p[-1] = p[0] + 1
-            pts.add(tuple(p))
-        P = convex_hull(integral_multiple(sorted(pts))[0])
-        if P.dim == 0:
-            assert P.facets == () and P.facet_sets == ()
-            continue
-        assert (P.facets, P.vertex_indices) == ref_hull_facets(P)
-        assert P.facet_sets == ref_facet_sets(P)
-        checked += 1
-    assert checked > 250
 
 
 _ENTRIES = st.integers(-6, 6) | st.fractions(min_value=-4, max_value=4, max_denominator=5)

@@ -11,7 +11,9 @@ picks the lower facets by the last entry of each facet's ambient functional,
 on the lift by the heights times their least common denominator, as the
 library lifts;
 ``ref_is_nonresonant`` builds each codimension-one face's constraint rows and
-image lattice on every call.
+image lattice on every call.  The three are references since commit
+30258b6, which replaced them, and stay as the routes the library replaced
+and the oldest ones left: the per-point scan tests every box point.
 """
 
 import itertools
@@ -21,18 +23,21 @@ from math import ceil, floor, prod
 
 import pytest
 
-from _corpus import random_beta
-from test_chart_routes import (
+from _corpus import (
     OBSTRUCTED,
-    _configs,
-    _point_sets,
+    chart_point_sets,
+    collinear,
+    coplanar,
+    criterion_8_configs,
+    face_corpus,
     interior_points_in,
+    random_beta,
+    random_heights,
     rational_coordinates,
-    ref_ambient_functional,
 )
+from test_chart_routes import ref_ambient_functional
 from test_incidence_routes import ref_slacks
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
-from test_subdiagram_routes import _collinear, _coplanar, _corpus
 from gkzkit.configuration import face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant
 from gkzkit.intlinalg import clear_denominators, dot, vsub
@@ -49,12 +54,6 @@ from gkzkit.secondary import (
     make_triangulation,
     regular_triangulation,
 )
-
-# the saturations benchmark draws its heights as integers in this range over
-# this denominator
-HEIGHT_RANGE = 10**6
-HEIGHT_DENOMINATOR = 997
-
 
 # -- the per-point scan, the reference of lattice_points_in ----------------------
 
@@ -105,12 +104,12 @@ def _outcome(f, *args, **kwargs):
 
 
 def _face_configs():
-    return [*_corpus(), *(_collinear(n) for n in (1, 5, 16)), *(_coplanar(n) for n in (2, 4, 6))]
+    return [*face_corpus(), *(collinear(n) for n in (1, 5, 16)), *(coplanar(n) for n in (2, 4, 6))]
 
 
 def test_face_points_match_the_per_point_scan():
     faces = hits = mutant_misses = 0
-    for A in [*_face_configs(), saturate(OBSTRUCTED, "s").result, *_configs()]:
+    for A in [*_face_configs(), saturate(OBSTRUCTED, "s").result, *criterion_8_configs(30)]:
         P = A.newton
         for face in A.poset.faces:
             # the face's own lattice, and Z_A's, whose box around a proper
@@ -136,7 +135,7 @@ def test_points_off_a_flat_hull_match_the_per_point_scan():
     # the lattice Z^n through the first point: on flat point sets its span
     # leaves P's affine hull, and on rational ones its anchor is rational
     flat = nonempty = budget = 0
-    for _, pts in _point_sets(7, 120):
+    for _, pts in chart_point_sets(7, 120):
         P = convex_hull(pts)
         n = len(pts[0])
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -190,17 +189,12 @@ def ref_regular_triangulation(A, heights):
     return T
 
 
-def _heights(rng, A):
-    return [Fraction(rng.randrange(-HEIGHT_RANGE, HEIGHT_RANGE), HEIGHT_DENOMINATOR)
-            for _ in range(A.size)]
-
-
 def test_lower_facets_match_the_ambient_functionals():
     rng = random.Random(5)
     lower = upper = degenerate = 0
-    for A in _corpus()[:120]:
+    for A in face_corpus()[:120]:
         d = A.newton.dim
-        for heights in [_heights(rng, A) for _ in range(3)] + [[0] * A.size]:
+        for heights in [random_heights(rng, A) for _ in range(3)] + [[0] * A.size]:
             lift = clear_denominators(heights)
             hull = convex_hull([(*x, w) for x, w in zip(A.chart_points, lift)])
             if hull.dim > d:

@@ -6,11 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from test_chart_routes import interior_points_in, rational_coordinates
-from test_hull_routes import _corpus as hull_corpus
+from _corpus import face_corpus, hull_corpus, interior_points_in, random_heights, rational_coordinates
 from test_incidence_routes import ref_contains, ref_minimal_face_containing
-from test_lattice_point_routes import _heights
-from test_subdiagram_routes import _corpus as routes_corpus
 from gkzkit import polytope
 from gkzkit.configuration import PointConfiguration, multiplicity_table
 from gkzkit.intlinalg import vsub
@@ -190,12 +187,12 @@ def test_integer_points_build_no_fraction_in_the_hull_layer(monkeypatch):
         assert all(type(a) is int for x in P.point_coords for a in x)
         hulls += 1
     rng = random.Random(2411)
-    for A in routes_corpus():
+    for A in face_corpus():
         assert A.volume > 0
         multiplicity_table(A)
         for _ in range(2):  # heights over the denominator 997
             try:
-                regular_triangulation(A, _heights(rng, A))
+                regular_triangulation(A, random_heights(rng, A))
                 lifts += 1
             except DegenerateHeightsError:
                 pass

@@ -2,38 +2,23 @@
 routes that rebuilt it.
 
 The references below are the earlier routes, kept verbatim up to access
-paths: the pulling triangulation that hulls every facet again, the volume
-over it, the volume chart as Z_A cut to the direction space of N, and the
-enumeration started from the lower hull of the first generic random lift
-(by the heights times their least common denominator, as the library
-lifts), with the earlier circuits and flips of ``test_fan_walk_routes.py``
-and one LP per candidate.
+paths since commit 55c21be, which replaced them: the pulling triangulation
+that hulls every facet again, the volume over it
+(``ref_normalized_volume``), and the volume chart as Z_A cut to the
+direction space of N.  They stay as the routes the one-hull reads replaced,
+and as the most independent volume: it hulls each face again, so it runs
+through no pulling of the library.  ``test_subdiagram_routes.py`` measures
+the truncation route's volumes by ``ref_normalized_volume``.
 """
 
 import random
-from collections import deque
 from fractions import Fraction
 
 from _corpus import integral_multiple
-from test_chart_routes import ref_ambient_functional
-from test_fan_walk_routes import ref_circuits, ref_flips
 from test_hnf_routes import ref_intersect_subspace
-from test_secondary_routes import FAMILY
 from gkzkit.configuration import PointConfiguration
-from gkzkit.intlinalg import clear_denominators, det_fraction, dot, vsub
+from gkzkit.intlinalg import det_fraction, vsub
 from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
-from gkzkit.secondary import (
-    DegenerateHeightsError,
-    Triangulation,
-    _folding_rows,
-    _lower_hull,
-    enumerate_regular_triangulations,
-    gkz_vector,
-    is_regular,
-)
-
-# The earlier spot check's heights were integers over this denominator.
-SPOT_DENOMINATOR = 992
 
 
 def triangulate_vertices(points):
@@ -64,7 +49,9 @@ def _triangulate(P):
     return out
 
 
-def normalized_volume_ref(points) -> Fraction:
+def ref_normalized_volume(points) -> Fraction:
+    """Normalized volume of the full-dimensional conv(points), summed over the
+    pulling triangulation that hulls every facet again."""
     pts = [tuple(p) for p in points]
     ambient = len(pts[0])
     P = convex_hull(pts)
@@ -85,93 +72,6 @@ def volume_chart(A):
     if None in coords:
         raise AssertionError("config differences must lie in the direction lattice")
     return direction_lattice, coords
-
-
-def _cell_volume(coords, cell) -> int:
-    base = coords[cell[0]]
-    rows = [vsub(coords[j], base) for j in cell[1:]]
-    return abs(int(det_fraction(rows)))
-
-
-def make_triangulation_ref(A, cells):
-    coords = volume_chart(A)[1]
-    cells = tuple(sorted(tuple(sorted(c)) for c in cells))
-    vols = tuple(_cell_volume(coords, c) for c in cells)
-    if any(v == 0 for v in vols):
-        raise ValueError("degenerate cell")
-    return Triangulation(cells, vols)
-
-
-def regular_triangulation_ref(A, heights):
-    coords = volume_chart(A)[1]
-    heights = [Fraction(h) for h in heights]
-    d = len(coords[0])
-    # the heights times their least common denominator: the library's lift
-    lifted = [(*x, w) for x, w in zip(coords, clear_denominators(heights))]
-    hull = convex_hull(lifted)
-    if hull.dim <= d:
-        cells = [tuple(range(A.size))]
-    else:
-        cells = [
-            tuple(sorted(on))
-            for (h, _), on in zip(hull.facets, hull.facet_sets)
-            if ref_ambient_functional(hull, h)[-1] < 0
-        ]
-    for cell in cells:
-        if len(cell) != d + 1:
-            raise DegenerateHeightsError(
-                f"lower cell {cell} is not a simplex; perturb the heights"
-            )
-    T = make_triangulation_ref(A, cells)
-    if T.total_volume != int(normalized_volume_ref(coords)):
-        raise AssertionError("lower hull cells must cover the polytope")
-    return T
-
-
-def enumerate_ref(A):
-    """The earlier enumeration: the first generic lift is hulled and starts
-    the search."""
-    rng = random.Random(20240 + A.size)
-    draws = [[rng.randrange(-10**6, 10**6) for _ in range(A.size)] for _ in range(20)]
-    for first, heights in enumerate(draws):
-        try:
-            start = regular_triangulation_ref(
-                A, [Fraction(h, SPOT_DENOMINATOR) for h in heights]
-            )
-            break
-        except DegenerateHeightsError:
-            continue
-    else:
-        raise DegenerateHeightsError("no generic heights among 20 random draws")
-    circuits = ref_circuits(volume_chart(A)[1])
-    seen = {start.cells}
-    queue = deque([start])
-    certified = []
-    while queue:
-        T = queue.popleft()
-        ok, witness = is_regular(A, T)
-        if not ok:
-            continue
-        T = Triangulation(T.cells, T.volumes, clear_denominators(witness))
-        certified.append((gkz_vector(A, T), T, _folding_rows(A, T)))
-        for cells in ref_flips(frozenset(map(frozenset, T.cells)), circuits):
-            U = make_triangulation_ref(A, cells)
-            if U.total_volume != T.total_volume:
-                raise AssertionError("a flip must keep the covered volume")
-            if U.cells not in seen:
-                seen.add(U.cells)
-                queue.append(U)
-    found = {T.cells for _, T, _ in certified}
-    if start.cells not in found:
-        raise AssertionError("the lower-hull triangulation that starts the search is not regular")
-    for heights in draws[first + 1:]:
-        try:
-            T = _lower_hull(A, certified, heights)
-        except DegenerateHeightsError:
-            continue
-        if T.cells not in found:
-            raise AssertionError("random lower-hull triangulation missing from enumeration")
-    return tuple(sorted((T for _, T, _ in certified), key=lambda T: T.cells))
 
 
 def _point_sets(seed, count):
@@ -227,7 +127,7 @@ def test_normalized_volume_matches_the_rehulled_faces():
     for pts in POINT_SETS:
         repeated += len(set(pts)) < len(pts)
         try:
-            expect = normalized_volume_ref(pts)
+            expect = ref_normalized_volume(pts)
         except ValueError:
             flat += 1
             assert convex_hull(pts).dim < len(pts[0]), pts
@@ -266,17 +166,5 @@ def test_chart_points_match_the_volume_chart():
         assert A.newton.chart == lattice, A.points
         shift = vsub(A.chart_points[0], coords[0])
         assert all(vsub(x, y) == shift for x, y in zip(A.chart_points, coords)), A.points
-        assert A.volume == int(normalized_volume_ref(coords)), A.points
+        assert A.volume == int(ref_normalized_volume(coords)), A.points
         assert A.affine_lattice.delta == lattice
-
-
-def test_enumeration_matches_the_lifted_start():
-    for A in FAMILY:
-        got = enumerate_regular_triangulations(A)
-        expect = enumerate_ref(A)
-        assert [(T.cells, T.volumes) for T in got] == [
-            (T.cells, T.volumes) for T in expect
-        ], A.points
-        # the witnesses differ: each must pass the reference's folding rows
-        for T, R in zip(got, expect):
-            assert all(dot(r, T.heights) < 0 for r in _folding_rows(A, R)), (A.points, T)

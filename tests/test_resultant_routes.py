@@ -2,24 +2,24 @@
 certificates from Bezout matrices, against the Sylvester matrices they
 replaced.
 
-The references are the earlier routes, kept verbatim: the principal
-determinant E as the symbolic 2 delta x 2 delta Sylvester resultant of f and
-z f', and the squarefree test as the nonsingularity of the integer Sylvester
-matrix of p and p' on a line specialization.  The library now expands the
+The references are the earlier routes, references since commit c3851d4,
+which replaced them, kept verbatim: the principal determinant E as the
+symbolic 2 delta x 2 delta Sylvester resultant of f and z f'
+(``ref_principal_determinant``), and the squarefree test as the
+nonsingularity of the integer Sylvester matrix of p and p' on a line
+specialization (``ref_sylvester_squarefree``).  The library now expands the
 delta x delta Bezout matrix of f and z f', and decides squarefreeness on the
-deg x deg integer Bezout matrix of p and p'.
+deg x deg integer Bezout matrix of p and p'.  They stay as the routes the
+Bezout matrices replaced; the Fraction Euclid of
+``test_elimination_routes.py`` is the older squarefree route.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 
-from test_elimination_routes import (
-    _curve_supports,
-    _outcome,
-    _random_poly,
-    _ref_poly_gcd_univariate,
-)
+from _corpus import curve_supports, outcome, random_poly
+from test_elimination_routes import _ref_poly_gcd_univariate
 from gkzkit import curves
 from gkzkit.curves import (
     FactorizationReport,
@@ -42,7 +42,7 @@ from gkzkit.polynomials import (
 # Supports past the symbolic budget on which the Sylvester expansion still
 # takes well under a second: a sparse one of each length 3, 4 and 4.
 SPARSE = ((0, 1, 9), (0, 2, 5, 9), (0, 3, 7, 10))
-SUPPORTS = (*_curve_supports(6), *SPARSE)
+SUPPORTS = (*curve_supports(6), *SPARSE)
 
 
 # -- the earlier routes, the references -------------------------------------------
@@ -200,14 +200,14 @@ def test_squarefree_matches_the_sylvester_route():
     polys = [{(0, 0): 7}]
     for _ in range(120):
         nvars = rng.randint(2, 4)
-        polys.append(_random_poly(rng, nvars, rng.randint(1, 5), 3))
-    for e in _curve_supports(6):
+        polys.append(random_poly(rng, nvars, rng.randint(1, 5), 3))
+    for e in curve_supports(6):
         D = _coordinate_free_factor(ref_principal_determinant(e))
         polys += [D, pmul(D, D)]
     verdicts = []
     for p in polys:
-        got = _outcome(_univariate_squarefree, p)
-        assert got == _outcome(ref_sylvester_squarefree, p), p
+        got = outcome(_univariate_squarefree, p)
+        assert got == outcome(ref_sylvester_squarefree, p), p
         verdicts.append(got)
     assert verdicts.count(("value", True)) > 60 and verdicts.count(("value", False)) > 60
 
@@ -218,7 +218,7 @@ def test_factorization_and_restriction_match_the_sylvester_route(monkeypatch):
         if routes is ref:
             monkeypatch.setattr(curves, "_principal_determinant_from_support", ref_principal_determinant)
             monkeypatch.setattr(curves, "_univariate_squarefree", ref_sylvester_squarefree)
-        for e in _curve_supports(6):
+        for e in curve_supports(6):
             cfg = MonomialCurveConfig(e)
             routes.append(curves.discriminant_curve(cfg))
             routes.append(verify_factorization(cfg))

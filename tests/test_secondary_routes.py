@@ -1,11 +1,14 @@
 """Differential tests: the witness certificates of ``gkzkit.secondary``
 against the hulls they replaced.
 
-The references below are the earlier routes, kept verbatim: the secondary
-polytope as the convex hull of the GKZ vectors, and the spot check as the
-lower hull of every lifted random draw.  The enumeration hulls no lift of its
-own: it starts from the pulling triangulation, and the folding rows decide
-every generic draw.
+The references below are the earlier routes, references since commit
+bd73937, which replaced them, kept verbatim: the secondary polytope as the
+convex hull of the GKZ vectors (``hull_secondary_polytope``), and the spot
+check as the lower hull of every lifted random draw (``hull_verdict``).  They
+stay as the routes the certificates replaced, and as the independent ones:
+they read no witness.  The enumeration hulls no lift of its own: it starts
+from the pulling triangulation, and the folding rows decide every generic
+draw.
 """
 
 import random
@@ -13,9 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from _corpus import CATALOG, MOTHER
+from _corpus import CATALOG, FAMILY, MOTHER, config
 from gkzkit import secondary
-from gkzkit.configuration import PointConfiguration
 from gkzkit.polytope import convex_hull
 from gkzkit.secondary import (
     DegenerateHeightsError,
@@ -31,27 +33,6 @@ from gkzkit.secondary import (
 
 # The earlier spot check's heights were integers over this denominator.
 SPOT_DENOMINATOR = 992
-
-
-def config(points):
-    return PointConfiguration.from_columns([(1, *p) for p in points])
-
-
-def _family():
-    """Segments of 3-7 points, planar sets of 4-6, the catalog and the mother
-    of all examples."""
-    rng = random.Random(7)
-    out = [config([(a,) for a in sorted(rng.sample(range(10), n))]) for n in range(3, 8)]
-    grid = [(x, y) for x in range(4) for y in range(4)]
-    for n in (4, 5, 6):
-        A = config(rng.sample(grid, n))
-        while len(A.chart_points[0]) != 2:
-            A = config(rng.sample(grid, n))
-        out.append(A)
-    return out + [config(points) for points in (*CATALOG, MOTHER)]
-
-
-FAMILY = _family()
 
 
 def hull_secondary_polytope(A):

@@ -2,12 +2,16 @@
 and the LP-free kernel ball, against the Fraction operators and the LP box
 they replaced.
 
-The references are the earlier routes, kept verbatim: every shifted-factorial
-product formed factor by factor in Fractions (the gamma ratios, the box
-operator, derivatives, contiguity products, antiderivatives), and the kernel
-ball's coefficient box from 2r exact LPs.  The series pipeline runs once with
-the references patched into ``gkzkit.hyper`` and once as it stands; the
-series and the annihilation reports must be equal.
+The references are the earlier routes, references since commit 20b41ca,
+which replaced them, kept verbatim (``ref_apply_euler`` and ``ref_apply_box``
+but for the plain operator tuples of commit 922b452): every
+shifted-factorial product formed factor by factor in Fractions (the gamma
+ratios, the box operator, derivatives, contiguity products,
+antiderivatives), and the kernel ball's coefficient box from 2r exact LPs
+(``ref_kernel_ball``).  They stay as the routes the integer kernel and the
+LP-free ball replaced, and as the oldest ones.  The series pipeline runs
+once with the references patched into ``gkzkit.hyper`` and once as it
+stands; the series and the annihilation reports must be equal.
 
 The last test keeps the certificate apart from the code it checks: with the
 kernel made to raise, ``annihilation_check`` still gives the same report.

@@ -1,14 +1,16 @@
 """Differential tests: flip-graph enumeration against the cover enumerator.
 
-The reference below is the earlier enumerator, kept verbatim: every cover of
-the Newton polytope by maximal simplices with pairwise disjoint interiors
-(one exact LP per candidate pair), filtered by the ``is_regular`` LP.
+The reference below, ``reference_triangulations``, is the earlier
+enumerator, a reference since commit 98d90e4, which replaced it, kept
+verbatim: every cover of the Newton polytope by maximal simplices with
+pairwise disjoint interiors (one exact LP per candidate pair), filtered by
+the ``is_regular`` LP.  It stays as the most independent enumeration: it
+walks no flip and reads no circuit.
 """
 
-import random
 from fractions import Fraction
 
-from _corpus import CATALOG, MOTHER
+from _corpus import CATALOG, MOTHER, config, cover_family
 from gkzkit import secondary
 from gkzkit.configuration import PointConfiguration
 from gkzkit.lp import lp_feasible_strict
@@ -113,29 +115,8 @@ def reference_triangulations(A: PointConfiguration):
     return tuple(sorted(set(out), key=lambda T: T.cells))
 
 
-def config(points, labels=None):
-    return PointConfiguration.from_columns([(1, *p) for p in points], labels)
-
-
-def _family():
-    rng = random.Random(3)
-    out = []
-    for n in range(3, 9):
-        out.append(config([(a,) for a in sorted(rng.sample(range(12), n))]))
-    grid = [(x, y) for x in range(4) for y in range(4)]
-    for n in (4, 5, 6):
-        out.append(config(rng.sample(grid, n)))
-    box = [(x, y, z) for x in range(2) for y in range(2) for z in range(3)]
-    for n in (5, 6, 6):
-        A = config(rng.sample(box, n))
-        while len(A.chart_points[0]) != 3:
-            A = config(rng.sample(box, n))
-        out.append(A)
-    return out + [config(pts) for pts in CATALOG]
-
-
 def test_flips_match_cover_enumeration():
-    for A in _family():
+    for A in cover_family():
         assert enumerate_regular_triangulations(A) == reference_triangulations(A), A.points
 
 
