@@ -148,13 +148,6 @@ class PointConfiguration:
         return Lattice.from_generators(self.points)
 
     @cached_property
-    def group_coordinates(self):
-        """Each column's integer coordinates in the basis of Z_A, solved once
-        per configuration: every face's HNF and quotient images read their
-        columns' coordinates from here."""
-        return tuple(self.group_lattice.coordinates(p) for p in self.points)
-
-    @cached_property
     def affine_lattice(self) -> AffineLattice:
         """The affine lattice spanned by all columns."""
         return AffineLattice(self.points[0], self.newton.chart)
@@ -338,22 +331,29 @@ def face_lattice(A: PointConfiguration, face: Face) -> AffineLattice:
 
 
 def _face_hnf(A: PointConfiguration, face: Face):
-    """(L, tail) of :func:`_hnf_kernel` on the m x r matrix X of the face
-    points' coordinates in Z_A: X U = [L | 0] with U unimodular, L the s
-    nonzero columns of the HNF and tail the last r - s columns of U."""
-    return _hnf_kernel([A.group_coordinates[i] for i in face.indices], A.group_lattice.rank)
+    """(L, tail, y): y_j = x_j - x_v, x the chart points and v the face's
+    first point, and :func:`_hnf_kernel` Y U = [L | 0] of the face's other
+    y_j, d = dim N entries each: L the s nonzero HNF columns, tail U's last
+    d - s.  h is 1 on a_v and 0 on the chart basis B (see
+    :attr:`PointConfiguration.chart_points`), so (c, y) -> c a_v + B y is an
+    isomorphism Z x Z^d -> Z_A taking a_j to (1, y_j), Z_A ∩ span Γ to
+    Z x (Z^d ∩ span L_Γ) and Z_{A∩Γ} to Z x L_Γ, L_Γ spanned by the rows of Y.
+    """
+    x = A.chart_points
+    y = [vsub(p, x[face.indices[0]]) for p in x]
+    return (*_hnf_kernel([y[j] for j in face.indices[1:]], A.newton.dim), y)
 
 
 def index_i(A: PointConfiguration, face: Face) -> int:
     """[Z_A ∩ span Γ : Z_{A∩Γ}], the order of the torsion of Z_A / Z_{A∩Γ}.
 
-    With X U = [L | 0] from :func:`_face_hnf`, the automorphism x -> U^T x of
-    the coordinates of Z_A maps Z_A ∩ span Γ onto Z^s x 0, the kernel of its
-    last r - s entries (see :func:`_face_quotient_images`), and the face
-    point in row k of X to row k of L.  So Z_A / Z_{A∩Γ} is Z^(r - s) plus
-    Z^s modulo the lattice of the m rows of L, whose index is the product of
-    the pivots of their HNF.  The pivots of L itself are not the index: for
-    X = [[2], [1]] the pivot is 2, but the rows span Z.
+    By :func:`_face_hnf`, i = [Z^d ∩ span L_Γ : L_Γ].  With Y U = [L | 0],
+    the automorphism y -> U^T y of Z^d maps Z^d ∩ span L_Γ onto Z^s x 0, the
+    kernel of its last d - s entries (see :func:`_face_quotient_images`), and
+    row k of Y to row k of L.  So i is the index in Z^s of the lattice of
+    the m - 1 rows of L, the product of the pivots of their HNF; a vertex
+    has no rows, and i = 1.  The pivots of L itself are not the index: for
+    Y = [[2], [1]] the pivot is 2, but the rows span Z.
     """
     if face.supporting is None:
         return 1
@@ -362,9 +362,9 @@ def index_i(A: PointConfiguration, face: Face) -> int:
 
 def _row_index(L):
     """The index in Z^s of the lattice of the rows of L, s columns: the
-    product of the pivots of their HNF."""
+    product of the pivots of their HNF, 1 when s = 0."""
     rows = [list(row) for row in zip(*L)]
-    return prod(rows[j][j] for j in range(_hnf(rows, len(rows[0]))))
+    return prod(rows[j][j] for j in range(_hnf(rows, len(L))))
 
 
 def _cross(a, b):
@@ -390,18 +390,18 @@ def _extreme_rays(G):
 def _face_quotient_images(A: PointConfiguration, face: Face):
     """G: the sorted nonzero images of the columns in Z_A / (Z_A ∩ span Γ).
 
-    With X U = [L | 0] from :func:`_face_hnf`, each of the last r - s columns
-    u of U has X u = 0, so x -> u . x vanishes on span Γ.  U^T is unimodular,
-    so its last r - s rows map the coordinates of Z_A onto Z^(r - s).  The
-    kernel is saturated, of rank s, and holds the face points, of rank s: it
-    is Z_A ∩ span Γ.  A column's image is (u . coordinates) over those u,
-    and the quotient has no torsion.
+    By :func:`_face_hnf`, the quotient is Z^d / (Z^d ∩ span L_Γ), a_j taken
+    to y_j.  With Y U = [L | 0], each of the last d - s columns u of U has
+    Y u = 0, so y -> u . y vanishes on span L_Γ.  U^T is unimodular, so its
+    last d - s rows map Z^d onto Z^(d - s), with a saturated kernel of rank s
+    that holds the rows of Y, of rank s: Z^d ∩ span L_Γ.  A column's image is
+    (u . y_j) over those u, and the quotient has no torsion.
     """
-    return _quotient_images(A.group_coordinates, _face_hnf(A, face)[1])
+    return _quotient_images(*_face_hnf(A, face)[1:])
 
 
-def _quotient_images(coords, tail):
-    """G of :func:`_face_quotient_images` over the columns with Z_A coordinates ``coords``."""
+def _quotient_images(tail, coords):
+    """G of :func:`_face_quotient_images` over the columns with chart differences ``coords``."""
     images = {tuple(dot(u, x) for u in tail) for x in coords}
     images.discard((0,) * len(tail))
     return sorted(images)
@@ -681,9 +681,9 @@ def multiplicity(A: PointConfiguration, face: Face) -> MultiplicityRecord:
     :func:`_face_hnf` of a proper face."""
     if face.supporting is None:
         return MultiplicityRecord(face, 1, 1, 1)
-    L, tail = _face_hnf(A, face)
+    L, tail, y = _face_hnf(A, face)
     i = _row_index(L)
-    v = _seen_pyramids(_quotient_images(A.group_coordinates, tail))
+    v = _seen_pyramids(_quotient_images(tail, y))
     return MultiplicityRecord(face, i, v, i * v)
 
 
@@ -793,9 +793,9 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     comparison, or by the pyramid sufficient condition for defectiveness).
     Membership reads the redundancy check made first: k lies in the group of
     a face's other points iff on it (off it, h(k) = 1 keeps k off its span).
-    It also gives Z_{A-k} = Z_A, with the same HNF basis, and a face Γ missing
-    k keeps its points, so :func:`_face_hnf`, i and the quotient map are A's:
-    m(A - k, Γ) only leaves k's image out of G.
+    It also gives Z_{A-k} = Z_A, so A's chart describes Z_{A-k} too, and a
+    face Γ missing k keeps its points, so :func:`_face_hnf`, i and the
+    quotient map are A's: m(A - k, Γ) only leaves k's image out of G.
     """
     if k == a or not (0 <= k < A.size and 0 <= a < A.size):
         raise IndexError("need two distinct valid column indices")
@@ -853,10 +853,10 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
 def _aux_multiplicities(A: PointConfiguration, face: Face, k: int):
     """(m(A, Γ), m(A - k, Γ)) from one :func:`_face_hnf`; see :func:`check_aux_point`.
     When k's image is zero or another column's, G(A - k) = G(A) and v is reused."""
-    L, tail = _face_hnf(A, face)
-    i, coords = _row_index(L), A.group_coordinates
-    G = _quotient_images(coords, tail)
-    G_without = _quotient_images(coords[:k] + coords[k + 1:], tail)
+    L, tail, y = _face_hnf(A, face)
+    i = _row_index(L)
+    G = _quotient_images(tail, y)
+    G_without = _quotient_images(tail, y[:k] + y[k + 1:])
     v_with = _seen_pyramids(G)
     v_without = v_with if G_without == G else _seen_pyramids(G_without)
     return i * v_with, i * v_without

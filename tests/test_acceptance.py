@@ -95,7 +95,7 @@ def test_criterion_2_obstructed_configuration():
             if a != k:
                 assert not check_aux_point(s, k, a)
         from gkzkit.configuration import _face_hnf
-        from gkzkit.intlinalg import dot
+        from gkzkit.intlinalg import dot, vsub
         from gkzkit.polytope import convex_hull
 
         for pts in (
@@ -107,10 +107,12 @@ def test_criterion_2_obstructed_configuration():
             )
             f_after = s.poset.face_with_indices(tuple(s.index_of(p) for p in pts))
             assert subdiagram_volume(OBSTRUCTED, f_before) > subdiagram_volume(s, f_after)
-            # each column's image in the quotient by the face's saturated span
+            # each column's image in the quotient by the face's saturated span,
+            # from its chart difference to the face's first point
             tail = _face_hnf(s, f_after)[1]
-            columns = zip(s.points, s.group_coordinates)
-            image = {p: tuple(dot(u, x) for u in tail) for p, x in columns}
+            x = s.chart_points
+            base = x[f_after.indices[0]]
+            image = {p: tuple(dot(u, vsub(y, base)) for u in tail) for p, y in zip(s.points, x)}
             off = [p for p in s.points if p not in set(s.face_points(f_after))]
             hull = convex_hull([image[p] for p in off])
             assert image[new] in hull.vertices

@@ -342,7 +342,7 @@ def test_obstructed_subdiagram_volumes_drop_strictly():
 
 def test_obstructed_projected_point_is_hull_vertex():
     from gkzkit.configuration import _face_hnf
-    from gkzkit.intlinalg import dot
+    from gkzkit.intlinalg import dot, vsub
     from gkzkit.polytope import convex_hull
 
     s = saturate(OBSTRUCTED, "s").result
@@ -352,10 +352,12 @@ def test_obstructed_projected_point_is_hull_vertex():
         [(1, 2, 0, 2), (1, 1, 0, 3), (1, 0, 0, 4)],
     ):
         face = face_by_points(s, pts)
-        # each column's image in the quotient by the face's saturated span
+        # each column's image in the quotient by the face's saturated span,
+        # from its chart difference to the face's first point
         tail = _face_hnf(s, face)[1]
-        columns = zip(s.points, s.group_coordinates)
-        image = {p: tuple(dot(u, x) for u in tail) for p, x in columns}
+        x = s.chart_points
+        base = x[face.indices[0]]
+        image = {p: tuple(dot(u, vsub(y, base)) for u in tail) for p, y in zip(s.points, x)}
         off = [p for p in s.points if p not in set(s.face_points(face))]
         hull = convex_hull([image[p] for p in off])
         assert image[new] in hull.vertices

@@ -155,7 +155,6 @@ def assert_deleted(A, i, inherited):
     )
     assert B.poset == F.poset
     assert B.group_lattice == F.group_lattice
-    assert B.group_coordinates == F.group_coordinates
     assert B.volume == F.volume
     return B
 

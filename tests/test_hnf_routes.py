@@ -31,7 +31,17 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from _corpus import face_corpus, from_columns, hnf_with_transform, hull_corpus, random_rows, width
+from _corpus import (
+    collinear,
+    coplanar,
+    face_corpus,
+    from_columns,
+    hnf_with_transform,
+    hull_corpus,
+    random_rows,
+    solid_configs,
+    width,
+)
 from test_elimination_routes import ref_start
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
 from gkzkit import configuration, intlinalg, polytope
@@ -305,11 +315,20 @@ def test_kernel_matches_the_references_on_the_hull_and_face_inputs(monkeypatch):
     for pts in hull_corpus():
         convex_hull(pts)
     hulls = len(inputs)
-    for A in face_corpus():
+    configs = [
+        *face_corpus(),
+        *(collinear(n) for n in (1, 5, 16)),
+        *(coplanar(n) for n in (2, 4, 6)),
+        *solid_configs(5, 3),
+        *solid_configs(7, 1),
+    ]
+    for A in configs:
         A.facet_constraints
         for face in A.poset.faces:
             index_i(A, face)
     monkeypatch.undo()
     ranks = [_check_kernel([list(row) for row in rows], n) for rows, n in inputs]
     assert hulls >= 2000 and len(inputs) - hulls >= 500, (hulls, len(inputs))
+    # a vertex hands the face HNF no rows
+    assert any(rows == () for rows, _ in inputs)
     assert {1, 2, 3} <= set(ranks)  # a proper face of A leaves a nonzero quotient

@@ -1,5 +1,6 @@
-"""No gkzkit module imports ``dataclasses``, every name a gkzkit module
-imports is used in that module, every module-level _private function or
+"""No gkzkit module imports ``dataclasses``, every name a gkzkit module, a
+test module or a script imports is used in that module unless its import
+line is marked ``# noqa: F401``, every module-level _private function or
 class is named somewhere else in gkzkit,
 every module-level public function or class, and every public method or
 property of a gkzkit class, is named somewhere else in gkzkit, ``bench/`` or
@@ -24,7 +25,8 @@ import gkzkit
 SOURCES = sorted(Path(gkzkit.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parent.parent
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-CALLERS = sorted([*(REPO / "bench").glob("*.py"), *(REPO / "scripts").glob("*.py")])
+SCRIPTS = sorted((REPO / "scripts").glob("*.py"))
+CALLERS = sorted([*(REPO / "bench").glob("*.py"), *SCRIPTS])
 # Public library functions, classes and methods that only tests call, each
 # with the reason it stays in the library.
 TEST_ONLY = {
@@ -36,15 +38,18 @@ TEST_ONLY = {
 
 
 def unused_imports(source: str):
+    """(line, name) of each imported name that ``source`` never reads; a
+    line marked ``# noqa: F401`` imports on purpose."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
@@ -54,9 +59,24 @@ def test_the_guard_sees_unused_names():
     assert unused_imports(source) == [(1, "gcd"), (2, "os"), (3, "system")]
 
 
+def test_the_guard_exempts_marked_lines():
+    source = (
+        "import json  # noqa: F401\n"
+        "from math import (\n"
+        "    gcd,  # noqa: F401\n"
+        "    lcm,\n"
+        ")\n"
+        "import os  # noqa: E501\n"
+    )
+    assert unused_imports(source) == [(4, "lcm"), (6, "os")]
+
+
 def test_modules_use_every_import():
-    assert len(SOURCES) > 10
-    found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert len(SOURCES) > 10 and len(TESTS) > 30 and len(SCRIPTS) == 3
+    found = {
+        f"{path.parent.name}/{path.name}": unused_imports(path.read_text(encoding="utf-8"))
+        for path in (*SOURCES, *TESTS, *SCRIPTS)
+    }
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -15,15 +15,18 @@ Subdiagram volume:
   ``test_pulling_routes.py``, which hulls every face again.
 - ``ref_multiplicity``, a reference since commit 751a772: the route that
   ``multiplicity`` replaced, kept verbatim but for its docstrings.  The face
-  HNF and the quotient images solve each point in Z_A again on every face,
-  and the seen pyramids build a hull, its face poset and a pulling
-  triangulation on every face, facets included.  The route under test reads
-  the columns' coordinates once per configuration, reads a facet's v off its
-  images, and builds the face poset only for a seen face that is not a
-  simplex.  In rank 2 it builds no hull at all: one angular scan keeps the
-  chain of conv(G) that 0 sees.  That scan is checked against
-  ``ref_seen_pyramids`` on seeded half-plane sets and against the sweep
-  oracle on every rank-2 face of the corpus.
+  HNF and the quotient images solve each point in Z_A's HNF basis again on
+  every face, and the seen pyramids build a hull, its face poset and a
+  pulling triangulation on every face, facets included.  The route under
+  test solves nothing in Z_A: it reads the columns' chart differences from
+  the face's first point, in the basis of Z_A that that point and the
+  Newton hull's chart make (checked by
+  ``test_a_face_point_and_the_chart_basis_are_a_basis_of_z_a``).  It reads
+  a facet's v off its images, and builds the face poset only for a seen
+  face that is not a simplex.  In rank 2 it builds no hull at all: one
+  angular scan keeps the chain of conv(G) that 0 sees.  That scan is checked
+  against ``ref_seen_pyramids`` on seeded half-plane sets and against the
+  sweep oracle on every rank-2 face of the corpus.
 
 Face quotient: ``ref_face_quotient_images``, a reference since commit
 e31c4f5, is the oldest route, kept verbatim but for the error it raises off
@@ -36,7 +39,7 @@ Face index: ``ref_index_i``, a reference since commit c78cbdb, is the route
 ``index_i`` replaced, and the oldest one, kept verbatim but for its cache:
 [Z_A ∩ span Γ : Z_{A∩Γ}] as ``ref_lattice_index`` of the intersected subspace
 and the face group.  The routes under test read both the index and the
-quotient off one column HNF of the face's coordinates in Z_A.  The Smith and
+quotient off one column HNF of the face's chart differences.  The Smith and
 index routes take Z_A ∩ span Γ from ``ref_intersect_subspace`` of
 ``test_hnf_routes.py``.
 """
@@ -75,12 +78,13 @@ from gkzkit.configuration import (
     _seen_pyramids,
     index_i,
     multiplicity,
+    multiplicity_table,
     saturate,
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
 from gkzkit.intlinalg import _hnf, det_fraction, dot, primitive, rational_rank, vsub
-from gkzkit.lattice import lattice_span
+from gkzkit.lattice import Lattice, lattice_span
 from gkzkit.polytope import convex_hull, face_poset, pulling_cells
 
 
@@ -403,9 +407,44 @@ def _poset_builds(A, face, monkeypatch):
     return len(calls)
 
 
+def _planar_sets(rng, count):
+    """Seeded sets of 3-6 distinct points of [0, 3]^2 that span the plane."""
+    out = []
+    while len(out) < count:
+        pts = sorted({(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(3, 6))})
+        if len(pts) >= 3 and rational_rank([vsub(p, pts[0]) for p in pts[1:]]) == 2:
+            out.append(pts)
+    return out
+
+
+def _widened_corpus():
+    """Planar sets whose columns (2, p) are quasi-homogeneous but not
+    primitive (h = (1/2, 0, 0)), flat sets in ambient dimension 4, and the
+    configurations that read their hull off another's: ``saturate``,
+    ``with_point`` and the deletions that keep N and Z_A."""
+    rng = random.Random(3601)
+    doubled = [PointConfiguration.from_columns([(2, *p) for p in pts]) for pts in _planar_sets(rng, 25)]
+    flat = [
+        PointConfiguration.from_columns([(1, a + b, 2 * b, 3 * a - b) for a, b in pts])
+        for pts in _planar_sets(rng, 25)
+    ]
+    flat.append(PointConfiguration.from_columns([(1, k, 2 * k, 0) for k in (0, 2, 3, 7)]))
+    derived = []
+    for A in doubled[:10] + flat[:10] + [OBSTRUCTED, collinear(5)]:
+        full = saturate(A, "full").result
+        derived += [saturate(A, "s").result, full]
+        derived += [A.with_point(p) for p in full.points[A.size:][:2]]
+        derived += [
+            B for B in (full.delete(i) for i in range(full.size)) if "newton" in vars(B)
+        ][:3]
+    assert all("newton" in vars(B) for B in derived) and len(derived) >= 90, len(derived)
+    return doubled + flat + derived
+
+
 def test_multiplicity_matches_the_per_face_route():
     counts = {}
-    for A in face_corpus() + [collinear(16), coplanar(4), _square_pyramid()]:
+    widened = _widened_corpus()
+    for A in face_corpus() + [collinear(16), coplanar(4), _square_pyramid()] + widened:
         for face in A.poset.faces:
             rec = multiplicity(A, face)
             got = (rec.index_i, rec.subvol_v, rec.mult_m)
@@ -413,13 +452,30 @@ def test_multiplicity_matches_the_per_face_route():
             r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[0])
             counts[r] = counts.get(r, 0) + 1
     assert set(counts) == {0, 1, 2, 3} and sum(counts.values()) >= 1500, counts
+    # the widened corpus reaches faces of index > 1
+    assert any(index_i(A, face) > 1 for A in widened for face in A.poset.faces)
 
 
-def test_group_coordinates_are_the_columns_in_the_basis_of_z_a():
-    for A in face_corpus() + [collinear(16), coplanar(4)]:
-        assert len(A.group_coordinates) == A.size
-        for i, p in enumerate(A.points):
-            assert A.group_coordinates[i] == A.group_lattice.coordinates(p)
+def test_multiplicities_build_no_group_lattice():
+    for A in face_corpus()[:20] + _widened_corpus()[:50:5]:
+        fresh = PointConfiguration.from_columns(A.points)
+        multiplicity_table(fresh)
+        assert "group_lattice" not in vars(fresh), A.points
+
+
+def test_a_face_point_and_the_chart_basis_are_a_basis_of_z_a():
+    """The basis the face HNF reads i and G in: for each face's first point
+    v, a_j = a_v + B (x_j - x_v) for every column, B the chart basis, and
+    a_v with B generates Z_A, whose rank is 1 + dim N."""
+    for A in face_corpus() + [collinear(16), coplanar(4)] + _widened_corpus():
+        B, x = A.newton.chart.generators(), A.chart_points
+        assert A.group_lattice.rank == 1 + len(B) == 1 + A.newton.dim
+        for v in {face.indices[0] for face in A.poset.faces}:
+            a_v = A.points[v]
+            for a, y in zip(A.points, x):
+                dy = vsub(y, x[v])
+                assert a == tuple(c + sum(t * b[k] for t, b in zip(dy, B)) for k, c in enumerate(a_v))
+            assert Lattice.from_generators([a_v, *B]) == A.group_lattice
 
 
 def test_facet_images_on_both_sides_of_zero_fail_the_invariant():
@@ -692,7 +748,8 @@ def test_quotient_images_match_the_smith_route(monkeypatch):
                 continue
             G = _face_quotient_images(A, face)
             tail = _face_hnf(A, face)[1]
-            images = [tuple(dot(u, x) for u in tail) for x in A.group_coordinates]
+            base = A.chart_points[face.indices[0]]
+            images = [tuple(dot(u, vsub(x, base)) for u in tail) for x in A.chart_points]
             assert G == sorted(set(images) - {(0,) * len(tail)})
             ref_project, ref_G = ref_face_quotient_images(A, face)
             ranks.add(len(G[0]))
