@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it; a submodule maps to itself.
 _EXPORTS = {
-    "AffineLattice": "lattice",
     "Lattice": "lattice",
     "MonomialCurveConfig": "curves",
     "PointConfiguration": "configuration",
@@ -39,7 +38,6 @@ _EXPORTS = {
     "is_lattice_redundant": "configuration",
     "is_nonresonant": "hyper",
     "lattice": "lattice",
-    "lattice_span": "lattice",
     "lp": "lp",
     "multiplicity": "configuration",
     "multiplicity_table": "configuration",

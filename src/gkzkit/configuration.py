@@ -4,7 +4,8 @@ The objects here are quasi-homogeneous integer point configurations A (columns
 of an integer matrix, all evaluating to 1 under some rational functional).
 The module computes, exactly:
 
-* face lattices (affine spans of the points on each face of the hull),
+* face lattices (the lattices of the chart differences of the points on each
+  face of the hull, in the Newton polytope's chart),
 * the index of the group generated by the points on a face inside the
   ambient group cut to the face span,
 * subdiagram volumes of the quotient semigroups, by two independent routes,
@@ -35,7 +36,7 @@ from .intlinalg import (
     solve_rational,
     vsub,
 )
-from .lattice import AffineLattice, Lattice, hnf_solve, lattice_span
+from .lattice import Lattice, hnf_solve
 from .lp import OPTIMAL, lp_maximize
 from .polytope import (
     Face,
@@ -148,11 +149,6 @@ class PointConfiguration:
         return Lattice.from_generators(self.points)
 
     @cached_property
-    def affine_lattice(self) -> AffineLattice:
-        """The affine lattice spanned by all columns."""
-        return AffineLattice(self.points[0], self.newton.chart)
-
-    @cached_property
     def chart_points(self):
         """Integer coordinates of the columns in the Newton polytope's chart,
         in which normalized volumes are volumes with respect to Z_A.
@@ -253,7 +249,7 @@ class PointConfiguration:
         return {}
 
     def face_interior(self, face: Face):
-        """The points of face_lattice(A, face) in the face's relative interior
+        """The points on face_lattice(A, face) in the face's relative interior
         (the vertex itself for 0-faces).  A face whose interior is not known
         yet is scanned, which fills the interiors of all its subfaces: to scan
         each face at most once, ask for larger faces first."""
@@ -263,37 +259,39 @@ class PointConfiguration:
         return memo[face.indices]
 
     def face_lattice_points(self, face: Face):
-        """The points of face_lattice(A, face) in the face, by one scan of
+        """The points on face_lattice(A, face) in the face, by one scan of
         the face's box, made once per face.
 
         The scan also fills :meth:`face_interior` for every subface Γ' of
         the face.  A hit lies in the relative interior of the face where its
         tight facets meet, and each subface is tight on a distinct set of
-        facets.  A hit in the relative interior of Γ' belongs to Γ''s
-        interior iff it lies in face_lattice(A, Γ'), which is a sublattice
-        of the face's lattice; a column on Γ' always does.
+        facets.  A hit in the relative interior of a proper subface Γ'
+        belongs to Γ''s interior iff its chart difference from Γ''s first
+        point lies in face_lattice(A, Γ'), a sublattice of the face's
+        lattice; a column on Γ' always does.
         """
         scans = self._face_scans
         pts = scans.get(face.indices)
         if pts is not None:
             return pts
-        L = self.affine_lattice if face.supporting is None else face_lattice(self, face)
-        hits = lattice_points_in(self.newton, L, face=face)
-        sets = self.newton.facet_sets
+        P = self.newton
+        L = None if face.supporting is None else face_lattice(self, face)
+        hits = lattice_points_in(P, L, face=face)
         interiors, by_mask = {}, {}
         for f in self.poset.subfaces(face):
             on = set(f.indices)
-            by_mask[sum(1 << j for j, s in enumerate(sets) if on <= s)] = f
+            by_mask[sum(1 << j for j, s in enumerate(P.facet_sets) if on <= s)] = f
             interiors[f.indices] = []
-        columns = set(self.points)
-        lattices = {face.indices: L}
+        columns, x = set(self.points), self.chart_points
+        lattices = {}
         for p, mask in hits:
             f = by_mask[mask]
-            if p not in columns:
+            if f.indices != face.indices and p not in columns:
                 sub = lattices.get(f.indices)
                 if sub is None:
                     sub = lattices[f.indices] = face_lattice(self, f)
-                if p not in sub:
+                y = P.chart.coordinates(vsub(p, P.chart_anchor))
+                if vsub(y, x[f.indices[0]]) not in sub:
                     continue
             interiors[f.indices].append(p)
         memo = self._face_interiors
@@ -325,9 +323,20 @@ class PointConfiguration:
 # -- face lattices, indices, volumes ------------------------------------------
 
 
-def face_lattice(A: PointConfiguration, face: Face) -> AffineLattice:
-    """Affine lattice spanned by the configuration points on the face."""
-    return lattice_span(A.face_points(face), "affine")
+def face_lattice(A: PointConfiguration, face: Face) -> Lattice:
+    """The lattice L of the face's chart differences x_j - x_v, x the chart
+    points and v the face's first point, a sublattice of Z^dim N: the
+    face's affine lattice is a_v + B L, B the chart basis (see
+    :func:`_face_hnf`).  The top face's is Z^dim N."""
+    return _chart_span(A, face.indices)
+
+
+def _chart_span(A: PointConfiguration, indices):
+    """The lattice of the chart differences x_j - x_v, j in indices, v the first."""
+    x = A.chart_points
+    return Lattice.from_generators(
+        [vsub(x[j], x[indices[0]]) for j in indices[1:]], A.newton.dim
+    )
 
 
 def _face_hnf(A: PointConfiguration, face: Face):
@@ -712,13 +721,14 @@ def is_lattice_redundant(A: PointConfiguration, i: int) -> RedundancyReport:
         return RedundancyReport(False, "point is a vertex of the Newton polytope", ())
     per_face = []
     ok = True
+    x = A.chart_points
     for face in A.poset.faces:
         if i not in face.indices:
             continue
         # the span grows by the point's direction, so it keeps its lattice
         # iff the point already lies in the span of the others
-        without = lattice_span([A.points[j] for j in face.indices if j != i], "affine")
-        same = A.points[i] in without
+        others = [j for j in face.indices if j != i]
+        same = vsub(x[i], x[others[0]]) in _chart_span(A, others)
         per_face.append((face.indices, same))
         ok = ok and same
     reason = "all face lattices agree" if ok else "some face lattice drops"
@@ -932,20 +942,27 @@ def reduction_chain(A: PointConfiguration, mode: str) -> ReductionChain:
 def replay_chain(chain: ReductionChain) -> bool:
     """Re-verify every chain step certificate from scratch: each enlarged
     configuration is built from its columns, with a fresh hull, not
-    inherited from the one before as :func:`reduction_chain` builds it."""
+    inherited from the one before as :func:`reduction_chain` builds it.
+    A step whose added point is a column already, whose face indices are no
+    face or whose witness is no column fails the check: False, not raised."""
     current = chain.start
     for step in chain.steps:
-        enlarged = PointConfiguration.from_columns(
-            [*current.points, step.added_point], [*current.labels, _free_label(current.labels)]
-        )
+        try:  # an added point that is a column already, or off A's homogeneity
+            enlarged = PointConfiguration.from_columns(
+                [*current.points, step.added_point], [*current.labels, _free_label(current.labels)]
+            )
+        except ValueError:
+            return False
+        try:
+            face = enlarged.poset.face_with_indices(step.face_indices)
+        except KeyError:
+            return False
         ni = enlarged.index_of(step.added_point)
-        if not is_lattice_redundant(enlarged, ni):
+        if not is_lattice_redundant(enlarged, ni) or ni not in face.indices:
             return False
-        face = enlarged.poset.face_with_indices(step.face_indices)
-        if ni not in face.indices:
+        if step.witness == step.added_point or step.witness not in enlarged.points:
             return False
-        wi = enlarged.index_of(step.witness)
-        if step.witness == step.added_point or enlarged.minimal_face(wi) != face:
+        if enlarged.minimal_face(enlarged.index_of(step.witness)) != face:
             return False
         current = enlarged
     return set(current.points) == set(chain.end.points)
@@ -979,24 +996,19 @@ def dim2_interior_witness(A: PointConfiguration):
     if saturate(A, "p").added_points:
         raise ValueError("construction assumes a partially face-saturated configuration")
     interior = set(A.face_interior(A.poset.top))
+    x = A.chart_points
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
         edges = [e for e in A.poset.of_dim(1) if vi in e.indices]
         steps = []
         lengths = []
         for e in edges:
-            L = face_lattice(A, e)
-            # the far vertex along the edge
-            far = next(
-                A.points[j]
-                for j in e.indices
-                if j != vi and j in A.newton.vertex_indices
-            )
-            diff = vsub(far, v)
-            gen = L.delta.generators()[0]
-            ell = next(abs(d // g) for d, g in zip(diff, gen) if g != 0)
+            (gen,) = face_lattice(A, e).generators()
+            # the far vertex along the edge, ell steps of gen away in the chart
+            far = next(j for j in e.indices if j != vi and j in A.newton.vertex_indices)
+            ell = next(abs(d // g) for d, g in zip(vsub(x[far], x[vi]), gen) if g != 0)
             lengths.append(ell)
-            steps.append(tuple(d // ell for d in diff))
+            steps.append(tuple(d // ell for d in vsub(A.points[far], v)))
         candidate = tuple(v[i] + steps[0][i] + steps[1][i] for i in range(len(v)))
         # v is a column and each step generates an edge's lattice, so the
         # candidate lies in Z_A's affine lattice and is interior iff it is

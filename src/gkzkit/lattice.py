@@ -1,10 +1,10 @@
-"""Integer lattices and their spans.
+"""Integer lattices.
 
 A :class:`Lattice` is a subgroup of Z^ambient stored through a canonical
-column-HNF basis, so equality of lattices is structural equality.  Affine
-lattices are (anchor, difference lattice) pairs; the two notions are kept
-separate on purpose because face lattices of a point configuration are affine
-objects while index computations happen on genuine subgroups.
+column-HNF basis, so equality of lattices is structural equality.  The face
+lattices of a point configuration are lattices of chart coordinates, each
+anchored at a point of its face by the caller (see
+:func:`gkzkit.configuration.face_lattice`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from .intlinalg import _hnf, _ints, record, vsub
+from .intlinalg import _hnf, _ints, record
 
 def hnf_solve(rows, pivots, v):
     """Coordinates of v in the columns of a column-HNF matrix, as a pair
@@ -83,59 +83,3 @@ class Lattice:
 
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None
-
-
-@record
-class AffineLattice:
-    """anchor + difference lattice; the model of a face lattice Z_{A∩Γ}."""
-
-    anchor: tuple
-    delta: Lattice
-
-    def __contains__(self, point) -> bool:
-        return vsub(point, self.anchor) in self.delta
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineLattice):
-            return NotImplemented
-        return self.delta == other.delta and vsub(other.anchor, self.anchor) in self.delta
-
-    def canonical_anchor(self):
-        """The unique anchor representative with pivot-row entries in [0, pivot).
-
-        The HNF basis of ``delta`` is triangular on its pivot rows, so greedy
-        reduction is canonical: equal affine lattices get equal anchors.
-        """
-        rep = list(self.anchor)
-        for col, p in zip(self.delta.generators(), self.delta.pivots):
-            q = rep[p] // col[p]
-            if q:
-                for i in range(len(rep)):
-                    rep[i] -= q * col[i]
-        return tuple(rep)
-
-    def __hash__(self):
-        return hash((self.canonical_anchor(), self.delta.basis))
-
-    @property
-    def rank(self) -> int:
-        return self.delta.rank
-
-
-def lattice_span(points, mode: str):
-    """Affine or linear integer span of a point list.
-
-    mode "affine": lattice of pairwise differences, anchored at the first
-    point.  mode "linear": group generated by the points themselves.
-    """
-    points = [tuple(_ints(p)) for p in points]
-    if not points:
-        raise ValueError("lattice_span needs at least one point")
-    dim = len(points[0])
-    if mode == "linear":
-        return Lattice.from_generators(points, dim)
-    if mode == "affine":
-        anchor = points[0]
-        diffs = [vsub(p, anchor) for p in points[1:]]
-        return AffineLattice(anchor, Lattice.from_generators(diffs, dim))
-    raise ValueError(f"unknown span mode {mode!r}")

@@ -5,7 +5,7 @@ degenerate, so the hull is exact and integral: a double-description pass over
 integer chart coordinates, which needs no general position, under a budget on
 the facet pairs it tests.  Configurations whose affine span drops dimension
 are handled through an affine chart: facet data lives in chart coordinates,
-lattice-point queries take ambient lattices.
+and lattice-point queries take lattices of chart coordinates.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 
 from .intlinalg import _ints, _reduce, det_fraction, dot, record, vec_gcd, vsub
-from .lattice import AffineLattice, Lattice, hnf_solve
+from .lattice import Lattice, hnf_solve
 
 # Candidate facet pairs that one hull may test.  The largest hull of the test
 # suite needs 8333 (the 128 GKZ vectors of the 9-point segment), those of the
@@ -25,7 +25,7 @@ from .lattice import AffineLattice, Lattice, hnf_solve
 HULL_PAIR_CAP = 200_000
 # Points of the search box that lattice_points_in may test.  The largest box
 # the benchmark workloads and the scripts reach has 45 points; the test suite
-# reaches 8640 on purpose, in its lattice-point routes corpus.
+# reaches 7722 on purpose, in its lattice-point routes corpora.
 # The cap bounds the box's size, not the work of finding the points inside:
 # every box point is tested, so a box under it can still hold few hits.
 LATTICE_BOX_CAP = 10_000
@@ -288,40 +288,44 @@ def face_poset(P: Polytope) -> FacePoset:
     return FacePoset(P, tuple(faces), top)
 
 
-def lattice_points_in(P: Polytope, L: AffineLattice, face: Face | None = None):
-    """All points of the affine lattice inside P, as sorted (point, mask)
-    pairs: bit j of mask is set when the point lies on ``P.facets[j]``, so
-    the point is in the relative interior of the face where those facets
-    meet.
+def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None = None):
+    """The points of P whose chart coordinates lie on x_v + L, as sorted
+    (ambient point, mask) pairs: L is a lattice of chart coordinates (Z^dim
+    by default) and x_v the chart coordinates of the face's first point.
+    Bit j of mask is set when the point lies on ``P.facets[j]``, so the
+    point is in the relative interior of the face where those facets meet.
 
     Given a face of P, the points inside that face instead, with no hull of
     the face built: a point of P's affine hull lies in the face iff it
     satisfies every facet of P through the face with equality and the other
     facets weakly, and in its relative interior iff it satisfies the others
     strictly, that is iff its mask holds the face's facets alone.  The
-    search box comes from the vertices of P on the face.  L's span must
-    contain the face's hull.  A search box of more than LATTICE_BOX_CAP
-    points raises BudgetError before any point is tested.
+    search box is read off the coordinates in L's basis of the vertices of P
+    on the face, so L's span must contain the face's hull.  A search box of
+    more than LATTICE_BOX_CAP points raises BudgetError before any point is
+    tested.
 
-    A point anchor + sum m_k g_k of L has chart coordinates affine in m, so
-    each facet's slack is one integer affine form in m, over one common
-    denominator: L's anchor and generators are solved in P's chart once, on
-    the pivot rows of the chart basis, where the system is square and
-    triangular.  The residual off those rows is affine in m too, and must
-    vanish for the point to lie on P's affine hull.  Box points are tested
-    by the forms alone; only a hit is built as an ambient point.
+    A point x_v + sum m_k g_k has integer chart coordinates, so each facet
+    (h, c) gives one integer slack form c - h . x_v - sum m_k h . g_k in m.
+    Box points are tested by the forms alone; a hit is built as the face's
+    first point plus sum m_k B g_k, B the chart basis.
     """
-    on = frozenset(face.indices if face is not None else range(len(P.points)))
+    indices = face.indices if face is not None else range(len(P.points))
+    on, first = frozenset(indices), indices[0]
+    x0 = P.point_coords[first]
+    if L is None:
+        eye = range(P.dim)
+        L = Lattice.from_generators([[int(i == j) for j in eye] for i in eye], P.dim)
     through = [on <= s for s in P.facet_sets]
     # the vertices' coordinates in L, each as (numerators, denominator)
     boxes = [
-        hnf_solve(L.delta.basis, L.delta.pivots, vsub(P.points[i], L.anchor))
+        hnf_solve(L.basis, L.pivots, vsub(P.point_coords[i], x0))
         for i in P.vertex_indices
         if i in on
     ]
     if None in boxes:
         raise ValueError("lattice span does not contain the polytope's hull")
-    gens = L.delta.generators()
+    gens = L.generators()
     lo = [min(-(-x[j] // d) for x, d in boxes) for j in range(L.rank)]
     hi = [max(x[j] // d for x, d in boxes) for j in range(L.rank)]
     size = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
@@ -329,25 +333,14 @@ def lattice_points_in(P: Polytope, L: AffineLattice, face: Face | None = None):
         raise BudgetError(
             f"lattice-point search limited to {LATTICE_BOX_CAP} box points, got {size}"
         )
-    # p - chart anchor = w0 + sum m_k g_k; x0 and xs are D times the chart
-    # coordinates of w0 and of the g_k
-    vecs = [vsub(L.anchor, P.chart_anchor), *gens]
-    rows, piv = P.chart.basis, P.chart.pivots
-    square = [rows[p] for p in piv]
-    solved = [hnf_solve(square, range(P.dim), [v[p] for p in piv]) for v in vecs]
-    D = lcm(*(den for _, den in solved))
-    x0, *xs = ([a * (D // den) for a in num] for num, den in solved)
-    # (constant, coefficients, tight, bit): D times a facet's slack, tight on
-    # the facets through the face, and D times a row of the residual, which
-    # has no bit
+    # (constant, coefficients, tight, bit): a facet's slack, tight on the
+    # facets through the face
     forms = [
-        (c * D - dot(h, x0), [-dot(h, x) for x in xs], t, 1 << j)
+        (c - dot(h, x0), [-dot(h, g) for g in gens], t, 1 << j)
         for j, ((h, c), t) in enumerate(zip(P.facets, through))
     ]
-    for i, row in enumerate(rows):
-        a, *k = (D * v[i] - dot(row, x) for v, x in zip(vecs, (x0, *xs)))
-        if a or any(k):
-            forms.append((a, k, True, 0))
+    base = P.points[first]
+    steps = [[dot(row, g) for row in P.chart.basis] for g in gens]
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         mask = 0
@@ -358,7 +351,7 @@ def lattice_points_in(P: Polytope, L: AffineLattice, face: Face | None = None):
             if not s:
                 mask |= bit
         else:
-            p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
+            p = tuple(a + sum(k * g[i] for k, g in zip(m, steps)) for i, a in enumerate(base))
             out.append((p, mask))
     return tuple(sorted(out))
 

@@ -13,8 +13,8 @@ from math import gcd, lcm
 
 from gkzkit.configuration import PointConfiguration, saturate
 from gkzkit.intlinalg import _hnf, rational_rank, vsub
-from gkzkit.lattice import hnf_solve
-from gkzkit.polytope import lattice_points_in
+from gkzkit.lattice import Lattice, hnf_solve
+from gkzkit.polytope import convex_hull, lattice_points_in
 
 # The three planar sets of the benchmark catalog, and the "mother of all
 # examples": a triangle with a homothetic inner triangle, whose two twisted
@@ -114,6 +114,35 @@ def face_corpus():
         + [OBSTRUCTED, saturate(OBSTRUCTED, "s").result]
         + solid_configs(9, 25)
     )
+
+
+def skewed_configs(seed, count):
+    """Flat configurations of the columns (1, M y): chart points y in
+    {-1, 0, 1}^k, k = 1..4, spanning their space affinely, embedded by a
+    seeded integer matrix M of rank k with 2-4 rows and entries in -2..2, so
+    the ambient dimension is 3-5 and the ambient HNF basis of a face's
+    differences is skewed against the HNF basis of its chart differences."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, 4)
+        n = rng.randint(max(2, k), 4)
+        M = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        if rational_rank(M) < k:
+            continue
+        ys = {tuple(rng.randint(-1, 1) for _ in range(k)) for _ in range(rng.randint(k + 1, k + 5))}
+        if convex_hull(sorted(ys)).dim < k:
+            continue
+        cols = [(1, *(sum(a * b for a, b in zip(row, y)) for row in M)) for y in sorted(ys)]
+        out.append(PointConfiguration.from_columns(cols))
+    return out
+
+
+def ambient_span(points):
+    """(anchor, difference lattice): the affine lattice of the points in
+    ambient coordinates, anchored at the first one."""
+    anchor = tuple(points[0])
+    return anchor, Lattice.from_generators([vsub(p, anchor) for p in points[1:]], len(anchor))
 
 
 def collinear(n):
@@ -362,7 +391,7 @@ def rational_coordinates(L, v):
     return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
 
 
-def interior_points_in(P, L, face=None):
+def interior_points_in(P, L=None, face=None):
     """The points of ``lattice_points_in`` in the relative interior of the face
     (of P by default), read off their masks: those on the facets through the
     face alone."""

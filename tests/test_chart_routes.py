@@ -123,14 +123,22 @@ def _rational_coordinates_ref(L, v):
     return x
 
 
-def _lattice_points_in_ref(P, L, face=None, interior=False):
+def _lattice_points_in_ref(P, L=None, face=None, interior=False):
     """``lattice_points_in``, with the points of a face read off a fresh hull
     of the face (the vertex itself for 0-faces), and each point's bits of
     the facets of P it lies on read off its Gauss-Jordan chart coordinates.
-    With ``interior``, the points off every facet of that hull alone."""
+    With ``interior``, the points off every facet of that hull alone.  L, in
+    P's chart (Z^dim by default), must lie in the face's span, as the
+    configuration's scans' lattices do: it is carried into the fresh hull's
+    chart through the ambient space, each generator g as B g, B P's chart
+    basis."""
     Q = P if face is None else convex_hull([P.points[i] for i in face.indices])
+    eye = range(P.dim)
+    gens = L.generators() if L is not None else [[int(i == j) for j in eye] for i in eye]
+    ambient = [[dot(row, g) for row in P.chart.basis] for g in gens]
+    carried = [_chart_coords_ref(Q, [a + b for a, b in zip(Q.chart_anchor, w)]) for w in ambient]
     out = []
-    for p, mask in lattice_points_in(Q, L):
+    for p, mask in lattice_points_in(Q, Lattice.from_generators(carried, Q.dim)):
         if interior and mask:
             continue
         x = _chart_coords_ref(P, p)
@@ -217,7 +225,7 @@ def test_face_interiors_from_one_scan_match_the_per_face_scans():
                 assert A.face_interior(face) == ref_face_interior(A, face), (A.points, face)
         faces += len(A.poset.faces)
         hits += sum(len(A.face_interior(f)) > (f.dim == 0) for f in A.poset.faces)
-        full = tuple(p for p, _ in lattice_points_in(A.newton, A.affine_lattice))
+        full = tuple(p for p, _ in lattice_points_in(A.newton))
         assert A.face_lattice_points(A.poset.top) == full
         # points of N off the lattice of the face they are interior to
         coarse += len(set(full).difference(*(A.face_interior(f) for f in A.poset.faces)))

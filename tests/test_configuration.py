@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from _corpus import random_small_config
+from _corpus import face_corpus, random_small_config
 from test_incidence_routes import ref_contains_strict
 from gkzkit import configuration
 from gkzkit.configuration import (
+    ChainStep,
     InhomogeneousError,
     PointConfiguration,
+    ReductionChain,
     check_aux_point,
     check_homogeneous,
     dim2_interior_witness,
@@ -28,6 +30,7 @@ from gkzkit.configuration import (
     subdiagram_volume,
     subdiagram_volume_oracle,
 )
+from gkzkit.lattice import Lattice
 
 # two-dimensional configuration: triangle of side 3 with one marked point on
 # each of two edges
@@ -136,15 +139,17 @@ def test_delete_rejects_columns_out_of_range():
 
 def test_face_lattices_of_triangle():
     bottom = face_by_points(TRI, [(1, 0, 0), (1, 3, 0), (1, 1, 0)])
+    # lattices of chart differences; the chart basis is (0, 1, 0), (0, 0, 1)
+    assert TRI.newton.chart.generators() == ((0, 1, 0), (0, 0, 1))
     L = face_lattice(TRI, bottom)
-    assert L.delta.generators() == ((0, 1, 0),)
+    assert L.generators() == ((1, 0),)
     diag = face_by_points(TRI, [(1, 3, 0), (1, 0, 3)])
     L3 = face_lattice(TRI, diag)
-    assert L3.delta.generators() in (((0, -3, 3),), ((0, 3, -3),))
+    assert L3.generators() in (((-3, 3),), ((3, -3),))
     top = TRI.poset.top
     Lt = face_lattice(TRI, top)
-    assert Lt.rank == 2
-    assert (1, 1, 1) in Lt
+    assert Lt == Lattice.from_generators([(1, 0), (0, 1)])
+    assert (1, 1) in Lt
     assert TRI.group_lattice.rank == 3  # Z_A = Z^3
 
 
@@ -381,6 +386,28 @@ def test_reduction_chain_triangle_partial():
     assert chain.complete
     assert sorted(s.added_point for s in chain.steps) == [(1, 0, 1), (1, 2, 0)]
     assert replay_chain(chain)
+
+
+def _tampered(step, start):
+    """The step's three tamperings, by name; the enlarged configuration
+    appends the added point as column start.size."""
+    added, face, witness = step.added_point, step.face_indices, step.witness
+    return {
+        # h = 2 on it, so it is no column
+        "witness off the columns": ChainStep(added, face, tuple(2 * a for a in added)),
+        # the face's points without the added one, which the face's hull holds
+        "indices of no face": ChainStep(added, tuple(j for j in face if j != start.size), witness),
+        # the witness is a column of the configuration before the step
+        "added point a column": ChainStep(witness, face, witness),
+    }
+
+
+@pytest.mark.parametrize("mutant", ["witness off the columns", "indices of no face", "added point a column"])
+def test_replay_refuses_a_tampered_step(mutant):
+    chain = next(c for c in (reduction_chain(A, "p") for A in face_corpus()) if c.complete and c.steps)
+    assert replay_chain(chain)
+    bad = _tampered(chain.steps[0], chain.start)[mutant]
+    assert replay_chain(ReductionChain(chain.start, chain.end, (bad, *chain.steps[1:]), ())) is False
 
 
 def test_reduction_chain_idempotent_on_saturated():

@@ -53,7 +53,7 @@ def test_a_point_of_n_on_the_lattice_keeps_the_hull():
     kinds = {"interior": 0, "facet": 0, "lower": 0}
     for A in _configs():
         N = A.newton
-        full = [p for p, _ in lattice_points_in(N, A.affine_lattice)]
+        full = [p for p, _ in lattice_points_in(N)]
         # the least point of N is a vertex, so no added point moves the anchor
         assert min(full) == min(A.points) == N.chart_anchor
         for p in full:

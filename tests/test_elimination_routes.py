@@ -13,7 +13,9 @@ library replaced and the oldest one left for its layer:
   squarefree test as a Fraction Euclid on a line specialization, the
   factorization check dividing the coordinate-free part by the discriminant
   until it stops, and the redundancy test comparing the spans of a face
-  with and without the point.
+  with and without the point.  The spans stay in ambient coordinates,
+  through the test's ``ambient_span``, where the library compares lattices
+  of chart differences.
 
 (The chart's ambient functional is compared with Gauss-Jordan in
 ``tests/test_chart_routes.py``.)
@@ -26,12 +28,14 @@ import pytest
 
 from _corpus import (
     OBSTRUCTED,
+    ambient_span,
     curve_supports,
     hull_corpus,
     outcome,
     random_curve_config,
     random_planar_config,
     random_poly,
+    skewed_configs,
 )
 from gkzkit import polytope
 from gkzkit.configuration import (
@@ -49,7 +53,6 @@ from gkzkit.curves import (
     verify_factorization,
 )
 from gkzkit.intlinalg import _reduce, dot, integer_kernel_basis, rational_rank, vsub
-from gkzkit.lattice import lattice_span
 from gkzkit.polynomials import (
     normalize_sign,
     pdivmod_exact,
@@ -211,9 +214,9 @@ def ref_is_lattice_redundant(A: PointConfiguration, i: int) -> RedundancyReport:
     for face in A.poset.faces:
         if i not in face.indices:
             continue
-        with_pt = lattice_span([A.points[j] for j in face.indices], "affine")
-        without = lattice_span([A.points[j] for j in face.indices if j != i], "affine")
-        same = with_pt == without
+        # both spans anchored at the same point of the face other than i
+        others = [A.points[j] for j in face.indices if j != i]
+        same = ambient_span([*others, A.points[i]]) == ambient_span(others)
         per_face.append((face.indices, same))
         ok = ok and same
     reason = "all face lattices agree" if ok else "some face lattice drops"
@@ -331,10 +334,14 @@ def test_redundancy_reports_match():
     configs = [random_planar_config(rng, max_pts=8) for _ in range(25)]
     configs += [random_curve_config(rng) for _ in range(15)]
     configs += [OBSTRUCTED, PointConfiguration.from_columns([(1, 0), (1, 1), (1, 3)])]
-    verdicts = set()
-    for A in configs:
+    # flat configurations whose chart is skewed against the ambient basis
+    skewed = skewed_configs(41, 60)
+    verdicts, skewed_verdicts = set(), set()
+    for A in configs + skewed:
         for i in range(A.size):
             got = is_lattice_redundant(A, i)
             assert got == ref_is_lattice_redundant(A, i), (A.points, i)
             verdicts.update(same for _, same in got.per_face)
-    assert verdicts == {True, False}
+            if A in skewed:
+                skewed_verdicts.update(same for _, same in got.per_face)
+    assert verdicts == skewed_verdicts == {True, False}

@@ -11,7 +11,8 @@ earlier ``Polytope._slacks``, ``Polytope.contains`` and
 ``Polytope.contains_strict``, one ``hnf_solve`` in P's chart and one dot
 product per facet; ``ref_minimal_face_containing`` is the earlier
 ``polytope.minimal_face_containing`` and ``ref_dim2_interior_witness`` the
-earlier ``configuration.dim2_interior_witness``.  The library no longer calls
+earlier ``configuration.dim2_interior_witness``, whose edge lattices stay
+ambient spans (the test's ``ambient_span``).  The library no longer calls
 any of them; ``test_polytope.py``, ``test_configuration.py`` and
 ``test_lattice_point_routes.py`` test membership through them.
 ``ref_is_pyramid`` is the earlier ``configuration._is_pyramid``, one
@@ -37,6 +38,7 @@ import pytest
 
 from _corpus import (
     OBSTRUCTED,
+    ambient_span,
     collinear,
     coplanar,
     criterion_8_configs,
@@ -107,7 +109,7 @@ def ref_dim2_interior_witness(A: PointConfiguration):
     if saturate(A, "p").added_points:
         raise ValueError("construction assumes a partially face-saturated configuration")
     # points of the interior lie on no facet
-    interior = [p for p, mask in lattice_points_in(A.newton, A.affine_lattice) if not mask]
+    interior = [p for p, mask in lattice_points_in(A.newton) if not mask]
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
         edges = [e for e in A.poset.of_dim(1) if vi in e.indices]
@@ -116,7 +118,7 @@ def ref_dim2_interior_witness(A: PointConfiguration):
         steps = []
         lengths = []
         for e in edges:
-            L = face_lattice(A, e)
+            _, L = ambient_span(A.face_points(e))
             # the far vertex along the edge
             far = next(
                 A.points[j]
@@ -124,7 +126,7 @@ def ref_dim2_interior_witness(A: PointConfiguration):
                 if j != vi and j in A.newton.vertex_indices
             )
             diff = vsub(far, v)
-            gen = L.delta.generators()[0]
+            gen = L.generators()[0]
             ell = next(abs(d // g) for d, g in zip(diff, gen) if g != 0)
             lengths.append(ell)
             steps.append(tuple(d // ell for d in diff))
@@ -511,15 +513,15 @@ def test_aux_certificates_build_no_configuration(monkeypatch):
 def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatch):
     # on every pair that reaches the face loop: the membership route builds
     # no group, and the multiplicity route reads m(A - k, Γ) off A's quotient
-    # of the face, so no lattice_span runs beyond is_lattice_redundant's
+    # of the face, so no chart span runs beyond is_lattice_redundant's
     calls = [0]
-    span = configuration.lattice_span
+    span = configuration._chart_span
 
     def counted(*args):
         calls[0] += 1
         return span(*args)
 
-    monkeypatch.setattr(configuration, "lattice_span", counted)
+    monkeypatch.setattr(configuration, "_chart_span", counted)
     looped = 0
     for A in face_corpus():
         for k in range(A.size):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from sympy import Matrix, zeros
 from sympy.matrices.normalforms import hermite_normal_form
 
-from gkzkit.configuration import PointConfiguration
+from gkzkit.configuration import PointConfiguration, face_lattice
 from gkzkit.intlinalg import det_fraction, dot, integer_kernel_basis, vsub
-from gkzkit.lattice import Lattice, lattice_span
-from gkzkit.polytope import convex_hull
+from gkzkit.lattice import Lattice
+from gkzkit.polytope import convex_hull, lattice_points_in
 from _corpus import from_columns, hnf_with_transform
 from test_hnf_routes import ref_intersect_subspace
 from test_subdiagram_routes import ref_lattice_index
@@ -118,20 +118,24 @@ def test_generators_of_the_wrong_length_are_rejected():
 
 
 def test_affine_span_collinear_points():
-    L = lattice_span([(1, 0, 0), (1, 3, 0), (1, 1, 0)], "affine")
-    assert L.rank == 1
-    assert L.delta.generators() == ((0, 1, 0),)
+    # the affine span of a face is its lattice of chart differences; the
+    # chart basis carries it into ambient coordinates
+    A = PointConfiguration.from_columns([(1, 0, 0), (1, 3, 0), (1, 1, 0)])
+    L = face_lattice(A, A.poset.top)
+    assert L.rank == 1 and L.generators() == ((1,),)
+    assert A.newton.chart.generators() == ((0, 1, 0),)
 
 
 def test_affine_span_single_point():
-    L = lattice_span([(2, 5)], "affine")
-    assert L.rank == 0
-    assert (2, 5) in L
-    assert (2, 6) not in L
+    A = PointConfiguration.from_columns([(2, 5)])
+    L = face_lattice(A, A.poset.top)
+    assert L.rank == 0 and L.ambient_dim == 0
+    assert () in L
+    assert lattice_points_in(A.newton, L) == (((2, 5), 0),)
 
 
 def test_linear_span_single_vector():
-    L = lattice_span([(1, 3)], "linear")
+    L = Lattice.from_generators([(1, 3)])
     assert L.generators() == ((1, 3),)
     assert (2, 6) in L and (1, 2) not in L
 
@@ -139,12 +143,8 @@ def test_linear_span_single_vector():
 def test_non_integral_generators_are_rejected():
     with pytest.raises(ValueError, match=r"^non-integral entry Fraction\(1, 2\)$"):
         Lattice.from_generators([(Fraction(1, 2), 3)])
-    for mode in ("affine", "linear"):
-        with pytest.raises(ValueError, match=r"^non-integral entry 2\.9$"):
-            lattice_span([(1, 2.9), (1, 0)], mode)
     # integral values of any number type are accepted
     assert Lattice.from_generators([(Fraction(2), 3.0)]).generators() == ((2, 3),)
-    assert lattice_span([(1, 2.0), (1, 0)], "affine") == lattice_span([(1, 2), (1, 0)], "affine")
 
 
 def test_int_matrix_rejects_non_integral_entries():
@@ -212,11 +212,3 @@ def test_index_multiplicativity():
     K = Lattice.from_generators([(2, 2), (0, 6)])
     assert ref_lattice_index(L, M) * ref_lattice_index(M, K) == ref_lattice_index(L, K)
 
-
-def test_affine_lattice_equality_and_hash():
-    a = lattice_span([(1, 0), (1, 2)], "affine")
-    b = lattice_span([(1, 4), (1, 2)], "affine")
-    assert a == b
-    assert hash(a) == hash(b)
-    c = lattice_span([(0, 1), (0, 3)], "affine")
-    assert a != c

@@ -14,6 +14,13 @@ library lifts;
 image lattice on every call.  The three are references since commit
 30258b6, which replaced them, and stay as the routes the library replaced
 and the oldest ones left: the per-point scan tests every box point.
+
+``ref_lattice_points_in`` keeps the ambient frame: its lattice is an
+(anchor, difference lattice) pair of ambient points, built here by
+``ambient_span``, and its box is measured in the ambient HNF basis, while
+the library scans a lattice of chart coordinates in the HNF basis of the
+face's chart differences.  The two boxes can differ on a skewed embedding;
+the points they hold cannot.
 """
 
 import itertools
@@ -25,7 +32,7 @@ import pytest
 
 from _corpus import (
     OBSTRUCTED,
-    chart_point_sets,
+    ambient_span,
     collinear,
     coplanar,
     criterion_8_configs,
@@ -34,6 +41,7 @@ from _corpus import (
     random_beta,
     random_heights,
     rational_coordinates,
+    skewed_configs,
 )
 from test_chart_routes import ref_ambient_functional
 from test_incidence_routes import ref_slacks
@@ -41,7 +49,7 @@ from test_kernel_routes import ref_integer_orthogonal_complement as integer_orth
 from gkzkit.configuration import face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant
 from gkzkit.intlinalg import clear_denominators, dot, vsub
-from gkzkit.lattice import AffineLattice, Lattice
+from gkzkit.lattice import Lattice
 from gkzkit.polytope import (
     LATTICE_BOX_CAP,
     BudgetError,
@@ -58,33 +66,42 @@ from gkzkit.secondary import (
 # -- the per-point scan, the reference of lattice_points_in ----------------------
 
 
+def ref_box(delta, anchor, points):
+    """(lo, hi): the least integer box of coordinates in delta's basis that
+    holds every point's coordinates, relative to the anchor."""
+    boxes = [rational_coordinates(delta, vsub(p, anchor)) for p in points]
+    if None in boxes:
+        raise ValueError("lattice span does not contain the polytope's hull")
+    lo = [ceil(min(b[j] for b in boxes)) for j in range(delta.rank)]
+    hi = [floor(max(b[j] for b in boxes)) for j in range(delta.rank)]
+    return lo, hi
+
+
+def _size(box):
+    return prod(max(b - a + 1, 0) for a, b in zip(*box))
+
+
 def ref_lattice_points_in(P, L, strict=False, face=None, tight_weakly=False):
-    """All points of the affine lattice inside P (relative interior if strict),
-    or inside the given face of P, each with the bits of the facets it lies on.
+    """All points of the affine lattice L = (ambient anchor, difference
+    lattice) inside P (relative interior if strict), or inside the given
+    face of P, each with the bits of the facets it lies on.
 
     ``tight_weakly`` is the mutation of the face test: the facets through the
     face are tested weakly (>= 0) instead of with equality.
     """
+    anchor, delta = L
     on = frozenset(face.indices if face is not None else range(len(P.points)))
     through = [on <= s for s in P.facet_sets]
-    boxes = [
-        rational_coordinates(L.delta, vsub(P.points[i], L.anchor))
-        for i in P.vertex_indices
-        if i in on
-    ]
-    if None in boxes:
-        raise ValueError("lattice span does not contain the polytope's hull")
-    gens = L.delta.generators()
-    lo = [ceil(min(b[j] for b in boxes)) for j in range(L.rank)]
-    hi = [floor(max(b[j] for b in boxes)) for j in range(L.rank)]
-    size = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
+    lo, hi = ref_box(delta, anchor, [P.points[i] for i in P.vertex_indices if i in on])
+    size = _size((lo, hi))
     if size > LATTICE_BOX_CAP:
         raise BudgetError(
             f"lattice-point search limited to {LATTICE_BOX_CAP} box points, got {size}"
         )
+    gens = delta.generators()
     out = []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(L.anchor))
+        p = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(anchor))
         slacks = ref_slacks(P, p)
         if slacks is not None and all(
             (a >= 0 if tight_weakly else a == 0) if t else a > 0 if strict else a >= 0
@@ -107,47 +124,74 @@ def _face_configs():
     return [*face_corpus(), *(collinear(n) for n in (1, 5, 16)), *(coplanar(n) for n in (2, 4, 6))]
 
 
+def _lattices(A, face):
+    """The face's own lattice and Z_A's, whose box around a proper face also
+    holds points of P off the face: each as the library's lattice of chart
+    coordinates and the reference's ambient span, both anchored at the
+    face's first point."""
+    first = A.points[face.indices[0]]
+    return (
+        (face_lattice(A, face), ambient_span(A.face_points(face))),
+        (None, ambient_span([first, *A.points])),
+    )
+
+
 def test_face_points_match_the_per_point_scan():
     faces = hits = mutant_misses = 0
     for A in [*_face_configs(), saturate(OBSTRUCTED, "s").result, *criterion_8_configs(30)]:
         P = A.newton
         for face in A.poset.faces:
-            # the face's own lattice, and Z_A's, whose box around a proper
-            # face also holds points of P off the face
-            for L in (face_lattice(A, face), A.affine_lattice):
+            for L, ref_L in _lattices(A, face):
                 for strict in (True, False):
                     got = (interior_points_in if strict else lattice_points_in)(P, L, face)
-                    assert got == ref_lattice_points_in(P, L, strict, face), (A.points, face)
+                    assert got == ref_lattice_points_in(P, ref_L, strict, face), (A.points, face)
                     hits += len(got)
                     # the mutation: facets through the face tested weakly
-                    mutant_misses += got != ref_lattice_points_in(P, L, strict, face, True)
+                    mutant_misses += got != ref_lattice_points_in(P, ref_L, strict, face, True)
             faces += 1
         for strict in (True, False):
-            L = A.affine_lattice
-            got = (interior_points_in if strict else lattice_points_in)(P, L)
-            assert got == ref_lattice_points_in(P, L, strict)
+            got = (interior_points_in if strict else lattice_points_in)(P)
+            assert got == ref_lattice_points_in(P, ambient_span(A.points), strict)
     assert faces > 1900 and hits > 5000, (faces, hits)
     # the comparison above tells the mutation from the live route
     assert mutant_misses > 500, mutant_misses
 
 
-def test_points_off_a_flat_hull_match_the_per_point_scan():
-    # the lattice Z^n through the first point: on flat point sets its span
-    # leaves P's affine hull, and on rational ones its anchor is rational
-    flat = nonempty = budget = 0
-    for _, pts in chart_point_sets(7, 120):
-        P = convex_hull(pts)
-        n = len(pts[0])
-        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        L = AffineLattice(pts[0], Lattice.from_generators(unit))
-        for strict in (True, False):
-            error, got = _outcome(interior_points_in if strict else lattice_points_in, P, L)
-            assert (error, got) == _outcome(ref_lattice_points_in, P, L, strict), pts
-            budget += error is BudgetError
-            if P.dim < n and error is None:
-                flat += 1
-                nonempty += len(got) > 1
-    assert flat > 100 and nonempty > 30 and budget > 0, (flat, nonempty, budget)
+def test_skewed_embeddings_match_the_per_point_scan():
+    # each face's own lattice: the HNF basis of its chart differences against
+    # the ambient HNF basis of its points' differences, whose boxes differ on
+    # some faces; the masks, and so the interiors, are frame-free
+    faces = hits = differ = 0
+    for A in skewed_configs(37, 100):
+        P, x = A.newton, A.chart_points
+        for face in A.poset.faces:
+            L, (anchor, delta) = face_lattice(A, face), ambient_span(A.face_points(face))
+            got = lattice_points_in(P, L, face)
+            assert got == ref_lattice_points_in(P, (anchor, delta), face=face), (A.points, face)
+            hits += len(got)
+            verts = [i for i in P.vertex_indices if i in face.indices]
+            chart = ref_box(L, x[face.indices[0]], [x[i] for i in verts])
+            differ += _size(chart) != _size(ref_box(delta, anchor, [A.points[i] for i in verts]))
+            faces += 1
+    assert faces > 1500 and hits > 3000 and differ > 10, (faces, hits, differ)
+
+
+def test_face_lattices_carry_to_the_ambient_spans():
+    # B L is the ambient difference lattice of the face's points, B the
+    # chart basis, and the top face's lattice is the whole chart lattice
+    faces = 0
+    for A in [*_face_configs(), *skewed_configs(37, 100)]:
+        B = A.newton.chart.basis
+        d = A.newton.dim
+        assert face_lattice(A, A.poset.top) == Lattice.from_generators(
+            [[int(i == j) for j in range(d)] for i in range(d)], d
+        )
+        for face in A.poset.faces:
+            carried = [[dot(row, g) for row in B] for g in face_lattice(A, face).generators()]
+            _, delta = ambient_span(A.face_points(face))
+            assert Lattice.from_generators(carried, A.ambient_dim) == delta, (A.points, face)
+            faces += 1
+    assert faces > 3500, faces
 
 
 def test_a_lattice_short_of_the_face_is_refused():

@@ -42,13 +42,13 @@ LOADED = {
 }
 
 PUBLIC = [
-    "AffineLattice", "Lattice", "MonomialCurveConfig", "PointConfiguration",
+    "Lattice", "MonomialCurveConfig", "PointConfiguration",
     "Triangulation", "TruncatedSeries", "annihilation_check", "beukers_generators",
     "check_aux_point", "configuration", "convex_hull", "curves",
     "dim2_interior_witness", "discriminant_curve", "enumerate_regular_triangulations",
     "extend_solution", "face_lattice", "face_poset", "gamma_series", "gkz_vector",
     "hyper", "index_i", "intlinalg", "is_lattice_redundant", "is_nonresonant",
-    "lattice", "lattice_span", "lp", "multiplicity",
+    "lattice", "lp", "multiplicity",
     "multiplicity_table", "polynomials", "polytope", "principal_determinant_curve",
     "reduction_chain", "regular_triangulation", "saturate", "secondary",
     "secondary_polytope", "subdiagram_volume", "subdiagram_volume_oracle",

@@ -9,9 +9,8 @@ import pytest
 from _corpus import face_corpus, hull_corpus, interior_points_in, random_heights, rational_coordinates
 from test_incidence_routes import ref_contains, ref_minimal_face_containing
 from gkzkit import polytope
-from gkzkit.configuration import PointConfiguration, multiplicity_table
+from gkzkit.configuration import PointConfiguration, face_lattice, multiplicity_table
 from gkzkit.intlinalg import vsub
-from gkzkit.lattice import lattice_span
 from gkzkit.polytope import (
     cell_volume,
     convex_hull,
@@ -99,10 +98,11 @@ def test_minimal_face_vertex_edge_interior():
 
 
 def test_relative_interior_points_bottom_edge():
-    P = convex_hull(TRI_POINTS)
-    poset = face_poset(P)
-    edge = poset.face_with_indices((0, 1, 3))
-    L = lattice_span([(1, 0, 0), (1, 3, 0), (1, 1, 0)], "affine")
+    A = PointConfiguration.from_columns(TRI_POINTS)
+    P = A.newton
+    edge = A.poset.face_with_indices((0, 1, 3))
+    L = face_lattice(A, edge)
+    assert L.generators() == ((1, 0),)
     pts = interior_points_in(P, L, face=edge)
     # each point is tight on the edge's facet alone
     bit = 1 << P.facet_sets.index(frozenset(edge.indices))
@@ -110,18 +110,19 @@ def test_relative_interior_points_bottom_edge():
 
 
 def test_relative_interior_points_step3_edge_is_empty():
-    P = convex_hull(TRI_POINTS)
-    poset = face_poset(P)
-    edge = poset.face_with_indices((1, 2))
-    L = lattice_span([(1, 3, 0), (1, 0, 3)], "affine")
-    assert interior_points_in(P, L, face=edge) == ()
+    A = PointConfiguration.from_columns(TRI_POINTS)
+    edge = A.poset.face_with_indices((1, 2))
+    L = face_lattice(A, edge)
+    assert L.generators() in (((3, -3),), ((-3, 3),))
+    assert interior_points_in(A.newton, L, face=edge) == ()
+    # the chart's own lattice holds the edge's two interior points
+    assert len(interior_points_in(A.newton, face=edge)) == 2
 
 
 def test_relative_interior_points_two_face():
     P = convex_hull(TRI_POINTS)
     poset = face_poset(P)
-    L = lattice_span(TRI_POINTS, "affine")
-    pts = interior_points_in(P, L, face=poset.top)
+    pts = interior_points_in(P, face=poset.top)
     assert pts == (((1, 1, 1), 0),)
 
 
@@ -129,16 +130,14 @@ def test_vertex_relative_interior_is_itself():
     P = convex_hull(TRI_POINTS)
     poset = face_poset(P)
     v = poset.face_with_indices((0,))
-    L = lattice_span(TRI_POINTS, "affine")
     bits = sum(1 << j for j, s in enumerate(P.facet_sets) if 0 in s)
     assert bits.bit_count() == 2
-    assert interior_points_in(P, L, face=v) == (((1, 0, 0), bits),)
+    assert interior_points_in(P, face=v) == (((1, 0, 0), bits),)
 
 
 def test_lattice_points_in_triangle():
     P = convex_hull(TRI_POINTS)
-    L = lattice_span(TRI_POINTS, "affine")
-    assert len(lattice_points_in(P, L)) == 10
+    assert len(lattice_points_in(P)) == 10
 
 
 def _volume(points):

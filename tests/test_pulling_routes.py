@@ -167,4 +167,3 @@ def test_chart_points_match_the_volume_chart():
         shift = vsub(A.chart_points[0], coords[0])
         assert all(vsub(x, y) == shift for x, y in zip(A.chart_points, coords)), A.points
         assert A.volume == int(ref_normalized_volume(coords)), A.points
-        assert A.affine_lattice.delta == lattice

@@ -1,4 +1,4 @@
-"""``intlinalg.record`` against the frozen dataclass that each of the 27
+"""``intlinalg.record`` against the frozen dataclass that each of the 26
 value classes was before it: the same signature, equality, hash and repr on
 corpus instances, the same ``__post_init__`` errors, frozen fields, and
 working ``cached_property``.
@@ -19,7 +19,7 @@ from functools import cached_property
 import pytest
 
 import gkzkit
-from gkzkit import continuation, hyper, intlinalg, lattice, ode, polytope, secondary
+from gkzkit import continuation, hyper, intlinalg, ode, polytope, secondary
 from gkzkit.configuration import (
     PointConfiguration,
     check_aux_point,
@@ -109,7 +109,6 @@ def corpus():
         check_aux_point(enlarged, enlarged.index_of((1, 0, 1)), enlarged.index_of((1, 0, 2))),
         reduction_chain(tri, "p"),
         dim2_interior_witness(saturate(tri, "p").result),
-        tri.affine_lattice,
         tri.group_lattice,
         is_nonresonant(curve013, beta),
         extended,
@@ -163,7 +162,7 @@ def hashed(x):
 
 
 def test_every_value_class_is_a_record_and_none_uses_dataclasses():
-    assert len(RECORDS) == 27
+    assert len(RECORDS) == 26
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
     assert all(cls.__setattr__ is intlinalg._record_setattr for cls in RECORDS)
 
@@ -207,10 +206,6 @@ def test_hidden_fields_stay_out_of_eq_hash_and_repr():
 
 
 def test_a_class_keeps_its_own_eq_hash_and_bool():
-    L = CORPUS[lattice.AffineLattice][0]
-    moved = lattice.AffineLattice(tuple(a + b for a, b in zip(L.anchor, L.delta.generators()[0])), L.delta)
-    assert moved == L and hash(moved) == hash(L)
-    assert lattice.AffineLattice.__eq__ is REFERENCE[lattice.AffineLattice].__eq__
     for cls in RECORDS:
         if "__bool__" in vars(cls):
             assert {bool(x) for x in CORPUS[cls]} == {bool(as_reference(x)) for x in CORPUS[cls]}

@@ -84,7 +84,7 @@ from gkzkit.configuration import (
     subdiagram_volume_oracle,
 )
 from gkzkit.intlinalg import _hnf, det_fraction, dot, primitive, rational_rank, vsub
-from gkzkit.lattice import Lattice, lattice_span
+from gkzkit.lattice import Lattice
 from gkzkit.polytope import convex_hull, face_poset, pulling_cells
 
 
@@ -773,7 +773,7 @@ def test_quotient_images_match_the_smith_route(monkeypatch):
 def ref_face_group(A: PointConfiguration, face):
     """Group generated by the configuration points on the face; the earlier
     ``configuration.face_group``, which the library no longer calls."""
-    return lattice_span(A.face_points(face), "linear")
+    return Lattice.from_generators(A.face_points(face))
 
 
 def ref_lattice_index(sup, sub):
