@@ -24,11 +24,11 @@ from math import prod
 from numbers import Number
 
 from .intlinalg import (
+    _abs_det,
     _hnf,
     _hnf_kernel,
     _ints,
     clear_denominators,
-    det_fraction,
     dot,
     integer_kernel_basis,
     record,
@@ -163,7 +163,7 @@ class PointConfiguration:
     @cached_property
     def volume(self) -> int:
         """Normalized volume of the Newton polytope with respect to Z_A."""
-        return int(sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset)))
+        return sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset))
 
     def delete(self, i: int) -> "PointConfiguration":
         """The configuration without column i.
@@ -506,7 +506,7 @@ def _seen_pyramids(G):
         if poset is None:
             poset = face_poset(P)
         cells += pulling_cells(poset, poset.face_with_indices(s))
-    return sum(abs(int(det_fraction([G[i] for i in cell]))) for cell in cells)
+    return sum(_abs_det([G[i] for i in cell]) for cell in cells)
 
 
 def _ccw_first(a, b):
@@ -754,9 +754,8 @@ class SaturationResult:
     result: PointConfiguration
 
 
-def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
-    """Face saturation (mode "s"), partial face saturation (mode "p"), or the
-    full lattice-point saturation of the Newton polytope (mode "full")."""
+def _saturation_points(A: PointConfiguration, mode: str) -> tuple:
+    """The points saturation mode ``mode`` adds to A, sorted."""
     if mode == "full":
         pts = set(A.face_lattice_points(A.poset.top))
     elif mode in ("s", "p"):
@@ -767,7 +766,13 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
             pts.update(A.face_interior(face))
     else:
         raise ValueError(f"unknown saturation mode {mode!r}")
-    added = tuple(sorted(pts - set(A.points)))
+    return tuple(sorted(pts - set(A.points)))
+
+
+def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
+    """Face saturation (mode "s"), partial face saturation (mode "p"), or the
+    full lattice-point saturation of the Newton polytope (mode "full")."""
+    added = _saturation_points(A, mode)
     labels = list(A.labels)
     for _ in added:  # the labels a chain of with_point calls would choose
         labels.append(_free_label(labels))
@@ -913,7 +918,7 @@ def reduction_chain(A: PointConfiguration, mode: str) -> ReductionChain:
     target cannot be reached."""
     if mode not in ("s", "p"):
         raise ValueError("reduction chains target mode 's' or 'p'")
-    target = set(saturate(A, mode).result.points)
+    target = {*A.points, *_saturation_points(A, mode)}
     current = A
     steps = []
     while True:

@@ -28,7 +28,9 @@ from math import factorial, gcd
 
 from .configuration import PointConfiguration
 from .intlinalg import (
+    _integral,
     _ints,
+    _rationals,
     dot,
     integer_kernel_basis,
     record,
@@ -72,18 +74,24 @@ class ResonanceReport:
 def is_nonresonant(A: PointConfiguration, beta) -> ResonanceReport:
     """Is no integer translate of beta in the span of a codimension-one face?
 
-    For each such face take integer constraint rows C cutting out its span;
-    beta - gamma lies in the span for an integer gamma iff C beta lies in the
-    lattice generated by the columns of C.  Both are built once per
+    For each such face take integer constraint rows M cutting out its span;
+    beta - gamma lies in the span for an integer gamma iff M beta lies in the
+    lattice Λ generated by the columns of M.  Both are built once per
     configuration, in ``A.facet_constraints``.  (For a full-dimensional Newton
-    polytope C is one primitive row h, the lattice h(Z^(1+n)) is all of Z, and
-    the test degenerates to h(beta) being an integer.)
+    polytope M is one primitive row h, the lattice h(Z^(1+n)) is all of Z, and
+    the test degenerates to h(beta) being an integer.)  beta is scaled once by
+    the lcm D of its denominators to integers b, and M beta lies in Λ iff
+    M b lies in D Λ: iff M b has integer coordinates in Λ's basis, all
+    divisible by D.  An entry of beta that is not a finite rational number
+    raises ValueError naming it.
     """
-    beta = tuple(Fraction(b) for b in beta)
+    beta = _rationals(beta)
     if len(beta) != A.ambient_dim:
         raise ValueError("parameter length must match the ambient dimension")
+    b, D = _integral(beta)
     for face, M, image in A.facet_constraints:
-        if _mul(M, beta) in image:
+        x = image.coordinates(_mul(M, b))
+        if x is not None and all(a % D == 0 for a in x):
             return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)
 

@@ -68,6 +68,21 @@ def _is_integer(a):
         return False
 
 
+def _rationals(v):
+    """The entries of v as a list of Fractions; ValueError names the first
+    entry that is not a finite rational number, None, inf, NaN and booleans
+    too.  Whatever ``Fraction`` reads, a numeric string too, passes."""
+    out = []
+    for a in v:
+        try:
+            if isinstance(a, bool):
+                raise TypeError
+            out.append(Fraction(a))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"non-rational entry {a!r}") from None
+    return out
+
+
 def _integral(v):
     """(w, D): the rationals v times the lcm D of their denominators."""
     D = lcm(*(a.denominator for a in v))
@@ -287,6 +302,13 @@ def solve_rational(A_rows, b):
     for row, col in zip(aug, pivots):
         x[col] = Fraction(row[n], d)
     return tuple(x)
+
+
+def _abs_det(rows) -> int:
+    """|det| of a square integer matrix, the last pivot of ``_reduce``."""
+    work = [list(row) for row in rows]
+    pivots, d, _ = _reduce(work, len(work))
+    return abs(d) if len(pivots) == len(work) else 0
 
 
 def det_fraction(rows) -> Fraction:

@@ -9,38 +9,52 @@ anchored at a point of its face by the caller (see
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .intlinalg import _hnf, _ints, record
+
+
+def _substitute(rows, pivots, w):
+    """Integer coordinates of the integer vector w in the columns of a
+    column-HNF matrix, as a list, or None when w is not an integer
+    combination of them.
+
+    Column j is zero above its pivot row ``pivots[j]`` and every later column
+    is zero on that row, so forward substitution on the pivot rows solves the
+    system: w is no member at the first pivot that does not divide, or else
+    iff the residual is nonzero on some row.
+    """
+    x = []
+    for j, p in enumerate(pivots):
+        q, r = divmod(w[p] - sum(map(mul, rows[p], x)), rows[p][j])
+        if r:
+            return None
+        x.append(q)
+    if any(t != sum(map(mul, row, x)) for row, t in zip(rows, w, strict=True)):
+        return None
+    return x
+
 
 def hnf_solve(rows, pivots, v):
     """Coordinates of v in the columns of a column-HNF matrix, as a pair
     (numerators, denominator > 0), or None when v is outside their span.
 
-    Column j is zero above its pivot row ``pivots[j]`` and every later column
-    is zero on that row, so forward substitution on the pivot rows solves the
-    system; v is in the span iff the residual then vanishes on every row.
-    Scaling by the lcm of v's denominators and the pivots keeps it integral.
+    Scaled by the lcm of v's denominators and the pivots, v has integer
+    coordinates when it is in the span, which :func:`_substitute` finds.
     For integer v the denominator is the product of the pivots.
     """
     den = lcm(*(a.denominator for a in v))
     for j, p in enumerate(pivots):
         den *= rows[p][j]
-    w = [a.numerator * (den // a.denominator) for a in v]
-    num = []
-    for j, p in enumerate(pivots):
-        row = rows[p]
-        t = w[p]
-        for k in range(j):
-            t -= row[k] * num[k]
-        num.append(t // row[j])
-    for row, t in zip(rows, w, strict=True):
-        for a, n in zip(row, num):
-            t -= a * n
-        if t:
-            return None
-    return num, den
+    x = _substitute(rows, pivots, [a.numerator * (den // a.denominator) for a in v])
+    return None if x is None else (x, den)
+
+
+# the entry types Lattice.coordinates reads exactly
+_EXACT = frozenset((int, bool, Fraction))
 
 
 @record
@@ -75,11 +89,20 @@ class Lattice:
         return tuple(next(i for i, row in enumerate(rows) if row[j]) for j in range(self.rank))
 
     def coordinates(self, v):
-        """Integer coordinates of v in this basis, or None if v is not a member."""
-        solved = hnf_solve(self.basis, self.pivots, v)
-        if solved is None or any(n % solved[1] for n in solved[0]):
-            return None
-        return tuple(n // solved[1] for n in solved[0])
+        """Integer coordinates of v in this basis, or None if v is not a
+        member, by :func:`_substitute`.  ValueError names both lengths when
+        v's is not ambient_dim, and the first entry that is neither an int
+        nor a Fraction.
+        """
+        if len(v) != self.ambient_dim:
+            raise ValueError(
+                f"vector of length {len(v)} in a lattice of ambient dimension {self.ambient_dim}"
+            )
+        if not _EXACT.issuperset(map(type, v)):
+            a = next(a for a in v if type(a) not in _EXACT)
+            raise ValueError(f"entry {a!r} is neither an int nor a Fraction")
+        x = _substitute(self.basis, self.pivots, v)
+        return None if x is None else tuple(x)
 
     def __contains__(self, v) -> bool:
         return self.coordinates(v) is not None

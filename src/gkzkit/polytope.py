@@ -11,11 +11,10 @@ and lattice-point queries take lattices of chart coordinates.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .intlinalg import _ints, _reduce, det_fraction, dot, record, vec_gcd, vsub
+from .intlinalg import _abs_det, _ints, _reduce, dot, record, vec_gcd, vsub
 from .lattice import Lattice, hnf_solve
 
 # Candidate facet pairs that one hull may test.  The largest hull of the test
@@ -63,15 +62,18 @@ class Polytope:
 
 
 def _start(icoords, dim):
-    """(start, rays) for full-dimensional integer points: dim + 1 affinely
-    independent ones, the first of each new direction, and the facet of their
-    simplex opposite each.  One fraction-free elimination of (1, ..., 1) and
-    the coordinate rows, with the identity beside them, gives T B = d I on
-    the pivot columns B: row k of sign(d) T is (c, w) with c + w . x = 0 on
-    the other start points, and (-w, c) / gcd(w) is the facet opposite k."""
+    """(start, rays) for integer points in Z^dim: affinely independent ones,
+    the first of each new direction, and the facet of their simplex opposite
+    each, or rays None when the points are not full-dimensional.  One
+    fraction-free elimination of (1, ..., 1) and the coordinate rows, with
+    the identity beside them, gives T B = d I on the pivot columns B: row k
+    of sign(d) T is (c, w) with c + w . x = 0 on the other start points, and
+    (-w, c) / gcd(w) is the facet opposite k."""
     n, eye = len(icoords), range(dim + 1)
     rows = [[*r, *(int(i == k) for k in eye)] for i, r in enumerate([[1] * n, *zip(*icoords)])]
     start, d, _ = _reduce(rows, n)
+    if len(start) <= dim:
+        return start, None
     rays = []
     for i, row in zip(start, rows):
         c, *w = row[n:] if d > 0 else [-a for a in row[n:]]
@@ -81,9 +83,9 @@ def _start(icoords, dim):
 
 
 def _facet_rays(icoords, dim):
-    """The facets of conv(icoords), full-dimensional integer points, as
-    (primitive integer h, c, bit mask of the points with h . x = c), h . x <= c
-    on every point.
+    """The facets of conv(icoords), integer points in Z^dim, as (primitive
+    integer h, c, bit mask of the points with h . x = c), h . x <= c on every
+    point; None when the points are not full-dimensional.
 
     Double description (Fukuda & Prodon, *Double description method
     revisited*, 1996): the inequalities (h, c) valid on the points inserted so
@@ -103,6 +105,8 @@ def _facet_rays(icoords, dim):
     More than HULL_PAIR_CAP candidate pairs raise BudgetError.
     """
     start, rays = _start(icoords, dim)
+    if rays is None:
+        return None
     rest = sorted(set(range(len(icoords))) - set(start))
     pairs = 0
     for step, i in enumerate(rest):
@@ -387,8 +391,9 @@ def pulling_cells(poset: FacePoset, face: Face | None = None):
     return pull(poset.top if face is None else face)
 
 
-def cell_volume(coords, cell) -> Fraction:
-    """|det| of the edge vectors of the simplex on ``coords[i]``, i in cell:
-    its normalized volume when the coordinates are lattice coordinates."""
+def cell_volume(coords, cell) -> int:
+    """|det| of the edge vectors of the simplex on the integer points
+    ``coords[i]``, i in cell: its normalized volume when the coordinates are
+    lattice coordinates."""
     base = coords[cell[0]]
-    return abs(det_fraction([vsub(coords[j], base) for j in cell[1:]]))
+    return _abs_det([vsub(coords[j], base) for j in cell[1:]])

@@ -24,6 +24,7 @@ from operator import mul
 
 from .configuration import PointConfiguration
 from .intlinalg import (
+    _rationals,
     _reduce,
     clear_denominators,
     dot,
@@ -32,9 +33,8 @@ from .intlinalg import (
     record,
     vsub,
 )
-from .lattice import hnf_solve
 from .lp import lp_feasible_strict
-from .polytope import BudgetError, cell_volume, convex_hull, pulling_cells
+from .polytope import BudgetError, _facet_rays, cell_volume, pulling_cells
 
 # Largest configuration whose regular triangulations are enumerated.
 ENUMERATION_CAP = 12
@@ -76,7 +76,7 @@ def _sorted_cells(cells) -> tuple:
 def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
     """The triangulation with these cells."""
     cells = _sorted_cells(cells)
-    vols = tuple(int(cell_volume(A.chart_points, c)) for c in cells)
+    vols = tuple(cell_volume(A.chart_points, c) for c in cells)
     if 0 in vols:
         raise ValueError("degenerate cell")
     return Triangulation(cells, vols)
@@ -86,28 +86,27 @@ def regular_triangulation(A: PointConfiguration, heights) -> Triangulation:
     """Project the lower hull of the height-lifted configuration, lifted by
     the least positive integer multiple of the heights, which has the same
     lower hull.  Heights must be generic enough that every lower cell is a
-    simplex; otherwise a DegenerateHeightsError suggests perturbing them.
+    simplex; otherwise a DegenerateHeightsError names the least lower cell
+    that is not one and suggests perturbing the heights.  An entry that is
+    not a finite rational number raises ValueError naming it.
+
+    The lift of the integer chart points is hulled directly: a facet h . x <=
+    c is lower iff its outer normal points down, h's last entry negative.
+    When the lift is not full-dimensional the heights are affine, and the
+    lower hull is the whole polytope.
     """
-    coords = A.chart_points
-    heights = [Fraction(h) for h in heights]
+    heights = _rationals(heights)
     if len(heights) != A.size:
         raise ValueError("need one height per column")
-    d = len(coords[0])
-    lifted = [(*x, w) for x, w in zip(coords, clear_denominators(heights))]
-    hull = convex_hull(lifted)
-    if hull.dim <= d:
-        # affine heights: the lower hull is the whole polytope
+    d = A.newton.dim
+    lifted = [(*x, w) for x, w in zip(A.chart_points, clear_denominators(heights))]
+    rays = _facet_rays(lifted, d + 1)
+    if rays is None:
         cells = [tuple(range(A.size))]
     else:
-        # a facet is lower iff its outer normal points down: the ambient
-        # functional f with f . b_j = t h_j (t > 0) on the chart basis b has
-        # f . e_last = t (h . x), x = u / den the chart coordinates of e_last
-        u, _ = hnf_solve(hull.chart.basis, hull.chart.pivots, (0,) * d + (1,))
-        cells = [
-            tuple(sorted(on))
-            for (h, _), on in zip(hull.facets, hull.facet_sets)
-            if dot(h, u) < 0
-        ]
+        cells = sorted(
+            tuple(i for i in range(A.size) if z >> i & 1) for h, _, z in rays if h[-1] < 0
+        )
     for cell in cells:
         if len(cell) != d + 1:
             raise DegenerateHeightsError(

@@ -25,9 +25,11 @@ the references of ``test_subdiagram_routes.py`` and
 one scan of each face, a reference since commit f3fca80, which replaced it
 by one scan per maximal face.
 
-The library reads chart and lattice coordinates as ``hnf_solve``'s pair of
-integer numerators and positive denominator; ``rational_coordinates`` of
-``_corpus.py`` reads the pair as Fractions for the tests.
+The library reads chart coordinates as ``hnf_solve``'s pair of integer
+numerators and positive denominator; ``rational_coordinates`` of
+``_corpus.py`` reads the pair as Fractions for the tests.  Integer lattice
+coordinates, ``Lattice.coordinates``, skip the pair; under the saturations
+and reduction chains ``_coordinates_ref`` is swapped in for them.
 """
 
 import random
@@ -248,7 +250,8 @@ def test_saturations_and_chains_match_the_gauss_jordan_route(which, monkeypatch)
     configs, modes = (criterion_8_configs(30), ("p",)) if which == "corpus" else ([OBSTRUCTED], ("p", "s"))
     got = [_saturations_and_chains(A, modes) for A in configs]
     with monkeypatch.context() as m:
-        m.setattr(lattice, "hnf_solve", _solve_ref)
+        m.setattr(lattice.Lattice, "coordinates", _coordinates_ref)
+        m.setattr(configuration, "hnf_solve", _solve_ref)
         m.setattr(polytope, "hnf_solve", _solve_ref)
         m.setattr(configuration, "lattice_points_in", _lattice_points_in_ref)
         want = [_saturations_and_chains(A, modes) for A in configs]

@@ -6,8 +6,10 @@ which replaced them, kept verbatim but for their matrices, which are tuples
 of rows here as in the library: ``column_hnf`` on tuples with the unimodular
 transform always built (``ref_column_hnf``), its ``_colop_sub`` helper,
 ``Lattice.from_generators`` through a matrix round trip that discarded the
-transform (``ref_from_generators``), and ``hnf_solve`` with generator sums
-(``ref_hnf_solve``).  They stay as the routes the in-place kernel replaced;
+transform (``ref_from_generators``), ``hnf_solve`` with generator sums
+(``ref_hnf_solve``), and ``Lattice.coordinates`` through ``hnf_solve``'s
+rational coordinates (``ref_coordinates``, the route until the integer
+forward substitution).  They stay as the routes the in-place kernel replaced;
 sympy's HNF in ``test_lattice_core.py`` is the independent one.  The routes
 under test run through the one in-place kernel ``intlinalg._hnf``; only
 ``_hnf_kernel``, behind ``integer_kernel_basis`` and the face HNF, carries
@@ -260,6 +262,52 @@ def test_hnf_solve_matches_the_generator_sums():
                 hits += got is not None
                 misses += got is None
     assert hits >= 2000 and misses >= 500
+
+
+def ref_coordinates(L, v):
+    """The earlier ``Lattice.coordinates``: ``hnf_solve``'s rational
+    coordinates, integral exactly for members, here from ``ref_hnf_solve``,
+    which shares no code with the library's substitution."""
+    solved = ref_hnf_solve(L.basis, L.pivots, v)
+    if solved is None or any(n % solved[1] for n in solved[0]):
+        return None
+    return tuple(n // solved[1] for n in solved[0])
+
+
+def test_coordinates_match_the_hnf_solve_route():
+    # members B k; B k + e_p on a pivot row p whose pivot exceeds 1, which
+    # fails the division at p's step; B k + e_i on a row i that is no pivot
+    # row, which passes every step and fails only the residual; random
+    # integer and rational vectors
+    kinds = dict.fromkeys(("member", "step", "residual", "random"), 0)
+    for rng, M in _corpus(9, 800):
+        L = Lattice.from_generators(zip(*M), len(M))
+        n = len(M)
+        for _ in range(3):
+            k = [rng.randint(-5, 5) for _ in range(L.rank)]
+            member = [sum(c * g[i] for c, g in zip(k, L.generators())) for i in range(n)]
+            queries = [("member", member)]
+            for kind, rows in (
+                ("step", [p for j, p in enumerate(L.pivots) if L.basis[p][j] > 1]),
+                ("residual", [i for i in range(n) if i not in L.pivots]),
+            ):
+                if rows:
+                    i = rng.choice(rows)
+                    queries.append((kind, [a + (r == i) for r, a in enumerate(member)]))
+            queries += [
+                ("random", [rng.randint(-9, 9) for _ in range(n)]),
+                ("random", [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]),
+            ]
+            for kind, v in queries:
+                got = L.coordinates(v)
+                assert got == ref_coordinates(L, v), (L.basis, v)
+                assert (v in L) == (got is not None)
+                if kind == "member":
+                    assert got == tuple(k)
+                elif kind != "random":
+                    assert got is None
+                kinds[kind] += 1
+    assert min(kinds.values()) >= 500, kinds
 
 
 # -- the integer kernel ------------------------------------------------------------

@@ -91,6 +91,26 @@ def test_resonance_oracle_agrees():
     assert oracle == main
 
 
+@pytest.mark.parametrize(
+    "entry", [float("inf"), float("nan"), None, True], ids=["inf", "nan", "none", "bool"]
+)
+def test_parameters_refuse_non_rational_entries_by_name(entry):
+    # inf raised OverflowError, None TypeError, NaN Fraction's message, and
+    # True was taken as 1
+    with pytest.raises(ValueError, match=rf"^non-rational entry {entry!r}$"):
+        is_nonresonant(C013, (0, entry))
+
+
+def test_parameters_of_every_rational_type_agree():
+    verdicts = set()
+    for beta in ((0, 1), (Fraction(1, 4), 1), (0, Fraction(1, 2)), (Fraction(-3, 2), Fraction(3, 4))):
+        want = is_nonresonant(C013, beta)
+        verdicts.add(bool(want))
+        for same in ([float(b) for b in beta], [str(b) for b in beta]):
+            assert is_nonresonant(C013, same) == want, same
+    assert verdicts == {True, False}
+
+
 def test_gamma_coefficient_binomial():
     # (y1 + y2)^beta expanded at v = (beta, 0): c_u = binom(beta, j)
     v = (Fraction(5, 2), Fraction(0))

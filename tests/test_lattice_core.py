@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,31 @@ def test_generators_of_the_wrong_length_are_rejected():
         Lattice.from_generators([(1, 2), (1,)])
     with pytest.raises(ValueError, match="length 2"):
         Lattice.from_generators([(1, 2, 3)], 2)
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 2, 3, 4)], ids=["short", "long"])
+def test_coordinates_of_the_wrong_length_are_refused(v):
+    # an IndexError and a bare zip() ValueError before
+    L = Lattice.from_generators([(0, 0, 2), (0, 1, 0)])
+    message = rf"^vector of length {len(v)} in a lattice of ambient dimension 3$"
+    with pytest.raises(ValueError, match=message):
+        L.coordinates(v)
+    with pytest.raises(ValueError, match=message):
+        v in L
+
+
+
+@pytest.mark.parametrize("a", [4.0, 2**80 + 0.0, None, "4"], ids=["float", "big-float", "none", "string"])
+def test_coordinates_of_inexact_entries_are_refused(a):
+    # a float entry gave float coordinates, inexact for large magnitudes
+    L = Lattice.from_generators([(0, 0, 2), (0, 1, 0)])
+    message = rf"^entry {re.escape(repr(a))} is neither an int nor a Fraction$"
+    with pytest.raises(ValueError, match=message):
+        L.coordinates((0, 1, a))
+    with pytest.raises(ValueError, match=message):
+        (0, 1, a) in L
+    assert L.coordinates((0, 1, Fraction(4))) == (1, 2)
+    assert L.coordinates((0, 1, Fraction(3, 2))) is None
 
 
 def test_affine_span_collinear_points():

@@ -1,19 +1,26 @@
 """Differential tests: lattice points by integer slack forms against the
-per-point scan, lower facets by the chart coordinates of the vertical unit
-vector against ambient functionals, and resonance from the configuration's
-facet constraints against a rebuild per call.
+per-point scan, lower facets of the lift hulled directly (the last entry of
+each facet normal) against ambient functionals on its chart hull, and
+resonance from the configuration's facet constraints, over one common
+denominator, against a rational rebuild per call.
 
 The references below are the earlier routes, kept verbatim up to access
 paths: ``ref_lattice_points_in`` builds every box point and tests it by
 ``ref_slacks`` (the earlier ``P._slacks``), one solve in P's chart per point,
 and reads each hit's mask of tight facets off the same slacks; ``ref_regular_triangulation``
-picks the lower facets by the last entry of each facet's ambient functional,
-on the lift by the heights times their least common denominator, as the
-library lifts;
+hulls the lift by the heights times their least common denominator, as the
+library lifts, through ``convex_hull`` and its chart, and picks the lower
+facets by the last entry of each facet's ambient functional; it sorts its
+cells, so that a DegenerateHeightsError names the least non-simplex cell, as
+the library's does;
 ``ref_is_nonresonant`` builds each codimension-one face's constraint rows and
-image lattice on every call.  The three are references since commit
-30258b6, which replaced them, and stay as the routes the library replaced
-and the oldest ones left: the per-point scan tests every box point.
+image lattice on every call, and tests rational membership, through
+``ref_coordinates`` of ``test_hnf_routes.py`` (the earlier
+``Lattice.coordinates`` on the earlier ``hnf_solve``) rather than the
+library's integer substitution.  The three are
+references since commit 30258b6, which replaced them, and stay as the routes
+the library replaced and the oldest ones left: the per-point scan tests every
+box point.
 
 ``ref_lattice_points_in`` keeps the ambient frame: its lattice is an
 (anchor, difference lattice) pair of ambient points, built here by
@@ -25,8 +32,9 @@ the points they hold cannot.
 
 import itertools
 import random
+import re
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, floor, lcm, prod
 
 import pytest
 
@@ -44,15 +52,17 @@ from _corpus import (
     skewed_configs,
 )
 from test_chart_routes import ref_ambient_functional
+from test_hnf_routes import ref_coordinates
 from test_incidence_routes import ref_slacks
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
-from gkzkit.configuration import face_lattice, saturate
-from gkzkit.hyper import ResonanceReport, is_nonresonant
+from gkzkit.configuration import PointConfiguration, face_lattice, saturate
+from gkzkit.hyper import ResonanceReport, is_nonresonant, resonance_box_oracle
 from gkzkit.intlinalg import clear_denominators, dot, vsub
 from gkzkit.lattice import Lattice
 from gkzkit.polytope import (
     LATTICE_BOX_CAP,
     BudgetError,
+    _facet_rays,
     convex_hull,
     lattice_points_in,
 )
@@ -217,11 +227,11 @@ def ref_regular_triangulation(A, heights):
     if hull.dim <= d:
         cells = [tuple(range(A.size))]
     else:
-        cells = [
+        cells = sorted(
             tuple(sorted(on))
             for (h, _), on in zip(hull.facets, hull.facet_sets)
             if ref_ambient_functional(hull, h)[-1] < 0  # lower facets only
-        ]
+        )
     for cell in cells:
         if len(cell) != d + 1:
             raise DegenerateHeightsError(
@@ -234,24 +244,66 @@ def ref_regular_triangulation(A, heights):
 
 
 def test_lower_facets_match_the_ambient_functionals():
+    # the facets of the lift, hulled directly, against those of its chart
+    # hull: the same point sets, each lower in both frames or in neither
     rng = random.Random(5)
     lower = upper = degenerate = 0
     for A in face_corpus()[:120]:
         d = A.newton.dim
         for heights in [random_heights(rng, A) for _ in range(3)] + [[0] * A.size]:
-            lift = clear_denominators(heights)
-            hull = convex_hull([(*x, w) for x, w in zip(A.chart_points, lift)])
-            if hull.dim > d:
-                u = rational_coordinates(hull.chart, (0,) * d + (1,))
-                for h, _ in hull.facets:
-                    down = dot(h, u) < 0
-                    assert down == (ref_ambient_functional(hull, h)[-1] < 0)
-                    lower += down
-                    upper += not down
+            lift = [(*x, w) for x, w in zip(A.chart_points, clear_denominators(heights))]
+            hull = convex_hull(lift)
+            rays = _facet_rays(lift, d + 1)
+            assert (rays is None) == (hull.dim <= d)
+            if rays is not None:
+                got = {frozenset(i for i in range(A.size) if z >> i & 1): h[-1] < 0 for h, _, z in rays}
+                assert got == {
+                    frozenset(on): ref_ambient_functional(hull, h)[-1] < 0
+                    for (h, _), on in zip(hull.facets, hull.facet_sets)
+                }
+                lower += sum(got.values())
+                upper += len(got) - sum(got.values())
             got = _outcome(regular_triangulation, A, heights)
             assert got == _outcome(ref_regular_triangulation, A, heights)
             degenerate += got[0] is DegenerateHeightsError
     assert lower > 500 and upper > 500 and degenerate > 0, (lower, upper, degenerate)
+
+
+def _affine_heights(rng, A):
+    """Nonzero heights c + h . x on the chart points x, over a denominator:
+    their lift is not full-dimensional."""
+    h = [rng.randint(-4, 4) for _ in range(A.newton.dim)]
+    c, den = rng.choice((-3, -1, 1, 2)), rng.choice((1, 3, 997))
+    return [Fraction(c + dot(h, x), den) for x in A.chart_points]
+
+
+def test_lifted_hulls_match_the_chart_hull_route():
+    # affine heights (a rank-deficient lift), flat configurations in ambient
+    # dimension 4 and heights as the saturations benchmark draws them
+    rng = random.Random(38)
+    flat = [A for A in skewed_configs(43, 200) if A.ambient_dim == 4 and A.newton.dim < 3]
+    counts = dict.fromkeys(("affine simplex", "affine degenerate", "flat", "generic"), 0)
+    for A in [*_face_configs(), *flat]:
+        heights = _affine_heights(rng, A)
+        got = _outcome(regular_triangulation, A, heights)
+        assert got == _outcome(ref_regular_triangulation, A, heights), (A.points, heights)
+        counts["affine simplex" if got[0] is None else "affine degenerate"] += 1
+        for _ in range(2):
+            heights = random_heights(rng, A)
+            got = _outcome(regular_triangulation, A, heights)
+            assert got == _outcome(ref_regular_triangulation, A, heights), (A.points, heights)
+            counts["generic"] += got[0] is None
+            counts["flat"] += A in flat
+    assert counts["affine simplex"] > 10 and counts["affine degenerate"] > 150, counts
+    assert counts["flat"] > 50 and counts["generic"] > 300, counts
+
+
+def test_degenerate_heights_name_the_least_lower_cell():
+    # x^2 on the 3 x 2 grid lifts two squares, (0, 1, 2, 3) and (2, 3, 4, 5)
+    A = PointConfiguration.from_columns([(1, x, y) for x in range(3) for y in range(2)])
+    heights = [(x - 1) ** 2 for x in range(3) for y in range(2)]
+    with pytest.raises(DegenerateHeightsError, match=re.escape("lower cell (0, 1, 2, 3) ")):
+        regular_triangulation(A, heights)
 
 
 # -- per-call facet constraints, the reference of is_nonresonant -----------------
@@ -265,7 +317,7 @@ def ref_is_nonresonant(A, beta):
     for face in A.poset.of_dim(d - 1):
         rows = integer_orthogonal_complement(A.face_points(face), A.ambient_dim)
         image = Lattice.from_generators(zip(*rows), len(rows))
-        if tuple(dot(row, beta) for row in rows) in image:
+        if ref_coordinates(image, tuple(dot(row, beta) for row in rows)) is not None:
             return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)
 
@@ -282,4 +334,28 @@ def test_nonresonance_matches_a_rebuild_per_call():
         beta = [Fraction(rng.randint(-3, 3)) for _ in range(A.ambient_dim)]
         assert is_nonresonant(A, beta) == ref_is_nonresonant(A, beta)
     assert min(verdicts.values()) > 100, verdicts
+
+
+def test_nonresonance_over_one_denominator_matches_the_rational_routes():
+    # Newton polytopes that are not full-dimensional, so M has several rows
+    # and its image lattice can be a proper sublattice, and parameters beta
+    # = b / D with M b in that lattice but not in D times it on some facet:
+    # against the rebuild per call and the box search
+    rng = random.Random(61)
+    flat = [A for A in skewed_configs(47, 120) if A.newton.dim + 1 < A.ambient_dim <= 4]
+    several = off_d = 0
+    for A in flat:
+        several += any(len(M) > 1 for _, M, _ in A.facet_constraints)
+        betas = [random_beta(rng, A, planted=i % 2 == 0) for i in range(8)]
+        for beta in betas:
+            assert is_nonresonant(A, beta) == ref_is_nonresonant(A, beta), (A.points, beta)
+            D = lcm(*(b.denominator for b in beta))
+            b = [a * D for a in beta]
+            for _, M, image in A.facet_constraints:
+                x = image.coordinates([dot(row, b) for row in M])
+                off_d += x is not None and any(a % D for a in x)
+        # the planted translates gamma lie in [-2, 2]^n, inside the search box
+        oracle = resonance_box_oracle(A, betas, radius=3)
+        assert [bool(is_nonresonant(A, beta)) for beta in betas] == oracle, A.points
+    assert len(flat) > 25 and several == len(flat) and off_d > 200, (len(flat), several, off_d)
 

@@ -52,6 +52,23 @@ def test_degenerate_heights_error():
         regular_triangulation(square, [0, 0, 0, 0])
 
 
+@pytest.mark.parametrize(
+    "entry", [float("inf"), float("nan"), None, True], ids=["inf", "nan", "none", "bool"]
+)
+def test_heights_refuse_non_rational_entries_by_name(entry):
+    # inf raised OverflowError, None TypeError, NaN Fraction's message, and
+    # True was taken as 1
+    with pytest.raises(ValueError, match=rf"^non-rational entry {entry!r}$"):
+        regular_triangulation(C013, [0, entry, 0])
+
+
+def test_heights_of_every_rational_type_lift_alike():
+    T = regular_triangulation(C013, [0, Fraction(-1, 2), 0])
+    for heights in ([0, -0.5, 0], [0, "-1/2", 0], [Fraction(0), Fraction(-1, 2), 0.0]):
+        assert regular_triangulation(C013, heights) == T
+    assert regular_triangulation(C013, [0, 1, 0]) == regular_triangulation(C013, [0.0, "1", 0])
+
+
 def test_heights_invariant_under_affine_shift():
     # adding an affine function of the points to the heights keeps the output
     A = curve([0, 1, 2, 3])

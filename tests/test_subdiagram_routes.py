@@ -584,7 +584,7 @@ def test_rank_2_scan_runs_through_no_oracle_or_hull_helper(monkeypatch):
     sets = _half_plane_sets(29, 200)
     for name in [
         "_hull2d", "_shoelace2", "_clip_halfplane", "_extreme_rays", "_cross",
-        "convex_hull", "face_poset", "pulling_cells", "hnf_solve", "det_fraction",
+        "convex_hull", "face_poset", "pulling_cells", "hnf_solve", "_abs_det",
     ]:
         monkeypatch.setattr(configuration, name, forbidden)
     for A, face in faces:
