@@ -7,10 +7,14 @@ lower hull is exactly the triangulation, checked by exact dot products with
 its folding rows and never assumed from the construction: the enumeration
 finds them on the pulling heights of its start, on a ray through the heights
 of a flip parent, or by an exact LP when every ray misses.  The supports of
-the same folding rows are the circuits the walk flips along.  The heights of
-each certificate also certify the secondary polytope without a hull: they
-single out their triangulation's GKZ vector as the unique minimiser of their
-functional, so it is a vertex.
+the same folding rows are the circuits the walk flips along.  Each row is a
+Cramer vector of the configuration's signed maximal minors, which one table
+per configuration holds (De Loera-Rambau-Santos, Triangulations, 2010,
+ch. 2 and 4), so the walk eliminates nothing per cell; inside the walk a
+cell is a bit mask of its columns.  The heights of each certificate also
+certify the secondary polytope without a hull: they single out their
+triangulation's GKZ vector as the unique minimiser of their functional, so
+it is a vertex.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from operator import mul
 from .configuration import PointConfiguration
 from .intlinalg import (
     _rationals,
-    _reduce,
     clear_denominators,
     dot,
     primitive,
@@ -127,30 +130,70 @@ def gkz_vector(A: PointConfiguration, T: Triangulation):
     return tuple(phi)
 
 
-def _cell_rows(A: PointConfiguration, cell):
-    """(lattice volume, folding rows) of one sorted cell: for each column p
-    outside it, ascending, the smallest positive integer multiple r of
-    sum_j lam_j e_j - e_p, where lam are the affine weights of p on the cell.
+def _mask(cols) -> int:
+    return sum(1 << j for j in cols)
+
+
+@lru_cache(maxsize=1 << ENUMERATION_CAP)
+def _columns(mask) -> tuple:
+    """The column indices of a mask, ascending."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
+def _minors(A: PointConfiguration):
+    """The signed maximal minors of the homogenised chart points: each mask of
+    d + 1 columns, d = A.newton.dim, maps to the determinant of their columns
+    (1, x_j) in ascending order.
+
+    Built by Laplace expansion along the rows: the minor of rows 0..k on
+    k + 1 columns is the alternating sum, over those columns j, of row k's
+    entry at j times the minor of rows 0..k-1 on the others.  Each level
+    holds the minors of one row count on every column set of that size, so
+    the levels hold at most 2^n entries in all.
+    """
+    level = {1 << j: 1 for j in range(A.size)}
+    for k, row in enumerate(zip(*A.chart_points), start=1):
+        below, level = level, {}
+        for cols in combinations(range(A.size), k + 1):
+            mask = 0
+            for j in cols:
+                mask |= 1 << j
+            minor, sign = 0, -1 if k & 1 else 1
+            for j in cols:
+                minor += sign * row[j] * below[mask ^ 1 << j]
+                sign = -sign
+            level[mask] = minor
+    return level
+
+
+def _cell_rows(minors, n, cell):
+    """(lattice volume, folding rows) of one cell, a mask of columns: for
+    each column p outside it, ascending, the smallest positive integer
+    multiple r of sum_j lam_j e_j - e_p, where lam are the affine weights of
+    p on the cell.
 
     r . w < 0 says that p lifts strictly above the plane through the lifted
-    cell.  One fraction-free elimination of the homogenised cell columns
-    against every outside column reduces them to D * [I | lam], and |D| is
-    the determinant of the homogenised cell, its lattice volume.
+    cell.  By Cramer's rule D lam_j, D the cell's minor, is the minor of the
+    cell with p in place of j: ``minors[cell ^ j | p]``, negated when an odd
+    number of the cell's columns lie between j and p, since p moves past
+    each of them to its ascending place.  |D| is the cell's lattice volume.
     """
-    coords = A.chart_points
-    outside = [p for p in range(A.size) if p not in cell]
-    system = [
-        [1] * A.size,
-        *([coords[j][i] for j in (*cell, *outside)] for i in range(len(coords[0]))),
-    ]
-    pivots, D, _ = _reduce(system, len(cell))
-    if len(pivots) != len(cell):
+    D = minors[cell]
+    if not D:
         raise ValueError("degenerate cell")
+    cols = _columns(cell)
     rows = []
-    for t, p in enumerate(outside, start=len(cell)):
-        row = [0] * A.size
-        for k, j in enumerate(cell):
-            row[j] = system[k][t]
+    below = 0  # columns of the cell before p
+    for p in range(n):
+        if cell >> p & 1:
+            below += 1
+            continue
+        row = [0] * n
+        for t, j in enumerate(cols):
+            between = below - t - 1 if j < p else t - below
+            minor = minors[cell ^ 1 << j | 1 << p]
+            row[j] = -minor if between & 1 else minor
         row[p] = -D
         rows.append(primitive([-a for a in row] if D < 0 else row))
     return abs(D), tuple(rows)
@@ -158,9 +201,11 @@ def _cell_rows(A: PointConfiguration, cell):
 
 def _folding_rows(A: PointConfiguration, T: Triangulation):
     """The folding rows of T: those of each cell (see ``_cell_rows``), cells
-    in order.  Heights w have lower hull exactly T iff every row is negative
-    on w.  The enumeration reads the same rows off its table of cells."""
-    return tuple(r for cell in T.cells for r in _cell_rows(A, cell)[1])
+    in order, read off ``_minors``.  Heights w have lower hull exactly T iff
+    every row is negative on w.  The enumeration reads the same rows off its
+    table of cells."""
+    minors = _minors(A)
+    return tuple(r for cell in T.cells for r in _cell_rows(minors, A.size, _mask(cell))[1])
 
 
 def is_regular(A: PointConfiguration, T: Triangulation, rows=None):
@@ -190,7 +235,7 @@ def _ray_heights(rows, w, lam):
     """
     lo = hi = None
     for r in rows:
-        a, b = dot(r, w), dot(r, lam)
+        a, b = sum(map(mul, r, w)), sum(map(mul, r, lam))
         if b > 0:
             # t < -a/b
             if hi is None or -a * hi[1] < hi[0] * b:
@@ -225,19 +270,24 @@ def _certify(A: PointConfiguration, T: Triangulation, rows, rays=()):
     the heights of a certified flip neighbour of T and lam the dependence of
     the circuit flipped.  The flip crosses the wall lam.w = 0 between the two
     secondary cones (Gelfand-Kapranov-Zelevinsky 1994, ch. 7), so the line
-    w + t lam often passes through T's cone: heights found there are checked
-    against every folding row of T by integer dot products.  When every line
-    misses the cone, the exact LP of ``is_regular`` decides, so a non-regular
-    T is always rejected by it.
+    w + t lam often passes through T's cone.  When every line misses the
+    cone, the exact LP of ``is_regular`` decides, so a non-regular T is
+    always rejected by it.  Heights from a ray or from the LP alike are
+    checked against every folding row of T by integer dot products.
     """
     for w, lam in rays:
         heights = _ray_heights(rows, w, lam)
         if heights is not None:
-            if not all(dot(r, heights) < 0 for r in rows):
-                raise AssertionError(f"ray heights {heights} fail the folding rows of {T.cells}")
-            return True, heights
-    ok, witness = is_regular(A, T, rows)
-    return ok, clear_denominators(witness) if ok else None
+            source = "ray"
+            break
+    else:
+        ok, witness = is_regular(A, T, rows)
+        if not ok:
+            return False, None
+        heights, source = clear_denominators(witness), "LP"
+    if not all(sum(map(mul, r, heights)) < 0 for r in rows):
+        raise AssertionError(f"{source} heights {heights} fail the folding rows of {T.cells}")
+    return True, heights
 
 
 def _pulling_heights(A: PointConfiguration):
@@ -257,40 +307,41 @@ def _pulling_heights(A: PointConfiguration):
     return tuple(heights)
 
 
-def _flips(cells, rows):
+def _flips(cells, circuits):
     """(cell set, lam) for each triangulation one bistellar flip away from the
-    triangulation ``cells``, lam the dependence of the circuit flipped.
+    triangulation ``cells``, a frozenset of column masks, lam the dependence
+    of the circuit flipped.
 
     Circuit Z = (Z+, Z-) is flippable when every rho = Z - {z}, z in Z+, has
     the same nonempty link {sigma - rho : rho <= sigma}; the flip swaps the
     cells rho + l for (Z - {z}) + l, z in Z-, over the link cells l
-    (De Loera-Rambau-Santos, Triangulations, 2010, sec. 4.4).
+    (De Loera-Rambau-Santos, Triangulations, 2010, sec. 4.4).  The star maps
+    each face rho of at least two columns, a submask of a cell, to its link.
 
-    The circuits tried are the supports of the triangulation's folding
-    ``rows``, each once, by (size, indices).  If the cells hold (Z - {z}) + l
-    for z in Z+, the row of that cell and z is the dependence of Z + l, whose
-    one circuit is Z, so every flippable circuit is a support and its row is
-    lam up to sign.  The sign does not matter: cells of a triangulation meet
-    in common faces, so it holds the cells of at most one side of Z.
+    ``circuits`` are (Z, Z+, lam) masks and rows, in the order they are
+    tried: in the enumeration, the supports of the triangulation's folding
+    rows, each once, by (size, indices).  If the cells hold (Z - {z}) + l for
+    z in Z+, the row of that cell and z is the dependence of Z + l, whose one
+    circuit is Z, so every flippable circuit is a support and its row is lam
+    up to sign.  The sign does not matter: cells of a triangulation meet in
+    common faces, so it holds the cells of at most one side of Z.
     """
-    circuits = {}
-    for row in rows:
-        circuits.setdefault(tuple(j for j, a in enumerate(row) if a), row)
     star = {}
     for s in cells:
-        for r in range(2, len(s) + 1):
-            for rho in combinations(s, r):
-                rho = frozenset(rho)
-                star.setdefault(rho, set()).add(s - rho)
-    for Z, lam in sorted(circuits.items(), key=lambda c: (len(c[0]), c[0])):
-        plus = frozenset(z for z in Z if lam[z] > 0)
-        Z = frozenset(Z)
-        for old, new in ((plus, Z - plus), (Z - plus, plus)):
-            link = star.get(Z - {next(iter(old))})
-            if not link or any(star.get(Z - {z}) != link for z in old):
+        rho = s
+        while rho:
+            if rho & rho - 1:
+                star.setdefault(rho, set()).add(s ^ rho)
+            rho = rho - 1 & s
+    for Z, plus, lam in circuits:
+        minus = Z ^ plus
+        for old, new in ((plus, minus), (minus, plus)):
+            faces = [Z ^ 1 << z for z in _columns(old)]
+            link = star.get(faces[0])
+            if not link or any(star.get(rho) != link for rho in faces[1:]):
                 continue
-            gone = {(Z - {z}) | l for z in old for l in link}
-            yield (cells - gone) | {(Z - {z}) | l for z in new for l in link}, lam
+            gone = {rho | l for rho in faces for l in link}
+            yield (cells - gone) | {Z ^ 1 << z | l for z in _columns(new) for l in link}, lam
 
 
 def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
@@ -309,7 +360,7 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
     DegenerateHeightsError.
     """
     _, T, rows = min(certified, key=lambda c: sum(map(mul, heights, c[0])))
-    if all(dot(r, heights) < 0 for r in rows):
+    if all(sum(map(mul, r, heights)) < 0 for r in rows):
         return T
     return regular_triangulation(A, heights)
 
@@ -332,11 +383,13 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     rejected by the LP.  Only certified triangulations are expanded, and
     each returned one keeps its certificate's heights.
 
-    Each distinct cell is eliminated once per search, for its volume and its
-    folding rows together (see ``_cell_rows``); a triangulation's rows are
-    its cells' rows in order, as ``_folding_rows`` gives them.  A flip's
-    cells are checked against the triangulations already queued before any
-    cell is eliminated.
+    Inside the search a cell is a bit mask of its columns, and a
+    triangulation is the frozenset of its cells' masks until it is queued.
+    Each distinct cell's volume, folding rows and their circuits are read
+    off the table of maximal minors once per search (see ``_minors`` and
+    ``_cell_rows``); a triangulation's rows are its cells' rows in order, as
+    ``_folding_rows`` gives them.  A flip's cells are checked against the
+    triangulations already queued before any cell is looked up.
 
     A random-height spot check asserts that lower-hull triangulations all
     appear in the enumerated set: each of 20 seeded height draws, integers
@@ -347,30 +400,52 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     """
     if A.size > ENUMERATION_CAP:
         raise BudgetError(f"enumeration capped at {ENUMERATION_CAP} points, got {A.size}")
-    table = {}  # sorted cell -> (lattice volume, folding rows)
+    minors = _minors(A)
+    # cell mask -> (columns, lattice volume, folding rows, their circuits:
+    # (size, columns) of each row's support -> (support, positive part, row))
+    table = {}
 
-    def triangulation(cells):
-        for c in cells:
-            if c not in table:
-                table[c] = _cell_rows(A, c)
-        return Triangulation(cells, tuple(table[c][0] for c in cells))
+    def entry(c):
+        if c not in table:
+            volume, rows = _cell_rows(minors, A.size, c)
+            circuits = {}
+            for r in rows:
+                Z = plus = 0
+                for j, a in enumerate(r):
+                    if a:
+                        Z |= 1 << j
+                        if a > 0:
+                            plus |= 1 << j
+                circuits[Z.bit_count(), _columns(Z)] = (Z, plus, r)
+            table[c] = (_columns(c), volume, rows, circuits)
+        return table[c]
 
-    start = triangulation(_sorted_cells(pulling_cells(A.poset)))
-    seen = {start.cells}
+    def queued(cells):
+        """(cells, triangulation, table entries in cell order)."""
+        entries = sorted(map(entry, cells))
+        T = Triangulation(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
+        return cells, T, entries
+
+    first = frozenset(map(_mask, pulling_cells(A.poset)))
+    seen = {first}
     # the rays of each queued triangulation, in arrival order
-    rays = {start.cells: [((0,) * A.size, _pulling_heights(A))]}
-    queue = deque([start])
+    rays = {first: [((0,) * A.size, _pulling_heights(A))]}
+    queue = deque([queued(first)])
+    start = queue[0][1]
     certified = []
     while queue:
-        T = queue.popleft()
-        rows = tuple(r for c in T.cells for r in table[c][1])
-        ok, heights = _certify(A, T, rows, rays.pop(T.cells))
+        key, T, entries = queue.popleft()
+        rows = tuple(r for e in entries for r in e[2])
+        ok, heights = _certify(A, T, rows, rays.pop(key))
         if not ok:
             continue
         T = Triangulation(T.cells, T.volumes, heights)
         certified.append((gkz_vector(A, T), T, rows))
-        for cells, lam in _flips(frozenset(map(frozenset, T.cells)), rows):
-            cells = _sorted_cells(cells)
+        # each support once, with the row of its first cell
+        circuits = {}
+        for e in reversed(entries):
+            circuits.update(e[3])
+        for cells, lam in _flips(key, [circuits[k] for k in sorted(circuits)]):
             if cells in rays:
                 rays[cells].append((heights, lam))
                 continue
@@ -378,8 +453,8 @@ def enumerate_regular_triangulations(A: PointConfiguration):
                 continue
             seen.add(cells)
             rays[cells] = [(heights, lam)]
-            U = triangulation(cells)
-            if U.total_volume != T.total_volume:
+            U = queued(cells)
+            if U[1].total_volume != T.total_volume:
                 raise AssertionError("a flip must keep the covered volume")
             queue.append(U)
     found = {T.cells for _, T, _ in certified}

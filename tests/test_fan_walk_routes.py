@@ -22,15 +22,27 @@ scanning every point subset; ``ref_dependence`` is the dependence the earlier
 (one elimination per cell of each triangulation, apart from the volumes) and
 ``_ray_heights`` (the interval kept in Fractions), references since commit
 c3224ec, kept verbatim but for their docstrings: the routes the walk's table
-of cells and its integer interval replaced.
+of cells and its integer interval replaced.  The cells' rows are now Cramer
+vectors of one table of signed maximal minors, ``_minors``, whose entries
+are checked against sympy's determinants.  The walk hands ``_flips`` its
+cells and circuits as bit masks of columns.
+
+``lp_oracle`` is the walk's completeness check: it walks every
+triangulation, regular or not, by the reference flips, and decides each by
+the ``is_regular`` LP on its reference folding rows, so it shares only the
+LP with the walk.
 """
 
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+
+import pytest
+import sympy
 
 from _corpus import FAMILY, LARGE, MOTHER, config, cover_family
 from test_kernel_routes import ref_rational_nullspace as rational_nullspace
@@ -45,6 +57,7 @@ from gkzkit.secondary import (
     _flips,
     _folding_rows,
     _lower_hull,
+    _minors,
     _ray_heights,
     enumerate_regular_triangulations,
     gkz_vector,
@@ -262,6 +275,37 @@ def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
     assert visited > 700, visited
 
 
+def test_minors_match_sympy_determinants():
+    # every maximal minor, zero ones included, of the homogenised chart
+    # columns, d = 0 (one point) to d = 3 (the cube)
+    seen_dims, seen_signs = set(), set()
+    for A in (config([()]), *FAMILY, *(A for A, _ in LARGE), config(MOTHER)):
+        d = A.newton.dim
+        minors = _minors.__wrapped__(A)
+        subsets = list(combinations(range(A.size), d + 1))
+        assert sorted(minors) == sorted(_masks(cols) for cols in subsets), A.points
+        for cols in subsets:
+            rows = ([A.chart_points[j][i] for j in cols] for i in range(d))
+            det = int(sympy.Matrix([[1] * (d + 1), *rows]).det())
+            assert minors[_masks(cols)] == det, (A.points, cols)
+            seen_signs.add((det > 0) - (det < 0))
+        seen_dims.add(d)
+    assert seen_dims == {0, 1, 2, 3} and seen_signs == {-1, 0, 1}
+
+
+def test_lp_heights_are_checked_against_every_folding_row(monkeypatch):
+    # heights constant on the columns vanish on every affine dependence, so
+    # they fail every folding row
+    A = config(MOTHER)
+    T = make_triangulation(A, pulling_cells(A.poset))
+    monkeypatch.setattr(secondary, "lp_feasible_strict", lambda *args: (True, [1] * A.size))
+    with pytest.raises(AssertionError, match=re.escape(f"fail the folding rows of {T.cells}")):
+        _certify(A, T, _folding_rows(A, T))
+    # the two non-regular triangulations of the walk go to the LP
+    with pytest.raises(AssertionError, match="LP heights"):
+        enumerate_regular_triangulations.__wrapped__(A)
+
+
 def test_ray_steps_inside_the_open_interval():
     w, lam = (1, 0), (0, 1)
     # 1 - 3t < 0 and -2 + 3t < 0: t in (1/3, 2/3) holds no integer, so the
@@ -330,6 +374,26 @@ def test_integer_ray_interval_matches_the_fraction_interval():
     assert min(seen.values()) > 100, seen
 
 
+def _masks(cols):
+    return sum(1 << j for j in cols)
+
+
+def _columns(mask):
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _row_circuits(rows):
+    """The circuits the walk tries on these folding rows: each support once,
+    with its first row, by (size, indices), as (Z, Z+, lam) masks."""
+    supports = {}
+    for r in rows:
+        supports.setdefault(tuple(j for j, a in enumerate(r) if a), r)
+    return [
+        (_masks(Z), _masks(j for j in Z if lam[j] > 0), lam)
+        for Z, lam in sorted(supports.items(), key=lambda c: (len(c[0]), c[0]))
+    ]
+
+
 def test_flips_read_off_the_folding_rows_match_the_circuit_scan():
     for A in (*FAMILY, *cover_family(), *(A for A, _ in LARGE), config(MOTHER)):
         coords = A.chart_points
@@ -338,7 +402,7 @@ def test_flips_read_off_the_folding_rows_match_the_circuit_scan():
         # fails here rather than in the walk's own checks
         for T in enumerate_lp_ref(A):
             cells = frozenset(map(frozenset, T.cells))
-            got = list(_flips(cells, _folding_rows(A, T)))
+            got = list(_flips(frozenset(map(_masks, T.cells)), _row_circuits(_folding_rows(A, T))))
             # the circuit each reference flip swaps along
             expect = {}
             for plus, minus in circuits:
@@ -347,8 +411,49 @@ def test_flips_read_off_the_folding_rows_match_the_circuit_scan():
                     expect[flip] = tuple(sorted(plus | minus))
             # the same flips in the same order, so the walk queues the same
             # neighbours as the scan of every point subset did
+            got = [(frozenset(map(_columns, flip)), lam) for flip, lam in got]
             assert [flip for flip, _ in got] == list(ref_flips(cells, circuits)), T.cells
             for flip, lam in got:
                 Z = expect[flip]
                 ref = ref_dependence(coords, Z)
                 assert lam in (ref, tuple(-a for a in ref)), (A.points, T.cells, Z)
+
+
+def lp_oracle(A):
+    """(every triangulation, the regular ones) by the reference flips from
+    the lifted hull of seeded heights, where the walk starts from the pulling
+    triangulation, each decided by the ``is_regular`` LP on its reference
+    folding rows: the oracle shares only the LP with the walk."""
+    circuits = ref_circuits(A.chart_points)
+    rng = random.Random(16)
+    start = regular_triangulation(A, [rng.getrandbits(30) for _ in range(A.size)]).cells
+    seen, regular = {start}, set()
+    queue = deque([start])
+    while queue:
+        cells = queue.popleft()
+        T = Triangulation(cells, ())
+        if is_regular(A, T, ref_folding_rows(A, T))[0]:
+            regular.add(cells)
+        for flip in ref_flips(frozenset(map(frozenset, cells)), circuits):
+            flip = tuple(sorted(tuple(sorted(c)) for c in flip))
+            if flip not in seen:
+                seen.add(flip)
+                queue.append(flip)
+    return seen, regular
+
+
+def test_the_walk_finds_every_regular_triangulation_of_the_flip_graph():
+    # counts: the mother of all examples has two non-regular triangulations
+    # (De Loera-Rambau-Santos, Triangulations, 2010); in the plane the flip
+    # graph of all triangulations is connected, so the oracle is complete
+    # there, and elsewhere a check
+    cases = (
+        (config(MOTHER), 18, 16),
+        (LARGE[0][0], 128, 128),  # the 9-point segment
+        (LARGE[2][0], 74, 74),  # the cube
+        (config([(x, y) for x in range(4) for y in range(2)]), 106, 106),
+    )
+    for A, every, count in cases:
+        tris, regular = lp_oracle(A)
+        assert (len(tris), len(regular)) == (every, count), A.points
+        assert regular == {T.cells for T in enumerate_regular_triangulations(A)}, A.points
