@@ -10,6 +10,10 @@ The module computes, exactly:
   ambient group cut to the face span,
 * subdiagram volumes of the quotient semigroups, by two independent routes,
 * multiplicities m = index * subdiagram volume,
+* face quotients read off the Newton hull where it has them: a vertex's is
+  the chart, a facet's its primitive chart normal, an edge's index a gcd;
+  only the images of a face of dimension 1 ... d - 2 and the index of a face
+  of dimension >= 2 take a face HNF,
 * face saturations and partial face saturations,
 * lattice redundancy of single points,
 * auxiliary-point certificates and greedy reduction chains, and
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from math import prod
+from math import gcd, prod
 from numbers import Number
 
 from .intlinalg import (
@@ -347,26 +351,67 @@ def _face_hnf(A: PointConfiguration, face: Face):
     :attr:`PointConfiguration.chart_points`), so (c, y) -> c a_v + B y is an
     isomorphism Z x Z^d -> Z_A taking a_j to (1, y_j), Z_A ∩ span Γ to
     Z x (Z^d ∩ span L_Γ) and Z_{A∩Γ} to Z x L_Γ, L_Γ spanned by the rows of Y.
+
+    The library runs it only where the Newton hull has no answer (see
+    :func:`_face_quotient`): for the images of a face of dimension 1 ... d - 2
+    and for the index of a face of dimension >= 2.  The sweep oracle's
+    :func:`_face_quotient_images` runs it on every proper face.
     """
     x = A.chart_points
     y = [vsub(p, x[face.indices[0]]) for p in x]
     return (*_hnf_kernel([y[j] for j in face.indices[1:]], A.newton.dim), y)
 
 
+def _face_quotient(A: PointConfiguration, face: Face):
+    """(i, images) of a proper face Γ: i = :func:`index_i` and the image of
+    each column in Z_A / (Z_A ∩ span Γ), a free group, in the coordinates
+    of :func:`_face_hnf`'s isomorphism, up to an automorphism of the
+    quotient.  The Newton hull has the answer on most faces:
+
+    * a vertex v: L_Γ = 0, so the quotient is Z^d itself, a_j is taken to
+      x_j - x_v, and i = 1;
+    * a facet, with primitive chart normal h and offset c: h maps Z^d onto
+      Z, and its kernel is Z^d ∩ span L_Γ, the hyperplane h . y = 0, so
+      a_j is taken to c - h . x_j = -h . y_j >= 0;
+    * an edge: L_Γ = g Z p for the primitive direction p, so i = g, the gcd
+      of the entries of its chart differences y_j.
+
+    Every other face reads its images off the tail of :func:`_face_hnf`, and
+    a face of dimension >= 2 its index off L by :func:`_row_index`.
+    """
+    x = A.chart_points
+    base = x[face.indices[0]]
+    if face.dim == 0:
+        return 1, [vsub(p, base) for p in x]
+    hnf = None
+    if face.dim == 1:
+        i = gcd(*(a for j in face.indices[1:] for a in vsub(x[j], base)))
+    else:
+        hnf = _face_hnf(A, face)
+        i = _row_index(hnf[0])
+    if face.dim == A.newton.dim - 1:
+        h, c = face.supporting
+        return i, [(c - dot(h, p),) for p in x]
+    _, tail, y = hnf or _face_hnf(A, face)
+    return i, _tail_images(tail, y)
+
+
 def index_i(A: PointConfiguration, face: Face) -> int:
     """[Z_A ∩ span Γ : Z_{A∩Γ}], the order of the torsion of Z_A / Z_{A∩Γ}.
 
-    By :func:`_face_hnf`, i = [Z^d ∩ span L_Γ : L_Γ].  With Y U = [L | 0],
-    the automorphism y -> U^T y of Z^d maps Z^d ∩ span L_Γ onto Z^s x 0, the
+    By :func:`_face_hnf`, i = [Z^d ∩ span L_Γ : L_Γ]: 1 on a vertex, and
+    on an edge the gcd of the entries of its chart differences (see
+    :func:`_face_quotient`).  On a larger face, with Y U = [L | 0], the
+    automorphism y -> U^T y of Z^d maps Z^d ∩ span L_Γ onto Z^s x 0, the
     kernel of its last d - s entries (see :func:`_face_quotient_images`), and
     row k of Y to row k of L.  So i is the index in Z^s of the lattice of
-    the m - 1 rows of L, the product of the pivots of their HNF; a vertex
-    has no rows, and i = 1.  The pivots of L itself are not the index: for
-    Y = [[2], [1]] the pivot is 2, but the rows span Z.
+    the m - 1 rows of L, the product of the pivots of their HNF.  The pivots
+    of L itself are not the index: for Y = [[2], [1]] the pivot is 2, but
+    the rows span Z.
     """
     if face.supporting is None:
         return 1
-    return _row_index(_face_hnf(A, face)[0])
+    return _face_quotient(A, face)[0]
 
 
 def _row_index(L):
@@ -405,15 +450,24 @@ def _face_quotient_images(A: PointConfiguration, face: Face):
     last d - s rows map Z^d onto Z^(d - s), with a saturated kernel of rank s
     that holds the rows of Y, of rank s: Z^d ∩ span L_Γ.  A column's image is
     (u . y_j) over those u, and the quotient has no torsion.
+
+    It is the quotient of the sweep oracle alone: the library reads the
+    images of vertices and facets off the Newton hull (see
+    :func:`_face_quotient`).
     """
-    return _quotient_images(*_face_hnf(A, face)[1:])
+    return _nonzero(_tail_images(*_face_hnf(A, face)[1:]))
 
 
-def _quotient_images(tail, coords):
-    """G of :func:`_face_quotient_images` over the columns with chart differences ``coords``."""
-    images = {tuple(dot(u, x) for u in tail) for x in coords}
-    images.discard((0,) * len(tail))
-    return sorted(images)
+def _tail_images(tail, coords):
+    """(u . y) over the vectors u of ``tail``, for each chart difference y in ``coords``."""
+    return [tuple(dot(u, y) for u in tail) for y in coords]
+
+
+def _nonzero(images):
+    """G: the sorted distinct nonzero images."""
+    G = set(images)
+    G.discard((0,) * len(images[0]))
+    return sorted(G)
 
 
 def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
@@ -451,6 +505,9 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     facet that is a simplex is one pyramid, and only the others need the
     face poset of conv(G) for their pulling triangulations.
 
+    G comes from :func:`_face_quotient`, off the Newton hull on vertices and
+    facets and off :func:`_face_hnf` on faces of dimension 1 ... d - 2.
+
     On a facet of A the quotient has rank 1 and G lies on one side of 0, so
     conv(G) is the segment [g_min, g_max], 0 sees only its near end, and v
     is the least lattice distance min |g| of an off-facet column from the
@@ -464,7 +521,7 @@ def subdiagram_volume(A: PointConfiguration, face: Face) -> int:
     """
     if face.supporting is None:
         return 1  # the trivial quotient semigroup by convention
-    return _seen_pyramids(_face_quotient_images(A, face))
+    return _seen_pyramids(_nonzero(_face_quotient(A, face)[1]))
 
 
 def _seen_pyramids(G):
@@ -687,12 +744,14 @@ class MultiplicityRecord:
 
 def multiplicity(A: PointConfiguration, face: Face) -> MultiplicityRecord:
     """index_i(A, face) and subdiagram_volume(A, face), both read off one
-    :func:`_face_hnf` of a proper face."""
+    :func:`_face_quotient` of a proper face.  Vertices and facets read it off
+    the Newton hull, so a planar set or a curve builds no face HNF; a face
+    runs one :func:`_face_hnf` for its images when its dimension is 1 ... d - 2
+    and for its index when it is >= 2."""
     if face.supporting is None:
         return MultiplicityRecord(face, 1, 1, 1)
-    L, tail, y = _face_hnf(A, face)
-    i = _row_index(L)
-    v = _seen_pyramids(_quotient_images(tail, y))
+    i, images = _face_quotient(A, face)
+    v = _seen_pyramids(_nonzero(images))
     return MultiplicityRecord(face, i, v, i * v)
 
 
@@ -809,7 +868,7 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     Membership reads the redundancy check made first: k lies in the group of
     a face's other points iff on it (off it, h(k) = 1 keeps k off its span).
     It also gives Z_{A-k} = Z_A, so A's chart describes Z_{A-k} too, and a
-    face Γ missing k keeps its points, so :func:`_face_hnf`, i and the
+    face Γ missing k keeps its points, so :func:`_face_quotient`, i and the
     quotient map are A's: m(A - k, Γ) only leaves k's image out of G.
     """
     if k == a or not (0 <= k < A.size and 0 <= a < A.size):
@@ -866,12 +925,11 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
 
 
 def _aux_multiplicities(A: PointConfiguration, face: Face, k: int):
-    """(m(A, Γ), m(A - k, Γ)) from one :func:`_face_hnf`; see :func:`check_aux_point`.
+    """(m(A, Γ), m(A - k, Γ)) from one :func:`_face_quotient`; see :func:`check_aux_point`.
     When k's image is zero or another column's, G(A - k) = G(A) and v is reused."""
-    L, tail, y = _face_hnf(A, face)
-    i = _row_index(L)
-    G = _quotient_images(tail, y)
-    G_without = _quotient_images(tail, y[:k] + y[k + 1:])
+    i, images = _face_quotient(A, face)
+    G = _nonzero(images)
+    G_without = _nonzero(images[:k] + images[k + 1:])
     v_with = _seen_pyramids(G)
     v_without = v_with if G_without == G else _seen_pyramids(G_without)
     return i * v_with, i * v_without

@@ -29,6 +29,7 @@ from operator import mul
 from .configuration import PointConfiguration
 from .intlinalg import (
     _rationals,
+    _reduce,
     clear_denominators,
     dot,
     primitive,
@@ -199,12 +200,37 @@ def _cell_rows(minors, n, cell):
     return abs(D), tuple(rows)
 
 
+class _MinorMemo(dict):
+    """The entries of ``_minors`` that are asked for, each computed on first
+    use as one signed determinant of its columns (1, x_j): the last pivot of
+    ``_reduce`` times the sign of its row swaps, 0 when a pivot is missing."""
+
+    def __init__(self, coords):
+        super().__init__()
+        self.coords = coords
+
+    def __missing__(self, mask):
+        cols = _columns(mask)
+        rows = [[1] * len(cols), *([self.coords[j][i] for j in cols] for i in range(len(cols) - 1))]
+        pivots, d, sign = _reduce(rows, len(cols))
+        minor = self[mask] = sign * d if len(pivots) == len(cols) else 0
+        return minor
+
+
+@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
+def _minor_memo(A: PointConfiguration) -> _MinorMemo:
+    """A's ``_MinorMemo``, shared by the triangulations of A that ask."""
+    return _MinorMemo(A.chart_points)
+
+
 def _folding_rows(A: PointConfiguration, T: Triangulation):
     """The folding rows of T: those of each cell (see ``_cell_rows``), cells
-    in order, read off ``_minors``.  Heights w have lower hull exactly T iff
-    every row is negative on w.  The enumeration reads the same rows off its
-    table of cells."""
-    minors = _minors(A)
+    in order, read off A's ``_MinorMemo``, which holds only the minors asked
+    for, so the work is bounded by T and not by the 2^n entries of
+    ``_minors``.  Heights w have lower hull exactly T iff every row is
+    negative on w.  The enumeration reads the same rows off its table of
+    cells."""
+    minors = _minor_memo(A)
     return tuple(r for cell in T.cells for r in _cell_rows(minors, A.size, _mask(cell))[1])
 
 

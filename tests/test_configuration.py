@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from _corpus import face_corpus, random_small_config
+from _corpus import face_corpus, random_small_config, skewed_configs, solid_configs
 from test_incidence_routes import ref_contains_strict
 from gkzkit import configuration
 from gkzkit.configuration import (
@@ -469,6 +469,11 @@ def test_oracle_matches_main_on_obstructed_faces():
 
 
 def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
+    # one face HNF at most per proper face, and none where the Newton hull
+    # holds the quotient: a vertex's is the chart, a facet's its primitive
+    # normal, an edge's index a gcd.  The triangle and a curve build none; a
+    # face of dimension 1 ... d - 2 builds one for its images and a face of
+    # dimension >= 2 one for its index
     calls = []
     face_hnf = configuration._face_hnf
 
@@ -477,13 +482,22 @@ def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
         return face_hnf(A, face)
 
     monkeypatch.setattr(configuration, "_face_hnf", counting)
-    A = PointConfiguration.from_columns(TRI.points)
-    table = multiplicity_table(A)
-    proper = [f.indices for f in A.poset.faces if f.supporting is not None]
-    assert len(proper) == 6 and sorted(calls) == sorted(proper)
-    assert [(r.index_i, r.subvol_v) for r in table] == [
-        (index_i(A, r.face), subdiagram_volume(A, r.face)) for r in table
-    ]
+    four = [A for A in skewed_configs(37, 100) if A.newton.dim == 4][:2]
+    built = {}
+    for A in [TRI, CURVE013, OBSTRUCTED, *solid_configs(5, 2), *four]:
+        A = PointConfiguration.from_columns(A.points)
+        calls.clear()
+        table = multiplicity_table(A)
+        d = A.newton.dim
+        proper = [f for f in A.poset.faces if f.supporting is not None]
+        need = [f.indices for f in proper if f.dim >= 2 or 1 <= f.dim <= d - 2]
+        assert sorted(calls) == sorted(need), A.points
+        assert [(r.index_i, r.subvol_v) for r in table] == [
+            (index_i(A, r.face), subdiagram_volume(A, r.face)) for r in table
+        ]
+        built[d] = built.get(d, 0) + len(calls)
+    assert len(TRI.poset.faces) == 7 and built[1] == built[2] == 0, built
+    assert built[3] >= 20 and built[4] >= 20, built
 
 
 def test_saturation_reuses_the_homogeneity_of_a_spanning_configuration(monkeypatch):

@@ -51,6 +51,7 @@ from gkzkit.intlinalg import _reduce, clear_denominators, dot, primitive
 from gkzkit.polytope import cell_volume, pulling_cells
 from gkzkit.secondary import (
     DegenerateHeightsError,
+    ENUMERATION_CAP,
     Triangulation,
     _certified_vertices,
     _certify,
@@ -273,6 +274,42 @@ def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
             assert T.volumes == tuple(int(cell_volume(A.chart_points, c)) for c in T.cells)
         visited += len(visits)
     assert visited > 700, visited
+
+
+def _no_table(A):
+    raise AssertionError("is_regular without rows must not build the table of minors")
+
+
+def test_is_regular_past_the_enumeration_cap_reads_no_table_of_minors(monkeypatch):
+    # 16 planar points: T's folding rows come from the minors its cells ask
+    # for, one elimination each, and the LP certifies T
+    rng = random.Random(1616)
+    A = config(rng.sample([(x, y) for x in range(6) for y in range(6)], 16))
+    assert A.size > ENUMERATION_CAP and A.newton.dim == 2
+    T = regular_triangulation(A, [rng.getrandbits(30) for _ in range(A.size)])
+    monkeypatch.setattr(secondary, "_minors", _no_table)
+    ok, witness = is_regular(A, T)
+    assert ok and regular_triangulation(A, witness) == T, T
+
+
+def test_folding_rows_without_the_table_match_a_fresh_elimination(monkeypatch):
+    # every regular triangulation of the walk's corpora, and every
+    # triangulation of the mother of all examples, regular or not
+    tris = [
+        (A, T)
+        for A in (*FAMILY, *cover_family(), *(A for A, _ in LARGE))
+        for T in enumerate_regular_triangulations(A)
+    ]
+    mother = config(MOTHER)
+    every, regular = lp_oracle(mother)
+    monkeypatch.setattr(secondary, "_minors", _no_table)
+    for A, T in tris:
+        assert _folding_rows(A, T) == ref_folding_rows(A, T), (A.points, T)
+    for cells in every:
+        ok, witness = is_regular(mother, Triangulation(cells, ()))
+        assert ok == (cells in regular), cells
+        assert not ok or regular_triangulation(mother, witness).cells == cells
+    assert len(tris) > 700 and len(every) - len(regular) == 2, len(tris)
 
 
 def test_minors_match_sympy_determinants():

@@ -471,12 +471,12 @@ def test_aux_multiplicities_reuse_v_when_the_images_stay(monkeypatch):
 
 def test_aux_certificates_build_no_configuration(monkeypatch):
     # the certificate neither deletes k nor checks a new configuration, and
-    # runs one _face_hnf for both multiplicities of each face that reaches
-    # the multiplicity route (multiplicity, pyramid or failed)
+    # reads one face quotient for both multiplicities of each face that
+    # reaches the multiplicity route (multiplicity, pyramid or failed)
     configs = [PointConfiguration.from_columns(A.points) for A in face_corpus()]
-    calls = {"delete": 0, "_checked": 0, "_face_hnf": 0}
-    delete, checked, face_hnf = (
-        PointConfiguration.delete, PointConfiguration._checked, configuration._face_hnf
+    calls = {"delete": 0, "_checked": 0, "_face_quotient": 0}
+    delete, checked, face_quotient = (
+        PointConfiguration.delete, PointConfiguration._checked, configuration._face_quotient
     )
 
     def counted(name, f):
@@ -489,20 +489,20 @@ def test_aux_certificates_build_no_configuration(monkeypatch):
     monkeypatch.setattr(
         PointConfiguration, "_checked", classmethod(counted("_checked", lambda cls, *a: checked(*a)))
     )
-    monkeypatch.setattr(configuration, "_face_hnf", counted("_face_hnf", face_hnf))
+    monkeypatch.setattr(configuration, "_face_quotient", counted("_face_quotient", face_quotient))
     compared = 0
     for A in configs:
         for k in range(A.size):
             for a in range(A.size):
                 if a == k:
                     continue
-                calls["_face_hnf"] = 0
+                calls["_face_quotient"] = 0
                 cert = check_aux_point(A, k, a)
                 reached = sum(
                     isinstance(r, FaceCheck) and r.route in ("multiplicity", "pyramid", "failed")
                     for r in cert.reasons
                 )
-                assert calls["_face_hnf"] == reached, (A.points, k, a)
+                assert calls["_face_quotient"] == reached, (A.points, k, a)
                 compared += reached
     assert calls["delete"] == calls["_checked"] == 0, calls
     assert compared >= 800, compared

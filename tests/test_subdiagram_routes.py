@@ -39,9 +39,13 @@ Face index: ``ref_index_i``, a reference since commit c78cbdb, is the route
 ``index_i`` replaced, and the oldest one, kept verbatim but for its cache:
 [Z_A ∩ span Γ : Z_{A∩Γ}] as ``ref_lattice_index`` of the intersected subspace
 and the face group.  The routes under test read both the index and the
-quotient off one column HNF of the face's chart differences.  The Smith and
-index routes take Z_A ∩ span Γ from ``ref_intersect_subspace`` of
-``test_hnf_routes.py``.
+quotient off ``_face_quotient``: a vertex's quotient is the chart, a facet's
+map its primitive chart normal and an edge's index a gcd, and only the other
+faces take one column HNF of the face's chart differences.  The
+differential tests reach each of the three on at least 1000 faces.  The sweep
+oracle keeps the face HNF's quotient, ``_face_quotient_images``, on every
+face.  The Smith and index routes take Z_A ∩ span Γ from
+``ref_intersect_subspace`` of ``test_hnf_routes.py``.
 """
 
 import math
@@ -60,6 +64,7 @@ from _corpus import (
     from_columns,
     integral_multiple,
     rational_coordinates,
+    skewed_configs,
     solid_configs,
     width,
 )
@@ -441,17 +446,35 @@ def _widened_corpus():
     return doubled + flat + derived
 
 
+def _face_kind(A, face):
+    """Which route of ``_face_quotient`` the face takes."""
+    if face.supporting is None:
+        return "top"
+    if face.dim == 0:
+        return "vertex"
+    return "facet" if face.dim == A.newton.dim - 1 else "other"
+
+
 def test_multiplicity_matches_the_per_face_route():
-    counts = {}
+    # vertices and facets read their quotients off the Newton hull, edges
+    # their index off a gcd, and the other faces off the face HNF: the
+    # corpus reaches each route on at least 1000 faces
+    counts, kinds = {}, {}
     widened = _widened_corpus()
-    for A in face_corpus() + [collinear(16), coplanar(4), _square_pyramid()] + widened:
+    configs = face_corpus() + skewed_configs(37, 100) + solid_configs(5, 10)
+    configs += [*(collinear(n) for n in (1, 5, 16)), *(coplanar(n) for n in (2, 4, 6))]
+    for A in configs + [_square_pyramid()] + widened:
         for face in A.poset.faces:
             rec = multiplicity(A, face)
             got = (rec.index_i, rec.subvol_v, rec.mult_m)
             assert rec.face == face and got == ref_multiplicity(A, face), (A.points, face)
-            r = 0 if face.supporting is None else len(_face_quotient_images(A, face)[0])
+            assert (index_i(A, face), subdiagram_volume(A, face)) == got[:2], (A.points, face)
+            r = 0 if face.supporting is None else len(configuration._face_quotient(A, face)[1][0])
             counts[r] = counts.get(r, 0) + 1
-    assert set(counts) == {0, 1, 2, 3} and sum(counts.values()) >= 1500, counts
+            kind = _face_kind(A, face)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(counts) == {0, 1, 2, 3, 4} and sum(counts.values()) >= 4000, counts
+    assert min(kinds["vertex"], kinds["facet"], kinds["other"]) >= 1000, kinds
     # the widened corpus reaches faces of index > 1
     assert any(index_i(A, face) > 1 for A in widened for face in A.poset.faces)
 
@@ -569,6 +592,43 @@ def test_rank_2_scan_matches_the_oracle_on_every_rank_2_face():
                 assert subdiagram_volume(A, face) == subdiagram_volume_oracle(A, face), (A.points, face)
                 faces += 1
     assert faces >= 500, faces
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("this route must not run here")
+
+
+def test_the_oracle_keeps_its_own_quotient(monkeypatch):
+    # the sweep oracle reads its images off the face HNF on every face, so
+    # it answers with the library's quotient route gone
+    faces = [
+        (A, face, subdiagram_volume(A, face))
+        for A in criterion_8_configs(40)
+        for face in A.poset.faces
+        if face.supporting is not None
+    ]
+    monkeypatch.setattr(configuration, "_face_quotient", _forbidden)
+    for A, face, v in faces:
+        assert subdiagram_volume_oracle(A, face) == v, (A.points, face)
+    assert len(faces) >= 200, len(faces)
+
+
+def test_planar_sets_and_curves_build_no_face_hnf(monkeypatch):
+    # every proper face of a planar set or a curve is a vertex or a facet,
+    # whose quotient the Newton hull holds: multiplicity_table runs neither
+    # the oracle's quotient nor a face HNF there
+    configs = criterion_8_configs(40)
+    want = [
+        [1 if face.supporting is None else subdiagram_volume_oracle(A, face) for face in A.poset.faces]
+        for A in configs
+    ]
+    monkeypatch.setattr(configuration, "_face_quotient_images", _forbidden)
+    monkeypatch.setattr(configuration, "_face_hnf", _forbidden)
+    dims = set()
+    for A, vs in zip(configs, want):
+        assert [rec.subvol_v for rec in multiplicity_table(A)] == vs, A.points
+        dims.add(A.newton.dim)
+    assert dims == {1, 2}
 
 
 def test_rank_2_scan_runs_through_no_oracle_or_hull_helper(monkeypatch):
@@ -738,7 +798,7 @@ def _unimodular_image(R, N):
     return U * R == N and all(a.is_integer for a in U) and abs(U.det()) == 1
 
 
-def test_quotient_images_match_the_smith_route(monkeypatch):
+def test_quotient_images_match_the_smith_route():
     configs = criterion_8_configs(30) + [OBSTRUCTED, saturate(OBSTRUCTED, "s").result] + solid_configs(5, 3)
     ranks = set()
     faces = 0
@@ -756,13 +816,10 @@ def test_quotient_images_match_the_smith_route(monkeypatch):
             assert len(G) == len(ref_G)
             R = [ref_project(p) for p in A.points]
             assert _unimodular_image(R, images), (A.points, face)
-            with monkeypatch.context() as m:
-                m.setattr(
-                    configuration, "_face_quotient_images",
-                    lambda A, face: ref_face_quotient_images(A, face)[1],
-                )
-                ref_volume = subdiagram_volume(A, face)
-            assert subdiagram_volume(A, face) == ref_volume
+            # the library's images, off the Newton hull on vertices and facets
+            hull = configuration._face_quotient(A, face)[1]
+            assert _unimodular_image(R, hull), (A.points, face)
+            assert subdiagram_volume(A, face) == _seen_pyramids(ref_G), (A.points, face)
             faces += 1
     assert ranks == {1, 2, 3} and faces >= 300
 
@@ -799,13 +856,19 @@ def ref_index_i(A: PointConfiguration, face) -> int:
 
 
 def test_index_matches_the_intersected_subspace_route():
-    configs = face_corpus() + [collinear(n) for n in (1, 5, 16)] + [coplanar(n) for n in (2, 4, 6)]
-    counts = {}
+    configs = face_corpus() + skewed_configs(37, 100) + solid_configs(5, 10)
+    configs += [collinear(n) for n in (1, 5, 16)] + [coplanar(n) for n in (2, 4, 6)]
+    counts, kinds = {}, {}
     for A in configs:
         for face in A.poset.faces:
             i = index_i(A, face)
             assert i == ref_index_i(A, face), (A.points, face)
             counts[i] = counts.get(i, 0) + 1
-    # 151 faces have i > 1; the pivots of L itself are wrong on 23 of them
-    assert set(counts) == {1, 2, 3, 4} and sum(counts.values()) == 1724, counts
-    assert sum(n for i, n in counts.items() if i > 1) >= 100, counts
+            kind = "edge" if face.dim == 1 and face.supporting is not None else _face_kind(A, face)
+            kinds[kind, i > 1] = kinds.get((kind, i > 1), 0) + 1
+    # 371 faces have i > 1; the pivots of L itself are wrong on 75 of them,
+    # and the gcd of an edge's first chart difference alone on 7 edges
+    assert set(counts) == {1, 2, 3, 4, 6} and sum(counts.values()) == 4004, counts
+    assert sum(n for i, n in counts.items() if i > 1) >= 300, counts
+    # the gcd route and the face HNF both reach faces of index > 1
+    assert kinds["edge", True] >= 100 and kinds["facet", True] + kinds["other", True] >= 100, kinds
