@@ -8,13 +8,14 @@ its folding rows and never assumed from the construction: the enumeration
 finds them on the pulling heights of its start, on a ray through the heights
 of a flip parent, or by an exact LP when every ray misses.  The supports of
 the same folding rows are the circuits the walk flips along.  Each row is a
-Cramer vector of the configuration's signed maximal minors, which one table
-per configuration holds (De Loera-Rambau-Santos, Triangulations, 2010,
-ch. 2 and 4), so the walk eliminates nothing per cell; inside the walk a
-cell is a bit mask of its columns.  The heights of each certificate also
-certify the secondary polytope without a hull: they single out their
-triangulation's GKZ vector as the unique minimiser of their functional, so
-it is a vertex.
+Cramer vector of the configuration's signed maximal minors and a cell's
+volume is its own (De Loera-Rambau-Santos, Triangulations, 2010, ch. 2 and
+4).  One table per configuration, filled on demand, holds them for the walk,
+``is_regular`` and ``make_triangulation`` alike, so nothing is eliminated
+per cell; inside the walk a cell is a bit mask of its columns.  The heights
+of each certificate also certify the secondary polytope without a hull:
+they single out their triangulation's GKZ vector as the unique minimiser of
+their functional, so it is a vertex.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 
 from .configuration import PointConfiguration
 from .intlinalg import (
     _rationals,
-    _reduce,
     clear_denominators,
     dot,
     primitive,
@@ -38,7 +37,7 @@ from .intlinalg import (
     vsub,
 )
 from .lp import lp_feasible_strict
-from .polytope import BudgetError, _facet_rays, cell_volume, pulling_cells
+from .polytope import BudgetError, _facet_rays, pulling_cells
 
 # Largest configuration whose regular triangulations are enumerated.
 ENUMERATION_CAP = 12
@@ -78,9 +77,16 @@ def _sorted_cells(cells) -> tuple:
 
 
 def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
-    """The triangulation with these cells."""
+    """The triangulation with these cells, each A.newton.dim + 1 distinct
+    columns of A, else ValueError naming the cell; a cell's volume is its
+    minor's absolute value in A's one table (see ``_minors``)."""
     cells = _sorted_cells(cells)
-    vols = tuple(cell_volume(A.chart_points, c) for c in cells)
+    k, columns = A.newton.dim + 1, range(A.size)
+    for c in cells:
+        if len(c) != k or len(set(c)) != k or not all(j in columns for j in c):
+            raise ValueError(f"cell {c} is not {k} distinct columns of the {A.size}")
+    minors = _minors(A)
+    vols = tuple(abs(minors[_mask(c)]) for c in cells)
     if 0 in vols:
         raise ValueError("degenerate cell")
     return Triangulation(cells, vols)
@@ -141,31 +147,36 @@ def _columns(mask) -> tuple:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
-def _minors(A: PointConfiguration):
-    """The signed maximal minors of the homogenised chart points: each mask of
-    d + 1 columns, d = A.newton.dim, maps to the determinant of their columns
-    (1, x_j) in ascending order.
+class _Minors(dict):
+    """Signed minors of the homogenised chart columns (1, x_j), ascending,
+    filled on demand: a mask of k + 1 columns maps to the minor of rows
+    0..k, so one of d + 1 columns, d = A.newton.dim, to a maximal minor.
+    A missing entry is expanded along row k: the sum over the mask's t-th
+    column j of (-1)^(k + t) times row k's entry at j times the entry of the
+    mask without j, which is looked up only under a nonzero entry."""
 
-    Built by Laplace expansion along the rows: the minor of rows 0..k on
-    k + 1 columns is the alternating sum, over those columns j, of row k's
-    entry at j times the minor of rows 0..k-1 on the others.  Each level
-    holds the minors of one row count on every column set of that size, so
-    the levels hold at most 2^n entries in all.
-    """
-    level = {1 << j: 1 for j in range(A.size)}
-    for k, row in enumerate(zip(*A.chart_points), start=1):
-        below, level = level, {}
-        for cols in combinations(range(A.size), k + 1):
-            mask = 0
-            for j in cols:
-                mask |= 1 << j
-            minor, sign = 0, -1 if k & 1 else 1
-            for j in cols:
-                minor += sign * row[j] * below[mask ^ 1 << j]
-                sign = -sign
-            level[mask] = minor
-    return level
+    def __init__(self, coords):
+        super().__init__((1 << j, 1) for j in range(len(coords)))
+        self.coords = coords
+
+    def __missing__(self, mask):
+        k = mask.bit_count() - 1
+        minor, sign, rest = 0, -1 if k & 1 else 1, mask
+        while rest:
+            low = rest & -rest
+            x = self.coords[low.bit_length() - 1][k - 1]
+            if x:
+                minor += sign * x * self[mask ^ low]
+            sign, rest = -sign, rest ^ low
+        self[mask] = minor
+        return minor
+
+
+@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
+def _minors(A: PointConfiguration) -> _Minors:
+    """A's one table of minors: the walk, ``is_regular`` and
+    ``make_triangulation`` fill only the entries their cells ask for."""
+    return _Minors(A.chart_points)
 
 
 def _cell_rows(minors, n, cell):
@@ -179,6 +190,7 @@ def _cell_rows(minors, n, cell):
     cell with p in place of j: ``minors[cell ^ j | p]``, negated when an odd
     number of the cell's columns lie between j and p, since p moves past
     each of them to its ascending place.  |D| is the cell's lattice volume.
+    ``minors`` is the configuration's one table (see ``_minors``).
     """
     D = minors[cell]
     if not D:
@@ -200,37 +212,12 @@ def _cell_rows(minors, n, cell):
     return abs(D), tuple(rows)
 
 
-class _MinorMemo(dict):
-    """The entries of ``_minors`` that are asked for, each computed on first
-    use as one signed determinant of its columns (1, x_j): the last pivot of
-    ``_reduce`` times the sign of its row swaps, 0 when a pivot is missing."""
-
-    def __init__(self, coords):
-        super().__init__()
-        self.coords = coords
-
-    def __missing__(self, mask):
-        cols = _columns(mask)
-        rows = [[1] * len(cols), *([self.coords[j][i] for j in cols] for i in range(len(cols) - 1))]
-        pivots, d, sign = _reduce(rows, len(cols))
-        minor = self[mask] = sign * d if len(pivots) == len(cols) else 0
-        return minor
-
-
-@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
-def _minor_memo(A: PointConfiguration) -> _MinorMemo:
-    """A's ``_MinorMemo``, shared by the triangulations of A that ask."""
-    return _MinorMemo(A.chart_points)
-
-
 def _folding_rows(A: PointConfiguration, T: Triangulation):
     """The folding rows of T: those of each cell (see ``_cell_rows``), cells
-    in order, read off A's ``_MinorMemo``, which holds only the minors asked
-    for, so the work is bounded by T and not by the 2^n entries of
-    ``_minors``.  Heights w have lower hull exactly T iff every row is
-    negative on w.  The enumeration reads the same rows off its table of
-    cells."""
-    minors = _minor_memo(A)
+    in order, read off A's one table of minors, which fills only what T's
+    rows ask for, so the work is bounded by T, past ``ENUMERATION_CAP`` too.
+    Heights w have lower hull exactly T iff every row is negative on w."""
+    minors = _minors(A)
     return tuple(r for cell in T.cells for r in _cell_rows(minors, A.size, _mask(cell))[1])
 
 
@@ -412,7 +399,7 @@ def enumerate_regular_triangulations(A: PointConfiguration):
     Inside the search a cell is a bit mask of its columns, and a
     triangulation is the frozenset of its cells' masks until it is queued.
     Each distinct cell's volume, folding rows and their circuits are read
-    off the table of maximal minors once per search (see ``_minors`` and
+    once per search off A's one table of minors (see ``_minors`` and
     ``_cell_rows``); a triangulation's rows are its cells' rows in order, as
     ``_folding_rows`` gives them.  A flip's cells are checked against the
     triangulations already queued before any cell is looked up.

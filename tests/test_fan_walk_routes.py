@@ -23,9 +23,14 @@ scanning every point subset; ``ref_dependence`` is the dependence the earlier
 ``_ray_heights`` (the interval kept in Fractions), references since commit
 c3224ec, kept verbatim but for their docstrings: the routes the walk's table
 of cells and its integer interval replaced.  The cells' rows are now Cramer
-vectors of one table of signed maximal minors, ``_minors``, whose entries
-are checked against sympy's determinants.  The walk hands ``_flips`` its
-cells and circuits as bit masks of columns.
+vectors of signed maximal minors, read off one table per configuration,
+``_minors``, which the walk, ``is_regular`` and ``make_triangulation`` all
+share and which fills each entry on demand by Laplace expansion from the
+minors of fewer rows.  Every entry it fills is checked against sympy's
+determinants, and past ``ENUMERATION_CAP`` every minor a triangulation's
+rows ask for against ``ref_minor``, the earlier per-minor elimination,
+verbatim since commit 82755d4.  The walk hands ``_flips`` its cells and
+circuits as bit masks of columns.
 
 ``lp_oracle`` is the walk's completeness check: it walks every
 triangulation, regular or not, by the reference flips, and decides each by
@@ -276,23 +281,30 @@ def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
     assert visited > 700, visited
 
 
-def _no_table(A):
-    raise AssertionError("is_regular without rows must not build the table of minors")
+def _asked(n, cells):
+    """The masks of each cell and one column p outside it: the (d + 2)-column
+    sets whose (d + 1)-submasks are the minors the cell's folding rows read."""
+    return [c | 1 << p for c in map(_masks, cells) for p in range(n) if not c >> p & 1]
 
 
-def test_is_regular_past_the_enumeration_cap_reads_no_table_of_minors(monkeypatch):
-    # 16 planar points: T's folding rows come from the minors its cells ask
-    # for, one elimination each, and the LP certifies T
+def test_is_regular_past_the_enumeration_cap_fills_only_the_minors_its_rows_ask_for():
+    # 16 planar points: the LP certifies T on rows read off the one table of
+    # minors, which then holds only submasks of what T's rows asked for, far
+    # fewer than the 696 minors of 1 to 3 of the 16 columns
     rng = random.Random(1616)
     A = config(rng.sample([(x, y) for x in range(6) for y in range(6)], 16))
     assert A.size > ENUMERATION_CAP and A.newton.dim == 2
     T = regular_triangulation(A, [rng.getrandbits(30) for _ in range(A.size)])
-    monkeypatch.setattr(secondary, "_minors", _no_table)
+    _minors.cache_clear()
     ok, witness = is_regular(A, T)
+    held = list(_minors(A))
+    asked = _asked(A.size, T.cells)
+    assert all(any(m & a == m for a in asked) for m in held)
+    assert len(held) < 500, len(held)
     assert ok and regular_triangulation(A, witness) == T, T
 
 
-def test_folding_rows_without_the_table_match_a_fresh_elimination(monkeypatch):
+def test_folding_rows_match_a_fresh_elimination():
     # every regular triangulation of the walk's corpora, and every
     # triangulation of the mother of all examples, regular or not
     tris = [
@@ -302,7 +314,6 @@ def test_folding_rows_without_the_table_match_a_fresh_elimination(monkeypatch):
     ]
     mother = config(MOTHER)
     every, regular = lp_oracle(mother)
-    monkeypatch.setattr(secondary, "_minors", _no_table)
     for A, T in tris:
         assert _folding_rows(A, T) == ref_folding_rows(A, T), (A.points, T)
     for cells in every:
@@ -314,20 +325,62 @@ def test_folding_rows_without_the_table_match_a_fresh_elimination(monkeypatch):
 
 def test_minors_match_sympy_determinants():
     # every maximal minor, zero ones included, of the homogenised chart
-    # columns, d = 0 (one point) to d = 3 (the cube)
-    seen_dims, seen_signs = set(), set()
+    # columns, d = 0 (one point) to d = 3 (the cube), and then every entry
+    # the table filled on the way: the minor of a mask's leading rows
+    seen_dims, seen_signs, seen_levels = set(), set(), set()
     for A in (config([()]), *FAMILY, *(A for A, _ in LARGE), config(MOTHER)):
         d = A.newton.dim
         minors = _minors.__wrapped__(A)
-        subsets = list(combinations(range(A.size), d + 1))
-        assert sorted(minors) == sorted(_masks(cols) for cols in subsets), A.points
-        for cols in subsets:
-            rows = ([A.chart_points[j][i] for j in cols] for i in range(d))
-            det = int(sympy.Matrix([[1] * (d + 1), *rows]).det())
-            assert minors[_masks(cols)] == det, (A.points, cols)
+        for cols in combinations(range(A.size), d + 1):
+            minors[_masks(cols)]
+        for mask, minor in minors.items():
+            cols = sorted(_columns(mask))
+            rows = ([A.chart_points[j][i] for j in cols] for i in range(len(cols) - 1))
+            det = int(sympy.Matrix([[1] * len(cols), *rows]).det())
+            assert minor == det, (A.points, cols)
             seen_signs.add((det > 0) - (det < 0))
+            seen_levels.add((d, len(cols)))
         seen_dims.add(d)
     assert seen_dims == {0, 1, 2, 3} and seen_signs == {-1, 0, 1}
+    assert all((d, k) in seen_levels for d in seen_dims for k in range(1, d + 2))
+
+
+def ref_minor(coords, mask):
+    """The earlier ``_MinorMemo`` entry, a reference since commit 82755d4:
+    one signed determinant of the mask's columns (1, x_j), the last pivot of
+    ``_reduce`` times the sign of its row swaps, 0 when a pivot is missing."""
+    cols = tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+    rows = [[1] * len(cols), *([coords[j][i] for j in cols] for i in range(len(cols) - 1))]
+    pivots, d, sign = _reduce(rows, len(cols))
+    return sign * d if len(pivots) == len(cols) else 0
+
+
+def _past_the_cap(n, d):
+    """n distinct seeded points of [-10, 10]^d and their triangulation by
+    seeded heights."""
+    rng = random.Random(1000 * n + d)
+    points = set()
+    while len(points) < n:
+        points.add(tuple(rng.randint(-10, 10) for _ in range(d)))
+    A = config(sorted(points))
+    return A, regular_triangulation(A, [rng.getrandbits(30) for _ in range(n)])
+
+
+def test_minors_past_the_cap_match_one_elimination_each():
+    # every minor the folding rows of T ask for, in dimensions 3 to 5, from a
+    # fresh table against the elimination route the table replaced; zero
+    # minors occur among them
+    signs = set()
+    for n, d in ((60, 3), (32, 4), (24, 5)):
+        A, T = _past_the_cap(n, d)
+        assert A.size > ENUMERATION_CAP and A.newton.dim == d
+        minors = _minors.__wrapped__(A)
+        asked = {a ^ 1 << j for a in _asked(A.size, T.cells) for j in _columns(a)}
+        for mask in asked:
+            minor = minors[mask]
+            assert minor == ref_minor(A.chart_points, mask), (n, d, sorted(_columns(mask)))
+            signs.add((d, (minor > 0) - (minor < 0)))
+    assert {s for _, s in signs} == {-1, 0, 1} and {d for d, _ in signs} == {3, 4, 5}
 
 
 def test_lp_heights_are_checked_against_every_folding_row(monkeypatch):

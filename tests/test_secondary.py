@@ -1,5 +1,6 @@
 """Regular triangulations, GKZ vectors, secondary polytopes, facet restriction."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from gkzkit.secondary import (
     enumerate_regular_triangulations,
     gkz_vector,
     is_regular,
+    make_triangulation,
     regular_triangulation,
     secondary_polytope,
 )
@@ -118,6 +120,23 @@ def test_regularity_certificate_roundtrip():
         ok, heights = is_regular(A, T)
         assert ok
         assert regular_triangulation(A, heights) == T
+
+
+SQUARE = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(0, 1), (0, 1, 2, 3), (0, 0, 1), (0, 1, 5), (-1, 0, 1)],
+    ids=["too-few", "too-many", "repeated", "out-of-range", "negative"],
+)
+def test_make_triangulation_refuses_malformed_cells_by_name(cell):
+    # a cell of the unit square is three distinct columns among its 4; an
+    # edge would otherwise get volume 1 and pass is_regular, and a negative
+    # index would read the last column
+    name = re.escape(str(tuple(sorted(cell))))
+    with pytest.raises(ValueError, match=rf"^cell {name} is not 3 distinct columns of the 4$"):
+        make_triangulation(SQUARE, [(0, 1, 2), cell])
 
 
 def test_secondary_polytope_curves():
