@@ -1,8 +1,8 @@
 """Point configurations and their combinatorial invariants.
 
 The objects here are quasi-homogeneous integer point configurations A (columns
-of an integer matrix, all evaluating to 1 under some rational functional).
-The module computes, exactly:
+of an integer matrix, all evaluating to 1 under some rational functional,
+checked where columns enter and not kept).  The module computes, exactly:
 
 * face lattices (the lattices of the chart differences of the points on each
   face of the hull, in the Newton polytope's chart),
@@ -12,8 +12,8 @@ The module computes, exactly:
 * multiplicities m = index * subdiagram volume,
 * face quotients read off the Newton hull where it has them: a vertex's is
   the chart, a facet's its primitive chart normal, an edge's index a gcd;
-  only the images of a face of dimension 1 ... d - 2 and the index of a face
-  of dimension >= 2 take a face HNF,
+  a larger facet's index the row index of its face lattice's HNF basis;
+  only a face of dimension 1 ... d - 2 takes a face HNF,
 * face saturations and partial face saturations,
 * lattice redundancy of single points,
 * auxiliary-point certificates and greedy reduction chains, and
@@ -61,9 +61,8 @@ class InhomogeneousError(ValueError):
 
 def check_homogeneous(columns):
     """Rational functional h with h . alpha = 1 for every column, or raise."""
-    cols = [tuple(col) for col in columns]
-    rows = cols  # the linear system is alpha_i . h = 1
-    h = solve_rational(rows, [1] * len(cols))
+    cols = [tuple(col) for col in columns]  # the rows of the system alpha_i . h = 1
+    h = solve_rational(cols, [1] * len(cols))
     if h is None:
         raise InhomogeneousError("no functional takes the value 1 on every column")
     return h
@@ -93,18 +92,17 @@ def _free_label(labels) -> str:
 @record
 class PointConfiguration:
     matrix: tuple  # (1+n) rows x k columns, the columns are the characters
-    homogeneity: tuple
     labels: tuple
 
     @classmethod
     def from_columns(cls, columns, labels=None) -> "PointConfiguration":
-        return cls._checked([_column(c) for c in columns], labels, None)
+        return cls._checked([_column(c) for c in columns], labels, True)
 
     @classmethod
-    def _checked(cls, cols, labels, h):
-        """The configuration of distinct integer columns, with the homogeneity
-        functional h if it is known to be the one :func:`check_homogeneous`
-        finds, or None to solve for it."""
+    def _checked(cls, cols, labels, check):
+        """The configuration of distinct integer columns, checked by
+        :func:`check_homogeneous` when ``check`` is true; a derivation that
+        keeps a functional 1 on every column passes False."""
         if not cols:
             raise ValueError("a configuration needs at least one column")
         lengths = sorted({len(c) for c in cols})
@@ -112,15 +110,15 @@ class PointConfiguration:
             raise ValueError(f"columns must have equal lengths, got {lengths}")
         if len(set(cols)) != len(cols):
             raise ValueError("columns must be distinct")
-        if h is None:
-            h = check_homogeneous(cols)
+        if check:
+            check_homogeneous(cols)
         if labels is None:
             labels = tuple(f"a{i + 1}" for i in range(len(cols)))
         else:
             labels = tuple(labels)
             if len(labels) != len(cols) or len(set(labels)) != len(labels):
                 raise ValueError("labels must be distinct and match the column count")
-        return cls(tuple(zip(*cols)), h, labels)
+        return cls(tuple(zip(*cols)), labels)
 
     # -- basic views ---------------------------------------------------------
 
@@ -170,31 +168,27 @@ class PointConfiguration:
         return sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset))
 
     def delete(self, i: int) -> "PointConfiguration":
-        """The configuration without column i.
+        """The configuration without column i, unchecked: a functional that
+        is 1 on every column is 1 on the others.
 
         If column i is not a vertex of N and the other columns still
         generate Z_A, the deletion keeps N and Z_A, and so the chart, which
         is Z_A cut to N's direction space (see :attr:`chart_points`): the
         Newton hull is re-indexed, not hulled again (see
-        :func:`deleted_hull`), and Z_A and h are kept.  Any other deletion
-        builds its configuration afresh, with the remaining columns' Z_A when
-        it was computed.
+        :func:`deleted_hull`), and Z_A is kept.  Any other deletion hulls
+        afresh, with the remaining columns' Z_A when it was computed.
         """
         if not 0 <= i < self.size:
             raise IndexError(f"column {i} out of range")
         cols = [c for j, c in enumerate(self.points) if j != i]
         labels = [l for j, l in enumerate(self.labels) if j != i]
+        B = PointConfiguration._checked(cols, labels, False)
         P = self.newton
         if i in P.vertex_indices:
-            return PointConfiguration._checked(cols, labels, None)
+            return B
         Z = Lattice.from_generators(cols, self.ambient_dim)
-        keeps = Z == self.group_lattice
-        # columns that generate Z_A span A's space, so the functionals that are
-        # 1 on them are A's, and check_homogeneous, which sets the free
-        # variables of the reduced system to 0, would pick A's h among them
-        B = PointConfiguration._checked(cols, labels, self.homogeneity if keeps else None)
         object.__setattr__(B, "group_lattice", Z)
-        if keeps:
+        if Z == self.group_lattice:
             object.__setattr__(B, "newton", deleted_hull(P, i))
         return B
 
@@ -204,18 +198,13 @@ class PointConfiguration:
         return self._extended([_column(point)], [label])
 
     def _extended(self, cols, labels) -> "PointConfiguration":
-        """The configuration with integer columns and their labels appended."""
-        # columns in N and on A's affine lattice keep the Newton hull and Z_A,
-        # and h is 1 on them.  If the columns span the ambient space, h is the
-        # only functional that is 1 on them; if h . col != 1, none is 1 on the
-        # new columns and solving for one raises InhomogeneousError
-        h = self.homogeneity
+        """The configuration with integer columns and their labels appended.
+        Columns in N on A's affine lattice keep the Newton hull and Z_A (see
+        :func:`extended_hull`) and go unchecked: each is a_v plus a sum of
+        column differences, so a functional 1 on A's columns is 1 on it."""
         fits = all(len(c) == self.ambient_dim for c in cols)
         P = extended_hull(self.newton, cols) if fits else None
-        spans = self.newton.dim + 1 == self.ambient_dim
-        if not spans or P is None and not (fits and all(dot(h, c) == 1 for c in cols)):
-            h = None
-        B = PointConfiguration._checked([*self.points, *cols], [*self.labels, *labels], h)
+        B = PointConfiguration._checked([*self.points, *cols], [*self.labels, *labels], P is None)
         if P is not None:
             object.__setattr__(B, "newton", P)
             object.__setattr__(B, "group_lattice", self.group_lattice)
@@ -353,8 +342,8 @@ def _face_hnf(A: PointConfiguration, face: Face):
     Z x (Z^d ∩ span L_Γ) and Z_{A∩Γ} to Z x L_Γ, L_Γ spanned by the rows of Y.
 
     The library runs it only where the Newton hull has no answer (see
-    :func:`_face_quotient`): for the images of a face of dimension 1 ... d - 2
-    and for the index of a face of dimension >= 2.  The sweep oracle's
+    :func:`_face_quotient`): on a face of dimension 1 ... d - 2, for its
+    images and, past an edge, its index.  The sweep oracle's
     :func:`_face_quotient_images` runs it on every proper face.
     """
     x = A.chart_points
@@ -374,26 +363,27 @@ def _face_quotient(A: PointConfiguration, face: Face):
       Z, and its kernel is Z^d ∩ span L_Γ, the hyperplane h . y = 0, so
       a_j is taken to c - h . x_j = -h . y_j >= 0;
     * an edge: L_Γ = g Z p for the primitive direction p, so i = g, the gcd
-      of the entries of its chart differences y_j.
+      of the entries of its chart differences y_j, and a larger facet's i is
+      :func:`_row_index` of their HNF basis (see :func:`index_i`).
 
-    Every other face reads its images off the tail of :func:`_face_hnf`, and
-    a face of dimension >= 2 its index off L by :func:`_row_index`.
+    Every other face, of dimension 1 ... d - 2, reads its images off the
+    tail of :func:`_face_hnf`, and its index past an edge off L.
     """
     x = A.chart_points
     base = x[face.indices[0]]
     if face.dim == 0:
         return 1, [vsub(p, base) for p in x]
-    hnf = None
+    facet = face.dim == A.newton.dim - 1
     if face.dim == 1:
         i = gcd(*(a for j in face.indices[1:] for a in vsub(x[j], base)))
-    else:
-        hnf = _face_hnf(A, face)
-        i = _row_index(hnf[0])
-    if face.dim == A.newton.dim - 1:
+    elif facet:  # the HNF of the chart differences, with no transform
+        y = [list(vsub(x[j], base)) for j in face.indices[1:]]
+        i = _row_index(y[:_hnf(y, len(base))])
+    if facet:
         h, c = face.supporting
         return i, [(c - dot(h, p),) for p in x]
-    _, tail, y = hnf or _face_hnf(A, face)
-    return i, _tail_images(tail, y)
+    L, tail, y = _face_hnf(A, face)
+    return (i if face.dim == 1 else _row_index(L)), _tail_images(tail, y)
 
 
 def index_i(A: PointConfiguration, face: Face) -> int:
@@ -407,7 +397,9 @@ def index_i(A: PointConfiguration, face: Face) -> int:
     row k of Y to row k of L.  So i is the index in Z^s of the lattice of
     the m - 1 rows of L, the product of the pivots of their HNF.  The pivots
     of L itself are not the index: for Y = [[2], [1]] the pivot is 2, but
-    the rows span Z.
+    the rows span Z.  A facet reads i off a basis B of L_Γ, with no U: for
+    B = P [D; 0] Q in Smith form, [Z^d ∩ span L_Γ : L_Γ] and the index in
+    Z^s of the rows of B are both det D.
     """
     if face.supporting is None:
         return 1
@@ -1045,6 +1037,8 @@ class PlanarWitness:
 def dim2_interior_witness(A: PointConfiguration):
     """For a two-dimensional, partially face-saturated configuration, search
     the vertices of N for one whose two incident edge steps land inside N.
+    The step along an edge e to its far vertex is (a_far - a_v) / l, with
+    l = gcd(x_far - x_v) // index_i(A, e): e's lattice is i Z p, p primitive.
 
     Returns None when Z_A has no interior points at all (verified by
     enumeration).  When it has some but no vertex's candidate is an interior
@@ -1066,10 +1060,8 @@ def dim2_interior_witness(A: PointConfiguration):
         steps = []
         lengths = []
         for e in edges:
-            (gen,) = face_lattice(A, e).generators()
-            # the far vertex along the edge, ell steps of gen away in the chart
             far = next(j for j in e.indices if j != vi and j in A.newton.vertex_indices)
-            ell = next(abs(d // g) for d, g in zip(vsub(x[far], x[vi]), gen) if g != 0)
+            ell = gcd(*vsub(x[far], x[vi])) // index_i(A, e)
             lengths.append(ell)
             steps.append(tuple(d // ell for d in vsub(A.points[far], v)))
         candidate = tuple(v[i] + steps[0][i] + steps[1][i] for i in range(len(v)))

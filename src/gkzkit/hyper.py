@@ -37,6 +37,7 @@ from .intlinalg import (
     solve_rational,
     xgcd,
 )
+from .polytope import cell_volume
 
 
 class ResonantParameterError(ValueError):
@@ -261,16 +262,21 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
 
     With base_exponent the caller may pick any other v with A v = beta (for
     example a kernel-rational translate selecting a different local solution).
+    Any other cell than A.newton.dim + 1 distinct columns with nonzero
+    volume raises ValueError naming it.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    cell, k = tuple(sorted(cell)), A.newton.dim + 1
+    ok = len(cell) == len(set(cell)) == k and all(j in range(A.size) for j in cell)
+    if not (ok and cell_volume(A.chart_points, cell)):
+        raise ValueError(f"cell {cell} is not {k} distinct columns of the {A.size} with nonzero volume")
     res = is_nonresonant(A, beta)
     if not res:
         raise ResonantParameterError(
             f"parameter is resonant at the face {res.witness_face}"
         )
     beta = tuple(Fraction(b) for b in beta)
-    cell = tuple(sorted(cell))
     if base_exponent is None:
         cols = [A.points[j] for j in cell]
         rows = [[Fraction(cols[j][i]) for j in range(len(cell))] for i in range(A.ambient_dim)]

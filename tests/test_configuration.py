@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from _corpus import face_corpus, random_small_config, skewed_configs, solid_configs
+from _corpus import (
+    FAMILY,
+    LARGE,
+    criterion_8_configs,
+    face_corpus,
+    random_small_config,
+    skewed_configs,
+    solid_configs,
+)
 from test_incidence_routes import ref_contains_strict
 from gkzkit import configuration
 from gkzkit.configuration import (
@@ -214,15 +222,13 @@ def test_saturate_matches_a_chain_of_with_point():
             ref = A
             for p in sat.added_points:
                 ref = ref.with_point(p)
-            got = sat.result
-            assert (got.points, got.labels, got.homogeneity) == (
-                ref.points, ref.labels, ref.homogeneity
-            )
+            assert sat.result == ref
 
 
 def test_with_point_matches_a_rebuild():
-    # with_point keeps the parent's functional when the columns span the
-    # ambient space; the result must be the configuration from_columns builds
+    # with_point checks no functional for a point of N on Z_A's affine
+    # lattice; the result must be the configuration from_columns builds, and
+    # a point off every functional must still be refused
     rng = random.Random(47)
     flat = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 3, 0)])
     configs = [OBSTRUCTED, TRI, flat] + [random_small_config(rng) for _ in range(16)]
@@ -236,7 +242,7 @@ def test_with_point_matches_a_rebuild():
             for p in chain:
                 got = current.with_point(p)
                 ref = PointConfiguration.from_columns([*current.points, p], got.labels)
-                assert got == ref and got.homogeneity == ref.homogeneity
+                assert got == ref
                 kept += current.newton.dim + 1 == current.ambient_dim
                 current = got
         off = tuple(2 * a for a in A.points[0])
@@ -471,9 +477,10 @@ def test_oracle_matches_main_on_obstructed_faces():
 def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
     # one face HNF at most per proper face, and none where the Newton hull
     # holds the quotient: a vertex's is the chart, a facet's its primitive
-    # normal, an edge's index a gcd.  The triangle and a curve build none; a
-    # face of dimension 1 ... d - 2 builds one for its images and a face of
-    # dimension >= 2 one for its index
+    # normal, an edge's index a gcd and a larger facet's the row index of its
+    # face lattice.  The triangle and a curve build none; a face of dimension
+    # 1 ... d - 2, none of them a facet, builds one for its images and, past
+    # an edge, its index
     calls = []
     face_hnf = configuration._face_hnf
 
@@ -490,7 +497,7 @@ def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
         table = multiplicity_table(A)
         d = A.newton.dim
         proper = [f for f in A.poset.faces if f.supporting is not None]
-        need = [f.indices for f in proper if f.dim >= 2 or 1 <= f.dim <= d - 2]
+        need = [f.indices for f in proper if 1 <= f.dim <= d - 2]
         assert sorted(calls) == sorted(need), A.points
         assert [(r.index_i, r.subvol_v) for r in table] == [
             (index_i(A, r.face), subdiagram_volume(A, r.face)) for r in table
@@ -500,11 +507,20 @@ def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
     assert built[3] >= 20 and built[4] >= 20, built
 
 
-def test_saturation_reuses_the_homogeneity_of_a_spanning_configuration(monkeypatch):
+def test_derivations_inside_n_check_no_homogeneity(monkeypatch):
+    # from_columns checks its columns once.  A saturation adds points of N on
+    # A's affine lattice and a deletion keeps a subset of the columns: both
+    # keep every functional that is 1 on A's columns, so neither checks, on
+    # spanning and flat configurations alike.  A point outside N is checked
+    # with the columns it joins.
     rng = random.Random(5)
     # a triangle whose columns do not span the ambient space
     flat = PointConfiguration.from_columns([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0)])
     configs = [TRI, OBSTRUCTED, CURVE013, flat, *(random_small_config(rng) for _ in range(20))]
+    derived = [
+        *criterion_8_configs(40), OBSTRUCTED, *solid_configs(9, 10), *FAMILY,
+        *(A for A, _ in LARGE),
+    ]
     calls = []
     solve = configuration.check_homogeneous
 
@@ -512,18 +528,29 @@ def test_saturation_reuses_the_homogeneity_of_a_spanning_configuration(monkeypat
         calls.append(len(cols))
         return solve(cols)
 
-    solved = 0
+    monkeypatch.setattr(configuration, "check_homogeneous", counting)
+    flats = saturated = 0
     for A in configs:
+        calls.clear()
         A = PointConfiguration.from_columns(A.points, A.labels)
-        spans = A.newton.dim + 1 == A.ambient_dim
+        assert calls == [A.size]
+        flats += A.newton.dim + 1 < A.ambient_dim
         for mode in ("s", "p", "full"):
             calls.clear()
-            with monkeypatch.context() as m:
-                m.setattr(configuration, "check_homogeneous", counting)
-                got = saturate(A, mode)
-            # a rebuild solves for the functional of the result
-            want = PointConfiguration.from_columns(got.result.points, got.result.labels)
-            assert got.result == want and got.result.homogeneity == want.homogeneity
-            assert calls == ([] if spans else [want.size])
-            solved += bool(calls)
-    assert solved == 3
+            got = saturate(A, mode).result
+            assert calls == [], (A.points, mode)
+            assert got == PointConfiguration.from_columns(got.points, got.labels)
+            saturated += got.size > A.size
+        # the midpoint of the new point and another vertex is a vertex of N
+        v, w = (A.points[i] for i in A.newton.vertex_indices[:2])
+        calls.clear()
+        A.with_point(tuple(2 * b - a for a, b in zip(v, w)))
+        assert calls == [A.size + 1]
+    assert flats == 1 and saturated >= 40, (flats, saturated)
+    calls.clear()
+    deleted = 0
+    for A in configs + derived:
+        for i in range(A.size):
+            A.delete(i)
+            deleted += 1
+    assert calls == [] and deleted >= 500, (calls, deleted)

@@ -145,7 +145,7 @@ def assert_deleted(A, i, inherited):
         [p for j, p in enumerate(A.points) if j != i], [l for j, l in enumerate(A.labels) if j != i]
     )
     assert ("newton" in vars(B)) == inherited
-    assert (B.points, B.labels, B.homogeneity) == (F.points, F.labels, F.homogeneity)
+    assert B == F
     P, Q = B.newton, F.newton
     assert (P.points, P.dim, P.chart_anchor, P.chart, P.facets) == (
         Q.points, Q.dim, Q.chart_anchor, Q.chart, Q.facets,
@@ -182,8 +182,7 @@ def test_deletions_that_move_the_hull_or_z_a_build_afresh():
     # column 1, without which the columns generate an index-2 sublattice of Z_A
     B = assert_deleted(segment, 1, False)
     assert B.group_lattice != segment.group_lattice
-    # a flat configuration, on whose columns more than one functional is 1:
-    # the h kept is the one a fresh configuration solves for
+    # a flat configuration, on whose columns more than one functional is 1
     flat = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0)])
     assert_deleted(flat, 1, True)
     assert_deleted(flat, 2, True)

@@ -1,5 +1,6 @@
 """Toric kernels, nonresonance, truncated series, operators, extension."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -153,6 +154,32 @@ def test_gamma_series_simplex_single_term():
     s = gamma_series(SIMPLEX, (1, Fraction(1, 3), Fraction(1, 3)), (0, 1, 2), 3)
     assert len(s.term_items) == 1
     assert s.coefficient((0, 0, 0)) == 1
+
+
+PLANAR = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "A, beta, cell, name",
+    [
+        (C013, (Fraction(1, 5), Fraction(1, 3)), (0, 1, 2), "(0, 1, 2)"),
+        (C013, (Fraction(1, 5), Fraction(1, 3)), (-1, 0), "(-1, 0)"),
+        (C013, (Fraction(1, 5), Fraction(1, 3)), (5, 0), "(0, 5)"),
+        (C013, (Fraction(1, 5), Fraction(1, 3)), (1, 1), "(1, 1)"),
+        (PLANAR, (Fraction(1, 5), Fraction(1, 3), Fraction(1, 7)), (0, 1, 2), "(0, 1, 2)"),
+    ],
+    ids=["three-on-a-segment", "negative", "out-of-range", "repeated", "collinear-planar"],
+)
+def test_gamma_series_refuses_malformed_cells_by_name(A, beta, cell, name):
+    # the curve's cells are two distinct columns of the three and the planar
+    # set's three with nonzero volume: a segment's three columns gave a
+    # series, a negative index read the last column and 5 an IndexError
+    k = A.newton.dim + 1
+    want = rf"^cell {re.escape(name)} is not {k} distinct columns of the {A.size} with nonzero volume$"
+    with pytest.raises(ValueError, match=want):
+        gamma_series(A, beta, cell, 2)
+    with pytest.raises(ValueError, match=want):
+        gamma_series(A, beta, cell, 2, base_exponent=(0,) * A.size)
 
 
 def test_gamma_series_resonant_rejected():
