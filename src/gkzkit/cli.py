@@ -29,8 +29,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-# main catches BudgetError; every other library name is imported by the
-# handler that uses it, so a command loads only the modules it runs
+# main and _config_from catch BudgetError; every other library name is
+# imported by the handler that uses it, so a command loads only its modules
 from .polytope import BudgetError
 
 EXIT_OK = 0
@@ -125,6 +125,8 @@ def _config_from(data) -> PointConfiguration:
     labels = _labels_from(data)
     try:
         return PointConfiguration.from_columns(cols, labels)
+    except BudgetError:  # from_columns builds the Newton hull: main reports its budget
+        raise
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

@@ -1,8 +1,8 @@
 """Point configurations and their combinatorial invariants.
 
-The objects here are quasi-homogeneous integer point configurations A (columns
-of an integer matrix, all evaluating to 1 under some rational functional,
-checked where columns enter and not kept).  The module computes, exactly:
+The objects here are quasi-homogeneous integer point configurations A: the
+columns of an integer matrix, on an affine hyperplane that misses 0.  That,
+and Z_A, are read off the Newton hull's chart.  The module computes, exactly:
 
 * face lattices (the lattices of the chart differences of the points on each
   face of the hull, in the Newton polytope's chart),
@@ -37,12 +37,12 @@ from .intlinalg import (
     integer_kernel_basis,
     record,
     primitive,
-    solve_rational,
     vsub,
 )
 from .lattice import Lattice, hnf_solve
 from .lp import OPTIMAL, lp_maximize
 from .polytope import (
+    BudgetError,
     Face,
     FacePoset,
     cell_volume,
@@ -59,13 +59,10 @@ class InhomogeneousError(ValueError):
     """The columns admit no functional evaluating to 1 on every column."""
 
 
-def check_homogeneous(columns):
-    """Rational functional h with h . alpha = 1 for every column, or raise."""
-    cols = [tuple(col) for col in columns]  # the rows of the system alpha_i . h = 1
-    h = solve_rational(cols, [1] * len(cols))
-    if h is None:
-        raise InhomogeneousError("no functional takes the value 1 on every column")
-    return h
+def _origin_coords(P):
+    """0's chart coordinates in P, (numerators, denominator > 0), or None off
+    P's affine hull: then, and only then, a functional is 1 on P's points."""
+    return hnf_solve(P.chart.basis, P.chart.pivots, [-a for a in P.chart_anchor])
 
 
 def _column(c) -> tuple:
@@ -96,13 +93,18 @@ class PointConfiguration:
 
     @classmethod
     def from_columns(cls, columns, labels=None) -> "PointConfiguration":
-        return cls._checked([_column(c) for c in columns], labels, True)
+        """The configuration, with its Newton hull; InhomogeneousError when 0
+        lies on the columns' affine hull (a column of length 0 is 0 itself)."""
+        A = cls._checked([_column(c) for c in columns], labels)
+        if not A.matrix or _origin_coords(A.newton) is not None:
+            raise InhomogeneousError("no functional takes the value 1 on every column")
+        return A
 
     @classmethod
-    def _checked(cls, cols, labels, check):
-        """The configuration of distinct integer columns, checked by
-        :func:`check_homogeneous` when ``check`` is true; a derivation that
-        keeps a functional 1 on every column passes False."""
+    def _checked(cls, cols, labels):
+        """The configuration of distinct integer columns of equal length and
+        its labels, with no homogeneity check: a derivation that keeps a
+        functional 1 on every column calls it, :meth:`from_columns` checks."""
         if not cols:
             raise ValueError("a configuration needs at least one column")
         lengths = sorted({len(c) for c in cols})
@@ -110,8 +112,6 @@ class PointConfiguration:
             raise ValueError(f"columns must have equal lengths, got {lengths}")
         if len(set(cols)) != len(cols):
             raise ValueError("columns must be distinct")
-        if check:
-            check_homogeneous(cols)
         if labels is None:
             labels = tuple(f"a{i + 1}" for i in range(len(cols)))
         else:
@@ -147,19 +147,17 @@ class PointConfiguration:
 
     @cached_property
     def group_lattice(self) -> Lattice:
-        """Z_A: the group generated by the columns."""
-        return Lattice.from_generators(self.points)
+        """Z_A: spanned by the chart anchor, a column, and the chart basis."""
+        P = self.newton
+        return Lattice.from_generators([P.chart_anchor, *P.chart.generators()], self.ambient_dim)
 
     @cached_property
     def chart_points(self):
         """Integer coordinates of the columns in the Newton polytope's chart,
-        in which normalized volumes are volumes with respect to Z_A.
-
-        The chart lattice is the difference lattice of the columns, and that
-        is Z_A cut to the direction space of N: a vector sum k_i a_i of that
-        space vanishes under the homogeneity functional, which is 1 on every
-        a_i, so sum k_i = 0 and the vector is sum k_i (a_i - a_1).
-        """
+        in which normalized volumes are volumes with respect to Z_A: the chart
+        lattice, of the columns' differences, is Z_A cut to N's direction
+        space, where a functional 1 on every a_i makes sum k_i a_i have
+        sum k_i = 0, so it is sum k_i (a_i - a_1)."""
         return self.newton.point_coords
 
     @cached_property
@@ -171,24 +169,19 @@ class PointConfiguration:
         """The configuration without column i, unchecked: a functional that
         is 1 on every column is 1 on the others.
 
-        If column i is not a vertex of N and the other columns still
-        generate Z_A, the deletion keeps N and Z_A, and so the chart, which
-        is Z_A cut to N's direction space (see :attr:`chart_points`): the
-        Newton hull is re-indexed, not hulled again (see
-        :func:`deleted_hull`), and Z_A is kept.  Any other deletion hulls
-        afresh, with the remaining columns' Z_A when it was computed.
+        If column i is not a vertex of N and its chart coordinates x_i lie
+        in the lattice of the others', those still generate the chart (the
+        anchor's are 0), so N, its chart and Z_A are kept: the Newton hull
+        is re-indexed, not hulled again (see :func:`deleted_hull`).  Any
+        other deletion hulls afresh.
         """
         if not 0 <= i < self.size:
             raise IndexError(f"column {i} out of range")
         cols = [c for j, c in enumerate(self.points) if j != i]
         labels = [l for j, l in enumerate(self.labels) if j != i]
-        B = PointConfiguration._checked(cols, labels, False)
-        P = self.newton
-        if i in P.vertex_indices:
-            return B
-        Z = Lattice.from_generators(cols, self.ambient_dim)
-        object.__setattr__(B, "group_lattice", Z)
-        if Z == self.group_lattice:
+        B = PointConfiguration._checked(cols, labels)
+        P, x = self.newton, self.chart_points
+        if i not in P.vertex_indices and x[i] in Lattice.from_generators(x[:i] + x[i + 1:], P.dim):
             object.__setattr__(B, "newton", deleted_hull(P, i))
         return B
 
@@ -199,15 +192,16 @@ class PointConfiguration:
 
     def _extended(self, cols, labels) -> "PointConfiguration":
         """The configuration with integer columns and their labels appended.
-        Columns in N on A's affine lattice keep the Newton hull and Z_A (see
-        :func:`extended_hull`) and go unchecked: each is a_v plus a sum of
-        column differences, so a functional 1 on A's columns is 1 on it."""
+        Columns in N on A's affine lattice keep the Newton hull, and so Z_A
+        and A's homogeneity (see :func:`extended_hull`); any others are
+        checked with A's columns by :meth:`from_columns`."""
         fits = all(len(c) == self.ambient_dim for c in cols)
         P = extended_hull(self.newton, cols) if fits else None
-        B = PointConfiguration._checked([*self.points, *cols], [*self.labels, *labels], P is None)
-        if P is not None:
-            object.__setattr__(B, "newton", P)
-            object.__setattr__(B, "group_lattice", self.group_lattice)
+        cols, labels = [*self.points, *cols], [*self.labels, *labels]
+        if P is None:
+            return PointConfiguration.from_columns(cols, labels)
+        B = PointConfiguration._checked(cols, labels)
+        object.__setattr__(B, "newton", P)
         return B
 
     # -- faces ---------------------------------------------------------------
@@ -535,8 +529,7 @@ def _seen_pyramids(G):
     if len(G[0]) == 2:
         return _seen_chain(G)
     P = convex_hull(G)
-    # 0's chart coordinates are num / den, den > 0, or None off P's affine hull
-    x = hnf_solve(P.chart.basis, P.chart.pivots, [-a for a in P.chart_anchor])
+    x = _origin_coords(P)
     if x is None:
         seen, k = [frozenset(range(len(G)))], P.dim + 1
     else:
@@ -1006,6 +999,8 @@ def replay_chain(chain: ReductionChain) -> bool:
             enlarged = PointConfiguration.from_columns(
                 [*current.points, step.added_point], [*current.labels, _free_label(current.labels)]
             )
+        except BudgetError:  # a hull past its budget is no verdict on the step
+            raise
         except ValueError:
             return False
         try:
@@ -1054,14 +1049,15 @@ def dim2_interior_witness(A: PointConfiguration):
         raise ValueError("construction assumes a partially face-saturated configuration")
     interior = set(A.face_interior(A.poset.top))
     x = A.chart_points
+    index = {e: index_i(A, e) for e in A.poset.of_dim(1)}
     for vi in A.newton.vertex_indices:
         v = A.points[vi]
-        edges = [e for e in A.poset.of_dim(1) if vi in e.indices]
+        edges = [e for e in index if vi in e.indices]
         steps = []
         lengths = []
         for e in edges:
             far = next(j for j in e.indices if j != vi and j in A.newton.vertex_indices)
-            ell = gcd(*vsub(x[far], x[vi])) // index_i(A, e)
+            ell = gcd(*vsub(x[far], x[vi])) // index[e]
             lengths.append(ell)
             steps.append(tuple(d // ell for d in vsub(A.points[far], v)))
         candidate = tuple(v[i] + steps[0][i] + steps[1][i] for i in range(len(v)))

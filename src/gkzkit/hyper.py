@@ -263,12 +263,12 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
     With base_exponent the caller may pick any other v with A v = beta (for
     example a kernel-rational translate selecting a different local solution).
     Any other cell than A.newton.dim + 1 distinct columns with nonzero
-    volume raises ValueError naming it.
+    volume, by int index (a bool is none), raises ValueError naming it.
     """
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     cell, k = tuple(sorted(cell)), A.newton.dim + 1
-    ok = len(cell) == len(set(cell)) == k and all(j in range(A.size) for j in cell)
+    ok = len(cell) == len(set(cell)) == k and all(type(j) is int and 0 <= j < A.size for j in cell)
     if not (ok and cell_volume(A.chart_points, cell)):
         raise ValueError(f"cell {cell} is not {k} distinct columns of the {A.size} with nonzero volume")
     res = is_nonresonant(A, beta)

@@ -78,12 +78,12 @@ def _sorted_cells(cells) -> tuple:
 
 def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
     """The triangulation with these cells, each A.newton.dim + 1 distinct
-    columns of A, else ValueError naming the cell; a cell's volume is its
-    minor's absolute value in A's one table (see ``_minors``)."""
+    int (not bool) column indices of A, else ValueError naming the cell; a
+    cell's volume is its minor's absolute value in A's table (``_minors``)."""
     cells = _sorted_cells(cells)
-    k, columns = A.newton.dim + 1, range(A.size)
+    k = A.newton.dim + 1
     for c in cells:
-        if len(c) != k or len(set(c)) != k or not all(j in columns for j in c):
+        if not (len(c) == len(set(c)) == k and all(type(j) is int and 0 <= j < A.size for j in c)):
             raise ValueError(f"cell {c} is not {k} distinct columns of the {A.size}")
     minors = _minors(A)
     vols = tuple(abs(minors[_mask(c)]) for c in cells)

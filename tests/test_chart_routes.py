@@ -25,6 +25,12 @@ the references of ``test_subdiagram_routes.py`` and
 one scan of each face, a reference since commit f3fca80, which replaced it
 by one scan per maximal face.
 
+``ref_check_homogeneous`` is the earlier ``check_homogeneous``, kept
+verbatim: a ``Fraction`` functional h with h . a = 1 on every column, solved
+by Gauss-Jordan on the n columns.  ``from_columns`` now reads the same
+yes/no answer off the Newton hull's chart, where 0 must be off the affine
+hull, and the two must refuse the same column sets.
+
 The library reads chart coordinates as ``hnf_solve``'s pair of integer
 numerators and positive denominator; ``rational_coordinates`` of
 ``_corpus.py`` reads the pair as Fractions for the tests.  Integer lattice
@@ -49,6 +55,7 @@ from _corpus import (
 )
 from gkzkit import configuration, lattice, polytope
 from gkzkit.configuration import (
+    InhomogeneousError,
     PointConfiguration,
     face_lattice,
     reduction_chain,
@@ -163,6 +170,71 @@ def _solve_ref(rows, pivots, v):
     return [int(a * den) for a in x], den
 
 
+def ref_check_homogeneous(columns):
+    """Rational functional h with h . alpha = 1 for every column, or raise."""
+    cols = [tuple(col) for col in columns]  # the rows of the system alpha_i . h = 1
+    h = solve_rational(cols, [1] * len(cols))
+    if h is None:
+        raise InhomogeneousError("no functional takes the value 1 on every column")
+    return h
+
+
+def _homogeneity_inputs(rng):
+    """Distinct integer column sets in ambient dimensions 1-4, and a column
+    of length 0: fixed ones, then seeded random ones, sets on a hyperplane
+    h = k that span it or lie flat in it, and such sets with one column
+    doubled."""
+    yield from [[()], [(0,)], [(3,)], [(-2,)], [(0, 0)], [(0, 1)], [(1, 0), (2, 0)],
+                [(1, 0), (-1, 0)], [(1, 0), (0, 0)], [(1, 5), (1, 7)], [(2, 0), (0, 2)]]
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        cols = {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)}
+        yield sorted(cols)
+        k = rng.randint(1, 3)
+        lifted = {(k, *(rng.randint(-3, 3) for _ in range(d - 1))) for _ in range(n)}
+        if d > 2 and rng.random() < 0.5:  # flat: the last entry a combination of the others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            lifted = {(*c[:-1], a * c[0] + b * c[1]) for c in lifted}
+        lifted = sorted(lifted)
+        yield lifted
+        doubled = tuple(2 * a for a in rng.choice(lifted))
+        if doubled not in lifted:
+            yield [*lifted, doubled]
+
+
+def test_homogeneity_off_the_chart_matches_the_fraction_solve():
+    rng = random.Random(4301)
+    seen = {"refused": 0, "accepted": 0, "with_point refused": 0, "with_point accepted": 0}
+    for cols in _homogeneity_inputs(rng):
+        try:
+            ref_check_homogeneous(cols)
+            refused = False
+        except InhomogeneousError:
+            refused = True
+        try:
+            A = PointConfiguration.from_columns(cols)
+            assert not refused, cols
+            assert A.group_lattice == Lattice.from_generators(cols)
+        except InhomogeneousError:
+            assert refused, cols
+        seen["refused" if refused else "accepted"] += 1
+        if len(cols) < 2:
+            continue
+        try:
+            ref_check_homogeneous(cols[:-1])
+        except InhomogeneousError:
+            continue
+        B = PointConfiguration.from_columns(cols[:-1])
+        if refused:
+            with pytest.raises(InhomogeneousError):
+                B.with_point(cols[-1])
+        else:
+            assert B.with_point(cols[-1]) == PointConfiguration.from_columns(cols)
+        seen[f"with_point {'refused' if refused else 'accepted'}"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def _queries(rng, pts):
     """The points, rational affine combinations of them (on the hull's
     affine span) and random points (mostly off it, when the set is flat)."""
@@ -270,8 +342,9 @@ def test_face_saturation_hulls_only_the_newton_polytope(monkeypatch):
     monkeypatch.setattr(polytope, "convex_hull", counting)
     monkeypatch.setattr(configuration, "convex_hull", counting)
     for A in [*criterion_8_configs(30)[:10], OBSTRUCTED]:
-        A = _fresh(A)
+        # from_columns builds the one hull, and the saturation reads its faces
         calls.clear()
+        A = _fresh(A)
         saturate(A, "s")
         assert calls == [A.points]
 

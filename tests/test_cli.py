@@ -231,6 +231,12 @@ def test_monodromy_beta_length_and_ragged_matrix_are_input_errors():
     assert code == 2 and out is None
     assert err.startswith("input error:") and err.count("\n") == 1
     assert "[2, 1]" in err
+    # columns whose affine hull holds 0: 0 = 2 (1, 0) - (2, 0), a zero column,
+    # and a column of length 0
+    for matrix in ([[1, 0], [2, 0]], [[0, 0], [1, 1]], [[]]):
+        code, out, err = run_cli(["faces"], {"matrix": matrix})
+        assert (code, out) == (2, None)
+        assert err == "input error: no functional takes the value 1 on every column\n"
 
 
 def test_faces_command():

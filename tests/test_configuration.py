@@ -5,6 +5,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -18,14 +19,13 @@ from _corpus import (
     solid_configs,
 )
 from test_incidence_routes import ref_contains_strict
-from gkzkit import configuration
+from gkzkit import configuration, polytope
 from gkzkit.configuration import (
     ChainStep,
     InhomogeneousError,
     PointConfiguration,
     ReductionChain,
     check_aux_point,
-    check_homogeneous,
     dim2_interior_witness,
     face_lattice,
     index_i,
@@ -39,6 +39,7 @@ from gkzkit.configuration import (
     subdiagram_volume_oracle,
 )
 from gkzkit.lattice import Lattice
+from gkzkit.polytope import BudgetError, convex_hull
 
 # two-dimensional configuration: triangle of side 3 with one marked point on
 # each of two edges
@@ -69,11 +70,16 @@ def face_by_points(A, pts):
 
 
 def test_homogeneity():
-    assert check_homogeneous([(1, 5), (1, 7)]) == (1, 0)
-    h = check_homogeneous([(2, 0), (0, 2)])
-    assert all(sum(hi * ci for hi, ci in zip(h, c)) == 1 for c in [(2, 0), (0, 2)])
-    with pytest.raises(InhomogeneousError):
-        check_homogeneous([(1, 0), (2, 0)])
+    # a functional is 1 on every column iff 0 is off the Newton hull's affine
+    # hull: 1 on the chart anchor and 0 on the chart basis
+    for cols, h in (([(1, 5), (1, 7)], (1, 0)), ([(2, 0), (0, 2)], (Fraction(1, 2),) * 2)):
+        P = PointConfiguration.from_columns(cols).newton
+        assert configuration._origin_coords(P) is None
+        assert sum(map(mul, h, P.chart_anchor)) == 1
+        assert all(sum(map(mul, h, b)) == 0 for b in P.chart.generators())
+    # 0 = 2 (1, 0) - (2, 0): its chart coordinate is -1 in the basis (1, 0)
+    P = convex_hull([(1, 0), (2, 0)])
+    assert configuration._origin_coords(P) == ([-1], 1)
     with pytest.raises(InhomogeneousError):
         PointConfiguration.from_columns([(1, 0), (2, 0)])
 
@@ -416,6 +422,17 @@ def test_replay_refuses_a_tampered_step(mutant):
     assert replay_chain(ReductionChain(chain.start, chain.end, (bad, *chain.steps[1:]), ())) is False
 
 
+def test_replay_raises_a_hull_budget_error(monkeypatch):
+    # each enlarged configuration builds its hull in from_columns: a budget
+    # error there is no verdict on the step, so it is raised, not False.  The
+    # first step's hull starts from the segment [0, 3]; inserting 5 tests a pair
+    chain = reduction_chain(PointConfiguration.from_columns([(1, 0), (1, 3), (1, 5)]), "p")
+    assert chain.steps[0].added_point == (1, 1) and replay_chain(chain)
+    monkeypatch.setattr(polytope, "HULL_PAIR_CAP", 0)
+    with pytest.raises(BudgetError, match="^hull limited to 0 candidate facet pairs"):
+        replay_chain(chain)
+
+
 def test_reduction_chain_idempotent_on_saturated():
     s = saturate(TRI, "s").result
     chain = reduction_chain(s, "s")
@@ -508,7 +525,7 @@ def test_multiplicity_builds_one_face_hnf_per_proper_face(monkeypatch):
 
 
 def test_derivations_inside_n_check_no_homogeneity(monkeypatch):
-    # from_columns checks its columns once.  A saturation adds points of N on
+    # from_columns asks its hull once whether 0 is on its affine hull.  A saturation adds points of N on
     # A's affine lattice and a deletion keeps a subset of the columns: both
     # keep every functional that is 1 on A's columns, so neither checks, on
     # spanning and flat configurations alike.  A point outside N is checked
@@ -522,13 +539,13 @@ def test_derivations_inside_n_check_no_homogeneity(monkeypatch):
         *(A for A, _ in LARGE),
     ]
     calls = []
-    solve = configuration.check_homogeneous
+    solve = configuration._origin_coords
 
-    def counting(cols):
-        calls.append(len(cols))
-        return solve(cols)
+    def counting(P):
+        calls.append(len(P.points))
+        return solve(P)
 
-    monkeypatch.setattr(configuration, "check_homogeneous", counting)
+    monkeypatch.setattr(configuration, "_origin_coords", counting)
     flats = saturated = 0
     for A in configs:
         calls.clear()
@@ -540,6 +557,7 @@ def test_derivations_inside_n_check_no_homogeneity(monkeypatch):
             got = saturate(A, mode).result
             assert calls == [], (A.points, mode)
             assert got == PointConfiguration.from_columns(got.points, got.labels)
+            assert calls == [got.size]
             saturated += got.size > A.size
         # the midpoint of the new point and another vertex is a vertex of N
         v, w = (A.points[i] for i in A.newton.vertex_indices[:2])

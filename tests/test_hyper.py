@@ -167,13 +167,17 @@ PLANAR = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0
         (C013, (Fraction(1, 5), Fraction(1, 3)), (5, 0), "(0, 5)"),
         (C013, (Fraction(1, 5), Fraction(1, 3)), (1, 1), "(1, 1)"),
         (PLANAR, (Fraction(1, 5), Fraction(1, 3), Fraction(1, 7)), (0, 1, 2), "(0, 1, 2)"),
+        (C013, (Fraction(1, 5), Fraction(1, 3)), (0.0, 2), "(0.0, 2)"),
+        (C013, (Fraction(1, 5), Fraction(1, 3)), (True, 2), "(True, 2)"),
     ],
-    ids=["three-on-a-segment", "negative", "out-of-range", "repeated", "collinear-planar"],
+    ids=["three-on-a-segment", "negative", "out-of-range", "repeated", "collinear-planar",
+         "float", "bool"],
 )
 def test_gamma_series_refuses_malformed_cells_by_name(A, beta, cell, name):
     # the curve's cells are two distinct columns of the three and the planar
     # set's three with nonzero volume: a segment's three columns gave a
-    # series, a negative index read the last column and 5 an IndexError
+    # series, a negative index read the last column and 5 an IndexError;
+    # 0.0 gave a TypeError and True the series of (1, 2)
     k = A.newton.dim + 1
     want = rf"^cell {re.escape(name)} is not {k} distinct columns of the {A.size} with nonzero volume$"
     with pytest.raises(ValueError, match=want):

@@ -127,13 +127,14 @@ SQUARE = PointConfiguration.from_columns([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1
 
 @pytest.mark.parametrize(
     "cell",
-    [(0, 1), (0, 1, 2, 3), (0, 0, 1), (0, 1, 5), (-1, 0, 1)],
-    ids=["too-few", "too-many", "repeated", "out-of-range", "negative"],
+    [(0, 1), (0, 1, 2, 3), (0, 0, 1), (0, 1, 5), (-1, 0, 1), (0.0, 1, 3), (True, 2, 3)],
+    ids=["too-few", "too-many", "repeated", "out-of-range", "negative", "float", "bool"],
 )
 def test_make_triangulation_refuses_malformed_cells_by_name(cell):
     # a cell of the unit square is three distinct columns among its 4; an
-    # edge would otherwise get volume 1 and pass is_regular, and a negative
-    # index would read the last column
+    # edge would otherwise get volume 1 and pass is_regular, a negative
+    # index would read the last column, 0.0 raised a TypeError and True
+    # would read column 1
     name = re.escape(str(tuple(sorted(cell))))
     with pytest.raises(ValueError, match=rf"^cell {name} is not 3 distinct columns of the 4$"):
         make_triangulation(SQUARE, [(0, 1, 2), cell])

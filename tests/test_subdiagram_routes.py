@@ -490,8 +490,14 @@ def test_multiplicities_build_no_group_lattice():
 def test_a_face_point_and_the_chart_basis_are_a_basis_of_z_a():
     """The basis the face HNF reads i and G in: for each face's first point
     v, a_j = a_v + B (x_j - x_v) for every column, B the chart basis, and
-    a_v with B generates Z_A, whose rank is 1 + dim N."""
+    a_v with B generates Z_A, whose rank is 1 + dim N.  ``group_lattice``,
+    read off the chart anchor and B, is the lattice of the columns, on each
+    configuration, its deletions and its saturations."""
     for A in face_corpus() + [collinear(16), coplanar(4)] + _widened_corpus():
+        derived = [A.delete(i) for i in range(A.size) if A.size > 1]
+        derived += [saturate(A, mode).result for mode in ("s", "p", "full")]
+        for C in (A, *derived):
+            assert C.group_lattice == Lattice.from_generators(C.points)
         B, x = A.newton.chart.generators(), A.chart_points
         assert A.group_lattice.rank == 1 + len(B) == 1 + A.newton.dim
         for v in {face.indices[0] for face in A.poset.faces}:
