@@ -45,7 +45,6 @@ from .polytope import (
     BudgetError,
     Face,
     FacePoset,
-    cell_volume,
     convex_hull,
     deleted_hull,
     extended_hull,
@@ -162,26 +161,25 @@ class PointConfiguration:
 
     @cached_property
     def volume(self) -> int:
-        """Normalized volume of the Newton polytope with respect to Z_A."""
-        return sum(cell_volume(self.chart_points, c) for c in pulling_cells(self.poset))
+        """Normalized volume of N with respect to Z_A: its pulling cells' |minors|."""
+        minors = self.newton.minors
+        return sum(abs(minors[sum(1 << j for j in c)]) for c in pulling_cells(self.poset))
 
     def delete(self, i: int) -> "PointConfiguration":
         """The configuration without column i, unchecked: a functional that
         is 1 on every column is 1 on the others.
 
-        If column i is not a vertex of N and its chart coordinates x_i lie
-        in the lattice of the others', those still generate the chart (the
-        anchor's are 0), so N, its chart and Z_A are kept: the Newton hull
+        If column i is not a vertex of N and the others keep Z_A (see
+        :func:`_keeps_z_a`), N and its chart are kept too: the Newton hull
         is re-indexed, not hulled again (see :func:`deleted_hull`).  Any
         other deletion hulls afresh.
         """
-        if not 0 <= i < self.size:
-            raise IndexError(f"column {i} out of range")
+        P = self.newton
+        keeps = i not in P.vertex_indices and _keeps_z_a(self, i)
         cols = [c for j, c in enumerate(self.points) if j != i]
         labels = [l for j, l in enumerate(self.labels) if j != i]
         B = PointConfiguration._checked(cols, labels)
-        P, x = self.newton, self.chart_points
-        if i not in P.vertex_indices and x[i] in Lattice.from_generators(x[:i] + x[i + 1:], P.dim):
+        if keeps:
             object.__setattr__(B, "newton", deleted_hull(P, i))
         return B
 
@@ -289,14 +287,14 @@ class PointConfiguration:
 
     @cached_property
     def facet_constraints(self):
-        """(face, M, image) for each codimension-one face: integer rows M
-        cutting out the face's linear span, and the lattice M(Z^(1+n))
-        generated by M's columns."""
-        out = []
-        for face in self.poset.of_dim(self.newton.dim - 1):
-            M = integer_kernel_basis(self.face_points(face), self.ambient_dim)
-            out.append((face, M, Lattice.from_generators(zip(*M), len(M))))
-        return tuple(out)
+        """(face, M) for each codimension-one face: integer rows M cutting
+        out the face's linear span.  They are the last columns of a
+        unimodular U (see :func:`integer_kernel_basis`), so M maps Z^(1+n)
+        onto Z^k, k the number of rows."""
+        return tuple(
+            (face, integer_kernel_basis(self.face_points(face), self.ambient_dim))
+            for face in self.poset.of_dim(self.newton.dim - 1)
+        )
 
     def face_int_semiideal(self):
         """Downward closure of the faces carrying a relative interior point of A."""
@@ -305,6 +303,17 @@ class PointConfiguration:
         for g in generators:
             out.update(self.poset.subfaces(g))
         return frozenset(out)
+
+
+def _keeps_z_a(A: PointConfiguration, i: int) -> bool:
+    """Do A's columns but i, not a vertex of N, still generate Z_A?  Exactly
+    when i's chart coordinates x_i lie in the lattice of the others': a_i =
+    sum c_j a_j has sum c_j = 1, and the anchor, a vertex, has x = 0, so it
+    says x_i = sum c_j x_j.  IndexError when i is out of range."""
+    if not 0 <= i < A.size:
+        raise IndexError(f"column {i} out of range")
+    x = A.chart_points
+    return x[i] in Lattice.from_generators(x[:i] + x[i + 1:], A.newton.dim)
 
 
 # -- face lattices, indices, volumes ------------------------------------------

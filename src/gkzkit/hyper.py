@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd
 
-from .configuration import PointConfiguration
+from .configuration import PointConfiguration, _keeps_z_a
 from .intlinalg import (
     _integral,
     _ints,
@@ -37,7 +37,6 @@ from .intlinalg import (
     solve_rational,
     xgcd,
 )
-from .polytope import cell_volume
 
 
 class ResonantParameterError(ValueError):
@@ -75,24 +74,21 @@ class ResonanceReport:
 def is_nonresonant(A: PointConfiguration, beta) -> ResonanceReport:
     """Is no integer translate of beta in the span of a codimension-one face?
 
-    For each such face take integer constraint rows M cutting out its span;
-    beta - gamma lies in the span for an integer gamma iff M beta lies in the
-    lattice Λ generated by the columns of M.  Both are built once per
-    configuration, in ``A.facet_constraints``.  (For a full-dimensional Newton
-    polytope M is one primitive row h, the lattice h(Z^(1+n)) is all of Z, and
-    the test degenerates to h(beta) being an integer.)  beta is scaled once by
-    the lcm D of its denominators to integers b, and M beta lies in Λ iff
-    M b lies in D Λ: iff M b has integer coordinates in Λ's basis, all
-    divisible by D.  An entry of beta that is not a finite rational number
-    raises ValueError naming it.
+    For each such face take integer constraint rows M cutting out its span,
+    built once per configuration in ``A.facet_constraints``; beta - gamma
+    lies in the span for an integer gamma iff M beta lies in M(Z^(1+n)),
+    which is all of Z^k.  (For a full-dimensional Newton polytope M is one
+    primitive row h, and the test is whether h(beta) is an integer.)  beta is
+    scaled once by the lcm D of its denominators to integers b, and M beta is
+    integral iff every entry of M b is divisible by D.  An entry of beta that
+    is not a finite rational number raises ValueError naming it.
     """
     beta = _rationals(beta)
     if len(beta) != A.ambient_dim:
         raise ValueError("parameter length must match the ambient dimension")
     b, D = _integral(beta)
-    for face, M, image in A.facet_constraints:
-        x = image.coordinates(_mul(M, b))
-        if x is not None and all(a % D == 0 for a in x):
+    for face, M in A.facet_constraints:
+        if all(dot(m, b) % D == 0 for m in M):
             return ResonanceReport(False, face.indices)
     return ResonanceReport(True, None)
 
@@ -269,7 +265,7 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
         raise ValueError(f"order must be nonnegative, got {order}")
     cell, k = tuple(sorted(cell)), A.newton.dim + 1
     ok = len(cell) == len(set(cell)) == k and all(type(j) is int and 0 <= j < A.size for j in cell)
-    if not (ok and cell_volume(A.chart_points, cell)):
+    if not (ok and A.newton.minors[sum(1 << j for j in cell)]):
         raise ValueError(f"cell {cell} is not {k} distinct columns of the {A.size} with nonzero volume")
     res = is_nonresonant(A, beta)
     if not res:
@@ -554,7 +550,7 @@ def extend_solution(
         raise ValueError("input series must live on the configuration minus column k")
     if k in A.newton.vertex_indices:
         raise ValueError("the added column must not be a vertex")
-    if A.group_lattice != psi.config.group_lattice:
+    if not _keeps_z_a(A, k):
         raise ValueError("the added column must not change the group lattice")
     res = is_nonresonant(A, beta)
     if not res:

@@ -5,7 +5,8 @@ degenerate, so the hull is exact and integral: a double-description pass over
 integer chart coordinates, which needs no general position, under a budget on
 the facet pairs it tests.  Configurations whose affine span drops dimension
 are handled through an affine chart: facet data lives in chart coordinates,
-and lattice-point queries take lattices of chart coordinates.
+and lattice-point queries take lattices of chart coordinates.  Every simplex
+volume is read off the hull's one table of minors, which lives as long as it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from functools import cached_property
 from math import prod
 
-from .intlinalg import _abs_det, _ints, _reduce, dot, record, vec_gcd, vsub
+from .intlinalg import _ints, _reduce, dot, record, vec_gcd, vsub
 from .lattice import Lattice, hnf_solve
 
 # Candidate facet pairs that one hull may test.  The largest hull of the test
@@ -59,6 +60,37 @@ class Polytope:
     @property
     def vertices(self):
         return tuple(self.points[i] for i in self.vertex_indices)
+
+    @cached_property
+    def minors(self):
+        """The signed minors of the points, filled on demand (see :class:`_Minors`)."""
+        return _Minors(self.point_coords)
+
+
+class _Minors(dict):
+    """Signed minors of the homogenised chart points (1, x_j), ascending,
+    filled on demand: a mask of k + 1 points maps to the minor of rows
+    0..k, so one of dim + 1 points to a maximal minor, the absolute value of
+    which is the cell's normalized volume.  A missing entry is expanded
+    along row k: the sum over the mask's t-th point j of (-1)^(k + t) times
+    row k's entry at j times the entry of the mask without j, which is
+    looked up only under a nonzero entry."""
+
+    def __init__(self, coords):
+        super().__init__((1 << j, 1) for j in range(len(coords)))
+        self.coords = coords
+
+    def __missing__(self, mask):
+        k = mask.bit_count() - 1
+        minor, sign, rest = 0, -1 if k & 1 else 1, mask
+        while rest:
+            low = rest & -rest
+            x = self.coords[low.bit_length() - 1][k - 1]
+            if x:
+                minor += sign * x * self[mask ^ low]
+            sign, rest = -sign, rest ^ low
+        self[mask] = minor
+        return minor
 
 
 def _start(icoords, dim):
@@ -390,10 +422,3 @@ def pulling_cells(poset: FacePoset, face: Face | None = None):
 
     return pull(poset.top if face is None else face)
 
-
-def cell_volume(coords, cell) -> int:
-    """|det| of the edge vectors of the simplex on the integer points
-    ``coords[i]``, i in cell: its normalized volume when the coordinates are
-    lattice coordinates."""
-    base = coords[cell[0]]
-    return _abs_det([vsub(coords[j], base) for j in cell[1:]])

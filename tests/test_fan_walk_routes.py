@@ -23,9 +23,9 @@ scanning every point subset; ``ref_dependence`` is the dependence the earlier
 ``_ray_heights`` (the interval kept in Fractions), references since commit
 c3224ec, kept verbatim but for their docstrings: the routes the walk's table
 of cells and its integer interval replaced.  The cells' rows are now Cramer
-vectors of signed maximal minors, read off one table per configuration,
-``_minors``, which the walk, ``is_regular`` and ``make_triangulation`` all
-share and which fills each entry on demand by Laplace expansion from the
+vectors of signed maximal minors, read off the Newton hull's one table,
+``Polytope.minors``, which the walk, ``is_regular`` and ``make_triangulation``
+all share and which fills each entry on demand by Laplace expansion from the
 minors of fewer rows.  Every entry it fills is checked against sympy's
 determinants, and past ``ENUMERATION_CAP`` every minor a triangulation's
 rows ask for against ``ref_minor``, the earlier per-minor elimination,
@@ -51,9 +51,10 @@ import sympy
 
 from _corpus import FAMILY, LARGE, MOTHER, config, cover_family
 from test_kernel_routes import ref_rational_nullspace as rational_nullspace
+from test_minors_routes import ref_cell_volume
 from gkzkit import secondary
 from gkzkit.intlinalg import _reduce, clear_denominators, dot, primitive
-from gkzkit.polytope import cell_volume, pulling_cells
+from gkzkit.polytope import _Minors, pulling_cells
 from gkzkit.secondary import (
     DegenerateHeightsError,
     ENUMERATION_CAP,
@@ -63,7 +64,6 @@ from gkzkit.secondary import (
     _flips,
     _folding_rows,
     _lower_hull,
-    _minors,
     _ray_heights,
     enumerate_regular_triangulations,
     gkz_vector,
@@ -276,7 +276,7 @@ def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
         _, visits, _ = _visits(monkeypatch, A)
         for T, rows in visits:
             assert rows == ref_folding_rows(A, T) == _folding_rows(A, T), (A.points, T)
-            assert T.volumes == tuple(int(cell_volume(A.chart_points, c)) for c in T.cells)
+            assert T.volumes == tuple(int(ref_cell_volume(A.chart_points, c)) for c in T.cells)
         visited += len(visits)
     assert visited > 700, visited
 
@@ -295,9 +295,9 @@ def test_is_regular_past_the_enumeration_cap_fills_only_the_minors_its_rows_ask_
     A = config(rng.sample([(x, y) for x in range(6) for y in range(6)], 16))
     assert A.size > ENUMERATION_CAP and A.newton.dim == 2
     T = regular_triangulation(A, [rng.getrandbits(30) for _ in range(A.size)])
-    _minors.cache_clear()
+    vars(A.newton).pop("minors", None)
     ok, witness = is_regular(A, T)
-    held = list(_minors(A))
+    held = list(A.newton.minors)
     asked = _asked(A.size, T.cells)
     assert all(any(m & a == m for a in asked) for m in held)
     assert len(held) < 500, len(held)
@@ -330,7 +330,7 @@ def test_minors_match_sympy_determinants():
     seen_dims, seen_signs, seen_levels = set(), set(), set()
     for A in (config([()]), *FAMILY, *(A for A, _ in LARGE), config(MOTHER)):
         d = A.newton.dim
-        minors = _minors.__wrapped__(A)
+        minors = _Minors(A.chart_points)
         for cols in combinations(range(A.size), d + 1):
             minors[_masks(cols)]
         for mask, minor in minors.items():
@@ -374,7 +374,7 @@ def test_minors_past_the_cap_match_one_elimination_each():
     for n, d in ((60, 3), (32, 4), (24, 5)):
         A, T = _past_the_cap(n, d)
         assert A.size > ENUMERATION_CAP and A.newton.dim == d
-        minors = _minors.__wrapped__(A)
+        minors = _Minors(A.chart_points)
         asked = {a ^ 1 << j for a in _asked(A.size, T.cells) for j in _columns(a)}
         for mask in asked:
             minor = minors[mask]

@@ -4,8 +4,9 @@ line is marked ``# noqa: F401``, every module-level _private function or
 class is named somewhere else in gkzkit,
 every module-level public function or class, and every public method or
 property of a gkzkit class, is named somewhere else in gkzkit, ``bench/`` or
-``scripts/`` or is declared in ``TEST_ONLY``, and every module-level
-UPPER_CASE constant is read somewhere in gkzkit.
+``scripts/`` or is declared in ``TEST_ONLY``, every ``lru_cache`` of gkzkit
+is declared in ``CACHES`` with the traffic that hits it, and every
+module-level UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` re-exports its public API through the
 ``_EXPORTS = {name: module}`` table that its ``__getattr__`` resolves.  A
@@ -34,6 +35,16 @@ TEST_ONLY = {
     "curves.reduces_to_three_point_support": "the paper's three-point check, run by the acceptance tests",
     "hyper.TruncatedSeries.scaled": "the linearity test of extend_solution in tests/test_hyper.py",
     "hyper.TruncatedSeries.plus": "the linearity test of extend_solution in tests/test_hyper.py",
+}
+# Every lru_cache-decorated library function, each with the traffic that hits
+# it, as its cache_info() reads: the benchmark's library workloads at seed 7,
+# 10 blocks, and the series case of bench/cli_corpus.json.
+CACHES = {
+    "secondary._columns": "triangulations: 9 620 hits / 45 misses",
+    "secondary.enumerate_regular_triangulations": "triangulations: 50 hits / 98 misses",
+    "secondary.secondary_polytope": "triangulations: 62 hits / 98 misses",
+    "hyper.toric_kernel_basis": "gkzkit series --extend on the 4-point curve: 6 hits / 2 misses",
+    "hyper._kernel_slice": "gkzkit series --extend on the 4-point curve: 4 hits / 1 miss",
 }
 
 
@@ -258,6 +269,41 @@ def test_public_definitions_have_a_caller_outside_the_tests():
     found = {f"{module}.{name}" for module, name in uncalled_publics(sources, callers)}
     found |= {f"{module}.{name}" for module, name in uncalled_methods(sources, callers)}
     assert found == set(TEST_ONLY)
+
+
+def lru_cached(sources):
+    """(module, name) of each function of ``sources`` decorated with
+    ``lru_cache`` or ``cache``, bare, called or as an attribute."""
+    found = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        found.append((Path(path).stem, node.name))
+    return sorted(found)
+
+
+def test_the_guard_sees_lru_caches():
+    sources = {
+        "a.py": (
+            "import functools\nfrom functools import cache, lru_cache, wraps\n"
+            "@lru_cache\ndef bare():\n    pass\n"
+            "@lru_cache(maxsize=8)\ndef called():\n    pass\n"
+            "@functools.lru_cache(maxsize=None)\ndef dotted():\n    pass\n"
+            "@cache\ndef unbounded():\n    pass\n"
+            "@wraps(bare)\ndef wrapped():\n    pass\n"
+            "def plain():\n    pass\n"
+        ),
+    }
+    assert lru_cached(sources) == [("a", "bare"), ("a", "called"), ("a", "dotted"), ("a", "unbounded")]
+
+
+def test_every_cache_is_declared_with_its_traffic():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert {f"{module}.{name}" for module, name in lru_cached(sources)} == set(CACHES)
 
 
 def unread_constants(sources):

@@ -50,6 +50,7 @@ from _corpus import (
     random_heights,
     rational_coordinates,
     skewed_configs,
+    solid_configs,
 )
 from test_chart_routes import ref_ambient_functional
 from test_hnf_routes import ref_coordinates
@@ -336,24 +337,36 @@ def test_nonresonance_matches_a_rebuild_per_call():
     assert min(verdicts.values()) > 100, verdicts
 
 
+def test_facet_constraints_map_onto_the_standard_lattice():
+    # M's rows are the last columns of a unimodular transform, so M's
+    # columns span Z^k and is_nonresonant needs no image lattice
+    facets = 0
+    for A in (*face_corpus(), *skewed_configs(47, 120), *solid_configs(5, 10)):
+        for _, M in A.facet_constraints:
+            k = len(M)
+            eye = [[int(i == j) for j in range(k)] for i in range(k)]
+            assert Lattice.from_generators(zip(*M), k) == Lattice.from_generators(eye, k), A.points
+            facets += 1
+    assert facets > 1300, facets
+
+
 def test_nonresonance_over_one_denominator_matches_the_rational_routes():
-    # Newton polytopes that are not full-dimensional, so M has several rows
-    # and its image lattice can be a proper sublattice, and parameters beta
-    # = b / D with M b in that lattice but not in D times it on some facet:
-    # against the rebuild per call and the box search
+    # Newton polytopes that are not full-dimensional, so M has several rows,
+    # which map Z^(1+n) onto Z^k, and parameters beta = b / D with M b
+    # integral but not divisible by D on some facet: against the rebuild per
+    # call and the box search
     rng = random.Random(61)
     flat = [A for A in skewed_configs(47, 120) if A.newton.dim + 1 < A.ambient_dim <= 4]
     several = off_d = 0
     for A in flat:
-        several += any(len(M) > 1 for _, M, _ in A.facet_constraints)
+        several += any(len(M) > 1 for _, M in A.facet_constraints)
         betas = [random_beta(rng, A, planted=i % 2 == 0) for i in range(8)]
         for beta in betas:
             assert is_nonresonant(A, beta) == ref_is_nonresonant(A, beta), (A.points, beta)
             D = lcm(*(b.denominator for b in beta))
             b = [a * D for a in beta]
-            for _, M, image in A.facet_constraints:
-                x = image.coordinates([dot(row, b) for row in M])
-                off_d += x is not None and any(a % D for a in x)
+            for _, M in A.facet_constraints:
+                off_d += any(dot(row, b) % D for row in M)
         # the planted translates gamma lie in [-2, 2]^n, inside the search box
         oracle = resonance_box_oracle(A, betas, radius=3)
         assert [bool(is_nonresonant(A, beta)) for beta in betas] == oracle, A.points

@@ -8,11 +8,11 @@ import pytest
 
 from _corpus import face_corpus, hull_corpus, interior_points_in, random_heights, rational_coordinates
 from test_incidence_routes import ref_contains, ref_minimal_face_containing
+from test_minors_routes import ref_cell_volume
 from gkzkit import polytope
 from gkzkit.configuration import PointConfiguration, face_lattice, multiplicity_table
 from gkzkit.intlinalg import vsub
 from gkzkit.polytope import (
-    cell_volume,
     convex_hull,
     face_poset,
     lattice_points_in,
@@ -144,7 +144,7 @@ def _volume(points):
     """Normalized volume of conv(points), distinct and full-dimensional,
     summed over its pulling triangulation."""
     poset = face_poset(convex_hull(points))
-    return sum(cell_volume(points, c) for c in pulling_cells(poset))
+    return sum(ref_cell_volume(points, c) for c in pulling_cells(poset))
 
 
 def test_triangulation_and_volume():

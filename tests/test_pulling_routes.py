@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from _corpus import integral_multiple
 from test_hnf_routes import ref_intersect_subspace
+from test_minors_routes import ref_cell_volume
 from gkzkit.configuration import PointConfiguration
 from gkzkit.intlinalg import det_fraction, vsub
-from gkzkit.polytope import cell_volume, convex_hull, face_poset, pulling_cells
+from gkzkit.polytope import convex_hull, face_poset, pulling_cells
 
 
 def triangulate_vertices(points):
@@ -119,7 +120,7 @@ def pulled_volume(points):
     """Normalized volume of conv(points), summed over its pulling
     triangulation; repeated points count once."""
     pts = list(dict.fromkeys(tuple(p) for p in points))
-    return sum(cell_volume(pts, c) for c in pulling_cells(face_poset(convex_hull(pts))))
+    return sum(ref_cell_volume(pts, c) for c in pulling_cells(face_poset(convex_hull(pts))))
 
 
 def test_normalized_volume_matches_the_rehulled_faces():

@@ -205,6 +205,16 @@ def test_hidden_fields_stay_out_of_eq_hash_and_repr():
     assert other == P and hash(other) == hash(P) and repr(other) == repr(P)
 
 
+def test_a_filled_table_of_minors_leaves_eq_hash_and_repr():
+    for P in CORPUS[polytope.Polytope]:
+        fresh = polytope.Polytope(**values(P))
+        before = hash(fresh), repr(fresh)
+        for cell in itertools.combinations(range(len(P.points)), P.dim + 1):
+            fresh.minors[sum(1 << j for j in cell)]
+        assert "minors" in vars(fresh) and "minors" not in repr(fresh)
+        assert fresh == P and (hash(fresh), repr(fresh)) == before
+
+
 def test_a_class_keeps_its_own_eq_hash_and_bool():
     for cls in RECORDS:
         if "__bool__" in vars(cls):
@@ -282,6 +292,7 @@ def test_monodromy_result_matches_the_dataclass():
         (PointConfiguration, "poset"),
         (polytope.FacePoset, "_by_indices"),
         (hyper.TruncatedSeries, "terms"),
+        (polytope.Polytope, "minors"),
     ],
 )
 def test_cached_property_works(cls, name):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkzkit import configuration
 from gkzkit.configuration import PointConfiguration, saturate
 from gkzkit.polytope import BudgetError
 from gkzkit.secondary import (
@@ -173,6 +174,19 @@ def test_facet_restriction_rejects_lattice_drop():
         check_facet_restriction(A, 1)  # deleting 1 leaves {0,2}: index-2 sublattice
     with pytest.raises(ValueError):
         check_facet_restriction(A, 0)  # vertex
+
+
+def test_facet_restriction_refuses_a_lattice_drop_on_the_chart(monkeypatch):
+    # {0, 2, 4} spans 2Z: the refusal is read off A's chart, and no hull of
+    # the deletion is built to be compared
+    A = curve([0, 1, 2, 4])
+    A.newton
+    hulls = []
+    hull = configuration.convex_hull
+    monkeypatch.setattr(configuration, "convex_hull", lambda pts: hulls.append(pts) or hull(pts))
+    with pytest.raises(ValueError, match="^deletion changes the group lattice$"):
+        check_facet_restriction(A, 1)
+    assert hulls == []
 
 
 def test_facet_restriction_rejects_columns_out_of_range():

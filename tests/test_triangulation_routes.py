@@ -11,10 +11,10 @@ walks no flip and reads no circuit.
 from fractions import Fraction
 
 from _corpus import CATALOG, MOTHER, config, cover_family
+from test_minors_routes import ref_cell_volume
 from gkzkit import secondary
 from gkzkit.configuration import PointConfiguration
 from gkzkit.lp import lp_feasible_strict
-from gkzkit.polytope import cell_volume
 from gkzkit.secondary import (
     _certify,
     config_volume,
@@ -77,7 +77,7 @@ def _all_covering_simplex_sets(A: PointConfiguration):
 
     candidates = []
     for c in combinations(range(A.size), d + 1):
-        if cell_volume(coords, c) > 0:
+        if ref_cell_volume(coords, c) > 0:
             candidates.append(c)
     disjoint = {}
 
@@ -94,7 +94,7 @@ def _all_covering_simplex_sets(A: PointConfiguration):
             results.append([candidates[i] for i in chosen])
             return
         for i in range(start, len(candidates)):
-            v = cell_volume(coords, candidates[i])
+            v = ref_cell_volume(coords, candidates[i])
             if vol + v > total:
                 continue
             if all(compat(i, j) for j in chosen):
