@@ -162,8 +162,7 @@ class PointConfiguration:
     @cached_property
     def volume(self) -> int:
         """Normalized volume of N with respect to Z_A: its pulling cells' |minors|."""
-        minors = self.newton.minors
-        return sum(abs(minors[sum(1 << j for j in c)]) for c in pulling_cells(self.poset))
+        return sum(abs(self.newton.minor(c)) for c in pulling_cells(self.poset))
 
     def delete(self, i: int) -> "PointConfiguration":
         """The configuration without column i, unchecked: a functional that
@@ -174,13 +173,15 @@ class PointConfiguration:
         is re-indexed, not hulled again (see :func:`deleted_hull`).  Any
         other deletion hulls afresh.
         """
-        P = self.newton
-        keeps = i not in P.vertex_indices and _keeps_z_a(self, i)
+        return self._without(i, i not in self.newton.vertex_indices and _keeps_z_a(self, i))
+
+    def _without(self, i: int, keeps: bool) -> "PointConfiguration":
+        """:meth:`delete`, told whether i is no vertex of N and the rest keep Z_A."""
         cols = [c for j, c in enumerate(self.points) if j != i]
         labels = [l for j, l in enumerate(self.labels) if j != i]
         B = PointConfiguration._checked(cols, labels)
         if keeps:
-            object.__setattr__(B, "newton", deleted_hull(P, i))
+            object.__setattr__(B, "newton", deleted_hull(self.newton, i))
         return B
 
     def with_point(self, point, label=None) -> "PointConfiguration":

@@ -265,7 +265,7 @@ def gamma_series(A: PointConfiguration, beta, cell, order: int, base_exponent=No
         raise ValueError(f"order must be nonnegative, got {order}")
     cell, k = tuple(sorted(cell)), A.newton.dim + 1
     ok = len(cell) == len(set(cell)) == k and all(type(j) is int and 0 <= j < A.size for j in cell)
-    if not (ok and A.newton.minors[sum(1 << j for j in cell)]):
+    if not (ok and A.newton.minor(cell)):
         raise ValueError(f"cell {cell} is not {k} distinct columns of the {A.size} with nonzero volume")
     res = is_nonresonant(A, beta)
     if not res:

@@ -66,31 +66,34 @@ class Polytope:
         """The signed minors of the points, filled on demand (see :class:`_Minors`)."""
         return _Minors(self.point_coords)
 
+    def minor(self, cols) -> int:
+        """The signed minor of the dim + 1 points ``cols`` in :attr:`minors`."""
+        return self.minors[_mask(cols)]
+
 
 class _Minors(dict):
-    """Signed minors of the homogenised chart points (1, x_j), ascending,
-    filled on demand: a mask of k + 1 points maps to the minor of rows
-    0..k, so one of dim + 1 points to a maximal minor, the absolute value of
-    which is the cell's normalized volume.  A missing entry is expanded
-    along row k: the sum over the mask's t-th point j of (-1)^(k + t) times
-    row k's entry at j times the entry of the mask without j, which is
-    looked up only under a nonzero entry."""
+    """Signed maximal minors of the homogenised chart points (1, x_j), filled
+    on demand: a mask of dim + 1 points maps to the determinant of their
+    rows (1, x_j), ascending, the absolute value of which is the cell's
+    normalized volume.  A missing entry is that of the differences x_j - x_0
+    from the first point: one fraction-free elimination, its last pivot times
+    the sign of its row swaps.  Only the entries asked for are kept."""
 
     def __init__(self, coords):
-        super().__init__((1 << j, 1) for j in range(len(coords)))
         self.coords = coords
 
     def __missing__(self, mask):
-        k = mask.bit_count() - 1
-        minor, sign, rest = 0, -1 if k & 1 else 1, mask
-        while rest:
-            low = rest & -rest
-            x = self.coords[low.bit_length() - 1][k - 1]
-            if x:
-                minor += sign * x * self[mask ^ low]
-            sign, rest = -sign, rest ^ low
+        base, *rest = (x for j, x in enumerate(self.coords) if mask >> j & 1)
+        rows = [vsub(x, base) for x in rest]
+        pivots, d, sign = _reduce(rows, len(rows))
+        minor = sign * d if len(pivots) == len(rows) else 0
         self[mask] = minor
         return minor
+
+
+def _mask(cols) -> int:
+    """The bit mask of the column indices ``cols``, a key of :class:`_Minors`."""
+    return sum(1 << j for j in cols)
 
 
 def _start(icoords, dim):
@@ -110,7 +113,7 @@ def _start(icoords, dim):
     for i, row in zip(start, rows):
         c, *w = row[n:] if d > 0 else [-a for a in row[n:]]
         g = vec_gcd(w)
-        rays.append((tuple(-a // g for a in w), c // g, sum(1 << j for j in start if j != i)))
+        rays.append((tuple(-a // g for a in w), c // g, _mask(j for j in start if j != i)))
     return start, rays
 
 

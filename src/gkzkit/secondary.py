@@ -12,8 +12,8 @@ Cramer vector of the configuration's signed maximal minors and a cell's
 volume is its own (De Loera-Rambau-Santos, Triangulations, 2010, ch. 2 and
 4).  The Newton hull's one table, ``Polytope.minors``, which goes with the
 hull, holds them for the walk, ``is_regular`` and ``make_triangulation``
-alike, so nothing is eliminated per cell; inside the walk a cell is a bit
-mask of its columns.  The heights of each certificate also certify the
+alike, each eliminated once when first asked for; inside the walk a cell is
+a bit mask of its columns.  The heights of each certificate also certify the
 secondary polytope without a hull: they single out their triangulation's
 GKZ vector as the unique minimiser of their functional, so it is a vertex.
 """
@@ -37,7 +37,7 @@ from .intlinalg import (
     vsub,
 )
 from .lp import lp_feasible_strict
-from .polytope import BudgetError, _facet_rays, pulling_cells
+from .polytope import BudgetError, _facet_rays, _mask, pulling_cells
 
 # Largest configuration whose regular triangulations are enumerated.
 ENUMERATION_CAP = 12
@@ -86,7 +86,7 @@ def make_triangulation(A: PointConfiguration, cells) -> Triangulation:
     for c in cells:
         if not (len(c) == len(set(c)) == k and all(type(j) is int and 0 <= j < A.size for j in c)):
             raise ValueError(f"cell {c} is not {k} distinct columns of the {A.size}")
-    vols = tuple(abs(A.newton.minors[_mask(c)]) for c in cells)
+    vols = tuple(abs(A.newton.minor(c)) for c in cells)
     if 0 in vols:
         raise ValueError("degenerate cell")
     return Triangulation(cells, vols)
@@ -135,10 +135,6 @@ def gkz_vector(A: PointConfiguration, T: Triangulation):
         for i in cell:
             phi[i] += vol
     return tuple(phi)
-
-
-def _mask(cols) -> int:
-    return sum(1 << j for j in cols)
 
 
 @lru_cache(maxsize=1 << ENUMERATION_CAP)
@@ -520,7 +516,7 @@ def check_facet_restriction(A: PointConfiguration, i: int) -> FacetRestrictionRe
     if not _keeps_z_a(A, i):
         raise ValueError("deletion changes the group lattice")
     big = secondary_polytope(A)
-    small = secondary_polytope(A.delete(i))
+    small = secondary_polytope(A._without(i, True))
     big_zero = tuple(sorted(v for v in big.vertices if v[i] == 0))
     embedded = tuple(sorted(tuple(v[:i]) + (0,) + tuple(v[i:]) for v in small.vertices))
     ok = big_zero == embedded

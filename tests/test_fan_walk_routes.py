@@ -25,11 +25,11 @@ c3224ec, kept verbatim but for their docstrings: the routes the walk's table
 of cells and its integer interval replaced.  The cells' rows are now Cramer
 vectors of signed maximal minors, read off the Newton hull's one table,
 ``Polytope.minors``, which the walk, ``is_regular`` and ``make_triangulation``
-all share and which fills each entry on demand by Laplace expansion from the
-minors of fewer rows.  Every entry it fills is checked against sympy's
+all share and which fills each entry on demand by one elimination and keeps
+only the entries asked for.  Every entry it fills is checked against sympy's
 determinants, and past ``ENUMERATION_CAP`` every minor a triangulation's
-rows ask for against ``ref_minor``, the earlier per-minor elimination,
-verbatim since commit 82755d4.  The walk hands ``_flips`` its cells and
+rows ask for against ``ref_minor``, the per-minor elimination of the earlier
+``_MinorMemo``, verbatim since commit 82755d4.  The walk hands ``_flips`` its cells and
 circuits as bit masks of columns.
 
 ``lp_oracle`` is the walk's completeness check: it walks every
@@ -283,14 +283,15 @@ def test_cell_table_matches_a_fresh_elimination_per_triangulation(monkeypatch):
 
 def _asked(n, cells):
     """The masks of each cell and one column p outside it: the (d + 2)-column
-    sets whose (d + 1)-submasks are the minors the cell's folding rows read."""
+    sets whose (d + 1)-column submasks are the minors the cell's folding rows
+    read."""
     return [c | 1 << p for c in map(_masks, cells) for p in range(n) if not c >> p & 1]
 
 
 def test_is_regular_past_the_enumeration_cap_fills_only_the_minors_its_rows_ask_for():
     # 16 planar points: the LP certifies T on rows read off the one table of
-    # minors, which then holds only submasks of what T's rows asked for, far
-    # fewer than the 696 minors of 1 to 3 of the 16 columns
+    # minors, which then holds only maximal minors that T's rows asked for,
+    # far fewer than the 560 of 3 of the 16 columns
     rng = random.Random(1616)
     A = config(rng.sample([(x, y) for x in range(6) for y in range(6)], 16))
     assert A.size > ENUMERATION_CAP and A.newton.dim == 2
@@ -299,7 +300,7 @@ def test_is_regular_past_the_enumeration_cap_fills_only_the_minors_its_rows_ask_
     ok, witness = is_regular(A, T)
     held = list(A.newton.minors)
     asked = _asked(A.size, T.cells)
-    assert all(any(m & a == m for a in asked) for m in held)
+    assert all(m.bit_count() == 3 and any(m & a == m for a in asked) for m in held)
     assert len(held) < 500, len(held)
     assert ok and regular_triangulation(A, witness) == T, T
 
@@ -325,14 +326,15 @@ def test_folding_rows_match_a_fresh_elimination():
 
 def test_minors_match_sympy_determinants():
     # every maximal minor, zero ones included, of the homogenised chart
-    # columns, d = 0 (one point) to d = 3 (the cube), and then every entry
-    # the table filled on the way: the minor of a mask's leading rows
+    # columns, d = 0 (one point) to d = 3 (the cube); the table holds those
+    # and nothing else
     seen_dims, seen_signs, seen_levels = set(), set(), set()
     for A in (config([()]), *FAMILY, *(A for A, _ in LARGE), config(MOTHER)):
         d = A.newton.dim
         minors = _Minors(A.chart_points)
         for cols in combinations(range(A.size), d + 1):
             minors[_masks(cols)]
+        assert len(minors) == math.comb(A.size, d + 1), A.points
         for mask, minor in minors.items():
             cols = sorted(_columns(mask))
             rows = ([A.chart_points[j][i] for j in cols] for i in range(len(cols) - 1))
@@ -342,7 +344,7 @@ def test_minors_match_sympy_determinants():
             seen_levels.add((d, len(cols)))
         seen_dims.add(d)
     assert seen_dims == {0, 1, 2, 3} and seen_signs == {-1, 0, 1}
-    assert all((d, k) in seen_levels for d in seen_dims for k in range(1, d + 2))
+    assert seen_levels == {(d, d + 1) for d in seen_dims}
 
 
 def ref_minor(coords, mask):

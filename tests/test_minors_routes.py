@@ -33,19 +33,14 @@ def ref_cell_volume(coords, cell) -> int:
     return _abs_det([vsub(coords[j], base) for j in cell[1:]])
 
 
-def _mask(cols):
-    return sum(1 << j for j in cols)
-
-
 def test_every_maximal_minor_is_its_cells_volume():
     # every (d + 1)-subset, degenerate ones included, of the family, the
     # large configurations and the mother of all examples
     zeros = cells = 0
     for A in (*FAMILY, *(A for A, _ in LARGE), config(MOTHER)):
-        minors = A.newton.minors
         for cell in combinations(range(A.size), A.newton.dim + 1):
             want = ref_cell_volume(A.chart_points, cell)
-            assert abs(minors[_mask(cell)]) == want, (A.points, cell)
+            assert abs(A.newton.minor(cell)) == want, (A.points, cell)
             zeros += want == 0
             cells += 1
     assert zeros > 20 and cells > 300, (zeros, cells)
@@ -57,6 +52,20 @@ def test_the_volume_is_the_sum_of_the_pulling_cells_minors():
         assert A.volume == want, A.points
     # the 3 x 3 grid and the cube: the volume is 8 and 6
     assert [A.volume for A, _ in LARGE] == [8, 8, 6]
+
+
+def test_a_dense_cell_keeps_one_entry():
+    # d + 1 seeded points of dense chart coordinates inside 120 times the
+    # unit 12-simplex, whose vertices and unit points make the chart Z^12:
+    # their cell's minor is one elimination, and the table keeps it alone,
+    # where expanding it from the minors of its subsets kept 2^13 of them
+    d, rng = 12, random.Random(12)
+    corners = [(0,) * d, *(tuple(120 * (i == j) for j in range(d)) for i in range(d))]
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    A = config(corners + units + [tuple(rng.randint(1, 9) for _ in range(d)) for _ in range(d + 1)])
+    cell = tuple(range(A.size - d - 1, A.size))
+    assert abs(A.newton.minor(cell)) == ref_cell_volume(A.chart_points, cell) > 0
+    assert len(A.newton.minors) == 1
 
 
 def test_the_table_lives_as_long_as_its_hull():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkzkit import configuration
+from gkzkit import configuration, secondary
 from gkzkit.configuration import PointConfiguration, saturate
 from gkzkit.polytope import BudgetError
 from gkzkit.secondary import (
@@ -187,6 +187,20 @@ def test_facet_restriction_refuses_a_lattice_drop_on_the_chart(monkeypatch):
     with pytest.raises(ValueError, match="^deletion changes the group lattice$"):
         check_facet_restriction(A, 1)
     assert hulls == []
+
+
+def test_an_accepted_facet_restriction_asks_the_lattice_question_once(monkeypatch):
+    # the deletion keeps Z_A: that is decided once, before deleting, and the
+    # deletion re-indexes A's hull instead of building its own
+    A = curve([0, 1, 2, 3])
+    A.newton
+    asked, hulls = [], []
+    keeps, hull = configuration._keeps_z_a, configuration.convex_hull
+    for module in (configuration, secondary):
+        monkeypatch.setattr(module, "_keeps_z_a", lambda B, i: asked.append(i) or keeps(B, i))
+    monkeypatch.setattr(configuration, "convex_hull", lambda pts: hulls.append(pts) or hull(pts))
+    assert check_facet_restriction(A, 1)
+    assert asked == [1] and hulls == []
 
 
 def test_facet_restriction_rejects_columns_out_of_range():
