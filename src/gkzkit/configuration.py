@@ -23,7 +23,7 @@ and Z_A, are read off the Newton hull's chart.  The module computes, exactly:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, partial
 from math import gcd, prod
 from numbers import Number
 
@@ -45,9 +45,13 @@ from .polytope import (
     BudgetError,
     Face,
     FacePoset,
+    _bits,
+    _mask,
     convex_hull,
     deleted_hull,
+    deleted_poset,
     extended_hull,
+    extended_poset,
     face_poset,
     lattice_points_in,
     pulling_cells,
@@ -142,7 +146,11 @@ class PointConfiguration:
 
     @cached_property
     def poset(self) -> FacePoset:
-        return face_poset(self.newton)
+        """N's face poset: read off the parent's when this configuration was
+        derived from one whose poset was built (see :meth:`_derived`), and
+        built from N otherwise."""
+        derive = vars(self).pop("_poset_from", face_poset)
+        return derive(self.newton)
 
     @cached_property
     def group_lattice(self) -> Lattice:
@@ -181,7 +189,7 @@ class PointConfiguration:
         labels = [l for j, l in enumerate(self.labels) if j != i]
         B = PointConfiguration._checked(cols, labels)
         if keeps:
-            object.__setattr__(B, "newton", deleted_hull(self.newton, i))
+            self._derived(B, deleted_hull(self.newton, i), partial(deleted_poset, i=i))
         return B
 
     def with_point(self, point, label=None) -> "PointConfiguration":
@@ -200,8 +208,18 @@ class PointConfiguration:
         if P is None:
             return PointConfiguration.from_columns(cols, labels)
         B = PointConfiguration._checked(cols, labels)
-        object.__setattr__(B, "newton", P)
+        self._derived(B, P, extended_poset)
         return B
+
+    def _derived(self, B, P, derive):
+        """Give B the Newton hull P read off N and, if this configuration's
+        poset is built, the pending read ``derive(poset, P)`` of B's own,
+        which :attr:`poset` makes and drops when first asked.  B keeps the
+        poset, not this configuration."""
+        object.__setattr__(B, "newton", P)
+        parent = vars(self).get("poset")
+        if parent is not None:
+            object.__setattr__(B, "_poset_from", partial(derive, parent))
 
     # -- faces ---------------------------------------------------------------
 
@@ -211,15 +229,21 @@ class PointConfiguration:
     @cached_property
     def minimal_faces(self):
         """The face whose relative interior holds each column, by index: the
-        meet of the facets through the column, the top face if none is."""
-        every = frozenset(range(self.size))
-        sets = self.newton.facet_sets
-        return tuple(
-            self.poset.face_with_indices(every.intersection(*(s for s in sets if i in s)))
-            for i in range(self.size)
-        )
+        meet of the facet masks through the column, the top face if none is."""
+        by_mask, out = self.poset._by_mask, []
+        for i in range(self.size):
+            meet = (1 << self.size) - 1
+            for z in self.newton.facet_sets:
+                if z >> i & 1:
+                    meet &= z
+            out.append(by_mask[meet])
+        return tuple(out)
 
     def minimal_face(self, i: int) -> Face:
+        """The face whose relative interior holds column i; IndexError when
+        i is out of range."""
+        if not 0 <= i < self.size:
+            raise IndexError(f"column {i} out of range")
         return self.minimal_faces[i]
 
     @cached_property
@@ -263,11 +287,11 @@ class PointConfiguration:
         P = self.newton
         L = None if face.supporting is None else face_lattice(self, face)
         hits = lattice_points_in(P, L, face=face)
-        interiors, by_mask = {}, {}
-        for f in self.poset.subfaces(face):
-            on = set(f.indices)
-            by_mask[sum(1 << j for j, s in enumerate(P.facet_sets) if on <= s)] = f
-            interiors[f.indices] = []
+        interiors, by_mask, g = {}, {}, _mask(face.indices)
+        for m, f in self.poset._by_mask.items():
+            if m & g == m:  # a subface: its hits are tight on the facets through it
+                by_mask[_mask(j for j, z in enumerate(P.facet_sets) if m & z == m)] = f
+                interiors[f.indices] = []
         columns, x = set(self.points), self.chart_points
         lattices = {}
         for p, mask in hits:
@@ -299,11 +323,10 @@ class PointConfiguration:
 
     def face_int_semiideal(self):
         """Downward closure of the faces carrying a relative interior point of A."""
-        generators = {self.minimal_face(i) for i in range(self.size)}
-        out = set()
-        for g in generators:
-            out.update(self.poset.subfaces(g))
-        return frozenset(out)
+        generators = {_mask(f.indices) for f in self.minimal_faces}
+        return frozenset(
+            f for m, f in self.poset._by_mask.items() if any(m & g == m for g in generators)
+        )
 
 
 def _keeps_z_a(A: PointConfiguration, i: int) -> bool:
@@ -541,23 +564,23 @@ def _seen_pyramids(G):
     P = convex_hull(G)
     x = _origin_coords(P)
     if x is None:
-        seen, k = [frozenset(range(len(G)))], P.dim + 1
+        seen, k = [(1 << len(G)) - 1], P.dim + 1
     else:
         num, den = x
-        seen = [s for (h, c), s in zip(P.facets, P.facet_sets) if dot(h, num) > c * den]
+        seen = [z for (h, c), z in zip(P.facets, P.facet_sets) if dot(h, num) > c * den]
         if not seen:
             raise AssertionError("a quotient's images must lie in an open half-space")
         k = P.dim
-    vertices = frozenset(P.vertex_indices)
+    vertices = _mask(P.vertex_indices)
     cells, poset = [], None
-    for s in seen:
-        verts = sorted(s & vertices)
+    for z in seen:
+        verts = _bits(z & vertices)
         if len(verts) == k:
             cells.append(verts)
             continue
         if poset is None:
             poset = face_poset(P)
-        cells += pulling_cells(poset, poset.face_with_indices(s))
+        cells += pulling_cells(poset, poset._by_mask[z])
     return sum(_abs_det([G[i] for i in cell]) for cell in cells)
 
 

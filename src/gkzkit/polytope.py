@@ -55,7 +55,7 @@ class Polytope:
     facets: tuple  # (primitive integer chart-normal h, integer offset c), h.x <= c inside
     vertex_indices: tuple
     point_coords: tuple  # chart coordinates of ``points``
-    facet_sets: tuple  # indices of the points on each facet
+    facet_sets: tuple  # bit masks of the points on each facet: bit j for point j
 
     @property
     def vertices(self):
@@ -92,8 +92,19 @@ class _Minors(dict):
 
 
 def _mask(cols) -> int:
-    """The bit mask of the column indices ``cols``, a key of :class:`_Minors`."""
+    """The bit mask of the distinct indices ``cols``: a key of :class:`_Minors`,
+    a face's point set in :class:`FacePoset`."""
     return sum(1 << j for j in cols)
+
+
+def _bits(mask) -> tuple:
+    """The indices of the set bits of ``mask``, ascending: the inverse of :func:`_mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _start(icoords, dim):
@@ -193,7 +204,7 @@ def convex_hull(points) -> Polytope:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
     facets = {(h, c): z for h, c, z in _facet_rays(coords, dim)}
     order = tuple(sorted(facets))
-    masks = [facets[f] for f in order]
+    masks = tuple(facets[f] for f in order)
     # a point is a vertex iff the facets through it meet in copies of it
     everything = (1 << len(pts)) - 1
     copies = {}
@@ -207,8 +218,7 @@ def convex_hull(points) -> Polytope:
                 meet &= z
         if meet & ~copies[x] == 0:
             vert.append(i)
-    sets = tuple(frozenset(i for i in range(len(pts)) if z >> i & 1) for z in masks)
-    return Polytope(pts, dim, anchor, lat, order, tuple(vert), coords, sets)
+    return Polytope(pts, dim, anchor, lat, order, tuple(vert), coords, masks)
 
 
 def extended_hull(P: Polytope, new):
@@ -220,8 +230,8 @@ def extended_hull(P: Polytope, new):
     lattice.  They keep the chart anchor too: min(points) is the least point
     of P in the lexicographic order, and that is a vertex (minimising each
     coordinate in turn narrows P to a face each time, down to a point).  So
-    the new points only add their chart coordinates, and join each facet
-    set where they are tight.
+    the new points only add their chart coordinates, and their bits, from
+    len(P.points) on, to the mask of each facet where they are tight.
     """
     fresh = []
     for p in new:
@@ -231,8 +241,8 @@ def extended_hull(P: Polytope, new):
         fresh.append(x)
     n = len(P.points)
     sets = tuple(
-        s.union(n + k for k, x in enumerate(fresh) if dot(h, x) == c)
-        for (h, c), s in zip(P.facets, P.facet_sets)
+        z | _mask(n + k for k, x in enumerate(fresh) if dot(h, x) == c)
+        for (h, c), z in zip(P.facets, P.facet_sets)
     )
     return Polytope(
         (*P.points, *new), P.dim, P.chart_anchor, P.chart, P.facets, P.vertex_indices,
@@ -248,17 +258,20 @@ def deleted_hull(P: Polytope, i: int) -> Polytope:
     Such a deletion keeps the hull, its facets and the chart; it keeps the
     chart anchor too, a vertex (see :func:`extended_hull`), and so every
     other point's chart coordinates.  Only the indices move: point j > i
-    becomes j - 1, in the vertex indices, the chart coordinates and the
-    facet sets.
+    becomes j - 1, in the vertex indices and the chart coordinates, and the
+    facet masks lose bit i and shift their higher bits down by one.
     """
-    def shift(js):
-        return (j - (j > i) for j in js if j != i)
-
     return Polytope(
         P.points[:i] + P.points[i + 1:], P.dim, P.chart_anchor, P.chart, P.facets,
-        tuple(shift(P.vertex_indices)), P.point_coords[:i] + P.point_coords[i + 1:],
-        tuple(frozenset(shift(s)) for s in P.facet_sets),
+        tuple(j - (j > i) for j in P.vertex_indices),
+        P.point_coords[:i] + P.point_coords[i + 1:],
+        tuple(_dropped(z, i) for z in P.facet_sets),
     )
+
+
+def _dropped(mask, i):
+    """``mask`` without bit i, its higher bits shifted down by one."""
+    return mask & ((1 << i) - 1) | mask >> (i + 1) << i
 
 
 @record
@@ -271,60 +284,119 @@ class FacePoset:
         return tuple(f for f in self.faces if f.dim == d)
 
     @cached_property
-    def _by_indices(self):
-        return {f.indices: f for f in self.faces}
+    def _by_mask(self):
+        """Each face's bit mask of point indices -> the face, in the order of
+        ``faces``; the constructors below seed it."""
+        return {_mask(f.indices): f for f in self.faces}
 
     def face_with_indices(self, indices):
         key = tuple(sorted(indices))
-        face = self._by_indices.get(key)
-        if face is None:
+        try:  # 1 << j raises on a negative or a non-integer j
+            face = self._by_mask.get(_mask(key))
+        except (TypeError, ValueError):
+            face = None
+        if face is None or face.indices != key:  # a repeated j adds up to another mask
             raise KeyError(f"no face with point set {key}")
         return face
 
     def subfaces(self, face: Face):
-        s = set(face.indices)
-        return tuple(f for f in self.faces if set(f.indices) <= s)
+        m = _mask(face.indices)
+        return tuple(f for z, f in self._by_mask.items() if z & m == z)
 
     def faces_containing(self, face: Face):
-        s = set(face.indices)
-        return tuple(f for f in self.faces if set(f.indices) >= s)
+        m = _mask(face.indices)
+        return tuple(f for z, f in self._by_mask.items() if z & m == m)
+
+
+def _poset(P: Polytope, faces) -> FacePoset:
+    """The FacePoset of P on (mask, face) pairs in graded order, with its mask table."""
+    by_mask = dict(faces)
+    poset = FacePoset(P, tuple(by_mask.values()), by_mask[(1 << len(P.points)) - 1])
+    vars(poset)["_by_mask"] = by_mask
+    return poset
+
+
+def _graded(item):
+    return item[1].dim, item[1].indices
 
 
 def face_poset(P: Polytope) -> FacePoset:
-    """All nonempty faces of P, closed under intersection."""
-    active_sets = P.facet_sets
-    all_idx = frozenset(range(len(P.points)))
-    seen = {all_idx}
-    queue = [all_idx]
-    while queue:
-        s = queue.pop()
-        for a in active_sets:
-            t = s & a
-            if t and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    # the face lattice is graded: a face's dim is the length of the longest
-    # chain of faces below it
-    dims = {}
-    for s in sorted(seen, key=len):
-        dims[s] = 1 + max((d for t, d in dims.items() if t < s), default=-1)
+    """All nonempty faces of P, graded top down (Kaibel & Pfetsch,
+    *Computing the face lattice of a polytope from its vertex-facet
+    incidences*, 2002).
+
+    Faces are point masks, and those of the facets are P's facet masks.  The
+    facets of a smaller face G are the maximal nonempty proper intersections
+    of G with the facet masks: a facet F of G is a face of P, the meet of
+    the facets of P through it, one of which misses G, and that one cuts G
+    to a proper face of G holding F, so to F itself.  A face's supporting
+    functional is the sum of the facets through it.
+    """
+    facets = tuple(zip(P.facets, P.facet_sets))
+    everything = (1 << len(P.points)) - 1
+    faces = [(everything, Face(_bits(everything), None, P.dim))]
+    level = P.facet_sets
+    for d in range(P.dim - 1, -1, -1):
+        below = set()
+        for g in level:
+            through, cuts = [], set()
+            for f, z in facets:
+                t = g & z
+                if t == g:
+                    through.append(f)
+                elif t:
+                    cuts.add(t)
+            kept = []  # the maximal cuts: none lies in a larger one
+            for t in sorted(cuts, key=int.bit_count, reverse=True):
+                for k in kept:
+                    if t & k == t:
+                        break
+                else:
+                    kept.append(t)
+            below.update(kept)
+            if len(through) > 1:
+                hs, cs = zip(*through)
+                through = [(tuple(map(sum, zip(*hs))), sum(cs))]
+            faces.append((g, Face(_bits(g), through[0], d)))
+        level = below
+    faces.sort(key=_graded)
+    return _poset(P, faces)
+
+
+def extended_poset(F: FacePoset, P: Polytope) -> FacePoset:
+    """face_poset(P) read off F, for P = :func:`extended_hull` of F's
+    polytope.  The new points keep the hull, so each face keeps its dim and
+    its supporting functional (H, C), the sum of the facets through it, on
+    which every point has H . x <= C.  A new point joins the face iff it has
+    H . x = C, that is iff it lies on every facet through the face, and it
+    always joins the top face.  Two faces of one dim do not nest, so neither
+    one's indices are a prefix of the other's, and appending the new indices,
+    past the old ones, keeps the graded order.
+    """
+    n = len(F.polytope.points)
+    new = tuple(enumerate(P.point_coords[n:], n))
     faces = []
-    top = None
-    for s, d in dims.items():
-        if s == all_idx:
-            sup = None
+    for m, f in F._by_mask.items():
+        if f.supporting is None:
+            m = (1 << len(P.points)) - 1
         else:
-            hs = [(h, c) for (h, c), a in zip(P.facets, active_sets) if s <= a]
-            sup = (
-                tuple(sum(h[i] for h, _ in hs) for i in range(P.dim)),
-                sum(c for _, c in hs),
-            )
-        face = Face(tuple(sorted(s)), sup, d)
-        faces.append(face)
-        if s == all_idx:
-            top = face
-    faces.sort(key=lambda f: (f.dim, f.indices))
-    return FacePoset(P, tuple(faces), top)
+            h, c = f.supporting
+            m |= _mask(j for j, x in new if dot(h, x) == c)
+        faces.append((m, Face(_bits(m), f.supporting, f.dim)))
+    return _poset(P, faces)
+
+
+def deleted_poset(F: FacePoset, P: Polytope, i: int) -> FacePoset:
+    """face_poset(P) read off F, for P = :func:`deleted_hull` of F's polytope
+    and point i: the faces keep their dims and supporting functionals, and their
+    masks lose bit i and shift as the facet masks do.  That can change the
+    graded order, so the faces are sorted again."""
+    faces = []
+    for m, f in F._by_mask.items():
+        m = _dropped(m, i)
+        faces.append((m, Face(_bits(m), f.supporting, f.dim)))
+    faces.sort(key=_graded)
+    return _poset(P, faces)
 
 
 def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None = None):
@@ -350,17 +422,17 @@ def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None =
     first point plus sum m_k B g_k, B the chart basis.
     """
     indices = face.indices if face is not None else range(len(P.points))
-    on, first = frozenset(indices), indices[0]
+    on, first = _mask(indices), indices[0]
     x0 = P.point_coords[first]
     if L is None:
         eye = range(P.dim)
         L = Lattice.from_generators([[int(i == j) for j in eye] for i in eye], P.dim)
-    through = [on <= s for s in P.facet_sets]
+    through = [on & z == on for z in P.facet_sets]
     # the vertices' coordinates in L, each as (numerators, denominator)
     boxes = [
         hnf_solve(L.basis, L.pivots, vsub(P.point_coords[i], x0))
         for i in P.vertex_indices
-        if i in on
+        if on >> i & 1
     ]
     if None in boxes:
         raise ValueError("lattice span does not contain the polytope's hull")
@@ -415,11 +487,10 @@ def pulling_cells(poset: FacePoset, face: Face | None = None):
         if len(verts) == face.dim + 1:
             return [tuple(verts)]
         v = min(verts, key=P.points.__getitem__)
-        inside = set(face.indices)
         return [
             (v, *cell)
-            for f in poset.of_dim(face.dim - 1)
-            if v not in f.indices and inside.issuperset(f.indices)
+            for f in poset.subfaces(face)
+            if f.dim == face.dim - 1 and v not in f.indices
             for cell in pull(f)
         ]
 

@@ -391,10 +391,16 @@ def rational_coordinates(L, v):
     return None if solved is None else tuple(Fraction(n, solved[1]) for n in solved[0])
 
 
+def facet_indices(mask):
+    """The index set of a facet's bit mask in ``Polytope.facet_sets``: bit j
+    for point j."""
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 def interior_points_in(P, L=None, face=None):
     """The points of ``lattice_points_in`` in the relative interior of the face
     (of P by default), read off their masks: those on the facets through the
     face alone."""
     on = frozenset(face.indices if face is not None else range(len(P.points)))
-    bits = sum(1 << j for j, s in enumerate(P.facet_sets) if on <= s)
+    bits = sum(1 << j for j, s in enumerate(P.facet_sets) if on <= facet_indices(s))
     return tuple((p, mask) for p, mask in lattice_points_in(P, L, face) if mask == bits)

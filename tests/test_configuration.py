@@ -151,6 +151,17 @@ def test_delete_rejects_columns_out_of_range():
     assert A.delete(A.size - 1).points == ((1, 0), (1, 1), (1, 2))
 
 
+def test_minimal_face_rejects_columns_out_of_range():
+    # the faces-triangle input of the CLI corpus; -1 once read column 4's
+    # face, and 5 raised a bare "tuple index out of range"
+    for i in (-1, TRI.size):
+        with pytest.raises(IndexError, match=f"^column {i} out of range$"):
+            TRI.minimal_face(i)
+        with pytest.raises(IndexError, match=f"^column {i} out of range$"):
+            is_lattice_redundant(TRI, i)
+    assert TRI.minimal_face(TRI.size - 1).indices == (0, 2, 4)
+
+
 def test_face_lattices_of_triangle():
     bottom = face_by_points(TRI, [(1, 0, 0), (1, 3, 0), (1, 1, 0)])
     # lattices of chart differences; the chart basis is (0, 1, 0), (0, 0, 1)

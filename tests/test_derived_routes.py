@@ -13,19 +13,44 @@ data, re-indexed; any other deletion falls back to the fresh configuration.
 The reference is the fresh hull itself, the route the inheritance replaced
 (commits f3fca80 and c3851d4): it stays because it is the library's own
 hull, with no parent to read off.
+
+The face poset of such a configuration is read off its parent's when that
+was built (``polytope.extended_poset`` and ``polytope.deleted_poset``).  Its
+reference is ``face_poset`` of the configuration's own hull, which in turn
+is checked against the longest-chain grading of ``test_hull_routes``.
 """
 
+import gc
 import importlib.util
+import itertools
+import random
+import weakref
 from pathlib import Path
 
 import pytest
 
-from _corpus import FAMILY, LARGE, OBSTRUCTED, criterion_8_configs, solid_configs
+from _corpus import (
+    FAMILY,
+    LARGE,
+    OBSTRUCTED,
+    config,
+    criterion_8_configs,
+    face_corpus,
+    solid_configs,
+)
+from test_hull_routes import ref_face_poset
 from gkzkit import configuration
-from gkzkit.configuration import PointConfiguration, reduction_chain, replay_chain, saturate
+from gkzkit.configuration import (
+    PointConfiguration,
+    _keeps_z_a,
+    is_lattice_redundant,
+    reduction_chain,
+    replay_chain,
+    saturate,
+)
 from gkzkit.intlinalg import vsub
 from gkzkit.lattice import Lattice
-from gkzkit.polytope import convex_hull, extended_hull, face_poset, lattice_points_in
+from gkzkit.polytope import FacePoset, convex_hull, extended_hull, face_poset, lattice_points_in
 
 
 def _configs():
@@ -192,3 +217,156 @@ def test_deletions_that_move_the_hull_or_z_a_build_afresh():
     # the last column: the refusal of test_empty_configurations_are_refused
     with pytest.raises(ValueError, match="^a configuration needs at least one column$"):
         PointConfiguration.from_columns([(1, 0)]).delete(0)
+
+
+# -- face posets read off the parent's ----------------------------------------------
+
+
+def assert_read_off(B):
+    """B's poset is pending a read off its parent's, and once read equals
+    face_poset of B's hull: the faces in order, with their supporting
+    functionals and dims, and the top.  The mask table it was given is the
+    one its faces' indices give."""
+    assert "_poset_from" in vars(B)
+    got, want = B.poset, face_poset(B.newton)
+    assert "_poset_from" not in vars(B) and got.polytope is B.newton
+    assert got.faces == want.faces and got.top == want.top
+    table = FacePoset(got.polytope, got.faces, got.top)._by_mask
+    assert list(vars(got)["_by_mask"].items()) == list(table.items())
+
+
+def _derivations(A):
+    """(kind, B, moved): configurations B derived from A, each off a parent
+    whose poset is built: one lattice point of N at a time, the three
+    saturations, each step of the partial saturation's chain, and every
+    deletion that inherits the hull, from A and from its s-saturation.
+    ``moved`` says whether a deletion's re-indexed faces left graded order."""
+    A = _fresh(A)
+    A.poset
+    for p, _ in lattice_points_in(A.newton):
+        if p not in A.points:
+            yield "point", A.with_point(p), False
+    for mode in ("s", "p", "full"):
+        yield "saturation", saturate(A, mode).result, False
+    current = A
+    for step in reduction_chain(A, "p").steps:
+        current.poset
+        current = current.with_point(step.added_point)
+        yield "chain", current, False
+    for C in (A, saturate(A, "s").result):
+        for i in range(C.size):
+            if i not in C.newton.vertex_indices and _keeps_z_a(C, i):
+                shifted = [
+                    (f.dim, tuple(j - (j > i) for j in f.indices if j != i)) for f in C.poset.faces
+                ]
+                yield "deletion", C.delete(i), shifted != sorted(shifted)
+
+
+def _grid_subsets():
+    """The subsets of the 3 x 3 grid that span the plane."""
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    subsets = (config(pts) for n in range(3, 10) for pts in itertools.combinations(grid, n))
+    return [A for A in subsets if A.newton.dim == 2]
+
+
+@pytest.mark.parametrize(
+    "corpus, least",
+    [
+        # the grid's partial saturations add no point that a chain certifies
+        ("chains", {"point": 100, "saturation": 180, "chain": 50, "deletion": 180, "moved": 3}),
+        ("faces", {"point": 250, "saturation": 450, "chain": 100, "deletion": 450, "moved": 7}),
+        ("grid", {"point": 250, "saturation": 1300, "chain": 0, "deletion": 600, "moved": 20}),
+    ],
+)
+def test_derived_posets_match_face_poset_of_their_hulls(corpus, least):
+    configs = {"chains": _configs, "faces": face_corpus, "grid": _grid_subsets}[corpus]()
+    kinds = dict.fromkeys(least, 0)
+    for A in configs:
+        for kind, B, moved in _derivations(A):
+            assert_read_off(B)
+            kinds[kind] += 1
+            kinds["moved"] += moved
+    assert all(kinds[k] >= least[k] for k in least), kinds
+
+
+def _seeded_hulls():
+    """Hulls of seeded point sets of dimension 3-5, up to 12 points each with
+    entries in [-2, 2], some repeated."""
+    rng = random.Random(46)
+    out = []
+    while len(out) < 90:
+        dim = 3 + len(out) % 3
+        count = rng.randint(dim + 1, 12)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(count)]
+        P = convex_hull(pts + pts[:rng.randint(0, 2)])
+        if P.dim == dim:
+            out.append(P)
+    return out
+
+
+def test_top_down_grading_matches_the_rank_grading():
+    # test_hull_routes compares the two on its own corpus, of dimension <= 4
+    faces = 0
+    for P in _seeded_hulls():
+        got = face_poset(P)
+        assert got.faces == ref_face_poset(P).faces and got.top.dim == P.dim
+        faces += len(got.faces)
+    assert faces > 5000, faces
+
+
+# -- the mechanism ----------------------------------------------------------------------
+
+
+# planar inputs whose three saturations each add points, and whose partial
+# saturation a chain of two to six steps reaches
+PLANAR = [
+    config([(0, 0), (3, 0), (0, 3), (1, 0), (0, 2)]),
+    config([(0, 0), (2, 0), (4, 4), (1, 4), (1, 1)]),
+    config([(0, 0), (4, 0), (0, 4), (1, 0), (0, 1)]),
+    config([(0, 0), (4, 0), (4, 4), (0, 4), (2, 0), (1, 1)]),
+]
+
+
+def test_derived_configurations_build_no_poset(monkeypatch):
+    built = []
+
+    def counting(P):
+        built.append(P)
+        return face_poset(P)
+
+    monkeypatch.setattr(configuration, "face_poset", counting)
+    for A in PLANAR:
+        del built[:]
+        A = _fresh(A)
+        enlarged = [saturate(A, mode).result for mode in ("s", "p", "full")]
+        chain = reduction_chain(A, "p")
+        enlarged.append(chain.end)
+        for B in enlarged:
+            for j in range(A.size, B.size):
+                is_lattice_redundant(B, j)
+        assert len(built) == 1 and built[0] is A.newton, A.points
+        assert chain.complete and all(B.size > A.size for B in enlarged), A.points
+    # a parent whose poset was not built passes none on
+    A = _fresh(PLANAR[0])
+    B = A.with_point((1, 1, 1))
+    assert "_poset_from" not in vars(B)
+    del built[:]
+    assert B.poset == face_poset(B.newton) and built == [B.newton]
+
+
+def test_a_pending_derivation_does_not_keep_its_parent_alive():
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    rim = [p for p in grid if p != (1, 1)]
+    # the 3 x 3 grid's centre added to its rim, and deleted from the grid
+    for points, derive in (
+        (rim, lambda A: A.with_point((1, 1, 1))),
+        (grid, lambda A: A.delete(4)),
+    ):
+        A = config(points)
+        A.poset
+        B = derive(A)
+        parent = weakref.ref(A)
+        del A
+        gc.collect()
+        assert parent() is None
+        assert_read_off(B)

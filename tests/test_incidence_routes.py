@@ -43,6 +43,7 @@ from _corpus import (
     coplanar,
     criterion_8_configs,
     face_corpus,
+    facet_indices,
     random_planar_config,
 )
 from test_subdiagram_routes import ref_face_group
@@ -95,7 +96,7 @@ def ref_minimal_face_containing(poset, point):
     s = set(range(len(P.points)))
     for a, on in zip(slacks, P.facet_sets):
         if a == 0:
-            s &= on
+            s &= facet_indices(on)
     return poset.face_with_indices(s)
 
 
@@ -320,8 +321,11 @@ def test_faces_are_looked_up_by_their_point_sets():
     for A in [*_incidence_configs(3, 100), OBSTRUCTED]:
         for f in A.poset.faces:
             assert A.poset.face_with_indices(reversed(f.indices)) is f
-        with pytest.raises(KeyError):
-            A.poset.face_with_indices((A.size,))
+        # no face has a repeated, negative, fractional or missing index
+        v = A.poset.faces[0].indices[0]
+        for indices in [(A.size,), (v, v), (-1,), (0.5,), ()]:
+            with pytest.raises(KeyError):
+                A.poset.face_with_indices(indices)
 
 
 def _outcome(f, A):

@@ -45,6 +45,7 @@ from _corpus import (
     coplanar,
     criterion_8_configs,
     face_corpus,
+    facet_indices,
     interior_points_in,
     random_beta,
     random_heights,
@@ -102,7 +103,7 @@ def ref_lattice_points_in(P, L, strict=False, face=None, tight_weakly=False):
     """
     anchor, delta = L
     on = frozenset(face.indices if face is not None else range(len(P.points)))
-    through = [on <= s for s in P.facet_sets]
+    through = [on <= facet_indices(s) for s in P.facet_sets]
     lo, hi = ref_box(delta, anchor, [P.points[i] for i in P.vertex_indices if i in on])
     size = _size((lo, hi))
     if size > LATTICE_BOX_CAP:
@@ -229,7 +230,7 @@ def ref_regular_triangulation(A, heights):
         cells = [tuple(range(A.size))]
     else:
         cells = sorted(
-            tuple(sorted(on))
+            tuple(sorted(facet_indices(on)))
             for (h, _), on in zip(hull.facets, hull.facet_sets)
             if ref_ambient_functional(hull, h)[-1] < 0  # lower facets only
         )
@@ -259,7 +260,7 @@ def test_lower_facets_match_the_ambient_functionals():
             if rays is not None:
                 got = {frozenset(i for i in range(A.size) if z >> i & 1): h[-1] < 0 for h, _, z in rays}
                 assert got == {
-                    frozenset(on): ref_ambient_functional(hull, h)[-1] < 0
+                    facet_indices(on): ref_ambient_functional(hull, h)[-1] < 0
                     for (h, _), on in zip(hull.facets, hull.facet_sets)
                 }
                 lower += sum(got.values())

@@ -290,7 +290,7 @@ def test_monodromy_result_matches_the_dataclass():
     "cls, name",
     [
         (PointConfiguration, "poset"),
-        (polytope.FacePoset, "_by_indices"),
+        (polytope.FacePoset, "_by_mask"),
         (hyper.TruncatedSeries, "terms"),
         (polytope.Polytope, "minors"),
     ],

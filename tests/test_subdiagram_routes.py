@@ -62,6 +62,7 @@ from _corpus import (
     coplanar,
     criterion_8_configs,
     face_corpus,
+    facet_indices,
     from_columns,
     integral_multiple,
     rational_coordinates,
@@ -145,7 +146,7 @@ def ref_cone_facet_inner_normals(G):
     return [  # the facets through the apex, point 0
         tuple(-a for a in ref_ambient_functional(hull, h))
         for (h, _), on in zip(hull.facets, hull.facet_sets)
-        if 0 in on
+        if 0 in facet_indices(on)
     ]
 
 
