@@ -23,9 +23,10 @@ and Z_A, are read off the Newton hull's chart.  The module computes, exactly:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cached_property, cmp_to_key, partial, wraps
 from math import gcd, prod
 from numbers import Number
+from weakref import WeakKeyDictionary
 
 from .intlinalg import (
     _abs_det,
@@ -327,6 +328,23 @@ class PointConfiguration:
         return frozenset(
             f for m, f in self.poset._by_mask.items() if any(m & g == m for g in generators)
         )
+
+
+_RESULTS = WeakKeyDictionary()
+
+
+def _per_configuration(fn):
+    """Keep fn(A, *args) with A in one weak-keyed table, looked up by
+    equality: an equal configuration alive elsewhere shares the results, and
+    they die with the one that stored them.  No result may refer to A."""
+    @wraps(fn)
+    def memo(A, *args):
+        results = _RESULTS.setdefault(A, {})
+        key = (fn, *args)
+        if key not in results:
+            results[key] = fn(A, *args)
+        return results[key]
+    return memo
 
 
 def _keeps_z_a(A: PointConfiguration, i: int) -> bool:

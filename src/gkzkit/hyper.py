@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial, gcd
 
-from .configuration import PointConfiguration, _keeps_z_a
+from .configuration import PointConfiguration, _keeps_z_a, _per_configuration
 from .intlinalg import (
     _integral,
     _ints,
@@ -48,13 +48,13 @@ def _mul(rows, v):
     return tuple(dot(row, v) for row in rows)
 
 
-@lru_cache
+@_per_configuration
 def toric_kernel_basis(A: PointConfiguration) -> tuple:
     """Basis of {u in Z^k : A u = 0}, the exponents of the toric relations,
     as a tuple of vectors.
 
-    Cached per configuration: the extension pipeline asks for the bases of A
-    and of A - k in turn, once per derivative, contiguity step and operator.
+    Kept with A: the extension pipeline asks for the bases of A and of A - k
+    in turn, once per derivative, contiguity step and operator.
     """
     return integer_kernel_basis(A.matrix, A.size)
 
@@ -469,6 +469,8 @@ def kernel_slice_representative(A: PointConfiguration, k: int, ell: int):
     The representative is reduced against the sublattice of kernel vectors
     vanishing at k; the construction downstream is representative-independent.
     """
+    if not 0 <= k < A.size:
+        raise IndexError(f"column {k} out of range")
     g, step, fixed = _kernel_slice(A, k)
     if g == 0:
         return None if ell else (0,) * A.size
@@ -487,13 +489,13 @@ def kernel_slice_representative(A: PointConfiguration, k: int, ell: int):
     return u
 
 
-@lru_cache
+@_per_configuration
 def _kernel_slice(A: PointConfiguration, k: int):
     """(g, step, fixed) for the kernel slices of A at column k, shared by every
     ell: g >= 0 generates the k-coordinates of the toric kernel, step is a
     kernel vector with k-coordinate g (when g > 0), and fixed is a basis of
     the kernel vectors vanishing at k.  The extension asks for one slice per
-    order in y_k, so this is computed once per (A, k)."""
+    order in y_k, so each (A, k) is kept with A; the caller checks k."""
     basis = toric_kernel_basis(A)
     kcoords = [w[k] for w in basis]
     g = gcd(*kcoords)
@@ -578,6 +580,8 @@ def extend_solution(
 
 def restrict_to_zero(series: TruncatedSeries, k: int) -> TruncatedSeries:
     """Evaluate y_k -> 0: keep the terms with k-offset zero, drop the coordinate."""
+    if not 0 <= k < series.config.size:
+        raise IndexError(f"column {k} out of range")
     if series.base_exponent[k] != 0:
         raise ValueError("restriction needs base exponent zero at the coordinate")
     small = series.config.delete(k)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .configuration import PointConfiguration, _keeps_z_a
+from .configuration import PointConfiguration, _keeps_z_a, _per_configuration
 from .intlinalg import (
     _rationals,
     clear_denominators,
@@ -41,9 +41,6 @@ from .polytope import BudgetError, _facet_rays, _mask, pulling_cells
 
 # Largest configuration whose regular triangulations are enumerated.
 ENUMERATION_CAP = 12
-# Configurations whose triangulations and secondary polytope stay cached: on
-# the triangulations workload they read 50 and 62 hits per 98 misses (seed 7).
-SECONDARY_CACHE_SIZE = 64
 # Base of the pulling heights that start the enumeration (see
 # ``_pulling_heights``): the least base that lifts the pulling triangulation
 # of every input measured.
@@ -342,7 +339,7 @@ def _lower_hull(A: PointConfiguration, certified, heights) -> Triangulation:
     return regular_triangulation(A, heights)
 
 
-@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
+@_per_configuration
 def enumerate_regular_triangulations(A: PointConfiguration):
     """All regular triangulations, each certified by its own integer heights.
 
@@ -480,7 +477,7 @@ def _certified_vertices(vectors, witnesses) -> SecondaryPolytope:
     return SecondaryPolytope(vertices, dim, tuple(w for _, w in pairs))
 
 
-@lru_cache(maxsize=SECONDARY_CACHE_SIZE)
+@_per_configuration
 def secondary_polytope(A: PointConfiguration) -> SecondaryPolytope:
     """The characteristic vectors of all regular triangulations, each certified
     a vertex of their convex hull by its triangulation's regularity heights.

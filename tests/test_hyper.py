@@ -263,6 +263,18 @@ def test_kernel_slice_representative():
     assert kernel_slice_representative(SIMPLEX, 1, 3) is None
 
 
+def test_kernel_slices_and_restrictions_need_an_existing_column():
+    # -1 read column 3's slice, and restricted at column 3; 4 and 9 raised a
+    # bare IndexError from inside
+    F = extend_solution(gamma_series(C013, BETA, (0, 2), 4), C0123, 2, BETA, 2)
+    for k in (-1, 4):
+        with pytest.raises(IndexError, match=f"^column {k} out of range$"):
+            kernel_slice_representative(C0123, k, 1)
+    for k in (-1, 9):
+        with pytest.raises(IndexError, match=f"^column {k} out of range$"):
+            restrict_to_zero(F, k)
+
+
 def test_extension_at_another_insert_position():
     # delete the second column of {0,1,2,3} and extend back
     A = C0123

@@ -5,8 +5,10 @@ class is named somewhere else in gkzkit,
 every module-level public function or class, and every public method or
 property of a gkzkit class, is named somewhere else in gkzkit, ``bench/`` or
 ``scripts/`` or is declared in ``TEST_ONLY``, every ``lru_cache`` of gkzkit
-is declared in ``CACHES`` with the traffic that hits it, and every
-module-level UPPER_CASE constant is read somewhere in gkzkit.
+is declared in ``CACHES`` and every function memoised with its
+configuration in ``MEMOS``, each with the traffic that hits it, no
+``lru_cache`` takes a ``PointConfiguration``, and every module-level
+UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` re-exports its public API through the
 ``_EXPORTS = {name: module}`` table that its ``__getattr__`` resolves.  A
@@ -40,9 +42,14 @@ TEST_ONLY = {
 # it, as its cache_info() reads: the benchmark's library workloads at seed 7,
 # 10 blocks, and the series case of bench/cli_corpus.json.
 CACHES = {
-    "secondary._columns": "triangulations: 9 620 hits / 45 misses",
-    "secondary.enumerate_regular_triangulations": "triangulations: 50 hits / 98 misses",
-    "secondary.secondary_polytope": "triangulations: 62 hits / 98 misses",
+    "secondary._columns": "triangulations: 9 805 hits / 45 misses",
+}
+# Every function whose results configuration._per_configuration keeps with
+# its configuration, with its traffic on the same inputs: a hit finds the
+# result kept with that configuration or with an equal one still alive.
+MEMOS = {
+    "secondary.enumerate_regular_triangulations": "triangulations: 50 hits / 100 misses",
+    "secondary.secondary_polytope": "triangulations: 60 hits / 100 misses",
     "hyper.toric_kernel_basis": "gkzkit series --extend on the 4-point curve: 6 hits / 2 misses",
     "hyper._kernel_slice": "gkzkit series --extend on the 4-point curve: 4 hits / 1 miss",
 }
@@ -271,19 +278,23 @@ def test_public_definitions_have_a_caller_outside_the_tests():
     assert found == set(TEST_ONLY)
 
 
-def lru_cached(sources):
-    """(module, name) of each function of ``sources`` decorated with
-    ``lru_cache`` or ``cache``, bare, called or as an attribute."""
-    found = []
+def decorated(sources, names):
+    """(module, function) of each function of ``sources`` decorated with one
+    of ``names``, bare, called or as an attribute."""
     for path, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.FunctionDef):
                 for deco in node.decorator_list:
                     target = deco.func if isinstance(deco, ast.Call) else deco
                     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-                    if name in ("lru_cache", "cache"):
-                        found.append((Path(path).stem, node.name))
-    return sorted(found)
+                    if name in names:
+                        yield Path(path).stem, node
+
+
+def lru_cached(sources):
+    """(module, name) of each function of ``sources`` decorated with
+    ``lru_cache`` or ``cache``, bare, called or as an attribute."""
+    return sorted((module, node.name) for module, node in decorated(sources, ("lru_cache", "cache")))
 
 
 def test_the_guard_sees_lru_caches():
@@ -304,6 +315,45 @@ def test_the_guard_sees_lru_caches():
 def test_every_cache_is_declared_with_its_traffic():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert {f"{module}.{name}" for module, name in lru_cached(sources)} == set(CACHES)
+
+
+def configuration_keyed(sources):
+    """(module, name) of each ``lru_cache`` or ``cache`` function of
+    ``sources`` with a parameter annotated ``PointConfiguration``: its cache
+    would keep the configuration, and its Newton hull, after the caller
+    dropped it.  ``_per_configuration`` keeps such results with A."""
+    return sorted(
+        (module, node.name)
+        for module, node in decorated(sources, ("lru_cache", "cache"))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.annotation is not None and "PointConfiguration" in ast.unparse(arg.annotation)
+    )
+
+
+def test_the_guard_sees_configuration_keyed_caches():
+    sources = {
+        "a.py": (
+            "from functools import cache, lru_cache\n"
+            "@lru_cache\ndef keyed(A: PointConfiguration):\n    pass\n"
+            "@cache\ndef quoted(n: int, /, B: 'PointConfiguration'):\n    pass\n"
+            "@lru_cache(maxsize=4)\ndef keyword(*, C: PointConfiguration | None = None):\n    pass\n"
+            "@lru_cache\ndef masked(mask: int):\n    pass\n"
+            "@lru_cache\ndef bare(A):\n    pass\n"
+            "@_per_configuration\ndef memoised(A: PointConfiguration):\n    pass\n"
+        ),
+    }
+    assert configuration_keyed(sources) == [("a", "keyed"), ("a", "keyword"), ("a", "quoted")]
+
+
+def test_no_cache_keeps_a_configuration():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert configuration_keyed(sources) == []
+
+
+def test_every_memo_is_declared_with_its_traffic():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    found = {f"{module}.{node.name}" for module, node in decorated(sources, ("_per_configuration",))}
+    assert found == set(MEMOS)
 
 
 def unread_constants(sources):

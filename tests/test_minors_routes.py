@@ -11,7 +11,7 @@ reference of every volume the table now gives.  ``test_hyper.py`` pins
 
 The table lives as long as its hull: nothing else keeps it, so a
 configuration past ``ENUMERATION_CAP`` drops the minors its LP filled with
-its hull.
+its hull, and one under the cap drops them with the results kept with it.
 """
 
 import gc
@@ -19,10 +19,18 @@ import random
 import weakref
 from itertools import combinations
 
-from _corpus import FAMILY, LARGE, MOTHER, config
+from _corpus import CATALOG, FAMILY, LARGE, MOTHER, config
+from gkzkit.hyper import kernel_slice_representative, toric_kernel_basis
 from gkzkit.intlinalg import _abs_det, vsub
 from gkzkit.polytope import _Minors, pulling_cells
-from gkzkit.secondary import ENUMERATION_CAP, is_regular, regular_triangulation
+from gkzkit.secondary import (
+    ENUMERATION_CAP,
+    check_facet_restriction,
+    enumerate_regular_triangulations,
+    is_regular,
+    regular_triangulation,
+    secondary_polytope,
+)
 
 
 def ref_cell_volume(coords, cell) -> int:
@@ -83,3 +91,16 @@ def test_the_table_lives_as_long_as_its_hull():
     del A, table
     gc.collect()
     assert ref() is None
+
+
+def test_results_kept_with_a_configuration_die_with_it():
+    # labels of its own keep A from sharing the results of any configuration
+    # the other tests keep alive; column 4 is the centre of a quadrilateral
+    A = config(CATALOG[0], [f"dies{j}" for j in range(5)])
+    assert check_facet_restriction(A, 4)
+    assert len(enumerate_regular_triangulations(A)) == len(secondary_polytope(A).vertices) == 4
+    assert toric_kernel_basis(A) and kernel_slice_representative(A, 4, 1)
+    refs = weakref.ref(A), weakref.ref(A.newton.minors)
+    del A
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -164,3 +164,23 @@ def test_enumeration_runs_once_per_configuration(monkeypatch):
     assert first >= 5
     assert len(enumerate_regular_triangulations(A)) == 5
     assert len(calls) == first
+
+
+def test_an_equal_configuration_alive_shares_the_results(monkeypatch):
+    # the 4-point segment that verify_factorization rebuilds while the
+    # caller still holds its own: built twice, both alive, walked once
+    labels = [f"shared{i}" for i in range(4)]
+    A, B = (config([(0,), (1,), (2,), (3,)], labels) for _ in range(2))
+    assert A == B and A is not B
+    calls = []
+
+    def counted(A, T, rows, rays=()):
+        calls.append(T)
+        return _certify(A, T, rows, rays)
+
+    monkeypatch.setattr(secondary, "_certify", counted)
+    first = secondary_polytope(A)
+    assert len(calls) >= 4
+    del calls[:]
+    assert secondary_polytope(B) is first
+    assert calls == []
