@@ -48,6 +48,7 @@ from .polytope import (
     FacePoset,
     _bits,
     _mask,
+    _placement,
     convex_hull,
     deleted_hull,
     deleted_poset,
@@ -72,11 +73,13 @@ def _origin_coords(P):
 def _column(c) -> tuple:
     """A column as a tuple of ints.  ValueError when it is not a sequence of
     numbers (booleans are not numbers here, as in the CLI), or naming the
-    entry when a number is not an integer."""
+    entry when a number is not an integer.  Plain ints pass first."""
     try:
         col = tuple(c)
     except TypeError:
         col = None
+    if col is not None and all(type(a) is int for a in col):
+        return col
     if col is None or not all(isinstance(a, Number) and not isinstance(a, bool) for a in col):
         raise ValueError(f"column {c!r} is not a sequence of integers")
     return tuple(_ints(col))
@@ -279,7 +282,9 @@ class PointConfiguration:
         facets.  A hit in the relative interior of a proper subface Γ'
         belongs to Γ''s interior iff its chart difference from Γ''s first
         point lies in face_lattice(A, Γ'), a sublattice of the face's
-        lattice; a column on Γ' always does.
+        lattice; a column on Γ' always does.  The facets a subface is tight
+        on are its facet signature in the poset, and a hit's chart
+        coordinates are read off its placement in N.
         """
         scans = self._face_scans
         pts = scans.get(face.indices)
@@ -288,20 +293,21 @@ class PointConfiguration:
         P = self.newton
         L = None if face.supporting is None else face_lattice(self, face)
         hits = lattice_points_in(P, L, face=face)
-        interiors, by_mask, g = {}, {}, _mask(face.indices)
+        interiors, by_signature, g = {}, {}, _mask(face.indices)
+        signatures = self.poset._signatures
         for m, f in self.poset._by_mask.items():
             if m & g == m:  # a subface: its hits are tight on the facets through it
-                by_mask[_mask(j for j, z in enumerate(P.facet_sets) if m & z == m)] = f
+                by_signature[signatures[m]] = f
                 interiors[f.indices] = []
         columns, x = set(self.points), self.chart_points
         lattices = {}
         for p, mask in hits:
-            f = by_mask[mask]
+            f = by_signature[mask]
             if f.indices != face.indices and p not in columns:
                 sub = lattices.get(f.indices)
                 if sub is None:
                     sub = lattices[f.indices] = face_lattice(self, f)
-                y = P.chart.coordinates(vsub(p, P.chart_anchor))
+                y = _placement(P, p)[0]
                 if vsub(y, x[f.indices[0]]) not in sub:
                     continue
             interiors[f.indices].append(p)

@@ -262,14 +262,17 @@ def _reduce(rows, ncols):
     """Fraction-free reduced echelon form of integer rows, in place.
 
     Pivots are the first nonzero entry at or below the current row, column by
-    column.  Returns (pivot columns, d, sign): rows[k] has d on its pivot
-    column and zeros on the other pivot columns, rows past the rank are zero
-    on the first ``ncols`` columns, and sign is the parity of the row swaps.
-    Dividing rows[k] by d gives the reduced row echelon form.
+    column, up to full rank, past which no column finds one.  Returns (pivot
+    columns, d, sign): rows[k] has d on its pivot column and zeros on the
+    other pivot columns, rows past the rank are zero on the first ``ncols``
+    columns, and sign is the parity of the row swaps.  Dividing rows[k] by d
+    gives the reduced row echelon form.
     """
     pivots, prev, sign = [], 1, 1
     for col in range(ncols):
         r = len(pivots)
+        if r == len(rows):
+            break
         p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if p is None:
             continue

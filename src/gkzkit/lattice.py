@@ -17,25 +17,30 @@ from operator import mul
 from .intlinalg import _hnf, _ints, record
 
 
-def _substitute(rows, pivots, w):
-    """Integer coordinates of the integer vector w in the columns of a
-    column-HNF matrix, as a list, or None when w is not an integer
-    combination of them.
+def _substitute(rows, pivots, ws):
+    """Integer coordinates of each integer vector w of ``ws``, one entry per
+    row, in the columns of a column-HNF matrix, as a list of lists, None for
+    a w that is not an integer combination of them.
 
     Column j is zero above its pivot row ``pivots[j]`` and every later column
-    is zero on that row, so forward substitution on the pivot rows solves the
-    system: w is no member at the first pivot that does not divide, or else
-    iff the residual is nonzero on some row.
+    is zero on that row, so forward substitution on the pivot rows solves
+    each system, and the rows are read once for all of ``ws``: w is no member
+    at the first pivot that does not divide, or else iff the residual is
+    nonzero on some other row (the pivot rows hold by construction).
     """
-    x = []
-    for j, p in enumerate(pivots):
-        q, r = divmod(w[p] - sum(map(mul, rows[p], x)), rows[p][j])
-        if r:
-            return None
-        x.append(q)
-    if any(t != sum(map(mul, row, x)) for row, t in zip(rows, w, strict=True)):
-        return None
-    return x
+    steps = [(p, rows[p], rows[p][j]) for j, p in enumerate(pivots)]
+    rest = [(i, row) for i, row in enumerate(rows) if i not in pivots]
+
+    def solve(w):
+        x = []
+        for p, row, d in steps:
+            q, r = divmod(w[p] - sum(map(mul, row, x)), d)
+            if r:
+                return None
+            x.append(q)
+        return None if any(w[i] != sum(map(mul, row, x)) for i, row in rest) else x
+
+    return [solve(w) for w in ws]
 
 
 def hnf_solve(rows, pivots, v):
@@ -49,7 +54,7 @@ def hnf_solve(rows, pivots, v):
     den = lcm(*(a.denominator for a in v))
     for j, p in enumerate(pivots):
         den *= rows[p][j]
-    x = _substitute(rows, pivots, [a.numerator * (den // a.denominator) for a in v])
+    [x] = _substitute(rows, pivots, [[a.numerator * (den // a.denominator) for a in v]])
     return None if x is None else (x, den)
 
 
@@ -71,6 +76,11 @@ class Lattice:
             ambient_dim = len(cols[0])
         if any(len(c) != ambient_dim for c in cols):
             raise ValueError(f"generators must have length {ambient_dim}")
+        return cls._spanned(cols, ambient_dim)
+
+    @classmethod
+    def _spanned(cls, cols, ambient_dim: int) -> "Lattice":
+        """The lattice of checked integer column lists, reduced in place."""
         rank = _hnf(cols, ambient_dim)
         basis = tuple(zip(*cols[:rank])) if rank else ((),) * ambient_dim
         return cls(ambient_dim, basis)
@@ -101,7 +111,7 @@ class Lattice:
         if not _EXACT.issuperset(map(type, v)):
             a = next(a for a in v if type(a) not in _EXACT)
             raise ValueError(f"entry {a!r} is neither an int nor a Fraction")
-        x = _substitute(self.basis, self.pivots, v)
+        [x] = _substitute(self.basis, self.pivots, [v])
         return None if x is None else tuple(x)
 
     def __contains__(self, v) -> bool:

@@ -6,7 +6,8 @@ integer chart coordinates, which needs no general position, under a budget on
 the facet pairs it tests.  Configurations whose affine span drops dimension
 are handled through an affine chart: facet data lives in chart coordinates,
 and lattice-point queries take lattices of chart coordinates.  Every simplex
-volume is read off the hull's one table of minors, which lives as long as it.
+volume is read off the hull's one table of minors, which lives as long as it;
+each lattice-point scan hit is placed once, in a table derived hulls share.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 from math import prod
 
 from .intlinalg import _ints, _reduce, dot, record, vec_gcd, vsub
-from .lattice import Lattice, hnf_solve
+from .lattice import Lattice, _substitute, hnf_solve
 
 # Candidate facet pairs that one hull may test.  The largest hull of the test
 # suite needs 8333 (the 128 GKZ vectors of the 9-point segment), those of the
@@ -69,6 +70,29 @@ class Polytope:
     def minor(self, cols) -> int:
         """The signed minor of the dim + 1 points ``cols`` in :attr:`minors`."""
         return self.minors[_mask(cols)]
+
+    @cached_property
+    def placements(self):
+        """Ambient point -> (chart coordinates, bit mask of the facets it is
+        tight on), for each hit of a :func:`lattice_points_in` scan of this
+        hull or of a hull that shares the table: the hulls that
+        :func:`extended_hull` and :func:`deleted_hull` derive keep the
+        facets, chart and anchor, and share it."""
+        return {}
+
+
+def _placement(P: Polytope, p):
+    """p's placement in P (see :attr:`Polytope.placements`), or None when p
+    is off P or off its affine lattice: a scan hit's, which the scan's slack
+    tests certify, or else solved in the chart and tested on every facet."""
+    placed = P.placements.get(p)
+    if placed is None:
+        x = P.chart.coordinates(vsub(p, P.chart_anchor))
+        slack = [] if x is None else [c - dot(h, x) for h, c in P.facets]
+        if x is None or min(slack, default=0) < 0:
+            return None
+        placed = x, _mask(j for j, s in enumerate(slack) if not s)
+    return placed
 
 
 class _Minors(dict):
@@ -196,10 +220,10 @@ def convex_hull(points) -> Polytope:
     anchor = min(pts)
     diffs = [vsub(p, anchor) for p in pts]
     # chart basis = HNF basis of the difference lattice, so every difference
-    # has integer chart coordinates
-    lat = Lattice.from_generators([d for d in diffs if any(d)], len(anchor))
+    # has integer chart coordinates, solved in one pass
+    lat = Lattice._spanned([list(d) for d in diffs if any(d)], len(anchor))
     dim = lat.rank
-    coords = tuple(lat.coordinates(d) for d in diffs)
+    coords = tuple(map(tuple, _substitute(lat.basis, lat.pivots, diffs)))
     if dim == 0:
         return Polytope(pts, 0, anchor, lat, (), (0,), coords, ())
     facets = {(h, c): z for h, c, z in _facet_rays(coords, dim)}
@@ -231,23 +255,23 @@ def extended_hull(P: Polytope, new):
     of P in the lexicographic order, and that is a vertex (minimising each
     coordinate in turn narrows P to a face each time, down to a point).  So
     the new points only add their chart coordinates, and their bits, from
-    len(P.points) on, to the mask of each facet where they are tight.
+    len(P.points) on, to the masks of the facets they are tight on: both are
+    read off their placements (see :func:`_placement`), and the new hull
+    shares P's table of them.
     """
-    fresh = []
-    for p in new:
-        x = P.chart.coordinates(vsub(p, P.chart_anchor))
-        if x is None or any(dot(h, x) > c for h, c in P.facets):
-            return None
-        fresh.append(x)
-    n = len(P.points)
-    sets = tuple(
-        z | _mask(n + k for k, x in enumerate(fresh) if dot(h, x) == c)
-        for (h, c), z in zip(P.facets, P.facet_sets)
-    )
-    return Polytope(
+    placed = [_placement(P, p) for p in new]
+    if None in placed:
+        return None
+    sets = list(P.facet_sets)
+    for k, (_, tight) in enumerate(placed, len(P.points)):
+        for j in _bits(tight):
+            sets[j] |= 1 << k
+    Q = Polytope(
         (*P.points, *new), P.dim, P.chart_anchor, P.chart, P.facets, P.vertex_indices,
-        (*P.point_coords, *fresh), sets,
+        (*P.point_coords, *(x for x, _ in placed)), tuple(sets),
     )
+    vars(Q)["placements"] = P.placements
+    return Q
 
 
 def deleted_hull(P: Polytope, i: int) -> Polytope:
@@ -259,14 +283,17 @@ def deleted_hull(P: Polytope, i: int) -> Polytope:
     chart anchor too, a vertex (see :func:`extended_hull`), and so every
     other point's chart coordinates.  Only the indices move: point j > i
     becomes j - 1, in the vertex indices and the chart coordinates, and the
-    facet masks lose bit i and shift their higher bits down by one.
+    facet masks lose bit i and shift their higher bits down by one.  The
+    placements stay, and the new hull shares P's table of them.
     """
-    return Polytope(
+    Q = Polytope(
         P.points[:i] + P.points[i + 1:], P.dim, P.chart_anchor, P.chart, P.facets,
         tuple(j - (j > i) for j in P.vertex_indices),
         P.point_coords[:i] + P.point_coords[i + 1:],
         tuple(_dropped(z, i) for z in P.facet_sets),
     )
+    vars(Q)["placements"] = P.placements
+    return Q
 
 
 def _dropped(mask, i):
@@ -289,6 +316,13 @@ class FacePoset:
         ``faces``; the constructors below seed it."""
         return {_mask(f.indices): f for f in self.faces}
 
+    @cached_property
+    def _signatures(self):
+        """Each face's mask -> its facet signature, the mask of the facets
+        through it (0 for the top face); the constructors below seed it."""
+        sets = self.polytope.facet_sets
+        return {m: _mask(j for j, z in enumerate(sets) if m & z == m) for m in self._by_mask}
+
     def face_with_indices(self, indices):
         key = tuple(sorted(indices))
         try:  # 1 << j raises on a negative or a non-integer j
@@ -309,10 +343,12 @@ class FacePoset:
 
 
 def _poset(P: Polytope, faces) -> FacePoset:
-    """The FacePoset of P on (mask, face) pairs in graded order, with its mask table."""
-    by_mask = dict(faces)
+    """The FacePoset of P on (mask, face, facet signature) triples in graded
+    order, with its mask and signature tables."""
+    by_mask = {m: f for m, f, _ in faces}
     poset = FacePoset(P, tuple(by_mask.values()), by_mask[(1 << len(P.points)) - 1])
     vars(poset)["_by_mask"] = by_mask
+    vars(poset)["_signatures"] = {m: s for m, _, s in faces}
     return poset
 
 
@@ -330,20 +366,22 @@ def face_poset(P: Polytope) -> FacePoset:
     of G with the facet masks: a facet F of G is a face of P, the meet of
     the facets of P through it, one of which misses G, and that one cuts G
     to a proper face of G holding F, so to F itself.  A face's supporting
-    functional is the sum of the facets through it.
+    functional is the sum of the facets through it, and its facet signature
+    their mask.
     """
     facets = tuple(zip(P.facets, P.facet_sets))
     everything = (1 << len(P.points)) - 1
-    faces = [(everything, Face(_bits(everything), None, P.dim))]
+    faces = [(everything, Face(_bits(everything), None, P.dim), 0)]
     level = P.facet_sets
     for d in range(P.dim - 1, -1, -1):
         below = set()
         for g in level:
-            through, cuts = [], set()
-            for f, z in facets:
+            through, cuts, signature = [], set(), 0
+            for j, (f, z) in enumerate(facets):
                 t = g & z
                 if t == g:
                     through.append(f)
+                    signature |= 1 << j
                 elif t:
                     cuts.add(t)
             kept = []  # the maximal cuts: none lies in a larger one
@@ -357,7 +395,7 @@ def face_poset(P: Polytope) -> FacePoset:
             if len(through) > 1:
                 hs, cs = zip(*through)
                 through = [(tuple(map(sum, zip(*hs))), sum(cs))]
-            faces.append((g, Face(_bits(g), through[0], d)))
+            faces.append((g, Face(_bits(g), through[0], d), signature))
         level = below
     faces.sort(key=_graded)
     return _poset(P, faces)
@@ -365,24 +403,21 @@ def face_poset(P: Polytope) -> FacePoset:
 
 def extended_poset(F: FacePoset, P: Polytope) -> FacePoset:
     """face_poset(P) read off F, for P = :func:`extended_hull` of F's
-    polytope.  The new points keep the hull, so each face keeps its dim and
-    its supporting functional (H, C), the sum of the facets through it, on
-    which every point has H . x <= C.  A new point joins the face iff it has
-    H . x = C, that is iff it lies on every facet through the face, and it
-    always joins the top face.  Two faces of one dim do not nest, so neither
-    one's indices are a prefix of the other's, and appending the new indices,
-    past the old ones, keeps the graded order.
+    polytope.  The new points keep the hull, so each face keeps its dim, its
+    supporting functional and its facet signature.  A new point joins the
+    face iff it lies on every facet through the face, that is iff its mask
+    of tight facets, read off P's facet masks, holds the face's signature,
+    and it always joins the top face, whose signature is 0.  Two faces of one
+    dim do not nest, so neither one's indices are a prefix of the other's,
+    and appending the new indices, past the old ones, keeps the graded order.
     """
-    n = len(F.polytope.points)
-    new = tuple(enumerate(P.point_coords[n:], n))
-    faces = []
+    n, sets = len(F.polytope.points), P.facet_sets
+    new = [(j, _mask(k for k, z in enumerate(sets) if z >> j & 1)) for j in range(n, len(P.points))]
+    signatures, faces = F._signatures, []
     for m, f in F._by_mask.items():
-        if f.supporting is None:
-            m = (1 << len(P.points)) - 1
-        else:
-            h, c = f.supporting
-            m |= _mask(j for j, x in new if dot(h, x) == c)
-        faces.append((m, Face(_bits(m), f.supporting, f.dim)))
+        s = signatures[m]
+        m |= _mask(j for j, tight in new if tight & s == s)
+        faces.append((m, Face(_bits(m), f.supporting, f.dim), s))
     return _poset(P, faces)
 
 
@@ -390,11 +425,11 @@ def deleted_poset(F: FacePoset, P: Polytope, i: int) -> FacePoset:
     """face_poset(P) read off F, for P = :func:`deleted_hull` of F's polytope
     and point i: the faces keep their dims and supporting functionals, and their
     masks lose bit i and shift as the facet masks do.  That can change the
-    graded order, so the faces are sorted again."""
-    faces = []
+    graded order, so the faces are sorted again.  Facet signatures stay."""
+    signatures, faces = F._signatures, []
     for m, f in F._by_mask.items():
-        m = _dropped(m, i)
-        faces.append((m, Face(_bits(m), f.supporting, f.dim)))
+        k = _dropped(m, i)
+        faces.append((k, Face(_bits(k), f.supporting, f.dim), signatures[m]))
     faces.sort(key=_graded)
     return _poset(P, faces)
 
@@ -419,7 +454,9 @@ def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None =
     A point x_v + sum m_k g_k has integer chart coordinates, so each facet
     (h, c) gives one integer slack form c - h . x_v - sum m_k h . g_k in m.
     Box points are tested by the forms alone; a hit is built as the face's
-    first point plus sum m_k B g_k, B the chart basis.
+    first point plus sum m_k B g_k, B the chart basis, and placed in P (see
+    :attr:`Polytope.placements`) with chart coordinates x_v + sum m_k g_k
+    and its mask.
     """
     indices = face.indices if face is not None else range(len(P.points))
     on, first = _mask(indices), indices[0]
@@ -452,7 +489,7 @@ def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None =
     ]
     base = P.points[first]
     steps = [[dot(row, g) for row in P.chart.basis] for g in gens]
-    out = []
+    placements, out = P.placements, []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         mask = 0
         for a, k, tight, bit in forms:
@@ -463,6 +500,8 @@ def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None =
                 mask |= bit
         else:
             p = tuple(a + sum(k * g[i] for k, g in zip(m, steps)) for i, a in enumerate(base))
+            x = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(x0))
+            placements[p] = (x, mask)
             out.append((p, mask))
     return tuple(sorted(out))
 

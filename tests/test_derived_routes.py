@@ -18,6 +18,15 @@ The face poset of such a configuration is read off its parent's when that
 was built (``polytope.extended_poset`` and ``polytope.deleted_poset``).  Its
 reference is ``face_poset`` of the configuration's own hull, which in turn
 is checked against the longest-chain grading of ``test_hull_routes``.
+
+A point that a lattice-point scan found enters the enlarged hull and poset
+with the placement the scan recorded: its chart coordinates and the mask of
+the facets it is tight on.  The references of that are the routes it
+replaced, kept verbatim but for the mask table that ``ref_extended_poset``
+returns: ``ref_extended_hull`` solves each new point in the chart and dots
+it with every facet, and ``ref_extended_poset`` dots each new point with
+each face's supporting functional.  ``ref_chart_coordinates`` of
+``test_hull_routes`` is the chart that ``convex_hull`` solved point by point.
 """
 
 import gc
@@ -38,7 +47,7 @@ from _corpus import (
     face_corpus,
     solid_configs,
 )
-from test_hull_routes import ref_face_poset
+from test_hull_routes import ref_chart_coordinates, ref_face_poset
 from gkzkit import configuration
 from gkzkit.configuration import (
     PointConfiguration,
@@ -48,9 +57,21 @@ from gkzkit.configuration import (
     replay_chain,
     saturate,
 )
-from gkzkit.intlinalg import vsub
+from gkzkit.intlinalg import dot, vsub
 from gkzkit.lattice import Lattice
-from gkzkit.polytope import FacePoset, convex_hull, extended_hull, face_poset, lattice_points_in
+from gkzkit.polytope import (
+    Face,
+    FacePoset,
+    Polytope,
+    _bits,
+    _mask,
+    _placement,
+    convex_hull,
+    extended_hull,
+    extended_poset,
+    face_poset,
+    lattice_points_in,
+)
 
 
 def _configs():
@@ -67,6 +88,7 @@ def assert_rebuilt(B, parent, inherited):
     off its parent's, chart lattice and all.  Z_A is read off B's own hull
     when asked for, so no derivation sets it."""
     assert (B.newton.chart is parent.newton.chart) == inherited
+    assert (vars(B.newton).get("placements") is parent.newton.placements) == inherited
     assert "group_lattice" not in vars(B)
     P = convex_hull(B.points)
     assert B.newton == P
@@ -226,13 +248,15 @@ def assert_read_off(B):
     """B's poset is pending a read off its parent's, and once read equals
     face_poset of B's hull: the faces in order, with their supporting
     functionals and dims, and the top.  The mask table it was given is the
-    one its faces' indices give."""
+    one its faces' indices give, and its facet signatures those of the
+    facet masks."""
     assert "_poset_from" in vars(B)
     got, want = B.poset, face_poset(B.newton)
     assert "_poset_from" not in vars(B) and got.polytope is B.newton
     assert got.faces == want.faces and got.top == want.top
-    table = FacePoset(got.polytope, got.faces, got.top)._by_mask
-    assert list(vars(got)["_by_mask"].items()) == list(table.items())
+    built = FacePoset(got.polytope, got.faces, got.top)
+    assert list(vars(got)["_by_mask"].items()) == list(built._by_mask.items())
+    assert vars(got)["_signatures"] == built._signatures == vars(want)["_signatures"]
 
 
 def _derivations(A):
@@ -286,6 +310,86 @@ def test_derived_posets_match_face_poset_of_their_hulls(corpus, least):
             assert_read_off(B)
             kinds[kind] += 1
             kinds["moved"] += moved
+    assert all(kinds[k] >= least[k] for k in least), kinds
+
+
+def ref_extended_hull(P: Polytope, new):
+    """The earlier ``extended_hull``: each new point solved in the chart and
+    dotted with every facet."""
+    fresh = []
+    for p in new:
+        x = P.chart.coordinates(vsub(p, P.chart_anchor))
+        if x is None or any(dot(h, x) > c for h, c in P.facets):
+            return None
+        fresh.append(x)
+    n = len(P.points)
+    sets = tuple(
+        z | _mask(n + k for k, x in enumerate(fresh) if dot(h, x) == c)
+        for (h, c), z in zip(P.facets, P.facet_sets)
+    )
+    return Polytope(
+        (*P.points, *new), P.dim, P.chart_anchor, P.chart, P.facets, P.vertex_indices,
+        (*P.point_coords, *fresh), sets,
+    )
+
+
+def ref_extended_poset(F: FacePoset, P: Polytope):
+    """The earlier ``extended_poset``, as the mask table of its faces: a new
+    point joins a face iff it has H . x = C on the face's supporting
+    functional (H, C)."""
+    n = len(F.polytope.points)
+    new = tuple(enumerate(P.point_coords[n:], n))
+    faces = {}
+    for m, f in F._by_mask.items():
+        if f.supporting is None:
+            m = (1 << len(P.points)) - 1
+        else:
+            h, c = f.supporting
+            m |= _mask(j for j, x in new if dot(h, x) == c)
+        faces[m] = Face(_bits(m), f.supporting, f.dim)
+    return faces
+
+
+@pytest.mark.parametrize(
+    "corpus, least",
+    [
+        ("chains", {"placed": 200, "solved": 200, "outside": 60, "configs": 61}),
+        ("faces", {"placed": 500, "solved": 500, "outside": 150, "configs": 152}),
+        ("grid", {"placed": 350, "solved": 350, "outside": 458, "configs": 458}),
+    ],
+)
+def test_placements_match_the_solve_and_dot_routes(corpus, least):
+    """On A's hull, whose scans placed the new points, and on a fresh hull of
+    A's columns, which has placed none, the enlarged hull and poset equal the
+    solve-and-dot routes' and a fresh hull's and poset's; every recorded
+    placement is the one the solve gives; and a point outside N is refused."""
+    configs = {"chains": _configs, "faces": face_corpus, "grid": _grid_subsets}[corpus]()
+    kinds = dict.fromkeys(least, 0)
+    for A in configs:
+        A = _fresh(A)
+        N, unplaced = A.newton, convex_hull(A.points)
+        assert (N.chart, N.point_coords) == ref_chart_coordinates(A.points)
+        hits = [p for p in A.face_lattice_points(A.poset.top) if p not in A.points]
+        batches = [[p] for p in hits] + [saturate(A, mode).added_points for mode in ("s", "p")]
+        assert all(_placement(unplaced, p) == x for p, x in N.placements.items())
+        assert set(hits) <= set(N.placements) and not unplaced.placements
+        for parent, F in ((N, A.poset), (unplaced, face_poset(unplaced))):
+            for new in filter(None, batches):
+                hulls = [extended_hull(parent, new), ref_extended_hull(parent, new)]
+                hulls.append(convex_hull(A.points + tuple(new)))
+                P, R, W = hulls
+                assert P == R == W, (A.points, new)
+                assert len({(Q.point_coords, Q.facet_sets) for Q in hulls}) == 1
+                G, V = extended_poset(F, P), face_poset(W)
+                assert list(vars(G)["_by_mask"].items()) == list(ref_extended_poset(F, P).items())
+                assert G.faces == V.faces and G.top == V.top
+                assert vars(G)["_signatures"] == vars(V)["_signatures"]
+                kinds["placed" if parent is N else "solved"] += len(new)
+        if N.dim:
+            p = _outside(A)
+            assert extended_hull(N, [p]) is ref_extended_hull(N, [p]) is None
+            kinds["outside"] += 1
+        kinds["configs"] += 1
     assert all(kinds[k] >= least[k] for k in least), kinds
 
 
@@ -352,6 +456,31 @@ def test_derived_configurations_build_no_poset(monkeypatch):
     assert "_poset_from" not in vars(B)
     del built[:]
     assert B.poset == face_poset(B.newton) and built == [B.newton]
+
+
+def test_placed_points_take_no_chart_solve(monkeypatch):
+    """The saturations and the partial reduction chain add only points that
+    A's scans placed, so they solve none in N's chart."""
+    solved, coordinates = [], Lattice.coordinates
+
+    def spy(L, v):
+        solved.append(L)
+        return coordinates(L, v)
+
+    configs = [_fresh(A) for A in _configs()]
+    monkeypatch.setattr(Lattice, "coordinates", spy)
+    added = steps = 0
+    for A in configs:
+        results = [saturate(A, mode).result for mode in ("s", "p", "full")]
+        chain = reduction_chain(A, "p")
+        for B in (*results, chain.end):
+            assert B.newton.placements is A.newton.placements
+            B.poset
+        assert not any(L is A.newton.chart for L in solved), A.points
+        added += sum(B.size - A.size for B in results)
+        steps += len(chain.steps)
+        del solved[:]
+    assert added >= 200 and steps >= 40, (added, steps)
 
 
 def test_a_pending_derivation_does_not_keep_its_parent_alive():

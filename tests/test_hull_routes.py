@@ -9,6 +9,12 @@ through a point, and the face dims as the rank of each face's point
 differences (``ref_face_poset``).  They stay as the routes the
 double-description pass replaced, and as the most independent hull: a
 subset search shares no step with incremental rays.
+
+``ref_chart_coordinates`` is the chart of ``convex_hull`` before its points
+were solved in one pass: the lattice of the differences by
+``Lattice.from_generators``, which checks them for integers again, and each
+difference's coordinates by its own ``Lattice.coordinates`` call.  It is
+compared here and, on the configuration corpora, in ``test_derived_routes``.
 """
 
 import itertools
@@ -18,7 +24,7 @@ from math import gcd, lcm
 
 from _corpus import facet_indices, integral_multiple, rational_coordinates, scaled_hull_corpus
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
-from gkzkit.intlinalg import clear_denominators, dot, rational_rank, vsub
+from gkzkit.intlinalg import _ints, clear_denominators, dot, rational_rank, vsub
 from gkzkit.lattice import Lattice
 from gkzkit.polytope import Face, FacePoset, Polytope, convex_hull, face_poset
 
@@ -74,6 +80,16 @@ def ref_convex_hull(points) -> Polytope:
     return Polytope(
         pts, dim, anchor, lat, order, tuple(vert), coords, tuple(facets[f] for f in order)
     )
+
+
+def ref_chart_coordinates(points):
+    """(chart lattice, chart coordinates of the points) of ``convex_hull``,
+    one ``Lattice.coordinates`` call per point."""
+    pts = tuple(tuple(_ints(p)) for p in points)
+    anchor = min(pts)
+    diffs = [vsub(p, anchor) for p in pts]
+    lat = Lattice.from_generators([d for d in diffs if any(d)], len(anchor))
+    return lat, tuple(lat.coordinates(d) for d in diffs)
 
 
 def ref_face_poset(P: Polytope) -> FacePoset:
@@ -151,6 +167,7 @@ def test_hull_and_poset_match_the_subset_search():
         assert P == R, pts
         assert tuple(map(facet_indices, P.facet_sets)) == R.facet_sets, pts
         assert P.point_coords == R.point_coords, pts
+        assert (P.chart, P.point_coords) == ref_chart_coordinates(pts), pts
         faces = face_poset(P).faces
         assert faces == ref_face_poset(P).faces, pts
         spread["dims"].add(P.dim)
