@@ -93,6 +93,14 @@ def _free_label(labels) -> str:
     return f"a{n}"
 
 
+def _new_labels(A, n) -> list:
+    """The labels that n :meth:`PointConfiguration.with_point` calls on A append."""
+    labels = list(A.labels)
+    for _ in range(n):
+        labels.append(_free_label(labels))
+    return labels[A.size:]
+
+
 @record
 class PointConfiguration:
     matrix: tuple  # (1+n) rows x k columns, the columns are the characters
@@ -874,10 +882,7 @@ def saturate(A: PointConfiguration, mode: str) -> SaturationResult:
     """Face saturation (mode "s"), partial face saturation (mode "p"), or the
     full lattice-point saturation of the Newton polytope (mode "full")."""
     added = _saturation_points(A, mode)
-    labels = list(A.labels)
-    for _ in added:  # the labels a chain of with_point calls would choose
-        labels.append(_free_label(labels))
-    return SaturationResult(mode, added, A._extended(added, labels[A.size:]))
+    return SaturationResult(mode, added, A._extended(added, _new_labels(A, len(added))))
 
 
 # -- auxiliary-point certificates ----------------------------------------------
@@ -907,21 +912,30 @@ def check_aux_point(A: PointConfiguration, k: int, a: int) -> AuxCertificate:
     each face through a the multiplicity is unchanged by the deletion (shown
     by group membership of the deleted point, by exact multiplicity
     comparison, or by the pyramid sufficient condition for defectiveness).
-    Membership reads the redundancy check made first: k lies in the group of
-    a face's other points iff on it (off it, h(k) = 1 keeps k off its span).
-    It also gives Z_{A-k} = Z_A, so A's chart describes Z_{A-k} too, and a
-    face Γ missing k keeps its points, so :func:`_face_quotient`, i and the
-    quotient map are A's: m(A - k, Γ) only leaves k's image out of G.
+    Redundancy is :func:`is_lattice_redundant`'s test on k's minimal face F
+    alone: every face through k contains F, so k lies in the group of each
+    one's other points once it lies in that of F's.  Membership reads that
+    check: k lies in the group of a face's other points iff on it (off it,
+    h(k) = 1 keeps k off its span).  It also gives Z_{A-k} = Z_A, so A's
+    chart describes Z_{A-k} too, and a face Γ missing k keeps its points, so
+    :func:`_face_quotient`, i and the quotient map are A's: m(A - k, Γ) only
+    leaves k's image out of G.
     """
     if k == a or not (0 <= k < A.size and 0 <= a < A.size):
         raise IndexError("need two distinct valid column indices")
-    red = is_lattice_redundant(A, k)
-    if not red:
-        return AuxCertificate(False, k, a, (f"column {k} is not lattice redundant: {red.reason}",))
+    face, x = A.minimal_face(k), A.chart_points
+    others = [j for j in face.indices if j != k]
+    if k in A.newton.vertex_indices:
+        reason = "point is a vertex of the Newton polytope"
+    elif vsub(x[k], x[others[0]]) not in _chart_span(A, others):
+        reason = "some face lattice drops"
+    else:
+        reason = None
+    if reason:
+        return AuxCertificate(False, k, a, (f"column {k} is not lattice redundant: {reason}",))
     # the deletion argument needs every discriminant factor involving the
     # deleted coordinate to involve the auxiliary one: every face through k
     # must contain a, i.e. the minimal face of k must
-    face = A.minimal_face(k)
     if a not in face.indices:
         return AuxCertificate(
             False, k, a,
@@ -999,55 +1013,65 @@ class ReductionChain:
         return not self.obstruction
 
 
-def _certify_step(enlarged: PointConfiguration, new_index: int):
-    """Find a face containing the new point with a distinct relative interior
-    point of the enlarged configuration; None when no such face exists."""
-    alpha = enlarged.points[new_index]
-    for face in enlarged.poset.faces_containing(enlarged.minimal_face(new_index)):
-        for j in range(enlarged.size):
-            if j == new_index:
-                continue
-            if enlarged.minimal_face(j) == face:
-                return face, enlarged.points[j]
-    return None
-
-
 def reduction_chain(A: PointConfiguration, mode: str) -> ReductionChain:
     """Greedily add saturation points one at a time, certifying each addition
     by lattice redundancy plus a face witness; reports the stuck points if the
-    target cannot be reached."""
+    target cannot be reached.  Each round adds the first remaining point, in
+    sorted order, that has a witness.
+
+    The steps are read off A's facet masks, and only the end is built: the
+    points lie in N on Z_A's affine lattice, so they keep N and its faces,
+    and a point lies on a face iff its mask of tight facets holds the face's
+    facet signature (see :func:`extended_poset`).  A point's minimal face F
+    has its mask as signature and lies in every face through it, and the
+    points added to F lie in face_lattice(A, F), so the point is lattice
+    redundant (see :func:`is_lattice_redundant`) iff its chart difference is
+    in that lattice, as the saturation scan found: else AssertionError.  The
+    witness is the first column with the signature of the first face through
+    the point, in the poset's order, as its mask.
+    """
     if mode not in ("s", "p"):
         raise ValueError("reduction chains target mode 's' or 'p'")
-    target = {*A.points, *_saturation_points(A, mode)}
-    current = A
-    steps = []
-    while True:
-        remaining = sorted(target - set(current.points))
-        if not remaining:
+    remaining = list(_saturation_points(A, mode))
+    P, poset, x = A.newton, A.poset, A.chart_points
+    signatures = poset._signatures
+    # each face by its facet signature, in the poset's order
+    by_signature = {signatures[m]: f for m, f in poset._by_mask.items()}
+    tight = [signatures[_mask(f.indices)] for f in A.minimal_faces]  # each column's mask
+    first = {}  # a mask -> the first column of the chain with it
+    for i, t in enumerate(tight):
+        first.setdefault(t, i)
+    columns, lattices, steps = list(A.points), {}, []
+    while remaining:
+        for pos, alpha in enumerate(remaining):
+            y, t = _placement(P, alpha)
+            s = next((g for g in by_signature if g & t == g and g in first), None)
+            if s is not None:
+                break
+        else:
             break
-        progress = False
-        for alpha in remaining:
-            enlarged = current.with_point(alpha)
-            ni = enlarged.index_of(alpha)
-            if not is_lattice_redundant(enlarged, ni):
-                continue
-            cert = _certify_step(enlarged, ni)
-            if cert is None:
-                continue
-            face, witness = cert
-            steps.append(ChainStep(alpha, face.indices, witness))
-            current = enlarged
-            progress = True
-            break
-        if not progress:
-            return ReductionChain(A, current, tuple(steps), tuple(remaining))
-    return ReductionChain(A, current, tuple(steps), ())
+        del remaining[pos]
+        base = by_signature[t]
+        if t not in lattices:
+            lattices[t] = face_lattice(A, base)
+        if vsub(y, x[base.indices[0]]) not in lattices[t]:
+            raise AssertionError(f"saturation point {alpha} is off its minimal face's lattice")
+        first.setdefault(t, len(columns))
+        columns.append(alpha)
+        tight.append(t)
+        on = [k for k in range(A.size, len(columns)) if tight[k] & s == s]
+        steps.append(ChainStep(alpha, by_signature[s].indices + tuple(on), columns[first[s]]))
+    order = columns[A.size:]
+    end = A._extended(order, _new_labels(A, len(order))) if order else A
+    return ReductionChain(A, end, tuple(steps), tuple(remaining))
 
 
 def replay_chain(chain: ReductionChain) -> bool:
     """Re-verify every chain step certificate from scratch: each enlarged
-    configuration is built from its columns, with a fresh hull, not
-    inherited from the one before as :func:`reduction_chain` builds it.
+    configuration is built from its columns, with a fresh hull and poset,
+    and its redundancy checked by :func:`is_lattice_redundant` on every face
+    through the added point, where :func:`reduction_chain` reads both off
+    A's facet masks and tests one face lattice per step.
     A step whose added point is a column already, whose face indices are no
     face or whose witness is no column fails the check: False, not raised."""
     current = chain.start

@@ -337,10 +337,6 @@ class FacePoset:
         m = _mask(face.indices)
         return tuple(f for z, f in self._by_mask.items() if z & m == z)
 
-    def faces_containing(self, face: Face):
-        m = _mask(face.indices)
-        return tuple(f for z, f in self._by_mask.items() if z & m == m)
-
 
 def _poset(P: Polytope, faces) -> FacePoset:
     """The FacePoset of P on (mask, face, facet signature) triples in graded

@@ -161,6 +161,20 @@ def config(points, labels=None):
     return PointConfiguration.from_columns([(1, *p) for p in points], labels)
 
 
+def chain_corpus():
+    """The first 40 configurations of acceptance criterion 8, OBSTRUCTED and
+    20 seeded 3-polytopes: 61 configurations, whose partial reduction chains
+    take 51 steps."""
+    return criterion_8_configs(40) + [OBSTRUCTED] + solid_configs(9, 10)
+
+
+def plane_grid_subsets():
+    """The 458 subsets of the 3 x 3 grid that span the plane."""
+    grid = [(x, y) for x in range(3) for y in range(3)]
+    subsets = (config(pts) for n in range(3, 10) for pts in itertools.combinations(grid, n))
+    return [A for A in subsets if A.newton.dim == 2]
+
+
 def _family():
     """Segments of 3-7 points, planar sets of 4-6, the catalog and the mother
     of all examples."""

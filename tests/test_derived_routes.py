@@ -31,7 +31,6 @@ each face's supporting functional.  ``ref_chart_coordinates`` of
 
 import gc
 import importlib.util
-import itertools
 import random
 import weakref
 from pathlib import Path
@@ -41,11 +40,10 @@ import pytest
 from _corpus import (
     FAMILY,
     LARGE,
-    OBSTRUCTED,
+    chain_corpus,
     config,
-    criterion_8_configs,
     face_corpus,
-    solid_configs,
+    plane_grid_subsets,
 )
 from test_hull_routes import ref_chart_coordinates, ref_face_poset
 from gkzkit import configuration
@@ -74,10 +72,6 @@ from gkzkit.polytope import (
 )
 
 
-def _configs():
-    return criterion_8_configs(40) + [OBSTRUCTED] + solid_configs(9, 10)
-
-
 def _fresh(A):
     return PointConfiguration.from_columns(A.points, A.labels)
 
@@ -100,7 +94,7 @@ def assert_rebuilt(B, parent, inherited):
 
 def test_a_point_of_n_on_the_lattice_keeps_the_hull():
     kinds = {"interior": 0, "facet": 0, "lower": 0}
-    for A in _configs():
+    for A in chain_corpus():
         N = A.newton
         full = [p for p, _ in lattice_points_in(N)]
         # the least point of N is a vertex, so no added point moves the anchor
@@ -123,7 +117,7 @@ def test_a_point_of_n_on_the_lattice_keeps_the_hull():
 @pytest.mark.parametrize("mode", ["s", "p", "full"])
 def test_saturations_keep_the_hull(mode):
     added = 0
-    for A in _configs():
+    for A in chain_corpus():
         F = _fresh(A)
         res = saturate(F, mode)
         assert_rebuilt(res.result, F, True)
@@ -140,7 +134,7 @@ def _outside(A):
 
 def test_points_outside_n_or_off_the_lattice_fall_back_to_a_fresh_hull():
     outside = 0
-    for A in _configs():
+    for A in chain_corpus():
         if A.newton.dim == 0:
             continue
         p = _outside(A)
@@ -165,7 +159,7 @@ def test_points_outside_n_or_off_the_lattice_fall_back_to_a_fresh_hull():
 
 
 def test_replay_builds_each_enlarged_configuration_from_its_columns(monkeypatch):
-    chains = [reduction_chain(_fresh(A), "p") for A in _configs()]
+    chains = [reduction_chain(_fresh(A), "p") for A in chain_corpus()]
     assert sum(len(c.steps) for c in chains) >= 40
 
     def inherited(P, new):
@@ -286,13 +280,6 @@ def _derivations(A):
                 yield "deletion", C.delete(i), shifted != sorted(shifted)
 
 
-def _grid_subsets():
-    """The subsets of the 3 x 3 grid that span the plane."""
-    grid = [(x, y) for x in range(3) for y in range(3)]
-    subsets = (config(pts) for n in range(3, 10) for pts in itertools.combinations(grid, n))
-    return [A for A in subsets if A.newton.dim == 2]
-
-
 @pytest.mark.parametrize(
     "corpus, least",
     [
@@ -303,7 +290,7 @@ def _grid_subsets():
     ],
 )
 def test_derived_posets_match_face_poset_of_their_hulls(corpus, least):
-    configs = {"chains": _configs, "faces": face_corpus, "grid": _grid_subsets}[corpus]()
+    configs = {"chains": chain_corpus, "faces": face_corpus, "grid": plane_grid_subsets}[corpus]()
     kinds = dict.fromkeys(least, 0)
     for A in configs:
         for kind, B, moved in _derivations(A):
@@ -363,7 +350,7 @@ def test_placements_match_the_solve_and_dot_routes(corpus, least):
     A's columns, which has placed none, the enlarged hull and poset equal the
     solve-and-dot routes' and a fresh hull's and poset's; every recorded
     placement is the one the solve gives; and a point outside N is refused."""
-    configs = {"chains": _configs, "faces": face_corpus, "grid": _grid_subsets}[corpus]()
+    configs = {"chains": chain_corpus, "faces": face_corpus, "grid": plane_grid_subsets}[corpus]()
     kinds = dict.fromkeys(least, 0)
     for A in configs:
         A = _fresh(A)
@@ -467,7 +454,7 @@ def test_placed_points_take_no_chart_solve(monkeypatch):
         solved.append(L)
         return coordinates(L, v)
 
-    configs = [_fresh(A) for A in _configs()]
+    configs = [_fresh(A) for A in chain_corpus()]
     monkeypatch.setattr(Lattice, "coordinates", spy)
     added = steps = 0
     for A in configs:

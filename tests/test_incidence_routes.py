@@ -1,9 +1,11 @@
 """Differential tests: each column's minimal face, read off the hull's facet
 incidences, against a solve in the chart per column; the planar interior
 witness, whose candidates are looked up among the enumerated interior points,
-against the same search testing each candidate by its slacks; and the two
+against the same search testing each candidate by its slacks; the two
 face questions of ``check_aux_point``, read off the face poset, against the
-scans they replace.
+scans they replace; and its redundancy test, one chart span on the deleted
+column's minimal face, against ``is_lattice_redundant``, one per face
+through the column.
 
 The references below are the earlier routes, kept verbatim up to access
 paths: ``ref_slacks``, ``ref_contains`` and ``ref_contains_strict`` are the
@@ -32,6 +34,7 @@ certificate and its matching face.  Each stays as the route the library
 replaced, and the oldest one left for its question.
 """
 
+import itertools
 import random
 
 import pytest
@@ -40,6 +43,7 @@ from _corpus import (
     OBSTRUCTED,
     ambient_span,
     collinear,
+    config,
     coplanar,
     criterion_8_configs,
     face_corpus,
@@ -515,9 +519,10 @@ def test_aux_certificates_build_no_configuration(monkeypatch):
 
 
 def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatch):
-    # on every pair that reaches the face loop: the membership route builds
-    # no group, and the multiplicity route reads m(A - k, Γ) off A's quotient
-    # of the face, so no chart span runs beyond is_lattice_redundant's
+    # on every pair that reaches the face loop: redundancy is one chart span,
+    # on k's minimal face without k, the membership route builds no group,
+    # and the multiplicity route reads m(A - k, Γ) off A's quotient of the
+    # face, so no other chart span runs
     calls = [0]
     span = configuration._chart_span
 
@@ -533,13 +538,30 @@ def test_aux_certificates_span_no_lattice_beyond_the_redundancy_check(monkeypatc
                 if a == k or not isinstance(check_aux_point(A, k, a).reasons[0], FaceCheck):
                     continue
                 calls[0] = 0
-                is_lattice_redundant(PointConfiguration.from_columns(A.points), k)
-                alone = calls[0]
-                calls[0] = 0
                 check_aux_point(PointConfiguration.from_columns(A.points), k, a)
-                assert calls[0] == alone, (A.points, k, a)
+                assert calls[0] == 1, (A.points, k, a)
                 looped += 1
     assert looped >= 400, looped
+
+
+def _grid_4x3_subsets():
+    """The subsets of 4 ... 7 points of the 4 x 3 grid."""
+    grid = [(x, y) for x in range(4) for y in range(3)]
+    return [config(pts) for n in range(4, 8) for pts in itertools.combinations(grid, n)]
+
+
+def test_aux_redundancy_on_the_minimal_face_matches_every_face():
+    # the verdict and the reason of the one test on k's minimal face equal
+    # is_lattice_redundant's, a span per face through k, on every column
+    verdicts = {}
+    for A in [*face_corpus(), *_grid_4x3_subsets()]:
+        for k in range(A.size):
+            red = is_lattice_redundant(A, k)
+            first = check_aux_point(A, k, (k + 1) % A.size).reasons[0]
+            rejected = f"column {k} is not lattice redundant: {red.reason}"
+            assert (first == rejected) == (not red), (A.points, k, first)
+            verdicts[red.reason] = verdicts.get(red.reason, 0) + 1
+    assert min(verdicts.values()) >= 1000 and len(verdicts) == 3, verdicts
 
 
 def test_faces_report_lattice_rank_is_the_face_lattice_rank():
