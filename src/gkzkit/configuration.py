@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key, partial, wraps
 from math import gcd, prod
 from numbers import Number
+from operator import mul
 from weakref import WeakKeyDictionary
 
 from .intlinalg import (
@@ -35,12 +36,11 @@ from .intlinalg import (
     _ints,
     clear_denominators,
     dot,
-    integer_kernel_basis,
     record,
     primitive,
     vsub,
 )
-from .lattice import Lattice, hnf_solve
+from .lattice import Lattice, _substitute, hnf_solve
 from .lp import OPTIMAL, lp_maximize
 from .polytope import (
     BudgetError,
@@ -265,6 +265,12 @@ class PointConfiguration:
         return {}
 
     @cached_property
+    def _saturations(self):
+        """Saturation mode -> the points it adds, filled on demand by
+        :func:`_saturation_points`."""
+        return {}
+
+    @cached_property
     def _face_scans(self):
         """Face indices -> the points of the face's own lattice in the face,
         for each face scanned so far."""
@@ -328,12 +334,28 @@ class PointConfiguration:
     @cached_property
     def facet_constraints(self):
         """(face, M) for each codimension-one face: integer rows M cutting
-        out the face's linear span.  They are the last columns of a
-        unimodular U (see :func:`integer_kernel_basis`), so M maps Z^(1+n)
-        onto Z^k, k the number of rows."""
+        out the face's linear span, read off one column HNF X U = [L | 0] of
+        the rows X of the chart anchor and the chart basis, run with the
+        identity below X, so U is unimodular; A is homogeneous, so L is
+        square and lower triangular.  u = U (y, z) vanishes on the facet
+        h . x = c iff X u = L y is a multiple of (-c, h), so iff y is an
+        integer multiple of y_F, the primitive integer vector on the line of
+        L^-1 (-c, h).  M is U (y_F, 0) and U's last columns, the kernel of X:
+        part of a unimodular basis, so M maps Z^(1+n) onto Z^k, k the number
+        of rows."""
+        P, n = self.newton, self.ambient_dim
+        X = [P.chart_anchor, *P.chart.generators()]
+        cols = [[*(row[j] for row in X), *(int(i == j) for i in range(n))] for j in range(n)]
+        s = _hnf(cols, len(X))
+        L = tuple(zip(*(c[:s] for c in cols[:s])))
+        U1 = tuple(zip(*(c[s:] for c in cols[:s])))  # U's first s columns, as rows
+        kernel = tuple(tuple(c[s:]) for c in cols[s:])
+        faces = self.poset.of_dim(P.dim - 1)
+        D = prod(L[j][j] for j in range(s))  # so L y = D (-c, h) has an integer solution
+        rhs = [[-D * c, *(D * a for a in h)] for h, c in (f.supporting for f in faces)]
         return tuple(
-            (face, integer_kernel_basis(self.face_points(face), self.ambient_dim))
-            for face in self.poset.of_dim(self.newton.dim - 1)
+            (face, (tuple([sum(map(mul, row, y)) for row in U1]), *kernel))
+            for face, y in zip(faces, map(primitive, _substitute(L, range(s), rhs)))
         )
 
     def face_int_semiideal(self):
@@ -864,18 +886,22 @@ class SaturationResult:
 
 
 def _saturation_points(A: PointConfiguration, mode: str) -> tuple:
-    """The points saturation mode ``mode`` adds to A, sorted."""
-    if mode == "full":
-        pts = set(A.face_lattice_points(A.poset.top))
-    elif mode in ("s", "p"):
-        faces = A.poset.faces if mode == "s" else A.face_int_semiideal()
-        pts = set()
-        # largest first, so that only the maximal faces are scanned
-        for face in sorted(faces, key=lambda f: (-f.dim, f.indices)):
-            pts.update(A.face_interior(face))
-    else:
+    """The points saturation mode ``mode`` adds to A, sorted, found once per
+    mode and kept with A."""
+    if mode not in ("s", "p", "full"):
         raise ValueError(f"unknown saturation mode {mode!r}")
-    return tuple(sorted(pts - set(A.points)))
+    memo = A._saturations
+    if mode not in memo:
+        if mode == "full":
+            pts = set(A.face_lattice_points(A.poset.top))
+        else:
+            faces = A.poset.faces if mode == "s" else A.face_int_semiideal()
+            pts = set()
+            # largest first, so that only the maximal faces are scanned
+            for face in sorted(faces, key=lambda f: (-f.dim, f.indices)):
+                pts.update(A.face_interior(face))
+        memo[mode] = tuple(sorted(pts - set(A.points)))
+    return memo[mode]
 
 
 def saturate(A: PointConfiguration, mode: str) -> SaturationResult:

@@ -6,9 +6,9 @@ are M's column vectors.  The column Hermite normal form, the only integer
 normal form, is canonical so that equal lattices get structurally equal
 representations.  One in-place kernel, ``_hnf``, computes it on lists of
 integer columns.  Only ``_hnf_kernel``, behind ``integer_kernel_basis`` and
-the face HNF of ``configuration``, asks it to carry the unimodular
-transform, and so every integer kernel is a Z-basis; a lattice span keeps
-just the reduced columns.
+the face HNF of ``configuration``, and the facet constraints there ask it
+to carry the unimodular transform, and so every integer kernel is a
+Z-basis; a lattice span keeps just the reduced columns.
 
 The module also holds ``record``, the decorator of the library's value
 classes: every command loads this module, so it costs no import of its own.
@@ -71,13 +71,14 @@ def _is_integer(a):
 def _rationals(v):
     """The entries of v as a list of Fractions; ValueError names the first
     entry that is not a finite rational number, None, inf, NaN and booleans
-    too.  Whatever ``Fraction`` reads, a numeric string too, passes."""
+    too.  Whatever ``Fraction`` reads, a numeric string too, passes, and a
+    Fraction passes as it is."""
     out = []
     for a in v:
         try:
             if isinstance(a, bool):
                 raise TypeError
-            out.append(Fraction(a))
+            out.append(a if type(a) is Fraction else Fraction(a))
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"non-rational entry {a!r}") from None
     return out

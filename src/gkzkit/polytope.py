@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import prod
+from operator import add, mul
 
 from .intlinalg import _ints, _reduce, dot, record, vec_gcd, vsub
 from .lattice import Lattice, _substitute, hnf_solve
@@ -449,29 +450,27 @@ def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None =
 
     A point x_v + sum m_k g_k has integer chart coordinates, so each facet
     (h, c) gives one integer slack form c - h . x_v - sum m_k h . g_k in m.
-    Box points are tested by the forms alone; a hit is built as the face's
-    first point plus sum m_k B g_k, B the chart basis, and placed in P (see
-    :attr:`Polytope.placements`) with chart coordinates x_v + sum m_k g_k
-    and its mask.
+    Box points are tested by the forms alone; a hit's chart coordinates are
+    x = x_v + t, t = sum m_k g_k, and it is the face's first point plus B t,
+    B the chart basis, placed in P (see :attr:`Polytope.placements`) with x
+    and its mask.  Z^dim's generators are the unit vectors, so there t = m
+    and the box is read off the vertices' chart differences, with no solve.
     """
     indices = face.indices if face is not None else range(len(P.points))
     on, first = _mask(indices), indices[0]
     x0 = P.point_coords[first]
-    if L is None:
-        eye = range(P.dim)
-        L = Lattice.from_generators([[int(i == j) for j in eye] for i in eye], P.dim)
     through = [on & z == on for z in P.facet_sets]
-    # the vertices' coordinates in L, each as (numerators, denominator)
-    boxes = [
-        hnf_solve(L.basis, L.pivots, vsub(P.point_coords[i], x0))
-        for i in P.vertex_indices
-        if on >> i & 1
-    ]
-    if None in boxes:
-        raise ValueError("lattice span does not contain the polytope's hull")
-    gens = L.generators()
-    lo = [min(-(-x[j] // d) for x, d in boxes) for j in range(L.rank)]
-    hi = [max(x[j] // d for x, d in boxes) for j in range(L.rank)]
+    diffs = [vsub(P.point_coords[i], x0) for i in P.vertex_indices if on >> i & 1]
+    if L is None:  # the unit vectors: m is the chart difference, and G the identity
+        G, lo, hi = None, [min(c) for c in zip(*diffs)], [max(c) for c in zip(*diffs)]
+    else:
+        # the vertices' coordinates in L, each as (numerators, denominator)
+        boxes = [hnf_solve(L.basis, L.pivots, x) for x in diffs]
+        if None in boxes:
+            raise ValueError("lattice span does not contain the polytope's hull")
+        G = L.basis
+        lo = [min(-(-x[j] // d) for x, d in boxes) for j in range(L.rank)]
+        hi = [max(x[j] // d for x, d in boxes) for j in range(L.rank)]
     size = prod(max(b - a + 1, 0) for a, b in zip(lo, hi))
     if size > LATTICE_BOX_CAP:
         raise BudgetError(
@@ -480,24 +479,24 @@ def lattice_points_in(P: Polytope, L: Lattice | None = None, face: Face | None =
     # (constant, coefficients, tight, bit): a facet's slack, tight on the
     # facets through the face
     forms = [
-        (c - dot(h, x0), [-dot(h, g) for g in gens], t, 1 << j)
+        (c - dot(h, x0), [-a for a in h] if G is None else [-dot(h, g) for g in zip(*G)],
+         t, 1 << j)
         for j, ((h, c), t) in enumerate(zip(P.facets, through))
     ]
-    base = P.points[first]
-    steps = [[dot(row, g) for row in P.chart.basis] for g in gens]
+    base, B = P.points[first], P.chart.basis
     placements, out = P.placements, []
     for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         mask = 0
         for a, k, tight, bit in forms:
-            s = a + dot(k, m)
+            s = a + sum(map(mul, k, m))
             if (s != 0) if tight else (s < 0):
                 break
             if not s:
                 mask |= bit
         else:
-            p = tuple(a + sum(k * g[i] for k, g in zip(m, steps)) for i, a in enumerate(base))
-            x = tuple(a + sum(k * g[i] for k, g in zip(m, gens)) for i, a in enumerate(x0))
-            placements[p] = (x, mask)
+            t = m if G is None else [sum(map(mul, row, m)) for row in G]
+            p = tuple([a + sum(map(mul, row, t)) for a, row in zip(base, B)])
+            placements[p] = (tuple(map(add, x0, t)), mask)
             out.append((p, mask))
     return tuple(sorted(out))
 

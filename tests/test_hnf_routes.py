@@ -12,17 +12,20 @@ rational coordinates (``ref_coordinates``, the route until the integer
 forward substitution).  They stay as the routes the in-place kernel replaced;
 sympy's HNF in ``test_lattice_core.py`` is the independent one.  The routes
 under test run through the one in-place kernel ``intlinalg._hnf``; only
-``_hnf_kernel``, behind ``integer_kernel_basis`` and the face HNF, carries
-the transform.  The tests here run ``_hnf`` with a transform block they
-build themselves, ``hnf_with_transform``.
+``_hnf_kernel``, behind ``integer_kernel_basis`` and the face HNF, and the
+HNF behind ``PointConfiguration.facet_constraints`` carry the transform.
+The tests here run ``_hnf`` with a transform block they build themselves,
+``hnf_with_transform``.
 
 The integer kernel is checked against ``ref_integer_kernel_basis`` (the
 zero columns of ``ref_column_hnf``) and against the span of the Fraction
 orthogonal complement, ``ref_integer_orthogonal_complement`` of
 ``test_kernel_routes.py``, on that file's seeded matrices, on every input
-the faces of the routes corpora hand to it, and on the start-facet rows the
-earlier hull start, ``ref_start`` of ``test_elimination_routes.py``, builds
-on the hull corpus (the hull's own start takes no kernel).
+the faces of the routes corpora hand to it, on the rows X of their facet
+constraints' HNF (whose L and kernel are ``_hnf_kernel``'s), and on the
+start-facet rows the earlier hull start, ``ref_start`` of
+``test_elimination_routes.py``, builds on the hull corpus (the hull's own
+start takes no kernel).
 
 ``ref_intersect_subspace`` is the earlier ``Lattice.intersect_subspace`` on
 these references.  The library no longer has it; the index, quotient and
@@ -41,6 +44,7 @@ from _corpus import (
     hnf_with_transform,
     hull_corpus,
     random_rows,
+    skewed_configs,
     solid_configs,
     width,
 )
@@ -49,6 +53,7 @@ from test_kernel_routes import ref_integer_orthogonal_complement as integer_orth
 from gkzkit import configuration, intlinalg, polytope
 from gkzkit.configuration import _face_quotient_images
 from gkzkit.intlinalg import (
+    _hnf,
     _hnf_kernel,
     clear_denominators,
     dot,
@@ -356,8 +361,16 @@ def test_kernel_matches_the_references_on_the_hull_and_face_inputs(monkeypatch):
         inputs.add((tuple(map(tuple, rows)), n))
         return _hnf_kernel(rows, n)
 
+    def facet_spy(cols, m):
+        # the facet constraints' HNF of X, run with the identity below X,
+        # reads the L and the kernel that _hnf_kernel(X, n) returns
+        if cols and len(cols[0]) > m:
+            inputs.add((tuple(zip(*(c[:m] for c in cols))), len(cols)))
+        return _hnf(cols, m)
+
     monkeypatch.setattr(intlinalg, "_hnf_kernel", spy)
     monkeypatch.setattr(configuration, "_hnf_kernel", spy)
+    monkeypatch.setattr(configuration, "_hnf", facet_spy)
     # the hull's start reaches no kernel; its earlier route took one per facet
     monkeypatch.setattr(polytope, "_start", ref_start)
     for pts in hull_corpus():
@@ -369,6 +382,7 @@ def test_kernel_matches_the_references_on_the_hull_and_face_inputs(monkeypatch):
         *(coplanar(n) for n in (2, 4, 6)),
         *solid_configs(5, 3),
         *solid_configs(7, 1),
+        *skewed_configs(47, 120),
     ]
     for A in configs:
         A.facet_constraints

@@ -27,7 +27,7 @@ from gkzkit.hyper import (
     shift_inverse,
     toric_kernel_basis,
 )
-from gkzkit.intlinalg import dot, integer_kernel_basis
+from gkzkit.intlinalg import _rationals, dot, integer_kernel_basis
 
 C013 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 3)])
 C0123 = PointConfiguration.from_columns([(1, 0), (1, 1), (1, 2), (1, 3)])
@@ -110,6 +110,16 @@ def test_parameters_of_every_rational_type_agree():
         for same in ([float(b) for b in beta], [str(b) for b in beta]):
             assert is_nonresonant(C013, same) == want, same
     assert verdicts == {True, False}
+
+
+def test_fraction_parameters_pass_as_they_are():
+    # the caller's Fractions are kept, not rebuilt; booleans stay refused
+    half = Fraction(1, 2)
+    got = _rationals([half, 2, "3/4"])
+    assert got == [half, 2, Fraction(3, 4)] and got[0] is half
+    assert all(type(a) is Fraction for a in got)
+    with pytest.raises(ValueError, match=r"^non-rational entry False$"):
+        _rationals([half, False])
 
 
 def test_gamma_coefficient_binomial():

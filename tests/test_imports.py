@@ -6,9 +6,9 @@ every module-level public function or class, and every public method or
 property of a gkzkit class, is named somewhere else in gkzkit, ``bench/`` or
 ``scripts/`` or is declared in ``TEST_ONLY``, every ``lru_cache`` of gkzkit
 is declared in ``CACHES``, every function memoised with its
-configuration in ``MEMOS`` and every ``cached_property`` table of
-``Polytope`` and ``FacePoset`` in ``TABLES``, each with the traffic that
-hits it, no ``lru_cache`` takes a ``PointConfiguration``, and every
+configuration in ``MEMOS`` and every ``cached_property`` table (a dict)
+of ``Polytope``, ``FacePoset`` and ``PointConfiguration`` in ``TABLES``,
+each with the traffic that hits it, no ``lru_cache`` takes a ``PointConfiguration``, and every
 module-level UPPER_CASE constant is read somewhere in gkzkit.
 
 The package ``__init__`` re-exports its public API through the
@@ -54,15 +54,16 @@ MEMOS = {
     "hyper.toric_kernel_basis": "gkzkit series --extend on the 4-point curve: 6 hits / 2 misses",
     "hyper._kernel_slice": "gkzkit series --extend on the 4-point curve: 4 hits / 1 miss",
 }
-# Every cached_property table of a Newton hull or its face poset, which
-# lives as long as they do, with its traffic over the ops of 10 benchmark
-# ``saturations`` blocks at seed 7 (80 ops): lookups that found an entry,
-# lookups that did not, and the entries made.
+# Every cached_property table of a Newton hull, its face poset or its
+# configuration, which lives as long as they do, with its traffic over the
+# ops of 10 benchmark ``saturations`` blocks at seed 7 (80 ops): lookups that
+# found an entry, lookups that did not, and the entries made.
 TABLES = {
     "polytope.Polytope.minors": "46 hits / 363 misses, each of which fills its entry: 363 entries",
     "polytope.Polytope.placements": (
-        "661 hits / 0 misses: every point added is a scan hit; 646 entries, one per "
-        "scan hit, in 80 tables, each shared by the hulls derived from a fresh one"
+        "767 hits / 0 misses: every point added, and every step of a chain, is a scan "
+        "hit; 646 entries, one per scan hit, in 80 tables, each shared by the hulls "
+        "derived from a fresh one"
     ),
     "polytope.FacePoset._by_mask": (
         "1 196 hits / 0 misses and 522 walks; seeded by each of the 186 posets built "
@@ -70,6 +71,18 @@ TABLES = {
     ),
     "polytope.FacePoset._signatures": (
         "1 608 hits / 0 misses; seeded by each of the 186 posets built or derived: 1 608 entries"
+    ),
+    "configuration.PointConfiguration._face_interiors": (
+        "1 206 hits / 80 misses, each of which scans its face, which fills the entries "
+        "of the face's subfaces: 720 entries, one per face, in 80 tables"
+    ),
+    "configuration.PointConfiguration._face_scans": (
+        "80 hits / 80 misses: the s saturation scans the top face, and full reads "
+        "that scan; 80 entries"
+    ),
+    "configuration.PointConfiguration._saturations": (
+        "80 hits / 240 misses: saturate fills each mode's entry, and the reduction "
+        "chain reads the p entry; 240 entries"
     ),
 }
 
@@ -375,42 +388,71 @@ def test_every_memo_is_declared_with_its_traffic():
     assert found == set(MEMOS)
 
 
-def cached_tables(sources, classes):
-    """(module, Class.name) of each ``cached_property`` of the module-level
-    classes of ``sources`` named in ``classes``, bare or as an attribute."""
-    return sorted(
-        (Path(path).stem, f"{top.name}.{node.name}")
-        for path, source in sources.items()
-        for top in ast.parse(source).body
-        if isinstance(top, ast.ClassDef) and top.name in classes
-        for node in top.body
-        if isinstance(node, ast.FunctionDef)
-        and any(
-            (deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", None))
-            == "cached_property"
-            for deco in node.decorator_list
-        )
+def _returns_a_table(node, tables):
+    """Does the function ``node`` end by returning a dict display, a dict
+    comprehension or a call of one of the class names ``tables``?"""
+    last = node.body[-1]
+    value = last.value if isinstance(last, ast.Return) else None
+    return isinstance(value, (ast.Dict, ast.DictComp)) or (
+        isinstance(value, ast.Call) and getattr(value.func, "id", None) in tables
     )
+
+
+def cached_tables(sources, classes):
+    """(module, Class.name) of each ``cached_property`` table of the
+    module-level classes of ``sources`` named in ``classes``, bare or as an
+    attribute: one that returns a dict, or an instance of a module-level
+    subclass of ``dict``."""
+    out = []
+    for path, source in sources.items():
+        body = ast.parse(source).body
+        tables = {
+            top.name
+            for top in body
+            if isinstance(top, ast.ClassDef)
+            and any(getattr(base, "id", None) == "dict" for base in top.bases)
+        }
+        out += [
+            (Path(path).stem, f"{top.name}.{node.name}")
+            for top in body
+            if isinstance(top, ast.ClassDef) and top.name in classes
+            for node in top.body
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                (deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", None))
+                == "cached_property"
+                for deco in node.decorator_list
+            )
+            and _returns_a_table(node, tables)
+        ]
+    return sorted(out)
 
 
 def test_the_guard_sees_cached_tables():
     sources = {
         "a.py": (
             "import functools\nfrom functools import cached_property\n"
+            "class Filled(dict):\n    pass\n"
             "class Hull:\n"
             "    @cached_property\n    def table(self):\n        return {}\n"
             "    @functools.cached_property\n    def _dotted(self):\n        return {}\n"
-            "    @property\n    def plain(self):\n        return 1\n"
+            "    @cached_property\n    def built(self):\n        return {k: 1 for k in self}\n"
+            "    @cached_property\n    def subclass(self):\n        return Filled(self)\n"
+            "    @cached_property\n    def value(self):\n        return (1, 2)\n"
+            "    @cached_property\n    def other(self):\n        return Other()\n"
+            "    @property\n    def plain(self):\n        return {}\n"
             "class Other:\n"
             "    @cached_property\n    def elsewhere(self):\n        return {}\n"
         ),
     }
-    assert cached_tables(sources, {"Hull"}) == [("a", "Hull._dotted"), ("a", "Hull.table")]
+    assert cached_tables(sources, {"Hull"}) == [
+        ("a", "Hull._dotted"), ("a", "Hull.built"), ("a", "Hull.subclass"), ("a", "Hull.table")
+    ]
 
 
 def test_every_hull_table_is_declared_with_its_traffic():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
-    found = cached_tables(sources, {"Polytope", "FacePoset"})
+    found = cached_tables(sources, {"Polytope", "FacePoset", "PointConfiguration"})
     assert {f"{module}.{name}" for module, name in found} == set(TABLES)
 
 

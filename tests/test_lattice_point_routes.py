@@ -20,7 +20,10 @@ image lattice on every call, and tests rational membership, through
 library's integer substitution.  The three are
 references since commit 30258b6, which replaced them, and stay as the routes
 the library replaced and the oldest ones left: the per-point scan tests every
-box point.
+box point.  ``ref_facet_constraints`` is the earlier
+``PointConfiguration.facet_constraints``, the integer kernel of each
+facet's points, where the library reads every facet's rows off one HNF of
+the chart; ``resonance_box_oracle`` keeps its own kernel per facet.
 
 ``ref_lattice_points_in`` keeps the ambient frame: its lattice is an
 (anchor, difference lattice) pair of ambient points, built here by
@@ -57,9 +60,10 @@ from test_chart_routes import ref_ambient_functional
 from test_hnf_routes import ref_coordinates
 from test_incidence_routes import ref_slacks
 from test_kernel_routes import ref_integer_orthogonal_complement as integer_orthogonal_complement
+from gkzkit import configuration, polytope
 from gkzkit.configuration import PointConfiguration, face_lattice, saturate
 from gkzkit.hyper import ResonanceReport, is_nonresonant, resonance_box_oracle
-from gkzkit.intlinalg import clear_denominators, dot, vsub
+from gkzkit.intlinalg import clear_denominators, dot, integer_kernel_basis, vsub
 from gkzkit.lattice import Lattice
 from gkzkit.polytope import (
     LATTICE_BOX_CAP,
@@ -351,6 +355,33 @@ def test_facet_constraints_map_onto_the_standard_lattice():
     assert facets > 1300, facets
 
 
+def ref_facet_constraints(A):
+    """The earlier ``PointConfiguration.facet_constraints``: the integer
+    kernel of the points on each codimension-one face, one HNF per face."""
+    return tuple(
+        (face, integer_kernel_basis(A.face_points(face), A.ambient_dim))
+        for face in A.poset.of_dim(A.newton.dim - 1)
+    )
+
+
+def test_facet_rows_match_a_kernel_per_facet():
+    # one HNF of the chart's rows gives, for each facet, rows of the same
+    # lattice as the kernel of the facet's points: the integer functionals
+    # vanishing on its span, which on a flat configuration hold the kernel
+    # of the whole span too
+    facets = flat = 0
+    for A in (*face_corpus(), *skewed_configs(47, 120), *solid_configs(5, 10)):
+        n = A.ambient_dim
+        got, want = A.facet_constraints, ref_facet_constraints(A)
+        assert [face for face, _ in got] == [face for face, _ in want], A.points
+        for (face, M), (_, K) in zip(got, want):
+            assert len(M) == len(K), (A.points, face)
+            assert Lattice.from_generators(M, n) == Lattice.from_generators(K, n), (A.points, face)
+            facets += 1
+        flat += A.newton.dim + 1 < n
+    assert facets > 1300 and flat > 25, (facets, flat)
+
+
 def test_nonresonance_over_one_denominator_matches_the_rational_routes():
     # Newton polytopes that are not full-dimensional, so M has several rows,
     # which map Z^(1+n) onto Z^k, and parameters beta = b / D with M b
@@ -373,3 +404,40 @@ def test_nonresonance_over_one_denominator_matches_the_rational_routes():
         assert [bool(is_nonresonant(A, beta)) for beta in betas] == oracle, A.points
     assert len(flat) > 25 and several == len(flat) and off_d > 200, (len(flat), several, off_d)
 
+
+def test_the_top_face_scan_builds_no_lattice_and_solves_nothing(monkeypatch):
+    # Z^dim's generators are the unit vectors: the box is read off the
+    # vertices' chart differences, with no identity lattice and no solve
+    calls, scans = [], []
+    solve, span = polytope.hnf_solve, Lattice.from_generators.__func__
+
+    def spy_solve(*args):
+        calls.append("hnf_solve")
+        return solve(*args)
+
+    def spy_span(cls, *args):
+        calls.append("from_generators")
+        return span(cls, *args)
+
+    def scan(P, L=None, face=None):
+        before = len(calls)
+        hits = lattice_points_in(P, L, face)
+        if L is None:
+            scans.append((calls[before:], len(hits)))
+        return hits
+
+    # fresh configurations, whose top faces no earlier test scanned
+    configs = [PointConfiguration.from_columns(A.points) for A in face_corpus()]
+    monkeypatch.setattr(polytope, "hnf_solve", spy_solve)
+    monkeypatch.setattr(Lattice, "from_generators", classmethod(spy_span))
+    monkeypatch.setattr(configuration, "lattice_points_in", scan)
+    for A in configs:
+        saturate(A, "full")
+    assert len(scans) == len(configs) and all(not made for made, _ in scans)
+    assert sum(hits for _, hits in scans) > 1000, scans
+    # the spies see the same scan given Z^dim as a lattice: it solves each vertex
+    for A in configs[:10]:
+        top = A.poset.top
+        del calls[:]
+        assert lattice_points_in(A.newton, face_lattice(A, top), top) == lattice_points_in(A.newton)
+        assert calls.count("hnf_solve") == len(A.newton.vertex_indices), A.points
